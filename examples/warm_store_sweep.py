@@ -22,58 +22,55 @@ import json
 import tempfile
 
 from repro.analysis import format_table
-from repro.runner import graph_cache, run_sweep
+from repro.runner import config, graph_cache, run_sweep
+from repro.runner.chain import warm
 from repro.scenarios import get_scenario
-from repro.store import GraphStore
-from repro.store.graphs import warm
+from repro.store import GRAPH_FAMILY, FamilyStore
 
 SCENARIOS = ["dense-gnp", "grid-weighted", "power-law"]
 
 
 def main() -> int:
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            store = GraphStore(tmp + "/graph-store")
+    with config.preserved(), tempfile.TemporaryDirectory() as tmp:
+        store = FamilyStore(GRAPH_FAMILY, tmp + "/graph-store")
 
-            # 1. Pre-warm: build + publish every scenario graph once.
-            counts = warm(store, [get_scenario(n) for n in SCENARIOS])
-            rows = [(e.identity["scenario"], e.identity["size"],
-                     e.manifest["graph"]["n"], e.manifest["graph"]["m"],
-                     "yes" if e.manifest["graph"]["weighted"] else "no",
-                     e.nbytes)
-                    for e in store.ls()]
-            print(format_table(
-                ["scenario", "size", "n", "m", "weighted", "bytes"],
-                rows, title=f"warmed store ({counts['published']} published)"))
+        # 1. Pre-warm: build + publish every scenario graph once.
+        counts = warm(store.root, [get_scenario(n) for n in SCENARIOS],
+                      families=("graphs",))
+        rows = [(e.identity["scenario"], e.identity["size"],
+                 e.manifest["graph"]["n"], e.manifest["graph"]["m"],
+                 "yes" if e.manifest["graph"]["weighted"] else "no",
+                 e.nbytes)
+                for e in store.ls()]
+        print(format_table(
+            ["scenario", "size", "n", "m", "weighted", "bytes"],
+            rows, title=f"warmed store ({counts['published']} published)"))
 
-            # 2. A sweep over the warm store, LRU off to make the disk
-            # path visible: every cell mmaps its graph.
-            outcome = run_sweep(SCENARIOS, graph_store_dir=store.root,
-                                graph_cache_size=0)
-            sources = outcome.summary()["graph_sources"]
-            print(f"\nwarm sweep graph sources: {json.dumps(sources)}")
-            assert outcome.ok
-            assert sources == {"store": len(outcome.results)}, sources
+        # 2. A sweep over the warm store, LRU off to make the disk
+        # path visible: every cell mmaps its graph.
+        outcome = run_sweep(SCENARIOS, graph_store_dir=store.root,
+                            graph_cache_size=0)
+        sources = outcome.summary()["graph_sources"]
+        print(f"\nwarm sweep graph sources: {json.dumps(sources)}")
+        assert outcome.ok
+        assert sources == {"store": len(outcome.results)}, sources
 
-            # 3. Byte-identity: the store must never change a recorded
-            # byte vs a storeless in-memory sweep.
-            graph_cache.configure_store(None)
-            graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-            baseline = run_sweep(SCENARIOS)
-            assert [r.canonical_record() for r in baseline.results] == \
-                [r.canonical_record() for r in outcome.results]
-            print("store-served records == storeless records "
-                  f"({len(outcome.results)} cells, byte-identical)")
-
-            # 4. Maintenance: prune to the newest snapshot.
-            removed = store.gc(keep_last=1)
-            stats = store.stat()
-            print(f"gc --keep-last 1: removed {len(removed)} snapshot(s), "
-                  f"{stats['entries']} left ({stats['bytes']} bytes)")
-            assert stats["entries"] == 1
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
+        # 3. Byte-identity: the store must never change a recorded
+        # byte vs a storeless in-memory sweep.
         graph_cache.configure_store(None)
+        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
+        baseline = run_sweep(SCENARIOS)
+        assert [r.canonical_record() for r in baseline.results] == \
+            [r.canonical_record() for r in outcome.results]
+        print("store-served records == storeless records "
+              f"({len(outcome.results)} cells, byte-identical)")
+
+        # 4. Maintenance: prune to the newest snapshot.
+        removed = store.gc(keep_last=1)
+        stats = store.stat()
+        print(f"gc --keep-last 1: removed {len(removed)} snapshot(s), "
+              f"{stats['entries']} left ({stats['bytes']} bytes)")
+        assert stats["entries"] == 1
     return 0
 
 

@@ -235,13 +235,13 @@ def _dict_era_construction():
 
 @register_benchmark("graph-core")
 def bench_graph_core() -> BenchReport:
-    from repro.runner import graph_cache
+    from repro.runner import config, graph_cache
 
     # The measurement is defined against the default, *storeless* cache
-    # chain: with REPRO_GRAPH_STORE_DIR exported, store publishes and
-    # mmap hits would leak into every timing (and snapshots into the
-    # user's store).  Disconnect for the duration, then restore.
-    with _graph_cache_state():
+    # chain: with a graph store connected, store publishes and mmap hits
+    # would leak into every timing (and snapshots into the user's
+    # store).  Disconnect for the duration, then restore.
+    with config.preserved():
         graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
         graph_cache.configure_store(None)
         return _measure_graph_core()
@@ -389,28 +389,14 @@ _STORE_CASES_SMOKE = (("dense-gnp", 24), ("sparse-gnp", 48),
                       ("grid-weighted", 36))
 
 
-@contextlib.contextmanager
-def _graph_cache_state():
-    """Snapshot + restore the process-wide graph cache configuration."""
-    from repro.runner import graph_cache
-
-    store = graph_cache.effective_store()
-    maxsize = graph_cache.effective_maxsize()
-    try:
-        yield
-    finally:
-        graph_cache.configure(maxsize)
-        graph_cache.configure_store(None if store is None else store.root)
-
-
 @register_benchmark("graph-store")
 def bench_graph_store(smoke: bool = False) -> BenchReport:
     import shutil
     import tempfile
 
-    from repro.runner import graph_cache
+    from repro.runner import config, graph_cache
     from repro.scenarios import get_scenario
-    from repro.store import GraphStore
+    from repro.store import GRAPH_FAMILY, FamilyStore
 
     cases = _STORE_CASES_SMOKE if smoke else _STORE_CASES
     reps = 1 if smoke else 3
@@ -418,9 +404,9 @@ def bench_graph_store(smoke: bool = False) -> BenchReport:
     speedups: Dict[str, float] = {}
     extra: Dict[str, Any] = {"smoke": smoke}
 
-    with _graph_cache_state(), tempfile.TemporaryDirectory() as tmp:
+    with config.preserved(), tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
-        store = GraphStore(root / "warm")
+        store = FamilyStore(GRAPH_FAMILY, root / "warm")
 
         # -- per-graph: cold generator build vs mmap load vs LRU hit --
         for name, size in cases:
@@ -510,28 +496,14 @@ _ORACLE_CASES_SMOKE = (("dense-gnp", 16), ("grid-weighted", 12),
                        ("bipartite-balanced", 14))
 
 
-@contextlib.contextmanager
-def _oracle_cache_state():
-    """Snapshot + restore the process-wide oracle cache configuration."""
-    from repro.runner import oracle_cache
-
-    store = oracle_cache.effective_store()
-    maxsize = oracle_cache.effective_maxsize()
-    try:
-        yield
-    finally:
-        oracle_cache.configure(maxsize)
-        oracle_cache.configure_store(None if store is None else store.root)
-
-
 @register_benchmark("oracle-store")
 def bench_oracle_store(smoke: bool = False) -> BenchReport:
     import shutil
     import tempfile
 
-    from repro.runner import oracle_cache
+    from repro.runner import config, oracle_cache
     from repro.scenarios import get_binding, get_scenario
-    from repro.store import OracleStore
+    from repro.store import ORACLE_FAMILY, FamilyStore
 
     cases = _ORACLE_CASES_SMOKE if smoke else _ORACLE_CASES
     reps = 1 if smoke else 3
@@ -539,9 +511,9 @@ def bench_oracle_store(smoke: bool = False) -> BenchReport:
     speedups: Dict[str, float] = {}
     extra: Dict[str, Any] = {"smoke": smoke}
 
-    with _oracle_cache_state(), tempfile.TemporaryDirectory() as tmp:
+    with config.preserved(), tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
-        store = OracleStore(root / "warm")
+        store = FamilyStore(ORACLE_FAMILY, root / "warm")
 
         # Build each case's graph once, outside every timed region: the
         # graph-store benchmark owns construction costs; this one
@@ -653,29 +625,14 @@ _PIPELINE_CASES_SMOKE = (("dense-gnp", 28), ("grid", 36),
                          ("sparse-gnp", 40))
 
 
-@contextlib.contextmanager
-def _decomposition_cache_state():
-    """Snapshot + restore the decomposition cache configuration."""
-    from repro.runner import decomposition_cache
-
-    store = decomposition_cache.effective_store()
-    maxsize = decomposition_cache.effective_maxsize()
-    try:
-        yield
-    finally:
-        decomposition_cache.configure(maxsize)
-        decomposition_cache.configure_store(
-            None if store is None else store.root)
-
-
 @register_benchmark("decomposition-pipeline")
 def bench_decomposition_pipeline(smoke: bool = False) -> BenchReport:
     import shutil
     import tempfile
 
-    from repro.runner import decomposition_cache
+    from repro.runner import config, decomposition_cache
     from repro.scenarios import get_binding, get_scenario
-    from repro.store import DecompositionStore
+    from repro.store import DECOMPOSITION_FAMILY, FamilyStore
 
     cases = _PIPELINE_CASES_SMOKE if smoke else _PIPELINE_CASES
     reps = 1 if smoke else 3
@@ -683,9 +640,9 @@ def bench_decomposition_pipeline(smoke: bool = False) -> BenchReport:
     speedups: Dict[str, float] = {}
     extra: Dict[str, Any] = {"smoke": smoke}
 
-    with _decomposition_cache_state(), tempfile.TemporaryDirectory() as tmp:
+    with config.preserved(), tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
-        store = DecompositionStore(root / "warm")
+        store = FamilyStore(DECOMPOSITION_FAMILY, root / "warm")
 
         # Build each case's graph once, outside every timed region
         # (construction belongs to the graph-store benchmark); collect
@@ -808,7 +765,7 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
     from repro.congest.machine import run_machines
     from repro.core.bfs_collections import _message_budget, shared_delays
     from repro.graphs import gnp_streaming
-    from repro.kernels import jit, wavefront
+    from repro.kernels import wavefront
     from repro.primitives.bfs import BFSCollectionMachine
 
     params = _KERNEL_SMOKE if smoke else _KERNEL_FULL
@@ -857,8 +814,7 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
         speedups={"wavefront_kernel_vs_vectorized": t_vec / t_kernel},
         extra={"smoke": smoke, "n": graph.n, "m": graph.m,
                "roots": n_roots, "rounds": base.metrics.rounds,
-               "messages": base.metrics.messages,
-               "numba_jit": jit.available()})
+               "messages": base.metrics.messages})
 
 
 # ---------------------------------------------------------------------------

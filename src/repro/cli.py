@@ -218,14 +218,7 @@ def _print_comparison(comparison) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """The runner-backed sweep: persist / resume / list / compare."""
-    from repro.runner import (
-        RunStore,
-        compare_runs,
-        decomposition_cache,
-        graph_cache,
-        oracle_cache,
-        run_sweep,
-    )
+    from repro.runner import RunStore, compare_runs, config, run_sweep
     from repro.testing import summarize
 
     store = RunStore(args.runs_dir)
@@ -270,63 +263,38 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 _print_comparison(comparison)
             return 0 if comparison.ok else 1
 
-        if args.store:
-            graph_store_dir = (args.store_dir if args.store_dir is not None
-                               else str(pathlib.Path(args.runs_dir)
-                                        / "store"))
-        else:
-            graph_store_dir = None
-            graph_cache.configure_store(None)
-        # The oracle and decomposition families share the store root;
-        # --no-oracle-store / --no-decomposition-store (or --no-store)
-        # disconnect one family / everything.
-        if args.store and args.oracle_store:
-            oracle_store_dir = graph_store_dir
-        else:
-            oracle_store_dir = None
-            oracle_cache.configure_store(None)
-        if args.store and args.decomposition_store:
-            decomposition_store_dir = graph_store_dir
-        else:
-            decomposition_store_dir = None
-            decomposition_cache.configure_store(None)
-        # Profiling is strictly opt-in: with the flags absent, configure
-        # the capture plane OFF explicitly so ambient REPRO_PROFILE_* /
-        # REPRO_CPROFILE env vars cannot switch it on behind the CLI.
-        from repro.runner import profile_capture
-        if args.profile:
-            profile_store_dir = (args.store_dir
-                                 if args.store_dir is not None
-                                 else str(pathlib.Path(args.runs_dir)
-                                          / "store"))
-        else:
-            profile_store_dir = None
-            profile_capture.configure_profiles(None)
-        if not args.cprofile:
-            profile_capture.configure_cprofile(False)
-        # Kernels follow the same rule: the flag decides, so an ambient
-        # REPRO_KERNELS env var cannot switch the plane on behind the
-        # CLI (run_sweep configures the env for pool workers).
+        # One store root serves every family; --no-oracle-store /
+        # --no-decomposition-store (or --no-store) disconnect one family
+        # / everything.  The flags decide every store and profiling
+        # setting, so nothing configured earlier in this process leaks in.
+        store_dir = (args.store_dir if args.store_dir is not None
+                     else str(pathlib.Path(args.runs_dir) / "store"))
+        graph_store_dir = store_dir if args.store else None
+        oracle_store_dir = (store_dir if args.store and args.oracle_store
+                            else None)
+        decomposition_store_dir = (store_dir if args.store
+                                   and args.decomposition_store else None)
+        profile_store_dir = store_dir if args.profile else None
+        config.update(graph_store=graph_store_dir,
+                      oracle_store=oracle_store_dir,
+                      decomposition_store=decomposition_store_dir,
+                      profile_store=profile_store_dir,
+                      cprofile=bool(args.cprofile),
+                      kernels=bool(args.kernels))
         outcome = run_sweep(args.names, sizes=args.sizes, seeds=args.seeds,
                             workers=args.workers, timeout=args.timeout,
                             retries=args.retries, store=store,
                             fresh=args.fresh,
                             faults=args.faults,
                             fault_seed=args.fault_seed,
-                            graph_store_dir=graph_store_dir,
                             graph_cache_size=args.graph_cache_size,
-                            oracle_store_dir=oracle_store_dir,
                             oracle_cache_size=args.oracle_cache_size,
-                            decomposition_store_dir=decomposition_store_dir,
                             decomposition_cache_size=(
                                 args.decomposition_cache_size),
                             telemetry=args.telemetry,
                             bench_history_dir=(graph_store_dir
                                                if args.bench_history
-                                               else None),
-                            profile_store_dir=profile_store_dir,
-                            cprofile=(True if args.cprofile else None),
-                            kernels=bool(args.kernels))
+                                               else None))
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -568,40 +536,20 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     # warm: pre-build + publish graphs, baselines, and/or decompositions.
+    from repro.runner.chain import WARM_FAMILIES, warm
     from repro.scenarios import all_scenarios, get_scenario
-    from repro.store import (
-        DecompositionStore,
-        GraphStore,
-        OracleStore,
-        warm,
-        warm_decompositions,
-        warm_oracles,
-    )
 
-    if family not in (None, "graphs", "oracles", "decompositions", "all"):
+    if family not in WARM_FAMILIES + (None, "all"):
         print(f"error: warm supports --family "
               f"graphs/oracles/decompositions/all, "
               f"got {family!r}", file=sys.stderr)
         return 2
-    families = (("graphs", "oracles", "decompositions")
-                if family in ("all", None) else (family,))
+    families = WARM_FAMILIES if family in ("all", None) else (family,)
     try:
         scenarios = (all_scenarios() if args.names is None
                      else [get_scenario(name) for name in args.names])
-        counts = {"published": 0, "skipped": 0}
-        if "graphs" in families:
-            got = warm(GraphStore(root), scenarios, sizes=args.sizes,
-                       seeds=tuple(args.seeds))
-            counts = {key: counts[key] + got[key] for key in counts}
-        if "oracles" in families:
-            got = warm_oracles(OracleStore(root), scenarios,
-                               sizes=args.sizes, seeds=tuple(args.seeds))
-            counts = {key: counts[key] + got[key] for key in counts}
-        if "decompositions" in families:
-            got = warm_decompositions(DecompositionStore(root), scenarios,
-                                      sizes=args.sizes,
-                                      seeds=tuple(args.seeds))
-            counts = {key: counts[key] + got[key] for key in counts}
+        counts = warm(root, scenarios, families=families, sizes=args.sizes,
+                      seeds=tuple(args.seeds))
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -913,11 +861,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         profile_diff_payload,
         profile_show_payload,
     )
-    from repro.store import DEFAULT_STORE_DIR, ProfileStore
+    from repro.store import (
+        DEFAULT_STORE_DIR,
+        PROFILE_FAMILY,
+        FamilyStore,
+        find_profile,
+    )
 
     root = (args.store_dir if args.store_dir is not None
             else DEFAULT_STORE_DIR)
-    store = ProfileStore(root)
+    store = FamilyStore(PROFILE_FAMILY, root)
 
     if args.action == "ls":
         entries = store.ls()
@@ -954,9 +907,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     def resolve(scenario, algorithm, cell_size, seed, faults, fault_seed,
                 revision, label):
-        identity = store.find(scenario, algorithm, cell_size, seed,
-                              faults=faults or "", fault_seed=fault_seed,
-                              revision=revision)
+        identity = find_profile(store, scenario, algorithm, cell_size,
+                                seed, faults=faults or "",
+                                fault_seed=fault_seed, revision=revision)
         if identity is None:
             at = f" at revision {revision}" if revision else ""
             print(f"error: no stored profile for {label} "

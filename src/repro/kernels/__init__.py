@@ -7,14 +7,13 @@ with *exact* metering replication -- canonical differential records are
 byte-identical kernels on vs off.  See :mod:`repro.kernels.config` for
 the knob, the eligibility registry, and the ``engine_source`` labels;
 :mod:`repro.kernels.wavefront` and :mod:`repro.kernels.relaxation` for
-the engines; :mod:`repro.kernels.jit` for the optional numba tier.
+the engines.
 """
 
 from repro.kernels.config import (
     REGISTRY,
     cell_engine_source,
     clear_note,
-    configure_kernels,
     engine_ready,
     kernels_enabled,
     note_engine,
@@ -26,7 +25,6 @@ __all__ = [
     "BcongestPlan",
     "cell_engine_source",
     "clear_note",
-    "configure_kernels",
     "engine_ready",
     "kernels_enabled",
     "note_engine",

@@ -1,12 +1,11 @@
 """The kernel plane's knob, eligibility registry, and provenance notes.
 
-The ``--kernels`` sweep flag is configured process-wide exactly like the
-cache chains and the profile-capture plane
-(:mod:`repro.runner.profile_capture`): the parent exports an environment
-variable, pool workers probe it lazily on their first cell, and the core
+The ``--kernels`` sweep flag is the ``kernels`` setting of the
+process-wide :class:`~repro.runner.config.SweepConfig` (pool workers
+receive it through the executor's pool initializer), and the core
 drivers consult :func:`engine_ready` before every eligible execution.
-With the knob off the consult is one module-level check and the cell
-runs the untouched vectorized path.
+With the knob off the consult is one attribute read and the cell runs
+the untouched vectorized path.
 
 Eligibility is explicit data: :data:`REGISTRY` maps binding name to the
 kernel family that can replay it.  Anything else -- an unlisted binding,
@@ -26,10 +25,9 @@ payloads, so records stay byte-identical kernels on vs off):
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
-KERNELS_ENV = "REPRO_KERNELS"
+from repro.runner import config
 
 # binding name -> kernel family able to replay its metered execution.
 REGISTRY: Dict[str, str] = {
@@ -38,34 +36,12 @@ REGISTRY: Dict[str, str] = {
     "apsp-weighted": "bellman-ford",
 }
 
-_enabled: Optional[bool] = None
 _note: Optional[str] = None
 
 
-def configure_kernels(enabled: bool) -> None:
-    """Turn the kernel tier on or off, process-wide + env."""
-    global _enabled
-    _enabled = bool(enabled)
-    if enabled:
-        os.environ[KERNELS_ENV] = "1"
-    else:
-        os.environ.pop(KERNELS_ENV, None)
-
-
 def kernels_enabled() -> bool:
-    """Whether eligible cells run on kernels (env-resolved lazily)."""
-    global _enabled
-    if _enabled is None:
-        _enabled = os.environ.get(KERNELS_ENV) == "1"
-    return _enabled
-
-
-def reset() -> None:
-    """Back to the pristine un-probed state (test isolation helper)."""
-    global _enabled, _note
-    _enabled = None
-    _note = None
-    os.environ.pop(KERNELS_ENV, None)
+    """Whether eligible cells run on kernels (the config's setting)."""
+    return config.current().kernels
 
 
 def engine_ready() -> bool:

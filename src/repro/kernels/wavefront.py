@@ -39,7 +39,6 @@ from repro.congest.errors import AlgorithmError, MessageTooLarge
 from repro.congest.metrics import Metrics
 from repro.congest.network import Execution
 from repro.graphs.graph import Graph, _gather_neighbors
-from repro.kernels import jit
 from repro.kernels.plan import BcongestPlan
 
 
@@ -61,12 +60,11 @@ def _numpy_bfs(indptr: np.ndarray, indices: np.ndarray, root: int,
 
 
 def bfs_distances(graph: Graph, roots: List[int]) -> np.ndarray:
-    """(k, n) hop-distance matrix, one numpy (or JIT) sweep per root."""
+    """(k, n) hop-distance matrix, one numpy sweep per root."""
     indptr, indices = graph._indptr, graph._indices
     dist = np.empty((len(roots), graph.n), dtype=np.int64)
     for i, root in enumerate(roots):
-        if jit.bfs_levels(indptr, indices, int(root), dist[i]) is None:
-            _numpy_bfs(indptr, indices, int(root), dist[i])
+        _numpy_bfs(indptr, indices, int(root), dist[i])
     return dist
 
 

@@ -1,4 +1,4 @@
-"""The parallel sweep engine and persistent run store (ISSUE 2).
+"""The parallel sweep engine and persistent run store.
 
 The scenario x algorithm matrix is embarrassingly parallel: every cell
 ``(scenario, algorithm, size, seed)`` is seed-deterministic and
@@ -17,28 +17,25 @@ regression-tracked workload:
   two runs (verdict flips, metered drift, wall-time ratios);
 * :mod:`repro.runner.engine` -- the high-level
   plan -> resume -> execute -> persist pipeline;
-* :mod:`repro.runner.graph_cache` -- the scenario-graph cache chain
-  the differential harness draws from: a per-worker content-addressed
-  LRU (keyed by derived construction seed), falling through to the
-  shared on-disk snapshot store of :mod:`repro.store` (mmap'd CSR
-  arrays) when one is configured, then to build-and-publish -- so
-  same-scenario cells stop rebuilding their graph within *and across*
-  worker processes, sweeps, and revisions;
-* :mod:`repro.runner.oracle_cache` -- the mirror chain for the cells'
-  sequential baselines (ground-truth distance matrices, matching
-  sizes, the LDC reference realization), keyed additionally by the
-  oracle's name and source revision, so cells stop recomputing their
-  ground truth too;
-* :mod:`repro.runner.decomposition_cache` -- the third chain, for the
-  staged pipeline's input artifact: the LDC decomposition snapshot the
-  ``ldc`` producer cell realizes and the cover/spanner/hierarchy cells
-  consume, so downstream cells stop re-running MPX per cell.
+* :mod:`repro.runner.config` -- the one frozen :class:`SweepConfig`
+  (store roots, LRU sizes, ``cprofile``, ``kernels``, the run's
+  revision), process-wide and handed to pool workers by the executor's
+  pool initializer;
+* :mod:`repro.runner.chain` -- the artifact chain every cell resolves
+  its inputs through (per-worker LRU -> shared on-disk store of
+  :mod:`repro.store` -> compute-and-publish), built once per family:
+  :mod:`repro.runner.graph_cache` (scenario graphs, keyed by derived
+  construction seed), :mod:`repro.runner.oracle_cache` (sequential
+  baselines, keyed additionally by the oracle's name and source
+  revision) and :mod:`repro.runner.decomposition_cache` (the LDC
+  snapshot the staged cover/spanner/hierarchy cells consume).
 
 Consumers: the ``repro sweep`` CLI command, ``repro scenarios sweep``,
 :func:`repro.testing.sweep`, and ``examples/parallel_sweep.py``.
 """
 
 from repro.runner.compare import CellDelta, RunComparison, compare_runs
+from repro.runner.config import SweepConfig
 from repro.runner.engine import (
     SweepOutcome,
     fault_counts,
@@ -51,7 +48,7 @@ from repro.runner.store import Run, RunStore, git_revision
 
 __all__ = [
     "CellDelta", "CellResult", "JobSpec", "Run", "RunComparison",
-    "RunStore", "SweepOutcome", "build_specs", "cell_key", "compare_runs",
+    "RunStore", "SweepConfig", "SweepOutcome", "build_specs", "cell_key", "compare_runs",
     "execute_cell", "fault_counts", "git_revision", "run_cells",
     "run_sweep", "sweep_params",
 ]

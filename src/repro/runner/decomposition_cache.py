@@ -1,62 +1,31 @@
-"""The decomposition cache chain: per-worker LRU -> disk store -> compute.
+"""The decomposition chain: per-worker LRU -> snapshot store -> compute.
 
-The third fall-through chain on the sweep path.  The Lemma 2.4 LDC
-decomposition is a pure function of ``(scenario graph, derived seed)``
-and is consumed by four bindings of one scenario x size -- the ``ldc``
-producer cell plus the staged MPX-cover / LDC-spanner / Baswana-Sen
-cells -- so recomputing MPX per cell is pure waste.  This module
-mirrors :mod:`repro.runner.graph_cache` / :mod:`repro.runner.
-oracle_cache` for the decomposition family:
-
-1. the **in-process LRU** -- sibling cells of one scenario x size in
-   one worker share one realized snapshot;
-2. the **on-disk decomposition store** (:mod:`repro.store.
-   decompositions`), when configured -- pool workers, repeated sweeps,
-   and later revisions load the published snapshot instead of
-   re-running MPX;
-3. **compute-and-publish** -- ``build_ldc`` runs once, its snapshot is
-   published (atomic, race-safe) for everyone else.
-
-Configuration is process-wide and propagates to pool workers through
-the environment (:data:`STORE_DIR_ENV`, :data:`CACHE_SIZE_ENV`).  The
+The Lemma 2.4 LDC decomposition is a pure function of ``(scenario
+graph, derived seed)`` and is consumed by four bindings of one
+scenario x size -- the ``ldc`` producer cell plus the staged
+MPX-cover / LDC-spanner / Baswana-Sen cells -- so it is keyed by
+``(scenario, size, derived seed, algorithm)`` and served through the
+generic :class:`~repro.runner.chain.ArtifactChain` over the
+decomposition store family (:mod:`repro.store.decompositions`).  The
 served value is the plain-dict snapshot of :func:`repro.decomposition.
 pipeline.ldc_snapshot`; the store round-trips it exactly (metrics
-included), so cache state is provenance only -- recorded per cell as
-``decomposition_source`` (a ``NONDETERMINISTIC_FIELD``) and never a
-canonical record byte, the contract
-``tests/test_decomposition_pipeline.py`` pins.
+included), the contract ``tests/test_decomposition_pipeline.py`` pins.
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
+
+from repro.runner.chain import NONE, ArtifactChain
+from repro.runner.config import SweepConfig
+from repro.store.decompositions import DECOMPOSITION_FAMILY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
-
     from repro.graphs.graph import Graph
     from repro.scenarios.bindings import Binding
     from repro.scenarios.registry import Scenario
-    from repro.store.decompositions import DecompositionStore
 
-# (scenario name, size, derived seed, decomposition algorithm)
-CacheKey = Tuple[str, int, int, str]
-
-# A snapshot is a handful of per-node dicts plus the F-edge list --
-# comparable to a graph, so the LRU matches the graph chain's budget.
-DEFAULT_MAXSIZE = 32
-
-# Environment knobs: how configuration reaches pool worker processes.
-CACHE_SIZE_ENV = "REPRO_DECOMPOSITION_CACHE_SIZE"
-STORE_DIR_ENV = "REPRO_DECOMPOSITION_STORE_DIR"
-
-# Where a served snapshot came from (recorded as decomposition_source).
-COMPUTED = "computed"
-LRU_HIT = "lru"
-STORE_HIT = "store"
-NO_DECOMPOSITION = "none"  # the binding consumes no decomposition
+DEFAULT_MAXSIZE = SweepConfig.decomposition_cache_size
 
 
 def _build_ldc_snapshot(graph: "Graph", derived_seed: int) -> Dict[str, Any]:
@@ -82,30 +51,20 @@ def compute_snapshot(algorithm: str, graph: "Graph",
     return builder(graph, derived_seed)
 
 
-def _env_maxsize() -> int:
-    raw = os.environ.get(CACHE_SIZE_ENV)
-    if raw is None:
-        return DEFAULT_MAXSIZE
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MAXSIZE
+def _compute(algorithm: str, graph: "Graph",
+             derived_seed: int) -> Dict[str, Any]:
+    # Looked up at call time, so a rebinding of the module attribute
+    # (instrumentation, tests) sees every chain computation.
+    return compute_snapshot(algorithm, graph, derived_seed)
 
 
-_cache: "OrderedDict[CacheKey, Any]" = OrderedDict()
-_maxsize = _env_maxsize()
-_hits = 0
-_misses = 0
-_store_hits = 0
-_store_misses = 0
-_publishes = 0
-
-# Tri-state store handle, mirroring the sibling chains: None +
-# probed=False means "consult the environment on first use", which is
-# how fork- and spawn-started pool workers pick up the parent's
-# configure_store call.
-_store: Optional["DecompositionStore"] = None
-_store_probed = False
+CHAIN = ArtifactChain("decomposition", DECOMPOSITION_FAMILY, _compute)
+clear = CHAIN.clear
+configure = CHAIN.configure
+configure_store = CHAIN.configure_store
+effective_maxsize = CHAIN.effective_maxsize
+effective_store = CHAIN.effective_store
+stats = CHAIN.stats
 
 
 def binding_decomposition_source(scenario: "Scenario", size: int, seed: int,
@@ -115,11 +74,11 @@ def binding_decomposition_source(scenario: "Scenario", size: int, seed: int,
 
     ``(None, "none")`` when the binding consumes no decomposition; the
     value is otherwise exactly the snapshot a fresh ``build_ldc`` at
-    the cell's derived seed would produce, served through the chain.
+    the cell's derived seed would produce.
     """
     algorithm = binding.decomposition
     if algorithm is None:
-        return None, NO_DECOMPOSITION
+        return None, NONE
     derived = scenario.seed_for(size, seed)
     return decomposition_value_source(scenario.name, size, derived,
                                       algorithm, graph)
@@ -128,108 +87,6 @@ def binding_decomposition_source(scenario: "Scenario", size: int, seed: int,
 def decomposition_value_source(scenario_name: str, size: int,
                                derived_seed: int, algorithm: str,
                                graph: "Graph") -> Tuple[Any, str]:
-    """Serve one snapshot through the chain; see the module docstring."""
-    global _hits, _misses, _store_hits, _store_misses, _publishes
-
-    key: CacheKey = (scenario_name, size, derived_seed, algorithm)
-    if key in _cache:
-        _hits += 1
-        _cache.move_to_end(key)
-        return _cache[key], LRU_HIT
-    _misses += 1
-    source = COMPUTED
-    value = None
-    store = effective_store()
-    if store is not None:
-        value = store.load(scenario_name, size, derived_seed, algorithm)
-        if value is not None:
-            _store_hits += 1
-            source = STORE_HIT
-        else:
-            _store_misses += 1
-    if value is None:
-        value = compute_snapshot(algorithm, graph, derived_seed)
-        if store is not None and store.publish(scenario_name, size,
-                                               derived_seed, algorithm,
-                                               value):
-            _publishes += 1
-    if _maxsize > 0:
-        _cache[key] = value
-        while len(_cache) > _maxsize:
-            _cache.popitem(last=False)
-    return value, source
-
-
-def stats() -> Dict[str, int]:
-    """Hit/miss/size counters (process-local, for tests and reports)."""
-    return {"hits": _hits, "misses": _misses, "size": len(_cache),
-            "maxsize": _maxsize, "store_hits": _store_hits,
-            "store_misses": _store_misses, "publishes": _publishes}
-
-
-def clear() -> None:
-    """Drop every cached snapshot and reset the counters."""
-    global _hits, _misses, _store_hits, _store_misses, _publishes
-    _cache.clear()
-    _hits = 0
-    _misses = 0
-    _store_hits = 0
-    _store_misses = 0
-    _publishes = 0
-
-
-def configure(maxsize: int) -> None:
-    """Set the LRU capacity (0 disables caching); clears the cache.
-
-    Clamped to >= 0 -- the same clamp workers apply when they read
-    :data:`CACHE_SIZE_ENV` -- so parent and worker capacities (and the
-    manifest's ``effective_maxsize``) can never disagree.  Also exports
-    the env var so worker processes spawned after this call size their
-    LRUs the same way.
-    """
-    global _maxsize
-    _maxsize = max(0, int(maxsize))
-    os.environ[CACHE_SIZE_ENV] = str(_maxsize)
-    clear()
-
-
-def effective_maxsize() -> int:
-    """The LRU capacity in force (recorded in run manifests)."""
-    return _maxsize
-
-
-def configure_store(root: "Optional[str | Path]") -> None:
-    """Point the chain at an on-disk store (None disconnects it).
-
-    Process-wide, like :func:`configure` -- and exported via
-    :data:`STORE_DIR_ENV` so pool workers started afterwards resolve
-    the same store whether the pool forks or spawns.
-    """
-    global _store, _store_probed
-    if root is None:
-        _store = None
-        os.environ.pop(STORE_DIR_ENV, None)
-    else:
-        from repro.store.decompositions import DecompositionStore
-
-        _store = DecompositionStore(root)
-        os.environ[STORE_DIR_ENV] = str(root)
-    _store_probed = True
-
-
-def effective_store() -> Optional["DecompositionStore"]:
-    """The connected store, resolving :data:`STORE_DIR_ENV` lazily.
-
-    Worker processes never call :func:`configure_store` themselves;
-    their first cell lands here and picks the store up from the
-    environment the parent exported.
-    """
-    global _store, _store_probed
-    if not _store_probed:
-        root = os.environ.get(STORE_DIR_ENV)
-        if root:
-            from repro.store.decompositions import DecompositionStore
-
-            _store = DecompositionStore(root)
-        _store_probed = True
-    return _store
+    """Serve one snapshot through the chain."""
+    return CHAIN.resolve((scenario_name, size, derived_seed, algorithm),
+                         algorithm, graph, derived_seed)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
+from repro.runner import config
 from repro.runner.executor import OnResult, run_cells
 from repro.runner.jobs import CellResult, JobSpec, build_specs
 from repro.runner.store import Run, RunStore, git_revision
@@ -252,12 +253,14 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     ``decomposition_store_dir`` connect the on-disk artifact store
     families (:mod:`repro.store`) for this sweep, and
     ``graph_cache_size`` / ``oracle_cache_size`` /
-    ``decomposition_cache_size`` re-size the per-worker LRUs; all six
-    are process-wide settings (propagated to pool workers through the
-    environment) and are left untouched when None.  The effective
-    values are recorded in the run manifest either way, and the run's
-    store hit/miss counters (graphs, oracles, and decompositions, from
-    the executed cells) are stamped onto the manifest -- merged across
+    ``decomposition_cache_size`` re-size the per-worker LRUs.  These,
+    ``profile_store_dir``, ``cprofile`` and ``kernels`` are settings of
+    the process-wide :class:`~repro.runner.config.SweepConfig` (which
+    pool workers receive at start-up): each non-None argument updates
+    it, None leaves the setting as it is.  The effective values are
+    recorded in the run manifest either way, and the run's store
+    hit/miss counters (graphs, oracles, and decompositions, from the
+    executed cells) are stamped onto the manifest -- merged across
     invocations, so a resumed run's counters cover every invocation's
     executed cells, and stamped even when the invocation is interrupted
     mid-sweep.
@@ -281,14 +284,12 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     sweep --profile``): every executed cell records its per-round
     metric timeline and publishes it to the profiles artifact family
     under that store root, keyed by the full cell coordinates plus the
-    code revision; the cell's record gains only the ``profile_source``
+    run's revision; the cell's record gains only the ``profile_source``
     provenance label (a NONDETERMINISTIC_FIELD), so canonical records
     are byte-identical profile on/off.  ``cprofile=True`` additionally
     wraps each cell body in ``cProfile`` and attaches the top hot
     functions to the result (``CellResult.hot``), aggregated by
-    ``repro runs report``.  Both are process-wide settings (propagated
-    to pool workers through the environment) and left untouched when
-    None.
+    ``repro runs report``.
 
     ``kernels=True`` turns on the array-native round engines
     (:mod:`repro.kernels`): eligible cells run their whole metered
@@ -296,31 +297,17 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     and each record gains an ``engine_source`` provenance label (a
     NONDETERMINISTIC_FIELD -- the kernels replicate metering exactly,
     so canonical records are byte-identical kernels on or off).
-    Process-wide (propagated to pool workers through the environment),
-    left untouched when None.
     """
-    from repro.runner import decomposition_cache, graph_cache, oracle_cache
-    from repro.runner import profile_capture
-
-    if graph_cache_size is not None:
-        graph_cache.configure(graph_cache_size)
-    if graph_store_dir is not None:
-        graph_cache.configure_store(graph_store_dir)
-    if oracle_cache_size is not None:
-        oracle_cache.configure(oracle_cache_size)
-    if oracle_store_dir is not None:
-        oracle_cache.configure_store(oracle_store_dir)
-    if decomposition_cache_size is not None:
-        decomposition_cache.configure(decomposition_cache_size)
-    if decomposition_store_dir is not None:
-        decomposition_cache.configure_store(decomposition_store_dir)
-    if profile_store_dir is not None:
-        profile_capture.configure_profiles(profile_store_dir)
-    if cprofile is not None:
-        profile_capture.configure_cprofile(cprofile)
-    if kernels is not None:
-        from repro.kernels import config as kernels_config
-        kernels_config.configure_kernels(kernels)
+    overrides = {
+        "graph_store": graph_store_dir, "graph_cache_size": graph_cache_size,
+        "oracle_store": oracle_store_dir,
+        "oracle_cache_size": oracle_cache_size,
+        "decomposition_store": decomposition_store_dir,
+        "decomposition_cache_size": decomposition_cache_size,
+        "profile_store": profile_store_dir, "cprofile": cprofile,
+        "kernels": kernels}
+    config.update(**{name: value for name, value in overrides.items()
+                     if value is not None})
 
     if faults is not None:
         from repro.congest.faults import get_fault_profile
@@ -343,30 +330,21 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
             run = store.find_resumable(params, revision)
             resumed = run is not None
         if run is None:
-            effective_store = graph_cache.effective_store()
-            effective_oracles = oracle_cache.effective_store()
-            effective_decompositions = decomposition_cache.effective_store()
-            extra = {"graph_cache_size": graph_cache.effective_maxsize(),
-                     "graph_store": (None if effective_store is None
-                                     else str(effective_store.root)),
-                     "oracle_cache_size":
-                         oracle_cache.effective_maxsize(),
-                     "oracle_store": (None if effective_oracles is None
-                                      else str(effective_oracles.root)),
+            settings = config.current()
+            extra = {"graph_cache_size": settings.graph_cache_size,
+                     "graph_store": settings.graph_store,
+                     "oracle_cache_size": settings.oracle_cache_size,
+                     "oracle_store": settings.oracle_store,
                      "decomposition_cache_size":
-                         decomposition_cache.effective_maxsize(),
-                     "decomposition_store":
-                         (None if effective_decompositions is None
-                          else str(effective_decompositions.root))}
-            # Profiling knobs appear in the manifest only when on, so
-            # unprofiled manifests keep their exact key set.
-            profiles = profile_capture.effective_profile_store()
-            if profiles is not None:
-                extra["profile_store"] = str(profiles.root)
-            if profile_capture.cprofile_enabled():
+                         settings.decomposition_cache_size,
+                     "decomposition_store": settings.decomposition_store}
+            # Profiling and kernel knobs appear in the manifest only
+            # when on, so plain manifests keep their exact key set.
+            if settings.profile_store is not None:
+                extra["profile_store"] = settings.profile_store
+            if settings.cprofile:
                 extra["cprofile"] = True
-            from repro.kernels import config as kernels_config
-            if kernels_config.kernels_enabled():
+            if settings.kernels:
                 extra["kernels"] = True
             run = store.create_run(specs, params, revision=revision,
                                    extra=extra)
@@ -376,6 +354,9 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
                       if result.key in planned}
 
     todo = [spec for spec in specs if spec.key not in cached]
+    # The run's revision stamps captured profiles (workers receive it
+    # with the rest of the config instead of asking git themselves).
+    config.update(revision=revision)
 
     # The telemetry timeline rides beside the records of persisted
     # runs: strictly additive (its own file, flushed per event), so an

@@ -31,6 +31,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence
 
+from repro.runner import config
 from repro.runner.jobs import DONE, ERROR, TIMEOUT, CellResult, JobSpec
 
 OnResult = Callable[[CellResult], None]
@@ -43,9 +44,20 @@ OnPoolCrash = Callable[[List[JobSpec], int], None]
 _IN_WORKER = False
 
 
-def _mark_worker() -> None:
+def _init_worker(settings: config.SweepConfig) -> None:
+    """Pool initializer: adopt the parent's sweep config.
+
+    The config travels as an initializer argument, which works the same
+    whether the pool forks or spawns its workers.
+    """
     global _IN_WORKER
     _IN_WORKER = True
+    config.install(settings)
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(config.current(),))
 
 
 class CellTimeout(Exception):
@@ -105,17 +117,17 @@ def execute_cell(spec: JobSpec,
         return CellResult(spec=spec, status=ERROR, wall_time=0.0,
                           error="crash instrumentation requires a "
                                 "worker pool (workers > 1)")
-    # Opt-in observability: a round profiler when a profiles store (or
-    # --profile) is configured, cProfile when --cprofile is.  Both knobs
-    # resolve through the environment so pool workers pick them up; with
+    # Opt-in observability: a round profiler when a profiles store
+    # (--profile) is configured, cProfile when --cprofile is.  With
     # neither set this block adds two cheap checks and nothing else.
     from repro.runner import profile_capture
+    settings = config.current()
     profiler = None
-    if profile_capture.effective_profile_store() is not None:
+    if settings.profile_store is not None:
         from repro.congest.profile import RoundProfiler
         profiler = RoundProfiler()
     cprofiler = None
-    if profile_capture.cprofile_enabled():
+    if settings.cprofile:
         import cProfile
         cprofiler = cProfile.Profile()
 
@@ -251,7 +263,7 @@ def run_cells(specs: Sequence[JobSpec], *, workers: int = 1,
     window = workers * 2
     pending = {}
     rebuilds = 0
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_mark_worker)
+    pool = _new_pool(workers)
 
     def dispatch(index: int) -> None:
         if on_start is not None:
@@ -263,8 +275,7 @@ def run_cells(specs: Sequence[JobSpec], *, workers: int = 1,
         rebuilds += 1
         pool.shutdown(wait=False, cancel_futures=True)
         time.sleep(min(backoff * (2 ** (rebuilds - 1)), 2.0))
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   initializer=_mark_worker)
+        pool = _new_pool(workers)
 
     def handle_result(index: int, result: CellResult) -> None:
         result = _merge_attempts(result, previous[index], attempts[index])

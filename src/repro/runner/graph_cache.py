@@ -1,27 +1,13 @@
-"""The scenario-graph cache chain: per-worker LRU -> disk store -> build.
+"""The scenario-graph chain: per-worker LRU -> graph store -> build.
 
 Scenario construction is seed-deterministic: the graph a cell runs on
 is fully determined by ``(scenario name, size, derived construction
 seed)``, where the derived seed is :meth:`Scenario.seed_for` of the
 caller seed (the same derivation recorded as ``derived_seed`` in every
-differential record).  That makes the built graph content-addressed by
-that key, and this module serves it through a fall-through chain:
+differential record).  That key content-addresses the built graph, so
+it is served through the generic :class:`~repro.runner.chain.
+ArtifactChain` over the graph store family (:mod:`repro.store.graphs`).
 
-1. the **in-process LRU** -- same-key cells in one worker share one
-   built instance, caches and all (``Graph`` memoizes its simulator
-   precomputation and weight views per instance);
-2. the **on-disk graph store** (:mod:`repro.store`), when configured --
-   a shared, content-addressed snapshot directory that every pool
-   worker, repeated sweep, and later revision mmaps
-   (``np.load(mmap_mode="r")``) instead of re-running the generator;
-3. **build-and-publish** -- the generator runs, and the result is
-   published to the store (atomic, race-safe) for everyone else.
-
-The LRU stays process-local by design (graphs never cross the pool
-boundary); the store is what the workers share.  Both are configured
-process-wide here, and both propagate to pool workers through the
-environment (:data:`STORE_DIR_ENV`, :data:`CACHE_SIZE_ENV`), which
-``ProcessPoolExecutor`` children inherit under every start method.
 Graphs are treated as immutable by every consumer, which is what makes
 sharing instances -- and read-only mmap'd snapshots -- sound; the
 byte-identity tests in ``tests/test_store.py`` and
@@ -31,186 +17,50 @@ store-loaded graph equal executions over a fresh build.
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
+
+from repro.runner.chain import BUILT, ArtifactChain
+from repro.runner.config import SweepConfig
+from repro.store.graphs import GRAPH_FAMILY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
-
     from repro.graphs.graph import Graph
     from repro.scenarios.registry import Scenario
-    from repro.store.graphs import GraphStore
 
-CacheKey = Tuple[str, int, int]  # (scenario name, size, derived seed)
-
-# A worker sees at most a handful of distinct scenario x size keys in
-# flight at once; 32 graphs comfortably covers a full-matrix sweep's
-# working set while bounding memory on dense entries.
-DEFAULT_MAXSIZE = 32
-
-# Environment knobs: how configuration reaches pool worker processes.
-CACHE_SIZE_ENV = "REPRO_GRAPH_CACHE_SIZE"
-STORE_DIR_ENV = "REPRO_GRAPH_STORE_DIR"
-
-# Where a served graph came from (recorded per cell as graph_source).
-BUILT = "built"
-LRU_HIT = "lru"
-STORE_HIT = "store"
+DEFAULT_MAXSIZE = SweepConfig.graph_cache_size
 
 
-def _env_maxsize() -> int:
-    raw = os.environ.get(CACHE_SIZE_ENV)
-    if raw is None:
-        return DEFAULT_MAXSIZE
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MAXSIZE
+def _build(scenario: "Scenario", size: int, seed: int) -> "Graph":
+    return scenario.graph(size, seed=seed)
 
 
-_cache: "OrderedDict[CacheKey, Graph]" = OrderedDict()
-_maxsize = _env_maxsize()
-_hits = 0
-_misses = 0
-_store_hits = 0
-_store_misses = 0
-_publishes = 0
-
-# Tri-state store handle: None + probed=False means "consult the
-# environment on first use" (how fork- and spawn-started pool workers
-# pick up the parent's configure_store call).
-_store: Optional["GraphStore"] = None
-_store_probed = False
+CHAIN = ArtifactChain("graph", GRAPH_FAMILY, _build, built=BUILT)
+clear = CHAIN.clear
+configure = CHAIN.configure
+configure_store = CHAIN.configure_store
+effective_maxsize = CHAIN.effective_maxsize
+effective_store = CHAIN.effective_store
+stats = CHAIN.stats
 
 
 def scenario_graph(scenario: "Scenario", size: Optional[int] = None,
                    seed: int = 0) -> "Graph":
-    """The scenario's graph at ``size``, served from the cache chain.
+    """The scenario's graph at ``size``, served from the chain.
 
     Equivalent to ``scenario.graph(size, seed=seed)`` -- same
     validation, same derived construction seed -- but same-key calls
     after the first return the one cached instance (or a shared mmap'd
-    snapshot) instead of rebuilding.  Keys include the derived seed, so
-    cells with different caller seeds (or registry entries whose
-    derivation changed) can never share a graph.
+    snapshot) instead of rebuilding.  A degenerate size can never have
+    a published snapshot, so it misses and raises the generator's own
+    validation error.
     """
     return scenario_graph_source(scenario, size, seed=seed)[0]
 
 
 def scenario_graph_source(scenario: "Scenario", size: Optional[int] = None,
                           seed: int = 0) -> Tuple["Graph", str]:
-    """Like :func:`scenario_graph`, plus where the graph came from.
-
-    The source is one of :data:`LRU_HIT`, :data:`STORE_HIT`, or
-    :data:`BUILT` -- the provenance the sweep engine records per cell
-    (as ``graph_source``, a nondeterministic record field: cache state
-    must never change a canonical record byte).
-    """
-    global _hits, _misses, _store_hits, _store_misses, _publishes
+    """Like :func:`scenario_graph`, plus where the graph came from
+    (``"lru"``, ``"store"``, or ``"built"``)."""
     size = scenario.default_size if size is None else size
-    key = (scenario.name, size, scenario.seed_for(size, seed))
-    graph = _cache.get(key)
-    if graph is not None:
-        _hits += 1
-        _cache.move_to_end(key)
-        return graph, LRU_HIT
-    _misses += 1
-    source = BUILT
-    graph = None
-    store = effective_store()
-    if store is not None:
-        # A degenerate size can never have a published snapshot (only
-        # successfully-built graphs are published), so an invalid size
-        # simply misses here and raises scenario.graph's own
-        # validation error in the build step below.
-        graph = store.load(*key)
-        if graph is not None:
-            _store_hits += 1
-            source = STORE_HIT
-        else:
-            _store_misses += 1
-    if graph is None:
-        graph = scenario.graph(size, seed=seed)
-        if store is not None and store.publish(*key, graph):
-            _publishes += 1
-    if _maxsize > 0:
-        _cache[key] = graph
-        while len(_cache) > _maxsize:
-            _cache.popitem(last=False)
-    return graph, source
-
-
-def stats() -> Dict[str, int]:
-    """Hit/miss/size counters (process-local, for tests and reports)."""
-    return {"hits": _hits, "misses": _misses, "size": len(_cache),
-            "maxsize": _maxsize, "store_hits": _store_hits,
-            "store_misses": _store_misses, "publishes": _publishes}
-
-
-def clear() -> None:
-    """Drop every cached graph and reset the counters."""
-    global _hits, _misses, _store_hits, _store_misses, _publishes
-    _cache.clear()
-    _hits = 0
-    _misses = 0
-    _store_hits = 0
-    _store_misses = 0
-    _publishes = 0
-
-
-def configure(maxsize: int) -> None:
-    """Set the LRU capacity (0 disables caching); clears the cache.
-
-    Clamped to >= 0 -- the same clamp workers apply when they read
-    :data:`CACHE_SIZE_ENV` -- so parent and worker capacities (and the
-    manifest's ``effective_maxsize``) can never disagree.  Also exports
-    the env var so worker processes spawned after this call size their
-    LRUs the same way.
-    """
-    global _maxsize
-    _maxsize = max(0, int(maxsize))
-    os.environ[CACHE_SIZE_ENV] = str(_maxsize)
-    clear()
-
-
-def effective_maxsize() -> int:
-    """The LRU capacity in force (recorded in run manifests)."""
-    return _maxsize
-
-
-def configure_store(root: "Optional[str | Path]") -> None:
-    """Point the chain at an on-disk graph store (None disconnects it).
-
-    Process-wide, like :func:`configure` -- and exported via
-    :data:`STORE_DIR_ENV` so pool workers started afterwards resolve
-    the same store whether the pool forks or spawns.
-    """
-    global _store, _store_probed
-    if root is None:
-        _store = None
-        os.environ.pop(STORE_DIR_ENV, None)
-    else:
-        from repro.store.graphs import GraphStore
-
-        _store = GraphStore(root)
-        os.environ[STORE_DIR_ENV] = str(root)
-    _store_probed = True
-
-
-def effective_store() -> Optional["GraphStore"]:
-    """The connected graph store, resolving :data:`STORE_DIR_ENV` lazily.
-
-    Worker processes never call :func:`configure_store` themselves;
-    their first cell lands here and picks the store up from the
-    environment the parent exported.
-    """
-    global _store, _store_probed
-    if not _store_probed:
-        root = os.environ.get(STORE_DIR_ENV)
-        if root:
-            from repro.store.graphs import GraphStore
-
-            _store = GraphStore(root)
-        _store_probed = True
-    return _store
+    return CHAIN.resolve((scenario.name, size, scenario.seed_for(size, seed)),
+                         scenario, size, seed)

@@ -1,90 +1,50 @@
-"""The oracle cache chain: per-worker LRU -> disk store -> compute.
+"""The oracle chain: per-worker LRU -> oracle store -> compute.
 
 The sequential baseline a differential cell checks against
 (:mod:`repro.baselines.oracles`) is a pure function of ``(scenario
-graph, derived seed)`` and of the baseline's own source -- content-
-addressed by ``(scenario, size, derived seed, oracle name, source
-revision)``.  This module mirrors :mod:`repro.runner.graph_cache` for
-that second artifact family:
-
-1. the **in-process LRU** -- same-key cells in one worker share one
-   computed value (e.g. the ``apsp-unweighted`` and ``bfs-collection``
-   bindings of one scenario resolve the same ``unweighted-apsp``
-   matrix);
-2. the **on-disk oracle store** (:mod:`repro.store.oracles`), when
-   configured -- pool workers, repeated sweeps, and later code
-   revisions (of everything *except* the baseline itself) load the
-   published value instead of re-running BFS/Dijkstra/Hopcroft-Karp;
-3. **compute-and-publish** -- the baseline runs, and the result is
-   published (atomic, race-safe) for everyone else.
-
-Configuration is process-wide and propagates to pool workers through
-the environment (:data:`STORE_DIR_ENV`, :data:`CACHE_SIZE_ENV`),
-exactly like the graph chain.  Because the source revision is part of
-every key, editing a baseline function rotates its keys: the chain can
-never serve a stale baseline against new oracle code.  Cache state is
-provenance only -- it is recorded per cell as ``oracle_source`` (a
-``NONDETERMINISTIC_FIELD``) and must never change a canonical record
-byte, the contract ``tests/test_oracle_store.py`` pins.
+graph, derived seed)`` and of the baseline's own source, so it is
+content-addressed by ``(scenario, size, derived seed, oracle name,
+source revision)`` and served through the generic
+:class:`~repro.runner.chain.ArtifactChain` over the oracle store family
+(:mod:`repro.store.oracles`).  Same-key cells share one value (the
+``apsp-unweighted`` and ``bfs-collection`` bindings of one scenario
+resolve the same ``unweighted-apsp`` matrix).  Because the source
+revision is part of every key, editing a baseline rotates its keys: the
+chain can never serve a stale baseline against new oracle code.
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
+
+from repro.runner.chain import NONE, ArtifactChain
+from repro.runner.config import SweepConfig
+from repro.store.oracles import ORACLE_FAMILY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
-
     from repro.baselines.oracles import OracleSpec
     from repro.graphs.graph import Graph
     from repro.scenarios.bindings import Binding
     from repro.scenarios.registry import Scenario
-    from repro.store.oracles import OracleStore
 
-# (scenario name, size, derived seed, oracle name, source revision)
-CacheKey = Tuple[str, int, int, str, str]
-
-# Oracle values are small (an n x n float matrix at sweep sizes is tens
-# of kilobytes), so the LRU can afford to hold a whole matrix sweep's
-# working set.
-DEFAULT_MAXSIZE = 64
-
-# Environment knobs: how configuration reaches pool worker processes.
-CACHE_SIZE_ENV = "REPRO_ORACLE_CACHE_SIZE"
-STORE_DIR_ENV = "REPRO_ORACLE_STORE_DIR"
-
-# Where a served baseline came from (recorded per cell as oracle_source).
-COMPUTED = "computed"
-LRU_HIT = "lru"
-STORE_HIT = "store"
-NO_ORACLE = "none"       # the binding has no sequential baseline (cover)
+DEFAULT_MAXSIZE = SweepConfig.oracle_cache_size
 
 
-def _env_maxsize() -> int:
-    raw = os.environ.get(CACHE_SIZE_ENV)
-    if raw is None:
-        return DEFAULT_MAXSIZE
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MAXSIZE
+def _compute(spec: "OracleSpec", graph: "Graph", derived_seed: int) -> Any:
+    return spec.compute(graph, derived_seed)
 
 
-_cache: "OrderedDict[CacheKey, Any]" = OrderedDict()
-_maxsize = _env_maxsize()
-_hits = 0
-_misses = 0
-_store_hits = 0
-_store_misses = 0
-_publishes = 0
+def _coords(key, spec: "OracleSpec", graph: "Graph", derived_seed: int):
+    return key[0], key[1], key[2], spec
 
-# Tri-state store handle, mirroring graph_cache: None + probed=False
-# means "consult the environment on first use", which is how fork- and
-# spawn-started pool workers pick up the parent's configure_store call.
-_store: Optional["OracleStore"] = None
-_store_probed = False
+
+CHAIN = ArtifactChain("oracle", ORACLE_FAMILY, _compute, coords=_coords)
+clear = CHAIN.clear
+configure = CHAIN.configure
+configure_store = CHAIN.configure_store
+effective_maxsize = CHAIN.effective_maxsize
+effective_store = CHAIN.effective_store
+stats = CHAIN.stats
 
 
 def binding_oracle_source(scenario: "Scenario", size: int, seed: int,
@@ -94,13 +54,11 @@ def binding_oracle_source(scenario: "Scenario", size: int, seed: int,
 
     ``(None, "none")`` when the binding has no sequential oracle; the
     value is otherwise exactly what ``binding.oracle.compute(graph,
-    derived_seed)`` would return (the codec round-trip is exact), served
-    through the chain.  The source is one of :data:`LRU_HIT`,
-    :data:`STORE_HIT`, :data:`COMPUTED`, or :data:`NO_ORACLE`.
+    derived_seed)`` would return (the codec round-trip is exact).
     """
     spec = binding.oracle
     if spec is None:
-        return None, NO_ORACLE
+        return None, NONE
     derived = scenario.seed_for(size, seed)
     return oracle_value_source(scenario.name, size, derived, spec, graph)
 
@@ -108,109 +66,9 @@ def binding_oracle_source(scenario: "Scenario", size: int, seed: int,
 def oracle_value_source(scenario_name: str, size: int, derived_seed: int,
                         spec: "OracleSpec",
                         graph: "Graph") -> Tuple[Any, str]:
-    """Serve one baseline value through the chain; see the module doc."""
-    global _hits, _misses, _store_hits, _store_misses, _publishes
+    """Serve one baseline value through the chain."""
     from repro.baselines.oracles import oracle_revision
 
-    key: CacheKey = (scenario_name, size, derived_seed, spec.name,
-                     oracle_revision(spec))
-    if key in _cache:
-        _hits += 1
-        _cache.move_to_end(key)
-        return _cache[key], LRU_HIT
-    _misses += 1
-    source = COMPUTED
-    value = None
-    store = effective_store()
-    if store is not None:
-        value = store.load(scenario_name, size, derived_seed, spec)
-        if value is not None:
-            _store_hits += 1
-            source = STORE_HIT
-        else:
-            _store_misses += 1
-    if value is None:
-        value = spec.compute(graph, derived_seed)
-        if store is not None and store.publish(scenario_name, size,
-                                               derived_seed, spec, value):
-            _publishes += 1
-    if _maxsize > 0:
-        _cache[key] = value
-        while len(_cache) > _maxsize:
-            _cache.popitem(last=False)
-    return value, source
-
-
-def stats() -> Dict[str, int]:
-    """Hit/miss/size counters (process-local, for tests and reports)."""
-    return {"hits": _hits, "misses": _misses, "size": len(_cache),
-            "maxsize": _maxsize, "store_hits": _store_hits,
-            "store_misses": _store_misses, "publishes": _publishes}
-
-
-def clear() -> None:
-    """Drop every cached value and reset the counters."""
-    global _hits, _misses, _store_hits, _store_misses, _publishes
-    _cache.clear()
-    _hits = 0
-    _misses = 0
-    _store_hits = 0
-    _store_misses = 0
-    _publishes = 0
-
-
-def configure(maxsize: int) -> None:
-    """Set the LRU capacity (0 disables caching); clears the cache.
-
-    Clamped to >= 0 -- the same clamp workers apply when they read
-    :data:`CACHE_SIZE_ENV` -- so parent and worker capacities (and the
-    manifest's ``effective_maxsize``) can never disagree.  Also exports
-    the env var so worker processes spawned after this call size their
-    LRUs the same way.
-    """
-    global _maxsize
-    _maxsize = max(0, int(maxsize))
-    os.environ[CACHE_SIZE_ENV] = str(_maxsize)
-    clear()
-
-
-def effective_maxsize() -> int:
-    """The LRU capacity in force (recorded in run manifests)."""
-    return _maxsize
-
-
-def configure_store(root: "Optional[str | Path]") -> None:
-    """Point the chain at an on-disk oracle store (None disconnects it).
-
-    Process-wide, like :func:`configure` -- and exported via
-    :data:`STORE_DIR_ENV` so pool workers started afterwards resolve
-    the same store whether the pool forks or spawns.
-    """
-    global _store, _store_probed
-    if root is None:
-        _store = None
-        os.environ.pop(STORE_DIR_ENV, None)
-    else:
-        from repro.store.oracles import OracleStore
-
-        _store = OracleStore(root)
-        os.environ[STORE_DIR_ENV] = str(root)
-    _store_probed = True
-
-
-def effective_store() -> Optional["OracleStore"]:
-    """The connected oracle store, resolving :data:`STORE_DIR_ENV` lazily.
-
-    Worker processes never call :func:`configure_store` themselves;
-    their first cell lands here and picks the store up from the
-    environment the parent exported.
-    """
-    global _store, _store_probed
-    if not _store_probed:
-        root = os.environ.get(STORE_DIR_ENV)
-        if root:
-            from repro.store.oracles import OracleStore
-
-            _store = OracleStore(root)
-        _store_probed = True
-    return _store
+    key = (scenario_name, size, derived_seed, spec.name,
+           oracle_revision(spec))
+    return CHAIN.resolve(key, spec, graph, derived_seed)

@@ -1,19 +1,18 @@
-"""Per-cell profile capture: how --profile / --cprofile reach workers.
+"""Per-cell profile capture: what --profile / --cprofile do per cell.
 
-The sweep engine configures both knobs process-wide, exactly like the
-cache chains (:mod:`repro.runner.graph_cache` et al.): the parent
-exports an environment variable, pool workers probe it lazily on their
-first cell, and ``execute_cell`` consults this module on every cell.
-With neither knob set the consult is two cheap module-level checks and
-the cell runs the untouched code path.
+Both knobs are :class:`~repro.runner.config.SweepConfig` settings, so
+pool workers see them through the executor's pool initializer;
+``execute_cell`` consults the config on every cell.  With neither set
+the consult is two attribute reads and the cell runs the untouched
+code path.
 
-* :data:`PROFILE_DIR_ENV` points at the artifact-store root whose
+* ``profile_store`` points at the artifact-store root whose
   ``profiles/`` family receives each cell's
   :class:`~repro.congest.profile.RoundProfile`, keyed by the full cell
-  coordinates plus the current code revision.
-* :data:`CPROFILE_ENV` turns on ``cProfile`` around the cell body; the
-  top hot functions ride back on ``CellResult.hot`` and are aggregated
-  across cells by ``repro runs report``.
+  coordinates plus the run's revision.
+* ``cprofile`` turns on ``cProfile`` around the cell body; the top hot
+  functions ride back on ``CellResult.hot`` and are aggregated across
+  cells by ``repro runs report``.
 
 Neither knob touches the cell's canonical record: the only trace a
 profiled record carries is the ``profile_source`` provenance label,
@@ -27,99 +26,28 @@ import os
 import pstats
 from typing import TYPE_CHECKING, Any, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
+from repro.runner import config
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.congest.profile import RoundProfile
     from repro.runner.jobs import JobSpec
-    from repro.store.profiles import ProfileStore
-
-# Environment knobs: how configuration reaches pool worker processes.
-PROFILE_DIR_ENV = "REPRO_PROFILE_STORE_DIR"
-CPROFILE_ENV = "REPRO_CPROFILE"
 
 # How many hot functions each cell reports (by cumulative time).
 HOT_LIMIT = 40
 
-_store: Optional["ProfileStore"] = None
-_store_probed = False
-_cprofile: Optional[bool] = None
 _revision: Optional[str] = None
 
 
-def configure_profiles(root: "Optional[str | Path]") -> None:
-    """Point cell execution at a profiles store (None turns capture off).
-
-    Process-wide and exported via :data:`PROFILE_DIR_ENV`, so pool
-    workers started afterwards capture to the same store whether the
-    pool forks or spawns.
-    """
-    global _store, _store_probed
-    if root is None:
-        _store = None
-        os.environ.pop(PROFILE_DIR_ENV, None)
-    else:
-        from repro.store.profiles import ProfileStore
-
-        _store = ProfileStore(root)
-        os.environ[PROFILE_DIR_ENV] = str(root)
-    _store_probed = True
-
-
-def effective_profile_store() -> Optional["ProfileStore"]:
-    """The connected profiles store, resolving the env var lazily.
-
-    Worker processes never call :func:`configure_profiles` themselves;
-    their first cell lands here and picks the store up from the
-    environment the parent exported.
-    """
-    global _store, _store_probed
-    if not _store_probed:
-        root = os.environ.get(PROFILE_DIR_ENV)
-        if root:
-            from repro.store.profiles import ProfileStore
-
-            _store = ProfileStore(root)
-        _store_probed = True
-    return _store
-
-
-def configure_cprofile(enabled: bool) -> None:
-    """Turn per-cell cProfile capture on or off, process-wide + env."""
-    global _cprofile
-    _cprofile = bool(enabled)
-    if enabled:
-        os.environ[CPROFILE_ENV] = "1"
-    else:
-        os.environ.pop(CPROFILE_ENV, None)
-
-
-def cprofile_enabled() -> bool:
-    """Whether cells run under cProfile (env-resolved, like the store)."""
-    global _cprofile
-    if _cprofile is None:
-        _cprofile = os.environ.get(CPROFILE_ENV) == "1"
-    return _cprofile
-
-
-def reset() -> None:
-    """Back to the pristine un-probed state (test isolation helper).
-
-    Clears the connected store, the latched cProfile flag, and both
-    exported env vars, so the next consult re-resolves from scratch --
-    exactly what a fresh worker process would see.
-    """
-    global _store, _store_probed, _cprofile
-    _store = None
-    _store_probed = False
-    _cprofile = None
-    os.environ.pop(PROFILE_DIR_ENV, None)
-    os.environ.pop(CPROFILE_ENV, None)
-
-
 def cell_revision() -> str:
-    """The code revision stamped into profile identities (cached)."""
+    """The revision stamped into profile identities.
+
+    The run's revision from the config; outside a run that set one
+    (storeless sweeps, direct calls) the current git revision, cached.
+    """
     global _revision
+    revision = config.current().revision
+    if revision is not None:
+        return revision
     if _revision is None:
         from repro.runner.store import git_revision
 
@@ -133,19 +61,19 @@ def publish_profile(spec: "JobSpec", profile: "RoundProfile") -> str:
     ``store:<key prefix>`` when the profiles store holds it (already
     present counts -- same cell, same revision, same bytes), plain
     ``"captured"`` when no store is configured (the profile was
-    recorded but has nowhere durable to go, e.g. ``--profile`` with
-    ``--no-store``).
+    recorded but has nowhere durable to go).
     """
-    store = effective_profile_store()
-    if store is None:
+    root = config.current().profile_store
+    if root is None:
         return "captured"
+    from repro.store.artifacts import FamilyStore
     from repro.store.profiles import PROFILE_FAMILY, profile_identity
 
     identity = profile_identity(
         spec.scenario, spec.algorithm, spec.size, spec.seed,
         faults=spec.faults or "", fault_seed=spec.fault_seed,
         revision=cell_revision())
-    store.publish(identity, profile)
+    FamilyStore(PROFILE_FAMILY, root).publish(identity, profile)
     return f"store:{PROFILE_FAMILY.key(identity)[:12]}"
 
 

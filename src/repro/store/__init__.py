@@ -1,4 +1,4 @@
-"""The on-disk content-addressed artifact store (ISSUE 4 + ISSUE 5).
+"""The on-disk content-addressed artifact store.
 
 One gitignored store root holds every immutable artifact the sweep
 path can reuse instead of recompute, organized as typed **artifact
@@ -7,10 +7,11 @@ families** over a shared byte layer:
 * :mod:`repro.store.artifacts` -- the byte layer: content keys, atomic
   write-then-rename publication (safe under racing pool workers),
   mmap'd reads with corruption quarantine, ``ls``/``stat``/``gc``
-  maintenance with per-family scoping;
+  maintenance with per-family scoping -- plus :class:`FamilyStore`,
+  the one family-scoped view every family is read and written through;
 * :mod:`repro.store.families` -- the typed registry: each family
-  declares its kind, key schema, and payload schema version (both
-  schema versions are hashed into every content key);
+  declares its kind, key schema, payload schema version (both schema
+  versions are hashed into every content key) and codec;
 * :mod:`repro.store.graphs` -- CSR graph snapshots keyed by
   ``(scenario, size, derived construction seed)``;
 * :mod:`repro.store.oracles` -- differential baseline outputs keyed by
@@ -29,13 +30,11 @@ families** over a shared byte layer:
   ``(scenario, algorithm, size, seed, faults, fault_seed, revision)``
   and rendered by ``repro profile show`` / ``diff``.
 
-Consumers: the fall-through chains in :mod:`repro.runner.graph_cache`,
-:mod:`repro.runner.oracle_cache`, and :mod:`repro.runner.
-decomposition_cache` (in-process LRU -> this store ->
-compute-and-publish), the ``repro store`` CLI family
-(``ls``/``stat``/``gc``/``warm``, all ``--family``-aware), and the
-``graph-store`` / ``oracle-store`` / ``decomposition-pipeline``
-benchmarks.
+Consumers: the artifact chains of :mod:`repro.runner.chain` (in-process
+LRU -> this store -> compute-and-publish, one per family), the ``repro
+store`` CLI family (``ls``/``stat``/``gc``/``warm``, all
+``--family``-aware), and the ``graph-store`` / ``oracle-store`` /
+``decomposition-pipeline`` benchmarks.
 """
 
 from repro.store.artifacts import (
@@ -44,6 +43,7 @@ from repro.store.artifacts import (
     SCHEMA_VERSION,
     ArtifactEntry,
     ArtifactStore,
+    FamilyStore,
     artifact_key,
 )
 from repro.store.families import (
@@ -53,19 +53,9 @@ from repro.store.families import (
     get_family,
     register_family,
 )
-from repro.store.graphs import GRAPH_FAMILY, GraphStore, graph_key, warm
-from repro.store.oracles import (
-    ORACLE_FAMILY,
-    OracleStore,
-    oracle_key,
-    warm_oracles,
-)
-from repro.store.decompositions import (
-    DECOMPOSITION_FAMILY,
-    DecompositionStore,
-    decomposition_key,
-    warm_decompositions,
-)
+from repro.store.graphs import GRAPH_FAMILY, graph_key
+from repro.store.oracles import ORACLE_FAMILY, oracle_key
+from repro.store.decompositions import DECOMPOSITION_FAMILY, decomposition_key
 from repro.store.bench_history import (
     BENCH_HISTORY_FAMILY,
     BenchHistoryRecord,
@@ -77,7 +67,7 @@ from repro.store.bench_history import (
 )
 from repro.store.profiles import (
     PROFILE_FAMILY,
-    ProfileStore,
+    find_profile,
     profile_identity,
     profile_key,
 )
@@ -85,13 +75,10 @@ from repro.store.profiles import (
 __all__ = [
     "ArtifactEntry", "ArtifactFamily", "ArtifactStore",
     "BENCH_HISTORY_FAMILY", "BenchHistoryRecord", "BenchHistoryStore",
-    "DECOMPOSITION_FAMILY", "DEFAULT_STORE_DIR", "DecompositionStore",
-    "GRAPH_FAMILY", "GateVerdict", "GraphStore", "ORACLE_FAMILY",
-    "OracleStore", "PROFILE_FAMILY", "ProfileStore",
-    "QUARANTINE_DIR", "SCHEMA_VERSION", "all_families",
-    "artifact_key",
-    "decomposition_key", "family_names", "get_family", "graph_key",
-    "history_key", "host_class", "oracle_key", "profile_identity",
-    "profile_key", "register_family",
-    "rolling_gate", "warm", "warm_decompositions", "warm_oracles",
+    "DECOMPOSITION_FAMILY", "DEFAULT_STORE_DIR", "FamilyStore",
+    "GRAPH_FAMILY", "GateVerdict", "ORACLE_FAMILY", "PROFILE_FAMILY",
+    "QUARANTINE_DIR", "SCHEMA_VERSION", "all_families", "artifact_key",
+    "decomposition_key", "family_names", "find_profile", "get_family",
+    "graph_key", "history_key", "host_class", "oracle_key",
+    "profile_identity", "profile_key", "register_family", "rolling_gate",
 ]

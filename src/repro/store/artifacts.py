@@ -467,3 +467,71 @@ class ArtifactStore:
                         continue  # already gone (racing gc)
                     if abandoned:
                         shutil.rmtree(entry, ignore_errors=True)
+
+
+class FamilyStore:
+    """One artifact family's view over an :class:`ArtifactStore` root.
+
+    Everything is scoped to the family: ``publish``/``load``/``contains``
+    take the family's coordinates positionally (``publish`` takes the
+    value last) and go through the family's codec, and ``ls``/``stat``/
+    ``gc`` see only the family's subtree -- entries of other families
+    under the same root are neither counted nor touched.
+    """
+
+    def __init__(self, family: ArtifactFamily,
+                 root: "str | Path" = DEFAULT_STORE_DIR):
+        self.family = family
+        self.artifacts = ArtifactStore(root)
+
+    @property
+    def root(self) -> Path:
+        return self.artifacts.root
+
+    def publish(self, *args: Any) -> bool:
+        """``publish(*coords, value)``; True if *we* published it.
+
+        A value the codec cannot represent is silently not storable
+        (False, the caller keeps its value) -- the store must never
+        corrupt a value to fit.
+        """
+        *coords, value = args
+        try:
+            arrays, extra = self.family.encode(value, *coords)
+        except (OverflowError, ValueError, TypeError, KeyError):
+            return False
+        return self.artifacts.publish(
+            self.family, self.family.identify(*coords), arrays, extra=extra)
+
+    def load(self, *coords: Any) -> Optional[Any]:
+        """The stored value, or None on miss/corruption.
+
+        A decode failure beyond what the byte layer checks (arrays that
+        parse but do not describe a value of this family) counts as
+        corruption too: the entry is dropped and the caller recomputes.
+        """
+        identity = self.family.identify(*coords)
+        opened = self.artifacts.open(self.family, identity)
+        if opened is None:
+            return None
+        try:
+            return self.family.decode(*opened, *coords)
+        except (KeyError, ValueError, TypeError, IndexError):
+            self.artifacts.remove(self.family.kind,
+                                  self.family.key(identity))
+            return None
+
+    def contains(self, *coords: Any) -> bool:
+        return self.artifacts.exists(self.family,
+                                     self.family.identify(*coords))
+
+    def ls(self) -> List[ArtifactEntry]:
+        return self.artifacts.ls(self.family.kind)
+
+    def stat(self) -> Dict[str, Any]:
+        return self.artifacts.stat(self.family.kind)
+
+    def gc(self, keep_last: Optional[int] = None,
+           max_bytes: Optional[int] = None) -> List[ArtifactEntry]:
+        return self.artifacts.gc(keep_last=keep_last, max_bytes=max_bytes,
+                                 kind=self.family.kind)

@@ -23,19 +23,11 @@ quarantined and recomputed, never an error.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from repro.store.artifacts import (
-    DEFAULT_STORE_DIR,
-    ArtifactEntry,
-    ArtifactStore,
-)
 from repro.store.families import ArtifactFamily, register_family
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
 
 DECOMPOSITION_KIND = "decompositions"
 
@@ -44,59 +36,22 @@ DECOMPOSITION_KIND = "decompositions"
 _METRIC_FIELDS = ("rounds", "messages", "broadcasts", "words",
                   "max_edge_congestion")
 
-DECOMPOSITION_FAMILY = register_family(ArtifactFamily(
-    kind=DECOMPOSITION_KIND,
-    key_fields=("scenario", "size", "derived_seed", "algorithm"),
-    schema_version=2,
-    description="decomposition snapshots (cluster maps + inter-cluster "
-                "edge sets + construction metrics), consumed by the "
-                "staged cover/spanner/hierarchy cells"))
 
-
-def decomposition_identity(scenario: str, size: int, derived_seed: int,
-                           algorithm: str) -> Dict[str, Any]:
-    return DECOMPOSITION_FAMILY.identity(
-        scenario=scenario, size=size, derived_seed=derived_seed,
-        algorithm=algorithm)
-
-
-def decomposition_key(scenario: str, size: int, derived_seed: int,
-                      algorithm: str) -> str:
-    """The content address of one stored decomposition snapshot."""
-    return DECOMPOSITION_FAMILY.key(
-        decomposition_identity(scenario, size, derived_seed, algorithm))
-
-
-class DecompositionStore:
-    """The decomposition-family view over an :class:`ArtifactStore` root."""
-
-    def __init__(self, root: "str | Path" = DEFAULT_STORE_DIR):
-        self.artifacts = ArtifactStore(root)
-
-    @property
-    def root(self):
-        return self.artifacts.root
-
-    def publish(self, scenario: str, size: int, derived_seed: int,
-                algorithm: str, snapshot: Dict[str, Any]) -> bool:
-        """Publish one snapshot dict; True if *we* published it."""
-        nodes = sorted(snapshot["center_of"])
-        center = np.asarray([snapshot["center_of"][v] for v in nodes],
-                            dtype=np.int64)
-        dist = np.asarray([snapshot["dist"][v] for v in nodes],
-                          dtype=np.int64)
-        parent = np.asarray(
-            [-1 if snapshot["parent"][v] is None else snapshot["parent"][v]
-             for v in nodes],
-            dtype=np.int64)
-        edges = np.asarray(sorted(snapshot["f_edges"]),
-                           dtype=np.int64).reshape(-1, 2)
-        return self.artifacts.publish(
-            DECOMPOSITION_FAMILY,
-            decomposition_identity(scenario, size, derived_seed, algorithm),
-            {"center": center, "dist": dist, "parent": parent,
+def _encode(snapshot: Dict[str, Any], *_coords: Any
+            ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    nodes = sorted(snapshot["center_of"])
+    center = np.asarray([snapshot["center_of"][v] for v in nodes],
+                        dtype=np.int64)
+    dist = np.asarray([snapshot["dist"][v] for v in nodes], dtype=np.int64)
+    parent = np.asarray(
+        [-1 if snapshot["parent"][v] is None else snapshot["parent"][v]
+         for v in nodes],
+        dtype=np.int64)
+    edges = np.asarray(sorted(snapshot["f_edges"]),
+                       dtype=np.int64).reshape(-1, 2)
+    return ({"center": center, "dist": dist, "parent": parent,
              "f_edges": edges},
-            extra={"decomposition": {
+            {"decomposition": {
                 "n": len(nodes),
                 "clusters": int(snapshot["clusters"]),
                 "beta": snapshot["beta"],
@@ -104,117 +59,48 @@ class DecompositionStore:
                             for name in _METRIC_FIELDS},
             }})
 
-    def load(self, scenario: str, size: int, derived_seed: int,
-             algorithm: str) -> Optional[Dict[str, Any]]:
-        """The snapshot dict, or None on miss/corruption.
 
-        Returns exactly the :func:`~repro.decomposition.pipeline.
-        ldc_snapshot` shape -- ``parent`` maps centers to None,
-        ``f_edges`` is the sorted (u, v) list, ``metrics`` the original
-        int construction meters -- so consumers cannot tell a load from
-        a fresh computation.
-        """
-        identity = decomposition_identity(scenario, size, derived_seed,
-                                          algorithm)
-        opened = self.artifacts.open(DECOMPOSITION_FAMILY, identity)
-        if opened is None:
-            return None
-        manifest, arrays = opened
-        try:
-            center = arrays["center"].tolist()
-            dist = arrays["dist"].tolist()
-            parent = arrays["parent"].tolist()
-            edges = arrays["f_edges"]
-            meta = manifest["decomposition"]
-            n = int(meta["n"])
-            metrics = {name: int(meta["metrics"][name])
-                       for name in _METRIC_FIELDS}
-            if not (len(center) == len(dist) == len(parent) == n
-                    and edges.ndim == 2 and edges.shape[1:] == (2,)):
-                raise ValueError("decomposition arrays inconsistent")
-        except (KeyError, ValueError, TypeError):
-            self.artifacts.remove(DECOMPOSITION_KIND,
-                                  DECOMPOSITION_FAMILY.key(identity))
-            return None
-        return {
-            "center_of": {v: center[v] for v in range(n)},
-            "dist": {v: dist[v] for v in range(n)},
-            "parent": {v: (None if parent[v] < 0 else parent[v])
-                       for v in range(n)},
-            "f_edges": [tuple(edge) for edge in edges.tolist()],
-            "metrics": metrics,
-            "beta": meta["beta"],
-            "clusters": int(meta["clusters"]),
-            "n": n,
-        }
-
-    def contains(self, scenario: str, size: int, derived_seed: int,
-                 algorithm: str) -> bool:
-        return self.artifacts.exists(
-            DECOMPOSITION_FAMILY,
-            decomposition_identity(scenario, size, derived_seed, algorithm))
-
-    # ------------------------------------------------------------------
-    # Inventory / maintenance (delegates, decomposition-family scoped)
-    # ------------------------------------------------------------------
-    def ls(self) -> List[ArtifactEntry]:
-        return self.artifacts.ls(DECOMPOSITION_KIND)
-
-    def stat(self) -> Dict[str, Any]:
-        return self.artifacts.stat(DECOMPOSITION_KIND)
-
-    def gc(self, keep_last: Optional[int] = None,
-           max_bytes: Optional[int] = None) -> List[ArtifactEntry]:
-        return self.artifacts.gc(keep_last=keep_last, max_bytes=max_bytes,
-                                 kind=DECOMPOSITION_KIND)
+def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray],
+            *_coords: Any) -> Dict[str, Any]:
+    """Exactly the :func:`~repro.decomposition.pipeline.ldc_snapshot`
+    shape -- ``parent`` maps centers to None, ``f_edges`` is the sorted
+    (u, v) list, ``metrics`` the original int construction meters -- so
+    consumers cannot tell a load from a fresh computation."""
+    center = arrays["center"].tolist()
+    dist = arrays["dist"].tolist()
+    parent = arrays["parent"].tolist()
+    edges = arrays["f_edges"]
+    meta = manifest["decomposition"]
+    n = int(meta["n"])
+    metrics = {name: int(meta["metrics"][name]) for name in _METRIC_FIELDS}
+    if not (len(center) == len(dist) == len(parent) == n
+            and edges.ndim == 2 and edges.shape[1:] == (2,)):
+        raise ValueError("decomposition arrays inconsistent")
+    return {
+        "center_of": {v: center[v] for v in range(n)},
+        "dist": {v: dist[v] for v in range(n)},
+        "parent": {v: (None if parent[v] < 0 else parent[v])
+                   for v in range(n)},
+        "f_edges": [tuple(edge) for edge in edges.tolist()],
+        "metrics": metrics,
+        "beta": meta["beta"],
+        "clusters": int(meta["clusters"]),
+        "n": n,
+    }
 
 
-def warm_decompositions(store: DecompositionStore, scenarios, *,
-                        sizes=None, seeds=(0,)) -> Dict[str, int]:
-    """Pre-build and publish decomposition snapshots (``repro store warm
-    --family decompositions``).
+DECOMPOSITION_FAMILY = register_family(ArtifactFamily(
+    kind=DECOMPOSITION_KIND,
+    key_fields=("scenario", "size", "derived_seed", "algorithm"),
+    schema_version=2,
+    description="decomposition snapshots (cluster maps + inter-cluster "
+                "edge sets + construction metrics), consumed by the "
+                "staged cover/spanner/hierarchy cells",
+    encode=_encode, decode=_decode))
 
-    For every scenario x size x seed, each *distinct* decomposition
-    algorithm among the scenario's bound consumers (the ``ldc``
-    producer plus the cover/spanner/hierarchy cells all name ``ldc``)
-    is built once and published.  The scenario graph is loaded from the
-    graph family at the same store root when a snapshot exists and
-    built once otherwise, mirroring :func:`repro.store.oracles.
-    warm_oracles`.  Returns publish/skip counts.
-    """
-    from repro.runner.decomposition_cache import compute_snapshot
-    from repro.scenarios import get_binding
-    from repro.store.graphs import GraphStore
 
-    graphs = GraphStore(store.root)
-    published = skipped = 0
-    for scenario in scenarios:
-        algorithms = []
-        for algorithm in scenario.algorithms:
-            producer = get_binding(algorithm).decomposition
-            if producer is not None and producer not in algorithms:
-                algorithms.append(producer)
-        if not algorithms:
-            continue
-        run_sizes = ([scenario.default_size] if sizes is None
-                     else list(sizes))
-        for size in run_sizes:
-            for seed in seeds:
-                derived = scenario.seed_for(size, seed)
-                graph = None
-                for algorithm in algorithms:
-                    if store.contains(scenario.name, size, derived,
-                                      algorithm):
-                        skipped += 1
-                        continue
-                    if graph is None:
-                        graph = graphs.load(scenario.name, size, derived)
-                    if graph is None:
-                        graph = scenario.graph(size, seed=seed)
-                    snapshot = compute_snapshot(algorithm, graph, derived)
-                    if store.publish(scenario.name, size, derived,
-                                     algorithm, snapshot):
-                        published += 1
-                    else:
-                        skipped += 1
-    return {"published": published, "skipped": skipped}
+def decomposition_key(scenario: str, size: int, derived_seed: int,
+                      algorithm: str) -> str:
+    """The content address of one stored decomposition snapshot."""
+    return DECOMPOSITION_FAMILY.key(DECOMPOSITION_FAMILY.identify(
+        scenario, size, derived_seed, algorithm))

@@ -15,12 +15,15 @@ top: one registered family per artifact kind, declaring
   serving old bytes to new readers (stale entries just stop being
   addressed and age out via ``gc``).
 
-Typed stores (:class:`repro.store.graphs.GraphStore`,
-:class:`repro.store.oracles.OracleStore`, ...) own the serializers --
-how a Graph or an oracle value becomes arrays and back -- and go through
-their family for keys and schema checks.  The ``repro store`` CLI
-(``ls``/``stat``/``gc --family``) and :func:`repro.store.ArtifactStore.
-stat` enumerate families generically through this registry.
+A family served through :class:`repro.store.artifacts.FamilyStore` (the
+one family-scoped view over a store root) also declares its **codec**
+-- how a value becomes arrays and back -- so the view stays generic:
+``coords`` maps the view's positional coordinates to an identity
+(default: the key fields, in order), ``encode(value, *coords)`` returns
+``(arrays, manifest extra)``, and ``decode(manifest, arrays, *coords)``
+rebuilds the value.  The ``repro store`` CLI (``ls``/``stat``/``gc
+--family``) and :func:`repro.store.ArtifactStore.stat` enumerate
+families generically through this registry.
 
 Families registered today:
 
@@ -48,17 +51,21 @@ entries from different revisions coexist for ``repro profile diff``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
 class ArtifactFamily:
-    """One typed artifact kind: key schema + payload schema version."""
+    """One typed artifact kind: key schema, payload version, codec."""
 
     kind: str
     key_fields: Tuple[str, ...]
     schema_version: int
     description: str = ""
+    coords: Optional[Callable[..., Dict[str, Any]]] = None
+    encode: Optional[Callable[..., Tuple[Dict[str, Any],
+                                         Dict[str, Any]]]] = None
+    decode: Optional[Callable[..., Any]] = None
 
     def identity(self, **coords: Any) -> Dict[str, Any]:
         """Validate ``coords`` against the key schema; return the identity.
@@ -80,6 +87,12 @@ class ArtifactFamily:
                 f"{self.kind} identity must be exactly "
                 f"{list(self.key_fields)}: {'; '.join(problems)}")
         return {field: coords[field] for field in self.key_fields}
+
+    def identify(self, *coords: Any) -> Dict[str, Any]:
+        """The identity addressed by a view call's positional coordinates."""
+        if self.coords is not None:
+            return self.coords(*coords)
+        return self.identity(**dict(zip(self.key_fields, coords)))
 
     def key(self, identity: Dict[str, Any]) -> str:
         """The content address of one artifact of this family."""

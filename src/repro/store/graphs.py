@@ -27,186 +27,98 @@ floats) the generators produced.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 import numpy as np
 
-from repro.store.artifacts import (
-    DEFAULT_STORE_DIR,
-    ArtifactEntry,
-    ArtifactStore,
-)
 from repro.store.families import ArtifactFamily, register_family
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
-
     from repro.graphs.graph import Graph
 
 GRAPH_KIND = "graphs"
+
+
+def _encode(graph: "Graph", *_coords: Any
+            ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """CSR arrays + ordered weight arrays.
+
+    Graphs whose weight values do not fit a numeric numpy dtype are not
+    storable (ValueError) -- nothing in the repository produces such
+    weights, but the store must never corrupt a value to fit.
+    """
+    arrays: Dict[str, np.ndarray] = {
+        "indptr": graph._indptr,
+        "indices": graph._indices,
+    }
+    weighted = graph.weights is not None
+    if weighted:
+        values = list(graph.weights.values())
+        keys = np.asarray(list(graph.weights), dtype=np.int64)
+        vals = np.asarray(values)  # ints beyond int64 raise OverflowError
+        if vals.dtype.kind not in "if":
+            raise ValueError("non-numeric weights")
+        if (vals.dtype.kind == "f"
+                and any(isinstance(v, int) for v in values)):
+            # A mixed int/float dict would coerce the ints to floats on
+            # the round trip (1 -> 1.0), breaking byte identity of
+            # weight-derived payloads.
+            raise ValueError("mixed int/float weights")
+        arrays["weight_keys"] = keys.reshape(-1, 2)
+        arrays["weight_vals"] = vals
+    return arrays, {"graph": {"name": graph.name, "n": graph.n,
+                              "m": graph.m, "weighted": weighted}}
+
+
+def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray],
+            *_coords: Any) -> "Graph":
+    """The snapshot as a :class:`Graph` over the mmap'd arrays.
+
+    The CSR arrays stay memory-mapped read-only (graphs are immutable
+    by contract, so nothing ever writes into them); the weight dict is
+    rebuilt eagerly from the ordered key/value arrays so values come
+    back as plain Python numbers.  Structural inconsistencies beyond
+    what the artifact layer checks (indptr not matching indices,
+    dangling weight keys) raise, which the view treats as corruption.
+    """
+    from repro.graphs.graph import Graph
+
+    indptr = arrays["indptr"]
+    indices = arrays["indices"]
+    meta = manifest["graph"]
+    n, name = int(meta["n"]), str(meta["name"])
+    if (indptr.ndim != 1 or indices.ndim != 1
+            or len(indptr) != n + 1 or indptr[0] != 0
+            or int(indptr[-1]) != len(indices)):
+        raise ValueError("CSR arrays inconsistent with manifest")
+    weights = None
+    if meta.get("weighted"):
+        keys = arrays["weight_keys"]
+        vals = arrays["weight_vals"]
+        if keys.ndim != 2 or keys.shape != (len(vals), 2):
+            raise ValueError("weight arrays inconsistent")
+        weights = {(u, v): w
+                   for (u, v), w in zip(keys.tolist(), vals.tolist())}
+    graph = Graph._from_csr(indptr, indices, name=name)
+    if weights is not None:
+        # Trusted snapshot of an already-validated graph: attach the
+        # weights directly instead of re-validating edge membership,
+        # which would materialize the whole adjacency on every load.
+        graph._weights = weights
+        graph._weighted = True
+    return graph
+
 
 GRAPH_FAMILY = register_family(ArtifactFamily(
     kind=GRAPH_KIND,
     key_fields=("scenario", "size", "derived_seed"),
     schema_version=1,
     description="CSR scenario-graph snapshots (indptr/indices + ordered "
-                "weight arrays), mmap'd back as Graph instances"))
-
-
-def graph_identity(scenario: str, size: int,
-                   derived_seed: int) -> Dict[str, Any]:
-    return GRAPH_FAMILY.identity(scenario=scenario, size=size,
-                                 derived_seed=derived_seed)
+                "weight arrays), mmap'd back as Graph instances",
+    encode=_encode, decode=_decode))
 
 
 def graph_key(scenario: str, size: int, derived_seed: int) -> str:
     """The content address of one scenario graph snapshot."""
-    return GRAPH_FAMILY.key(graph_identity(scenario, size, derived_seed))
-
-
-class GraphStore:
-    """The graph-family view over an :class:`ArtifactStore` root."""
-
-    def __init__(self, root: "str | Path" = DEFAULT_STORE_DIR):
-        self.artifacts = ArtifactStore(root)
-
-    @property
-    def root(self):
-        return self.artifacts.root
-
-    # ------------------------------------------------------------------
-    # Publish
-    # ------------------------------------------------------------------
-    def publish(self, scenario: str, size: int, derived_seed: int,
-                graph: "Graph") -> bool:
-        """Snapshot ``graph`` under its content key; True if we published.
-
-        Graphs whose weight values do not fit a numeric numpy dtype are
-        silently not storable (publish returns False and the caller
-        keeps its built instance) -- nothing in the repository produces
-        such weights, but the store must never corrupt a value to fit.
-        """
-        arrays: Dict[str, np.ndarray] = {
-            "indptr": graph._indptr,
-            "indices": graph._indices,
-        }
-        weighted = graph.weights is not None
-        if weighted:
-            values = list(graph.weights.values())
-            try:
-                keys = np.asarray(list(graph.weights), dtype=np.int64)
-                vals = np.asarray(values)
-            except (OverflowError, ValueError, TypeError):
-                return False  # e.g. ints beyond int64: not storable
-            if vals.dtype.kind not in "if":
-                return False
-            if (vals.dtype.kind == "f"
-                    and any(isinstance(v, int) for v in values)):
-                # A mixed int/float dict would coerce the ints to
-                # floats on the round trip (1 -> 1.0), breaking byte
-                # identity of weight-derived payloads.
-                return False
-            arrays["weight_keys"] = keys.reshape(-1, 2)
-            arrays["weight_vals"] = vals
-        return self.artifacts.publish(
-            GRAPH_FAMILY,
-            graph_identity(scenario, size, derived_seed), arrays,
-            extra={"graph": {"name": graph.name, "n": graph.n,
-                             "m": graph.m, "weighted": weighted}})
-
-    # ------------------------------------------------------------------
-    # Load
-    # ------------------------------------------------------------------
-    def load(self, scenario: str, size: int,
-             derived_seed: int) -> Optional["Graph"]:
-        """The snapshot as a :class:`Graph` over mmap'd arrays, or None.
-
-        The CSR arrays stay memory-mapped read-only (graphs are
-        immutable by contract, so nothing ever writes into them); the
-        weight dict is rebuilt eagerly from the ordered key/value
-        arrays so values come back as plain Python numbers.  Structural
-        inconsistencies beyond what the artifact layer checks (indptr
-        not matching indices, dangling weight keys) also count as
-        corruption: the entry is dropped and the caller rebuilds.
-        """
-        from repro.graphs.graph import Graph
-
-        identity = graph_identity(scenario, size, derived_seed)
-        opened = self.artifacts.open(GRAPH_FAMILY, identity)
-        if opened is None:
-            return None
-        manifest, arrays = opened
-        try:
-            indptr = arrays["indptr"]
-            indices = arrays["indices"]
-            meta = manifest["graph"]
-            n, name = int(meta["n"]), str(meta["name"])
-            if (indptr.ndim != 1 or indices.ndim != 1
-                    or len(indptr) != n + 1 or indptr[0] != 0
-                    or int(indptr[-1]) != len(indices)):
-                raise ValueError("CSR arrays inconsistent with manifest")
-            weights = None
-            if meta.get("weighted"):
-                keys = arrays["weight_keys"]
-                vals = arrays["weight_vals"]
-                if keys.ndim != 2 or keys.shape != (len(vals), 2):
-                    raise ValueError("weight arrays inconsistent")
-                weights = {
-                    (u, v): w
-                    for (u, v), w in zip(keys.tolist(), vals.tolist())}
-        except (KeyError, ValueError, TypeError):
-            self.artifacts.remove(GRAPH_KIND, GRAPH_FAMILY.key(identity))
-            return None
-        graph = Graph._from_csr(indptr, indices, name=name)
-        if weights is not None:
-            # Trusted snapshot of an already-validated graph: attach the
-            # weights directly instead of re-validating edge membership,
-            # which would materialize the whole adjacency on every load.
-            graph._weights = weights
-            graph._weighted = True
-        return graph
-
-    def contains(self, scenario: str, size: int, derived_seed: int) -> bool:
-        return self.artifacts.exists(
-            GRAPH_FAMILY, graph_identity(scenario, size, derived_seed))
-
-    # ------------------------------------------------------------------
-    # Inventory / maintenance (delegates, graph-family scoped where apt)
-    # ------------------------------------------------------------------
-    def ls(self) -> List[ArtifactEntry]:
-        return self.artifacts.ls(GRAPH_KIND)
-
-    def stat(self) -> Dict[str, Any]:
-        return self.artifacts.stat()
-
-    def gc(self, keep_last: Optional[int] = None,
-           max_bytes: Optional[int] = None) -> List[ArtifactEntry]:
-        return self.artifacts.gc(keep_last=keep_last, max_bytes=max_bytes)
-
-
-def warm(store: GraphStore, scenarios, *,
-         sizes=None, seeds=(0,)) -> Dict[str, int]:
-    """Pre-build and publish scenario graphs (``repro store warm``).
-
-    ``scenarios`` is an iterable of :class:`repro.scenarios.registry.
-    Scenario`; each is built at every requested size (default: its
-    tier-1 ``default_size``) for every caller seed and published.
-    Returns ``{"published": ..., "skipped": ...}`` -- skipped entries
-    were already in the store.
-    """
-    published = skipped = 0
-    for scenario in scenarios:
-        run_sizes = ([scenario.default_size] if sizes is None
-                     else list(sizes))
-        for size in run_sizes:
-            for seed in seeds:
-                derived = scenario.seed_for(size, seed)
-                if store.contains(scenario.name, size, derived):
-                    skipped += 1
-                    continue
-                graph = scenario.graph(size, seed=seed)
-                if store.publish(scenario.name, size, derived, graph):
-                    published += 1
-                else:
-                    skipped += 1
-    return {"published": published, "skipped": skipped}
+    return GRAPH_FAMILY.key(GRAPH_FAMILY.identify(scenario, size,
+                                                  derived_seed))

@@ -30,6 +30,10 @@ quarantine-and-recompute.  A cached entry that decodes to garbage is
 treated exactly like a truncated array: the entry is dropped and the
 caller recomputes.
 
+The view's coordinates are ``(scenario, size, derived_seed, spec)``:
+the spec itself (not just its name) is what the codec runs, so a
+replaced or edited spec is encoded and decoded by its own functions.
+
 Consumers: the fall-through chain in :mod:`repro.runner.oracle_cache`
 (in-process LRU -> this family -> compute-and-publish), ``repro store
 ls/stat/gc --family oracles``, ``repro store warm --family oracles``,
@@ -38,28 +42,14 @@ and the ``oracle-store`` benchmark.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, Tuple
+
+import numpy as np
 
 from repro.baselines.oracles import OracleSpec, oracle_revision
-from repro.store.artifacts import (
-    DEFAULT_STORE_DIR,
-    ArtifactEntry,
-    ArtifactStore,
-)
 from repro.store.families import ArtifactFamily, register_family
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
-
 ORACLE_KIND = "oracles"
-
-ORACLE_FAMILY = register_family(ArtifactFamily(
-    kind=ORACLE_KIND,
-    key_fields=("scenario", "size", "derived_seed", "oracle", "revision"),
-    schema_version=1,
-    description="differential baseline outputs (distance matrices, "
-                "matching sizes, LDC realizations), keyed by oracle "
-                "name + source revision"))
 
 
 def oracle_identity(scenario: str, size: int, derived_seed: int,
@@ -69,126 +59,31 @@ def oracle_identity(scenario: str, size: int, derived_seed: int,
         oracle=spec.name, revision=oracle_revision(spec))
 
 
+def _encode(value: Any, scenario: str, size: int, derived_seed: int,
+            spec: OracleSpec) -> Tuple[Dict[str, np.ndarray],
+                                       Dict[str, Any]]:
+    return spec.encode(value), {"oracle": {
+        "name": spec.name, "description": spec.description}}
+
+
+def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray],
+            scenario: str, size: int, derived_seed: int,
+            spec: OracleSpec) -> Any:
+    return spec.decode(arrays)
+
+
+ORACLE_FAMILY = register_family(ArtifactFamily(
+    kind=ORACLE_KIND,
+    key_fields=("scenario", "size", "derived_seed", "oracle", "revision"),
+    schema_version=1,
+    description="differential baseline outputs (distance matrices, "
+                "matching sizes, LDC realizations), keyed by oracle "
+                "name + source revision",
+    coords=oracle_identity, encode=_encode, decode=_decode))
+
+
 def oracle_key(scenario: str, size: int, derived_seed: int,
                spec: OracleSpec) -> str:
     """The content address of one cached baseline output."""
     return ORACLE_FAMILY.key(
         oracle_identity(scenario, size, derived_seed, spec))
-
-
-class OracleStore:
-    """The oracle-family view over an :class:`ArtifactStore` root."""
-
-    def __init__(self, root: "str | Path" = DEFAULT_STORE_DIR):
-        self.artifacts = ArtifactStore(root)
-
-    @property
-    def root(self):
-        return self.artifacts.root
-
-    def publish(self, scenario: str, size: int, derived_seed: int,
-                spec: OracleSpec, value: Any) -> bool:
-        """Publish one baseline output; True if *we* published it.
-
-        A value the spec's codec cannot represent is silently not
-        storable (False, the caller keeps its computed value) -- the
-        store must never corrupt a baseline to fit.
-        """
-        try:
-            arrays = spec.encode(value)
-        except (OverflowError, ValueError, TypeError, KeyError):
-            return False
-        return self.artifacts.publish(
-            ORACLE_FAMILY,
-            oracle_identity(scenario, size, derived_seed, spec), arrays,
-            extra={"oracle": {"name": spec.name,
-                              "description": spec.description}})
-
-    def load(self, scenario: str, size: int, derived_seed: int,
-             spec: OracleSpec) -> Optional[Any]:
-        """The cached baseline value, or None on miss/corruption.
-
-        Decode failures beyond what the byte layer checks (an array
-        that parses but does not describe a value of this oracle's
-        shape) count as corruption: the entry is dropped and the caller
-        recomputes and republishes.
-        """
-        identity = oracle_identity(scenario, size, derived_seed, spec)
-        opened = self.artifacts.open(ORACLE_FAMILY, identity)
-        if opened is None:
-            return None
-        _manifest, arrays = opened
-        try:
-            return spec.decode(arrays)
-        except (ValueError, TypeError, KeyError, IndexError):
-            self.artifacts.remove(ORACLE_KIND, ORACLE_FAMILY.key(identity))
-            return None
-
-    def contains(self, scenario: str, size: int, derived_seed: int,
-                 spec: OracleSpec) -> bool:
-        return self.artifacts.exists(
-            ORACLE_FAMILY, oracle_identity(scenario, size, derived_seed, spec))
-
-    # ------------------------------------------------------------------
-    # Inventory / maintenance (delegates, oracle-family scoped)
-    # ------------------------------------------------------------------
-    def ls(self) -> List[ArtifactEntry]:
-        return self.artifacts.ls(ORACLE_KIND)
-
-    def stat(self) -> Dict[str, Any]:
-        return self.artifacts.stat(ORACLE_KIND)
-
-    def gc(self, keep_last: Optional[int] = None,
-           max_bytes: Optional[int] = None) -> List[ArtifactEntry]:
-        return self.artifacts.gc(keep_last=keep_last, max_bytes=max_bytes,
-                                 kind=ORACLE_KIND)
-
-
-def warm_oracles(store: OracleStore, scenarios, *,
-                 sizes=None, seeds=(0,)) -> Dict[str, int]:
-    """Pre-compute and publish baselines (``repro store warm --family
-    oracles``).
-
-    For every scenario x size x seed, each *distinct* oracle among the
-    scenario's bound algorithms is computed once and published (the
-    ``apsp-unweighted`` and ``bfs-collection`` bindings share one
-    ``unweighted-apsp`` artifact).  The scenario graph is loaded from
-    the graph family at the same store root when a snapshot exists
-    (``repro store warm`` publishes graphs first, so a combined warm
-    never runs a generator twice) and built once otherwise.  Returns
-    publish/skip counts; skipped entries were already in the store.
-    """
-    from repro.scenarios import get_binding
-    from repro.store.graphs import GraphStore
-
-    graphs = GraphStore(store.root)
-    published = skipped = 0
-    for scenario in scenarios:
-        specs: Dict[str, OracleSpec] = {}
-        for algorithm in scenario.algorithms:
-            spec = get_binding(algorithm).oracle
-            if spec is not None:
-                specs.setdefault(spec.name, spec)
-        if not specs:
-            continue
-        run_sizes = ([scenario.default_size] if sizes is None
-                     else list(sizes))
-        for size in run_sizes:
-            for seed in seeds:
-                derived = scenario.seed_for(size, seed)
-                graph = None
-                for spec in specs.values():
-                    if store.contains(scenario.name, size, derived, spec):
-                        skipped += 1
-                        continue
-                    if graph is None:
-                        graph = graphs.load(scenario.name, size, derived)
-                    if graph is None:
-                        graph = scenario.graph(size, seed=seed)
-                    value = spec.compute(graph, derived)
-                    if store.publish(scenario.name, size, derived,
-                                     spec, value):
-                        published += 1
-                    else:
-                        skipped += 1
-    return {"published": published, "skipped": skipped}

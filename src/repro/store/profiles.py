@@ -20,28 +20,48 @@ reference these bytes by content -- only the ``profile_source``
 NONDETERMINISTIC_FIELD names the store, keeping records byte-identical
 profile on/off.
 
-Like the sibling families, a truncated or inconsistent entry is
-quarantined on load, never an error.
+The view's one coordinate is the identity dict itself
+(:func:`profile_identity`).  Like the sibling families, a truncated or
+inconsistent entry is quarantined on load, never an error.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.congest.profile import COLUMNS, RoundProfile
-from repro.store.artifacts import (
-    DEFAULT_STORE_DIR,
-    ArtifactEntry,
-    ArtifactStore,
-)
 from repro.store.families import ArtifactFamily, register_family
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
+    from repro.store.artifacts import ArtifactEntry, FamilyStore
 
 PROFILE_KIND = "profiles"
+
+
+def _encode(profile: RoundProfile, _identity: Dict[str, Any]
+            ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    return ({name: profile.columns[name] for name in COLUMNS},
+            {"profile": {
+                "rows": profile.rounds_executed,
+                "phases": [[int(row), str(name)]
+                           for row, name in profile.phases],
+                "segments": profile.segments,
+            }})
+
+
+def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray],
+            _identity: Dict[str, Any]) -> RoundProfile:
+    columns = {name: np.asarray(arrays[name]) for name in COLUMNS}
+    meta = manifest["profile"]
+    rows = int(meta["rows"])
+    if any(len(column) != rows for column in columns.values()):
+        raise ValueError("profile columns inconsistent")
+    phases = [(int(row), str(name)) for row, name in meta["phases"]]
+    segments = [dict(segment) for segment in meta["segments"]]
+    return RoundProfile(columns=columns, phases=phases, segments=segments)
+
 
 PROFILE_FAMILY = register_family(ArtifactFamily(
     kind=PROFILE_KIND,
@@ -49,7 +69,9 @@ PROFILE_FAMILY = register_family(ArtifactFamily(
                 "fault_seed", "revision"),
     schema_version=1,
     description="per-round execution timelines (metric deltas, phase "
-                "markers, segment totals) captured by sweep --profile"))
+                "markers, segment totals) captured by sweep --profile",
+    coords=lambda identity: PROFILE_FAMILY.identity(**identity),
+    encode=_encode, decode=_decode))
 
 
 def profile_identity(scenario: str, algorithm: str, size: int, seed: int,
@@ -69,90 +91,32 @@ def profile_key(scenario: str, algorithm: str, size: int, seed: int, *,
         fault_seed=fault_seed, revision=revision))
 
 
-class ProfileStore:
-    """The profiles-family view over an :class:`ArtifactStore` root."""
+def find_profile(store: "FamilyStore", scenario: str, algorithm: str,
+                 size: int, seed: int, *, faults: str = "",
+                 fault_seed: int = 0,
+                 revision: Optional[str] = None
+                 ) -> Optional[Dict[str, Any]]:
+    """The identity of the newest stored profile matching the cell.
 
-    def __init__(self, root: "str | Path" = DEFAULT_STORE_DIR):
-        self.artifacts = ArtifactStore(root)
-
-    @property
-    def root(self):
-        return self.artifacts.root
-
-    def publish(self, identity: Dict[str, Any],
-                profile: RoundProfile) -> bool:
-        """Publish one compacted timeline; True if *we* published it."""
-        arrays = {name: profile.columns[name] for name in COLUMNS}
-        return self.artifacts.publish(
-            PROFILE_FAMILY, identity, arrays,
-            extra={"profile": {
-                "rows": profile.rounds_executed,
-                "phases": [[int(row), str(name)]
-                           for row, name in profile.phases],
-                "segments": profile.segments,
-            }})
-
-    def load(self, identity: Dict[str, Any]) -> Optional[RoundProfile]:
-        """The stored timeline, or None on miss/corruption."""
-        opened = self.artifacts.open(PROFILE_FAMILY, identity)
-        if opened is None:
-            return None
-        manifest, arrays = opened
-        try:
-            columns = {name: np.asarray(arrays[name]) for name in COLUMNS}
-            meta = manifest["profile"]
-            rows = int(meta["rows"])
-            if any(len(column) != rows for column in columns.values()):
-                raise ValueError("profile columns inconsistent")
-            phases = [(int(row), str(name)) for row, name in meta["phases"]]
-            segments = [dict(segment) for segment in meta["segments"]]
-        except (KeyError, ValueError, TypeError):
-            self.artifacts.remove(PROFILE_KIND, PROFILE_FAMILY.key(identity))
-            return None
-        return RoundProfile(columns=columns, phases=phases,
-                            segments=segments)
-
-    def contains(self, identity: Dict[str, Any]) -> bool:
-        return self.artifacts.exists(PROFILE_FAMILY, identity)
-
-    def find(self, scenario: str, algorithm: str, size: int, seed: int, *,
-             faults: str = "", fault_seed: int = 0,
-             revision: Optional[str] = None) -> Optional[Dict[str, Any]]:
-        """The identity of the newest stored profile matching the cell.
-
-        With ``revision`` the match is exact; without, entries from all
-        revisions compete and the most recently published wins -- the
-        CLI's "show me this cell" default.
-        """
-        if revision is not None:
-            identity = profile_identity(
-                scenario, algorithm, size, seed, faults=faults,
-                fault_seed=fault_seed, revision=revision)
-            return identity if self.contains(identity) else None
-        want = dict(profile_identity(
+    With ``revision`` the match is exact; without, entries from all
+    revisions compete and the most recently published wins -- the
+    CLI's "show me this cell" default.
+    """
+    if revision is not None:
+        identity = profile_identity(
             scenario, algorithm, size, seed, faults=faults,
-            fault_seed=fault_seed))
-        del want["revision"]
-        best: Optional[ArtifactEntry] = None
-        for entry in self.ls():
-            identity = entry.identity
-            if any(identity.get(field) != value
-                   for field, value in want.items()):
-                continue
-            if best is None or entry.created_at > best.created_at:
-                best = entry
-        return None if best is None else dict(best.identity)
-
-    # ------------------------------------------------------------------
-    # Inventory / maintenance (delegates, profile-family scoped)
-    # ------------------------------------------------------------------
-    def ls(self) -> List[ArtifactEntry]:
-        return self.artifacts.ls(PROFILE_KIND)
-
-    def stat(self) -> Dict[str, Any]:
-        return self.artifacts.stat(PROFILE_KIND)
-
-    def gc(self, keep_last: Optional[int] = None,
-           max_bytes: Optional[int] = None) -> List[ArtifactEntry]:
-        return self.artifacts.gc(keep_last=keep_last, max_bytes=max_bytes,
-                                 kind=PROFILE_KIND)
+            fault_seed=fault_seed, revision=revision)
+        return identity if store.contains(identity) else None
+    want = dict(profile_identity(
+        scenario, algorithm, size, seed, faults=faults,
+        fault_seed=fault_seed))
+    del want["revision"]
+    best: Optional["ArtifactEntry"] = None
+    for entry in store.ls():
+        identity = entry.identity
+        if any(identity.get(field) != value
+               for field, value in want.items()):
+            continue
+        if best is None or entry.created_at > best.created_at:
+            best = entry
+    return None if best is None else dict(best.identity)

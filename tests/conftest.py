@@ -32,24 +32,16 @@ def scenario_size(request):
 
 
 @pytest.fixture(autouse=True)
-def _graph_cache_isolation():
-    """Reset the process-wide graph and decomposition chains per test.
+def _sweep_config_isolation():
+    """Reset the process-wide sweep config after every test.
 
-    The chains (LRU size, connected store, exported env vars) are
-    deliberately process-global so pool workers inherit them; in the
-    test process that would leak one test's store into the next.
+    The config (store roots, LRU sizes, profiling and kernel knobs) is
+    deliberately process-global so pool workers receive it; in the test
+    process that would leak one test's settings into the next.  The
+    reset also empties every artifact chain's LRU and drops any pending
+    kernel engine note.
     """
     yield
-    from repro.runner import decomposition_cache, graph_cache, \
-        profile_capture
+    from repro.runner import config
 
-    graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-    graph_cache.configure_store(None)
-    decomposition_cache.configure(decomposition_cache.DEFAULT_MAXSIZE)
-    decomposition_cache.configure_store(None)
-    # The profile-capture plane exports env vars the same way; reset it
-    # to pristine so one test's --profile/--cprofile cannot leak.
-    profile_capture.reset()
-    # Same for the kernel plane's knob (and any pending engine note).
-    from repro.kernels import config as kernels_config
-    kernels_config.reset()
+    config.reset()

@@ -11,7 +11,7 @@ consume it through :mod:`repro.runner.decomposition_cache`.  Pins:
   ``decomposition_source`` is provenance (a ``NONDETERMINISTIC_FIELD``)
   and never a canonical record byte;
 * **fall-through chain** -- LRU -> disk store -> compute-and-publish,
-  env propagation to pool workers, sibling cells sharing one snapshot;
+  sibling cells sharing one snapshot;
 * **store edge cases** -- empty F-edge sets round-trip, length-mangled
   entries are quarantined, racing publishers land one valid entry;
 * **engine integration** -- warm parallel sweeps serve every
@@ -33,7 +33,10 @@ import pytest
 
 from repro.runner import (
     RunStore,
+    SweepConfig,
+    config,
     decomposition_cache,
+    executor,
     graph_cache,
     oracle_cache,
     run_sweep,
@@ -41,11 +44,9 @@ from repro.runner import (
 from repro.runner.engine import SweepOutcome
 from repro.scenarios import get_scenario
 from repro.scenarios.bindings import BINDINGS
-from repro.store import DecompositionStore, decomposition_key
-from repro.store.decompositions import (
-    DECOMPOSITION_KIND,
-    warm_decompositions,
-)
+from repro.runner.chain import warm
+from repro.store import DECOMPOSITION_FAMILY, FamilyStore, decomposition_key
+from repro.store.decompositions import DECOMPOSITION_KIND
 from repro.testing import run_differential
 
 # Every staged consumer plus the producer, across the scenarios that
@@ -61,12 +62,9 @@ PIPELINE_CELLS = (
 
 @pytest.fixture
 def dchain(tmp_path):
-    """A fresh decomposition chain on a tmp store; reset afterwards."""
-    decomposition_cache.configure(decomposition_cache.DEFAULT_MAXSIZE)
+    """A fresh decomposition chain on a tmp store."""
     decomposition_cache.configure_store(tmp_path / "store")
-    yield DecompositionStore(tmp_path / "store")
-    decomposition_cache.configure(decomposition_cache.DEFAULT_MAXSIZE)
-    decomposition_cache.configure_store(None)
+    return FamilyStore(DECOMPOSITION_FAMILY, tmp_path / "store")
 
 
 def _cell_coords(name, size=None, seed=0):
@@ -120,7 +118,6 @@ def test_non_pipeline_cell_records_none():
 def test_one_snapshot_serves_every_sibling_cell_from_lru(dchain):
     """The staged pipeline: the producer computes (and publishes) once,
     every downstream cell of the scenario x size LRU-hits it."""
-    decomposition_cache.configure(decomposition_cache.DEFAULT_MAXSIZE)
     sources = {a: run_differential("dense-gnp", a, seed=5)
                .decomposition_source
                for a in ("ldc", "mpx-cover", "ldc-spanner", "bs-hierarchy")}
@@ -162,39 +159,34 @@ def test_unknown_decomposition_algorithm_is_an_error():
 
 
 def test_store_config_propagates_through_environment(dchain, monkeypatch):
-    """Worker processes resolve the store from the exported env var."""
-    assert os.environ[decomposition_cache.STORE_DIR_ENV] == str(dchain.root)
-    monkeypatch.setattr(decomposition_cache, "_store", None)
-    monkeypatch.setattr(decomposition_cache, "_store_probed", False)
+    """Worker processes resolve the store from the parent's sweep config.
+
+    The config reaches a worker as the pool initializer's argument; no
+    environment variable carries it.
+    """
+    before = dict(os.environ)
+    parent = config.current()
+    # Simulate a freshly-started worker: pristine config until the pool
+    # initializer installs the parent's.
+    monkeypatch.setattr(executor, "_IN_WORKER", False)
+    config.install(SweepConfig())
+    assert decomposition_cache.effective_store() is None
+    executor._init_worker(parent)
     resolved = decomposition_cache.effective_store()
     assert resolved is not None and str(resolved.root) == str(dchain.root)
     decomposition_cache.configure_store(None)
-    assert decomposition_cache.STORE_DIR_ENV not in os.environ
     assert decomposition_cache.effective_store() is None
-
-
-def test_cache_size_env_round_trip(monkeypatch):
-    monkeypatch.setenv(decomposition_cache.CACHE_SIZE_ENV, "9")
-    assert decomposition_cache._env_maxsize() == 9
-    monkeypatch.setenv(decomposition_cache.CACHE_SIZE_ENV, "not-a-number")
-    assert decomposition_cache._env_maxsize() == \
-        decomposition_cache.DEFAULT_MAXSIZE
-    decomposition_cache.configure(5)
-    assert os.environ[decomposition_cache.CACHE_SIZE_ENV] == "5"
-    assert decomposition_cache.effective_maxsize() == 5
+    assert dict(os.environ) == before
 
 
 def test_configure_clamps_negative_sizes_in_every_chain():
     """Regression: `configure` used to accept a negative capacity
-    verbatim while workers clamped the env var to 0, so the parent and
-    its pool disagreed about the effective LRU size (and the manifest
-    recorded the unclamped value)."""
+    verbatim, so the parent and its pool could disagree about the
+    effective LRU size (and the manifest recorded the unclamped
+    value).  The config clamps it once, for everyone."""
     for chain in (graph_cache, oracle_cache, decomposition_cache):
         chain.configure(-5)
         assert chain.effective_maxsize() == 0
-        assert os.environ[chain.CACHE_SIZE_ENV] == "0"
-        assert chain._env_maxsize() == 0  # parent == worker
-        chain.configure(chain.DEFAULT_MAXSIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +198,7 @@ def test_empty_f_edge_set_round_trips(tmp_path):
     empty (0, 2) F array and loads back exactly."""
     derived, snapshot = _grid_snapshot()
     lone = dict(snapshot, f_edges=[])
-    store = DecompositionStore(tmp_path)
+    store = FamilyStore(DECOMPOSITION_FAMILY, tmp_path)
     assert store.publish("grid", 16, derived, "ldc", lone)
     loaded = store.load("grid", 16, derived, "ldc")
     assert loaded == lone
@@ -217,7 +209,7 @@ def test_length_mismatch_is_quarantined(tmp_path):
     """center/parent arrays shorter than the manifest's n are
     corruption: the entry is dropped and the chain recomputes."""
     derived, snapshot = _grid_snapshot()
-    store = DecompositionStore(tmp_path)
+    store = FamilyStore(DECOMPOSITION_FAMILY, tmp_path)
     assert store.publish("grid", 16, derived, "ldc", snapshot)
     entry = store.artifacts.entry_path(
         DECOMPOSITION_KIND, decomposition_key("grid", 16, derived, "ldc"))
@@ -231,7 +223,7 @@ def test_length_mismatch_is_quarantined(tmp_path):
 
 def _race_publish(root):
     derived, snapshot = _grid_snapshot()
-    return DecompositionStore(root).publish("grid", 16, derived, "ldc",
+    return FamilyStore(DECOMPOSITION_FAMILY, root).publish("grid", 16, derived, "ldc",
                                             snapshot)
 
 
@@ -241,25 +233,25 @@ def test_concurrent_publishers_land_one_valid_entry(tmp_path):
     with multiprocessing.Pool(2) as pool:
         outcomes = pool.map(_race_publish, [root] * 4)
     assert any(outcomes)
-    store = DecompositionStore(root)
+    store = FamilyStore(DECOMPOSITION_FAMILY, root)
     assert len(store.ls()) == 1
     derived, snapshot = _grid_snapshot()
     assert store.load("grid", 16, derived, "ldc") == snapshot
 
 
 # ---------------------------------------------------------------------------
-# Maintenance: warm_decompositions
+# Maintenance: warm (decomposition family)
 # ---------------------------------------------------------------------------
 
 def test_warm_decompositions_counts(tmp_path):
-    store = DecompositionStore(tmp_path)
+    store = FamilyStore(DECOMPOSITION_FAMILY, tmp_path)
     scenarios = [get_scenario(n) for n in ("dense-gnp", "grid", "path")]
     # dense-gnp's four pipeline bindings and grid's two all name the one
     # "ldc" producer -> one snapshot per scenario; path has none.
-    assert warm_decompositions(store, scenarios) == {"published": 2,
-                                                     "skipped": 0}
-    assert warm_decompositions(store, scenarios) == {"published": 0,
-                                                     "skipped": 2}
+    assert warm(store.root, scenarios, families=("decompositions",)) == {
+        "published": 2, "skipped": 0}
+    assert warm(store.root, scenarios, families=("decompositions",)) == {
+        "published": 0, "skipped": 2}
     assert len(store.ls()) == 2
 
 
@@ -272,77 +264,62 @@ def test_warm_cli_family_decompositions(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["published"] == 1
     assert payload["families"] == ["decompositions"]
-    assert len(DecompositionStore(tmp_path).ls()) == 1
+    assert len(FamilyStore(DECOMPOSITION_FAMILY, tmp_path).ls()) == 1
 
 
 # ---------------------------------------------------------------------------
 # Engine integration + the sweep accounting regressions
 # ---------------------------------------------------------------------------
 
-def _reset_chains():
-    graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-    graph_cache.configure_store(None)
-    oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
-    oracle_cache.configure_store(None)
-    decomposition_cache.configure(decomposition_cache.DEFAULT_MAXSIZE)
-    decomposition_cache.configure_store(None)
-
-
 def test_sweep_manifest_records_decomposition_settings_and_counters(
         tmp_path):
     runs = RunStore(tmp_path / "runs")
     store_dir = str(tmp_path / "store")
-    try:
-        cold = run_sweep(["dense-gnp"], store=runs,
+    cold = run_sweep(["dense-gnp"], store=runs,
+                     graph_store_dir=store_dir, graph_cache_size=0,
+                     oracle_store_dir=store_dir, oracle_cache_size=0,
+                     decomposition_store_dir=store_dir,
+                     decomposition_cache_size=0)
+    assert cold.run.manifest["decomposition_cache_size"] == 0
+    assert cold.run.manifest["decomposition_store"] == store_dir
+    # LRU off: the ldc cell computes + publishes the snapshot, the
+    # three staged cells load it from disk.
+    assert cold.summary()["decomposition_sources"] == {"computed": 1,
+                                                       "store": 3}
+    counters = cold.run.manifest["store_counters"]
+    assert counters["decompositions"] == {"computed": 1, "store": 3}
+    warm_run = run_sweep(["dense-gnp"], store=runs, fresh=True,
                          graph_store_dir=store_dir, graph_cache_size=0,
                          oracle_store_dir=store_dir, oracle_cache_size=0,
                          decomposition_store_dir=store_dir,
                          decomposition_cache_size=0)
-        assert cold.run.manifest["decomposition_cache_size"] == 0
-        assert cold.run.manifest["decomposition_store"] == store_dir
-        # LRU off: the ldc cell computes + publishes the snapshot, the
-        # three staged cells load it from disk.
-        assert cold.summary()["decomposition_sources"] == {"computed": 1,
-                                                           "store": 3}
-        counters = cold.run.manifest["store_counters"]
-        assert counters["decompositions"] == {"computed": 1, "store": 3}
-        warm_run = run_sweep(["dense-gnp"], store=runs, fresh=True,
-                             graph_store_dir=store_dir, graph_cache_size=0,
-                             oracle_store_dir=store_dir, oracle_cache_size=0,
-                             decomposition_store_dir=store_dir,
-                             decomposition_cache_size=0)
-        assert warm_run.summary()["decomposition_sources"] == {"store": 4}
-        assert warm_run.run.manifest["store_counters"]["decompositions"] \
-            == {"store": 4}
-        assert [r.canonical_record() for r in cold.results] == \
-            [r.canonical_record() for r in warm_run.results]
-    finally:
-        _reset_chains()
+    assert warm_run.summary()["decomposition_sources"] == {"store": 4}
+    assert warm_run.run.manifest["store_counters"]["decompositions"] \
+        == {"store": 4}
+    assert [r.canonical_record() for r in cold.results] == \
+        [r.canonical_record() for r in warm_run.results]
 
 
 def test_parallel_sweep_workers_share_the_decomposition_store(tmp_path):
     """Pool workers resolve the store from the env and serve every
     downstream cell's input snapshot from disk on the warm pass."""
     store_dir = str(tmp_path / "store")
-    try:
-        cold = run_sweep(["dense-gnp", "grid"], workers=2,
+    cold = run_sweep(["dense-gnp", "grid"], workers=2,
+                     graph_store_dir=store_dir, graph_cache_size=0,
+                     oracle_store_dir=store_dir, oracle_cache_size=0,
+                     decomposition_store_dir=store_dir,
+                     decomposition_cache_size=0)
+    assert cold.ok
+    assert len(FamilyStore(DECOMPOSITION_FAMILY, store_dir).ls()) == 2  # one each
+    warm_run = run_sweep(["dense-gnp", "grid"], workers=2,
                          graph_store_dir=store_dir, graph_cache_size=0,
                          oracle_store_dir=store_dir, oracle_cache_size=0,
                          decomposition_store_dir=store_dir,
                          decomposition_cache_size=0)
-        assert cold.ok
-        assert len(DecompositionStore(store_dir).ls()) == 2  # one each
-        warm_run = run_sweep(["dense-gnp", "grid"], workers=2,
-                             graph_store_dir=store_dir, graph_cache_size=0,
-                             oracle_store_dir=store_dir, oracle_cache_size=0,
-                             decomposition_store_dir=store_dir,
-                             decomposition_cache_size=0)
-        assert warm_run.ok
-        assert set(warm_run.summary()["decomposition_sources"]) == {"store"}
-        assert [r.canonical_record() for r in cold.results] == \
-            [r.canonical_record() for r in warm_run.results]
-    finally:
-        _reset_chains()
+    assert warm_run.ok
+    assert set(warm_run.summary()["decomposition_sources"]) == {"store"}
+    assert [r.canonical_record() for r in cold.results] == \
+        [r.canonical_record() for r in warm_run.results]
 
 
 class _Interrupt(Exception):
@@ -367,39 +344,36 @@ def test_resumed_sweep_merges_store_counters_across_invocations(tmp_path):
                   oracle_store_dir=store_dir, oracle_cache_size=0,
                   decomposition_store_dir=store_dir,
                   decomposition_cache_size=0)
-    try:
-        with pytest.raises(_Interrupt):
-            run_sweep(["dense-gnp"], on_result=interrupt, **kwargs)
-        (partial_run,) = runs.list_runs()
-        partial = partial_run.manifest
-        # Interrupted mid-sweep, the manifest still covers what ran:
-        # ldc computed + published, mpx-cover loaded.
-        assert partial["store_counters"]["decompositions"] == {
-            "computed": 1, "store": 1}
+    with pytest.raises(_Interrupt):
+        run_sweep(["dense-gnp"], on_result=interrupt, **kwargs)
+    (partial_run,) = runs.list_runs()
+    partial = partial_run.manifest
+    # Interrupted mid-sweep, the manifest still covers what ran:
+    # ldc computed + published, mpx-cover loaded.
+    assert partial["store_counters"]["decompositions"] == {
+        "computed": 1, "store": 1}
 
-        resumed = run_sweep(["dense-gnp"], **kwargs)
-        assert resumed.resumed and resumed.executed == 2
-        assert resumed.skipped == 5
-        counters = resumed.run.manifest["store_counters"]
-        # The union of both invocations' executed cells -- invocation
-        # one's computed/built rows must survive the resume stamp.
-        assert counters["decompositions"] == {"computed": 1, "store": 3}
-        assert counters["graphs"] == {"built": 1, "store": 6}
-        assert counters["oracles"] == {"computed": 5, "store": 1}
-        assert sum(counters["graphs"].values()) == 7  # every executed cell
+    resumed = run_sweep(["dense-gnp"], **kwargs)
+    assert resumed.resumed and resumed.executed == 2
+    assert resumed.skipped == 5
+    counters = resumed.run.manifest["store_counters"]
+    # The union of both invocations' executed cells -- invocation
+    # one's computed/built rows must survive the resume stamp.
+    assert counters["decompositions"] == {"computed": 1, "store": 3}
+    assert counters["graphs"] == {"built": 1, "store": 6}
+    assert counters["oracles"] == {"computed": 5, "store": 1}
+    assert sum(counters["graphs"].values()) == 7  # every executed cell
 
-        # wall_time regression: the resumed invocation's summary bills
-        # only its own two executed cells; the restored five count only
-        # toward the cumulative figure.
-        summary = resumed.summary()
-        executed_time = sum(r.wall_time for r in resumed.results
-                            if r.key not in resumed.restored_keys)
-        total_time = sum(r.wall_time for r in resumed.results)
-        assert summary["wall_time"] == executed_time
-        assert summary["wall_time_total"] == total_time
-        assert executed_time < total_time
-    finally:
-        _reset_chains()
+    # wall_time regression: the resumed invocation's summary bills
+    # only its own two executed cells; the restored five count only
+    # toward the cumulative figure.
+    summary = resumed.summary()
+    executed_time = sum(r.wall_time for r in resumed.results
+                        if r.key not in resumed.restored_keys)
+    total_time = sum(r.wall_time for r in resumed.results)
+    assert summary["wall_time"] == executed_time
+    assert summary["wall_time_total"] == total_time
+    assert executed_time < total_time
 
 
 def test_summary_and_manifest_drop_none_rows_consistently(tmp_path):
@@ -408,20 +382,17 @@ def test_summary_and_manifest_drop_none_rows_consistently(tmp_path):
     decomposition) that the summary excluded, so the two disagreed
     about the same sweep."""
     runs = RunStore(tmp_path / "runs")
-    try:
-        outcome = run_sweep(["dense-gnp"], store=runs)
-        summary = outcome.summary()
-        counters = outcome.run.manifest["store_counters"]
-        assert counters["oracles"] == summary["oracle_sources"]
-        assert counters["decompositions"] == summary["decomposition_sources"]
-        for family in ("graphs", "oracles", "decompositions"):
-            assert "none" not in counters[family]
-        # 7 cells; cover carries no oracle; only the 4 pipeline cells
-        # carry a decomposition.
-        assert sum(counters["oracles"].values()) == 6
-        assert sum(counters["decompositions"].values()) == 4
-    finally:
-        _reset_chains()
+    outcome = run_sweep(["dense-gnp"], store=runs)
+    summary = outcome.summary()
+    counters = outcome.run.manifest["store_counters"]
+    assert counters["oracles"] == summary["oracle_sources"]
+    assert counters["decompositions"] == summary["decomposition_sources"]
+    for family in ("graphs", "oracles", "decompositions"):
+        assert "none" not in counters[family]
+    # 7 cells; cover carries no oracle; only the 4 pipeline cells
+    # carry a decomposition.
+    assert sum(counters["oracles"].values()) == 6
+    assert sum(counters["decompositions"].values()) == 4
 
 
 def test_wall_time_splits_executed_from_restored():

@@ -18,10 +18,11 @@ from repro.congest.machine import run_machines
 from repro.core.bfs_collections import _message_budget, shared_delays
 from repro.core.weighted_apsp import weighted_apsp
 from repro.graphs import gnp_streaming, uniform_weights
-from repro.kernels import REGISTRY, jit, wavefront
+from repro.kernels import REGISTRY, wavefront
 from repro.kernels import config as kernels_config
 from repro.kernels import relaxation
 from repro.primitives.bfs import BFSCollectionMachine
+from repro.runner import config
 from repro.runner.engine import provenance_counts, run_sweep
 from repro.scenarios import get_scenario
 from repro.testing import run_differential
@@ -52,11 +53,11 @@ def _canonical(record):
 
 
 def _kernel_vs_vectorized(name, algorithm, size=None, seed=0):
-    kernels_config.reset()
+    config.reset()
     off = run_differential(name, algorithm, size=size, seed=seed)
     assert off.engine_source == "none"
     assert "engine_source" not in off.as_dict()
-    kernels_config.configure_kernels(True)
+    config.update(kernels=True)
     on = run_differential(name, algorithm, size=size, seed=seed)
     return off, on
 
@@ -121,9 +122,9 @@ def test_direct_engine_replicates_run_machines_exactly():
 def test_weighted_apsp_metrics_identical_kernels_on_and_off():
     graph = uniform_weights(get_scenario("grid-weighted").graph(12),
                             w_max=8, seed=9)
-    kernels_config.reset()
+    config.reset()
     off = weighted_apsp(graph, seed=2)
-    kernels_config.configure_kernels(True)
+    config.update(kernels=True)
     on = weighted_apsp(graph, seed=2)
     assert kernels_config.consume_note() == "kernel:bellman-ford"
     assert on.dist == off.dist
@@ -139,14 +140,14 @@ def test_weighted_apsp_metrics_identical_kernels_on_and_off():
 # ---------------------------------------------------------------------------
 
 def test_unlisted_binding_reports_ineligible():
-    kernels_config.configure_kernels(True)
+    config.update(kernels=True)
     record = run_differential("bipartite-balanced", "matching")
     assert record.engine_source == "vectorized:ineligible"
     assert record.ok, record.failure_message()
 
 
 def test_faulted_cell_falls_back_to_vectorized():
-    kernels_config.configure_kernels(True)
+    config.update(kernels=True)
     record = run_differential("random-tree", "apsp-unweighted",
                               faults="lossy-light", fault_seed=7)
     assert record.engine_source == "vectorized:faults"
@@ -155,7 +156,7 @@ def test_faulted_cell_falls_back_to_vectorized():
 def test_active_profiler_falls_back_to_vectorized():
     from repro.congest.profile import RoundProfiler, profile_context
 
-    kernels_config.configure_kernels(True)
+    config.update(kernels=True)
     with profile_context(RoundProfiler()):
         assert not kernels_config.engine_ready()
     assert kernels_config.cell_engine_source("apsp-unweighted") \
@@ -170,7 +171,7 @@ def test_oversized_int_weights_decline_the_plan():
     delays = {j: 1 for j in range(graph.n)}
     assert relaxation.bcongest_plan(graph, delays) is None
     # Through the driver: eligible binding, no kernel note -> fallback.
-    kernels_config.configure_kernels(True)
+    config.update(kernels=True)
     kernels_config.clear_note()
     weighted_apsp(graph, seed=0)
     assert kernels_config.cell_engine_source("apsp-weighted") \
@@ -178,22 +179,10 @@ def test_oversized_int_weights_decline_the_plan():
 
 
 def test_disabled_plane_reports_none_and_omits_the_field():
-    kernels_config.reset()
+    config.reset()
     record = run_differential("path", "apsp-unweighted")
     assert record.engine_source == "none"
     assert "engine_source" not in record.as_dict()
-
-
-def test_jit_degrades_silently_to_pure_numpy():
-    import numpy as np
-
-    graph = get_scenario("grid").graph(16)
-    dist = wavefront.bfs_distances(graph, [0])
-    assert dist.shape == (1, graph.n) and int(dist[0, 0]) == 0
-    if not jit.available():
-        out = np.empty(graph.n, dtype=np.int64)
-        assert jit.bfs_levels(graph._indptr, graph._indices, 0,
-                              out) is None
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +190,7 @@ def test_jit_degrades_silently_to_pure_numpy():
 # ---------------------------------------------------------------------------
 
 def test_sweep_summary_counts_engine_sources():
-    kernels_config.configure_kernels(True)
+    config.update(kernels=True)
     outcome = run_sweep(["path", "cycle"], seeds=(0,))
     summary = outcome.summary()
     counts = summary["engine_sources"]
@@ -214,9 +203,9 @@ def test_sweep_summary_counts_engine_sources():
 
 
 def test_sweep_canonical_records_identical_kernels_on_and_off():
-    kernels_config.reset()
+    config.reset()
     off = run_sweep(["path", "cycle"], seeds=(0,))
-    kernels_config.configure_kernels(True)
+    config.update(kernels=True)
     on = run_sweep(["path", "cycle"], seeds=(0,))
     assert [r.canonical_record() for r in off.results] \
         == [r.canonical_record() for r in on.results]

@@ -10,8 +10,7 @@ Pins the tentpole contract:
   canonical record byte;
 * **codec exactness** -- ``decode(encode(v)) == v`` for every
   registered oracle, down to Python value types;
-* **fall-through chain** -- LRU -> disk store -> compute-and-publish,
-  with env propagation to pool workers;
+* **fall-through chain** -- LRU -> disk store -> compute-and-publish;
 * **revision rotation** -- the baseline's source hash is part of the
   key, so editing an oracle function misses the cache instead of
   serving a stale ground truth;
@@ -30,6 +29,7 @@ Pins the tentpole contract:
 import dataclasses
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -40,20 +40,22 @@ from repro.baselines.oracles import (
     OracleSpec,
     oracle_revision,
 )
-from repro.runner import RunStore, graph_cache, oracle_cache, run_sweep
+from repro.runner import RunStore, SweepConfig, config, executor, \
+    oracle_cache, run_sweep
 from repro.scenarios import get_scenario
 from repro.scenarios.bindings import BINDINGS
+from repro.runner.chain import warm
 from repro.store import (
+    DECOMPOSITION_FAMILY,
+    GRAPH_FAMILY,
     ArtifactStore,
-    DecompositionStore,
-    GraphStore,
-    OracleStore,
+    FamilyStore,
     family_names,
     get_family,
     oracle_key,
 )
 from repro.store.artifacts import MANIFEST_NAME, TMP_PREFIX
-from repro.store.oracles import ORACLE_FAMILY, ORACLE_KIND, warm_oracles
+from repro.store.oracles import ORACLE_FAMILY, ORACLE_KIND
 from repro.testing import run_differential
 
 # One cell per algorithm family with a sequential baseline: the byte-
@@ -69,12 +71,9 @@ ORACLE_CELLS = (
 
 @pytest.fixture
 def ochain(tmp_path):
-    """A fresh oracle chain connected to a tmp store; reset afterwards."""
-    oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
+    """A fresh oracle chain connected to a tmp store."""
     oracle_cache.configure_store(tmp_path / "store")
-    yield OracleStore(tmp_path / "store")
-    oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
-    oracle_cache.configure_store(None)
+    return FamilyStore(ORACLE_FAMILY, tmp_path / "store")
 
 
 def _cell_coords(name, algorithm, size=None, seed=0):
@@ -100,7 +99,7 @@ def _publish_oracle(store, name, algorithm, size=None, seed=0):
 @pytest.mark.parametrize("name,algorithm", ORACLE_CELLS,
                          ids=[f"{n}-{a}" for n, a in ORACLE_CELLS])
 def test_codec_round_trip_is_exact(name, algorithm, tmp_path):
-    store = OracleStore(tmp_path)
+    store = FamilyStore(ORACLE_FAMILY, tmp_path)
     scenario, size, derived, spec, value = _publish_oracle(
         store, name, algorithm)
     loaded = store.load(scenario.name, size, derived, spec)
@@ -169,7 +168,6 @@ def test_cover_has_no_oracle_and_records_none():
 def test_shared_oracle_serves_sibling_bindings_from_lru(ochain):
     """apsp-unweighted and bfs-collection share one unweighted-apsp
     artifact: the second cell of a scenario LRU-hits the first's."""
-    oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
     first = run_differential("dense-gnp", "apsp-unweighted", seed=5)
     second = run_differential("dense-gnp", "bfs-collection", seed=5)
     assert first.oracle_source == "computed"
@@ -204,30 +202,24 @@ def test_chain_falls_through_lru_store_compute(ochain):
 
 
 def test_store_config_propagates_through_environment(ochain, monkeypatch):
-    """Worker processes resolve the store from the exported env var."""
-    import os
+    """Worker processes resolve the store from the parent's sweep config.
 
-    assert os.environ[oracle_cache.STORE_DIR_ENV] == str(ochain.root)
-    monkeypatch.setattr(oracle_cache, "_store", None)
-    monkeypatch.setattr(oracle_cache, "_store_probed", False)
+    The config reaches a worker as the pool initializer's argument; no
+    environment variable carries it.
+    """
+    before = dict(os.environ)
+    parent = config.current()
+    # Simulate a freshly-started worker: pristine config until the pool
+    # initializer installs the parent's.
+    monkeypatch.setattr(executor, "_IN_WORKER", False)
+    config.install(SweepConfig())
+    assert oracle_cache.effective_store() is None
+    executor._init_worker(parent)
     resolved = oracle_cache.effective_store()
     assert resolved is not None and str(resolved.root) == str(ochain.root)
     oracle_cache.configure_store(None)
-    assert oracle_cache.STORE_DIR_ENV not in os.environ
     assert oracle_cache.effective_store() is None
-
-
-def test_cache_size_env_round_trip(monkeypatch):
-    import os
-
-    monkeypatch.setenv(oracle_cache.CACHE_SIZE_ENV, "9")
-    assert oracle_cache._env_maxsize() == 9
-    monkeypatch.setenv(oracle_cache.CACHE_SIZE_ENV, "not-a-number")
-    assert oracle_cache._env_maxsize() == oracle_cache.DEFAULT_MAXSIZE
-    oracle_cache.configure(5)
-    assert os.environ[oracle_cache.CACHE_SIZE_ENV] == "5"
-    assert oracle_cache.effective_maxsize() == 5
-    oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
+    assert dict(os.environ) == before
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +274,7 @@ def test_edited_oracle_misses_the_cache(ochain, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _race_publish(root):
-    store = OracleStore(root)
+    store = FamilyStore(ORACLE_FAMILY, root)
     scenario = get_scenario("dense-gnp")
     size = 16
     derived = scenario.seed_for(size, 0)
@@ -297,7 +289,7 @@ def test_concurrent_publishers_land_one_valid_entry(tmp_path):
     with multiprocessing.Pool(2) as pool:
         outcomes = pool.map(_race_publish, [root] * 4)
     assert any(outcomes)
-    store = OracleStore(root)
+    store = FamilyStore(ORACLE_FAMILY, root)
     assert len(store.ls()) == 1
     scenario = get_scenario("dense-gnp")
     derived = scenario.seed_for(16, 0)
@@ -310,7 +302,7 @@ def test_concurrent_publishers_land_one_valid_entry(tmp_path):
 
 
 def test_lost_race_in_process_returns_false(tmp_path):
-    store = OracleStore(tmp_path)
+    store = FamilyStore(ORACLE_FAMILY, tmp_path)
     scenario, size, derived, spec, value = _publish_oracle(
         store, "bipartite-balanced", "matching")
     assert store.publish(scenario.name, size, derived, spec, value) is False
@@ -354,7 +346,7 @@ def test_mangled_manifest_falls_back_to_recompute(ochain):
 def test_undecodable_value_is_quarantined(tmp_path):
     """An entry that passes the byte layer but decodes to garbage for
     its oracle is corruption too: dropped, then recomputed."""
-    store = OracleStore(tmp_path)
+    store = FamilyStore(ORACLE_FAMILY, tmp_path)
     spec = ORACLES["matching-size"]
     identity = {"scenario": "s", "size": 8, "derived_seed": 1,
                 "oracle": spec.name, "revision": oracle_revision(spec)}
@@ -366,7 +358,7 @@ def test_undecodable_value_is_quarantined(tmp_path):
 
 
 def test_wrong_family_schema_version_is_a_miss(tmp_path):
-    store = OracleStore(tmp_path)
+    store = FamilyStore(ORACLE_FAMILY, tmp_path)
     scenario, size, derived, spec, _value = _publish_oracle(
         store, "bipartite-balanced", "matching")
     manifest_path = _entry_path(store, scenario, size, derived,
@@ -378,18 +370,19 @@ def test_wrong_family_schema_version_is_a_miss(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Maintenance: warm_oracles + family-scoped gc
+# Maintenance: warm + family-scoped gc
 # ---------------------------------------------------------------------------
 
 def test_warm_oracles_then_family_scoped_gc(tmp_path):
-    store = OracleStore(tmp_path)
+    store = FamilyStore(ORACLE_FAMILY, tmp_path)
     scenarios = [get_scenario(n) for n in ("path", "cycle", "dense-gnp")]
-    counts = warm_oracles(store, scenarios)
+    counts = warm(store.root, scenarios, families=("oracles",))
     # path/cycle: one shared unweighted-apsp each; dense-gnp adds the
     # ldc-reference and the staged-pipeline references (mpx-cover,
     # ldc-spanner, bs-hierarchy) on top of its unweighted-apsp.
     assert counts == {"published": 7, "skipped": 0}
-    assert warm_oracles(store, [get_scenario("path")]) == {
+    assert warm(store.root, [get_scenario("path")],
+                families=("oracles",)) == {
         "published": 0, "skipped": 1}
     assert len(store.ls()) == 7
     assert store.stat()["families"] == {
@@ -397,7 +390,7 @@ def test_warm_oracles_then_family_scoped_gc(tmp_path):
                     "bytes": sum(e.nbytes for e in store.ls())}}
 
     # A graph snapshot in the same root survives oracle-scoped gc.
-    graphs = GraphStore(tmp_path)
+    graphs = FamilyStore(GRAPH_FAMILY, tmp_path)
     scenario = get_scenario("path")
     graphs.publish("path", scenario.default_size,
                    scenario.seed_for(scenario.default_size, 0),
@@ -412,8 +405,9 @@ def test_warm_skips_scenarios_without_oracles(tmp_path):
     # none exist; all registered scenarios bind at least one oracle
     # through apsp/bfs/matching, so warm the smallest and check counts
     # stay consistent on re-run.
-    store = OracleStore(tmp_path)
-    counts = warm_oracles(store, [get_scenario("cycle")])
+    store = FamilyStore(ORACLE_FAMILY, tmp_path)
+    counts = warm(store.root, [get_scenario("cycle")],
+                  families=("oracles",))
     assert counts["published"] == len(store.ls()) == 1
 
 
@@ -430,7 +424,7 @@ def test_decomposition_snapshot_round_trip(tmp_path):
     derived = scenario.seed_for(16, 0)
     graph = scenario.graph(16)
     snapshot = ldc_snapshot(build_ldc(graph, seed=derived))
-    store = DecompositionStore(tmp_path)
+    store = FamilyStore(DECOMPOSITION_FAMILY, tmp_path)
     assert store.publish("grid", 16, derived, "ldc", snapshot)
     assert store.contains("grid", 16, derived, "ldc")
     loaded = store.load("grid", 16, derived, "ldc")
@@ -448,64 +442,52 @@ def test_decomposition_snapshot_round_trip(tmp_path):
 def test_sweep_manifest_records_oracle_settings_and_counters(tmp_path):
     runs = RunStore(tmp_path / "runs")
     store_dir = str(tmp_path / "store")
-    try:
-        first = run_sweep(["path", "cycle"], store=runs,
-                          graph_store_dir=store_dir, graph_cache_size=0,
-                          oracle_store_dir=store_dir, oracle_cache_size=0)
-        assert first.run.manifest["oracle_cache_size"] == 0
-        assert first.run.manifest["oracle_store"] == store_dir
-        # LRUs off: path's first cell computes + publishes the shared
-        # unweighted-apsp, its second cell store-hits; cycle computes.
-        sources = first.summary()["oracle_sources"]
-        assert sources == {"computed": 2, "store": 1}
-        counters = first.run.manifest["store_counters"]
-        assert counters["graphs"] == {"built": 2, "store": 1}
-        assert counters["oracles"] == {"computed": 2, "store": 1}
-        # The counters survive a manifest reload from disk.
-        assert runs.open_run(first.run_id).manifest["store_counters"] \
-            == counters
+    first = run_sweep(["path", "cycle"], store=runs,
+                      graph_store_dir=store_dir, graph_cache_size=0,
+                      oracle_store_dir=store_dir, oracle_cache_size=0)
+    assert first.run.manifest["oracle_cache_size"] == 0
+    assert first.run.manifest["oracle_store"] == store_dir
+    # LRUs off: path's first cell computes + publishes the shared
+    # unweighted-apsp, its second cell store-hits; cycle computes.
+    sources = first.summary()["oracle_sources"]
+    assert sources == {"computed": 2, "store": 1}
+    counters = first.run.manifest["store_counters"]
+    assert counters["graphs"] == {"built": 2, "store": 1}
+    assert counters["oracles"] == {"computed": 2, "store": 1}
+    # The counters survive a manifest reload from disk.
+    assert runs.open_run(first.run_id).manifest["store_counters"] \
+        == counters
 
-        second = run_sweep(["path", "cycle"], store=runs, fresh=True,
-                           graph_store_dir=store_dir, graph_cache_size=0,
-                           oracle_store_dir=store_dir, oracle_cache_size=0)
-        assert second.summary()["oracle_sources"] == {"store": 3}
-        assert second.run.manifest["store_counters"]["oracles"] == {
-            "store": 3}
-        assert [r.canonical_record() for r in first.results] == \
-            [r.canonical_record() for r in second.results]
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        graph_cache.configure_store(None)
-        oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
-        oracle_cache.configure_store(None)
+    second = run_sweep(["path", "cycle"], store=runs, fresh=True,
+                       graph_store_dir=store_dir, graph_cache_size=0,
+                       oracle_store_dir=store_dir, oracle_cache_size=0)
+    assert second.summary()["oracle_sources"] == {"store": 3}
+    assert second.run.manifest["store_counters"]["oracles"] == {
+        "store": 3}
+    assert [r.canonical_record() for r in first.results] == \
+        [r.canonical_record() for r in second.results]
 
 
 def test_parallel_sweep_workers_share_the_oracle_store(tmp_path):
     """Pool workers publish into and read from one shared store."""
     store_dir = str(tmp_path / "store")
-    try:
-        cold = run_sweep(["dense-gnp", "power-law"], workers=2,
+    cold = run_sweep(["dense-gnp", "power-law"], workers=2,
+                     graph_store_dir=store_dir, graph_cache_size=0,
+                     oracle_store_dir=store_dir, oracle_cache_size=0)
+    assert cold.ok
+    store = FamilyStore(ORACLE_FAMILY, store_dir)
+    # dense-gnp: unweighted-apsp + ldc-reference + the staged
+    # mpx-cover/ldc-spanner/bs-hierarchy references; power-law:
+    # unweighted-apsp.  (cover binds no oracle.)
+    assert len(store.ls()) == 6
+    warm_run = run_sweep(["dense-gnp", "power-law"], workers=2,
                          graph_store_dir=store_dir, graph_cache_size=0,
-                         oracle_store_dir=store_dir, oracle_cache_size=0)
-        assert cold.ok
-        store = OracleStore(store_dir)
-        # dense-gnp: unweighted-apsp + ldc-reference + the staged
-        # mpx-cover/ldc-spanner/bs-hierarchy references; power-law:
-        # unweighted-apsp.  (cover binds no oracle.)
-        assert len(store.ls()) == 6
-        warm_run = run_sweep(["dense-gnp", "power-law"], workers=2,
-                             graph_store_dir=store_dir, graph_cache_size=0,
-                             oracle_store_dir=store_dir,
-                             oracle_cache_size=0)
-        assert warm_run.ok
-        assert set(warm_run.summary()["oracle_sources"]) == {"store"}
-        assert [r.canonical_record() for r in cold.results] == \
-            [r.canonical_record() for r in warm_run.results]
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        graph_cache.configure_store(None)
-        oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
-        oracle_cache.configure_store(None)
+                         oracle_store_dir=store_dir,
+                         oracle_cache_size=0)
+    assert warm_run.ok
+    assert set(warm_run.summary()["oracle_sources"]) == {"store"}
+    assert [r.canonical_record() for r in cold.results] == \
+        [r.canonical_record() for r in warm_run.results]
 
 
 def test_bench_cli_oracle_store_smoke(tmp_path, capsys):

@@ -43,7 +43,12 @@ from repro.graphs import gnp
 from repro.primitives import BFSMachine
 from repro.runner import RunStore, run_sweep
 from repro.runner.jobs import CellResult, JobSpec
-from repro.store import ProfileStore, profile_identity
+from repro.store import (
+    PROFILE_FAMILY,
+    FamilyStore,
+    find_profile,
+    profile_identity,
+)
 from repro.testing.differential import run_differential
 
 
@@ -238,7 +243,7 @@ def _capture_profile():
 
 
 def test_profile_store_roundtrip_exact(tmp_path):
-    store = ProfileStore(tmp_path / "store")
+    store = FamilyStore(PROFILE_FAMILY, tmp_path / "store")
     profile = _capture_profile()
     identity = profile_identity("dense-gnp", "apsp-unweighted", 12, 0,
                                 revision="rev-A")
@@ -256,18 +261,18 @@ def test_profile_store_roundtrip_exact(tmp_path):
 
 
 def test_profile_store_find_prefers_newest_revision(tmp_path):
-    store = ProfileStore(tmp_path / "store")
+    store = FamilyStore(PROFILE_FAMILY, tmp_path / "store")
     profile = _capture_profile()
     for revision in ("rev-A", "rev-B"):
         store.publish(
             profile_identity("dense-gnp", "apsp-unweighted", 12, 0,
                              revision=revision), profile)
-    exact = store.find("dense-gnp", "apsp-unweighted", 12, 0,
-                       revision="rev-A")
+    exact = find_profile(store, "dense-gnp", "apsp-unweighted", 12, 0,
+                         revision="rev-A")
     assert exact is not None and exact["revision"] == "rev-A"
-    newest = store.find("dense-gnp", "apsp-unweighted", 12, 0)
+    newest = find_profile(store, "dense-gnp", "apsp-unweighted", 12, 0)
     assert newest is not None and newest["revision"] == "rev-B"
-    assert store.find("dense-gnp", "apsp-unweighted", 99, 0) is None
+    assert find_profile(store, "dense-gnp", "apsp-unweighted", 99, 0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +305,19 @@ def test_sweep_records_byte_identical_profile_on_or_off(tmp_path):
 
     # And the store actually holds one profile per executed cell,
     # loadable by cell coordinates.
-    store = ProfileStore(tmp_path / "profiles")
+    store = FamilyStore(PROFILE_FAMILY, tmp_path / "profiles")
     entries = store.ls()
     assert len(entries) == len(profiled.results)
     spec = profiled.results[0].spec
-    identity = store.find(spec.scenario, spec.algorithm, spec.size,
-                          spec.seed)
+    identity = find_profile(store, spec.scenario, spec.algorithm,
+                            spec.size, spec.seed)
     assert identity is not None
     _assert_segment_sums_exact(store.load(identity))
+    # Profiles are stamped with the run's revision, not the revision
+    # each executing process would compute for itself.
+    assert identity["revision"] == "rev-A"
+    assert find_profile(store, spec.scenario, spec.algorithm, spec.size,
+                        spec.seed, revision="rev-A") == identity
 
     # Manifest: profiling knobs appear only on the profiled run.
     assert "profile_store" in profiled.run.manifest
@@ -317,14 +327,14 @@ def test_sweep_records_byte_identical_profile_on_or_off(tmp_path):
 
 
 def test_profiled_sweep_with_pool_workers(tmp_path):
-    """Workers pick the profile store up from the exported env var."""
+    """Workers pick the profile store up from the parent's config."""
     outcome = run_sweep(["path"], store=RunStore(tmp_path / "runs"),
                         revision="rev-A", workers=2,
                         profile_store_dir=str(tmp_path / "profiles"))
     assert outcome.ok
     for result in outcome.results:
         assert result.record["profile_source"].startswith("store:")
-    assert ProfileStore(tmp_path / "profiles").ls()
+    assert FamilyStore(PROFILE_FAMILY, tmp_path / "profiles").ls()
 
 
 def test_profiled_record_survives_reload(tmp_path):
@@ -549,38 +559,47 @@ def test_profile_diff_payload_tracks_deltas():
 
 
 # ---------------------------------------------------------------------------
-# The capture plane: env propagation to workers
+# The capture plane
 # ---------------------------------------------------------------------------
 
 def test_profile_capture_env_propagation(tmp_path, monkeypatch):
-    from repro.runner import profile_capture
+    """A worker captures profiles from the parent's config, not the env.
 
-    profile_capture.reset()
-    assert profile_capture.effective_profile_store() is None
-    assert profile_capture.cprofile_enabled() is False
-
-    # A worker process never calls configure_*: it probes the env the
-    # parent exported.  Simulate one by resetting the module state.
-    profile_capture.configure_profiles(str(tmp_path / "profiles"))
-    profile_capture.configure_cprofile(True)
+    ``--profile`` / ``--cprofile`` reach a worker as part of the sweep
+    config the pool initializer installs; no environment variable
+    carries them.
+    """
     import os
-    assert os.environ[profile_capture.PROFILE_DIR_ENV] \
-        == str(tmp_path / "profiles")
-    assert os.environ[profile_capture.CPROFILE_ENV] == "1"
 
-    profile_capture._store = None
-    profile_capture._store_probed = False
-    profile_capture._cprofile = None
-    store = profile_capture.effective_profile_store()
-    assert store is not None and str(store.root).endswith("profiles")
-    assert profile_capture.cprofile_enabled() is True
+    from repro.runner import SweepConfig, config, executor
 
-    profile_capture.configure_profiles(None)
-    profile_capture.configure_cprofile(False)
-    assert profile_capture.PROFILE_DIR_ENV not in os.environ
-    assert profile_capture.CPROFILE_ENV not in os.environ
-    assert profile_capture.effective_profile_store() is None
-    assert profile_capture.cprofile_enabled() is False
+    before = dict(os.environ)
+    config.update(profile_store=str(tmp_path / "profiles"), cprofile=True,
+                  revision="rev-A")
+    parent = config.current()
+    assert dict(os.environ) == before
+
+    # Simulate a freshly-started worker: pristine config until the pool
+    # initializer installs the parent's.
+    monkeypatch.setattr(executor, "_IN_WORKER", False)
+    config.install(SweepConfig())
+    spec = JobSpec("path", "apsp-unweighted", 8, 0)
+    plain = executor.execute_cell(spec)
+    assert "profile_source" not in plain.record and plain.hot is None
+
+    executor._init_worker(parent)
+    profiled = executor.execute_cell(spec)
+    assert profiled.record["profile_source"].startswith("store:")
+    assert profiled.hot
+    store = FamilyStore(PROFILE_FAMILY, tmp_path / "profiles")
+    assert find_profile(store, "path", "apsp-unweighted", 8, 0,
+                        revision="rev-A") is not None
+
+    config.update(profile_store=None, cprofile=False)
+    unprofiled = executor.execute_cell(spec)
+    assert "profile_source" not in unprofiled.record
+    assert unprofiled.hot is None
+    assert dict(os.environ) == before
 
 
 def test_hot_rows_shape():

@@ -30,11 +30,21 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.runner import RunStore, graph_cache, run_sweep
+from repro.runner import RunStore, SweepConfig, config, executor, \
+    graph_cache, run_sweep
 from repro.scenarios import get_scenario
-from repro.store import ArtifactStore, GraphStore, graph_key
+from repro.runner.chain import warm
+from repro.store import (
+    GRAPH_FAMILY,
+    ORACLE_FAMILY,
+    PROFILE_FAMILY,
+    ArtifactStore,
+    FamilyStore,
+    graph_key,
+    profile_identity,
+)
 from repro.store.artifacts import MANIFEST_NAME, TMP_PREFIX
-from repro.store.graphs import GRAPH_KIND, warm
+from repro.store.graphs import GRAPH_KIND
 
 # Unweighted dense, symmetric weighted, directed weights, bipartite:
 # every snapshot shape the store serializes.
@@ -44,12 +54,9 @@ IDENTITY_SCENARIOS = ("dense-gnp", "grid-weighted",
 
 @pytest.fixture
 def chain(tmp_path):
-    """A fresh cache chain connected to a tmp store; reset afterwards."""
-    graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
+    """A fresh cache chain connected to a tmp store."""
     graph_cache.configure_store(tmp_path / "graph-store")
-    yield GraphStore(tmp_path / "graph-store")
-    graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-    graph_cache.configure_store(None)
+    return FamilyStore(GRAPH_FAMILY, tmp_path / "graph-store")
 
 
 def _publish(store, name, size=None, seed=0):
@@ -68,7 +75,7 @@ def _publish(store, name, size=None, seed=0):
 @pytest.mark.scenario
 @pytest.mark.parametrize("name", IDENTITY_SCENARIOS)
 def test_snapshot_round_trip_is_byte_identical(name, tmp_path):
-    store = GraphStore(tmp_path)
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
     scenario, size, derived, fresh = _publish(store, name)
     loaded = store.load(scenario.name, size, derived)
     assert loaded is not None
@@ -146,27 +153,24 @@ def test_chain_publishes_on_build(chain):
 
 
 def test_store_config_propagates_through_environment(chain, monkeypatch):
-    """Worker processes resolve the store from the exported env var."""
-    assert os.environ[graph_cache.STORE_DIR_ENV] == str(chain.root)
-    # Simulate a freshly-started worker: unprobed module state.
-    monkeypatch.setattr(graph_cache, "_store", None)
-    monkeypatch.setattr(graph_cache, "_store_probed", False)
+    """Worker processes resolve the store from the parent's sweep config.
+
+    The config reaches a worker as the pool initializer's argument; no
+    environment variable carries it.
+    """
+    before = dict(os.environ)
+    parent = config.current()
+    # Simulate a freshly-started worker: pristine config until the pool
+    # initializer installs the parent's.
+    monkeypatch.setattr(executor, "_IN_WORKER", False)
+    config.install(SweepConfig())
+    assert graph_cache.effective_store() is None
+    executor._init_worker(parent)
     resolved = graph_cache.effective_store()
     assert resolved is not None and str(resolved.root) == str(chain.root)
     graph_cache.configure_store(None)
-    assert graph_cache.STORE_DIR_ENV not in os.environ
     assert graph_cache.effective_store() is None
-
-
-def test_cache_size_env_round_trip(monkeypatch):
-    monkeypatch.setenv(graph_cache.CACHE_SIZE_ENV, "7")
-    assert graph_cache._env_maxsize() == 7
-    monkeypatch.setenv(graph_cache.CACHE_SIZE_ENV, "not-a-number")
-    assert graph_cache._env_maxsize() == graph_cache.DEFAULT_MAXSIZE
-    graph_cache.configure(5)
-    assert os.environ[graph_cache.CACHE_SIZE_ENV] == "5"
-    assert graph_cache.effective_maxsize() == 5
-    graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
+    assert dict(os.environ) == before
 
 
 def test_degenerate_size_still_raises_with_store(chain):
@@ -180,7 +184,7 @@ def test_degenerate_size_still_raises_with_store(chain):
 
 def _race_publish(args):
     root, barrier_unused = args
-    store = GraphStore(root)
+    store = FamilyStore(GRAPH_FAMILY, root)
     scenario = get_scenario("dense-gnp")
     size = 16
     derived = scenario.seed_for(size, 0)
@@ -196,7 +200,7 @@ def test_concurrent_publishers_land_one_valid_snapshot(tmp_path):
     # At least one publisher won; the store holds exactly one complete,
     # loadable entry and no leftover temp directories.
     assert any(outcomes)
-    store = GraphStore(root)
+    store = FamilyStore(GRAPH_FAMILY, root)
     entries = store.ls()
     assert len(entries) == 1
     scenario = get_scenario("dense-gnp")
@@ -208,7 +212,7 @@ def test_concurrent_publishers_land_one_valid_snapshot(tmp_path):
 
 
 def test_lost_race_in_process_returns_false(tmp_path):
-    store = GraphStore(tmp_path)
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
     scenario, size, derived, graph = _publish(store, "cycle")
     assert store.publish(scenario.name, size, derived, graph) is False
     assert len(store.ls()) == 1
@@ -251,7 +255,7 @@ def test_transient_oserror_is_a_miss_without_quarantine(tmp_path,
     snapshots: the read is a miss, the entry survives for next time."""
     from repro.store import artifacts as artifacts_mod
 
-    store = GraphStore(tmp_path)
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
     scenario, size, derived, _ = _publish(store, "cycle")
 
     def exhausted(*args, **kwargs):
@@ -270,7 +274,7 @@ def test_mixed_int_float_weights_are_not_storable(tmp_path):
     round trip; publish must refuse rather than corrupt a value."""
     from repro.graphs.graph import from_edges
 
-    store = GraphStore(tmp_path)
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
     mixed = from_edges(3, [(0, 1), (1, 2)],
                        weights={(0, 1): 1, (1, 2): 2.5})
     assert store.publish("mixed", 3, 0, mixed) is False
@@ -289,7 +293,7 @@ def test_mixed_int_float_weights_are_not_storable(tmp_path):
 
 
 def test_wrong_schema_version_is_a_miss(tmp_path):
-    store = GraphStore(tmp_path)
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
     scenario, size, derived, _ = _publish(store, "cycle")
     manifest_path = _entry_path(store, scenario, size, derived) / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
@@ -300,7 +304,7 @@ def test_wrong_schema_version_is_a_miss(tmp_path):
 
 def test_inconsistent_csr_is_quarantined(tmp_path):
     """Arrays that parse but contradict the manifest are corruption too."""
-    store = GraphStore(tmp_path)
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
     scenario, size, derived, graph = _publish(store, "path", size=14)
     entry = _entry_path(store, scenario, size, derived)
     manifest_path = entry / MANIFEST_NAME
@@ -322,12 +326,13 @@ def test_inconsistent_csr_is_quarantined(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_warm_then_gc_keep_last_and_max_bytes(tmp_path):
-    store = GraphStore(tmp_path)
-    counts = warm(store, [get_scenario(n)
-                          for n in ("path", "cycle", "dense-gnp")])
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
+    counts = warm(store.root, [get_scenario(n)
+                               for n in ("path", "cycle", "dense-gnp")],
+                  families=("graphs",))
     assert counts == {"published": 3, "skipped": 0}
-    assert warm(store, [get_scenario("path")]) == {"published": 0,
-                                                  "skipped": 1}
+    assert warm(store.root, [get_scenario("path")],
+                families=("graphs",)) == {"published": 0, "skipped": 1}
     entries = store.ls()
     assert len(entries) == 3
     assert store.stat()["entries"] == 3
@@ -340,6 +345,38 @@ def test_warm_then_gc_keep_last_and_max_bytes(tmp_path):
     assert len(removed) == 2 and store.ls() == []
 
 
+def test_graph_view_gc_is_scoped_to_its_family(tmp_path):
+    """Regression: graph-view gc used to prune every family at the root,
+    deleting oracle and profile entries published beside the graph."""
+    from repro.baselines.oracles import ORACLES
+    from repro.congest.profile import RoundProfiler, profile_context
+    from repro.testing import run_differential
+
+    graphs = FamilyStore(GRAPH_FAMILY, tmp_path)
+    oracles = FamilyStore(ORACLE_FAMILY, tmp_path)
+    profiles = FamilyStore(PROFILE_FAMILY, tmp_path)
+    scenario = get_scenario("path")
+    size = scenario.default_size
+    derived = scenario.seed_for(size, 0)
+    graph = scenario.graph(size)
+    spec = ORACLES["unweighted-apsp"]
+    assert graphs.publish("path", size, derived, graph)
+    assert oracles.publish("path", size, derived, spec,
+                           spec.compute(graph, derived))
+    profiler = RoundProfiler()
+    with profile_context(profiler):
+        run_differential("path", "apsp-unweighted")
+    identity = profile_identity("path", "apsp-unweighted", size, 0)
+    assert profiles.publish(identity, profiler.profile())
+
+    assert graphs.gc(keep_last=1) == []
+    assert graphs.stat()["families"] == {
+        "graphs": {"entries": 1, "bytes": graphs.ls()[0].nbytes}}
+    assert len(graphs.ls()) == len(oracles.ls()) == len(profiles.ls()) == 1
+    assert graphs.gc(keep_last=0) and graphs.ls() == []
+    assert len(oracles.ls()) == len(profiles.ls()) == 1
+
+
 def test_gc_sweeps_only_abandoned_temp_dirs(tmp_path):
     """gc removes crashed publishers' leftovers (old tmp dirs) but must
     never touch a live concurrent publisher's fresh tmp dir."""
@@ -347,7 +384,7 @@ def test_gc_sweeps_only_abandoned_temp_dirs(tmp_path):
 
     from repro.store.artifacts import TMP_SWEEP_AGE_SECONDS
 
-    store = GraphStore(tmp_path)
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
     _publish(store, "path")
     bucket = tmp_path / GRAPH_KIND / "ab"
     abandoned = bucket / f"{TMP_PREFIX}abandoned-123-dead"
@@ -378,48 +415,40 @@ def test_gc_rejects_negative_budgets(tmp_path):
 def test_sweep_manifest_records_cache_and_store(tmp_path):
     runs = RunStore(tmp_path / "runs")
     store_dir = str(tmp_path / "graph-store")
-    try:
-        first = run_sweep(["path", "cycle"], store=runs,
-                          graph_store_dir=store_dir, graph_cache_size=0)
-        assert first.run.manifest["graph_cache_size"] == 0
-        assert first.run.manifest["graph_store"] == store_dir
-        # With the LRU off, path's first cell builds + publishes and its
-        # second same-key cell already hits the store; cycle builds.
-        sources = first.summary()["graph_sources"]
-        assert sources == {"built": 2, "store": 1}
-        assert GraphStore(store_dir).ls()  # the sweep warmed the store
+    first = run_sweep(["path", "cycle"], store=runs,
+                      graph_store_dir=store_dir, graph_cache_size=0)
+    assert first.run.manifest["graph_cache_size"] == 0
+    assert first.run.manifest["graph_store"] == store_dir
+    # With the LRU off, path's first cell builds + publishes and its
+    # second same-key cell already hits the store; cycle builds.
+    sources = first.summary()["graph_sources"]
+    assert sources == {"built": 2, "store": 1}
+    assert FamilyStore(GRAPH_FAMILY, store_dir).ls()  # the sweep warmed the store
 
-        # A second sweep over the warm store serves every graph from
-        # disk -- with byte-identical canonical records.
-        second = run_sweep(["path", "cycle"], store=runs, fresh=True,
-                           graph_store_dir=store_dir, graph_cache_size=0)
-        assert second.summary()["graph_sources"] == {"store": 3}
-        assert [r.canonical_record() for r in first.results] == \
-            [r.canonical_record() for r in second.results]
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        graph_cache.configure_store(None)
+    # A second sweep over the warm store serves every graph from
+    # disk -- with byte-identical canonical records.
+    second = run_sweep(["path", "cycle"], store=runs, fresh=True,
+                       graph_store_dir=store_dir, graph_cache_size=0)
+    assert second.summary()["graph_sources"] == {"store": 3}
+    assert [r.canonical_record() for r in first.results] == \
+        [r.canonical_record() for r in second.results]
 
 
 def test_parallel_sweep_workers_share_the_store(tmp_path):
     """Pool workers publish into and read from one shared store."""
     store_dir = str(tmp_path / "graph-store")
-    try:
-        cold = run_sweep(["dense-gnp", "power-law"], workers=2,
+    cold = run_sweep(["dense-gnp", "power-law"], workers=2,
+                     graph_store_dir=store_dir, graph_cache_size=0)
+    assert cold.ok
+    store = FamilyStore(GRAPH_FAMILY, store_dir)
+    assert len(store.ls()) == 2  # one snapshot per scenario x size
+    warm_run = run_sweep(["dense-gnp", "power-law"], workers=2,
                          graph_store_dir=store_dir, graph_cache_size=0)
-        assert cold.ok
-        store = GraphStore(store_dir)
-        assert len(store.ls()) == 2  # one snapshot per scenario x size
-        warm_run = run_sweep(["dense-gnp", "power-law"], workers=2,
-                             graph_store_dir=store_dir, graph_cache_size=0)
-        assert warm_run.ok
-        assert warm_run.summary()["graph_sources"] == {
-            "store": len(warm_run.results)}
-        assert [r.canonical_record() for r in cold.results] == \
-            [r.canonical_record() for r in warm_run.results]
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        graph_cache.configure_store(None)
+    assert warm_run.ok
+    assert warm_run.summary()["graph_sources"] == {
+        "store": len(warm_run.results)}
+    assert [r.canonical_record() for r in cold.results] == \
+        [r.canonical_record() for r in warm_run.results]
 
 
 def test_restored_cells_do_not_pollute_graph_source_summary(tmp_path):
@@ -439,21 +468,17 @@ def test_restored_cells_do_not_pollute_graph_source_summary(tmp_path):
         if len(seen) == 2:
             raise Stop()
 
-    try:
-        with pytest.raises(Stop):
-            run_sweep(["path", "cycle"], store=runs, revision="rev-A",
-                      graph_store_dir=store_dir, graph_cache_size=0,
-                      on_result=interrupt)
-        graph_cache.configure_store(None)
-        resumed = run_sweep(["path", "cycle"], store=runs,
-                            revision="rev-A")
-        assert resumed.resumed and resumed.skipped == 2
-        sources = resumed.summary()["graph_sources"]
-        assert sum(sources.values()) == resumed.executed == 1
-        assert "store" not in sources
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        graph_cache.configure_store(None)
+    with pytest.raises(Stop):
+        run_sweep(["path", "cycle"], store=runs, revision="rev-A",
+                  graph_store_dir=store_dir, graph_cache_size=0,
+                  on_result=interrupt)
+    graph_cache.configure_store(None)
+    resumed = run_sweep(["path", "cycle"], store=runs,
+                        revision="rev-A")
+    assert resumed.resumed and resumed.skipped == 2
+    sources = resumed.summary()["graph_sources"]
+    assert sum(sources.values()) == resumed.executed == 1
+    assert "store" not in sources
 
 
 def test_cli_store_family(tmp_path, capsys):
@@ -520,42 +545,34 @@ def test_cli_store_warm_unknown_scenario_is_clean_error(tmp_path, capsys):
 
 
 def test_cli_sweep_store_flags(tmp_path, capsys):
-    from repro.runner import oracle_cache
-
     runs_dir = str(tmp_path / "runs")
     base = ["sweep", "--runs-dir", runs_dir, "--names", "path",
             "--graph-cache-size", "0", "--oracle-cache-size", "0"]
-    try:
-        assert main(base) == 0
-        out = capsys.readouterr().out
-        # LRUs off: path's first cell builds + publishes, the second
-        # cell of the same key is already served from the store -- for
-        # the graph and the shared unweighted-apsp baseline alike.
-        assert "graph sources: 1 built, 1 store" in out
-        assert "oracle sources: 1 computed, 1 store" in out
-        # Default --store-dir co-locates the artifacts with the runs.
-        assert (tmp_path / "runs" / "store").is_dir()
-        assert main(base + ["--fresh"]) == 0
-        out = capsys.readouterr().out
-        assert "graph sources: 2 store" in out
-        assert "oracle sources: 2 store" in out
-        # --no-oracle-store recomputes baselines, keeps graph snapshots.
-        assert main(base + ["--no-oracle-store", "--fresh"]) == 0
-        out = capsys.readouterr().out
-        assert "graph sources: 2 store" in out
-        assert ("oracle sources: 2 computed" in out
-                and "oracle store off" in out)
-        # --no-store disconnects both chains entirely.
-        assert main(base + ["--no-store", "--fresh"]) == 0
-        out = capsys.readouterr().out
-        assert "graph sources: 2 built" in out and "graph store off" in out
-        assert ("oracle sources: 2 computed" in out
-                and "oracle store off" in out)
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        graph_cache.configure_store(None)
-        oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
-        oracle_cache.configure_store(None)
+    assert main(base) == 0
+    out = capsys.readouterr().out
+    # LRUs off: path's first cell builds + publishes, the second
+    # cell of the same key is already served from the store -- for
+    # the graph and the shared unweighted-apsp baseline alike.
+    assert "graph sources: 1 built, 1 store" in out
+    assert "oracle sources: 1 computed, 1 store" in out
+    # Default --store-dir co-locates the artifacts with the runs.
+    assert (tmp_path / "runs" / "store").is_dir()
+    assert main(base + ["--fresh"]) == 0
+    out = capsys.readouterr().out
+    assert "graph sources: 2 store" in out
+    assert "oracle sources: 2 store" in out
+    # --no-oracle-store recomputes baselines, keeps graph snapshots.
+    assert main(base + ["--no-oracle-store", "--fresh"]) == 0
+    out = capsys.readouterr().out
+    assert "graph sources: 2 store" in out
+    assert ("oracle sources: 2 computed" in out
+            and "oracle store off" in out)
+    # --no-store disconnects both chains entirely.
+    assert main(base + ["--no-store", "--fresh"]) == 0
+    out = capsys.readouterr().out
+    assert "graph sources: 2 built" in out and "graph store off" in out
+    assert ("oracle sources: 2 computed" in out
+            and "oracle store off" in out)
 
 
 def test_bench_cli_smoke_flag(tmp_path, capsys):
@@ -576,7 +593,7 @@ def test_quarantined_entry_is_held_counted_and_drained(tmp_path):
     """A corrupt entry moves to .quarantine/<kind>/ (post-mortem held,
     out of the addressable namespace), shows up in stat, and is drained
     by a real gc -- but never by a dry run."""
-    store = GraphStore(tmp_path)
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
     scenario, size, derived, _ = _publish(store, "path")
     entry = store.artifacts.entry_path(
         GRAPH_KIND, graph_key(scenario.name, size, derived))
@@ -607,7 +624,7 @@ def test_quarantined_entry_is_held_counted_and_drained(tmp_path):
 
 
 def test_gc_dry_run_reports_without_removing(tmp_path):
-    store = GraphStore(tmp_path)
+    store = FamilyStore(GRAPH_FAMILY, tmp_path)
     for name in ("path", "cycle", "dense-gnp"):
         _publish(store, name)
     arts = store.artifacts
@@ -640,7 +657,7 @@ def test_cli_store_stat_and_gc_surface_quarantine(tmp_path, capsys):
                  "--store-dir", store_dir]) == 0
     capsys.readouterr()
     # Corrupt the graph snapshot so the next read quarantines it.
-    store = GraphStore(store_dir)
+    store = FamilyStore(GRAPH_FAMILY, store_dir)
     scenario = get_scenario("path")
     derived = scenario.seed_for(scenario.default_size, 0)
     entry = store.artifacts.entry_path(

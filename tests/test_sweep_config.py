@@ -1,0 +1,138 @@
+"""The one process-wide sweep config (``repro.runner.config``).
+
+Pins:
+
+* **one object, no environment** -- every store / cache / profiling /
+  kernel setting lives in one frozen :class:`SweepConfig`; a sweep
+  with all of them on leaves ``os.environ`` exactly as it found it;
+* **isolation** -- ``config.reset()`` restores the defaults and empties
+  every artifact chain's LRU, so one call isolates tests;
+* **workers see the parent's config under spawn** -- the executor hands
+  the config to each pool worker through the pool initializer, so a
+  spawn-started pool resolves the same stores, cache sizes, profile
+  capture and kernel plane as the parent.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import repro
+from repro.runner import RunStore, SweepConfig, config, graph_cache, \
+    run_sweep
+from repro.scenarios import get_scenario
+
+
+def test_config_clamps_sizes_and_normalizes_roots(tmp_path):
+    settings = SweepConfig(graph_cache_size=-3,
+                           oracle_store=tmp_path / "store" / "")
+    assert settings.graph_cache_size == 0
+    assert settings.oracle_store == str(tmp_path / "store")
+    assert SweepConfig(kernels=True) == SweepConfig(kernels=True)
+
+
+def test_reset_restores_defaults_and_empties_every_lru():
+    config.update(graph_cache_size=5, kernels=True, revision="rev-A")
+    graph_cache.scenario_graph(get_scenario("path"))
+    assert graph_cache.stats()["size"] == 1
+    config.reset()
+    assert config.current() == SweepConfig()
+    assert graph_cache.stats() == {
+        "hits": 0, "misses": 0, "size": 0,
+        "maxsize": SweepConfig().graph_cache_size, "store_hits": 0,
+        "store_misses": 0, "publishes": 0}
+
+
+def test_preserved_restores_the_config(tmp_path):
+    config.update(graph_store=str(tmp_path))
+    with config.preserved() as saved:
+        config.update(graph_store=None, cprofile=True)
+        assert config.current() != saved
+    assert config.current() == saved
+
+
+def test_run_sweep_leaves_no_repro_env(tmp_path):
+    before = dict(os.environ)
+    store_dir = str(tmp_path / "store")
+    outcome = run_sweep(["path"], store=RunStore(tmp_path / "runs"),
+                        revision="rev-A",
+                        graph_store_dir=store_dir, graph_cache_size=4,
+                        oracle_store_dir=store_dir, oracle_cache_size=4,
+                        decomposition_store_dir=store_dir,
+                        decomposition_cache_size=4,
+                        profile_store_dir=store_dir, cprofile=True,
+                        kernels=True)
+    assert outcome.ok
+    assert dict(os.environ) == before
+
+
+# A spawn-started pool shares no memory with the parent: whatever the
+# workers know about stores, cache sizes, profiling and kernels arrived
+# through the pool initializer.  LRUs are sized 0 so every resolve goes
+# to the store, which also shows the sizes reached the workers.
+SPAWN_SWEEP = textwrap.dedent("""
+    import json
+    import multiprocessing
+    import sys
+
+    from repro.runner import RunStore, config, run_sweep
+
+
+    def sweep(root, **settings):
+        store = root + "/store"
+        outcome = run_sweep(
+            ["path", "grid"], workers=2, store=RunStore(root + "/runs"),
+            revision="rev-A", fresh=True, graph_store_dir=store,
+            oracle_store_dir=store, decomposition_store_dir=store,
+            graph_cache_size=0, oracle_cache_size=0,
+            decomposition_cache_size=0, kernels=True, **settings)
+        assert outcome.ok
+        return [result.record for result in outcome.results]
+
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        root = sys.argv[1]
+        cold = sweep(root, profile_store_dir=root + "/store")
+        config.update(profile_store=None)
+        warm = sweep(root)
+        print(json.dumps({"cold": cold, "warm": warm}))
+""")
+
+
+def test_spawned_workers_receive_the_parent_config(tmp_path):
+    from repro.kernels import REGISTRY
+    from repro.store import PROFILE_FAMILY, FamilyStore, find_profile
+
+    script = tmp_path / "spawn_sweep.py"
+    script.write_text(SPAWN_SWEEP)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    records = json.loads(done.stdout.splitlines()[-1])
+
+    profiles = FamilyStore(PROFILE_FAMILY, tmp_path / "store")
+    for record in records["cold"]:
+        # Profiling reached the workers (and keeps kernels off the
+        # profiled executions, which says the kernel knob arrived too).
+        assert record["profile_source"].startswith("store:")
+        assert find_profile(profiles, record["scenario"],
+                            record["algorithm"], record["size"],
+                            record["seed"], revision="rev-A") is not None
+        if record["algorithm"] in REGISTRY:
+            assert record["engine_source"] == "vectorized:profile"
+    for record in records["warm"]:
+        assert "profile_source" not in record
+        assert record["graph_source"] == "store"
+        assert record["oracle_source"] in ("store", "none")
+        assert record["decomposition_source"] in ("store", "none")
+        if record["algorithm"] in REGISTRY:
+            assert record["engine_source"].startswith("kernel:")
+    assert any(r["decomposition_source"] == "store"
+               for r in records["warm"])
