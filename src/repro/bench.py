@@ -835,6 +835,8 @@ def bench_simulator_fastpath() -> BenchReport:
         fast = run_machines(graph, factory, seed=7, fast_path=True)
         slow = run_machines(graph, factory, seed=7, fast_path=False)
         assert fast.outputs == slow.outputs
+        assert fast.metrics.as_dict() == slow.metrics.as_dict()
+        assert fast.metrics.edge_congestion == slow.metrics.edge_congestion
         t_fast = best_of(lambda: run_machines(graph, factory, seed=7))
         t_slow = best_of(
             lambda: run_machines(graph, factory, seed=7, fast_path=False))

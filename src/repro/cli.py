@@ -32,7 +32,6 @@ Examples
     python -m repro.cli runs report <run-id>              # telemetry timeline
     python -m repro.cli runs watch <run-id>               # live sweep progress
     python -m repro.cli sweep --profile --cprofile        # round profiles + hot fns
-    python -m repro.cli sweep --kernels                   # array-native round engines
     python -m repro.cli bench kernels --smoke             # kernel speedup gate
     python -m repro.cli profile ls                        # stored round profiles
     python -m repro.cli profile show complete apsp-tradeoff --size 16
@@ -279,8 +278,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                       oracle_store=oracle_store_dir,
                       decomposition_store=decomposition_store_dir,
                       profile_store=profile_store_dir,
-                      cprofile=bool(args.cprofile),
-                      kernels=bool(args.kernels))
+                      cprofile=bool(args.cprofile))
         outcome = run_sweep(args.names, sizes=args.sizes, seeds=args.seeds,
                             workers=args.workers, timeout=args.timeout,
                             retries=args.retries, store=store,
@@ -1143,14 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run each cell under cProfile and record its top "
                         "hot functions in the cell result, aggregated "
                         "across the run by `repro runs report` "
-                        "(default: off)")
-    p.add_argument("--kernels", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="run eligible cells on the array-native round "
-                        "engines (src/repro/kernels/): whole-execution "
-                        "numpy sweeps with exact metering replication; "
-                        "records gain an engine_source provenance label "
-                        "and stay byte-identical kernels on or off "
                         "(default: off)")
     p.add_argument("--list-runs", action="store_true",
                    help="list stored runs and exit")

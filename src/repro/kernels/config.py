@@ -1,33 +1,29 @@
-"""The kernel plane's knob, eligibility registry, and provenance notes.
+"""The kernel plane's eligibility registry, fallbacks, and provenance notes.
 
-The ``--kernels`` sweep flag is the ``kernels`` setting of the
-process-wide :class:`~repro.runner.config.SweepConfig` (pool workers
-receive it through the executor's pool initializer), and the core
-drivers consult :func:`engine_ready` before every eligible execution.
-With the knob off the consult is one attribute read and the cell runs
-the untouched vectorized path.
+Kernels serve every eligible execution: the core drivers consult
+:func:`engine_ready` before each one.  Eligibility is explicit data:
+:data:`REGISTRY` maps binding name to the kernel family that can replay
+it.  Four cases fall through to the vectorized machine loop, and the
+reason lands in the cell's ``engine_source`` record field (a
+NONDETERMINISTIC field, stripped from canonical payloads, so records
+are byte-identical whichever engine served):
 
-Eligibility is explicit data: :data:`REGISTRY` maps binding name to the
-kernel family that can replay it.  Anything else -- an unlisted binding,
-an active fault plan, an attached round profiler -- falls through to the
-vectorized path, and the reason lands in the cell's ``engine_source``
-record field (a NONDETERMINISTIC field, stripped from canonical
-payloads, so records stay byte-identical kernels on vs off):
-
-* ``none`` -- kernels disabled (the default; omitted from records),
 * ``kernel:bfs-wavefront`` / ``kernel:bellman-ford`` -- a kernel ran,
 * ``vectorized:ineligible`` -- binding not in :data:`REGISTRY`,
 * ``vectorized:profile`` -- a round profiler needs the per-round loop,
 * ``vectorized:faults`` -- an active fault plan perturbs delivery,
 * ``vectorized:fallback`` -- eligible but the plan builder declined
   (e.g. integer weights too large for exact float64 replay).
+
+:func:`reference_engine` runs a block on the vectorized loop alone --
+the differential reference the kernel tests compare against; cells run
+inside it report ``none`` (and omit the field from their records).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.runner import config
+import contextlib
+from typing import Dict, Iterator, Optional
 
 # binding name -> kernel family able to replay its metered execution.
 REGISTRY: Dict[str, str] = {
@@ -37,11 +33,19 @@ REGISTRY: Dict[str, str] = {
 }
 
 _note: Optional[str] = None
+_reference = False
 
 
-def kernels_enabled() -> bool:
-    """Whether eligible cells run on kernels (the config's setting)."""
-    return config.current().kernels
+@contextlib.contextmanager
+def reference_engine() -> Iterator[None]:
+    """Run every execution in the block on the vectorized machine loop."""
+    global _reference
+    saved = _reference
+    _reference = True
+    try:
+        yield
+    finally:
+        _reference = saved
 
 
 def engine_ready() -> bool:
@@ -51,7 +55,7 @@ def engine_ready() -> bool:
     ambient fault plan or round profiler is installed the reason is
     noted so the cell's ``engine_source`` says why it fell back.
     """
-    if not kernels_enabled():
+    if _reference:
         return False
     from repro.congest.profile import active_profiler
     if active_profiler() is not None:
@@ -79,12 +83,8 @@ def note_engine(label: str) -> None:
     _note = label
 
 
-def clear_note() -> None:
-    global _note
-    _note = None
-
-
 def consume_note() -> Optional[str]:
+    """Take (and clear) the pending note."""
     global _note
     note = _note
     _note = None
@@ -94,7 +94,7 @@ def consume_note() -> Optional[str]:
 def cell_engine_source(algorithm: str) -> str:
     """The ``engine_source`` label for a just-finished cell."""
     note = consume_note()
-    if not kernels_enabled():
+    if _reference:
         return "none"
     if note:
         return note

@@ -1,6 +1,6 @@
 """The whole-execution replay plan consumed by the Theorem 2.1 driver.
 
-A kernel precomputes the entire BCONGEST execution -- every phase's
+A kernel resolves the entire BCONGEST execution -- every phase's
 broadcasters with their literal payloads, the final per-node outputs,
 and the executed-phase count -- and :func:`repro.core.bcongest_sim.
 simulate_bcongest` replays it: the identical per-phase transport packets
@@ -12,25 +12,35 @@ machine loop disappears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
+
+Phase = Tuple[int, List[Tuple[int, Any]]]
 
 
-@dataclass
 class BcongestPlan:
-    """A fully-resolved BCONGEST execution.
+    """A fully-resolved BCONGEST execution, streamed one phase at a time.
 
     phase_payloads:
-        ``[(phase, [(node, payload), ...]), ...]`` -- phases ascending,
-        broadcasters ascending within a phase, payloads the literal
-        objects the machines would have returned (so size metering and
-        the oversize check reproduce exactly).
+        An iterator of ``(phase, [(node, payload), ...])`` -- phases
+        ascending, broadcasters ascending within a phase, payloads the
+        literal objects the machines would have returned (so size
+        metering and the oversize check reproduce exactly).  The kernel
+        computes each phase when it is asked for, so a plan never holds
+        more than one phase's payloads.
     outputs:
         ``{node: output}`` as the machines would report at halt.
     executed_phases:
         The phase counter value the machine loop would end on.
+
+    ``phases`` yields every phase and then returns ``(outputs,
+    executed_phases)``; both attributes are None until then.
     """
 
-    phase_payloads: List[Tuple[int, List[Tuple[int, Any]]]]
-    outputs: Dict[int, Any]
-    executed_phases: int
+    def __init__(self,
+                 phases: Generator[Phase, None, Tuple[Dict[int, Any], int]]):
+        self.outputs: Optional[Dict[int, Any]] = None
+        self.executed_phases: Optional[int] = None
+        self.phase_payloads: Iterator[Phase] = self._drain(phases)
+
+    def _drain(self, phases) -> Iterator[Phase]:
+        self.outputs, self.executed_phases = yield from phases

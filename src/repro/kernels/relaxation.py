@@ -61,8 +61,14 @@ def bcongest_plan(graph: Graph, delays: Dict[int, int],
     weights = _in_weights(graph)
     if weights is None:
         return None
-    w_in, int_mode = weights
+    return BcongestPlan(_phases(graph, delays, *weights, horizon))
 
+
+def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
+            int_mode: bool, horizon: Optional[int]):
+    """Yield each announcing round's payloads, then return
+    ``(outputs, executed_phases)``."""
+    n = graph.n
     indptr, indices = graph._indptr, graph._indices
     deg = np.diff(indptr)
     reduce_at = np.minimum(indptr[:-1], max(len(indices) - 1, 0))
@@ -77,7 +83,6 @@ def bcongest_plan(graph: Graph, delays: Dict[int, int],
 
     prev_ann = np.zeros((n, n), dtype=bool)
     prev_val = np.zeros((n, n))
-    phase_payloads: List[Tuple[int, List[Tuple[int, Any]]]] = []
     last_ann_round = 0
     for rnd in range(1, deadline + 1):
         ann = np.zeros((n, n), dtype=bool)
@@ -122,7 +127,7 @@ def bcongest_plan(graph: Graph, delays: Dict[int, int],
             d = dist[j, v]
             payload[j] = (int(d) if int_mode else float(d), v)
         payloads.append((current, payload))
-        phase_payloads.append((rnd, payloads))
+        yield rnd, payloads
 
     outputs: Dict[int, Any] = {v: {} for v in graph.nodes()}
     no_parent = n
@@ -138,6 +143,4 @@ def bcongest_plan(graph: Graph, delays: Dict[int, int],
                 d = col_d[j]
                 out[j] = (int(d) if int_mode else d, p)
 
-    executed = deadline + (1 if last_ann_round == deadline else 0)
-    return BcongestPlan(phase_payloads=phase_payloads, outputs=outputs,
-                        executed_phases=executed)
+    return outputs, deadline + (1 if last_ann_round == deadline else 0)

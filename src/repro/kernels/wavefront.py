@@ -270,25 +270,33 @@ def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
     the loop ends one phase after the last announcement.
     """
     js, roots = _sorted_roots(roots_map)
-    dist = bfs_distances(graph, roots)
-    parents = _bfs_parents(graph, dist)
+    return BcongestPlan(_plan_phases(graph, js, roots, delays))
 
-    by_phase: Dict[int, Dict[int, Dict[int, Tuple[int, int]]]] = {}
-    for i, j in enumerate(js):
-        delay = delays[j]
-        drow = dist[i].tolist()
-        for v, d in enumerate(drow):
-            if d < 0:
-                continue
-            by_phase.setdefault(delay + d, {}).setdefault(v, {})[j] = (d, v)
-    phase_payloads: List[Tuple[int, List[Tuple[int, Any]]]] = []
-    for phase in sorted(by_phase):
-        phase_payloads.append(
-            (phase, [(v, by_phase[phase][v])
-                     for v in sorted(by_phase[phase])]))
-    last = phase_payloads[-1][0] if phase_payloads else 0
-    return BcongestPlan(
-        phase_payloads=phase_payloads,
-        outputs=_collection_outputs(graph, js, roots, dist, parents),
-        executed_phases=last + 1,
-    )
+
+def _plan_phases(graph: Graph, js: List[int], roots: List[int],
+                 delays: Dict[int, int]):
+    """Yield each phase's announcements straight from the distances,
+    then return ``(outputs, executed_phases)``."""
+    dist = bfs_distances(graph, roots)
+    rows, nodes = np.nonzero(dist >= 0)
+    hops = dist[rows, nodes]
+    phases = np.array([delays[j] for j in js], dtype=np.int64)[rows] + hops
+    # Phases ascending, broadcasters ascending, BFS ids ascending.
+    order = np.lexsort((rows, nodes, phases))
+    ids = np.asarray(js, dtype=np.int64)[rows[order]]
+    nodes, hops, phases = nodes[order], hops[order], phases[order]
+    starts = np.flatnonzero(np.diff(phases, prepend=-1)).tolist()
+    last = 0
+    for lo, hi in zip(starts, starts[1:] + [len(phases)]):
+        payloads: List[Tuple[int, Any]] = []
+        current = -1
+        for v, j, d in zip(nodes[lo:hi].tolist(), ids[lo:hi].tolist(),
+                           hops[lo:hi].tolist()):
+            if v != current:
+                current, payload = v, {}
+                payloads.append((v, payload))
+            payload[j] = (d, v)
+        last = int(phases[lo])
+        yield last, payloads
+    parents = _bfs_parents(graph, dist)
+    return _collection_outputs(graph, js, roots, dist, parents), last + 1

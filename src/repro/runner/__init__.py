@@ -18,9 +18,9 @@ regression-tracked workload:
 * :mod:`repro.runner.engine` -- the high-level
   plan -> resume -> execute -> persist pipeline;
 * :mod:`repro.runner.config` -- the one frozen :class:`SweepConfig`
-  (store roots, LRU sizes, ``cprofile``, ``kernels``, the run's
-  revision), process-wide and handed to pool workers by the executor's
-  pool initializer;
+  (store roots, LRU sizes, ``cprofile``, the run's revision),
+  process-wide and handed to pool workers by the executor's pool
+  initializer;
 * :mod:`repro.runner.chain` -- the artifact chain every cell resolves
   its inputs through (per-worker LRU -> shared on-disk store of
   :mod:`repro.store` -> compute-and-publish), built once per family:

@@ -3,12 +3,11 @@
 Every process-wide knob of the sweep path lives in one
 :class:`SweepConfig`: where each artifact family's on-disk store is
 (graphs, oracles, decompositions, profiles), how many entries each
-in-process LRU holds, whether cells run under cProfile, whether the
-array kernels serve eligible executions -- plus the revision of the
-run in progress, which stamps captured profiles.
+in-process LRU holds, whether cells run under cProfile -- plus the
+revision of the run in progress, which stamps captured profiles.
 
-The config is process-wide: :func:`current` is what the cache chains,
-the executor and the kernel plane read.  :func:`update` changes it
+The config is process-wide: :func:`current` is what the cache chains
+and the executor read.  :func:`update` changes it
 (``repro sweep`` / :func:`repro.runner.engine.run_sweep` apply their
 overrides through it), and pool workers receive the parent's config
 through the executor's pool initializer (:func:`install`), which
@@ -31,7 +30,7 @@ _ROOTS = ("graph_store", "oracle_store", "decomposition_store",
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """The nine sweep settings plus the revision of the run in progress."""
+    """The eight sweep settings plus the revision of the run in progress."""
 
     graph_store: Optional[str] = None
     oracle_store: Optional[str] = None
@@ -46,7 +45,6 @@ class SweepConfig:
     oracle_cache_size: int = 64
     decomposition_cache_size: int = 32
     cprofile: bool = False
-    kernels: bool = False
     revision: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -92,12 +90,12 @@ def install(config: SweepConfig) -> None:
 
 def reset() -> None:
     """Back to the defaults: every LRU emptied, no pending engine note."""
-    from repro.kernels.config import clear_note
+    from repro.kernels.config import consume_note
 
     install(SweepConfig())
     for chain in _chains():
         chain.clear()
-    clear_note()
+    consume_note()
 
 
 @contextlib.contextmanager

@@ -102,9 +102,9 @@ def provenance_counts(results: Sequence[CellResult], *,
     cells without a record (timeouts, errors) or whose key is in
     ``skip`` (resume-restored cells, whose provenance belongs to the
     invocation that executed them) are not counted, and ``"none"`` rows
-    -- cells with no baseline / no input decomposition / no kernel plane
-    -- are dropped (graphs have no ``"none"`` state, every cell has a
-    graph).
+    -- cells with no baseline / no input decomposition / run under
+    :func:`repro.kernels.reference_engine` -- are dropped (graphs have
+    no ``"none"`` state, every cell has a graph).
     """
     skip = frozenset() if skip is None else skip
     graphs: Dict[str, int] = {}
@@ -226,8 +226,7 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
               telemetry: bool = True,
               bench_history_dir: "Optional[str]" = None,
               profile_store_dir: "Optional[str]" = None,
-              cprofile: Optional[bool] = None,
-              kernels: Optional[bool] = None) -> SweepOutcome:
+              cprofile: Optional[bool] = None) -> SweepOutcome:
     """Run (or resume) one sweep; see the module docstring.
 
     ``fresh=True`` always starts a new run directory even when an
@@ -254,7 +253,7 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     families (:mod:`repro.store`) for this sweep, and
     ``graph_cache_size`` / ``oracle_cache_size`` /
     ``decomposition_cache_size`` re-size the per-worker LRUs.  These,
-    ``profile_store_dir``, ``cprofile`` and ``kernels`` are settings of
+    ``profile_store_dir`` and ``cprofile`` are settings of
     the process-wide :class:`~repro.runner.config.SweepConfig` (which
     pool workers receive at start-up): each non-None argument updates
     it, None leaves the setting as it is.  The effective values are
@@ -291,12 +290,10 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     functions to the result (``CellResult.hot``), aggregated by
     ``repro runs report``.
 
-    ``kernels=True`` turns on the array-native round engines
-    (:mod:`repro.kernels`): eligible cells run their whole metered
-    execution as numpy sweeps instead of per-machine round stepping,
-    and each record gains an ``engine_source`` provenance label (a
-    NONDETERMINISTIC_FIELD -- the kernels replicate metering exactly,
-    so canonical records are byte-identical kernels on or off).
+    Eligible cells run their whole metered execution on the array
+    kernels (:mod:`repro.kernels`); each record's ``engine_source``
+    provenance label (a NONDETERMINISTIC_FIELD) names the engine that
+    served it.
     """
     overrides = {
         "graph_store": graph_store_dir, "graph_cache_size": graph_cache_size,
@@ -304,8 +301,7 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
         "oracle_cache_size": oracle_cache_size,
         "decomposition_store": decomposition_store_dir,
         "decomposition_cache_size": decomposition_cache_size,
-        "profile_store": profile_store_dir, "cprofile": cprofile,
-        "kernels": kernels}
+        "profile_store": profile_store_dir, "cprofile": cprofile}
     config.update(**{name: value for name, value in overrides.items()
                      if value is not None})
 
@@ -338,14 +334,12 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
                      "decomposition_cache_size":
                          settings.decomposition_cache_size,
                      "decomposition_store": settings.decomposition_store}
-            # Profiling and kernel knobs appear in the manifest only
-            # when on, so plain manifests keep their exact key set.
+            # Profiling knobs appear in the manifest only when on, so
+            # plain manifests keep their exact key set.
             if settings.profile_store is not None:
                 extra["profile_store"] = settings.profile_store
             if settings.cprofile:
                 extra["cprofile"] = True
-            if settings.kernels:
-                extra["kernels"] = True
             run = store.create_run(specs, params, revision=revision,
                                    extra=extra)
         else:

@@ -38,8 +38,8 @@ CellIdentity = Tuple[str, str, int, int]
 # sweep ran with --profile -- observability provenance, so canonical
 # records stay byte-identical profile on or off.  ``engine_source``
 # names which execution engine served the cell (kernel:* / vectorized:*)
-# when the sweep ran with --kernels -- the kernels replicate metering
-# exactly, so canonical records stay byte-identical kernels on or off.
+# -- the kernels replicate metering exactly, so canonical records stay
+# byte-identical whichever engine served.
 NONDETERMINISTIC_FIELDS = ("wall_time", "graph_source", "oracle_source",
                            "decomposition_source", "fault_source",
                            "profile_source", "engine_source")

@@ -151,8 +151,8 @@ class RunTelemetry:
             for name in ("graph_source", "oracle_source",
                          "decomposition_source"):
                 fields[name] = record.get(name)
-            # Additive: present only for cells executed under --kernels
-            # (records without the plane omit the field entirely).
+            # Additive: absent for cells run under the reference engine
+            # (their records omit the field entirely).
             if record.get("engine_source") not in (None, "none"):
                 fields["engine_source"] = record["engine_source"]
             if record.get("fault_profile"):

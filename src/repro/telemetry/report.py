@@ -173,8 +173,8 @@ def run_report_payload(run, *, top: int = 10) -> Dict[str, Any]:
     faults = _fault_summary(results)
     if faults:
         payload["faults"] = faults
-    # Engine-source rollup, additive: present only when at least one
-    # cell ran under sweep --kernels.  Counted through the shared
+    # Engine-source rollup, additive: absent when every cell ran under
+    # the reference engine.  Counted through the shared
     # provenance helper so the "none"-row rule matches the sweep
     # summary (the PR 6 drift lesson).
     from repro.runner.engine import provenance_counts

@@ -58,7 +58,7 @@ class DifferentialRecord:
     fault_verdict: str = ""        # correct-under-faults/degraded/diverged
     fault_source: str = "none"     # plan provenance (nondeterministic field)
     profile_source: str = "none"   # round-profile destination under --profile
-    engine_source: str = "none"    # which engine ran under --kernels
+    engine_source: str = "none"    # kernel:* / vectorized:* engine served
 
     @property
     def passed(self) -> bool:
@@ -101,8 +101,8 @@ class DifferentialRecord:
         # and is stripped from canonical payloads either way.
         if self.profile_source != "none":
             out["profile_source"] = self.profile_source
-        # Engine provenance appears only under --kernels (same pattern:
-        # a nondeterministic field, never part of canonical payloads).
+        # Engine provenance is omitted under the reference engine (same
+        # pattern: a nondeterministic field, never in canonical payloads).
         if self.engine_source != "none":
             out["engine_source"] = self.engine_source
         return out
@@ -218,7 +218,7 @@ def run_differential(scenario: Scenario | str, algorithm: str, *,
                             start=start)
     snapshot, decomposition_source = binding_decomposition_source(
         scenario, size, seed, binding, graph)
-    kernels_config.clear_note()
+    kernels_config.consume_note()
     if binding.decomposition is not None:
         result = binding.run(graph, derived_seed, oracle=oracle,
                              decomposition=snapshot)
@@ -256,7 +256,7 @@ def _run_faulted(scenario: Scenario, algorithm: str, binding, graph,
         graph.n, graph.m, slack=scenario.envelope_slack * profile.dilation)
     result = None
     error: Optional[str] = None
-    kernels_config.clear_note()
+    kernels_config.consume_note()
     if not plan.is_null:
         # Pre-note the fallback reason: a faulted execution may crash
         # before any kernel-eligible stage consults engine_ready().

@@ -35,7 +35,7 @@ def scenario_size(request):
 def _sweep_config_isolation():
     """Reset the process-wide sweep config after every test.
 
-    The config (store roots, LRU sizes, profiling and kernel knobs) is
+    The config (store roots, LRU sizes, profiling knobs) is
     deliberately process-global so pool workers receive it; in the test
     process that would leak one test's settings into the next.  The
     reset also empties every artifact chain's LRU and drops any pending

@@ -7,7 +7,8 @@ per-machine path, with identical Metrics down to the per-edge
 congestion multiset -- kernels are a perf tier, never a semantics tier.
 Everything ineligible (unlisted bindings, active fault plans, attached
 profilers, plan builders that decline) must fall through to the
-vectorized path and say why in ``engine_source``.
+vectorized path and say why in ``engine_source``.  The reference half
+of every comparison runs under ``reference_engine()``.
 """
 
 import json
@@ -18,11 +19,10 @@ from repro.congest.machine import run_machines
 from repro.core.bfs_collections import _message_budget, shared_delays
 from repro.core.weighted_apsp import weighted_apsp
 from repro.graphs import gnp_streaming, uniform_weights
-from repro.kernels import REGISTRY, wavefront
+from repro.kernels import REGISTRY, reference_engine, wavefront
 from repro.kernels import config as kernels_config
 from repro.kernels import relaxation
 from repro.primitives.bfs import BFSCollectionMachine
-from repro.runner import config
 from repro.runner.engine import provenance_counts, run_sweep
 from repro.scenarios import get_scenario
 from repro.testing import run_differential
@@ -53,17 +53,16 @@ def _canonical(record):
 
 
 def _kernel_vs_vectorized(name, algorithm, size=None, seed=0):
-    config.reset()
-    off = run_differential(name, algorithm, size=size, seed=seed)
+    with reference_engine():
+        off = run_differential(name, algorithm, size=size, seed=seed)
     assert off.engine_source == "none"
     assert "engine_source" not in off.as_dict()
-    config.update(kernels=True)
     on = run_differential(name, algorithm, size=size, seed=seed)
     return off, on
 
 
 # ---------------------------------------------------------------------------
-# Byte-identity of canonical records, kernels on vs off
+# Byte-identity of canonical records, kernel vs reference engine
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name,algorithm", ELIGIBLE_CELLS,
@@ -122,9 +121,9 @@ def test_direct_engine_replicates_run_machines_exactly():
 def test_weighted_apsp_metrics_identical_kernels_on_and_off():
     graph = uniform_weights(get_scenario("grid-weighted").graph(12),
                             w_max=8, seed=9)
-    config.reset()
-    off = weighted_apsp(graph, seed=2)
-    config.update(kernels=True)
+    with reference_engine():
+        off = weighted_apsp(graph, seed=2)
+    assert kernels_config.consume_note() is None
     on = weighted_apsp(graph, seed=2)
     assert kernels_config.consume_note() == "kernel:bellman-ford"
     assert on.dist == off.dist
@@ -140,14 +139,12 @@ def test_weighted_apsp_metrics_identical_kernels_on_and_off():
 # ---------------------------------------------------------------------------
 
 def test_unlisted_binding_reports_ineligible():
-    config.update(kernels=True)
     record = run_differential("bipartite-balanced", "matching")
     assert record.engine_source == "vectorized:ineligible"
     assert record.ok, record.failure_message()
 
 
 def test_faulted_cell_falls_back_to_vectorized():
-    config.update(kernels=True)
     record = run_differential("random-tree", "apsp-unweighted",
                               faults="lossy-light", fault_seed=7)
     assert record.engine_source == "vectorized:faults"
@@ -156,7 +153,6 @@ def test_faulted_cell_falls_back_to_vectorized():
 def test_active_profiler_falls_back_to_vectorized():
     from repro.congest.profile import RoundProfiler, profile_context
 
-    config.update(kernels=True)
     with profile_context(RoundProfiler()):
         assert not kernels_config.engine_ready()
     assert kernels_config.cell_engine_source("apsp-unweighted") \
@@ -171,16 +167,15 @@ def test_oversized_int_weights_decline_the_plan():
     delays = {j: 1 for j in range(graph.n)}
     assert relaxation.bcongest_plan(graph, delays) is None
     # Through the driver: eligible binding, no kernel note -> fallback.
-    config.update(kernels=True)
-    kernels_config.clear_note()
+    kernels_config.consume_note()
     weighted_apsp(graph, seed=0)
     assert kernels_config.cell_engine_source("apsp-weighted") \
         == "vectorized:fallback"
 
 
 def test_disabled_plane_reports_none_and_omits_the_field():
-    config.reset()
-    record = run_differential("path", "apsp-unweighted")
+    with reference_engine():
+        record = run_differential("path", "apsp-unweighted")
     assert record.engine_source == "none"
     assert "engine_source" not in record.as_dict()
 
@@ -190,7 +185,6 @@ def test_disabled_plane_reports_none_and_omits_the_field():
 # ---------------------------------------------------------------------------
 
 def test_sweep_summary_counts_engine_sources():
-    config.update(kernels=True)
     outcome = run_sweep(["path", "cycle"], seeds=(0,))
     summary = outcome.summary()
     counts = summary["engine_sources"]
@@ -203,9 +197,8 @@ def test_sweep_summary_counts_engine_sources():
 
 
 def test_sweep_canonical_records_identical_kernels_on_and_off():
-    config.reset()
-    off = run_sweep(["path", "cycle"], seeds=(0,))
-    config.update(kernels=True)
+    with reference_engine():
+        off = run_sweep(["path", "cycle"], seeds=(0,))
     on = run_sweep(["path", "cycle"], seeds=(0,))
     assert [r.canonical_record() for r in off.results] \
         == [r.canonical_record() for r in on.results]

@@ -2,15 +2,15 @@
 
 Pins:
 
-* **one object, no environment** -- every store / cache / profiling /
-  kernel setting lives in one frozen :class:`SweepConfig`; a sweep
-  with all of them on leaves ``os.environ`` exactly as it found it;
+* **one object, no environment** -- every store / cache / profiling
+  setting lives in one frozen :class:`SweepConfig`; a sweep with all
+  of them on leaves ``os.environ`` exactly as it found it;
 * **isolation** -- ``config.reset()`` restores the defaults and empties
   every artifact chain's LRU, so one call isolates tests;
 * **workers see the parent's config under spawn** -- the executor hands
   the config to each pool worker through the pool initializer, so a
-  spawn-started pool resolves the same stores, cache sizes, profile
-  capture and kernel plane as the parent.
+  spawn-started pool resolves the same stores, cache sizes and profile
+  capture as the parent, and serves eligible cells on the kernels.
 """
 
 import json
@@ -31,11 +31,11 @@ def test_config_clamps_sizes_and_normalizes_roots(tmp_path):
                            oracle_store=tmp_path / "store" / "")
     assert settings.graph_cache_size == 0
     assert settings.oracle_store == str(tmp_path / "store")
-    assert SweepConfig(kernels=True) == SweepConfig(kernels=True)
+    assert SweepConfig(cprofile=True) == SweepConfig(cprofile=True)
 
 
 def test_reset_restores_defaults_and_empties_every_lru():
-    config.update(graph_cache_size=5, kernels=True, revision="rev-A")
+    config.update(graph_cache_size=5, cprofile=True, revision="rev-A")
     graph_cache.scenario_graph(get_scenario("path"))
     assert graph_cache.stats()["size"] == 1
     config.reset()
@@ -63,15 +63,14 @@ def test_run_sweep_leaves_no_repro_env(tmp_path):
                         oracle_store_dir=store_dir, oracle_cache_size=4,
                         decomposition_store_dir=store_dir,
                         decomposition_cache_size=4,
-                        profile_store_dir=store_dir, cprofile=True,
-                        kernels=True)
+                        profile_store_dir=store_dir, cprofile=True)
     assert outcome.ok
     assert dict(os.environ) == before
 
 
 # A spawn-started pool shares no memory with the parent: whatever the
-# workers know about stores, cache sizes, profiling and kernels arrived
-# through the pool initializer.  LRUs are sized 0 so every resolve goes
+# workers know about stores, cache sizes and profiling arrived through
+# the pool initializer, and kernels serve them by default.  LRUs are sized 0 so every resolve goes
 # to the store, which also shows the sizes reached the workers.
 SPAWN_SWEEP = textwrap.dedent("""
     import json
@@ -88,7 +87,7 @@ SPAWN_SWEEP = textwrap.dedent("""
             revision="rev-A", fresh=True, graph_store_dir=store,
             oracle_store_dir=store, decomposition_store_dir=store,
             graph_cache_size=0, oracle_cache_size=0,
-            decomposition_cache_size=0, kernels=True, **settings)
+            decomposition_cache_size=0, **settings)
         assert outcome.ok
         return [result.record for result in outcome.results]
 
@@ -120,7 +119,7 @@ def test_spawned_workers_receive_the_parent_config(tmp_path):
     profiles = FamilyStore(PROFILE_FAMILY, tmp_path / "store")
     for record in records["cold"]:
         # Profiling reached the workers (and keeps kernels off the
-        # profiled executions, which says the kernel knob arrived too).
+        # profiled executions).
         assert record["profile_source"].startswith("store:")
         assert find_profile(profiles, record["scenario"],
                             record["algorithm"], record["size"],
@@ -133,6 +132,7 @@ def test_spawned_workers_receive_the_parent_config(tmp_path):
         assert record["oracle_source"] in ("store", "none")
         assert record["decomposition_source"] in ("store", "none")
         if record["algorithm"] in REGISTRY:
+            # The kernel default holds in spawned workers too.
             assert record["engine_source"].startswith("kernel:")
     assert any(r["decomposition_source"] == "store"
                for r in records["warm"])
