@@ -406,11 +406,3 @@ ORACLES: Dict[str, OracleSpec] = {spec.name: spec for spec in (
         description="verified level/radius/edge stats of the LDC-seeded "
                     "Baswana-Sen hierarchy"),
 )}
-
-
-def get_oracle(name: str) -> OracleSpec:
-    try:
-        return ORACLES[name]
-    except KeyError:
-        known = ", ".join(sorted(ORACLES))
-        raise KeyError(f"unknown oracle {name!r}; known: {known}") from None

@@ -11,7 +11,7 @@ numbers; this module pins one schema and one entry point so every
 A benchmark is a no-argument callable returning a :class:`BenchReport`;
 ``repro bench`` runs the requested (or all) registered benchmarks and
 writes ``BENCH_<name>.json`` next to the repository root (or ``--out``).
-Timing labels are dotted paths (``repeat_execution.legacy``) so nested
+Timing labels are dotted paths (``sweep_construction.cold_store``) so nested
 comparisons stay flat and diffable; speedup keys name the comparison
 they summarize.
 
@@ -23,12 +23,6 @@ that ``repro bench history`` / ``report`` / ``gate`` read.
 
 Registered today:
 
-* ``graph-core`` -- cold construction (legacy dict path vs. CSR),
-  repeat-execution over one graph under >= 3 algorithms (rebuild per
-  execution vs. the zero-rebuild cache layer), per-scenario sweep
-  construction cost (dict-era builds per cell vs. CSR + the per-worker
-  LRU), and an end-to-end in-memory sweep under dict-era construction
-  vs. the cache layer.  Writes ``BENCH_graph_core.json``.
 * ``simulator-fastpath`` -- the PR-1 round-loop benchmark (scalar vs.
   vectorized broadcast delivery) re-expressed in the shared schema.
 * ``kernels`` -- the array-native round engines (:mod:`repro.kernels`):
@@ -59,7 +53,6 @@ Registered today:
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 import json
 import pathlib
@@ -172,207 +165,6 @@ def best_of(fn: Callable[[], Any], reps: int = 3) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
-
-
-# ---------------------------------------------------------------------------
-# graph-core: the CSR core + zero-rebuild cache layer
-# ---------------------------------------------------------------------------
-
-# One dense and one sparse registry scenario, at sizes where both the
-# construction and the execution cost are visible.
-_DENSE = ("dense-gnp", 96)
-_SPARSE = ("sparse-gnp", 192)
-_REPEAT_N = 200          # repeat-execution graph size (dense weighted gnp)
-_REPEAT_SEED = 7
-
-
-def _repeat_workloads():
-    """>= 3 structurally different algorithms over one shared graph."""
-    from repro.matching.israeli_itai import IsraeliItaiMachine
-    from repro.primitives import BFSMachine, LubyMISMachine
-
-    return [
-        ("bfs_flood", lambda info: BFSMachine(info, root=0)),
-        ("luby_mis", LubyMISMachine),
-        ("maximal_matching", IsraeliItaiMachine),
-    ]
-
-
-@contextlib.contextmanager
-def _dict_era_construction():
-    """Route all graph construction through the preserved legacy paths.
-
-    Monkeypatches the generators' CSR entry points onto
-    ``from_edges_legacy`` and ``Graph.reweighted`` onto the validated
-    dict constructor, so a sweep timed under this context pays exactly
-    the dict-era construction costs (the RNG sampling work is identical
-    in both eras).  Bench-local: restored on exit.
-    """
-    import numpy as np
-
-    import repro.graphs.generators as generators_mod
-    from repro.graphs.graph import Graph, from_edges_legacy
-
-    def legacy_from_edge_arrays(n, us, vs, *, name="graph"):
-        pairs = zip(np.asarray(us).tolist(), np.asarray(vs).tolist())
-        return from_edges_legacy(n, pairs, name=name)
-
-    def legacy_reweighted(self, weights, name=None):
-        return Graph(adj=self.adj, weights=weights,
-                     name=self.name if name is None else name)
-
-    originals = (generators_mod.from_edge_arrays, generators_mod.from_edges,
-                 Graph.reweighted)
-    generators_mod.from_edge_arrays = legacy_from_edge_arrays
-    generators_mod.from_edges = from_edges_legacy
-    Graph.reweighted = legacy_reweighted
-    try:
-        yield
-    finally:
-        (generators_mod.from_edge_arrays, generators_mod.from_edges,
-         Graph.reweighted) = originals
-
-
-@register_benchmark("graph-core")
-def bench_graph_core() -> BenchReport:
-    from repro.runner import config, graph_cache
-
-    # The measurement is defined against the default, *storeless* cache
-    # chain: with a graph store connected, store publishes and mmap hits
-    # would leak into every timing (and snapshots into the user's
-    # store).  Disconnect for the duration, then restore.
-    with config.preserved():
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        graph_cache.configure_store(None)
-        return _measure_graph_core()
-
-
-def _measure_graph_core() -> BenchReport:
-    from repro.graphs import gnp
-    from repro.graphs.graph import (
-        from_edges,
-        from_edges_legacy,
-        legacy_rebuild,
-    )
-    from repro.congest.machine import run_machines
-    from repro.runner import graph_cache
-    from repro.runner.engine import run_sweep
-    from repro.scenarios import get_scenario
-
-    timings: Dict[str, float] = {}
-    speedups: Dict[str, float] = {}
-    extra: Dict[str, Any] = {}
-
-    # -- cold construction: legacy dict path vs. CSR, dense + sparse --
-    for name, size in (_DENSE, _SPARSE):
-        scenario = get_scenario(name)
-        graph = scenario.graph(size)
-        edges = list(graph.edges())
-        legacy = best_of(lambda: from_edges_legacy(graph.n, edges))
-        csr = best_of(lambda: from_edges(graph.n, edges))
-        timings[f"cold_construction.{name}.legacy_dict"] = legacy
-        timings[f"cold_construction.{name}.csr"] = csr
-        speedups[f"cold_construction.{name}"] = legacy / csr
-        extra[f"{name}(n={graph.n})"] = {"n": graph.n, "m": graph.m}
-
-    # -- repeat execution: same graph, >= 3 algorithms ----------------
-    # Legacy: every execution rebuilds the graph the dict-era way
-    # (per-edge set churn, full adjacency + weight re-validation) and
-    # derives the simulator precomputation and per-node weight dicts
-    # from scratch (what every differential cell paid before the cache
-    # layer).  Cached: one CSR graph instance serves all executions --
-    # precompute memoized, weight views shared.
-    from repro.graphs import uniform_weights
-
-    graph = uniform_weights(gnp(_REPEAT_N, 0.5, seed=_REPEAT_SEED),
-                            w_max=8, seed=_REPEAT_SEED + 1)
-    workloads = _repeat_workloads()
-    extra["repeat_execution"] = {
-        "graph": f"gnp(n={_REPEAT_N},p=0.5,seed={_REPEAT_SEED})+w[1,8]",
-        "n": graph.n, "m": graph.m,
-        "algorithms": [name for name, _ in workloads],
-    }
-    for label, factory in workloads:
-        base = run_machines(graph, factory, seed=_REPEAT_SEED)
-        fresh = run_machines(legacy_rebuild(graph), factory,
-                             seed=_REPEAT_SEED)
-        assert base.outputs == fresh.outputs, f"{label} diverged"
-
-    def _legacy_pass():
-        for _label, factory in workloads:
-            run_machines(legacy_rebuild(graph), factory,
-                         seed=_REPEAT_SEED)
-
-    def _cached_pass():
-        for _label, factory in workloads:
-            run_machines(graph, factory, seed=_REPEAT_SEED)
-
-    _cached_pass()  # warm the graph's memoized precompute once
-    legacy = best_of(_legacy_pass)
-    cached = best_of(_cached_pass)
-    timings["repeat_execution.legacy_rebuild"] = legacy
-    timings["repeat_execution.cached"] = cached
-    speedups["repeat_execution"] = legacy / cached
-
-    # -- sweep construction: every cell's graph build, per scenario ---
-    # What the sweep path pays to construction alone: one build per
-    # algorithm cell (dict-era, no cache) vs. the CSR core behind the
-    # per-worker LRU (one build per scenario x size, served from cache
-    # for the remaining cells).
-    for name, size in (_DENSE, _SPARSE):
-        scenario = get_scenario(name)
-        cells = len(scenario.algorithms)
-
-        def dict_era_cells():
-            with _dict_era_construction():
-                for _ in range(cells):
-                    scenario.graph(size)
-
-        def cached_cells():
-            graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-            for _ in range(cells):
-                graph_cache.scenario_graph(scenario, size)
-
-        legacy = best_of(dict_era_cells)
-        cached = best_of(cached_cells)
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        timings[f"sweep_construction.{name}.dict_era"] = legacy
-        timings[f"sweep_construction.{name}.csr_lru"] = cached
-        speedups[f"sweep_construction.{name}"] = legacy / cached
-
-    # -- end-to-end sweep: dict-era construction vs. the cache layer --
-    # Sweep cells are dominated by algorithm execution, so this ratio
-    # is necessarily small -- it is recorded to show the construction
-    # wins survive end to end, not as the headline.
-    names = [_DENSE[0], _SPARSE[0]]
-    sizes = [48]
-
-    def dict_era_sweep():
-        graph_cache.configure(0)
-        with _dict_era_construction():
-            run_sweep(names, sizes=sizes, seeds=(0,))
-
-    def cached_sweep():
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        run_sweep(names, sizes=sizes, seeds=(0,))
-
-    try:
-        cold = best_of(dict_era_sweep)
-        warm = best_of(cached_sweep)
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-    timings["sweep.dict_era"] = cold
-    timings["sweep.cached"] = warm
-    speedups["sweep"] = cold / warm
-    extra["sweep"] = {"names": names, "sizes": sizes}
-
-    return BenchReport(
-        name="graph-core",
-        scenario=(f"{_DENSE[0]}(size={_DENSE[1]}) + "
-                  f"{_SPARSE[0]}(size={_SPARSE[1]}) construction; "
-                  f"gnp(n={_REPEAT_N},p=0.5)+w[1,8] x 3 algorithms repeat; "
-                  f"2-scenario sweep at size {sizes[0]}"),
-        timings=timings, speedups=speedups, extra=extra)
 
 
 # ---------------------------------------------------------------------------

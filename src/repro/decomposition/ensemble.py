@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.decomposition.baswana_sen import BaswanaSenHierarchy
 from repro.decomposition.pruning import build_pruned_hierarchy
@@ -62,14 +62,3 @@ def cluster_edge_multiplicity(graph: Graph,
         "max": max(counts.values()),
         "mean": sum(counts.values()) / total_edges,
     }
-
-
-def smoothed_congestion(per_batch_congestion: Sequence[Counter],
-                        ) -> Tuple[int, Counter]:
-    """Combine per-batch edge-congestion counters (executions that run
-    concurrently under Theorem 1.3 share edges additively)."""
-    combined: Counter = Counter()
-    for counter in per_batch_congestion:
-        combined.update(counter)
-    worst = max(combined.values()) if combined else 0
-    return worst, combined

@@ -6,8 +6,6 @@ from repro.graphs.graph import (
     edge_key,
     from_edge_arrays,
     from_edges,
-    from_edges_legacy,
-    legacy_rebuild,
 )
 from repro.graphs.generators import (
     augmenting_chain,
@@ -35,10 +33,9 @@ from repro.graphs.weights import (
 
 __all__ = [
     "EdgeKey", "Graph", "augmenting_chain", "complete", "cycle",
-    "dumbbell", "edge_key", "from_edge_arrays", "from_edges",
-    "from_edges_legacy", "gnp", "gnp_streaming", "grid", "legacy_rebuild",
-    "near_disconnected", "path", "power_law", "random_bipartite",
-    "random_regular", "random_tree", "torus",
+    "dumbbell", "edge_key", "from_edge_arrays", "from_edges", "gnp",
+    "gnp_streaming", "grid", "near_disconnected", "path", "power_law",
+    "random_bipartite", "random_regular", "random_tree", "torus",
     "asymmetric_weights", "heavy_tailed_weights",
     "negative_safe_weights", "poly_range_weights", "uniform_weights",
 ]

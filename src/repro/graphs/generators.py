@@ -35,7 +35,8 @@ closed-form families and ``gnp`` emit endpoint arrays directly (no
 per-edge Python objects at all), while families whose RNG draws are
 inherently sequential (stub matching, per-pair coin flips) keep their
 edge loops -- preserving the exact RNG consumption, and therefore the
-exact graphs, of the dict-era generators -- and hand the finished edge
+exact graphs, of the dict-era generators (pinned by the golden
+``tests/golden/graphs.json`` digests) -- and hand the finished edge
 set to the vectorized :func:`repro.graphs.graph.from_edges`.
 """
 

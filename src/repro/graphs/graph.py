@@ -32,6 +32,7 @@ and multi-algorithm sweep cells lean on.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -56,8 +57,8 @@ class Graph:
     ----------
     adj:
         Adjacency map ``node -> sorted tuple of neighbors``.  Node names
-        must be ``0 .. n-1``.  This is the legacy dict construction
-        route (fully validated); bulk construction goes through
+        must be ``0 .. n-1``.  This is the fully validated dict
+        construction route; bulk construction goes through
         :func:`from_edges` / :func:`from_edge_arrays`, which build the
         CSR arrays directly and materialize ``adj`` on demand.
     weights:
@@ -95,7 +96,7 @@ class Graph:
     # ------------------------------------------------------------------
     def _init_from_dict(self, adj: Dict[int, Tuple[int, ...]],
                         weights: Optional[Dict[EdgeKey, float]]) -> None:
-        """The legacy dict route: validate exactly as the seed code did."""
+        """The dict route: validate adjacency, then build the CSR arrays."""
         expected = set(range(len(adj)))
         if set(adj) != expected:
             raise ValueError("graph nodes must be named 0..n-1")
@@ -380,9 +381,8 @@ def from_edge_arrays(n: int, us, vs, *, name: str = "graph") -> Graph:
     """Build a :class:`Graph` from parallel endpoint arrays.
 
     The vectorized construction core: self-loops are dropped, duplicate
-    edges collapse, and the adjacency comes out sorted (matching
-    :func:`from_edges`' legacy behavior) -- all in O(m log m) numpy
-    work with no per-edge Python objects.
+    edges collapse, and the adjacency comes out sorted -- all in
+    O(m log m) numpy work with no per-edge Python objects.
     """
     us = np.asarray(us, dtype=np.int64).ravel()
     vs = np.asarray(vs, dtype=np.int64).ravel()
@@ -391,7 +391,7 @@ def from_edge_arrays(n: int, us, vs, *, name: str = "graph") -> Graph:
     if n <= 0:
         if len(us):
             raise ValueError("edge endpoint out of range for empty graph")
-        return Graph(adj={})
+        return Graph(adj={}, name=name)
     if len(us):
         lo = min(int(us.min()), int(vs.min()))
         hi = max(int(us.max()), int(vs.max()))
@@ -417,15 +417,23 @@ def from_edges(n: int, edge_list,
     Duplicate edges are collapsed; the adjacency lists come out sorted so
     that executions are reproducible.  Accepts any iterable of pairs or
     an (m, 2) integer array; either way construction runs through the
-    vectorized CSR core (see :func:`from_edges_legacy` for the preserved
-    dict-era path the equivalence tests and benchmarks compare against).
+    vectorized CSR core.  An edge that is not a pair raises
+    ``ValueError``.
     """
     if isinstance(edge_list, np.ndarray):
+        if edge_list.size and edge_list.shape[1:] != (2,):
+            raise ValueError(f"edge array must have shape (m, 2), "
+                             f"got {edge_list.shape}")
         pairs = edge_list.reshape(-1, 2)
         us, vs = pairs[:, 0], pairs[:, 1]
     else:
-        flat = np.fromiter(
-            (x for edge in edge_list for x in edge), dtype=np.int64)
+        edges = list(edge_list)
+        m = len(edges)
+        arity = np.fromiter(map(len, edges), dtype=np.int64, count=m)
+        if (arity != 2).any():
+            raise ValueError("every edge must be a (u, v) pair")
+        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                           count=2 * m)
         us, vs = flat[0::2], flat[1::2]
     g = from_edge_arrays(n, us, vs, name=name)
     if weights is not None:
@@ -435,46 +443,6 @@ def from_edges(n: int, edge_list,
             full.setdefault((v, u), w)
         g._attach_weights(full)
     return g
-
-
-def from_edges_legacy(n: int, edge_list: Iterable[EdgeKey],
-                      weights: Optional[Dict[EdgeKey, float]] = None,
-                      name: str = "graph") -> Graph:
-    """The dict-era construction path, preserved verbatim.
-
-    Builds per-node neighbor sets edge by edge and goes through the
-    fully-validated dict constructor.  Kept as the differential anchor:
-    the CSR/legacy property tests pin byte-identical executions between
-    graphs built here and by :func:`from_edges`, and
-    ``benchmarks/bench_graph_core.py`` measures the construction gap.
-    """
-    nbrs: List[set] = [set() for _ in range(n)]
-    for u, v in edge_list:
-        if u == v:
-            continue
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    adj = {u: tuple(sorted(nbrs[u])) for u in range(n)}
-    if weights is not None:
-        full = {}
-        for (u, v), w in weights.items():
-            full[(u, v)] = w
-            full.setdefault((v, u), w)
-        weights = full
-    return Graph(adj=adj, weights=weights, name=name)
-
-
-def legacy_rebuild(graph: Graph) -> Graph:
-    """A dict-era reconstruction of ``graph``: per-edge set churn plus
-    the fully-validated dict constructor, with no memoized caches.
-
-    The one shared recipe behind both the CSR/legacy equivalence tests
-    and the ``BENCH_graph_core.json`` baseline, so they always measure
-    the same preserved path.
-    """
-    weights = None if graph.weights is None else dict(graph.weights)
-    return from_edges_legacy(graph.n, list(graph.edges()), weights=weights,
-                             name=graph.name)
 
 
 def edge_key(u: int, v: int) -> EdgeKey:

@@ -20,9 +20,9 @@ insertion order*, not re-derived from the CSR arrays: the dict a fresh
 generator builds has a specific iteration order, and a restored graph
 must be indistinguishable from a fresh build down to that order (the
 byte-identity contract ``tests/test_store.py`` pins, the same way the
-CSR-vs-legacy tests pin construction equivalence).  ``.tolist()`` on
-the value array round-trips numpy scalars back to the Python ints (or
-floats) the generators produced.
+golden ``tests/golden/graphs.json`` digests pin construction).
+``.tolist()`` on the value array round-trips numpy scalars back to the
+Python ints (or floats) the generators produced.
 """
 
 from __future__ import annotations

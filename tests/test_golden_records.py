@@ -1,15 +1,31 @@
-"""The golden tier-1 record table (``tests/golden/tier1_records.json``).
+"""The golden tables under ``tests/golden/``.
 
-Every cell of the default sweep must reproduce the canonical-record
-digest pinned in the table, which was generated on the vectorized
-reference engine; the kernel-eligible cells must actually be served by
-a kernel.  Regenerate the table with ``tests/golden/regenerate.py`` only
-when a change is meant to alter canonical records.
+* Every cell of the default sweep must reproduce the canonical-record
+  digest pinned in ``tier1_records.json``, which was generated on the
+  vectorized reference engine; the kernel-eligible cells must actually
+  be served by a kernel.
+* Every registry scenario graph, at its default size and at size 128,
+  must reproduce the digest pinned in ``graphs.json``.  That table was
+  generated from the dict-era construction path, so it pins that the
+  CSR core builds byte-identical graphs (node ids as ``int``, weight
+  types and dict order included).
+* The ``flaky-links`` / ``reorder-heavy`` fault cells at fault seed 7
+  must reproduce ``fault_records.json`` (verdicts included).
+
+Regenerate the tables with ``tests/golden/regenerate.py`` only when a
+change is meant to alter canonical records or graphs.
 """
 
 import json
 
-from golden.regenerate import TABLE, tier1_digests
+from golden.regenerate import (
+    FAULT_TABLE,
+    GRAPH_TABLE,
+    TABLE,
+    fault_digests,
+    graph_digests,
+    tier1_digests,
+)
 
 from repro.kernels import REGISTRY
 from repro.runner import run_sweep
@@ -25,3 +41,15 @@ def test_tier1_records_match_the_golden_table():
     for result in eligible:
         assert result.record["engine_source"].startswith("kernel:"), \
             result.spec.identity
+
+
+def test_scenario_graphs_match_the_golden_table():
+    expected = json.loads(GRAPH_TABLE.read_text())
+    assert len(expected) == 54
+    assert graph_digests() == expected
+
+
+def test_fault_cells_match_the_golden_table():
+    expected = json.loads(FAULT_TABLE.read_text())
+    assert len(expected) == 14
+    assert fault_digests() == expected

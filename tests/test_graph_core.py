@@ -1,29 +1,34 @@
-"""The CSR graph core + zero-rebuild cache layer (ISSUE 3).
+"""The CSR graph core + zero-rebuild cache layer.
 
-Pins the tentpole equivalences:
+Pins the core equivalences:
 
 * executions over a CSR-constructed graph are byte-identical to
-  executions over the preserved dict-era construction
-  (:func:`repro.graphs.graph.from_edges_legacy`), under both the
+  executions over the same graph rebuilt through the validated dict
+  constructor (``Graph(adj=..., weights=...)``), under both the
   vectorized and the scalar simulator paths;
 * scenario x algorithm binding results (outputs, checks, metrics,
   detail) agree between the two construction paths;
+* :func:`from_edges` / :func:`from_edge_arrays` drop self-loops,
+  collapse duplicates and sort adjacency like a set-based reference,
+  and reject malformed edges;
 * ``make_node_info`` weight views: one shared mapping on undirected
   weighted graphs, distinct and correctly-oriented mappings on
   directed/asymmetric ones;
 * the per-worker graph LRU serves same-key cells from cache, never
   crosses construction seeds, and leaves records byte-identical.
+
+That the CSR core builds the same graphs as the retired dict-era
+generators is pinned by the golden ``tests/golden/graphs.json`` table.
 """
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.congest.machine import run_machines
 from repro.congest.network import make_node_info
-from repro.graphs.graph import (
-    from_edges,
-    from_edges_legacy,
-    legacy_rebuild,
-)
+from repro.graphs.graph import Graph, from_edge_arrays, from_edges
 from repro.primitives import BFSMachine, LubyMISMachine
 from repro.runner import graph_cache
 from repro.scenarios import get_binding, get_scenario
@@ -54,19 +59,25 @@ def execution_signature(execution):
             metrics.max_message_words)
 
 
+def dict_rebuild(graph):
+    """``graph`` rebuilt through the validated dict constructor."""
+    weights = None if graph.weights is None else dict(graph.weights)
+    return Graph(adj=dict(graph.adj), weights=weights, name=graph.name)
+
+
 def _matrix_case(name, size, seed):
     scenario = get_scenario(name)
     graph = scenario.graph(size, seed=seed)
-    legacy = legacy_rebuild(graph)
-    assert legacy.adj == graph.adj
-    assert legacy.weights == graph.weights
+    rebuilt = dict_rebuild(graph)
+    assert rebuilt.adj == graph.adj
+    assert rebuilt.weights == graph.weights
     for label, factory in WORKLOADS:
         signatures = [
             execution_signature(
                 run_machines(g, factory, seed=seed, fast_path=fast))
-            for g in (graph, legacy) for fast in (True, False)]
+            for g in (graph, rebuilt) for fast in (True, False)]
         assert all(sig == signatures[0] for sig in signatures), (
-            f"{name} x {label}: CSR/legacy x fast/scalar paths diverged")
+            f"{name} x {label}: CSR/dict x fast/scalar paths diverged")
 
 
 @pytest.mark.scenario
@@ -95,18 +106,63 @@ def test_binding_records_identical_across_construction(name):
     for algorithm in scenario.algorithms:
         binding = get_binding(algorithm)
         a = binding.run(graph, derived)
-        b = binding.run(legacy_rebuild(graph), derived)
+        b = binding.run(dict_rebuild(graph), derived)
         assert (a.ok, a.checks, a.metrics, a.detail) == \
             (b.ok, b.checks, b.metrics, b.detail), f"{name} x {algorithm}"
 
 
-def test_from_edges_matches_legacy_dedupe_and_sort():
-    edges = [(3, 1), (1, 3), (0, 2), (2, 2), (4, 0), (0, 4)]
-    a = from_edges(5, edges)
-    b = from_edges_legacy(5, edges)
-    assert a.adj == b.adj
-    assert a.m == b.m == 3
-    assert list(a.edges()) == list(b.edges())
+def _reference_adj(n, edges):
+    """Set-based construction: drop self-loops, dedupe, sort."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return {u: tuple(sorted(nbrs[u])) for u in range(n)}
+
+
+@st.composite
+def edge_lists(draw):
+    """n in [0, 12]; self-loops, duplicates, both orientations, and
+    isolated nodes all occur."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return n, []
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=3 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+@example((5, [(3, 1), (1, 3), (0, 2), (2, 2), (4, 0), (0, 4)]))
+def test_from_edges_matches_legacy_dedupe_and_sort(case):
+    n, edges = case
+    adj = _reference_adj(n, edges)
+    expected_edges = [(u, v) for u in adj for v in adj[u] if u < v]
+    us = [u for u, _ in edges]
+    vs = [v for _, v in edges]
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    for g in (from_edges(n, edges), from_edges(n, pairs),
+              from_edge_arrays(n, us, vs)):
+        assert g.adj == adj
+        assert g.m == len(expected_edges)
+        assert list(g.edges()) == expected_edges
+
+
+@pytest.mark.parametrize("edges", (
+    [(0, 1, 2), (1, 2, 0)],
+    [(0, 1, 2), (1,)],
+    np.array([[0, 1, 2], [1, 2, 0]]),
+    np.array([0, 1, 1, 2]),
+), ids=("triples", "mixed-arity", "array-triples", "flat-array"))
+def test_from_edges_rejects_non_pairs(edges):
+    with pytest.raises(ValueError):
+        from_edges(3, edges)
+
+
+def test_empty_graphs_keep_their_name():
+    assert from_edges(0, [], name="x").name == "x"
+    assert from_edge_arrays(0, [], [], name="x").name == "x"
 
 
 # ---------------------------------------------------------------------------
