@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.machine import Machine, MachineFactory
+from repro.congest.machine import MachineFactory, MachineSet
 from repro.congest.metrics import Metrics
-from repro.congest.network import make_node_info
 from repro.graphs.graph import Graph
 
 
@@ -60,15 +59,10 @@ class _Component:
                  *, inputs: Optional[Dict[int, Any]], seed: int,
                  delay: int):
         self.index = index
-        self.graph = graph
         self.delay = delay
-        self.machines: Dict[int, Machine] = {}
-        for v in graph.nodes():
-            info = make_node_info(graph, v, inputs=inputs, seed=seed)
-            self.machines[v] = factory(info)
+        self.machines = MachineSet(graph, factory, inputs=inputs, seed=seed)
         self.round = 0
         self.in_flight = 0
-        self.inboxes: Dict[int, List[Tuple[int, Any]]] = {}
         self.next_inboxes: Dict[int, List[Tuple[int, Any]]] = {}
         self.done = False
 
@@ -77,31 +71,19 @@ class _Component:
             return False
         return self.in_flight == 0
 
-    def quiescent(self) -> bool:
-        if self.done:
-            return True
-        if self.in_flight or self.next_inboxes:
-            return False
-        live = [m for m in self.machines.values() if not m.halted]
-        if not live:
-            return True
-        if any(not m.passive() for m in live):
-            return False
-        wakes = [m.wake_round() for m in live]
-        return all(w is None or w <= self.round for w in wakes)
-
     def step(self) -> List[Tuple[int, int, Any]]:
-        """Advance one internal round; return (src, dst, payload) sends."""
+        """Advance one internal round; return (src, dst, payload) sends.
+
+        Idle internal rounds still take a wall round each; the component
+        is done once no machine would act again."""
+        if self.machines.next_round(self.round, self.next_inboxes) is None:
+            self.done = True
+            return []
         self.round += 1
-        self.inboxes, self.next_inboxes = self.next_inboxes, {}
-        sends: List[Tuple[int, int, Any]] = []
-        for v, machine in self.machines.items():
-            if machine.halted:
-                continue
-            payload = machine.on_round(self.round, self.inboxes.get(v, []))
-            if payload is not None:
-                for u in self.graph.neighbors(v):
-                    sends.append((v, u, payload))
+        inboxes, self.next_inboxes = self.next_inboxes, {}
+        sends = [(v, u, payload) for v, payload
+                 in self.machines.step(self.round, inboxes).items()
+                 for u in self.machines.graph.neighbors(v)]
         self.in_flight = len(sends)
         return sends
 
@@ -147,9 +129,6 @@ def compose_machines(graph: Graph, factories: List[MachineFactory], *,
         # Step every component whose previous round has fully landed.
         for comp in components:
             if comp.ready_to_step(wall):
-                if comp.quiescent():
-                    comp.done = True
-                    continue
                 for src, dst, payload in comp.step():
                     queues.setdefault((src, dst), deque()).append(
                         (comp.index, src, dst, payload))
@@ -177,8 +156,7 @@ def compose_machines(graph: Graph, factories: List[MachineFactory], *,
             elif all(c.done for c in components):
                 break
 
-    outputs = [{v: comp.machines[v].output() for v in graph.nodes()}
-               for comp in components]
+    outputs = [comp.machines.outputs() for comp in components]
     congestion = metrics.max_edge_congestion
     dilation = max(c.round for c in components)
     metrics.rounds = last_activity

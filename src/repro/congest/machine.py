@@ -15,8 +15,9 @@ broadcast payload per round.  A machine can therefore be
 * run **directly** on a :class:`~repro.congest.network.Network` through
   :class:`MachineAdapter` -- this measures its true BCONGEST round,
   message, and broadcast complexity; or
-* stepped **locally** by a simulation driver, with the driver responsible
-  for delivering exactly the messages the real execution would deliver.
+* stepped **locally** through a :class:`MachineSet` by a simulation
+  driver, with the driver responsible for delivering exactly the
+  messages the real execution would deliver.
 
 The equivalence of the two modes is the correctness property of the
 paper's simulations (Lemma 2.5 / Lemma 3.14) and is checked in tests.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.congest.errors import AlgorithmError
 from repro.congest.network import (
     Algorithm,
     Execution,
@@ -34,6 +36,7 @@ from repro.congest.network import (
     NodeAPI,
     NodeInfo,
     make_node_info,
+    payload_words,
     run_algorithm,
 )
 from typing import TYPE_CHECKING
@@ -56,7 +59,13 @@ class Machine:
     ``halted`` means the machine will never broadcast again and its
     ``output`` is final.  ``passive()`` means the machine does not need
     to be woken until a message arrives (it is still willing to react).
-    A machine must be driven in lockstep unless it is passive.
+
+    The scheduling rule: in round ``r`` a live machine is stepped iff it
+    has mail, is not passive, or ``wake_round() == r``.  Every execution
+    mode steps machines by this rule, and it has exactly two homes:
+    :func:`next_wake` (the next mail-free round a machine acts in, which
+    :class:`MachineAdapter` schedules on the network) and
+    :class:`MachineSet` (which the local drivers step).
     """
 
     def __init__(self, info: NodeInfo):
@@ -87,18 +96,32 @@ class Machine:
         self._output = value
 
 
-class MachineAdapter(Algorithm):
-    """Runs a :class:`Machine` as a node algorithm on a real network.
+def next_wake(machine: Machine, rnd: int) -> Optional[int]:
+    """The next round after ``rnd`` in which ``machine`` acts without
+    mail: ``rnd + 1`` unless it is passive, else its declared future
+    ``wake_round``; None once it is halted or purely message-driven."""
+    if machine.halted:
+        return None
+    if not machine.passive():
+        return rnd + 1
+    wake = machine.wake_round()
+    return wake if wake is not None and wake > rnd else None
 
-    The adapter keeps the machine in lockstep: while the machine is not
-    passive it is woken every round; a passive machine is woken only by
-    incoming messages or by its declared ``wake_round``.
-    """
+
+def check_broadcast_words(words: int, limit: int) -> None:
+    """The one oversize check on a simulated algorithm's broadcast."""
+    if words > limit:
+        raise AlgorithmError(
+            f"simulated algorithm broadcast {words} words > {limit}")
+
+
+class MachineAdapter(Algorithm):
+    """Runs a :class:`Machine` as a node algorithm on a real network,
+    woken by incoming messages and by :func:`next_wake`."""
 
     def __init__(self, info: NodeInfo, machine: Machine):
         super().__init__(info)
         self.machine = machine
-        self._last_round_run = 0
 
     def on_round(self, api: NodeAPI, rnd: int, inbox: Inbox) -> None:
         machine = self.machine
@@ -106,19 +129,15 @@ class MachineAdapter(Algorithm):
             api.halt(machine.output())
             return
         payload = machine.on_round(rnd, inbox)
-        self._last_round_run = rnd
         if payload is not None:
             api.broadcast(payload)
         api.set_output(machine.output())
         if machine.halted:
             api.halt(machine.output())
             return
-        if not machine.passive():
-            api.wake_at(rnd + 1)
-        else:
-            wake = machine.wake_round()
-            if wake is not None and wake > rnd:
-                api.wake_at(wake)
+        wake = next_wake(machine, rnd)
+        if wake is not None:
+            api.wake_at(wake)
 
 
 def run_machines(graph: "Graph", factory: MachineFactory, *,
@@ -154,57 +173,85 @@ def run_machines(graph: "Graph", factory: MachineFactory, *,
     return execution
 
 
-class LocalRunner:
-    """Steps a full collection of machines *locally* (no network).
+class MachineSet:
+    """Every node's machine, stepped locally under the scheduling rule.
 
-    Used as an oracle in tests: the paper's simulations must produce the
-    same outputs as this direct lockstep execution (Lemmas 2.5 / 3.14).
-    Also used by drivers to pre-compute a machine collection's round
-    complexity upper bound T_A where the paper assumes it known.
+    The drivers that re-execute a machine collection off the network
+    (:class:`LocalRunner`, the Theorem 2.1 and Theorem 3.9/3.10
+    simulations, the Theorem 1.3 composer) own only their delivery
+    scheme; construction, stepping, the broadcast size check and the
+    idle fast-forward all live here.  Machine seeds match
+    :func:`run_machines` with the same ``seed``.
     """
 
     def __init__(self, graph: "Graph", factory: MachineFactory, *,
                  inputs: Optional[Dict[int, Any]] = None,
-                 known_n: bool = True, seed: int = 0):
+                 known_n: bool = True, seed: int = 0,
+                 message_words: Optional[int] = None):
         self.graph = graph
-        self.machines: Dict[int, Machine] = {}
-        for v in graph.nodes():
-            info = make_node_info(graph, v, inputs=inputs,
-                                  known_n=known_n, seed=seed)
-            self.machines[v] = factory(info)
-        self.round = 0
-        self.broadcasts = 0
+        self.message_words = message_words
+        self.machines: Dict[int, Machine] = {
+            v: factory(make_node_info(graph, v, inputs=inputs,
+                                      known_n=known_n, seed=seed))
+            for v in graph.nodes()}
+
+    def step(self, rnd: int, inboxes: Dict[int, Inbox]) -> Dict[int, Any]:
+        """Step the machines due in round ``rnd``, in node order; return
+        ``{node: payload}`` for those that broadcast."""
+        limit = self.message_words
+        broadcasts: Dict[int, Any] = {}
+        for v, machine in self.machines.items():
+            if machine.halted:
+                continue
+            inbox = inboxes.get(v)
+            # The rule of next_wake, inline: this runs per machine per round.
+            if inbox or not machine.passive() or machine.wake_round() == rnd:
+                payload = machine.on_round(rnd, inbox or [])
+                if payload is not None:
+                    if limit is not None:
+                        check_broadcast_words(payload_words(payload), limit)
+                    broadcasts[v] = payload
+        return broadcasts
+
+    def next_round(self, rnd: int, mail: Dict[int, Inbox]) -> Optional[int]:
+        """The next round after ``rnd`` in which any machine acts, given
+        the ``mail`` for round ``rnd + 1``; None at quiescence."""
+        if mail:
+            return rnd + 1
+        wakes = [w for w in (next_wake(m, rnd) for m in self.machines.values())
+                 if w is not None]
+        return min(wakes) if wakes else None
+
+    def outputs(self) -> Dict[int, Any]:
+        return {v: m.output() for v, m in self.machines.items()}
+
+
+class LocalRunner(MachineSet):
+    """Steps a full collection of machines *locally* (no network), with
+    every broadcast delivered to all neighbors in the next round.
+
+    Used as an oracle in tests: the paper's simulations must produce the
+    same outputs as this direct execution (Lemmas 2.5 / 3.14).  Also
+    used by drivers to pre-compute a machine collection's round
+    complexity upper bound T_A where the paper assumes it known.
+    """
 
     def run(self, max_rounds: int = 1_000_000) -> Dict[int, Any]:
-        """Run to global quiescence; return outputs."""
-        pending: Dict[int, List[Tuple[int, Any]]] = {}
-        while True:
-            self.round += 1
-            if self.round > max_rounds:
+        """Run to global quiescence; return outputs.  Afterwards
+        ``round`` is the last round run and ``broadcasts`` the number of
+        broadcasts made."""
+        self.broadcasts = 0
+        inboxes: Dict[int, List[Tuple[int, Any]]] = {}
+        rnd: Optional[int] = 1
+        while rnd is not None:
+            if rnd > max_rounds:
                 raise RuntimeError("LocalRunner exceeded max_rounds")
-            inboxes, pending = pending, {}
-            for v, machine in self.machines.items():
-                if machine.halted:
-                    continue
-                inbox = inboxes.get(v, [])
-                if (inbox or not machine.passive()
-                        or machine.wake_round() == self.round):
-                    payload = machine.on_round(self.round, inbox)
-                    if payload is not None:
-                        self.broadcasts += 1
-                        for u in self.graph.neighbors(v):
-                            pending.setdefault(u, []).append((v, payload))
-            if pending:
-                continue
-            if any(not m.halted and not m.passive()
-                   for m in self.machines.values()):
-                continue
-            # Everyone is passive and nothing is in flight: jump to the
-            # next scheduled wake-up, or finish if there is none.
-            future = [m.wake_round() for m in self.machines.values()
-                      if not m.halted and m.wake_round() is not None
-                      and m.wake_round() > self.round]
-            if not future:
-                break
-            self.round = min(future) - 1
-        return {v: m.output() for v, m in self.machines.items()}
+            self.round = rnd
+            sent = self.step(rnd, inboxes)
+            self.broadcasts += len(sent)
+            inboxes = {}
+            for v, payload in sent.items():
+                for u in self.graph.neighbors(v):
+                    inboxes.setdefault(u, []).append((v, payload))
+            rnd = self.next_round(rnd, inboxes)
+        return self.outputs()

@@ -205,8 +205,8 @@ def stable_seed(*parts: Any) -> int:
 def node_seed(master: int, v: int) -> int:
     """The per-node PRNG seed derived from a master seed.
 
-    Shared between every execution mode (direct run, local lockstep
-    oracle, and both simulation frameworks) so that a node's machine
+    Shared between every execution mode (direct run, local oracle, and
+    both simulation frameworks) so that a node's machine
     makes identical random choices everywhere -- the precondition for the
     byte-exact output-equivalence tests of Lemmas 2.5 and 3.14.
     """

@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.machine import Machine
+from repro.congest.machine import Machine, MachineSet, check_broadcast_words
 from repro.congest.metrics import Metrics
-from repro.congest.network import make_node_info, payload_words
+from repro.congest.network import payload_words
 from repro.congest.profile import mark_phase
 from repro.decomposition.ldc import LDCDecomposition, build_ldc
 from repro.graphs.graph import Graph
@@ -177,24 +177,12 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     members = ldc.members()
     center_of = ldc.center_of
 
-    # Cluster centers instantiate their members' machines locally (a
-    # kernel-plan replay skips the machines entirely).
-    machines: Dict[int, Machine] = {}
-    if plan is None:
-        for v in graph.nodes():
-            info = make_node_info(graph, v, inputs=inputs, known_n=True,
-                                  seed=seed)
-            machines[v] = factory(info)
-
     down_paths = {v: path_from_root(parent, v) for v in graph.nodes()}
     up_paths = {v: path_to_root(parent, v) for v in graph.nodes()}
 
     # ---------------- Simulation phases ----------------
     mark_phase("simulation")
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
     broadcasts_simulated = 0
-    phase = 0
-    executed_phases = 0
     transport_limit = message_words + 3  # payload + origin + dest + slack
     if plan is not None:
         # Kernel replay: the broadcast schedule is precomputed; route the
@@ -204,10 +192,7 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
         for phase, scheduled in plan.phase_payloads:
             packets: List[Packet] = []
             for v, payload in scheduled:
-                if payload_words(payload) > message_words:
-                    raise AlgorithmError(
-                        f"simulated algorithm broadcast "
-                        f"{payload_words(payload)} words > {message_words}")
+                check_broadcast_words(payload_words(payload), message_words)
                 broadcasts_simulated += 1
                 for (_v, u_ext) in ldc.out_edges[v]:
                     path = (down_paths[v] + (u_ext,)
@@ -219,27 +204,19 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
                 total.merge(metrics)
         executed_phases = plan.executed_phases
     else:
-        while True:
-            phase += 1
+        # Cluster centers instantiate their members' machines locally (a
+        # kernel-plan replay skips the machines entirely).
+        machines = MachineSet(graph, factory, inputs=inputs, seed=seed,
+                              message_words=message_words)
+        inboxes: Dict[int, List[Tuple[int, Any]]] = {}
+        phase: Optional[int] = 1
+        while phase is not None:
             if phase > max_phases:
                 raise AlgorithmError("simulation exceeded max_phases")
             executed_phases = phase
-            current, inboxes = inboxes, {}
-            broadcasters: Dict[int, Any] = {}
-            for v in graph.nodes():
-                machine = machines[v]
-                if machine.halted:
-                    continue
-                payload = machine.on_round(phase, current.get(v, []))
-                if payload is not None:
-                    if payload_words(payload) > message_words:
-                        raise AlgorithmError(
-                            f"simulated algorithm broadcast "
-                            f"{payload_words(payload)} words > "
-                            f"{message_words}")
-                    broadcasters[v] = payload
-                    broadcasts_simulated += 1
-
+            broadcasters = machines.step(phase, inboxes)
+            broadcasts_simulated += len(broadcasters)
+            inboxes = {}
             if broadcasters:
                 # Intra-cluster delivery: free, the center knows all.
                 for v, payload in broadcasters.items():
@@ -266,23 +243,12 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
                             if src in graph.neighbors(u):
                                 inboxes.setdefault(u, []).append(
                                     (src, payload))
-
-            if not inboxes:
-                live = [m for m in machines.values() if not m.halted]
-                if not live:
-                    break
-                wakes = [m.wake_round() for m in live]
-                future = [w for w in wakes if w is not None and w > phase]
-                if all(m.passive() for m in live):
-                    if not future:
-                        break
-                    phase = min(future) - 1
+            phase = machines.next_round(phase, inboxes)
     simulation = total.delta_since(preprocessing)
 
     # ---------------- Output delivery ----------------
     mark_phase("output-delivery")
-    outputs = (plan.outputs if plan is not None
-               else {v: machines[v].output() for v in graph.nodes()})
+    outputs = plan.outputs if plan is not None else machines.outputs()
     out_packets: List[Packet] = []
     output_words = 0
     for v in graph.nodes():

@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.machine import Machine
+from repro.congest.machine import Machine, MachineSet
 from repro.congest.metrics import Metrics
-from repro.congest.network import make_node_info, payload_words
 from repro.core.aggregation import AggregateFn, get_aggregator
 from repro.decomposition.baswana_sen import BaswanaSenHierarchy, _one_shot
 from repro.graphs.graph import EdgeKey, Graph, undirected
@@ -173,13 +172,10 @@ def simulate_aggregation(graph: Graph, hierarchy: BaswanaSenHierarchy,
 
     views, clusters_of_node, incident_f = build_cluster_views(
         graph, hierarchy)
-    machines: Dict[int, Machine] = {}
-    for v in graph.nodes():
-        info = make_node_info(graph, v, inputs=inputs, known_n=True,
-                              seed=seed)
-        machines[v] = factory(info)
+    machines = MachineSet(graph, factory, inputs=inputs, seed=seed,
+                          message_words=message_words)
     if aggregate is None:
-        aggregate = get_aggregator(next(iter(machines.values())))
+        aggregate = get_aggregator(next(iter(machines.machines.values())))
 
     neighbors = {v: set(graph.neighbors(v)) for v in graph.nodes()}
     up_paths: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
@@ -195,27 +191,15 @@ def simulate_aggregation(graph: Graph, hierarchy: BaswanaSenHierarchy,
 
     inboxes: Dict[int, List[Tuple[int, Any]]] = {}
     broadcasts_simulated = 0
-    phase = 0
+    phase = 1
     transport_limit = message_words + 4
     while True:
-        phase += 1
         if phase > max_phases:
             raise AlgorithmError("trade-off simulation exceeded max_phases")
-        current, inboxes = inboxes, {}
-
         # ---- Compute step of the previous phase feeds round `phase`.
-        broadcasters: Dict[int, Any] = {}
-        for v in graph.nodes():
-            machine = machines[v]
-            if machine.halted:
-                continue
-            payload = machine.on_round(phase, current.get(v, []))
-            if payload is not None:
-                if payload_words(payload) > message_words:
-                    raise AlgorithmError(
-                        "simulated broadcast exceeds message_words")
-                broadcasters[v] = payload
-                broadcasts_simulated += 1
+        broadcasters = machines.step(phase, inboxes)
+        broadcasts_simulated += len(broadcasters)
+        inboxes = {}
 
         if broadcasters:
             # ---- (i) Indirect send over incident F* edges.
@@ -318,22 +302,16 @@ def simulate_aggregation(graph: Graph, hierarchy: BaswanaSenHierarchy,
                 if relevant:
                     inboxes.setdefault(v, []).extend(aggregate(relevant))
 
-        if not inboxes:
-            live = [m for m in machines.values() if not m.halted]
-            if not live:
-                break
-            wakes = [m.wake_round() for m in live]
-            future = [w for w in wakes if w is not None and w > phase]
-            if all(m.passive() for m in live):
-                if not future:
-                    break
-                phase = min(future) - 1
+        next_phase = machines.next_round(phase, inboxes)
+        if next_phase is None:
+            break
+        phase = next_phase
 
     simulation = total.delta_since(preprocessing)
     cluster_edges = hierarchy.cluster_edges()
     on_c, off_c = _congestion_split(simulation, cluster_edges)
     return TradeoffReport(
-        outputs={v: machines[v].output() for v in graph.nodes()},
+        outputs=machines.outputs(),
         total=total,
         preprocessing=preprocessing,
         simulation=simulation,

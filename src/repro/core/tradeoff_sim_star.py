@@ -34,9 +34,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.machine import Machine
+from repro.congest.machine import Machine, MachineSet
 from repro.congest.metrics import Metrics
-from repro.congest.network import make_node_info, payload_words
 from repro.core.aggregation import AggregateFn, get_aggregator
 from repro.core.tradeoff_sim import TradeoffReport, _congestion_split
 from repro.decomposition.baswana_sen import BaswanaSenHierarchy, _one_shot
@@ -97,36 +96,22 @@ def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
             f1_incident[u].add(w)
             f1_incident[w].add(u)
 
-    machines: Dict[int, Machine] = {}
-    for v in graph.nodes():
-        info = make_node_info(graph, v, inputs=inputs, known_n=True,
-                              seed=seed)
-        machines[v] = factory(info)
+    machines = MachineSet(graph, factory, inputs=inputs, seed=seed,
+                          message_words=message_words)
     if aggregate is None:
-        aggregate = get_aggregator(next(iter(machines.values())))
+        aggregate = get_aggregator(next(iter(machines.machines.values())))
     neighbors = {v: set(graph.neighbors(v)) for v in graph.nodes()}
 
     inboxes: Dict[int, List[Tuple[int, Any]]] = {}
     broadcasts_simulated = 0
-    phase = 0
+    phase = 1
     transport_limit = message_words + 4
     while True:
-        phase += 1
         if phase > max_phases:
             raise AlgorithmError("star simulation exceeded max_phases")
-        current, inboxes = inboxes, {}
-        broadcasters: Dict[int, Any] = {}
-        for v in graph.nodes():
-            machine = machines[v]
-            if machine.halted:
-                continue
-            payload = machine.on_round(phase, current.get(v, []))
-            if payload is not None:
-                if payload_words(payload) > message_words:
-                    raise AlgorithmError(
-                        "simulated broadcast exceeds message_words")
-                broadcasters[v] = payload
-                broadcasts_simulated += 1
+        broadcasters = machines.step(phase, inboxes)
+        broadcasts_simulated += len(broadcasters)
+        inboxes = {}
 
         if broadcasters:
             indirect_received: Dict[int, Dict[int, Any]] = {
@@ -250,22 +235,16 @@ def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
                 if relevant and v not in star_of:
                     inboxes.setdefault(v, []).extend(aggregate(relevant))
 
-        if not inboxes:
-            live = [m for m in machines.values() if not m.halted]
-            if not live:
-                break
-            wakes = [m.wake_round() for m in live]
-            future = [w for w in wakes if w is not None and w > phase]
-            if all(m.passive() for m in live):
-                if not future:
-                    break
-                phase = min(future) - 1
+        next_phase = machines.next_round(phase, inboxes)
+        if next_phase is None:
+            break
+        phase = next_phase
 
     simulation = total.delta_since(preprocessing)
     cluster_edges = hierarchy.cluster_edges()
     on_c, off_c = _congestion_split(simulation, cluster_edges)
     return TradeoffReport(
-        outputs={v: machines[v].output() for v in graph.nodes()},
+        outputs=machines.outputs(),
         total=total,
         preprocessing=preprocessing,
         simulation=simulation,

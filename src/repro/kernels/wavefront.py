@@ -35,7 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.congest.errors import AlgorithmError, MessageTooLarge
+from repro.congest.errors import MessageTooLarge
+from repro.congest.machine import check_broadcast_words
 from repro.congest.metrics import Metrics
 from repro.congest.network import Execution
 from repro.graphs.graph import Graph, _gather_neighbors
@@ -238,7 +239,7 @@ def star_report(graph: Graph, hierarchy, roots_map: Dict[int, int],
     ev_v, ev_p, ev_cnt = _announcements(dist, delays_arr)
     offender = _first_offender(ev_v, ev_p, 3 * ev_cnt, message_words)
     if offender is not None:
-        raise AlgorithmError("simulated broadcast exceeds message_words")
+        check_broadcast_words(offender[2], message_words)  # raises
 
     total = Metrics()
     preprocessing = total.snapshot()

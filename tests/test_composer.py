@@ -13,6 +13,8 @@ from repro.graphs import gnp, grid, path
 from repro.primitives import BFSMachine
 from repro.primitives.luby import LubyMISMachine
 
+from test_machine import SleeperMachine
+
 
 def _bfs_factory(root):
     return lambda info: BFSMachine(info, root=root)
@@ -58,14 +60,18 @@ def test_composed_rounds_within_congestion_plus_dilation():
 
 
 def test_composed_heterogeneous_components():
-    """BFS and Luby MIS running concurrently on one network."""
+    """BFS, Luby MIS and a passive machine that wakes itself at round 10,
+    running concurrently on one network."""
     g = gnp(18, 0.3, seed=311)
     composed = compose_machines(
-        g, [_bfs_factory(4), LubyMISMachine], seed=4)
+        g, [_bfs_factory(4), LubyMISMachine, SleeperMachine], seed=4)
     bfs_isolated = run_machines(g, _bfs_factory(4), seed=4)
     mis_isolated = run_machines(g, LubyMISMachine, seed=4)
     assert composed.outputs[0] == bfs_isolated.outputs
     assert composed.outputs[1] == mis_isolated.outputs
+    assert composed.outputs[2] == run_machines(g, SleeperMachine).outputs
+    assert set(composed.outputs[2].values()) == {10}
+    assert composed.component_rounds[2] == 10
     mis = {v for v, in_mis in composed.outputs[1].items() if in_mis}
     for u, v in g.edges():
         assert not (u in mis and v in mis)

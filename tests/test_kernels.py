@@ -15,8 +15,12 @@ import json
 
 import pytest
 
+from repro.congest.errors import AlgorithmError
 from repro.congest.machine import run_machines
+from repro.core.bcongest_sim import simulate_bcongest
 from repro.core.bfs_collections import _message_budget, shared_delays
+from repro.core.tradeoff_sim_star import simulate_aggregation_star
+from repro.decomposition.pruning import build_pruned_hierarchy
 from repro.core.weighted_apsp import weighted_apsp
 from repro.graphs import gnp_streaming, uniform_weights
 from repro.kernels import REGISTRY, reference_engine, wavefront
@@ -116,6 +120,40 @@ def test_direct_engine_replicates_run_machines_exactly():
         == dict(base.metrics.edge_congestion)
     assert dict(fast.metrics.message_sizes) \
         == dict(base.metrics.message_sizes)
+
+
+def test_oversize_broadcast_error_is_identical_stepped_and_replayed():
+    """One oversize check: the stepped star driver and the star kernel,
+    and the stepped Theorem 2.1 loop and its plan replay, raise the same
+    text for the same first offender."""
+    graph = get_scenario("sparse-gnp").graph(24)
+    hierarchy = build_pruned_hierarchy(graph, 1.0, seed=13)
+    roots = {j: j for j in range(graph.n)}
+    delays = {j: 1 for j in roots}
+    assert wavefront.star_report(graph, hierarchy, roots, delays,
+                                 message_words=10**6) is not None
+
+    def factory(info):
+        return BFSCollectionMachine(info, roots=roots, delays=delays)
+
+    with pytest.raises(AlgorithmError) as stepped:
+        simulate_aggregation_star(
+            graph, hierarchy, factory,
+            aggregate=BFSCollectionMachine.aggregate, message_words=8,
+            include_tree_preprocessing=False)
+    with pytest.raises(AlgorithmError) as kernel:
+        wavefront.star_report(graph, hierarchy, roots, delays,
+                              message_words=8)
+    assert str(kernel.value) == str(stepped.value)
+    assert str(stepped.value).startswith("simulated algorithm broadcast ")
+    assert str(stepped.value).endswith(" words > 8")
+
+    with pytest.raises(AlgorithmError) as looped:
+        simulate_bcongest(graph, factory, message_words=8)
+    with pytest.raises(AlgorithmError) as replayed:
+        simulate_bcongest(graph, factory, message_words=8,
+                          plan=wavefront.bcongest_plan(graph, roots, delays))
+    assert str(replayed.value) == str(looped.value) == str(stepped.value)
 
 
 def test_weighted_apsp_metrics_identical_kernels_on_and_off():

@@ -1,25 +1,45 @@
 """Property-based tests (hypothesis) on the core data structures and
 invariants: metrics algebra, payload sizing, transport delivery,
-aggregation idempotence, decomposition partitions, and end-to-end BFS
-correctness on random graphs."""
+aggregation idempotence, decomposition partitions, end-to-end BFS
+correctness on random graphs, and the machine scheduling rule."""
 
+import importlib
 import math
+import pkgutil
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.baselines.reference import bfs_distances, unweighted_apsp
-from repro.congest import Metrics, payload_words, run_machines
+from repro.congest import (
+    LocalRunner,
+    Machine,
+    Metrics,
+    payload_words,
+    run_machines,
+)
 from repro.congest.metrics import undirected
 from repro.core.aggregation import check_idempotent
+from repro.covers.mpx_cover import (
+    CoverCollectionMachine,
+    build_cover_machine_factory,
+)
 from repro.decomposition import build_baswana_sen, run_mpx, verify_hierarchy
+from repro.decomposition.mpx import MPXMachine
 from repro.graphs import from_edges, gnp
+from repro.matching.augmenting import BipartiteMatchingMachine
+from repro.matching.israeli_itai import IsraeliItaiMachine
 from repro.primitives import (
     BFSMachine,
     Packet,
     aggregate_keyed_min,
     route_packets,
 )
+from repro.primitives.bellman_ford import BellmanFordCollectionMachine
+from repro.primitives.bfs import BFSCollectionMachine
+from repro.primitives.luby import LubyMISMachine
 
 settings.register_profile(
     "repro", deadline=None,
@@ -198,3 +218,102 @@ def test_bfs_machine_matches_reference_random(g, seed):
     ref = bfs_distances(g, root)
     for v in g.nodes():
         assert execution.outputs[v][0] == ref[v]
+
+
+# ----------------------------------------------------------------------
+# Machine scheduling: the direct run, the due rule and lockstep agree
+# ----------------------------------------------------------------------
+
+def _machine_classes():
+    """Every ``Machine`` subclass under ``src/`` (recursively), plus the
+    duck-typed ``CoverCollectionMachine``."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, todo = {CoverCollectionMachine}, [Machine]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("repro."):
+                found.add(sub)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def _delays(graph, seed, k):
+    return {j: 1 + (seed + 3 * j) % 5 for j in range(min(k, graph.n))}
+
+
+# (graph, seed) -> factory, one entry per machine class.
+SCHEDULING_FACTORIES = {
+    BFSMachine: lambda g, s: (
+        lambda info: BFSMachine(info, root=s % g.n, delay=1 + s % 4)),
+    BFSCollectionMachine: lambda g, s: (
+        lambda info: BFSCollectionMachine(
+            info, roots={j: j for j in _delays(g, s, 4)},
+            delays=_delays(g, s, 4), max_depth=None if s % 2 else 2)),
+    BellmanFordCollectionMachine: lambda g, s: (
+        lambda info: BellmanFordCollectionMachine(
+            info, sources={j: j for j in _delays(g, s, 4)},
+            delays=_delays(g, s, 4))),
+    MPXMachine: lambda g, s: lambda info: MPXMachine(info, beta=0.5),
+    LubyMISMachine: lambda g, s: LubyMISMachine,
+    IsraeliItaiMachine: lambda g, s: IsraeliItaiMachine,
+    BipartiteMatchingMachine: lambda g, s: (
+        lambda info: BipartiteMatchingMachine(info, s=max(1, g.n // 2))),
+    CoverCollectionMachine: lambda g, s: build_cover_machine_factory(
+        g, 2, 1, boost=0.5)[0],
+}
+
+
+class _Lockstep:
+    """Test-only proxy that is not passive until it halts: it steps its
+    machine every round up to ``horizon`` (the due-rule run's last
+    round), where it halts, since some machines never do."""
+
+    def __init__(self, machine, horizon):
+        self.machine = machine
+        self.horizon = horizon
+        self.rnd = 0
+
+    @property
+    def halted(self):
+        return self.machine.halted or self.rnd >= self.horizon
+
+    def passive(self):
+        return self.halted
+
+    def wake_round(self):
+        return None
+
+    def on_round(self, rnd, inbox):
+        self.rnd = rnd
+        return self.machine.on_round(rnd, inbox)
+
+    def output(self):
+        return self.machine.output()
+
+
+MACHINE_CLASSES = _machine_classes()
+
+
+def test_every_machine_class_has_a_scheduling_factory():
+    missing = [cls.__name__ for cls in MACHINE_CLASSES
+               if cls not in SCHEDULING_FACTORIES]
+    assert not missing, f"no SCHEDULING_FACTORIES entry for {missing}"
+
+
+@pytest.mark.parametrize("cls", MACHINE_CLASSES,
+                         ids=lambda cls: cls.__name__)
+@settings(max_examples=12)
+@given(g=connected_graphs(max_n=12), seed=st.integers(0, 1_000))
+def test_machine_scheduling_modes_agree(cls, g, seed):
+    factory = SCHEDULING_FACTORIES[cls](g, seed)
+    direct = run_machines(g, factory, seed=seed, word_limit=10**6)
+    due = LocalRunner(g, factory, seed=seed)
+    outputs = due.run()
+    assert outputs == direct.outputs
+    assert due.broadcasts == direct.metrics.broadcasts
+    lockstep = LocalRunner(
+        g, lambda info: _Lockstep(factory(info), due.round), seed=seed)
+    assert lockstep.run() == outputs
+    assert (lockstep.round, lockstep.broadcasts) == (due.round,
+                                                     due.broadcasts)
