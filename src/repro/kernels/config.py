@@ -18,6 +18,11 @@ are byte-identical whichever engine served):
 :func:`reference_engine` runs a block on the vectorized loop alone --
 the differential reference the kernel tests compare against; cells run
 inside it report ``none`` (and omit the field from their records).
+
+:func:`fallback_reason` is the pure predicate behind :func:`engine_ready`:
+it names the reason without noting it.  The exact transport engine
+(:func:`repro.primitives.transport.route_packets`) consults only the
+predicate, so a transport call never relabels a cell's ``engine_source``.
 """
 
 from __future__ import annotations
@@ -48,25 +53,38 @@ def reference_engine() -> Iterator[None]:
         _reference = saved
 
 
-def engine_ready() -> bool:
-    """Whether a kernel may replay the execution about to start.
+def fallback_reason() -> Optional[str]:
+    """Why the execution about to start must run on the reference loop.
 
-    Kernels replicate fault-free, unprofiled metering only; when an
-    ambient fault plan or round profiler is installed the reason is
-    noted so the cell's ``engine_source`` says why it fell back.
+    ``None`` when an exact engine may serve it.  Otherwise the label the
+    cell reports: ``none`` under :func:`reference_engine`, else
+    ``vectorized:profile`` or ``vectorized:faults`` when an ambient round
+    profiler or fault plan needs the per-round loop.  Side-effect free,
+    so the transport engine can consult it without relabelling a cell.
     """
     if _reference:
-        return False
+        return "none"
     from repro.congest.profile import active_profiler
     if active_profiler() is not None:
-        note_engine("vectorized:profile")
-        return False
+        return "vectorized:profile"
     from repro.congest.faults import active_plan
     plan = active_plan()
     if plan is not None and not plan.is_null:
-        note_engine("vectorized:faults")
-        return False
-    return True
+        return "vectorized:faults"
+    return None
+
+
+def engine_ready() -> bool:
+    """Whether a kernel may replay the execution about to start.
+
+    Kernels replicate fault-free, unprofiled metering only; when they
+    may not, the :func:`fallback_reason` is noted so the cell's
+    ``engine_source`` says why it fell back.
+    """
+    reason = fallback_reason()
+    if reason is not None and reason != "none":
+        note_engine(reason)
+    return reason is None
 
 
 def note_engine(label: str) -> None:

@@ -10,8 +10,37 @@ send).
 All three patterns are instances of one primitive: a set of packets, each
 with a fixed path (a walk in the communication graph), delivered under
 the CONGEST constraint of one message per edge per direction per round,
-FIFO per link.  The simulator below is literal: every hop of every packet
-is a metered message, and rounds advance exactly as the pipelining would.
+FIFO per link.  Every hop of every packet is a metered message, and
+rounds advance exactly as the pipelining would.
+
+:func:`route_packets` runs that schedule directly, as an exact per-round
+engine over a ``{node: {next_hop: deque}}`` FIFO per link, with no
+per-node simulator objects.  Its deliveries, ``Metrics`` (congestion
+insertion order and the message-size histogram included) and errors are
+those of running :class:`_TransportNode` on a
+:class:`~repro.congest.network.Network`, because it follows the rules
+that loop implies:
+
+* every node acts in round 1 (so routing nothing still takes one round
+  on a non-empty graph), and nodes act in ascending id order;
+* a node first enqueues its injections (round 1, input order), then its
+  arrivals in sender order; a packet already at its destination is
+  delivered in that round, so a zero-hop packet arrives in round 1;
+* each non-empty link forwards its head once per round, a node's links
+  served in the order they were first used;
+* each hop meters one word on the canonical ``undirected`` edge key
+  (ordered by ``repr``, like every other metered send);
+* the run's round count is the last round in which any node acted; a
+  hop over a non-edge fails when the packet reaches the hop's tail, and
+  a round past ``max_rounds`` fails before anything happens in it;
+* deliveries come back grouped by destination in ``graph.nodes()``
+  order, then in arrival order.
+
+The ``Network`` loop stays as the reference and as the only path that
+can apply an ambient fault plan or round profiler: it runs whenever
+:func:`repro.kernels.config.fallback_reason` names one (or
+``reference_engine()`` is active).  ``tests/test_property.py`` checks the
+two engines equal on generated packet sets.
 
 Paths are computed by the driver from tree structure that the involved
 nodes genuinely possess locally (parent pointers, and at centers the full
@@ -21,7 +50,7 @@ using the same local tables.  Message-size accounting therefore counts
 the payload plus the destination, not the path.
 
 The round and message costs of upcast/downcast proved in Lemmas 1.5/1.6
-are validated against this engine in ``tests/test_transport.py`` and
+are validated against this engine in ``tests/test_primitives.py`` and
 regenerated in benchmark E10.
 """
 
@@ -32,9 +61,17 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.metrics import Metrics
-from repro.congest.network import Algorithm, Inbox, Network, NodeAPI, NodeInfo
+from repro.congest.metrics import Metrics, undirected
+from repro.congest.network import (
+    Algorithm,
+    Inbox,
+    Network,
+    NodeAPI,
+    NodeInfo,
+    payload_words,
+)
 from repro.graphs.graph import Graph
+from repro.kernels.config import fallback_reason
 
 
 @dataclass
@@ -120,7 +157,6 @@ class _TransportNode(Algorithm):
 
 def _packet_words(packet: Packet) -> int:
     """Declared size: destination + payload (route is implicit)."""
-    from repro.congest.network import payload_words
     return 1 + payload_words(packet.payload)
 
 
@@ -131,24 +167,125 @@ def route_packets(graph: Graph, packets: Sequence[Packet], *,
 
     The network-level size check is replaced by a per-packet check of
     destination + payload, since the path is implicit routing state.
+    The exact engine routes unless :func:`fallback_reason` sends the
+    call to the ``Network`` reference loop.
     """
     for packet in packets:
         size = _packet_words(packet)
         if size > word_limit:
             raise AlgorithmError(
                 f"packet payload of {size} words exceeds limit {word_limit}")
+    if fallback_reason() is not None:
+        deliveries, metrics = _route_on_network(graph, packets, max_rounds)
+    else:
+        deliveries, metrics = _route_exact(graph, packets, max_rounds)
+    if len(deliveries) != len(packets):
+        raise AlgorithmError(
+            f"transport lost packets: {len(deliveries)}/{len(packets)}")
+    return deliveries, metrics
+
+
+def _route_exact(graph: Graph, packets: Sequence[Packet],
+                 max_rounds: int) -> Tuple[List[Delivery], Metrics]:
+    """The per-round FIFO link schedule, run without a ``Network``."""
+    metrics = Metrics()
+    nodes = graph.nodes()
+    if not nodes:
+        return [], metrics
+    nbr_sets = graph.nbr_sets()
+    # Round 1's inbound items are the injections, in input order; a
+    # packet whose origin is not a node is never injected (and so lost).
+    inbound: Dict[int, List[Tuple[Packet, int]]] = {}
+    for packet in packets:
+        if packet.origin in nodes:
+            inbound.setdefault(packet.origin, []).append((packet, 0))
+    # node -> next hop -> [FIFO of (packet, index at node), edge key]
+    links: Dict[int, Dict[int, list]] = {}
+    busy: set = set()  # nodes with a non-empty link
+    delivered: Dict[int, List[Delivery]] = {}
+    congestion = metrics.edge_congestion
+    hops = 0
+    rnd = 1
+    while True:
+        if rnd > max_rounds:
+            raise AlgorithmError(
+                f"exceeded max_rounds={max_rounds}; likely livelock")
+        outbound: Dict[int, List[Tuple[Packet, int]]] = {}
+        for v in sorted(busy.union(inbound)):
+            node_links = links.get(v)
+            items = inbound.get(v)
+            if items:
+                if node_links is None:
+                    node_links = links[v] = {}
+                for packet, idx in items:
+                    path = packet.path
+                    if idx == len(path) - 1:
+                        got = delivered.get(v)
+                        if got is None:
+                            got = delivered[v] = []
+                        got.append(Delivery(
+                            origin=path[0], dest=path[-1],
+                            payload=packet.payload,
+                            tag=packet.tag, round=rnd))
+                        continue
+                    nxt = path[idx + 1]
+                    link = node_links.get(nxt)
+                    if link is None:
+                        if nxt not in nbr_sets[v]:
+                            raise AlgorithmError(
+                                f"packet path hop {path[idx]}->{nxt} "
+                                f"is not an edge")
+                        link = node_links[nxt] = [deque(), undirected(v, nxt)]
+                    link[0].append((packet, idx))
+            if not node_links:
+                continue
+            pending = False
+            for nxt, (queue, key) in node_links.items():
+                if not queue:
+                    continue
+                packet, idx = queue.popleft()
+                hops += 1
+                congestion[key] += 1
+                box = outbound.get(nxt)
+                if box is None:
+                    outbound[nxt] = [(packet, idx + 1)]
+                else:
+                    box.append((packet, idx + 1))
+                if queue:
+                    pending = True
+            if pending:
+                busy.add(v)
+            else:
+                busy.discard(v)
+        if not outbound:
+            break
+        inbound = outbound
+        rnd += 1
+    metrics.rounds = rnd
+    if hops:
+        metrics.messages = metrics.words = hops
+        metrics.max_message_words = 1
+        metrics.message_sizes[1] = hops
+    # Node ids are 0 .. n-1, so sorted order is graph.nodes() order.
+    deliveries = [d for v in sorted(delivered) for d in delivered[v]]
+    return deliveries, metrics
+
+
+def _route_on_network(graph: Graph, packets: Sequence[Packet],
+                      max_rounds: int) -> Tuple[List[Delivery], Metrics]:
+    """The reference: one :class:`_TransportNode` per node on a ``Network``.
+
+    The only path that applies an ambient fault plan or round profiler.
+    """
     by_origin: Dict[int, List[Packet]] = {}
     for packet in packets:
         by_origin.setdefault(packet.origin, []).append(packet)
-    net = Network(graph, word_limit=word_limit, check_sizes=False)
+    net = Network(graph, check_sizes=False)
     execution = net.run(_TransportNode, inputs=by_origin,
                         max_rounds=max_rounds)
     deliveries: List[Delivery] = []
     for algo in execution.algorithms.values():
         deliveries.extend(algo.delivered)
-    if len(deliveries) != len(packets):
-        raise AlgorithmError(
-            f"transport lost packets: {len(deliveries)}/{len(packets)}")
     return deliveries, execution.metrics
 
 

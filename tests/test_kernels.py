@@ -182,6 +182,17 @@ def test_unlisted_binding_reports_ineligible():
     assert record.ok, record.failure_message()
 
 
+def test_profiled_transport_does_not_relabel_an_ineligible_cell():
+    """The matching binding routes packets; under a profiler the
+    transport falls back without noting ``vectorized:profile``."""
+    from repro.congest.profile import RoundProfiler, profile_context
+
+    with profile_context(RoundProfiler()):
+        record = run_differential("bipartite-balanced", "matching")
+    assert record.engine_source == "vectorized:ineligible"
+    assert record.ok, record.failure_message()
+
+
 def test_faulted_cell_falls_back_to_vectorized():
     record = run_differential("random-tree", "apsp-unweighted",
                               faults="lossy-light", fault_seed=7)

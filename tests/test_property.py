@@ -6,6 +6,7 @@ correctness on random graphs, and the machine scheduling rule."""
 import importlib
 import math
 import pkgutil
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +21,7 @@ from repro.congest import (
     payload_words,
     run_machines,
 )
+from repro.congest.errors import AlgorithmError
 from repro.congest.metrics import undirected
 from repro.core.aggregation import check_idempotent
 from repro.covers.mpx_cover import (
@@ -29,12 +31,14 @@ from repro.covers.mpx_cover import (
 from repro.decomposition import build_baswana_sen, run_mpx, verify_hierarchy
 from repro.decomposition.mpx import MPXMachine
 from repro.graphs import from_edges, gnp
+from repro.kernels import reference_engine
 from repro.matching.augmenting import BipartiteMatchingMachine
 from repro.matching.israeli_itai import IsraeliItaiMachine
 from repro.primitives import (
     BFSMachine,
     Packet,
     aggregate_keyed_min,
+    path_to_root,
     route_packets,
 )
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
@@ -67,6 +71,8 @@ payloads = st.recursive(
         st.lists(children, max_size=3),
         st.dictionaries(st.integers(0, 9), children, max_size=3)),
     max_leaves=8)
+# Within route_packets' default 16-word limit (payload + destination).
+small_payloads = payloads.filter(lambda p: payload_words(p) < 16)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +168,6 @@ def test_keyed_min_order_invariant(messages):
 @given(connected_graphs(max_n=12), st.integers(0, 10_000),
        st.integers(1, 12))
 def test_transport_delivers_every_packet(g, seed, n_packets):
-    import random
     rng = random.Random(seed)
     apsp = unweighted_apsp(g)
     packets = []
@@ -182,6 +187,116 @@ def test_transport_delivers_every_packet(g, seed, n_packets):
     assert metrics.messages == sum(len(p.path) - 1 for p in packets)
     got = sorted(d.payload[1] for d in deliveries)
     assert got == list(range(n_packets))
+
+
+@st.composite
+def transport_graphs(draw):
+    """A ``connected_graphs`` draw, sometimes padded with isolated nodes."""
+    g = draw(connected_graphs(max_n=12))
+    extra = draw(st.integers(0, 3))
+    if extra:
+        g = from_edges(g.n + extra, list(g.edges()))
+    return g
+
+
+@st.composite
+def packet_sets(draw, g):
+    """Tree paths, revisiting walks, zero-hop packets and link floods."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    parent = bfs_tree_parents(g, draw(st.integers(0, g.n - 1)))
+    linked = [v for v in g.nodes() if g.neighbors(v)]
+    packets = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["up", "down", "walk", "zero", "flood"]), max_size=10)):
+        tag = draw(st.sampled_from([None, "a", 1]))
+        if kind == "zero" or not linked:
+            paths = [(rng.randrange(g.n),)]
+        elif kind in ("up", "down"):
+            path = path_to_root(parent, rng.choice(sorted(parent)))
+            paths = [path if kind == "up" else path[::-1]]
+        elif kind == "walk":
+            walk = [rng.choice(linked)]
+            for _ in range(rng.randrange(1, 9)):
+                walk.append(rng.choice(g.neighbors(walk[-1])))
+            paths = [tuple(walk)]
+        else:
+            u = rng.choice(linked)
+            paths = [(u, rng.choice(g.neighbors(u)))] * rng.randrange(2, 7)
+        for path in paths:
+            packets.append(Packet(path=path, tag=tag,
+                                  payload=draw(small_payloads)))
+    return packets
+
+
+def bfs_tree_parents(g, root):
+    """BFS parent pointers over ``root``'s component."""
+    dist = bfs_distances(g, root)
+    return {v: None if v == root else
+            min(u for u in g.neighbors(v) if dist.get(u) == d - 1)
+            for v, d in dist.items()}
+
+
+def _routed(g, packets, **kwargs):
+    """``route_packets`` as comparable data: the outcome or the error."""
+    try:
+        deliveries, m = route_packets(g, packets, **kwargs)
+    except AlgorithmError as exc:
+        return ("error", str(exc))
+    return (deliveries, m.as_dict(), list(m.edge_congestion.items()),
+            list(m.message_sizes.items()), m.max_message_words)
+
+
+def _both_engines(g, packets, **kwargs):
+    exact = _routed(g, packets, **kwargs)
+    with reference_engine():
+        reference = _routed(g, packets, **kwargs)
+    return exact, reference
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_transport_engine_matches_network_reference(data):
+    g = data.draw(transport_graphs())
+    packets = data.draw(packet_sets(g))
+    exact, reference = _both_engines(g, packets)
+    assert exact == reference
+    assert exact[0] != "error"
+    rounds = exact[1]["rounds"]
+    if all(len(p.path) == 1 for p in packets):
+        assert rounds == 1
+    # Exactly enough rounds suffice; one fewer raises the same livelock
+    # error on both engines.
+    assert _routed(g, packets, max_rounds=rounds) == exact
+    exact, reference = _both_engines(g, packets, max_rounds=rounds - 1)
+    assert exact == reference
+    assert exact[0] == "error" and "max_rounds" in exact[1]
+
+
+@given(transport_graphs(), st.integers(0, 10_000))
+def test_transport_engines_reject_non_edges_alike(g, seed):
+    rng = random.Random(seed)
+    u = rng.randrange(g.n)
+    absent = [v for v in g.nodes() if v != u and v not in g.neighbors(u)]
+    if not absent:
+        return
+    ok = [Packet(path=(v,), payload=v) for v in g.nodes()]
+    # The bad hop comes second when u has a neighbor to start from.
+    start = g.neighbors(u)[:1]
+    bad = Packet(path=start + (u, rng.choice(absent)), payload=("x", 1))
+    packets = ok[:u] + [bad] + ok[u:]
+    exact, reference = _both_engines(g, packets)
+    assert exact == reference
+    assert exact[0] == "error" and "is not an edge" in exact[1]
+
+
+def test_transport_engines_agree_on_empty_inputs():
+    g = from_edges(3, [(0, 1)])
+    exact, reference = _both_engines(g, [])
+    assert exact == reference
+    assert exact[1]["rounds"] == 1 and exact[1]["messages"] == 0
+    empty = from_edges(0, [])
+    assert _both_engines(empty, []) == ((
+        [], Metrics().as_dict(), [], [], 0),) * 2
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ tags, concurrent flows, and the path helpers."""
 import pytest
 
 from repro.congest.errors import AlgorithmError
+from repro.congest.faults import FaultPlan, fault_context
+from repro.congest.profile import RoundProfiler, profile_context
 from repro.graphs import cycle, from_edges, grid, path
 from repro.primitives import (
     Packet,
@@ -128,3 +130,26 @@ def test_transport_conservation_under_load():
     deliveries, metrics = route_packets(g, packets)
     assert sorted(d.payload for d in deliveries) == list(range(60))
     assert metrics.messages == sum(len(p.path) - 1 for p in packets)
+
+
+# ---------------------------------------------------------------------------
+# Fallback: fault plans and round profilers route on the Network loop
+# ---------------------------------------------------------------------------
+
+def test_profiled_transport_opens_one_segment():
+    g = path(4)
+    packets = [Packet(path=(0, 1, 2, 3), payload=i) for i in range(3)]
+    profiler = RoundProfiler()
+    with profile_context(profiler):
+        _deliveries, metrics = route_packets(g, packets)
+    (segment,) = profiler.profile().segments
+    assert segment["rows"] == metrics.rounds
+    assert segment["totals"]["messages"] == metrics.messages == 9
+
+
+def test_dropping_fault_plan_loses_packets():
+    g = path(3)
+    packets = [Packet(path=(0, 1, 2), payload="x")]
+    with fault_context(FaultPlan(drop=1.0, seed=3)):
+        with pytest.raises(AlgorithmError, match="transport lost packets"):
+            route_packets(g, packets)
