@@ -9,12 +9,11 @@ from repro.congest.errors import (
     ModelViolation,
     NotANeighbor,
 )
+from repro.congest.cell import CellContext, cell_context, current_cell
 from repro.congest.composer import ComposedExecution, compose_machines
 from repro.congest.faults import (
     FaultPlan,
     FaultProfile,
-    active_plan,
-    fault_context,
     fault_profile_names,
     get_fault_profile,
 )
@@ -22,9 +21,7 @@ from repro.congest.tracing import ReprPayload, TraceEvent, Tracer, format_trace
 from repro.congest.profile import (
     RoundProfile,
     RoundProfiler,
-    active_profiler,
     mark_phase,
-    profile_context,
 )
 from repro.congest.machine import LocalRunner, Machine, MachineAdapter, run_machines
 from repro.congest.metrics import Metrics, undirected
@@ -41,13 +38,12 @@ from repro.congest.network import (
 )
 
 __all__ = [
-    "Algorithm", "ComposedExecution", "TraceEvent", "Tracer", "compose_machines", "format_trace", "AlgorithmError", "BroadcastOnly", "CongestError",
+    "Algorithm", "CellContext", "ComposedExecution", "TraceEvent", "Tracer", "compose_machines", "format_trace", "AlgorithmError", "BroadcastOnly", "CongestError",
     "DuplicateSend", "Execution", "FaultPlan", "FaultProfile", "LocalRunner",
     "Machine", "MachineAdapter", "MessageTooLarge", "Metrics",
     "ModelViolation", "Network", "NodeAPI", "NodeInfo", "NotANeighbor",
     "ReprPayload", "RoundProfile", "RoundProfiler",
-    "active_plan", "active_profiler", "fault_context",
-    "fault_profile_names", "get_fault_profile", "make_node_info",
-    "mark_phase", "node_seed", "payload_words", "profile_context",
-    "run_algorithm", "run_machines", "undirected",
+    "cell_context", "current_cell", "fault_profile_names",
+    "get_fault_profile", "make_node_info", "mark_phase", "node_seed",
+    "payload_words", "run_algorithm", "run_machines", "undirected",
 ]

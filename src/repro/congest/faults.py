@@ -32,20 +32,21 @@ real edges and nodes); the named :class:`FaultProfile` entries in
 the ``repro sweep --faults <profile>`` knob select, realized per graph
 by :meth:`FaultProfile.realize`.
 
-Plans are usually *ambient*: :func:`fault_context` installs one for the
-duration of a cell execution and every ``Network`` constructed inside
-(the algorithm under test, its helper phases, an inline decomposition
-build) picks it up -- fault injection reaches executions whose call
-chain never heard of faults, without threading a parameter through
-every algorithm signature.
+Plans are usually *ambient*: the cell's
+:class:`~repro.congest.cell.CellContext` carries one for the duration of
+the cell's execution and every ``Network`` constructed inside (the
+algorithm under test, its helper phases, an inline decomposition build)
+picks it up -- fault injection reaches executions whose call chain
+never heard of faults, without threading a parameter through every
+algorithm signature.  The graph, oracle and decomposition resolves run
+outside that context, so the ground truth stays fault-free.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.congest.metrics import Edge, Metrics, undirected as edge_key
 
@@ -286,30 +287,3 @@ def get_fault_profile(name: str) -> FaultProfile:
         raise KeyError(
             f"unknown fault profile {name!r}; known: "
             f"{', '.join(fault_profile_names())}") from None
-
-
-# ---------------------------------------------------------------------------
-# The ambient plan: installed around a cell execution, picked up by
-# every Network constructed inside.
-# ---------------------------------------------------------------------------
-_ACTIVE: List[FaultPlan] = []
-
-
-def active_plan() -> Optional[FaultPlan]:
-    """The innermost ambient plan, or None outside any fault context."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def fault_context(plan: Optional[FaultPlan]) -> Iterator[None]:
-    """Install ``plan`` as the ambient fault plan for the block.
-
-    ``None`` (and the inert plan) still push/pop, so nesting a clean
-    context inside a faulted one shields the inner executions -- the
-    differential harness uses that to keep oracle computation clean.
-    """
-    _ACTIVE.append(plan if plan is not None else FaultPlan.none())
-    try:
-        yield
-    finally:
-        _ACTIVE.pop()

@@ -34,6 +34,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.congest.cell import current_cell
 from repro.congest.errors import (
     AlgorithmError,
     BroadcastOnly,
@@ -281,16 +282,16 @@ class Network:
         two meter and deliver identically.
     faults:
         Optional :class:`~repro.congest.faults.FaultPlan` layered into
-        the delivery step.  When omitted, the ambient plan installed by
-        :func:`~repro.congest.faults.fault_context` (if any) applies.
+        the delivery step.  When omitted, the plan of the open
+        :func:`~repro.congest.cell.cell_context` (if any) applies.
         ``None`` and the inert plan are normalized away, so fault-free
         execution takes exactly the pre-fault-plane code paths.
     profiler:
         Optional :class:`~repro.congest.profile.RoundProfiler` capturing
-        a per-round metric time series.  When omitted, the ambient
-        profiler installed by :func:`~repro.congest.profile.
-        profile_context` (if any) applies.  Unprofiled executions pay
-        one ``is not None`` check per round and nothing else.
+        a per-round metric time series.  When omitted, the profiler of
+        the open :func:`~repro.congest.cell.cell_context` (if any)
+        applies.  Unprofiled executions pay one ``is not None`` check
+        per round and nothing else.
     """
 
     # Cap on the payload-size memo; executions reuse a small set of
@@ -312,18 +313,14 @@ class Network:
         self.seed = seed
         self.check_sizes = check_sizes
         self.fast_path = fast_path
+        cell = current_cell()
         if faults is None:
-            # Lazy import: faults imports stable_seed from this module.
-            from repro.congest.faults import active_plan
-            faults = active_plan()
+            faults = cell.faults
         # Null plans are normalized to "no fault plane at all" so the
         # fault-free delivery paths are the untouched originals.
         self._faults = (faults if faults is not None
                         and not faults.is_null else None)
-        if profiler is None:
-            from repro.congest.profile import active_profiler
-            profiler = active_profiler()
-        self.profiler = profiler
+        self.profiler = profiler if profiler is not None else cell.profiler
         self._crashed: set = set()
         self.metrics = Metrics()
         self.round = 0

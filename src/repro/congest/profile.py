@@ -12,15 +12,17 @@ round (max + quantiles over the per-edge deltas), how many nodes acted
 per round, compacted into numpy column arrays by :meth:`RoundProfiler.
 profile`.
 
-Attachment mirrors the fault plane's ambient pattern
-(:func:`~repro.congest.faults.fault_context`): install a profiler with
-:func:`profile_context` and every Network constructed inside the block
-records into it, one **segment** per execution -- so a driver that
-composes several machine collections (APSP's BFS phases, the staged
-pipeline) yields one multi-segment timeline with per-segment totals
-taken from the real :class:`Metrics` deltas.  Drivers can additionally
-call :func:`mark_phase` to drop named markers into the timeline
-(a no-op outside any profile context).
+Attachment shares the fault plan's ambient holder: open a
+:func:`~repro.congest.cell.cell_context` with ``profiler=`` and every
+Network constructed inside the block records into it, one **segment**
+per execution -- so a driver that composes several machine collections
+(APSP's BFS phases, the staged pipeline) yields one multi-segment
+timeline with per-segment totals taken from the real :class:`Metrics`
+deltas.  ``run_differential(..., profiler=)`` opens that context around
+the binding's execution only: the graph, oracle and decomposition
+resolves stay out of the timeline, so it does not depend on cache
+state.  Drivers can additionally call :func:`mark_phase` to drop named
+markers into the timeline (a no-op outside a profiled context).
 
 Profiling is strictly opt-in, exactly like :class:`~repro.congest.
 tracing.Tracer`: when no profiler is installed the network's round
@@ -35,12 +37,12 @@ path -- pinned by the property tests in ``tests/test_profile.py``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.congest.cell import current_cell
 from repro.congest.metrics import Metrics
 
 # The per-round columns, in canonical order.  Integer columns except
@@ -225,37 +227,9 @@ class RoundProfiler:
                             segments=segments)
 
 
-# ---------------------------------------------------------------------------
-# The ambient profiler: installed around a cell execution, picked up by
-# every Network constructed inside (mirrors faults.fault_context).
-# ---------------------------------------------------------------------------
-_ACTIVE: List[Optional[RoundProfiler]] = []
-
-
-def active_profiler() -> Optional[RoundProfiler]:
-    """The innermost ambient profiler, or None outside any context."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def profile_context(profiler: Optional[RoundProfiler]) -> Iterator[None]:
-    """Install ``profiler`` as the ambient profiler for the block.
-
-    ``None`` still pushes/pops, so nesting a plain context inside a
-    profiled one shields the inner executions (the differential
-    harness's oracle computations run outside the cell's profile the
-    same way they run outside its fault plan).
-    """
-    _ACTIVE.append(profiler)
-    try:
-        yield
-    finally:
-        _ACTIVE.pop()
-
-
 def mark_phase(name: str) -> None:
-    """Declare a named phase boundary on the ambient profiler (no-op
-    outside any profile context -- drivers call this unconditionally)."""
-    profiler = active_profiler()
+    """Declare a named phase boundary on the cell's profiler (no-op
+    outside a profiled cell context -- drivers call this unconditionally)."""
+    profiler = current_cell().profiler
     if profiler is not None:
         profiler.mark_phase(name)

@@ -10,7 +10,7 @@ registry, the fallbacks, and the ``engine_source`` labels;
 the engines.
 """
 
-from repro.kernels.config import REGISTRY, reference_engine
+from repro.kernels.config import REGISTRY
 from repro.kernels.plan import BcongestPlan
 
-__all__ = ["REGISTRY", "BcongestPlan", "reference_engine"]
+__all__ = ["REGISTRY", "BcongestPlan"]

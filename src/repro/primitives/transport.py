@@ -37,10 +37,11 @@ that loop implies:
   order, then in arrival order.
 
 The ``Network`` loop stays as the reference and as the only path that
-can apply an ambient fault plan or round profiler: it runs whenever
-:func:`repro.kernels.config.fallback_reason` names one (or
-``reference_engine()`` is active).  ``tests/test_property.py`` checks the
-two engines equal on generated packet sets.
+can apply the cell's fault plan or round profiler: it runs whenever
+:func:`repro.kernels.config.fallback_reason` names one, or the open
+:func:`~repro.congest.cell.cell_context` has ``engine="reference"``.
+``tests/test_property.py`` checks the two engines equal on generated
+packet sets.
 
 Paths are computed by the driver from tree structure that the involved
 nodes genuinely possess locally (parent pointers, and at centers the full

@@ -89,13 +89,10 @@ def install(config: SweepConfig) -> None:
 
 
 def reset() -> None:
-    """Back to the defaults: every LRU emptied, no pending engine note."""
-    from repro.kernels.config import consume_note
-
+    """Back to the defaults: every LRU emptied."""
     install(SweepConfig())
     for chain in _chains():
         chain.clear()
-    consume_note()
 
 
 @contextlib.contextmanager

@@ -22,6 +22,7 @@ from repro.runner import config
 from repro.runner.executor import OnResult, run_cells
 from repro.runner.jobs import CellResult, JobSpec, build_specs
 from repro.runner.store import Run, RunStore, git_revision
+from repro.testing.differential import PROVENANCE_FIELDS
 
 
 @dataclass
@@ -102,32 +103,24 @@ def provenance_counts(results: Sequence[CellResult], *,
     cells without a record (timeouts, errors) or whose key is in
     ``skip`` (resume-restored cells, whose provenance belongs to the
     invocation that executed them) are not counted, and ``"none"`` rows
-    -- cells with no baseline / no input decomposition / run under
-    :func:`repro.kernels.reference_engine` -- are dropped (graphs have
-    no ``"none"`` state, every cell has a graph).
+    -- cells with no baseline / no input decomposition / run in the
+    reference engine mode -- are dropped (graphs have no ``"none"``
+    state, every cell has a graph).  The families are the non-``None``
+    values of :data:`repro.testing.differential.PROVENANCE_FIELDS`.
     """
     skip = frozenset() if skip is None else skip
-    graphs: Dict[str, int] = {}
-    oracles: Dict[str, int] = {}
-    decompositions: Dict[str, int] = {}
-    engines: Dict[str, int] = {}
+    counted = {name: family for name, family in PROVENANCE_FIELDS.items()
+               if family is not None}
+    counts: Dict[str, Dict[str, int]] = {
+        family: {} for family in counted.values()}
     for result in results:
         if result.record is None or result.key in skip:
             continue
-        source = result.record.get("graph_source", "built")
-        graphs[source] = graphs.get(source, 0) + 1
-        oracle = result.record.get("oracle_source", "none")
-        if oracle != "none":
-            oracles[oracle] = oracles.get(oracle, 0) + 1
-        decomposition = result.record.get("decomposition_source", "none")
-        if decomposition != "none":
-            decompositions[decomposition] = \
-                decompositions.get(decomposition, 0) + 1
-        engine = result.record.get("engine_source", "none")
-        if engine != "none":
-            engines[engine] = engines.get(engine, 0) + 1
-    return {"graphs": graphs, "oracles": oracles,
-            "decompositions": decompositions, "engines": engines}
+        for name, family in counted.items():
+            source = result.record.get(name, "none")
+            if source != "none":
+                counts[family][source] = counts[family].get(source, 0) + 1
+    return counts
 
 
 def _source_counts(executed: Sequence[CellResult]) -> Dict[str, Any]:

@@ -136,18 +136,17 @@ def execute_cell(spec: JobSpec,
         with _cell_alarm(timeout):
             if spec.delay:
                 time.sleep(spec.delay)
-            from repro.congest.profile import profile_context
-            with profile_context(profiler):
+            if cprofiler is not None:
+                cprofiler.enable()
+            try:
+                record = run_differential(spec.scenario, spec.algorithm,
+                                          size=spec.size, seed=spec.seed,
+                                          faults=spec.faults,
+                                          fault_seed=spec.fault_seed,
+                                          profiler=profiler)
+            finally:
                 if cprofiler is not None:
-                    cprofiler.enable()
-                try:
-                    record = run_differential(spec.scenario, spec.algorithm,
-                                              size=spec.size, seed=spec.seed,
-                                              faults=spec.faults,
-                                              fault_seed=spec.fault_seed)
-                finally:
-                    if cprofiler is not None:
-                        cprofiler.disable()
+                    cprofiler.disable()
         payload = record.as_dict()
         if profiler is not None:
             payload["profile_source"] = profile_capture.publish_profile(

@@ -21,28 +21,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-CellIdentity = Tuple[str, str, int, int]
+# The canonical-payload rule lives beside DifferentialRecord.
+from repro.testing.differential import NONDETERMINISTIC_FIELDS
 
-# Record fields that vary between executions of the same cell at the
-# same revision.  Single source of the "canonical payload" rule shared
-# by DifferentialRecord.canonical_dict and CellResult.canonical_record.
-# ``graph_source`` is where the cell's graph came from (built / lru /
-# store), ``oracle_source`` where its baseline came from (computed /
-# lru / store / none), and ``decomposition_source`` where its input
-# decomposition snapshot came from (same vocabulary) -- provenance that
-# depends on cache and store state, never on the cell's deterministic
-# payload.  ``fault_source`` is the fault plan's provenance label (which
-# profile realized it) -- pinned here so fault replays compare on the
-# injected payload, not the label.  ``profile_source`` names where the
-# cell's round profile went (the profiles store, or "captured") when the
-# sweep ran with --profile -- observability provenance, so canonical
-# records stay byte-identical profile on or off.  ``engine_source``
-# names which execution engine served the cell (kernel:* / vectorized:*)
-# -- the kernels replicate metering exactly, so canonical records stay
-# byte-identical whichever engine served.
-NONDETERMINISTIC_FIELDS = ("wall_time", "graph_source", "oracle_source",
-                           "decomposition_source", "fault_source",
-                           "profile_source", "engine_source")
+CellIdentity = Tuple[str, str, int, int]
 
 
 def error_headline(error: Optional[str]) -> str:

@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.congest.cell import cell_context
 from repro.kernels import config as kernels_config
 from repro.scenarios import Scenario, get_binding, get_scenario
 
@@ -29,6 +30,27 @@ from repro.scenarios import Scenario, get_binding, get_scenario
 CORRECT_UNDER_FAULTS = "correct-under-faults"  # oracle-exact, in envelope
 DEGRADED = "degraded"      # completed but wrong/slow vs the clean oracle
 DIVERGED = "diverged"      # did not complete (livelock, model violation)
+
+
+# Every ``*_source`` provenance field of a DifferentialRecord, mapped to
+# the family it is counted under in sweep summaries, manifest
+# ``store_counters`` and telemetry (``None``: never counted).  The
+# fields vary between executions of the same cell at the same revision
+# -- where the graph / baseline / input decomposition came from (built
+# or computed / lru / store), which profile realized the fault plan,
+# where the round profile went, which engine served -- so together with
+# ``wall_time`` they are the NONDETERMINISTIC_FIELDS stripped from every
+# canonical payload: canonical records stay byte-identical whatever the
+# cache state, profiling or engine.
+PROVENANCE_FIELDS: Dict[str, Optional[str]] = {
+    "graph_source": "graphs",
+    "oracle_source": "oracles",
+    "decomposition_source": "decompositions",
+    "fault_source": None,
+    "profile_source": None,
+    "engine_source": "engines",
+}
+NONDETERMINISTIC_FIELDS = ("wall_time",) + tuple(PROVENANCE_FIELDS)
 
 
 @dataclass
@@ -113,14 +135,11 @@ class DifferentialRecord:
         Two executions of the same ``(scenario, algorithm, size, seed)``
         cell at the same code revision agree exactly on this dict -- the
         identity the run store's resume logic and the ``--compare``
-        regression diff are built on.  The excluded fields are named by
-        ``repro.runner.jobs.NONDETERMINISTIC_FIELDS`` (``wall_time``
-        plus the ``graph_source``/``oracle_source``/
-        ``decomposition_source`` provenance), shared with
+        regression diff are built on.  The excluded fields are
+        :data:`NONDETERMINISTIC_FIELDS` (``wall_time`` plus every
+        ``*_source`` field of :data:`PROVENANCE_FIELDS`), shared with
         ``CellResult.canonical_record``.
         """
-        from repro.runner.jobs import NONDETERMINISTIC_FIELDS
-
         payload = self.as_dict()
         for field_name in NONDETERMINISTIC_FIELDS:
             payload.pop(field_name, None)
@@ -159,7 +178,8 @@ def run_differential(scenario: Scenario | str, algorithm: str, *,
                      size: Optional[int] = None,
                      seed: int = 0,
                      faults: Optional[Any] = None,
-                     fault_seed: int = 0) -> DifferentialRecord:
+                     fault_seed: int = 0,
+                     profiler: Optional[Any] = None) -> DifferentialRecord:
     """Run one matrix cell: scenario graph -> simulator -> oracle.
 
     The scenario graph is served from the cache chain of
@@ -187,11 +207,16 @@ def run_differential(scenario: Scenario | str, algorithm: str, *,
     when still oracle-exact and in the dilated envelope, ``degraded``
     when it completed but is wrong or slow, ``diverged`` when the
     execution itself failed (livelock past the plan's round limit, or a
-    model violation provoked by the faults).  Graph and oracle resolve
-    through their normal cache chains *before* the fault context opens
-    (the ground truth stays clean); the decomposition chain is bypassed
-    -- any decomposition the binding needs is computed inline under the
-    same faults, never published under fault-free cache keys.
+    model violation provoked by the faults).  The decomposition chain is
+    bypassed -- any decomposition the binding needs is computed inline
+    under the same faults, never published under fault-free cache keys.
+
+    With ``profiler`` (a :class:`~repro.congest.profile.RoundProfiler`),
+    every execution of the binding records into it.  The fault plan and
+    the profiler live in one :func:`~repro.congest.cell.cell_context`
+    opened around the binding's execution only: graph, oracle and
+    decomposition resolve before it opens, so the ground truth stays
+    fault-free and the timeline never depends on cache state.
     """
     from repro.runner.decomposition_cache import binding_decomposition_source
     from repro.runner.graph_cache import scenario_graph_source
@@ -210,104 +235,67 @@ def run_differential(scenario: Scenario | str, algorithm: str, *,
     graph, graph_source = scenario_graph_source(scenario, size, seed=seed)
     oracle, oracle_source = binding_oracle_source(scenario, size, seed,
                                                   binding, graph)
-    if faults is not None:
-        return _run_faulted(scenario, algorithm, binding, graph,
-                            graph_source, oracle, oracle_source,
-                            size=size, seed=seed, derived_seed=derived_seed,
-                            faults=faults, fault_seed=fault_seed,
-                            start=start)
-    snapshot, decomposition_source = binding_decomposition_source(
-        scenario, size, seed, binding, graph)
-    kernels_config.consume_note()
-    if binding.decomposition is not None:
-        result = binding.run(graph, derived_seed, oracle=oracle,
-                             decomposition=snapshot)
+    profile = plan = None
+    slack = scenario.envelope_slack
+    if faults is None:
+        snapshot, decomposition_source = binding_decomposition_source(
+            scenario, size, seed, binding, graph)
     else:
-        result = binding.run(graph, derived_seed, oracle=oracle)
-    engine_source = kernels_config.cell_engine_source(algorithm)
-    wall_time = time.perf_counter() - start
-    envelope = binding.envelope.evaluate(graph.n, graph.m,
-                                         slack=scenario.envelope_slack)
-    envelope_ok = (result.metrics["rounds"] <= envelope["max_rounds"]
-                   and result.metrics["messages"] <= envelope["max_messages"])
-    return DifferentialRecord(
-        scenario=scenario.name, algorithm=algorithm, family=binding.family,
-        size=size, seed=seed, n=graph.n, m=graph.m,
-        ok=result.ok, envelope_ok=envelope_ok, checks=result.checks,
-        metrics=result.metrics, envelope=envelope, detail=result.detail,
-        derived_seed=derived_seed, wall_time=wall_time,
-        graph_source=graph_source, oracle_source=oracle_source,
-        decomposition_source=decomposition_source,
-        engine_source=engine_source)
+        from repro.congest.faults import FaultProfile, get_fault_profile
 
-
-def _run_faulted(scenario: Scenario, algorithm: str, binding, graph,
-                 graph_source: str, oracle, oracle_source: str, *,
-                 size: int, seed: int, derived_seed: int,
-                 faults, fault_seed: int, start: float) -> DifferentialRecord:
-    """The fault path of :func:`run_differential` (clean path untouched)."""
-    from repro.congest.faults import FaultProfile, fault_context, \
-        get_fault_profile
-
-    profile = (faults if isinstance(faults, FaultProfile)
-               else get_fault_profile(faults))
-    plan = profile.realize(graph, fault_seed)
-    envelope = binding.envelope.evaluate(
-        graph.n, graph.m, slack=scenario.envelope_slack * profile.dilation)
+        profile = (faults if isinstance(faults, FaultProfile)
+                   else get_fault_profile(faults))
+        plan = profile.realize(graph, fault_seed)
+        slack *= profile.dilation
+        # Bypass the decomposition cache chain: the snapshot must be
+        # computed under the same faults as the cell and must never be
+        # published under fault-free keys.
+        snapshot = None
+        decomposition_source = ("none" if binding.decomposition is None
+                                else "inline")
+    run_kwargs = ({} if binding.decomposition is None
+                  else {"decomposition": snapshot})
     result = None
     error: Optional[str] = None
-    kernels_config.consume_note()
-    if not plan.is_null:
-        # Pre-note the fallback reason: a faulted execution may crash
-        # before any kernel-eligible stage consults engine_ready().
-        kernels_config.note_engine("vectorized:faults")
-    with fault_context(plan):
+    with cell_context(faults=plan, profiler=profiler):
         try:
-            if binding.decomposition is not None:
-                # Bypass the decomposition cache chain: the snapshot
-                # must be computed under the same faults as the cell
-                # and must never be published under fault-free keys.
-                result = binding.run(graph, derived_seed, oracle=oracle,
-                                     decomposition=None)
-            else:
-                result = binding.run(graph, derived_seed, oracle=oracle)
+            result = binding.run(graph, derived_seed, oracle=oracle,
+                                 **run_kwargs)
         except Exception as exc:  # noqa: BLE001 - verdict, not crash
+            if profile is None:
+                raise
             error = f"{type(exc).__name__}: {exc}"
-    engine_source = kernels_config.cell_engine_source(algorithm)
+        engine_source = kernels_config.cell_engine_source(algorithm)
     wall_time = time.perf_counter() - start
-    decomposition_source = ("none" if binding.decomposition is None
-                            else "inline")
+    envelope = binding.envelope.evaluate(graph.n, graph.m, slack=slack)
     if result is None:
-        return DifferentialRecord(
-            scenario=scenario.name, algorithm=algorithm,
-            family=binding.family, size=size, seed=seed,
-            n=graph.n, m=graph.m, ok=False, envelope_ok=False,
-            checks={"execution_completed": False},
-            metrics={"rounds": 0, "messages": 0},
-            envelope=envelope, detail={"error": error},
-            derived_seed=derived_seed, wall_time=wall_time,
-            graph_source=graph_source, oracle_source=oracle_source,
-            decomposition_source=decomposition_source,
-            engine_source=engine_source,
-            fault_profile=profile.name, fault_seed=fault_seed,
-            fault_verdict=DIVERGED, fault_source=plan.describe())
-    envelope_ok = (result.metrics["rounds"] <= envelope["max_rounds"]
-                   and result.metrics["messages"] <= envelope["max_messages"])
-    verdict = (CORRECT_UNDER_FAULTS if result.ok and envelope_ok
-               else DEGRADED)
-    checks = dict(result.checks)
-    checks["execution_completed"] = True
+        ok = envelope_ok = False
+        checks: Dict[str, bool] = {"execution_completed": False}
+        metrics, detail = {"rounds": 0, "messages": 0}, {"error": error}
+    else:
+        ok, checks, metrics, detail = (result.ok, result.checks,
+                                       result.metrics, result.detail)
+        envelope_ok = (metrics["rounds"] <= envelope["max_rounds"]
+                       and metrics["messages"] <= envelope["max_messages"])
+    fault_fields: Dict[str, Any] = {}
+    if profile is not None:
+        verdict = DIVERGED
+        if result is not None:
+            checks = dict(checks, execution_completed=True)
+            verdict = (CORRECT_UNDER_FAULTS if ok and envelope_ok
+                       else DEGRADED)
+        fault_fields = dict(fault_profile=profile.name,
+                            fault_seed=fault_seed, fault_verdict=verdict,
+                            fault_source=plan.describe())
     return DifferentialRecord(
         scenario=scenario.name, algorithm=algorithm, family=binding.family,
         size=size, seed=seed, n=graph.n, m=graph.m,
-        ok=result.ok, envelope_ok=envelope_ok, checks=checks,
-        metrics=result.metrics, envelope=envelope, detail=result.detail,
+        ok=ok, envelope_ok=envelope_ok, checks=checks,
+        metrics=metrics, envelope=envelope, detail=detail,
         derived_seed=derived_seed, wall_time=wall_time,
         graph_source=graph_source, oracle_source=oracle_source,
         decomposition_source=decomposition_source,
-        engine_source=engine_source,
-        fault_profile=profile.name, fault_seed=fault_seed,
-        fault_verdict=verdict, fault_source=plan.describe())
+        engine_source=engine_source, **fault_fields)
 
 
 def record_from_dict(payload: Dict[str, Any]) -> DifferentialRecord:

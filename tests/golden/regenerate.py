@@ -31,7 +31,7 @@ import json
 import pathlib
 from typing import Any, Dict
 
-from repro.kernels import reference_engine
+from repro.congest.cell import cell_context
 from repro.runner import run_sweep
 from repro.scenarios import FAULT_AXIS, all_scenarios
 
@@ -95,7 +95,7 @@ def _write(path: pathlib.Path, digests: Dict[str, str]) -> None:
 
 
 def main() -> int:
-    with reference_engine():
+    with cell_context(engine="reference"):
         _write(TABLE, tier1_digests(run_sweep()))
     _write(GRAPH_TABLE, graph_digests())
     _write(FAULT_TABLE, fault_digests())

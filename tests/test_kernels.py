@@ -8,13 +8,14 @@ congestion multiset -- kernels are a perf tier, never a semantics tier.
 Everything ineligible (unlisted bindings, active fault plans, attached
 profilers, plan builders that decline) must fall through to the
 vectorized path and say why in ``engine_source``.  The reference half
-of every comparison runs under ``reference_engine()``.
+of every comparison runs under ``cell_context(engine="reference")``.
 """
 
 import json
 
 import pytest
 
+from repro.congest.cell import cell_context
 from repro.congest.errors import AlgorithmError
 from repro.congest.machine import run_machines
 from repro.core.bcongest_sim import simulate_bcongest
@@ -23,7 +24,7 @@ from repro.core.tradeoff_sim_star import simulate_aggregation_star
 from repro.decomposition.pruning import build_pruned_hierarchy
 from repro.core.weighted_apsp import weighted_apsp
 from repro.graphs import gnp_streaming, uniform_weights
-from repro.kernels import REGISTRY, reference_engine, wavefront
+from repro.kernels import REGISTRY, wavefront
 from repro.kernels import config as kernels_config
 from repro.kernels import relaxation
 from repro.primitives.bfs import BFSCollectionMachine
@@ -57,7 +58,7 @@ def _canonical(record):
 
 
 def _kernel_vs_vectorized(name, algorithm, size=None, seed=0):
-    with reference_engine():
+    with cell_context(engine="reference"):
         off = run_differential(name, algorithm, size=size, seed=seed)
     assert off.engine_source == "none"
     assert "engine_source" not in off.as_dict()
@@ -159,11 +160,12 @@ def test_oversize_broadcast_error_is_identical_stepped_and_replayed():
 def test_weighted_apsp_metrics_identical_kernels_on_and_off():
     graph = uniform_weights(get_scenario("grid-weighted").graph(12),
                             w_max=8, seed=9)
-    with reference_engine():
+    with cell_context(engine="reference") as cell:
         off = weighted_apsp(graph, seed=2)
-    assert kernels_config.consume_note() is None
-    on = weighted_apsp(graph, seed=2)
-    assert kernels_config.consume_note() == "kernel:bellman-ford"
+    assert cell.engine_note is None
+    with cell_context() as cell:
+        on = weighted_apsp(graph, seed=2)
+    assert cell.engine_note == "kernel:bellman-ford"
     assert on.dist == off.dist
     assert on.parents == off.parents
     assert on.metrics.as_dict() == off.metrics.as_dict()
@@ -185,10 +187,10 @@ def test_unlisted_binding_reports_ineligible():
 def test_profiled_transport_does_not_relabel_an_ineligible_cell():
     """The matching binding routes packets; under a profiler the
     transport falls back without noting ``vectorized:profile``."""
-    from repro.congest.profile import RoundProfiler, profile_context
+    from repro.congest.profile import RoundProfiler
 
-    with profile_context(RoundProfiler()):
-        record = run_differential("bipartite-balanced", "matching")
+    record = run_differential("bipartite-balanced", "matching",
+                              profiler=RoundProfiler())
     assert record.engine_source == "vectorized:ineligible"
     assert record.ok, record.failure_message()
 
@@ -200,12 +202,28 @@ def test_faulted_cell_falls_back_to_vectorized():
 
 
 def test_active_profiler_falls_back_to_vectorized():
-    from repro.congest.profile import RoundProfiler, profile_context
+    from repro.congest.profile import RoundProfiler
 
-    with profile_context(RoundProfiler()):
+    with cell_context(profiler=RoundProfiler()):
         assert not kernels_config.engine_ready()
-    assert kernels_config.cell_engine_source("apsp-unweighted") \
-        == "vectorized:profile"
+        assert kernels_config.cell_engine_source("apsp-unweighted") \
+            == "vectorized:profile"
+
+
+@pytest.mark.parametrize("scenario,faults,verdict", [
+    ("path", "reorder-heavy", "correct-under-faults"),
+    ("random-tree", "lossy-light", "diverged"),
+])
+def test_profiled_and_faulted_cell_reads_faults(scenario, faults, verdict):
+    """The one ordered label rule: a non-null fault plan outranks the
+    profiler, whether the execution completed or crashed before a
+    kernel stage consulted ``engine_ready()``."""
+    from repro.congest.profile import RoundProfiler
+
+    record = run_differential(scenario, "apsp-unweighted", faults=faults,
+                              fault_seed=7, profiler=RoundProfiler())
+    assert record.fault_verdict == verdict
+    assert record.engine_source == "vectorized:faults"
 
 
 def test_oversized_int_weights_decline_the_plan():
@@ -216,14 +234,14 @@ def test_oversized_int_weights_decline_the_plan():
     delays = {j: 1 for j in range(graph.n)}
     assert relaxation.bcongest_plan(graph, delays) is None
     # Through the driver: eligible binding, no kernel note -> fallback.
-    kernels_config.consume_note()
-    weighted_apsp(graph, seed=0)
-    assert kernels_config.cell_engine_source("apsp-weighted") \
-        == "vectorized:fallback"
+    with cell_context():
+        weighted_apsp(graph, seed=0)
+        assert kernels_config.cell_engine_source("apsp-weighted") \
+            == "vectorized:fallback"
 
 
 def test_disabled_plane_reports_none_and_omits_the_field():
-    with reference_engine():
+    with cell_context(engine="reference"):
         record = run_differential("path", "apsp-unweighted")
     assert record.engine_source == "none"
     assert "engine_source" not in record.as_dict()
@@ -246,7 +264,7 @@ def test_sweep_summary_counts_engine_sources():
 
 
 def test_sweep_canonical_records_identical_kernels_on_and_off():
-    with reference_engine():
+    with cell_context(engine="reference"):
         off = run_sweep(["path", "cycle"], seeds=(0,))
     on = run_sweep(["path", "cycle"], seeds=(0,))
     assert [r.canonical_record() for r in off.results] \

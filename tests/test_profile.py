@@ -33,9 +33,9 @@ from repro.congest import (
     FaultPlan,
     Metrics,
     RoundProfiler,
-    active_profiler,
+    cell_context,
+    current_cell,
     mark_phase,
-    profile_context,
     run_machines,
 )
 from repro.congest.profile import ADDITIVE_COLUMNS, COLUMNS
@@ -120,18 +120,18 @@ def test_empty_profiler_compacts_to_empty_profile():
 
 
 def test_profile_context_ambient_and_shielding():
-    assert active_profiler() is None
+    assert current_cell().profiler is None
     mark_phase("outside")  # must be a silent no-op
     profiler = RoundProfiler()
-    with profile_context(profiler):
-        assert active_profiler() is profiler
-        with profile_context(None):
-            # A nested plain context shields inner executions, the way
-            # oracle recomputation runs outside the cell's profile.
-            assert active_profiler() is None
-        assert active_profiler() is profiler
+    with cell_context(profiler=profiler):
+        assert current_cell().profiler is profiler
+        with cell_context(profiler=None):
+            # A nested unprofiled context shields inner executions.
+            assert current_cell().profiler is None
+            mark_phase("shielded")
+        assert current_cell().profiler is profiler
         mark_phase("inside")
-    assert active_profiler() is None
+    assert current_cell().profiler is None
     assert profiler.profile().phases == [(0, "inside")]
 
 
@@ -139,7 +139,7 @@ def test_profile_context_ambient_and_shielding():
 def test_network_sums_exact_on_both_delivery_paths(fast_path):
     g = gnp(18, 0.3, seed=3)
     profiler = RoundProfiler()
-    with profile_context(profiler):
+    with cell_context(profiler=profiler):
         execution = run_machines(g, lambda info: BFSMachine(info, root=0),
                                  fast_path=fast_path)
     profile = profiler.profile()
@@ -155,7 +155,7 @@ def test_network_sums_exact_under_faults(fast_path):
     g = gnp(16, 0.4, seed=5)
     profiler = RoundProfiler()
     plan = FaultPlan(drop=0.3, duplicate=0.2, node_crashes={3: 4}, seed=7)
-    with profile_context(profiler):
+    with cell_context(profiler=profiler):
         run_machines(g, lambda info: BFSMachine(info, root=0),
                      fast_path=fast_path, faults=plan)
     profile = profiler.profile()
@@ -175,7 +175,7 @@ def test_unprofiled_run_measures_identically():
     factory = lambda info: BFSMachine(info, root=0)
     plain = run_machines(g, factory, seed=3)
     profiler = RoundProfiler()
-    with profile_context(profiler):
+    with cell_context(profiler=profiler):
         profiled = run_machines(g, factory, seed=3)
     assert plain.metrics.as_dict() == profiled.metrics.as_dict()
     assert plain.outputs == profiled.outputs
@@ -197,8 +197,8 @@ _CELLS = [
 @pytest.mark.parametrize("scenario,algorithm,size", _CELLS)
 def test_binding_sums_exact(scenario, algorithm, size):
     profiler = RoundProfiler()
-    with profile_context(profiler):
-        record = run_differential(scenario, algorithm, size=size, seed=0)
+    record = run_differential(scenario, algorithm, size=size, seed=0,
+                              profiler=profiler)
     assert record.passed
     _assert_segment_sums_exact(profiler.profile())
 
@@ -208,9 +208,8 @@ def test_binding_sums_exact(scenario, algorithm, size):
                           ("dense-gnp", "cover", 10)])
 def test_binding_sums_exact_under_faults(scenario, algorithm, size):
     profiler = RoundProfiler()
-    with profile_context(profiler):
-        run_differential(scenario, algorithm, size=size, seed=0,
-                         faults="lossy-heavy", fault_seed=1)
+    run_differential(scenario, algorithm, size=size, seed=0,
+                     faults="lossy-heavy", fault_seed=1, profiler=profiler)
     profile = profiler.profile()
     _assert_segment_sums_exact(profile)
     assert profile.totals()["faults_dropped"] > 0
@@ -218,8 +217,8 @@ def test_binding_sums_exact_under_faults(scenario, algorithm, size):
 
 def test_apsp_timeline_carries_phase_markers():
     profiler = RoundProfiler()
-    with profile_context(profiler):
-        run_differential("complete", "apsp-unweighted", size=8, seed=0)
+    run_differential("complete", "apsp-unweighted", size=8, seed=0,
+                     profiler=profiler)
     profile = profiler.profile()
     names = {name for _row, name in profile.phases}
     assert {"preprocessing", "output-delivery"} <= names
@@ -229,13 +228,40 @@ def test_apsp_timeline_carries_phase_markers():
                       str)
 
 
+@pytest.mark.parametrize("algorithm", ["bs-hierarchy", "mpx-cover"])
+def test_profile_covers_the_execution_not_the_resolves(algorithm):
+    """Regression: the profile used to open before the graph / oracle /
+    decomposition resolves, so a cold cell's timeline also held the
+    inline decomposition build (bs-hierarchy@dense-gnp recorded 12
+    segments and 700 messages cold, 5 segments and 266 messages warm)."""
+    from repro.runner import config
+
+    config.reset()
+    passes = []
+    for _ in range(2):  # cold, then LRU-warm
+        profiler = RoundProfiler()
+        record = run_differential("dense-gnp", algorithm, profiler=profiler)
+        passes.append((record, profiler.profile()))
+    (cold_record, cold), (warm_record, warm) = passes
+    assert (cold_record.decomposition_source,
+            warm_record.decomposition_source) == ("computed", "lru")
+    assert sorted(cold.columns) == sorted(warm.columns)
+    for name in cold.columns:
+        assert np.array_equal(cold.columns[name], warm.columns[name]), name
+    assert cold.segments == warm.segments
+    assert cold.phases == warm.phases
+    if algorithm == "bs-hierarchy":
+        for record, profile in passes:
+            assert profile.totals()["messages"] == record.metrics["messages"]
+
+
 # ---------------------------------------------------------------------------
 # The profiles artifact family
 # ---------------------------------------------------------------------------
 
 def _capture_profile():
     profiler = RoundProfiler()
-    with profile_context(profiler):
+    with cell_context(profiler=profiler):
         run_machines(gnp(12, 0.4, seed=1),
                      lambda info: BFSMachine(info, root=0))
         mark_phase("tail")
@@ -541,7 +567,7 @@ def test_profile_diff_payload_tracks_deltas():
 
     a = _capture_profile()
     profiler = RoundProfiler()
-    with profile_context(profiler):
+    with cell_context(profiler=profiler):
         mark_phase("head")
         run_machines(gnp(16, 0.4, seed=2),
                      lambda info: BFSMachine(info, root=0))

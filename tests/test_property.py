@@ -15,14 +15,19 @@ from hypothesis import strategies as st
 import repro
 from repro.baselines.reference import bfs_distances, unweighted_apsp
 from repro.congest import (
+    FaultPlan,
     LocalRunner,
     Machine,
     Metrics,
+    RoundProfiler,
+    cell_context,
+    current_cell,
     payload_words,
     run_machines,
 )
 from repro.congest.errors import AlgorithmError
 from repro.congest.metrics import undirected
+from repro.congest.profile import ADDITIVE_COLUMNS
 from repro.core.aggregation import check_idempotent
 from repro.covers.mpx_cover import (
     CoverCollectionMachine,
@@ -31,7 +36,7 @@ from repro.covers.mpx_cover import (
 from repro.decomposition import build_baswana_sen, run_mpx, verify_hierarchy
 from repro.decomposition.mpx import MPXMachine
 from repro.graphs import from_edges, gnp
-from repro.kernels import reference_engine
+from repro.kernels import config as kernels_config
 from repro.matching.augmenting import BipartiteMatchingMachine
 from repro.matching.israeli_itai import IsraeliItaiMachine
 from repro.primitives import (
@@ -248,7 +253,7 @@ def _routed(g, packets, **kwargs):
 
 def _both_engines(g, packets, **kwargs):
     exact = _routed(g, packets, **kwargs)
-    with reference_engine():
+    with cell_context(engine="reference"):
         reference = _routed(g, packets, **kwargs)
     return exact, reference
 
@@ -333,6 +338,58 @@ def test_bfs_machine_matches_reference_random(g, seed):
     ref = bfs_distances(g, root)
     for v in g.nodes():
         assert execution.outputs[v][0] == ref[v]
+
+
+# ----------------------------------------------------------------------
+# The cell context: fault replay, profile sums, shielding, note scope
+# ----------------------------------------------------------------------
+
+def _bfs_run(g, seed):
+    execution = run_machines(g, lambda info: BFSMachine(info, root=seed % g.n),
+                             seed=seed)
+    return (execution.outputs, execution.metrics.as_dict(),
+            list(execution.metrics.edge_congestion.items()))
+
+
+@settings(max_examples=25)
+@given(g=connected_graphs(max_n=14), seed=st.integers(0, 1_000))
+def test_cell_context_replays_faults_and_sums_profiles(g, seed):
+    plan = FaultPlan(drop=0.2, duplicate=0.2, seed=seed)
+    runs = []
+    for _ in range(2):
+        profiler = RoundProfiler()
+        with cell_context(faults=plan, profiler=profiler):
+            runs.append((_bfs_run(g, seed), profiler.profile()))
+    (first, profile), (second, _profile) = runs
+    # Fault decisions are coordinate-seeded: the replay is identical.
+    assert first == second
+    # The additive profile columns sum to the final Metrics exactly.
+    final = first[1]
+    assert profile.totals() == {name: final.get(name, 0)
+                                for name in ADDITIVE_COLUMNS}
+
+    # A nested fault-free, unprofiled context shields the inner run
+    # but inherits the engine mode it does not override.
+    outer_profiler = RoundProfiler()
+    with cell_context(faults=plan, profiler=outer_profiler,
+                      engine="reference"):
+        with cell_context(faults=None, profiler=None) as inner:
+            assert inner.engine == "reference"
+            shielded = _bfs_run(g, seed)
+    assert shielded == _bfs_run(g, seed)
+    assert outer_profiler.profile().segments == []
+
+    # A kernel note made inside a nested context never leaks outward.
+    with cell_context() as outer:
+        with cell_context() as nested:
+            kernels_config.note_engine("kernel:bfs-wavefront")
+            assert current_cell() is nested
+        assert nested.engine_note == "kernel:bfs-wavefront"
+        assert outer.engine_note is None
+        assert kernels_config.cell_engine_source("bfs-collection") \
+            == "vectorized:fallback"
+    kernels_config.note_engine("kernel:bfs-wavefront")  # outside: no-op
+    assert current_cell().engine_note is None
 
 
 # ----------------------------------------------------------------------

@@ -206,6 +206,36 @@ def test_testing_sweep_routes_through_engine():
     assert all(r.derived_seed for r in serial)
 
 
+def test_every_source_field_is_registered_and_stripped():
+    """One provenance-field table: every ``*_source`` field of the record
+    is in it, and both canonical payloads strip every one of them."""
+    import dataclasses
+
+    from repro.runner.jobs import NONDETERMINISTIC_FIELDS
+    from repro.testing.differential import (
+        PROVENANCE_FIELDS,
+        DifferentialRecord,
+    )
+
+    sources = [f.name for f in dataclasses.fields(DifferentialRecord)
+               if f.name.endswith("_source")]
+    assert sources == list(PROVENANCE_FIELDS)
+    assert NONDETERMINISTIC_FIELDS == ("wall_time",) + tuple(sources)
+    # Give every source field a non-default value, so as_dict emits it.
+    record = run_differential("path", "apsp-unweighted",
+                              faults="lossy-light", fault_seed=1)
+    record = dataclasses.replace(
+        record, **{name: "probe" for name in sources})
+    payload = record.as_dict()
+    assert set(NONDETERMINISTIC_FIELDS) <= set(payload)
+    result = CellResult(spec=JobSpec("path", "apsp-unweighted", 8),
+                        status=DONE, wall_time=0.0, record=payload)
+    for canonical in (record.canonical_dict(), result.canonical_record()):
+        assert not set(NONDETERMINISTIC_FIELDS) & set(canonical)
+        assert canonical == {key: value for key, value in payload.items()
+                             if key not in NONDETERMINISTIC_FIELDS}
+
+
 # ---------------------------------------------------------------------------
 # Timeouts and failure containment
 # ---------------------------------------------------------------------------

@@ -349,7 +349,7 @@ def test_graph_view_gc_is_scoped_to_its_family(tmp_path):
     """Regression: graph-view gc used to prune every family at the root,
     deleting oracle and profile entries published beside the graph."""
     from repro.baselines.oracles import ORACLES
-    from repro.congest.profile import RoundProfiler, profile_context
+    from repro.congest.profile import RoundProfiler
     from repro.testing import run_differential
 
     graphs = FamilyStore(GRAPH_FAMILY, tmp_path)
@@ -364,8 +364,7 @@ def test_graph_view_gc_is_scoped_to_its_family(tmp_path):
     assert oracles.publish("path", size, derived, spec,
                            spec.compute(graph, derived))
     profiler = RoundProfiler()
-    with profile_context(profiler):
-        run_differential("path", "apsp-unweighted")
+    run_differential("path", "apsp-unweighted", profiler=profiler)
     identity = profile_identity("path", "apsp-unweighted", size, 0)
     assert profiles.publish(identity, profiler.profile())
 

@@ -4,8 +4,9 @@ tags, concurrent flows, and the path helpers."""
 import pytest
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.faults import FaultPlan, fault_context
-from repro.congest.profile import RoundProfiler, profile_context
+from repro.congest.cell import cell_context
+from repro.congest.faults import FaultPlan
+from repro.congest.profile import RoundProfiler
 from repro.graphs import cycle, from_edges, grid, path
 from repro.primitives import (
     Packet,
@@ -140,7 +141,7 @@ def test_profiled_transport_opens_one_segment():
     g = path(4)
     packets = [Packet(path=(0, 1, 2, 3), payload=i) for i in range(3)]
     profiler = RoundProfiler()
-    with profile_context(profiler):
+    with cell_context(profiler=profiler):
         _deliveries, metrics = route_packets(g, packets)
     (segment,) = profiler.profile().segments
     assert segment["rows"] == metrics.rounds
@@ -150,6 +151,6 @@ def test_profiled_transport_opens_one_segment():
 def test_dropping_fault_plan_loses_packets():
     g = path(3)
     packets = [Packet(path=(0, 1, 2), payload="x")]
-    with fault_context(FaultPlan(drop=1.0, seed=3)):
+    with cell_context(faults=FaultPlan(drop=1.0, seed=3)):
         with pytest.raises(AlgorithmError, match="transport lost packets"):
             route_packets(g, packets)
