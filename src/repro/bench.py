@@ -32,34 +32,35 @@ Registered today:
   ``>= 10x on the metered hot loop`` evidence (n >= 1000); ``--smoke``
   shrinks the workload for the CI ``>= 3x`` gate.  Writes
   ``BENCH_kernels.json``.
-* ``graph-store`` -- the on-disk snapshot store (:mod:`repro.store`):
-  cold generator build vs. mmap'd snapshot load vs. in-process LRU hit
-  per scenario, plus a sweep's whole per-cell construction bill under
-  a cold store (build + publish every key) vs. a warm one (mmap every
-  key).  Supports ``--smoke``.  Writes ``BENCH_graph_store.json``.
-* ``oracle-store`` -- the oracle artifact family: computing a cell's
-  sequential baseline (n-fold BFS, Dijkstra sweeps, Hopcroft-Karp, the
-  LDC reference realization) vs. loading the published value, plus a
-  sweep's whole per-cell baseline bill under a cold vs. a warm store.
-  Supports ``--smoke``.  Writes ``BENCH_oracle_store.json``.
-* ``decomposition-pipeline`` -- the staged pipeline's input artifact:
-  running the metered MPX/LDC construction vs. loading the published
-  snapshot vs. an LRU hit, plus a sweep's whole pipeline-input bill
-  (every decomposition-consuming cell, LRU off) under a cold vs. a
-  warm store.  The ``load_vs_compute`` ratios are the CI gate for the
-  store actually beating recomputation.  Supports ``--smoke``.  Writes
+* ``graph-store``, ``oracle-store`` and ``decomposition-pipeline`` --
+  one registration per artifact chain (:data:`STORE_BENCHMARKS`, in
+  :data:`repro.runner.chain.CHAINS` order: scenario graphs, sequential
+  baselines, the staged pipeline's LDC snapshots), all measured by the
+  one :func:`bench_store` body.  Per distinct artifact of the family's
+  cases: cold compute vs. store load vs. in-process LRU hit
+  (``<setting>.<artifact>.{cold_compute,store_load,lru_hit}``, ratios
+  ``load_vs_compute.<artifact>`` / ``lru_vs_compute.<artifact>``),
+  after checking that the published value loads back equal.  Then a
+  sweep's whole per-cell bill for the family under a cold store
+  (compute + publish every key) vs. a warm one (load every key), whose
+  ratio is the headline: ``sweep_construction_warm_vs_cold`` (graph
+  LRU on, as in a sweep), ``sweep_baselines_warm_vs_cold`` and
+  ``pipeline_inputs_warm_vs_cold`` (LRU off, so the disk path is what
+  is measured; the last is CI's ``--smoke`` ``>= 2x`` gate).  Write
+  ``BENCH_graph_store.json``, ``BENCH_oracle_store.json`` and
   ``BENCH_decomposition_pipeline.json``.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import pathlib
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -168,373 +169,198 @@ def best_of(fn: Callable[[], Any], reps: int = 3) -> float:
 
 
 # ---------------------------------------------------------------------------
-# graph-store: the on-disk content-addressed snapshot store
+# Store benchmarks: one per artifact chain (graph-store, oracle-store,
+# decomposition-pipeline)
 # ---------------------------------------------------------------------------
 
-# Scenarios spanning the snapshot formats: dense/sparse unweighted CSR
-# and a weighted graph (CSR + ordered weight arrays).  Sizes are large
-# enough that generator work dominates the fixed per-load costs
-# (manifest parse, file headers) the mmap path pays.
-_STORE_CASES = (("dense-gnp", 192), ("sparse-gnp", 512),
-                ("grid-weighted", 400))
-_STORE_CASES_SMOKE = (("dense-gnp", 24), ("sparse-gnp", 48),
-                      ("grid-weighted", 36))
+@dataclass(frozen=True)
+class StoreBench:
+    """What one artifact chain's store benchmark measures.
+
+    ``cases`` / ``smoke_cases`` are the ``(scenario, size)`` workloads;
+    ``bill`` names the sweep pass (its headline speedup is
+    ``<bill>_warm_vs_cold``); ``sweep_lru`` keeps the chain's LRU on
+    during the sweep pass.
+    """
+
+    name: str
+    cases: Tuple[Tuple[str, int], ...]
+    smoke_cases: Tuple[Tuple[str, int], ...]
+    bill: str
+    sweep_lru: bool
 
 
-@register_benchmark("graph-store")
-def bench_graph_store(smoke: bool = False) -> BenchReport:
+# Chain store kind -> its benchmark, in chain order.
+STORE_BENCHMARKS: Dict[str, StoreBench] = {
+    # Scenarios spanning the snapshot formats: dense/sparse unweighted
+    # CSR and a weighted graph (CSR + ordered weight arrays).  Sizes are
+    # large enough that generator work dominates the fixed per-load
+    # costs (manifest parse, file headers) the mmap path pays.  The
+    # sweep pass keeps the LRU on: a sweep's same-scenario cells share
+    # one graph, so only each key's first touch reaches the store.
+    "graphs": StoreBench(
+        "graph-store",
+        (("dense-gnp", 192), ("sparse-gnp", 512), ("grid-weighted", 400)),
+        (("dense-gnp", 24), ("sparse-gnp", 48), ("grid-weighted", 36)),
+        "sweep_construction", sweep_lru=True),
+    # Scenarios spanning the oracle shapes: the shared unweighted-apsp
+    # matrix (+ the LDC reference realization) on a dense graph, a
+    # weighted distance matrix, and the Hopcroft-Karp matching size.
+    # Sizes are large enough that the baseline computation dominates
+    # the fixed per-load costs (manifest parse, mmap, decode) by a wide
+    # margin.  LRU off in the sweep pass, so the disk path is what is
+    # measured.
+    "oracles": StoreBench(
+        "oracle-store",
+        (("dense-gnp", 64), ("grid-weighted", 64),
+         ("bipartite-balanced", 72)),
+        (("dense-gnp", 16), ("grid-weighted", 12),
+         ("bipartite-balanced", 14)),
+        "sweep_baselines", sweep_lru=False),
+    # Scenarios carrying decomposition-consuming bindings (the staged
+    # cover / spanner / hierarchy cells).  Sizes where the metered
+    # MPX/LDC construction dominates the fixed per-load costs (manifest
+    # parse, mmap, dict reassembly); the smoke sizes are the smallest
+    # where that still holds (at the scenarios' tier-1 defaults a store
+    # load costs about as much as rebuilding, which would make the CI
+    # gate meaningless).  LRU off in the sweep pass, as for oracles.
+    "decompositions": StoreBench(
+        "decomposition-pipeline",
+        (("dense-gnp", 64), ("grid", 100), ("sparse-gnp", 128)),
+        (("dense-gnp", 28), ("grid", 36), ("sparse-gnp", 40)),
+        "pipeline_inputs", sweep_lru=False),
+}
+
+
+def _require(ok: Any, message: str) -> None:
+    """Explicit check, not an assert: must survive ``python -O``."""
+    if not ok:
+        raise RuntimeError(message)
+
+
+def _artifact_label(key) -> str:
+    # A chain key is (scenario, size, derived seed, *detail); the first
+    # detail field (oracle name, decomposition algorithm) names the
+    # artifact within its case, and a graph is its case.
+    return ".".join(str(part) for part in (key[0], *key[3:4]))
+
+
+def bench_store(kind: str, smoke: bool = False) -> BenchReport:
+    """One chain's store benchmark (``STORE_BENCHMARKS[kind]``).
+
+    Per distinct artifact of the cases: cold compute vs. store load vs.
+    in-process LRU hit, after checking that the published value loads
+    back equal.  Then a fresh sweep invocation's whole per-cell bill for
+    this family -- every cell resolves its artifact through the chain
+    -- under a cold store (compute + publish every key) vs. a warm one
+    (load every key).
+    """
     import shutil
     import tempfile
 
-    from repro.runner import config, graph_cache
-    from repro.scenarios import get_scenario
-    from repro.store import GRAPH_FAMILY, FamilyStore
-
-    cases = _STORE_CASES_SMOKE if smoke else _STORE_CASES
-    reps = 1 if smoke else 3
-    timings: Dict[str, float] = {}
-    speedups: Dict[str, float] = {}
-    extra: Dict[str, Any] = {"smoke": smoke}
-
-    with config.preserved(), tempfile.TemporaryDirectory() as tmp:
-        root = pathlib.Path(tmp)
-        store = FamilyStore(GRAPH_FAMILY, root / "warm")
-
-        # -- per-graph: cold generator build vs mmap load vs LRU hit --
-        for name, size in cases:
-            scenario = get_scenario(name)
-            derived = scenario.seed_for(size, 0)
-            graph = scenario.graph(size)
-            # Explicit checks, not asserts: these are load-bearing (the
-            # publish populates the warm store every later measurement
-            # reads) and must survive `python -O`.
-            if not store.publish(scenario.name, size, derived, graph):
-                raise RuntimeError(f"{name}: snapshot publish failed")
-            loaded = store.load(scenario.name, size, derived)
-            if (loaded is None or loaded.adj != graph.adj
-                    or loaded.weights != graph.weights):
-                raise RuntimeError(f"{name}: snapshot diverged from build")
-
-            cold = best_of(lambda: scenario.graph(size), reps)
-            mmap_load = best_of(
-                lambda: store.load(scenario.name, size, derived), reps)
-            graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-            graph_cache.configure_store(None)
-            graph_cache.scenario_graph(scenario, size)  # warm the LRU
-            lru_hit = best_of(
-                lambda: graph_cache.scenario_graph(scenario, size), reps)
-            timings[f"graph.{name}.cold_build"] = cold
-            timings[f"graph.{name}.store_mmap_load"] = mmap_load
-            timings[f"graph.{name}.lru_hit"] = lru_hit
-            speedups[f"mmap_vs_cold.{name}"] = cold / mmap_load
-            speedups[f"lru_vs_cold.{name}"] = cold / lru_hit
-            extra[name] = {"n": graph.n, "m": graph.m, "size": size,
-                           "weighted": graph.weights is not None}
-
-        # -- per-cell sweep construction: cold store vs warm store -----
-        # Models a fresh `repro sweep` invocation's construction bill:
-        # every cell asks the chain for its graph, the LRU starts
-        # empty.  Cold: the store is empty too, so the first touch of
-        # every key runs the generator and publishes.  Warm: every
-        # first touch mmaps the published snapshot.  Remaining cells
-        # LRU-hit in both worlds, exactly as in a real sweep.
-        def construction_pass(store_dir):
-            graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-            graph_cache.configure_store(store_dir)
-            start = time.perf_counter()
-            for name, size in cases:
-                scenario = get_scenario(name)
-                for _ in scenario.algorithms:
-                    graph_cache.scenario_graph(scenario, size)
-            return time.perf_counter() - start
-
-        cold_times, warm_times = [], []
-        for rep in range(reps):
-            cold_root = root / f"cold-{rep}"
-            cold_times.append(construction_pass(cold_root))
-            shutil.rmtree(cold_root)
-            warm_times.append(construction_pass(store.root))
-        cold_sweep, warm_sweep = min(cold_times), min(warm_times)
-        timings["sweep_construction.cold_store"] = cold_sweep
-        timings["sweep_construction.warm_store"] = warm_sweep
-        speedups["sweep_construction_warm_vs_cold"] = cold_sweep / warm_sweep
-        extra["sweep_construction"] = {
-            "cells": sum(len(get_scenario(name).algorithms)
-                         for name, _ in cases),
-            "cases": [f"{name}@{size}" for name, size in cases],
-        }
-        extra["store"] = store.stat()
-        extra["store"].pop("root", None)  # tempdir path: not reproducible
-
-    return BenchReport(
-        name="graph-store",
-        scenario=" + ".join(f"{name}(size={size})" for name, size in cases)
-                 + " snapshots; cold vs warm sweep construction",
-        timings=timings, speedups=speedups, extra=extra)
-
-
-# ---------------------------------------------------------------------------
-# oracle-store: cached differential baselines (the oracle family)
-# ---------------------------------------------------------------------------
-
-# Scenarios spanning the oracle shapes: the shared unweighted-apsp
-# matrix (+ the LDC reference realization) on a dense graph, a weighted
-# distance matrix, and the Hopcroft-Karp matching size.  Sizes are
-# large enough that the baseline computation dominates the fixed
-# per-load costs (manifest parse, mmap, decode) by a wide margin.
-_ORACLE_CASES = (("dense-gnp", 64), ("grid-weighted", 64),
-                 ("bipartite-balanced", 72))
-_ORACLE_CASES_SMOKE = (("dense-gnp", 16), ("grid-weighted", 12),
-                       ("bipartite-balanced", 14))
-
-
-@register_benchmark("oracle-store")
-def bench_oracle_store(smoke: bool = False) -> BenchReport:
-    import shutil
-    import tempfile
-
-    from repro.runner import config, oracle_cache
+    from repro.runner import config
+    from repro.runner.chain import all_chains
     from repro.scenarios import get_binding, get_scenario
-    from repro.store import ORACLE_FAMILY, FamilyStore
+    from repro.store import FamilyStore
 
-    cases = _ORACLE_CASES_SMOKE if smoke else _ORACLE_CASES
+    spec = STORE_BENCHMARKS[kind]
+    chain = all_chains()[kind]
+    cases = spec.smoke_cases if smoke else spec.cases
     reps = 1 if smoke else 3
+    lru_size = getattr(config.SweepConfig(), chain.size_field)
     timings: Dict[str, float] = {}
     speedups: Dict[str, float] = {}
     extra: Dict[str, Any] = {"smoke": smoke}
 
     with config.preserved(), tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
-        store = FamilyStore(ORACLE_FAMILY, root / "warm")
+        store = FamilyStore(chain.family, root / "warm")
 
-        # Build each case's graph once, outside every timed region: the
-        # graph-store benchmark owns construction costs; this one
-        # isolates the baseline bill.
+        # Build each case's graph once, outside every timed region (for
+        # the graph chain the sweep pass still resolves its own), and
+        # collect the cells that resolve an artifact of this family.
         prepared = []
+        artifacts: Dict[Any, Tuple[Any, ...]] = {}  # key -> compute args
         for name, size in cases:
             scenario = get_scenario(name)
-            derived = scenario.seed_for(size, 0)
             graph = scenario.graph(size)
-            specs: Dict[str, Any] = {}
+            cells = []
             for algorithm in scenario.algorithms:
-                spec = get_binding(algorithm).oracle
-                if spec is not None:
-                    specs.setdefault(spec.name, spec)
-            prepared.append((scenario, size, derived, graph, specs))
+                binding = get_binding(algorithm)
+                request = chain.request(scenario, size, 0, binding, graph)
+                if request is not None:
+                    cells.append(binding)
+                    artifacts.setdefault(*request)
+            prepared.append((scenario, size, graph, cells))
             extra[name] = {"n": graph.n, "m": graph.m, "size": size,
-                           "oracles": sorted(specs)}
+                           "weighted": graph.is_weighted,
+                           "cells": [binding.name for binding in cells]}
 
-        # -- per-oracle: cold compute vs store load vs LRU hit ---------
-        for scenario, size, derived, graph, specs in prepared:
-            for oracle_name, spec in sorted(specs.items()):
-                value = spec.compute(graph, derived)
-                # Explicit checks, not asserts: load-bearing (the warm
-                # store feeds every later measurement) and must survive
-                # `python -O`.
-                if not store.publish(scenario.name, size, derived,
-                                     spec, value):
-                    raise RuntimeError(f"{oracle_name}: publish failed")
-                if store.load(scenario.name, size, derived,
-                              spec) != value:
-                    raise RuntimeError(
-                        f"{oracle_name}: cached value diverged")
+        # -- per artifact: cold compute vs store load vs LRU hit -------
+        for key, args in artifacts.items():
+            label = _artifact_label(key)
+            coords = chain.coords(key, *args)
+            value = chain.compute(*args)
+            # Load-bearing: the publish populates the warm store every
+            # later measurement reads.
+            _require(store.publish(*coords, value),
+                     f"{label}: publish failed")
+            _require(store.load(*coords) == value,
+                     f"{label}: published value diverged from compute")
 
-                compute = best_of(lambda: spec.compute(graph, derived),
-                                  reps)
-                load = best_of(
-                    lambda: store.load(scenario.name, size, derived, spec),
-                    reps)
-                oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
-                oracle_cache.configure_store(None)
-                oracle_cache.oracle_value_source(
-                    scenario.name, size, derived, spec, graph)  # warm LRU
-                lru_hit = best_of(
-                    lambda: oracle_cache.oracle_value_source(
-                        scenario.name, size, derived, spec, graph), reps)
-                label = f"oracle.{scenario.name}.{oracle_name}"
-                timings[f"{label}.cold_compute"] = compute
-                timings[f"{label}.store_load"] = load
-                timings[f"{label}.lru_hit"] = lru_hit
-                speedups[f"load_vs_compute.{scenario.name}."
-                         f"{oracle_name}"] = compute / load
+            compute = best_of(lambda: chain.compute(*args), reps)
+            load = best_of(lambda: store.load(*coords), reps)
+            chain.configure(lru_size)
+            chain.configure_store(None)
+            chain.resolve(key, *args)  # warm the LRU
+            lru_hit = best_of(lambda: chain.resolve(key, *args), reps)
+            prefix = f"{chain.setting}.{label}"
+            timings[f"{prefix}.cold_compute"] = compute
+            timings[f"{prefix}.store_load"] = load
+            timings[f"{prefix}.lru_hit"] = lru_hit
+            speedups[f"load_vs_compute.{label}"] = compute / load
+            speedups[f"lru_vs_compute.{label}"] = compute / lru_hit
 
-        # -- per-cell sweep baselines: cold store vs warm store --------
-        # Models a fresh sweep invocation's baseline bill: every cell
-        # with a bound oracle resolves it through the chain, LRU off so
-        # the disk path is what is measured.  Cold: every resolution
-        # computes and publishes.  Warm: every resolution loads.
-        def baseline_pass(store_dir):
-            oracle_cache.configure(0)
-            oracle_cache.configure_store(store_dir)
+        # -- per-cell sweep bill: cold store vs warm store -------------
+        # Models a fresh `repro sweep` invocation: every cell asks the
+        # chain for its artifact and the LRU starts empty.  Cold: the
+        # store is empty too, so the first resolution of every key
+        # computes and publishes.  Warm: it loads the published value.
+        def sweep_pass(store_dir):
+            chain.configure(lru_size if spec.sweep_lru else 0)
+            chain.configure_store(store_dir)
             start = time.perf_counter()
-            for scenario, size, derived, graph, _specs in prepared:
-                for algorithm in scenario.algorithms:
-                    spec = get_binding(algorithm).oracle
-                    if spec is not None:
-                        oracle_cache.oracle_value_source(
-                            scenario.name, size, derived, spec, graph)
+            for scenario, size, graph, cells in prepared:
+                for binding in cells:
+                    chain.cell_source(scenario, size, 0, binding, graph)
             return time.perf_counter() - start
 
         cold_times, warm_times = [], []
         for rep in range(reps):
             cold_root = root / f"cold-{rep}"
-            cold_times.append(baseline_pass(cold_root))
+            cold_times.append(sweep_pass(cold_root))
             shutil.rmtree(cold_root)
-            warm_times.append(baseline_pass(store.root))
+            warm_times.append(sweep_pass(store.root))
         cold_sweep, warm_sweep = min(cold_times), min(warm_times)
-        timings["sweep_baselines.cold_store"] = cold_sweep
-        timings["sweep_baselines.warm_store"] = warm_sweep
-        speedups["sweep_baselines_warm_vs_cold"] = cold_sweep / warm_sweep
-        extra["sweep_baselines"] = {
-            "cells": sum(
-                1 for scenario, _size, _d, _g, _s in prepared
-                for algorithm in scenario.algorithms
-                if get_binding(algorithm).oracle is not None),
+        timings[f"{spec.bill}.cold_store"] = cold_sweep
+        timings[f"{spec.bill}.warm_store"] = warm_sweep
+        speedups[f"{spec.bill}_warm_vs_cold"] = cold_sweep / warm_sweep
+        extra[spec.bill] = {
+            "cells": sum(len(cells) for *_rest, cells in prepared),
             "cases": [f"{name}@{size}" for name, size in cases],
         }
         extra["store"] = store.stat()
         extra["store"].pop("root", None)  # tempdir path: not reproducible
 
     return BenchReport(
-        name="oracle-store",
+        name=spec.name,
         scenario=" + ".join(f"{name}(size={size})" for name, size in cases)
-                 + " baselines; cold vs warm sweep baseline bill",
+                 + f" {kind}; cold vs warm {spec.bill.replace('_', ' ')}",
         timings=timings, speedups=speedups, extra=extra)
 
 
-# ---------------------------------------------------------------------------
-# decomposition-pipeline: the staged pipeline's input artifact
-# ---------------------------------------------------------------------------
-
-# Scenarios carrying decomposition-consuming bindings (the staged
-# cover / spanner / hierarchy cells).  Sizes where the metered MPX/LDC
-# construction dominates the fixed per-load costs (manifest parse,
-# mmap, dict reassembly); the smoke sizes are the smallest where that
-# still holds (at the scenarios' tier-1 defaults a store load costs
-# about as much as rebuilding, which would make the gate meaningless).
-_PIPELINE_CASES = (("dense-gnp", 64), ("grid", 100), ("sparse-gnp", 128))
-_PIPELINE_CASES_SMOKE = (("dense-gnp", 28), ("grid", 36),
-                         ("sparse-gnp", 40))
-
-
-@register_benchmark("decomposition-pipeline")
-def bench_decomposition_pipeline(smoke: bool = False) -> BenchReport:
-    import shutil
-    import tempfile
-
-    from repro.runner import config, decomposition_cache
-    from repro.scenarios import get_binding, get_scenario
-    from repro.store import DECOMPOSITION_FAMILY, FamilyStore
-
-    cases = _PIPELINE_CASES_SMOKE if smoke else _PIPELINE_CASES
-    reps = 1 if smoke else 3
-    timings: Dict[str, float] = {}
-    speedups: Dict[str, float] = {}
-    extra: Dict[str, Any] = {"smoke": smoke}
-
-    with config.preserved(), tempfile.TemporaryDirectory() as tmp:
-        root = pathlib.Path(tmp)
-        store = FamilyStore(DECOMPOSITION_FAMILY, root / "warm")
-
-        # Build each case's graph once, outside every timed region
-        # (construction belongs to the graph-store benchmark); collect
-        # the decomposition-consuming cells per scenario.
-        prepared = []
-        for name, size in cases:
-            scenario = get_scenario(name)
-            derived = scenario.seed_for(size, 0)
-            graph = scenario.graph(size)
-            consumers = [algorithm for algorithm in scenario.algorithms
-                         if get_binding(algorithm).decomposition
-                         is not None]
-            algorithms = []
-            for algorithm in consumers:
-                producer = get_binding(algorithm).decomposition
-                if producer not in algorithms:
-                    algorithms.append(producer)
-            prepared.append((scenario, size, derived, graph, algorithms,
-                             consumers))
-            extra[name] = {"n": graph.n, "m": graph.m, "size": size,
-                           "consumer_cells": consumers}
-
-        # -- per-snapshot: metered build vs store load vs LRU hit ------
-        for scenario, size, derived, graph, algorithms, _cells in prepared:
-            for algorithm in algorithms:
-                snapshot = decomposition_cache.compute_snapshot(
-                    algorithm, graph, derived)
-                # Explicit checks, not asserts: load-bearing (the warm
-                # store feeds every later measurement) and must survive
-                # `python -O`.
-                if not store.publish(scenario.name, size, derived,
-                                     algorithm, snapshot):
-                    raise RuntimeError(f"{algorithm}: publish failed")
-                if store.load(scenario.name, size, derived,
-                              algorithm) != snapshot:
-                    raise RuntimeError(
-                        f"{algorithm}: cached snapshot diverged")
-
-                build = best_of(
-                    lambda: decomposition_cache.compute_snapshot(
-                        algorithm, graph, derived), reps)
-                load = best_of(
-                    lambda: store.load(scenario.name, size, derived,
-                                       algorithm), reps)
-                decomposition_cache.configure(
-                    decomposition_cache.DEFAULT_MAXSIZE)
-                decomposition_cache.configure_store(None)
-                decomposition_cache.decomposition_value_source(
-                    scenario.name, size, derived, algorithm,
-                    graph)  # warm the LRU
-                lru_hit = best_of(
-                    lambda: decomposition_cache.decomposition_value_source(
-                        scenario.name, size, derived, algorithm, graph),
-                    reps)
-                label = f"snapshot.{scenario.name}.{algorithm}"
-                timings[f"{label}.cold_build"] = build
-                timings[f"{label}.store_load"] = load
-                timings[f"{label}.lru_hit"] = lru_hit
-                speedups[f"load_vs_compute.{scenario.name}"] = build / load
-
-        # -- per-cell pipeline inputs: cold store vs warm store --------
-        # Models a fresh sweep invocation's pipeline-input bill: every
-        # decomposition-consuming cell resolves its snapshot through
-        # the chain, LRU off so the disk path is what is measured.
-        # Cold: every resolution runs MPX and publishes.  Warm: every
-        # resolution loads the published snapshot.
-        def pipeline_pass(store_dir):
-            decomposition_cache.configure(0)
-            decomposition_cache.configure_store(store_dir)
-            start = time.perf_counter()
-            for scenario, size, derived, graph, _algs, cells in prepared:
-                for algorithm in cells:
-                    decomposition_cache.decomposition_value_source(
-                        scenario.name, size, derived,
-                        get_binding(algorithm).decomposition, graph)
-            return time.perf_counter() - start
-
-        cold_times, warm_times = [], []
-        for rep in range(reps):
-            cold_root = root / f"cold-{rep}"
-            cold_times.append(pipeline_pass(cold_root))
-            shutil.rmtree(cold_root)
-            warm_times.append(pipeline_pass(store.root))
-        cold_sweep, warm_sweep = min(cold_times), min(warm_times)
-        timings["pipeline_inputs.cold_store"] = cold_sweep
-        timings["pipeline_inputs.warm_store"] = warm_sweep
-        speedups["pipeline_inputs_warm_vs_cold"] = cold_sweep / warm_sweep
-        extra["pipeline_inputs"] = {
-            "cells": sum(len(cells)
-                         for *_rest, cells in prepared),
-            "cases": [f"{name}@{size}" for name, size in cases],
-        }
-        extra["store"] = store.stat()
-        extra["store"].pop("root", None)  # tempdir path: not reproducible
-
-    return BenchReport(
-        name="decomposition-pipeline",
-        scenario=" + ".join(f"{name}(size={size})" for name, size in cases)
-                 + " snapshots; cold vs warm pipeline-input bill",
-        timings=timings, speedups=speedups, extra=extra)
+for _kind, _spec in STORE_BENCHMARKS.items():
+    register_benchmark(_spec.name)(functools.partial(bench_store, _kind))
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +412,12 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
     # silently skip them.
     base = vectorized()
     fast = kernel()
-    if fast.outputs != base.outputs:
-        raise RuntimeError("kernel outputs diverged from the "
-                           "vectorized path")
-    if (fast.metrics.as_dict() != base.metrics.as_dict()
-            or dict(fast.metrics.edge_congestion)
-            != dict(base.metrics.edge_congestion)):
-        raise RuntimeError("kernel metering diverged from the "
-                           "vectorized path")
+    _require(fast.outputs == base.outputs,
+             "kernel outputs diverged from the vectorized path")
+    _require(fast.metrics.as_dict() == base.metrics.as_dict()
+             and dict(fast.metrics.edge_congestion)
+             == dict(base.metrics.edge_congestion),
+             "kernel metering diverged from the vectorized path")
 
     t_vec = best_of(vectorized, reps)
     t_kernel = best_of(kernel, reps)
@@ -626,9 +450,11 @@ def bench_simulator_fastpath() -> BenchReport:
                            ("luby_mis", LubyMISMachine)):
         fast = run_machines(graph, factory, seed=7, fast_path=True)
         slow = run_machines(graph, factory, seed=7, fast_path=False)
-        assert fast.outputs == slow.outputs
-        assert fast.metrics.as_dict() == slow.metrics.as_dict()
-        assert fast.metrics.edge_congestion == slow.metrics.edge_congestion
+        _require(fast.outputs == slow.outputs
+                 and fast.metrics.as_dict() == slow.metrics.as_dict()
+                 and fast.metrics.edge_congestion
+                 == slow.metrics.edge_congestion,
+                 f"{label}: fast path diverged from the scalar path")
         t_fast = best_of(lambda: run_machines(graph, factory, seed=7))
         t_slow = best_of(
             lambda: run_machines(graph, factory, seed=7, fast_path=False))

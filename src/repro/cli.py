@@ -218,7 +218,9 @@ def _print_comparison(comparison) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """The runner-backed sweep: persist / resume / list / compare."""
     from repro.runner import RunStore, compare_runs, config, run_sweep
+    from repro.runner.chain import all_chains
     from repro.testing import summarize
+    from repro.testing.differential import PROVENANCE_FIELDS
 
     store = RunStore(args.runs_dir)
 
@@ -264,33 +266,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         # One store root serves every family; --no-oracle-store /
         # --no-decomposition-store (or --no-store) disconnect one family
-        # / everything.  The flags decide every store and profiling
-        # setting, so nothing configured earlier in this process leaks in.
+        # / everything, and an absent --*-cache-size flag means the
+        # default size.  The flags decide every chain, store and
+        # profiling setting, so nothing configured earlier in this
+        # process leaks in.
         store_dir = (args.store_dir if args.store_dir is not None
                      else str(pathlib.Path(args.runs_dir) / "store"))
-        graph_store_dir = store_dir if args.store else None
-        oracle_store_dir = (store_dir if args.store and args.oracle_store
-                            else None)
-        decomposition_store_dir = (store_dir if args.store
-                                   and args.decomposition_store else None)
-        profile_store_dir = store_dir if args.profile else None
-        config.update(graph_store=graph_store_dir,
-                      oracle_store=oracle_store_dir,
-                      decomposition_store=decomposition_store_dir,
-                      profile_store=profile_store_dir,
-                      cprofile=bool(args.cprofile))
+        defaults = config.SweepConfig()
+        settings = {"profile_store": store_dir if args.profile else None,
+                    "cprofile": bool(args.cprofile)}
+        for chain in all_chains().values():
+            # A family's own --<setting>-store flag (graphs have none).
+            connected = args.store and getattr(args, chain.store_field, True)
+            settings[chain.store_field] = store_dir if connected else None
+            size = getattr(args, chain.size_field)
+            settings[chain.size_field] = (
+                getattr(defaults, chain.size_field) if size is None
+                else size)
+        config.update(**settings)
         outcome = run_sweep(args.names, sizes=args.sizes, seeds=args.seeds,
                             workers=args.workers, timeout=args.timeout,
                             retries=args.retries, store=store,
                             fresh=args.fresh,
                             faults=args.faults,
                             fault_seed=args.fault_seed,
-                            graph_cache_size=args.graph_cache_size,
-                            oracle_cache_size=args.oracle_cache_size,
-                            decomposition_cache_size=(
-                                args.decomposition_cache_size),
                             telemetry=args.telemetry,
-                            bench_history_dir=(graph_store_dir
+                            bench_history_dir=(settings["graph_store"]
                                                if args.bench_history
                                                else None))
     except (KeyError, ValueError) as exc:
@@ -326,34 +327,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{summary['executed']} executed, "
               f"{summary['skipped']} restored from the store, "
               f"{summary['wall_time']:.2f}s of cell wall time")
-        if summary["graph_sources"]:
-            sources = ", ".join(
+        chains = all_chains()
+        root_shown = False
+        for field, family in PROVENANCE_FIELDS.items():
+            counts = summary.get(f"{field}s")
+            if not counts:
+                continue
+            setting = field[:-len("_source")]
+            line = f"{setting} sources: " + ", ".join(
                 f"{count} {source}"
-                for source, count in sorted(summary["graph_sources"].items()))
-            print(f"graph sources: {sources}"
-                  + (f" (store: {graph_store_dir})" if graph_store_dir
-                     else " (graph store off)"))
-        if summary["oracle_sources"]:
-            sources = ", ".join(
-                f"{count} {source}"
-                for source, count in sorted(
-                    summary["oracle_sources"].items()))
-            print(f"oracle sources: {sources}"
-                  + ("" if oracle_store_dir else " (oracle store off)"))
-        if summary["decomposition_sources"]:
-            sources = ", ".join(
-                f"{count} {source}"
-                for source, count in sorted(
-                    summary["decomposition_sources"].items()))
-            print(f"decomposition sources: {sources}"
-                  + ("" if decomposition_store_dir
-                     else " (decomposition store off)"))
-        if summary["engine_sources"]:
-            sources = ", ".join(
-                f"{count} {source}"
-                for source, count in sorted(
-                    summary["engine_sources"].items()))
-            print(f"engine sources: {sources}")
+                for source, count in sorted(counts.items()))
+            chain = chains.get(family)
+            if chain is not None:
+                root = settings[chain.store_field]
+                if root is None:
+                    line += f" ({setting} store off)"
+                elif not root_shown:  # the one root, on the first line
+                    line += f" (store: {root})"
+                    root_shown = True
+            print(line)
         fault_counters = summary.get("fault_counters")
         if fault_counters:
             verdicts = fault_counters.get("verdicts") or {}
@@ -373,7 +365,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 if r.record is not None
                 and r.record.get("profile_source", "none") != "none")
             print(f"round profiles: {profiled} cell(s) captured under "
-                  f"{profile_store_dir} "
+                  f"{settings['profile_store']} "
                   f"(inspect with `repro profile ls/show/diff`)")
         if args.cprofile:
             hot_cells = sum(1 for r in outcome.results if r.hot)
@@ -393,7 +385,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"bench history: appended {record.kind}:{record.name} "
                   f"seq {record.sequence} (gate with: repro bench gate "
                   f"{record.name} --kind sweep --history-dir "
-                  f"{graph_store_dir})")
+                  f"{settings['graph_store']})")
         if comparison is not None:
             print()
             _print_comparison(comparison)
@@ -534,15 +526,15 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     # warm: pre-build + publish graphs, baselines, and/or decompositions.
-    from repro.runner.chain import WARM_FAMILIES, warm
+    from repro.runner.chain import all_chains, warm
     from repro.scenarios import all_scenarios, get_scenario
 
-    if family not in WARM_FAMILIES + (None, "all"):
-        print(f"error: warm supports --family "
-              f"graphs/oracles/decompositions/all, "
+    kinds = tuple(all_chains())
+    if family not in kinds + (None, "all"):
+        print(f"error: warm supports --family {'/'.join(kinds)}/all, "
               f"got {family!r}", file=sys.stderr)
         return 2
-    families = WARM_FAMILIES if family in ("all", None) else (family,)
+    families = kinds if family in ("all", None) else (family,)
     try:
         scenarios = (all_scenarios() if args.names is None
                      else [get_scenario(name) for name in args.names])

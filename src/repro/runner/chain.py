@@ -18,8 +18,13 @@ served through the same fall-through chain:
 One :class:`ArtifactChain` is built per family (in
 :mod:`repro.runner.graph_cache`, :mod:`repro.runner.oracle_cache` and
 :mod:`repro.runner.decomposition_cache`); a family contributes only
-its store codec and its compute function.  The store root and LRU size
-come from the process-wide :class:`repro.runner.config.SweepConfig`
+its store codec, its compute function and its per-cell request (the
+key a cell needs from it, if any).  :data:`CHAINS` holds them by store
+kind in the order a cell resolves them -- graph, baseline, input
+decomposition -- and every consumer that walks the families (``repro
+store warm``, the store benchmarks, the sweep summary) walks
+:func:`all_chains`.  The store root and LRU size come from the
+process-wide :class:`repro.runner.config.SweepConfig`
 (``<setting>_store`` / ``<setting>_cache_size``).  The LRU stays
 process-local by design: values never cross the pool boundary, the
 store is what workers share.
@@ -33,6 +38,7 @@ never changes a canonical record byte.
 
 from __future__ import annotations
 
+import importlib
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional, \
     Sequence, Tuple
@@ -52,8 +58,22 @@ NONE = "none"  # the binding needs no artifact of this family
 
 _MISS = object()
 
-# setting name -> chain, for config.update/reset (every built chain).
+# Every chain family -- store kind -> the module that builds its chain
+# -- in the order a cell resolves them: its graph, then its baseline,
+# then its input decomposition.
+_MODULES = {"graphs": "graph_cache", "oracles": "oracle_cache",
+            "decompositions": "decomposition_cache"}
+
+# store kind -> built chain, always in _MODULES order whichever module
+# was imported first (config.update/reset clear every built chain).
 CHAINS: Dict[str, "ArtifactChain"] = {}
+
+
+def all_chains() -> Dict[str, "ArtifactChain"]:
+    """:data:`CHAINS` with every family's chain built."""
+    for module in _MODULES.values():
+        importlib.import_module(f"repro.runner.{module}")
+    return CHAINS
 
 
 class ArtifactChain:
@@ -61,22 +81,46 @@ class ArtifactChain:
 
     ``compute(*args)`` builds a value from the arguments handed to
     :meth:`resolve`; ``coords(key, *args)`` maps a cache key to the
-    family store's coordinates (default: the key itself).
+    family store's coordinates (default: the key itself);
+    ``request(scenario, size, seed, binding, graph)`` returns the key
+    and compute arguments one cell needs, or None when the cell needs no
+    artifact of the family (see :meth:`cell_source`).
     """
 
     def __init__(self, setting: str, family: "ArtifactFamily",
-                 compute: Callable[..., Any], *, built: str = COMPUTED,
+                 compute: Callable[..., Any],
+                 request: Callable[..., Any], *,
+                 built: str = COMPUTED,
                  coords: Optional[Callable[..., Sequence[Any]]] = None):
         self.family = family
+        self.kind = family.kind
+        self.setting = setting
         self.built = built
         self.store_field = f"{setting}_store"
         self.size_field = f"{setting}_cache_size"
-        self._compute = compute
+        self.compute = compute
+        self.request = request
         self._coords = coords
         self._cache: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._view: Optional["FamilyStore"] = None
         self.clear()
-        CHAINS[setting] = self
+        CHAINS[self.kind] = self
+        for kind in [kind for kind in _MODULES if kind in CHAINS]:
+            CHAINS[kind] = CHAINS.pop(kind)
+
+    def cell_source(self, scenario: Any, size: Any, seed: int, binding: Any,
+                    graph: Any) -> Tuple[Any, str]:
+        """The artifact one cell needs from this family, plus where it
+        came from (``(None, "none")`` when the cell needs none)."""
+        request = self.request(scenario, size, seed, binding, graph)
+        if request is None:
+            return None, NONE
+        key, args = request
+        return self.resolve(key, *args)
+
+    def coords(self, key: Hashable, *args: Any) -> Sequence[Any]:
+        """The family store's coordinates of the artifact at ``key``."""
+        return key if self._coords is None else self._coords(key, *args)
 
     def resolve(self, key: Hashable, *args: Any) -> Tuple[Any, str]:
         """The value at ``key``, plus where it came from."""
@@ -90,7 +134,7 @@ class ArtifactChain:
         source = self.built
         value = None
         store = self.effective_store()
-        coords = key if self._coords is None else self._coords(key, *args)
+        coords = self.coords(key, *args)
         if store is not None:
             value = store.load(*coords)
             if value is not None:
@@ -99,7 +143,7 @@ class ArtifactChain:
             else:
                 self.store_misses += 1
         if value is None:
-            value = self._compute(*args)
+            value = self.compute(*args)
             if store is not None and store.publish(*coords, value):
                 self.publishes += 1
         maxsize = self.effective_maxsize()
@@ -149,31 +193,29 @@ class ArtifactChain:
         self.store_hits = self.store_misses = self.publishes = 0
 
 
-WARM_FAMILIES = ("graphs", "oracles", "decompositions")
-
-
-def warm(root, scenarios, *, families: Sequence[str] = WARM_FAMILIES,
+def warm(root, scenarios, *, families: Optional[Sequence[str]] = None,
          sizes=None, seeds=(0,)) -> Dict[str, int]:
     """Pre-compute and publish sweep artifacts (``repro store warm``).
 
     Every scenario x size (default: its tier-1 ``default_size``) x
     caller seed resolves its graph and, per bound algorithm, its
-    baseline and input decomposition through the chains, with the
-    requested ``families`` connected to the store at ``root`` -- so
+    artifact of every other chain, with the requested ``families``
+    (default: every chain's) connected to the store at ``root`` -- so
     each distinct artifact is computed and published once (siblings
     sharing an artifact hit the LRU).  Returns ``{"published": ...,
     "skipped": ...}``; skipped artifacts were already in the store (or
     are not storable).  The process-wide config is restored afterwards.
     """
-    from repro.runner import decomposition_cache, graph_cache, oracle_cache
     from repro.scenarios import get_binding
 
-    chains = {"graphs": graph_cache.CHAIN, "oracles": oracle_cache.CHAIN,
-              "decompositions": decomposition_cache.CHAIN}
+    chains = all_chains()
+    families = tuple(chains) if families is None else families
+    wanted = [chain for kind, chain in chains.items() if kind in families]
+    graphs = chains["graphs"]
     defaults = config.SweepConfig()
     settings: Dict[str, Any] = {}
-    for kind, chain in chains.items():
-        settings[chain.store_field] = str(root) if kind in families else None
+    for chain in chains.values():
+        settings[chain.store_field] = str(root) if chain in wanted else None
         settings[chain.size_field] = getattr(defaults, chain.size_field)
     fresh = 0  # first resolutions of a requested artifact (not LRU hits)
     with config.preserved():
@@ -183,23 +225,18 @@ def warm(root, scenarios, *, families: Sequence[str] = WARM_FAMILIES,
             for size in ([scenario.default_size] if sizes is None
                          else sizes):
                 for seed in seeds:
-                    graph, source = graph_cache.scenario_graph_source(
-                        scenario, size, seed=seed)
-                    sources = [("graphs", source)]
+                    # Resolved whether or not graphs are wanted: every
+                    # other family's request takes the cell's graph.
+                    graph, source = graphs.cell_source(scenario, size, seed,
+                                                       None, None)
+                    sources = [(graphs, source)]
                     for binding in bindings:
-                        if "oracles" in families:
-                            sources.append(("oracles", (
-                                oracle_cache.binding_oracle_source(
-                                    scenario, size, seed, binding,
-                                    graph)[1])))
-                        if "decompositions" in families:
-                            sources.append(("decompositions", (
-                                decomposition_cache.
-                                binding_decomposition_source(
-                                    scenario, size, seed, binding,
-                                    graph)[1])))
-                    fresh += sum(1 for kind, source in sources
-                                 if kind in families
+                        sources.extend(
+                            (chain, chain.cell_source(
+                                scenario, size, seed, binding, graph)[1])
+                            for chain in wanted if chain is not graphs)
+                    fresh += sum(1 for chain, source in sources
+                                 if chain in wanted
                                  and source not in (LRU_HIT, NONE))
-        published = sum(chains[kind].publishes for kind in families)
+        published = sum(chain.publishes for chain in wanted)
     return {"published": published, "skipped": fresh - published}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Tuple
 
-from repro.runner.chain import NONE, ArtifactChain
+from repro.runner.chain import ArtifactChain
 from repro.runner.config import SweepConfig
 from repro.store.decompositions import DECOMPOSITION_FAMILY
 
@@ -58,7 +58,18 @@ def _compute(algorithm: str, graph: "Graph",
     return compute_snapshot(algorithm, graph, derived_seed)
 
 
-CHAIN = ArtifactChain("decomposition", DECOMPOSITION_FAMILY, _compute)
+def _request(scenario: "Scenario", size: int, seed: int, binding: "Binding",
+             graph: "Graph"):
+    algorithm = binding.decomposition
+    if algorithm is None:
+        return None
+    derived = scenario.seed_for(size, seed)
+    return ((scenario.name, size, derived, algorithm),
+            (algorithm, graph, derived))
+
+
+CHAIN = ArtifactChain("decomposition", DECOMPOSITION_FAMILY, _compute,
+                      _request)
 clear = CHAIN.clear
 configure = CHAIN.configure
 configure_store = CHAIN.configure_store
@@ -76,12 +87,7 @@ def binding_decomposition_source(scenario: "Scenario", size: int, seed: int,
     value is otherwise exactly the snapshot a fresh ``build_ldc`` at
     the cell's derived seed would produce.
     """
-    algorithm = binding.decomposition
-    if algorithm is None:
-        return None, NONE
-    derived = scenario.seed_for(size, seed)
-    return decomposition_value_source(scenario.name, size, derived,
-                                      algorithm, graph)
+    return CHAIN.cell_source(scenario, size, seed, binding, graph)
 
 
 def decomposition_value_source(scenario_name: str, size: int,

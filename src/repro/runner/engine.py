@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.runner import config
+from repro.runner.chain import all_chains
 from repro.runner.executor import OnResult, run_cells
 from repro.runner.jobs import CellResult, JobSpec, build_specs
 from repro.runner.store import Run, RunStore, git_revision
@@ -70,10 +71,10 @@ class SweepOutcome:
             "passed": sum(1 for r in self.results if r.passed),
             "failed": sum(1 for r in self.results if not r.passed),
             "statuses": by_status,
-            "graph_sources": counts["graphs"],
-            "oracle_sources": counts["oracles"],
-            "decomposition_sources": counts["decompositions"],
-            "engine_sources": counts["engines"],
+            # graph_sources, oracle_sources, ... (one per counted field)
+            **{f"{field}s": counts[family]
+               for field, family in PROVENANCE_FIELDS.items()
+               if family is not None},
             # Wall time spent executing cells *this* invocation;
             # restored cells' recorded time (from the runs that actually
             # paid it) only counts toward the cumulative figure.
@@ -320,13 +321,9 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
             resumed = run is not None
         if run is None:
             settings = config.current()
-            extra = {"graph_cache_size": settings.graph_cache_size,
-                     "graph_store": settings.graph_store,
-                     "oracle_cache_size": settings.oracle_cache_size,
-                     "oracle_store": settings.oracle_store,
-                     "decomposition_cache_size":
-                         settings.decomposition_cache_size,
-                     "decomposition_store": settings.decomposition_store}
+            extra = {name: getattr(settings, name)
+                     for chain in all_chains().values()
+                     for name in (chain.size_field, chain.store_field)}
             # Profiling knobs appear in the manifest only when on, so
             # plain manifests keep their exact key set.
             if settings.profile_store is not None:

@@ -17,7 +17,7 @@ store-loaded graph equal executions over a fresh build.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.runner.chain import BUILT, ArtifactChain
 from repro.runner.config import SweepConfig
@@ -34,7 +34,14 @@ def _build(scenario: "Scenario", size: int, seed: int) -> "Graph":
     return scenario.graph(size, seed=seed)
 
 
-CHAIN = ArtifactChain("graph", GRAPH_FAMILY, _build, built=BUILT)
+def _request(scenario: "Scenario", size: Optional[int], seed: int,
+             binding: Any, graph: Any):
+    size = scenario.default_size if size is None else size
+    return ((scenario.name, size, scenario.seed_for(size, seed)),
+            (scenario, size, seed))
+
+
+CHAIN = ArtifactChain("graph", GRAPH_FAMILY, _build, _request, built=BUILT)
 clear = CHAIN.clear
 configure = CHAIN.configure
 configure_store = CHAIN.configure_store
@@ -61,6 +68,4 @@ def scenario_graph_source(scenario: "Scenario", size: Optional[int] = None,
                           seed: int = 0) -> Tuple["Graph", str]:
     """Like :func:`scenario_graph`, plus where the graph came from
     (``"lru"``, ``"store"``, or ``"built"``)."""
-    size = scenario.default_size if size is None else size
-    return CHAIN.resolve((scenario.name, size, scenario.seed_for(size, seed)),
-                         scenario, size, seed)
+    return CHAIN.cell_source(scenario, size, seed, None, None)

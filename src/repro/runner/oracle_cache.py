@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Tuple
 
-from repro.runner.chain import NONE, ArtifactChain
+from repro.runner.chain import ArtifactChain
 from repro.runner.config import SweepConfig
 from repro.store.oracles import ORACLE_FAMILY
 
@@ -38,7 +38,26 @@ def _coords(key, spec: "OracleSpec", graph: "Graph", derived_seed: int):
     return key[0], key[1], key[2], spec
 
 
-CHAIN = ArtifactChain("oracle", ORACLE_FAMILY, _compute, coords=_coords)
+def _key(scenario_name: str, size: int, derived_seed: int,
+         spec: "OracleSpec"):
+    from repro.baselines.oracles import oracle_revision
+
+    return (scenario_name, size, derived_seed, spec.name,
+            oracle_revision(spec))
+
+
+def _request(scenario: "Scenario", size: int, seed: int, binding: "Binding",
+             graph: "Graph"):
+    spec = binding.oracle
+    if spec is None:
+        return None
+    derived = scenario.seed_for(size, seed)
+    return (_key(scenario.name, size, derived, spec),
+            (spec, graph, derived))
+
+
+CHAIN = ArtifactChain("oracle", ORACLE_FAMILY, _compute, _request,
+                      coords=_coords)
 clear = CHAIN.clear
 configure = CHAIN.configure
 configure_store = CHAIN.configure_store
@@ -56,19 +75,12 @@ def binding_oracle_source(scenario: "Scenario", size: int, seed: int,
     value is otherwise exactly what ``binding.oracle.compute(graph,
     derived_seed)`` would return (the codec round-trip is exact).
     """
-    spec = binding.oracle
-    if spec is None:
-        return None, NONE
-    derived = scenario.seed_for(size, seed)
-    return oracle_value_source(scenario.name, size, derived, spec, graph)
+    return CHAIN.cell_source(scenario, size, seed, binding, graph)
 
 
 def oracle_value_source(scenario_name: str, size: int, derived_seed: int,
                         spec: "OracleSpec",
                         graph: "Graph") -> Tuple[Any, str]:
     """Serve one baseline value through the chain."""
-    from repro.baselines.oracles import oracle_revision
-
-    key = (scenario_name, size, derived_seed, spec.name,
-           oracle_revision(spec))
-    return CHAIN.resolve(key, spec, graph, derived_seed)
+    return CHAIN.resolve(_key(scenario_name, size, derived_seed, spec),
+                         spec, graph, derived_seed)

@@ -31,10 +31,12 @@ families** over a shared byte layer:
   and rendered by ``repro profile show`` / ``diff``.
 
 Consumers: the artifact chains of :mod:`repro.runner.chain` (in-process
-LRU -> this store -> compute-and-publish, one per family), the ``repro
+LRU -> this store -> compute-and-publish, one per family, listed in
+``CHAINS`` in graph -> oracle -> decomposition order), the ``repro
 store`` CLI family (``ls``/``stat``/``gc``/``warm``, all
-``--family``-aware), and the ``graph-store`` / ``oracle-store`` /
-``decomposition-pipeline`` benchmarks.
+``--family``-aware; ``warm`` walks ``CHAINS``), and the one store
+benchmark body of :mod:`repro.bench`, registered per chain as
+``graph-store`` / ``oracle-store`` / ``decomposition-pipeline``.
 """
 
 from repro.store.artifacts import (

@@ -406,15 +406,3 @@ def test_wall_time_splits_executed_from_restored():
     assert split.summary()["wall_time"] == 0.0
     assert split.summary()["wall_time_total"] == \
         outcome.summary()["wall_time"]
-
-
-def test_bench_cli_decomposition_pipeline_smoke(tmp_path, capsys):
-    from repro.cli import main
-
-    assert main(["bench", "decomposition-pipeline", "--smoke", "--json",
-                 "--out", str(tmp_path)]) == 0
-    (report,) = json.loads(capsys.readouterr().out)
-    assert report["benchmark"] == "decomposition-pipeline"
-    assert report["metadata"]["extra"]["smoke"] is True
-    assert (tmp_path / "BENCH_decomposition_pipeline.json").is_file()
-    assert "pipeline_inputs_warm_vs_cold" in report["speedup"]

@@ -488,15 +488,3 @@ def test_parallel_sweep_workers_share_the_oracle_store(tmp_path):
     assert set(warm_run.summary()["oracle_sources"]) == {"store"}
     assert [r.canonical_record() for r in cold.results] == \
         [r.canonical_record() for r in warm_run.results]
-
-
-def test_bench_cli_oracle_store_smoke(tmp_path, capsys):
-    from repro.cli import main
-
-    assert main(["bench", "oracle-store", "--smoke", "--json",
-                 "--out", str(tmp_path)]) == 0
-    (report,) = json.loads(capsys.readouterr().out)
-    assert report["benchmark"] == "oracle-store"
-    assert report["metadata"]["extra"]["smoke"] is True
-    assert (tmp_path / "BENCH_oracle_store.json").is_file()
-    assert "sweep_baselines_warm_vs_cold" in report["speedup"]

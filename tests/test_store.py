@@ -574,14 +574,64 @@ def test_cli_sweep_store_flags(tmp_path, capsys):
             and "oracle store off" in out)
 
 
-def test_bench_cli_smoke_flag(tmp_path, capsys):
-    assert main(["bench", "graph-store", "--smoke", "--json",
+STORE_BENCHES = [("graph-store", "BENCH_graph_store.json",
+                  "sweep_construction_warm_vs_cold"),
+                 ("oracle-store", "BENCH_oracle_store.json",
+                  "sweep_baselines_warm_vs_cold"),
+                 ("decomposition-pipeline",
+                  "BENCH_decomposition_pipeline.json",
+                  "pipeline_inputs_warm_vs_cold")]
+
+
+@pytest.mark.parametrize("name, json_name, headline", STORE_BENCHES,
+                         ids=[name for name, *_ in STORE_BENCHES])
+def test_bench_cli_store_smoke(tmp_path, capsys, name, json_name, headline):
+    assert main(["bench", name, "--smoke", "--json",
                  "--out", str(tmp_path)]) == 0
     (report,) = json.loads(capsys.readouterr().out)
-    assert report["benchmark"] == "graph-store"
+    assert report["benchmark"] == name
     assert report["metadata"]["extra"]["smoke"] is True
-    assert (tmp_path / "BENCH_graph_store.json").is_file()
-    assert "sweep_construction_warm_vs_cold" in report["speedup"]
+    assert (tmp_path / json_name).is_file()
+    assert headline in report["speedup"]
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in STORE_BENCHES])
+def test_store_bench_raises_before_timing_on_a_diverged_load(monkeypatch,
+                                                             name):
+    """A published artifact that does not load back equal stops the
+    benchmark before anything is timed (an explicit raise, not an
+    assert, so it holds under ``python -O``)."""
+    from repro import bench
+    from repro.store import FamilyStore
+
+    def never_timed(*args, **kwargs):
+        raise AssertionError("timed before the load-back check")
+
+    monkeypatch.setattr(bench, "best_of", never_timed)
+    monkeypatch.setattr(FamilyStore, "load", lambda self, *coords: None)
+    with pytest.raises(RuntimeError, match="diverged"):
+        bench.run_benchmark(name, smoke=True)
+
+
+def test_fastpath_bench_raises_on_a_diverging_run(monkeypatch):
+    """The simulator-fastpath exactness check is an explicit raise too."""
+    import repro.congest.machine
+    import repro.graphs
+    from repro import bench
+
+    small = repro.graphs.gnp(12, 0.5, seed=7)
+    monkeypatch.setattr(repro.graphs, "gnp", lambda *args, **kw: small)
+    run_machines = repro.congest.machine.run_machines
+
+    def diverging(graph, factory, *, fast_path=True, **kwargs):
+        report = run_machines(graph, factory, fast_path=fast_path, **kwargs)
+        if not fast_path:
+            report.metrics.messages += 1
+        return report
+
+    monkeypatch.setattr(repro.congest.machine, "run_machines", diverging)
+    with pytest.raises(RuntimeError, match="diverged"):
+        bench.run_benchmark("simulator-fastpath")
 
 
 # ---------------------------------------------------------------------------

@@ -136,3 +136,84 @@ def test_spawned_workers_receive_the_parent_config(tmp_path):
             assert record["engine_source"].startswith("kernel:")
     assert any(r["decomposition_source"] == "store"
                for r in records["warm"])
+
+
+def test_sweep_cli_sizes_do_not_leak_into_the_next_sweep(tmp_path):
+    """An absent --*-cache-size flag means the SweepConfig default, not
+    whatever an earlier sweep in the same process configured."""
+    from repro.cli import main
+
+    def manifest(runs_dir):
+        (run,) = RunStore(runs_dir).list_runs()
+        return run.manifest
+
+    common = ["sweep", "--names", "path", "--no-bench-history",
+              "--no-telemetry"]
+    assert main(common + ["--runs-dir", str(tmp_path / "a"),
+                          "--graph-cache-size", "0",
+                          "--oracle-cache-size", "1",
+                          "--decomposition-cache-size", "2"]) == 0
+    sized = manifest(tmp_path / "a")
+    assert (sized["graph_cache_size"], sized["oracle_cache_size"],
+            sized["decomposition_cache_size"]) == (0, 1, 2)
+    assert main(common + ["--runs-dir", str(tmp_path / "b")]) == 0
+    plain = manifest(tmp_path / "b")
+    defaults = SweepConfig()
+    assert (plain["graph_cache_size"], plain["oracle_cache_size"],
+            plain["decomposition_cache_size"]) == (
+        defaults.graph_cache_size, defaults.oracle_cache_size,
+        defaults.decomposition_cache_size)
+
+
+# Each cache module builds its chain on import; whichever comes first,
+# the chains, `repro store warm` and the store benchmarks list the
+# families in the one chain order.
+CHAIN_ORDER = textwrap.dedent("""
+    import importlib
+    import json
+    import sys
+
+    for module in sys.argv[1].split(","):
+        importlib.import_module("repro.runner." + module)
+    from repro.runner.chain import CHAINS, all_chains
+
+    first = list(CHAINS)
+    chains = list(all_chains())
+    from repro import bench
+    from repro.cli import main
+
+    benches = [[kind, spec.name]
+               for kind, spec in bench.STORE_BENCHMARKS.items()]
+    print(json.dumps({"first": first, "chains": chains,
+                      "benches": benches}))
+    main(["store", "warm", "--names", "path", "--store-dir", sys.argv[2],
+          "--json"])
+""")
+
+
+def test_chain_order_is_independent_of_import_order(tmp_path):
+    script = tmp_path / "chain_order.py"
+    script.write_text(CHAIN_ORDER)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    order = ["graphs", "oracles", "decompositions"]
+    for index, (modules, first) in enumerate((
+            ("decomposition_cache,oracle_cache",
+             ["oracles", "decompositions"]),
+            ("oracle_cache,graph_cache", ["graphs", "oracles"]),
+            ("decomposition_cache,graph_cache",
+             ["graphs", "decompositions"]))):
+        done = subprocess.run(
+            [sys.executable, str(script), modules,
+             str(tmp_path / f"store-{index}")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        listed, end = json.JSONDecoder().raw_decode(done.stdout)
+        warmed = json.loads(done.stdout[end:])
+        assert listed["first"] == first
+        assert listed["chains"] == order
+        assert listed["benches"] == [
+            ["graphs", "graph-store"], ["oracles", "oracle-store"],
+            ["decompositions", "decomposition-pipeline"]]
+        assert warmed["families"] == order
+        assert warmed["published"] > 0
