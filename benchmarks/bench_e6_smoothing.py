@@ -39,8 +39,7 @@ def _run(graph, hierarchies, batches, cap, seed):
                                         max_depth=cap)
 
         report = simulate_aggregation(
-            graph, h, factory, aggregate=BFSCollectionMachine.aggregate,
-            seed=seed, message_words=12 * graph.n,
+            graph, h, factory, seed=seed, message_words=12 * graph.n,
             include_tree_preprocessing=False)
         combined.merge(report.simulation, parallel=True)
     cluster_edges = set()

@@ -22,6 +22,9 @@ class GossipMaxMachine(Machine):
     A textbook aggregation flood: broadcast your current best whenever
     it improves.  Broadcast complexity is O(n * k) while the direct
     message cost is O(m * k) -- exactly the gap Theorem 2.1 closes.
+
+    It runs in lockstep (the default ``wake_round``: every round until
+    it halts), so it needs no scheduling hint of its own.
     """
 
     K = 3
@@ -30,12 +33,6 @@ class GossipMaxMachine(Machine):
         super().__init__(info)
         self.best = (info.input, info.id)  # (value, witness)
         self.hops = 0
-
-    def passive(self) -> bool:
-        return self.halted
-
-    def wake_round(self):
-        return 1 if self.hops == 0 else None
 
     def on_round(self, rnd, inbox):
         if rnd > self.K + 2:

@@ -26,7 +26,7 @@ paper's simulations (Lemma 2.5 / Lemma 3.14) and is checked in tests.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.congest.errors import AlgorithmError
 from repro.congest.network import (
@@ -57,14 +57,15 @@ class Machine:
     round.
 
     ``halted`` means the machine will never broadcast again and its
-    ``output`` is final.  ``passive()`` means the machine does not need
-    to be woken until a message arrives (it is still willing to react).
+    ``output`` is final.  :meth:`wake_round` is the one scheduling hint:
+    the next round after ``rnd`` in which the machine acts without mail.
+    The default is lockstep (every round until halted); a message-driven
+    machine overrides it to return its next self-timed round, or None.
 
     The scheduling rule: in round ``r`` a live machine is stepped iff it
-    has mail, is not passive, or ``wake_round() == r``.  Every execution
-    mode steps machines by this rule, and it has exactly two homes:
-    :func:`next_wake` (the next mail-free round a machine acts in, which
-    :class:`MachineAdapter` schedules on the network) and
+    has mail or ``wake_round(r - 1) == r``.  Every execution mode steps
+    machines by this rule, and it has exactly two homes: :func:`next_wake`
+    (which :class:`MachineAdapter` schedules on the network) and
     :class:`MachineSet` (which the local drivers step).
     """
 
@@ -78,15 +79,12 @@ class Machine:
     def on_round(self, rnd: int, inbox: Inbox) -> Broadcast:
         raise NotImplementedError
 
-    # -- scheduling hints -----------------------------------------------
-    def passive(self) -> bool:
-        """True if the machine only needs to run when it has messages."""
-        return self.halted
-
-    def wake_round(self) -> Optional[int]:
-        """Earliest future round this machine wants to act regardless of
-        messages (e.g. a random start delay); None if message-driven."""
-        return None
+    # -- scheduling hint ------------------------------------------------
+    def wake_round(self, rnd: int) -> Optional[int]:
+        """The next round after ``rnd`` in which this machine acts
+        regardless of messages (e.g. a random start delay); None if it
+        then acts only on mail.  Default: lockstep until halted."""
+        return None if self.halted else rnd + 1
 
     # -- results ----------------------------------------------------------
     def output(self) -> Any:
@@ -98,13 +96,11 @@ class Machine:
 
 def next_wake(machine: Machine, rnd: int) -> Optional[int]:
     """The next round after ``rnd`` in which ``machine`` acts without
-    mail: ``rnd + 1`` unless it is passive, else its declared future
-    ``wake_round``; None once it is halted or purely message-driven."""
+    mail: its ``wake_round(rnd)`` if that lies ahead; None once it is
+    halted or purely message-driven."""
     if machine.halted:
         return None
-    if not machine.passive():
-        return rnd + 1
-    wake = machine.wake_round()
+    wake = machine.wake_round(rnd)
     return wake if wake is not None and wake > rnd else None
 
 
@@ -179,9 +175,11 @@ class MachineSet:
     The drivers that re-execute a machine collection off the network
     (:class:`LocalRunner`, the Theorem 2.1 and Theorem 3.9/3.10
     simulations, the Theorem 1.3 composer) own only their delivery
-    scheme; construction, stepping, the broadcast size check and the
-    idle fast-forward all live here.  Machine seeds match
-    :func:`run_machines` with the same ``seed``.
+    scheme; construction, stepping, the broadcast size check, the idle
+    fast-forward and the phase loop (:meth:`drive`; the composer, which
+    interleaves components one wall round at a time, steps its own) all
+    live here.  Machine seeds match :func:`run_machines` with the same
+    ``seed``.
     """
 
     def __init__(self, graph: "Graph", factory: MachineFactory, *,
@@ -199,13 +197,14 @@ class MachineSet:
         """Step the machines due in round ``rnd``, in node order; return
         ``{node: payload}`` for those that broadcast."""
         limit = self.message_words
+        prev = rnd - 1
         broadcasts: Dict[int, Any] = {}
         for v, machine in self.machines.items():
             if machine.halted:
                 continue
             inbox = inboxes.get(v)
             # The rule of next_wake, inline: this runs per machine per round.
-            if inbox or not machine.passive() or machine.wake_round() == rnd:
+            if inbox or machine.wake_round(prev) == rnd:
                 payload = machine.on_round(rnd, inbox or [])
                 if payload is not None:
                     if limit is not None:
@@ -221,6 +220,30 @@ class MachineSet:
         wakes = [w for w in (next_wake(m, rnd) for m in self.machines.values())
                  if w is not None]
         return min(wakes) if wakes else None
+
+    def drive(self, deliver: Callable[[int, Dict[int, Any]],
+                                      Dict[int, Inbox]],
+              max_rounds: int, name: str) -> int:
+        """Step the machines from round 1 to quiescence and return the
+        last round run; ``broadcasts`` counts the broadcasts made.
+
+        ``deliver(rnd, broadcasts)`` is the driver's delivery scheme: it
+        returns the inboxes of round ``rnd + 1`` and is called only for
+        a round in which some machine broadcast."""
+        self.broadcasts = 0
+        inboxes: Dict[int, Inbox] = {}
+        rnd: Optional[int] = 1
+        last = 1
+        while rnd is not None:
+            if rnd > max_rounds:
+                raise AlgorithmError(
+                    f"{name} exceeded {max_rounds} rounds")
+            last = rnd
+            sent = self.step(rnd, inboxes)
+            self.broadcasts += len(sent)
+            inboxes = deliver(rnd, sent) if sent else {}
+            rnd = self.next_round(rnd, inboxes)
+        return last
 
     def outputs(self) -> Dict[int, Any]:
         return {v: m.output() for v, m in self.machines.items()}
@@ -240,18 +263,14 @@ class LocalRunner(MachineSet):
         """Run to global quiescence; return outputs.  Afterwards
         ``round`` is the last round run and ``broadcasts`` the number of
         broadcasts made."""
-        self.broadcasts = 0
-        inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-        rnd: Optional[int] = 1
-        while rnd is not None:
-            if rnd > max_rounds:
-                raise RuntimeError("LocalRunner exceeded max_rounds")
-            self.round = rnd
-            sent = self.step(rnd, inboxes)
-            self.broadcasts += len(sent)
-            inboxes = {}
+        neighbors = self.graph.neighbors
+
+        def deliver(_rnd: int, sent: Dict[int, Any]) -> Dict[int, Inbox]:
+            inboxes: Dict[int, Inbox] = {}
             for v, payload in sent.items():
-                for u in self.graph.neighbors(v):
+                for u in neighbors(v):
                     inboxes.setdefault(u, []).append((v, payload))
-            rnd = self.next_round(rnd, inboxes)
+            return inboxes
+
+        self.round = self.drive(deliver, max_rounds, "LocalRunner")
         return self.outputs()

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.congest.errors import AlgorithmError
 from repro.congest.machine import Machine, MachineSet, check_broadcast_words
 from repro.congest.metrics import Metrics
 from repro.congest.network import payload_words
@@ -182,13 +181,13 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
 
     # ---------------- Simulation phases ----------------
     mark_phase("simulation")
-    broadcasts_simulated = 0
     transport_limit = message_words + 3  # payload + origin + dest + slack
     if plan is not None:
         # Kernel replay: the broadcast schedule is precomputed; route the
         # identical per-phase transport packets through the identical
         # metered calls (sizes, order, and oversize checks match the
         # stepped loop, so metrics come out byte-identical).
+        broadcasts_simulated = 0
         for phase, scheduled in plan.phase_payloads:
             packets: List[Packet] = []
             for v, payload in scheduled:
@@ -208,42 +207,38 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
         # kernel-plan replay skips the machines entirely).
         machines = MachineSet(graph, factory, inputs=inputs, seed=seed,
                               message_words=message_words)
-        inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-        phase: Optional[int] = 1
-        while phase is not None:
-            if phase > max_phases:
-                raise AlgorithmError("simulation exceeded max_phases")
-            executed_phases = phase
-            broadcasters = machines.step(phase, inboxes)
-            broadcasts_simulated += len(broadcasters)
-            inboxes = {}
-            if broadcasters:
-                # Intra-cluster delivery: free, the center knows all.
-                for v, payload in broadcasters.items():
-                    for u in graph.neighbors(v):
-                        if center_of[u] == center_of[v]:
-                            inboxes.setdefault(u, []).append((v, payload))
-                # Inter-cluster delivery: downcast + F edge + upcast, one
-                # packet per (broadcaster, neighboring cluster).
-                packets = []
-                for v, payload in broadcasters.items():
-                    for (_v, u_ext) in ldc.out_edges[v]:
-                        path = (down_paths[v] + (u_ext,)
-                                + up_paths[u_ext][1:])
-                        packets.append(
-                            Packet(path=path, payload=(v, payload)))
-                if packets:
-                    deliveries, metrics = route_packets(
-                        graph, packets, word_limit=transport_limit)
-                    total.merge(metrics)
-                    for delivery in deliveries:
-                        src, payload = delivery.payload
-                        receiving_center = delivery.dest
-                        for u in members[receiving_center]:
-                            if src in graph.neighbors(u):
-                                inboxes.setdefault(u, []).append(
-                                    (src, payload))
-            phase = machines.next_round(phase, inboxes)
+
+        def deliver(_phase: int, broadcasters: Dict[int, Any],
+                    ) -> Dict[int, List[Tuple[int, Any]]]:
+            # Intra-cluster delivery: free, the center knows all.
+            inboxes: Dict[int, List[Tuple[int, Any]]] = {}
+            for v, payload in broadcasters.items():
+                for u in graph.neighbors(v):
+                    if center_of[u] == center_of[v]:
+                        inboxes.setdefault(u, []).append((v, payload))
+            # Inter-cluster delivery: downcast + F edge + upcast, one
+            # packet per (broadcaster, neighboring cluster).
+            packets = []
+            for v, payload in broadcasters.items():
+                for (_v, u_ext) in ldc.out_edges[v]:
+                    path = (down_paths[v] + (u_ext,)
+                            + up_paths[u_ext][1:])
+                    packets.append(Packet(path=path, payload=(v, payload)))
+            if packets:
+                deliveries, metrics = route_packets(
+                    graph, packets, word_limit=transport_limit)
+                total.merge(metrics)
+                for delivery in deliveries:
+                    src, payload = delivery.payload
+                    receiving_center = delivery.dest
+                    for u in members[receiving_center]:
+                        if src in graph.neighbors(u):
+                            inboxes.setdefault(u, []).append((src, payload))
+            return inboxes
+
+        executed_phases = machines.drive(deliver, max_phases,
+                                         "simulate_bcongest")
+        broadcasts_simulated = machines.broadcasts
     simulation = total.delta_since(preprocessing)
 
     # ---------------- Output delivery ----------------

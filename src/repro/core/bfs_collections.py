@@ -97,9 +97,7 @@ def n_bfs_trees_star(graph: Graph, eps: float, *, seed: int = 0,
             kernels.note_engine("kernel:bfs-wavefront")
     if report is None:
         report = simulate_aggregation_star(
-            graph, hierarchy, factory,
-            aggregate=BFSCollectionMachine.aggregate,
-            seed=seed, message_words=_message_budget(n),
+            graph, hierarchy, factory, seed=seed, message_words=_message_budget(n),
             include_tree_preprocessing=False)
     total.merge(report.total)
     trees = {v: dict(report.outputs[v] or {}) for v in graph.nodes()}
@@ -157,9 +155,7 @@ def n_bfs_trees_batched(graph: Graph, eps: float, *, seed: int = 0,
                                         max_depth=cap)
 
         report = simulate_aggregation(
-            graph, ensemble[idx], factory,
-            aggregate=BFSCollectionMachine.aggregate,
-            seed=seed, message_words=_message_budget(n),
+            graph, ensemble[idx], factory, seed=seed, message_words=_message_budget(n),
             include_tree_preprocessing=False)
         reports.append(report)
         total.merge(report.total)

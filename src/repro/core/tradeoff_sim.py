@@ -33,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.congest.errors import AlgorithmError
 from repro.congest.machine import Machine, MachineSet
 from repro.congest.metrics import Metrics
-from repro.core.aggregation import AggregateFn, get_aggregator
+from repro.core.aggregation import get_aggregator
 from repro.decomposition.baswana_sen import BaswanaSenHierarchy, _one_shot
 from repro.graphs.graph import EdgeKey, Graph, undirected
 from repro.primitives.global_tree import build_global_tree
@@ -157,7 +156,6 @@ def preprocess_gather(graph: Graph, hierarchy: BaswanaSenHierarchy,
 
 def simulate_aggregation(graph: Graph, hierarchy: BaswanaSenHierarchy,
                          factory: MachineFactory, *,
-                         aggregate: Optional[AggregateFn] = None,
                          inputs: Optional[Dict[int, Any]] = None,
                          seed: int = 0, message_words: int = 64,
                          include_tree_preprocessing: bool = True,
@@ -174,8 +172,9 @@ def simulate_aggregation(graph: Graph, hierarchy: BaswanaSenHierarchy,
         graph, hierarchy)
     machines = MachineSet(graph, factory, inputs=inputs, seed=seed,
                           message_words=message_words)
-    if aggregate is None:
-        aggregate = get_aggregator(next(iter(machines.machines.values())))
+    # Definition 3.1's aggregation; an empty graph never delivers.
+    first = next(iter(machines.machines.values()), None)
+    aggregate = get_aggregator(first) if first is not None else None
 
     neighbors = {v: set(graph.neighbors(v)) for v in graph.nodes()}
     up_paths: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
@@ -189,123 +188,114 @@ def simulate_aggregation(graph: Graph, hierarchy: BaswanaSenHierarchy,
             down_paths[(level.index, level.cluster_of[v], v)] = \
                 path_from_root(level.parent, v)
 
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-    broadcasts_simulated = 0
-    phase = 1
     transport_limit = message_words + 4
-    while True:
-        if phase > max_phases:
-            raise AlgorithmError("trade-off simulation exceeded max_phases")
-        # ---- Compute step of the previous phase feeds round `phase`.
-        broadcasters = machines.step(phase, inboxes)
-        broadcasts_simulated += len(broadcasters)
-        inboxes = {}
 
-        if broadcasters:
-            # ---- (i) Indirect send over incident F* edges.
-            spec: Dict[int, dict] = {}
-            for v, payload in broadcasters.items():
-                sends = [(u, ("i", v, payload)) for u in sorted(incident_f[v])]
-                if sends:
-                    spec[v] = {"sends": sends}
-            indirect_received: Dict[int, Dict[int, Any]] = {
-                v: {} for v in graph.nodes()}
-            if spec:
-                heard, m = _one_shot(graph, spec, bcast_only=False,
-                                     word_limit=transport_limit)
-                total.merge(m)
-                for v in graph.nodes():
-                    for _src, (_t, origin, payload) in heard[v]:
-                        indirect_received[v][origin] = payload
+    def deliver(_phase: int, broadcasters: Dict[int, Any],
+                ) -> Dict[int, List[Tuple[int, Any]]]:
+        """One phase's sends; the inboxes feed the next compute step."""
+        inboxes: Dict[int, List[Tuple[int, Any]]] = {}
+        # ---- (i) Indirect send over incident F* edges.
+        spec: Dict[int, dict] = {}
+        for v, payload in broadcasters.items():
+            sends = [(u, ("i", v, payload)) for u in sorted(incident_f[v])]
+            if sends:
+                spec[v] = {"sends": sends}
+        indirect_received: Dict[int, Dict[int, Any]] = {
+            v: {} for v in graph.nodes()}
+        if spec:
+            heard, m = _one_shot(graph, spec, bcast_only=False,
+                                 word_limit=transport_limit)
+            total.merge(m)
+            for v in graph.nodes():
+                for _src, (_t, origin, payload) in heard[v]:
+                    indirect_received[v][origin] = payload
 
-            # ---- (ii)+(receive) upcasts over all cluster trees.
-            packets: List[Packet] = []
-            for v, payload in broadcasters.items():
-                for key in clusters_of_node[v]:
-                    path = up_paths[(key[0], key[1], v)]
+        # ---- (ii)+(receive) upcasts over all cluster trees.
+        packets: List[Packet] = []
+        for v, payload in broadcasters.items():
+            for key in clusters_of_node[v]:
+                path = up_paths[(key[0], key[1], v)]
+                if len(path) > 1:
+                    packets.append(Packet(
+                        path=path, payload=("b", v, payload), tag=key))
+        for v, received in indirect_received.items():
+            if not received:
+                continue
+            for key in clusters_of_node[v]:
+                path = up_paths[(key[0], key[1], v)]
+                for origin, payload in sorted(received.items()):
                     if len(path) > 1:
                         packets.append(Packet(
-                            path=path, payload=("b", v, payload), tag=key))
-            for v, received in indirect_received.items():
-                if not received:
+                            path=path, payload=("r", origin, payload),
+                            tag=key))
+        center_known: Dict[Tuple[int, int], Dict[int, Any]] = {}
+        if packets:
+            deliveries, m = route_packets(graph, packets,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                _t, origin, payload = d.payload
+                center_known.setdefault(d.tag, {})[origin] = payload
+        # Items held by the center itself never leave the node.
+        for key, view in views.items():
+            known = center_known.setdefault(key, {})
+            c = view.center
+            if c in broadcasters:
+                known[c] = broadcasters[c]
+            for origin, payload in indirect_received[c].items():
+                known[origin] = payload
+
+        # ---- Center-local aggregation; downcast (+ F hop) packets.
+        down: List[Packet] = []
+        for key, view in views.items():
+            known = center_known.get(key, {})
+            if not known:
+                continue
+            level, center = key
+            # Receive step: one aggregate packet per member.
+            for u in view.members:
+                relevant = [(src, known[src]) for src in known
+                            if src in neighbors[u]]
+                if not relevant:
                     continue
-                for key in clusters_of_node[v]:
-                    path = up_paths[(key[0], key[1], v)]
-                    for origin, payload in sorted(received.items()):
-                        if len(path) > 1:
-                            packets.append(Packet(
-                                path=path, payload=("r", origin, payload),
-                                tag=key))
-            center_known: Dict[Tuple[int, int], Dict[int, Any]] = {}
-            if packets:
-                deliveries, m = route_packets(graph, packets,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    _t, origin, payload = d.payload
-                    center_known.setdefault(d.tag, {})[origin] = payload
-            # Items held by the center itself never leave the node.
-            for key, view in views.items():
-                known = center_known.setdefault(key, {})
-                c = view.center
-                if c in broadcasters:
-                    known[c] = broadcasters[c]
-                for origin, payload in indirect_received[c].items():
-                    known[origin] = payload
-
-            # ---- Center-local aggregation; downcast (+ F hop) packets.
-            down: List[Packet] = []
-            for key, view in views.items():
-                known = center_known.get(key, {})
-                if not known:
+                agg = aggregate(sorted(relevant, key=lambda t: t[0]))
+                if u == center:
+                    inboxes.setdefault(u, []).extend(agg)
                     continue
-                level, center = key
-                # Receive step: one aggregate packet per member.
-                for u in view.members:
-                    relevant = [(src, known[src]) for src in known
-                                if src in neighbors[u]]
-                    if not relevant:
-                        continue
-                    agg = aggregate(sorted(relevant, key=lambda t: t[0]))
-                    if u == center:
-                        inboxes.setdefault(u, []).extend(agg)
-                        continue
-                    path = down_paths[(level, center, u)]
-                    down.append(Packet(path=path,
-                                       payload=("agg", tuple(agg))))
-                # Direct send: one aggregate packet per outside node in
-                # R(C), restricted to in-cluster broadcasters.
-                for u, w in sorted(view.incoming_f.items()):
-                    relevant = [(src, known[src]) for src in known
-                                if src in neighbors[u]
-                                and src in view.member_set
-                                and src in broadcasters]
-                    if not relevant:
-                        continue
-                    agg = aggregate(sorted(relevant, key=lambda t: t[0]))
-                    path = down_paths[(level, center, w)] + (u,)
-                    down.append(Packet(path=path,
-                                       payload=("agg", tuple(agg))))
-            if down:
-                deliveries, m = route_packets(graph, down,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    inboxes.setdefault(d.dest, []).extend(d.payload[1])
+                path = down_paths[(level, center, u)]
+                down.append(Packet(path=path,
+                                   payload=("agg", tuple(agg))))
+            # Direct send: one aggregate packet per outside node in
+            # R(C), restricted to in-cluster broadcasters.
+            for u, w in sorted(view.incoming_f.items()):
+                relevant = [(src, known[src]) for src in known
+                            if src in neighbors[u]
+                            and src in view.member_set
+                            and src in broadcasters]
+                if not relevant:
+                    continue
+                agg = aggregate(sorted(relevant, key=lambda t: t[0]))
+                path = down_paths[(level, center, w)] + (u,)
+                down.append(Packet(path=path,
+                                   payload=("agg", tuple(agg))))
+        if down:
+            deliveries, m = route_packets(graph, down,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                inboxes.setdefault(d.dest, []).extend(d.payload[1])
 
-            # ---- Level-0 singleton clusters: local aggregation of the
-            # node's own indirect receipts.
-            for v, received in indirect_received.items():
-                relevant = [(src, payload) for src, payload
-                            in sorted(received.items())
-                            if src in neighbors[v]]
-                if relevant:
-                    inboxes.setdefault(v, []).extend(aggregate(relevant))
+        # ---- Level-0 singleton clusters: local aggregation of the
+        # node's own indirect receipts.
+        for v, received in indirect_received.items():
+            relevant = [(src, payload) for src, payload
+                        in sorted(received.items())
+                        if src in neighbors[v]]
+            if relevant:
+                inboxes.setdefault(v, []).extend(aggregate(relevant))
+        return inboxes
 
-        next_phase = machines.next_round(phase, inboxes)
-        if next_phase is None:
-            break
-        phase = next_phase
+    phases = machines.drive(deliver, max_phases, "simulate_aggregation")
 
     simulation = total.delta_since(preprocessing)
     cluster_edges = hierarchy.cluster_edges()
@@ -315,8 +305,8 @@ def simulate_aggregation(graph: Graph, hierarchy: BaswanaSenHierarchy,
         total=total,
         preprocessing=preprocessing,
         simulation=simulation,
-        phases=phase,
-        broadcasts_simulated=broadcasts_simulated,
+        phases=phases,
+        broadcasts_simulated=machines.broadcasts,
         cluster_edge_congestion=on_c,
         non_cluster_edge_congestion=off_c,
         mode="general",

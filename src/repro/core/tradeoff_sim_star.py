@@ -33,10 +33,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.congest.errors import AlgorithmError
 from repro.congest.machine import Machine, MachineSet
 from repro.congest.metrics import Metrics
-from repro.core.aggregation import AggregateFn, get_aggregator
+from repro.core.aggregation import get_aggregator
 from repro.core.tradeoff_sim import TradeoffReport, _congestion_split
 from repro.decomposition.baswana_sen import BaswanaSenHierarchy, _one_shot
 from repro.graphs.graph import Graph
@@ -61,7 +60,6 @@ def _greedy_maximal_matching(pairs: List[Tuple[int, int]],
 
 def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
                               factory: MachineFactory, *,
-                              aggregate: Optional[AggregateFn] = None,
                               inputs: Optional[Dict[int, Any]] = None,
                               seed: int = 0, message_words: int = 64,
                               include_tree_preprocessing: bool = True,
@@ -98,147 +96,140 @@ def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
 
     machines = MachineSet(graph, factory, inputs=inputs, seed=seed,
                           message_words=message_words)
-    if aggregate is None:
-        aggregate = get_aggregator(next(iter(machines.machines.values())))
+    # Definition 3.1's aggregation; an empty graph never delivers.
+    first = next(iter(machines.machines.values()), None)
+    aggregate = get_aggregator(first) if first is not None else None
     neighbors = {v: set(graph.neighbors(v)) for v in graph.nodes()}
 
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-    broadcasts_simulated = 0
-    phase = 1
     transport_limit = message_words + 4
-    while True:
-        if phase > max_phases:
-            raise AlgorithmError("star simulation exceeded max_phases")
-        broadcasters = machines.step(phase, inboxes)
-        broadcasts_simulated += len(broadcasters)
-        inboxes = {}
 
-        if broadcasters:
-            indirect_received: Dict[int, Dict[int, Any]] = {
-                v: {} for v in graph.nodes()}
-            direct_received: Dict[int, List[Tuple[int, Any]]] = {
-                v: [] for v in graph.nodes()}
+    def deliver(_phase: int, broadcasters: Dict[int, Any],
+                ) -> Dict[int, List[Tuple[int, Any]]]:
+        """One phase's sends; the inboxes feed the next compute step."""
+        inboxes: Dict[int, List[Tuple[int, Any]]] = {}
+        indirect_received: Dict[int, Dict[int, Any]] = {
+            v: {} for v in graph.nodes()}
+        direct_received: Dict[int, List[Tuple[int, Any]]] = {
+            v: [] for v in graph.nodes()}
 
-            # ---- Send step (i): broadcasts over F_1-incident edges.
-            spec: Dict[int, dict] = {}
-            for v, payload in broadcasters.items():
-                sends = [(u, ("i", v, payload))
-                         for u in sorted(f1_incident[v])]
-                if sends:
-                    spec[v] = {"sends": sends}
-            # ---- Send step (ii): star members to their centers.
-            for v, payload in broadcasters.items():
-                c = star_of.get(v)
-                if c is not None and c != v:
-                    spec.setdefault(v, {"sends": []}).setdefault(
-                        "sends", []).append((c, ("u", v, payload)))
-            if spec:
-                heard, m = _one_shot(graph, spec, bcast_only=False,
-                                     word_limit=transport_limit)
-                total.merge(m)
-                for v in graph.nodes():
-                    for _src, msg in heard[v]:
-                        if msg[0] == "i":
-                            indirect_received[v][msg[1]] = msg[2]
-            # Center knowledge of member broadcasts (local for the
-            # center's own broadcast).
-            star_broadcasts: Dict[int, Dict[int, Any]] = {}
-            for v, payload in broadcasters.items():
-                c = star_of.get(v)
-                if c is not None:
-                    star_broadcasts.setdefault(c, {})[v] = payload
+        # ---- Send step (i): broadcasts over F_1-incident edges.
+        spec: Dict[int, dict] = {}
+        for v, payload in broadcasters.items():
+            sends = [(u, ("i", v, payload))
+                     for u in sorted(f1_incident[v])]
+            if sends:
+                spec[v] = {"sends": sends}
+        # ---- Send step (ii): star members to their centers.
+        for v, payload in broadcasters.items():
+            c = star_of.get(v)
+            if c is not None and c != v:
+                spec.setdefault(v, {"sends": []}).setdefault(
+                    "sends", []).append((c, ("u", v, payload)))
+        if spec:
+            heard, m = _one_shot(graph, spec, bcast_only=False,
+                                 word_limit=transport_limit)
+            total.merge(m)
+            for v in graph.nodes():
+                for _src, msg in heard[v]:
+                    if msg[0] == "i":
+                        indirect_received[v][msg[1]] = msg[2]
+        # Center knowledge of member broadcasts (local for the
+        # center's own broadcast).
+        star_broadcasts: Dict[int, Dict[int, Any]] = {}
+        for v, payload in broadcasters.items():
+            c = star_of.get(v)
+            if c is not None:
+                star_broadcasts.setdefault(c, {})[v] = payload
 
-            # ---- Send step (iii): per-neighboring-cluster matchings.
-            hop1: List[Packet] = []
-            for c, bcasts in sorted(star_broadcasts.items()):
-                members = set(stars[c])
-                # Group the broadcasters' outside star-neighbors by
-                # their cluster.
-                by_cluster: Dict[int, List[Tuple[int, int]]] = {}
-                for w, _m in sorted(bcasts.items()):
-                    for u in graph.neighbors(w):
-                        cu = star_of.get(u)
-                        if cu is not None and cu != c:
-                            by_cluster.setdefault(cu, []).append((w, u))
-                for _cu, pairs in sorted(by_cluster.items()):
-                    for w, u in _greedy_maximal_matching(pairs):
-                        m1 = ("i", w, bcasts[w])
-                        senders = [(x, bcasts[x]) for x in sorted(bcasts)
-                                   if x in neighbors[u]]
-                        m2 = ("agg", tuple(aggregate(senders)))
-                        path = (c, w, u) if w != c else (c, u)
-                        hop1.append(Packet(path=path, payload=m1))
-                        hop1.append(Packet(path=path, payload=m2))
-            if hop1:
-                deliveries, m = route_packets(graph, hop1,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    if d.payload[0] == "i":
-                        indirect_received[d.dest][d.payload[1]] = \
-                            d.payload[2]
-                    else:
-                        direct_received[d.dest].extend(d.payload[1])
-
-            # ---- Receive step: indirect receipts go to the receiver's
-            # center (stars) or are aggregated locally (L_1 / centers).
-            up: List[Packet] = []
-            center_known: Dict[int, Dict[int, Any]] = {
-                c: dict(b) for c, b in star_broadcasts.items()}
-            for v, received in indirect_received.items():
-                c = star_of.get(v)
-                if c is None or c == v:
-                    if c == v:
-                        center_known.setdefault(c, {}).update(received)
-                    continue
-                for origin, payload in sorted(received.items()):
-                    up.append(Packet(path=(v, c),
-                                     payload=("r", origin, payload)))
-            if up:
-                deliveries, m = route_packets(graph, up,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    center_known.setdefault(d.dest, {})[d.payload[1]] = \
+        # ---- Send step (iii): per-neighboring-cluster matchings.
+        hop1: List[Packet] = []
+        for c, bcasts in sorted(star_broadcasts.items()):
+            members = set(stars[c])
+            # Group the broadcasters' outside star-neighbors by
+            # their cluster.
+            by_cluster: Dict[int, List[Tuple[int, int]]] = {}
+            for w, _m in sorted(bcasts.items()):
+                for u in graph.neighbors(w):
+                    cu = star_of.get(u)
+                    if cu is not None and cu != c:
+                        by_cluster.setdefault(cu, []).append((w, u))
+            for _cu, pairs in sorted(by_cluster.items()):
+                for w, u in _greedy_maximal_matching(pairs):
+                    m1 = ("i", w, bcasts[w])
+                    senders = [(x, bcasts[x]) for x in sorted(bcasts)
+                               if x in neighbors[u]]
+                    m2 = ("agg", tuple(aggregate(senders)))
+                    path = (c, w, u) if w != c else (c, u)
+                    hop1.append(Packet(path=path, payload=m1))
+                    hop1.append(Packet(path=path, payload=m2))
+        if hop1:
+            deliveries, m = route_packets(graph, hop1,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                if d.payload[0] == "i":
+                    indirect_received[d.dest][d.payload[1]] = \
                         d.payload[2]
-            down: List[Packet] = []
-            for c, known in sorted(center_known.items()):
-                for u in stars.get(c, [c]):
-                    relevant = [(src, known[src]) for src in sorted(known)
-                                if src in neighbors[u]]
-                    if not relevant:
-                        continue
-                    agg = aggregate(relevant)
-                    if u == c:
-                        inboxes.setdefault(u, []).extend(agg)
-                    else:
-                        down.append(Packet(path=(c, u),
-                                           payload=("agg", tuple(agg))))
-            if down:
-                deliveries, m = route_packets(graph, down,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    inboxes.setdefault(d.dest, []).extend(d.payload[1])
+                else:
+                    direct_received[d.dest].extend(d.payload[1])
 
-            # ---- Compute inputs: direct receipts and local (L_1)
-            # aggregation of indirect receipts.
-            for v, received in direct_received.items():
-                if received:
-                    inboxes.setdefault(v, []).extend(received)
-            for v, received in indirect_received.items():
-                if star_of.get(v) is not None and v != star_of.get(v):
-                    continue  # served through the center above
-                relevant = [(src, payload) for src, payload
-                            in sorted(received.items())
-                            if src in neighbors[v]]
-                if relevant and v not in star_of:
-                    inboxes.setdefault(v, []).extend(aggregate(relevant))
+        # ---- Receive step: indirect receipts go to the receiver's
+        # center (stars) or are aggregated locally (L_1 / centers).
+        up: List[Packet] = []
+        center_known: Dict[int, Dict[int, Any]] = {
+            c: dict(b) for c, b in star_broadcasts.items()}
+        for v, received in indirect_received.items():
+            c = star_of.get(v)
+            if c is None or c == v:
+                if c == v:
+                    center_known.setdefault(c, {}).update(received)
+                continue
+            for origin, payload in sorted(received.items()):
+                up.append(Packet(path=(v, c),
+                                 payload=("r", origin, payload)))
+        if up:
+            deliveries, m = route_packets(graph, up,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                center_known.setdefault(d.dest, {})[d.payload[1]] = \
+                    d.payload[2]
+        down: List[Packet] = []
+        for c, known in sorted(center_known.items()):
+            for u in stars.get(c, [c]):
+                relevant = [(src, known[src]) for src in sorted(known)
+                            if src in neighbors[u]]
+                if not relevant:
+                    continue
+                agg = aggregate(relevant)
+                if u == c:
+                    inboxes.setdefault(u, []).extend(agg)
+                else:
+                    down.append(Packet(path=(c, u),
+                                       payload=("agg", tuple(agg))))
+        if down:
+            deliveries, m = route_packets(graph, down,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                inboxes.setdefault(d.dest, []).extend(d.payload[1])
 
-        next_phase = machines.next_round(phase, inboxes)
-        if next_phase is None:
-            break
-        phase = next_phase
+        # ---- Compute inputs: direct receipts and local (L_1)
+        # aggregation of indirect receipts.
+        for v, received in direct_received.items():
+            if received:
+                inboxes.setdefault(v, []).extend(received)
+        for v, received in indirect_received.items():
+            if star_of.get(v) is not None and v != star_of.get(v):
+                continue  # served through the center above
+            relevant = [(src, payload) for src, payload
+                        in sorted(received.items())
+                        if src in neighbors[v]]
+            if relevant and v not in star_of:
+                inboxes.setdefault(v, []).extend(aggregate(relevant))
+        return inboxes
+
+    phases = machines.drive(deliver, max_phases, "simulate_aggregation_star")
 
     simulation = total.delta_since(preprocessing)
     cluster_edges = hierarchy.cluster_edges()
@@ -248,8 +239,8 @@ def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
         total=total,
         preprocessing=preprocessing,
         simulation=simulation,
-        phases=phase,
-        broadcasts_simulated=broadcasts_simulated,
+        phases=phases,
+        broadcasts_simulated=machines.broadcasts,
         cluster_edge_congestion=on_c,
         non_cluster_edge_congestion=off_c,
         mode="star",

@@ -196,9 +196,7 @@ def weighted_apsp_tradeoff(graph: Graph, eps: float, *,
 
     budget = max(48, 12 * int(math.log2(max(n, 2))) ** 2)
     report = simulate_aggregation_star(
-        graph, hierarchy, factory,
-        aggregate=BellmanFordCollectionMachine.aggregate,
-        seed=seed, message_words=budget,
+        graph, hierarchy, factory, seed=seed, message_words=budget,
         include_tree_preprocessing=False)
     total.merge(report.total)
 

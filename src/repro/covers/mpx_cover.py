@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.reference import bfs_distances
+from repro.congest.machine import Machine
 from repro.congest.metrics import Metrics
+from repro.congest.network import NodeInfo
 from repro.decomposition.mpx import Clustering, MPXMachine
 from repro.graphs.graph import Graph
 
@@ -102,7 +104,7 @@ class NeighborhoodCover:
         }
 
 
-class CoverCollectionMachine:
+class CoverCollectionMachine(Machine):
     """All Õ(n^{1/k}) ball-carving repetitions as ONE BCONGEST machine.
 
     Repetition r runs in its own round window of T = 2*cap + 4 rounds
@@ -113,12 +115,10 @@ class CoverCollectionMachine:
     """
 
     def __init__(self, info, reps: int, beta: float, cap: int):
-        from repro.congest.network import NodeInfo  # local, avoids cycle
-        self.info = info
+        super().__init__(info)
         self.reps = reps
         self.cap = cap
         self.window = 2 * cap + 4
-        self.halted = False
         self.machines = []
         for rep in range(reps):
             sub_info = NodeInfo(
@@ -129,18 +129,9 @@ class CoverCollectionMachine:
             self.machines.append(MPXMachine(sub_info, beta=beta, cap=cap))
         self._output = [None] * reps
 
-    # Machine protocol -------------------------------------------------
-    def passive(self) -> bool:
-        return self.halted
-
-    def wake_round(self):
-        return None if self.halted else 1
-
+    # Lockstep: the default wake_round steps it every round.
     def output(self):
         return list(self._output)
-
-    def set_output(self, value):  # pragma: no cover - protocol slot
-        self._output = value
 
     def on_round(self, rnd: int, inbox):
         if self.halted:

@@ -121,13 +121,10 @@ class MPXMachine(Machine):
         self.parent: Optional[int] = None
         self.heard: Dict[int, int] = {}  # neighbor -> its center
 
-    def wake_round(self) -> Optional[int]:
+    def wake_round(self, rnd: int) -> Optional[int]:
         if self.center is None:
             return self.start
         return None
-
-    def passive(self) -> bool:
-        return True
 
     def on_round(self, rnd: int, inbox: Inbox) -> Optional[Tuple[int, int]]:
         # Record neighbors' adoptions regardless of our own state; this
@@ -178,8 +175,8 @@ def run_mpx(graph: Graph, *, beta: float = 0.5, seed: int = 0,
     # broadcasts may land after neighbors halted -- run_machines keeps
     # machines alive until quiescence, so 'heard' is complete except for
     # broadcasts sent in the very last round to already-halted... which
-    # cannot happen: machines never halt, they go passive and keep
-    # receiving.  Validate anyway.
+    # cannot happen: machines never halt, they stop waking themselves
+    # and keep receiving.  Validate anyway.
     center_of: Dict[int, int] = {}
     dist: Dict[int, int] = {}
     parent: Dict[int, Optional[int]] = {}

@@ -143,9 +143,6 @@ class BipartiteMatchingMachine(Machine):
             return self.mate != sender
         return self.mate == sender
 
-    def passive(self) -> bool:
-        return self.halted
-
     # ------------------------------------------------------------------
     def on_round(self, rnd: int, inbox: Inbox):
         if self.halted:

@@ -41,9 +41,6 @@ class IsraeliItaiMachine(Machine):
         self.proposal: Optional[int] = None
         self.accepted: Optional[int] = None
 
-    def passive(self) -> bool:
-        return self.halted
-
     def on_round(self, rnd: int, inbox: Inbox):
         if self.halted:
             return None

@@ -73,16 +73,13 @@ class BellmanFordCollectionMachine(Machine):
         self.started: set = set()
         self.set_output({})
 
-    def wake_round(self) -> Optional[int]:
+    def wake_round(self, rnd: int) -> Optional[int]:
         starts = [self.delays[j] for j in self.own if j not in self.started]
         pending = min(starts) if starts else None
         if not self.halted:
             # Must observe the deadline to halt even if idle.
             return pending if pending is not None else self.deadline
         return pending
-
-    def passive(self) -> bool:
-        return True
 
     @staticmethod
     def aggregate(messages: List[Tuple[int, BFPayload]],

@@ -81,14 +81,11 @@ class BFSMachine(Machine):
         self.dist: Optional[int] = None
         self.parent: Optional[int] = None
 
-    def wake_round(self) -> Optional[int]:
+    def wake_round(self, rnd: int) -> Optional[int]:
+        # Message-driven except for the root's scheduled start.
         if self.info.id == self.root and self.dist is None:
             return self.delay
         return None
-
-    def passive(self) -> bool:
-        # Message-driven except for the root's scheduled start.
-        return True
 
     def on_round(self, rnd: int, inbox: Inbox) -> Optional[BFSPayload]:
         if self.halted:
@@ -161,11 +158,8 @@ class BFSCollectionMachine(Machine):
         starts = [self.delays[j] for j in self.own if j not in self.dist]
         return min(starts) if starts else None
 
-    def wake_round(self) -> Optional[int]:
+    def wake_round(self, rnd: int) -> Optional[int]:
         return self._next_start()
-
-    def passive(self) -> bool:
-        return True
 
     # -- aggregation hook (Definition 3.1) -------------------------------
     @staticmethod

@@ -32,9 +32,6 @@ class LubyMISMachine(Machine):
         self.nbr_priorities = {}
         self.decided: Optional[bool] = None
 
-    def passive(self) -> bool:
-        return self.halted
-
     def on_round(self, rnd: int, inbox: Inbox):
         if self.halted:
             return None

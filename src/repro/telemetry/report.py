@@ -21,7 +21,7 @@ like every other CLI surface.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.runner.jobs import CellResult, error_headline
@@ -36,13 +36,20 @@ from repro.telemetry.events import (
 
 _COMPLETION_KINDS = (FINISHED, TIMED_OUT, ERRORED)
 
-# (event field, family) pairs for the cache-efficacy view; the "none"
-# provenance (cells without a baseline / decomposition input) does not
-# count toward a family's total, mirroring the sweep summary.
-_PROVENANCE_FIELDS = (("graph_source", "graphs"),
-                      ("oracle_source", "oracles"),
-                      ("decomposition_source", "decompositions"))
 _HIT_SOURCES = ("lru", "store")
+
+
+def chain_fields() -> List[Tuple[str, str]]:
+    """(event field, family) for every artifact-chain family, in chain
+    order: the cache-efficacy columns.  The "none" provenance (cells
+    without a baseline / decomposition input) does not count toward a
+    family's total, mirroring the sweep summary."""
+    from repro.runner.chain import all_chains
+    from repro.testing.differential import PROVENANCE_FIELDS
+
+    chains = all_chains()
+    return [(field, family) for field, family in PROVENANCE_FIELDS.items()
+            if family in chains]
 
 
 def _hit_share(events: Sequence[Dict[str, Any]],
@@ -64,13 +71,13 @@ def _cache_efficacy_rows(completions: Sequence[Dict[str, Any]],
         return rows
     buckets = min(buckets, total)
     base, remainder = divmod(total, buckets)
+    fields = [field for field, _family in chain_fields()]
     start = 0
     for index in range(buckets):
         size = base + (1 if index < remainder else 0)
         chunk = completions[start:start + size]
         start += size
-        shares = [_hit_share(chunk, field)
-                  for field, _family in _PROVENANCE_FIELDS]
+        shares = [_hit_share(chunk, field) for field in fields]
         rows.append((f"{index + 1}/{buckets}", len(chunk),
                      *("-" if share is None else f"{share:.0%}"
                        for share in shares)))
@@ -143,6 +150,8 @@ def run_report_payload(run, *, top: int = 10) -> Dict[str, Any]:
     results = run.load_results()
     events = load_events(telemetry_path(run.path))
     completions = [e for e in events if e.get("event") in _COMPLETION_KINDS]
+    efficacy_columns = ("segment", "cells",
+                        *(family for _field, family in chain_fields()))
     payload = {
         "run_id": run.run_id,
         "revision": run.revision,
@@ -163,10 +172,8 @@ def run_report_payload(run, *, top: int = 10) -> Dict[str, Any]:
             {"scenario": row[0], "cells": row[1], "retried": row[2],
              "timeouts": row[3], "errors": row[4]}
             for row in _cluster_rows(results)],
-        "cache_efficacy": [
-            {"segment": row[0], "cells": row[1], "graphs": row[2],
-             "oracles": row[3], "decompositions": row[4]}
-            for row in _cache_efficacy_rows(completions)],
+        "cache_efficacy": [dict(zip(efficacy_columns, row))
+                           for row in _cache_efficacy_rows(completions)],
     }
     # Fault-injection rollup, additive: absent for clean runs so their
     # report payloads keep the pre-fault-plane key set.
@@ -247,9 +254,8 @@ def run_report(run, *, top: int = 10) -> str:
     if payload["cache_efficacy"]:
         lines.append("")
         lines.append(format_table(
-            ["segment", "cells", "graphs", "oracles", "decompositions"],
-            [(c["segment"], c["cells"], c["graphs"], c["oracles"],
-              c["decompositions"]) for c in payload["cache_efficacy"]],
+            list(payload["cache_efficacy"][0]),
+            [tuple(c.values()) for c in payload["cache_efficacy"]],
             title="cache efficacy over the timeline (hit share per "
                   "completion segment):"))
 

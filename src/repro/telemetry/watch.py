@@ -35,7 +35,7 @@ from repro.telemetry.events import (
     load_events,
     telemetry_path,
 )
-from repro.telemetry.report import _hit_share
+from repro.telemetry.report import _hit_share, chain_fields
 
 _COMPLETIONS = (FINISHED, TIMED_OUT, ERRORED)
 
@@ -76,12 +76,8 @@ def watch_snapshot(events: Sequence[Dict[str, Any]],
         "failed": failed,
         "passed": sum(1 for e in completions if e.get("passed")),
         "wall_time": sum(e.get("wall_time") or 0.0 for e in completions),
-        "hit_shares": {
-            family: _hit_share(completions, field)
-            for field, family in (("graph_source", "graphs"),
-                                  ("oracle_source", "oracles"),
-                                  ("decomposition_source",
-                                   "decompositions"))},
+        "hit_shares": {family: _hit_share(completions, field)
+                       for field, family in chain_fields()},
         "slowest": [
             {"scenario": e.get("scenario"), "algorithm": e.get("algorithm"),
              "size": e.get("size"), "seed": e.get("seed"),

@@ -60,7 +60,8 @@ def test_composed_rounds_within_congestion_plus_dilation():
 
 
 def test_composed_heterogeneous_components():
-    """BFS, Luby MIS and a passive machine that wakes itself at round 10,
+    """BFS, Luby MIS and a message-driven machine that wakes itself at
+    round 10,
     running concurrently on one network."""
     g = gnp(18, 0.3, seed=311)
     composed = compose_machines(

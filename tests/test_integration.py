@@ -41,9 +41,7 @@ def test_bellman_ford_under_general_tradeoff_sim():
     hierarchy = build_pruned_hierarchy(g, 0.5, seed=101)
     direct = run_machines(g, factory, word_limit=12 * g.n, seed=6)
     sim = simulate_aggregation(
-        g, hierarchy, factory,
-        aggregate=BellmanFordCollectionMachine.aggregate,
-        seed=6, message_words=12 * g.n)
+        g, hierarchy, factory, seed=6, message_words=12 * g.n)
     assert sim.outputs == direct.outputs
     ref = ref_apsp(g)
     for v in g.nodes():
@@ -63,9 +61,7 @@ def test_bellman_ford_under_star_sim():
     hierarchy = build_pruned_hierarchy(g, 0.5, seed=102)
     direct = run_machines(g, factory, word_limit=12 * g.n, seed=7)
     sim = simulate_aggregation_star(
-        g, hierarchy, factory,
-        aggregate=BellmanFordCollectionMachine.aggregate,
-        seed=7, message_words=12 * g.n)
+        g, hierarchy, factory, seed=7, message_words=12 * g.n)
     assert sim.outputs == direct.outputs
 
 
@@ -128,9 +124,7 @@ def test_star_sim_on_grid_depth_capped():
     hierarchy = build_pruned_hierarchy(g, 0.6, seed=107)
     direct = run_machines(g, factory, word_limit=12 * g.n, seed=10)
     sim = simulate_aggregation_star(
-        g, hierarchy, factory,
-        aggregate=BFSCollectionMachine.aggregate,
-        seed=10, message_words=12 * g.n)
+        g, hierarchy, factory, seed=10, message_words=12 * g.n)
     assert sim.outputs == direct.outputs
 
 

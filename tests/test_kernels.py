@@ -139,8 +139,7 @@ def test_oversize_broadcast_error_is_identical_stepped_and_replayed():
 
     with pytest.raises(AlgorithmError) as stepped:
         simulate_aggregation_star(
-            graph, hierarchy, factory,
-            aggregate=BFSCollectionMachine.aggregate, message_words=8,
+            graph, hierarchy, factory, message_words=8,
             include_tree_preprocessing=False)
     with pytest.raises(AlgorithmError) as kernel:
         wavefront.star_report(graph, hierarchy, roots, delays,

@@ -10,9 +10,14 @@ from repro.congest import (
     node_seed,
     run_machines,
 )
+from repro.congest.errors import AlgorithmError
 from repro.core.bcongest_sim import chunk_words, flatten_to_words, simulate_bcongest
+from repro.core.tradeoff_sim import simulate_aggregation
+from repro.core.tradeoff_sim_star import simulate_aggregation_star
+from repro.decomposition.pruning import build_pruned_hierarchy
 from repro.graphs import from_edges, gnp, path
 from repro.primitives import BFSMachine, LubyMISMachine
+from repro.primitives.bfs import aggregate_keyed_min
 
 
 class CountdownMachine(Machine):
@@ -31,16 +36,13 @@ class CountdownMachine(Machine):
 
 
 class SleeperMachine(Machine):
-    """Passive machine that wakes itself once at round 10."""
+    """Message-driven machine that wakes itself once at round 10."""
 
     def __init__(self, info):
         super().__init__(info)
         self.fired = None
 
-    def passive(self):
-        return True
-
-    def wake_round(self):
+    def wake_round(self, rnd):
         return 10 if self.fired is None else None
 
     def on_round(self, rnd, inbox):
@@ -135,3 +137,34 @@ def test_run_machines_word_limit_enforced():
 
     with pytest.raises(MessageTooLarge):
         run_machines(path(2), Fat, word_limit=8)
+
+
+class RestlessMachine(Machine):
+    """Lockstep, broadcasts every round and never halts: no driver
+    reaches quiescence."""
+
+    aggregate = staticmethod(aggregate_keyed_min)
+
+    def on_round(self, rnd, inbox):
+        return {0: (rnd, self.info.id)}
+
+
+# driver name -> run RestlessMachine on `graph` under a cap of `cap` rounds.
+CAPPED_DRIVERS = {
+    "LocalRunner": lambda graph, cap: LocalRunner(
+        graph, RestlessMachine).run(max_rounds=cap),
+    "simulate_bcongest": lambda graph, cap: simulate_bcongest(
+        graph, RestlessMachine, max_phases=cap),
+    "simulate_aggregation": lambda graph, cap: simulate_aggregation(
+        graph, build_pruned_hierarchy(graph, 0.5, seed=1), RestlessMachine,
+        max_phases=cap),
+    "simulate_aggregation_star": lambda graph, cap: simulate_aggregation_star(
+        graph, build_pruned_hierarchy(graph, 0.5, seed=1), RestlessMachine,
+        max_phases=cap),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_DRIVERS))
+def test_driver_round_cap_raises_algorithm_error(name):
+    with pytest.raises(AlgorithmError, match=rf"^{name} exceeded 4 rounds$"):
+        CAPPED_DRIVERS[name](path(5), 4)

@@ -7,7 +7,9 @@ import importlib
 import math
 import pkgutil
 import random
+import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,9 @@ from repro.covers.mpx_cover import (
     build_cover_machine_factory,
 )
 from repro.decomposition import build_baswana_sen, run_mpx, verify_hierarchy
+from repro.decomposition.ldc import build_ldc
 from repro.decomposition.mpx import MPXMachine
+from repro.decomposition.pipeline import ldc_snapshot
 from repro.graphs import from_edges, gnp
 from repro.kernels import config as kernels_config
 from repro.matching.augmenting import BipartiteMatchingMachine
@@ -49,6 +53,7 @@ from repro.primitives import (
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
 from repro.primitives.bfs import BFSCollectionMachine
 from repro.primitives.luby import LubyMISMachine
+from repro.store import DECOMPOSITION_FAMILY, GRAPH_FAMILY, FamilyStore
 
 settings.register_profile(
     "repro", deadline=None,
@@ -397,11 +402,10 @@ def test_cell_context_replays_faults_and_sums_profiles(g, seed):
 # ----------------------------------------------------------------------
 
 def _machine_classes():
-    """Every ``Machine`` subclass under ``src/`` (recursively), plus the
-    duck-typed ``CoverCollectionMachine``."""
+    """Every ``Machine`` subclass under ``src/`` (recursively)."""
     for module in pkgutil.walk_packages(repro.__path__, "repro."):
         importlib.import_module(module.name)
-    found, todo = {CoverCollectionMachine}, [Machine]
+    found, todo = set(), [Machine]
     while todo:
         for sub in todo.pop().__subclasses__():
             todo.append(sub)
@@ -437,8 +441,8 @@ SCHEDULING_FACTORIES = {
 
 
 class _Lockstep:
-    """Test-only proxy that is not passive until it halts: it steps its
-    machine every round up to ``horizon`` (the due-rule run's last
+    """Test-only proxy that wakes every round until it halts: it steps
+    its machine every round up to ``horizon`` (the due-rule run's last
     round), where it halts, since some machines never do."""
 
     def __init__(self, machine, horizon):
@@ -450,11 +454,8 @@ class _Lockstep:
     def halted(self):
         return self.machine.halted or self.rnd >= self.horizon
 
-    def passive(self):
-        return self.halted
-
-    def wake_round(self):
-        return None
+    def wake_round(self, rnd):
+        return None if self.halted else rnd + 1
 
     def on_round(self, rnd, inbox):
         self.rnd = rnd
@@ -489,3 +490,55 @@ def test_machine_scheduling_modes_agree(cls, g, seed):
     assert lockstep.run() == outputs
     assert (lockstep.round, lockstep.broadcasts) == (due.round,
                                                      due.broadcasts)
+
+
+# ----------------------------------------------------------------------
+# Store codecs: publish -> load gives back the value a fresh build makes
+# ----------------------------------------------------------------------
+
+@st.composite
+def stored_graphs(draw):
+    """A ``transport_graphs`` draw, unweighted or carrying int or float
+    weights in a drawn (non-canonical) dict order."""
+    g = draw(transport_graphs())
+    kind = draw(st.sampled_from(["unweighted", "int", "float"]))
+    if kind == "unweighted":
+        return g
+    values = (st.integers(-2**60, 2**60) if kind == "int"
+              else st.floats(-1e12, 1e12, allow_nan=False))
+    arcs = draw(st.permutations([arc for u, v in g.edges()
+                                 for arc in ((u, v), (v, u))]))
+    return g.reweighted({arc: draw(values) for arc in arcs},
+                        name=f"{g.name}+{kind}")
+
+
+@settings(max_examples=30)
+@given(g=stored_graphs())
+def test_graph_codec_round_trips(g):
+    with tempfile.TemporaryDirectory() as root:
+        store = FamilyStore(GRAPH_FAMILY, root)
+        assert store.publish("prop", g.n, 0, g)
+        back = store.load("prop", g.n, 0)
+        assert (back.name, back.n, back.m) == (g.name, g.n, g.m)
+        for arrays in ((back._indptr, g._indptr),
+                       (back._indices, g._indices)):
+            assert arrays[0].dtype == arrays[1].dtype
+            assert np.array_equal(*arrays)
+        if g.weights is None:
+            assert back.weights is None
+        else:
+            assert ([(arc, type(w), w) for arc, w in back.weights.items()]
+                    == [(arc, type(w), w) for arc, w in g.weights.items()])
+
+
+@settings(max_examples=15)
+@given(g=transport_graphs(), beta=st.floats(0.2, 2.0),
+       seed=st.integers(0, 1_000))
+def test_decomposition_codec_round_trips_ldc_snapshots(g, beta, seed):
+    snapshot = ldc_snapshot(build_ldc(g, beta=beta, seed=seed))
+    with tempfile.TemporaryDirectory() as root:
+        store = FamilyStore(DECOMPOSITION_FAMILY, root)
+        assert store.publish("prop", g.n, seed, "ldc", snapshot)
+        back = store.load("prop", g.n, seed, "ldc")
+    assert back == snapshot
+    assert repr(back) == repr(snapshot)

@@ -9,7 +9,7 @@ from repro.core.aggregation import check_idempotent, get_aggregator
 from repro.core.tradeoff_sim import simulate_aggregation
 from repro.core.tradeoff_sim_star import simulate_aggregation_star
 from repro.decomposition.pruning import build_pruned_hierarchy
-from repro.graphs import complete, dumbbell, gnp, grid, path
+from repro.graphs import complete, dumbbell, from_edges, gnp, grid, path
 from repro.primitives.bfs import BFSCollectionMachine, aggregate_keyed_min
 
 
@@ -126,3 +126,14 @@ def test_get_aggregator_rejects_non_aggregation_machines():
         pass
     with pytest.raises(TypeError):
         get_aggregator(Plain())
+
+
+@pytest.mark.parametrize("simulate", [simulate_aggregation,
+                                      simulate_aggregation_star])
+def test_aggregation_sims_accept_an_empty_graph(simulate):
+    g = from_edges(0, [])
+    hierarchy = build_pruned_hierarchy(g, 0.5, seed=1)
+    sim = simulate(g, hierarchy, _bfs_factory(g),
+                   include_tree_preprocessing=False)
+    assert sim.outputs == {}
+    assert (sim.phases, sim.broadcasts_simulated) == (1, 0)
