@@ -19,8 +19,9 @@ Public API highlights
 
 Everything runs on a literal simulator of the synchronous CONGEST model
 (``repro.congest``); all message/round/congestion counts are measured by
-actually transmitting the messages.  See DESIGN.md for the system
-inventory and EXPERIMENTS.md for paper-vs-measured results.
+actually transmitting the messages.  The paper experiments E1-E14
+under ``benchmarks/`` compare the measured counts with the paper's
+claims.
 """
 
 from repro.congest import Machine, Metrics, run_algorithm, run_machines

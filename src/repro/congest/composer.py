@@ -23,7 +23,7 @@ is used by tests and benchmark E4b to validate the
 Õ(congestion + dilation) claim on real concurrent executions, and it
 is the literal counterpart of the formula-based accounting that
 :mod:`repro.core.bfs_collections` applies to the batched Lemma 3.23
-pipeline (see DESIGN.md, substitution 3).
+pipeline.
 """
 
 from __future__ import annotations

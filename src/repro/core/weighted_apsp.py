@@ -2,8 +2,8 @@
 
 The paper obtains this by plugging a round-efficient BCONGEST weighted
 APSP algorithm into the Theorem 2.1 simulation.  Here the simulated
-algorithm is the multi-source pipelined Bellman-Ford collection (see
-DESIGN.md, substitution 1): n sources spread by shared random delays
+algorithm is the multi-source pipelined Bellman-Ford collection, in
+place of a round-optimal one: n sources spread by shared random delays
 from [1, n], each flooding improved distance estimates; it is exact on
 directed weights and negative weights (no negative cycles), covering the
 full scope of the theorem's statement.

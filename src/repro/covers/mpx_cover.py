@@ -4,11 +4,10 @@ Definition (§2.4): a collection of trees C such that (1) every tree has
 depth O(W k), (2) each vertex appears in Õ(k n^{1/k}) trees, and (3)
 some tree contains the entire W-neighborhood of each vertex.
 
-Construction (see DESIGN.md, substitution 2 -- an MPX-shift cover in
-place of Elkin's algorithm [13], with the same guarantees and the same
-broadcast-based structure): run r = Θ(n^{1/k} log n) independent
-repetitions of exponential-shift ball carving with rate
-beta = ln(n) / (2 k W).
+Construction (an MPX-shift cover in place of Elkin's algorithm [13],
+with the same guarantees and the same broadcast-based structure): run
+r = Θ(n^{1/k} log n) independent repetitions of exponential-shift ball
+carving with rate beta = ln(n) / (2 k W).
 
 * Each repetition partitions V into clusters spanned by trees of depth
   <= 2 * cap ~ O(kW log-ish); since every vertex joins exactly one
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.reference import bfs_distances
-from repro.congest.machine import Machine
+from repro.congest.machine import Machine, next_wake
 from repro.congest.metrics import Metrics
 from repro.congest.network import NodeInfo
 from repro.decomposition.mpx import Clustering, MPXMachine
@@ -112,6 +111,10 @@ class CoverCollectionMachine(Machine):
     drain in-flight messages).  Packaging the whole construction as a
     single machine is what lets Corollary 2.9 pay the Theorem 2.1
     preprocessing once, rather than once per repetition.
+
+    Wake rounds: besides mail, the machine acts only at the start round
+    of each repetition's MPX sub-machine (mapped into its window) and at
+    the final round ``reps * window``, where it halts.
     """
 
     def __init__(self, info, reps: int, beta: float, cap: int):
@@ -129,7 +132,14 @@ class CoverCollectionMachine(Machine):
             self.machines.append(MPXMachine(sub_info, beta=beta, cap=cap))
         self._output = [None] * reps
 
-    # Lockstep: the default wake_round steps it every round.
+    def wake_round(self, rnd: int) -> Optional[int]:
+        for rep in range(rnd // self.window, self.reps):
+            offset = rep * self.window
+            wake = next_wake(self.machines[rep], rnd - offset)
+            if wake is not None:
+                return offset + wake
+        return self.reps * self.window
+
     def output(self):
         return list(self._output)
 
@@ -146,8 +156,6 @@ class CoverCollectionMachine(Machine):
         self._output[rep] = machine.output()
         if rnd == self.reps * self.window:
             self.halted = True
-        if payload is None:
-            return None
         return payload
 
 

@@ -16,7 +16,8 @@ paper's Lemma 2.4) -- follows from the memorylessness of the shift
 distribution; benchmark E1 measures it.
 
 The same machine with rate beta = ln(n) / (2kW) is the ball-carving step
-of the neighborhood-cover construction (see DESIGN.md, substitution 2).
+of the neighborhood-cover construction (:mod:`repro.covers.mpx_cover`,
+which substitutes it for Elkin's cover algorithm).
 
 The machine is BCONGEST with broadcast complexity exactly n (each node
 broadcasts once, upon adoption), and runs in O(cap + max cluster radius)

@@ -44,7 +44,7 @@ later (the standard Hungarian-algorithm lemma), so a clean sweep
 certifies maximality unconditionally.  The sweep is a robustness
 addition over the paper's schedule (which relies on the per-phase
 success analysis of [3]); it leaves the Õ(n²) broadcast complexity
-intact and is usually near-silent.  See DESIGN.md.
+intact and is usually near-silent.
 """
 
 from __future__ import annotations
@@ -98,6 +98,11 @@ class BipartiteMatchingMachine(Machine):
 
     Input (shared): ``{"s": int}`` -- the matching-size upper bound.
     Output: the node's mate (or None).
+
+    Wake rounds: besides mail, the node acts in every round while its
+    outbox holds messages, at each window's ``start`` (phase reset) and
+    ``backprop_end + 1`` (candidate freeze), and at ``end_round + 1``,
+    where it halts.
     """
 
     def __init__(self, info: NodeInfo, s: Optional[int] = None):
@@ -136,6 +141,16 @@ class BipartiteMatchingMachine(Machine):
             return None
         w = self.schedule[self.window_idx]
         return w if rnd >= w.start else None
+
+    def wake_round(self, rnd: int) -> Optional[int]:
+        if self.outbox or rnd >= self.end_round:
+            return rnd + 1
+        for w in self.schedule[self.window_idx:]:
+            if w.start > rnd:
+                return w.start
+            if w.backprop_end >= rnd:
+                return w.backprop_end + 1
+        return self.end_round + 1
 
     def _edge_valid(self, depth: int, sender: int) -> bool:
         """May an exploration at ``depth`` legally cross (sender, self)?"""

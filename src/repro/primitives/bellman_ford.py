@@ -1,10 +1,9 @@
 """Distributed Bellman-Ford machines (BCONGEST) for weighted shortest paths.
 
 These machines are the weighted-APSP workload plugged into the Theorem
-2.1 simulation to realize Theorem 1.1 (see DESIGN.md, substitution 1:
-they stand in for the Bernstein-Nanongkai round-optimal algorithm, which
-the simulation only consumes as "some BCONGEST algorithm computing
-weighted APSP").
+2.1 simulation to realize Theorem 1.1.  They stand in for the
+Bernstein-Nanongkai round-optimal algorithm, which the simulation only
+consumes as "some BCONGEST algorithm computing weighted APSP".
 
 Semantics: distance estimates flood the network; a node broadcasts
 (source, new-estimate) whenever an estimate improves.  On a graph with n

@@ -14,10 +14,13 @@ from repro.congest.errors import AlgorithmError
 from repro.core.bcongest_sim import chunk_words, flatten_to_words, simulate_bcongest
 from repro.core.tradeoff_sim import simulate_aggregation
 from repro.core.tradeoff_sim_star import simulate_aggregation_star
+from repro.covers.mpx_cover import CoverCollectionMachine
 from repro.decomposition.pruning import build_pruned_hierarchy
 from repro.graphs import from_edges, gnp, path
+from repro.matching.augmenting import BipartiteMatchingMachine
 from repro.primitives import BFSMachine, LubyMISMachine
 from repro.primitives.bfs import aggregate_keyed_min
+from repro.testing.differential import run_differential
 
 
 class CountdownMachine(Machine):
@@ -168,3 +171,49 @@ CAPPED_DRIVERS = {
 def test_driver_round_cap_raises_algorithm_error(name):
     with pytest.raises(AlgorithmError, match=rf"^{name} exceeded 4 rounds$"):
         CAPPED_DRIVERS[name](path(5), 4)
+
+
+# The tier-1 cells of the two fixed-window machines, and the least
+# factor by which their declared wake rounds must cut `on_round` calls
+# relative to stepping every node every round.
+WAKE_CELLS = [
+    ("complete", "cover", 12), ("dense-gnp", "cover", 14),
+    ("dumbbell", "cover", 14), ("expander-regular", "cover", 14),
+    ("patched-islands", "cover", 16), ("power-law", "cover", 14),
+    ("sparse-gnp", "cover", 18),
+    ("augmenting-chain", "matching", 12),
+    ("bipartite-balanced", "matching", 14),
+    ("bipartite-skewed", "matching", 14),
+    ("bipartite-sparse", "matching", 14),
+]
+WAKE_MACHINES = {"cover": (CoverCollectionMachine, 8),
+                 "matching": (BipartiteMatchingMachine, 40)}
+
+
+@pytest.mark.parametrize("scenario, algorithm, size", WAKE_CELLS)
+def test_declared_wakes_cut_activations(monkeypatch, scenario, algorithm,
+                                        size):
+    cls, factor = WAKE_MACHINES[algorithm]
+    machines, calls = {}, []
+    on_round = cls.on_round
+
+    def counted(self, rnd, inbox):
+        machines[self.info.id] = self
+        calls.append(self.info.id)
+        return on_round(self, rnd, inbox)
+
+    def run():
+        """The cell's canonical record, its ``cls`` machines' final
+        outputs and their ``on_round`` calls."""
+        machines.clear()
+        calls.clear()
+        record = run_differential(scenario, algorithm, size=size)
+        return (record.canonical_dict(),
+                {v: m.output() for v, m in machines.items()}, len(calls))
+
+    monkeypatch.setattr(cls, "on_round", counted)
+    woken = run()
+    monkeypatch.setattr(cls, "wake_round", Machine.wake_round)
+    lockstep = run()
+    assert lockstep[:2] == woken[:2]
+    assert lockstep[2] >= factor * woken[2], (lockstep[2], woken[2])

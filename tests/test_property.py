@@ -492,6 +492,37 @@ def test_machine_scheduling_modes_agree(cls, g, seed):
                                                      due.broadcasts)
 
 
+@pytest.mark.parametrize("cls", MACHINE_CLASSES,
+                         ids=lambda cls: cls.__name__)
+@settings(max_examples=12)
+@given(g=transport_graphs(), seed=st.integers(0, 1_000))
+def test_machine_wake_hint_matches_lockstep_on_network(cls, g, seed):
+    """On the network, a machine's own hint meters exactly what stepping
+    it every round does: outputs, ``Metrics``, the per-edge congestion
+    (in insertion order), the message-size histogram and the round of
+    every message."""
+    def run(make):
+        profiler = RoundProfiler()
+        execution = run_machines(g, make, seed=seed, word_limit=10**6,
+                                 profiler=profiler)
+        columns = profiler.profile().columns
+        sent = columns["messages"] > 0
+        return execution, (columns["round"][sent].tolist(),
+                           columns["messages"][sent].tolist())
+
+    factory = SCHEDULING_FACTORIES[cls](g, seed)
+    woken, woken_sends = run(factory)
+    lockstep, lockstep_sends = run(
+        lambda info: _Lockstep(factory(info), woken.rounds))
+    assert lockstep_sends == woken_sends
+    assert lockstep.outputs == woken.outputs
+    assert lockstep.metrics.as_dict() == woken.metrics.as_dict()
+    assert lockstep.rounds == woken.rounds
+    assert (list(lockstep.metrics.edge_congestion.items())
+            == list(woken.metrics.edge_congestion.items()))
+    assert lockstep.metrics.message_sizes == woken.metrics.message_sizes
+
+
 # ----------------------------------------------------------------------
 # Store codecs: publish -> load gives back the value a fresh build makes
 # ----------------------------------------------------------------------
