@@ -60,18 +60,22 @@ def payload_words(payload: Payload) -> int:
     Scalars (IDs, distances, flags) cost one word; containers cost the sum
     of their items (dict entries cost key + value).  ``None`` is free: it
     is only ever a sentinel inside tuples.
+
+    Containers are tested before the ``numbers.Number`` ABC, whose
+    ``isinstance`` hook is far slower than a concrete type check; no
+    supported container is a ``Number``, so the order changes no result.
     """
     if payload is None:
         return 0
     if isinstance(payload, (int, float, bool, str)):
-        return 1
-    if isinstance(payload, numbers.Number):  # numpy scalars and friends
         return 1
     if isinstance(payload, (tuple, list, frozenset, set)):
         return max(1, sum(payload_words(item) for item in payload))
     if isinstance(payload, dict):
         return max(1, sum(payload_words(k) + payload_words(v)
                           for k, v in payload.items()))
+    if isinstance(payload, numbers.Number):  # numpy scalars and friends
+        return 1
     raise TypeError(f"unsupported payload type {type(payload)!r}")
 
 

@@ -126,9 +126,11 @@ def gather_member_inputs(graph: Graph, ldc: LDCDecomposition, *,
         for (_v, u) in ldc.out_edges[v]:
             items.append((v, u, "F"))
         for item in items:
-            input_words += payload_words(item)
+            words = payload_words(item)
+            input_words += words
             if len(path) > 1:
-                packets.append(Packet(path=path, payload=item))
+                packets.append(Packet(path=path, payload=item,
+                                      words=1 + words))
     if packets:
         _deliveries, metrics = route_packets(graph, packets,
                                              word_limit=word_limit)
@@ -159,6 +161,11 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     routed through the same metered primitives in the same order, so the
     metrics are byte-identical, but no machines are constructed or
     stepped.  Preprocessing and output delivery are unchanged.
+
+    Every packet built here declares its size (``Packet.words``), from
+    payload sizes already known here: an upcast item's words,
+    a broadcast's words plus origin and destination, an output chunk's
+    length plus destination.
     """
     total = Metrics()
 
@@ -190,13 +197,14 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
         broadcasts_simulated = 0
         for phase, scheduled in plan.phase_payloads:
             packets: List[Packet] = []
-            for v, payload in scheduled:
-                check_broadcast_words(payload_words(payload), message_words)
+            for v, payload, words in scheduled:
+                check_broadcast_words(words, message_words)
                 broadcasts_simulated += 1
                 for (_v, u_ext) in ldc.out_edges[v]:
                     path = (down_paths[v] + (u_ext,)
                             + up_paths[u_ext][1:])
-                    packets.append(Packet(path=path, payload=(v, payload)))
+                    packets.append(Packet(path=path, payload=(v, payload),
+                                          words=2 + words))
             if packets:
                 _deliveries, metrics = route_packets(
                     graph, packets, word_limit=transport_limit)
@@ -217,13 +225,19 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
                     if center_of[u] == center_of[v]:
                         inboxes.setdefault(u, []).append((v, payload))
             # Inter-cluster delivery: downcast + F edge + upcast, one
-            # packet per (broadcaster, neighboring cluster).
+            # packet per (broadcaster, neighboring cluster), each of
+            # dest + origin + the broadcast's words.
             packets = []
             for v, payload in broadcasters.items():
-                for (_v, u_ext) in ldc.out_edges[v]:
+                out_edges = ldc.out_edges[v]
+                if not out_edges:
+                    continue
+                words = 2 + payload_words(payload)
+                for (_v, u_ext) in out_edges:
                     path = (down_paths[v] + (u_ext,)
                             + up_paths[u_ext][1:])
-                    packets.append(Packet(path=path, payload=(v, payload)))
+                    packets.append(Packet(path=path, payload=(v, payload),
+                                          words=words))
             if packets:
                 deliveries, metrics = route_packets(
                     graph, packets, word_limit=transport_limit)
@@ -240,6 +254,7 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
                                          "simulate_bcongest")
         broadcasts_simulated = machines.broadcasts
     simulation = total.delta_since(preprocessing)
+    simulated = total.snapshot()
 
     # ---------------- Output delivery ----------------
     mark_phase("output-delivery")
@@ -251,17 +266,15 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
         output_words += len(words)
         path = down_paths[v]
         if len(path) > 1:
+            # Every flattened word is a one-word scalar.
             for chunk in chunk_words(words):
-                out_packets.append(Packet(path=path, payload=chunk))
+                out_packets.append(Packet(path=path, payload=chunk,
+                                          words=1 + len(chunk)))
     if out_packets:
         _deliveries, metrics = route_packets(graph, out_packets,
                                              word_limit=8)
         total.merge(metrics)
-    output_delivery = total.delta_since(preprocessing)
-    output_delivery = Metrics(
-        rounds=output_delivery.rounds - simulation.rounds,
-        messages=output_delivery.messages - simulation.messages,
-        broadcasts=0, words=output_delivery.words - simulation.words)
+    output_delivery = total.delta_since(simulated)
 
     report = SimulationReport(
         outputs=outputs,

@@ -26,14 +26,17 @@ caches sound: the simulator's neighbor sets and canonical edge keys
 weight views (:meth:`Graph.node_weight_views`) are derived once per
 graph and shared by every :class:`repro.congest.network.Network` and
 execution over it -- the "zero-rebuild" layer the differential harness
-and multi-algorithm sweep cells lean on.
+and multi-algorithm sweep cells lean on.  The same holds for the
+preprocessing's global BFS tree, which
+:func:`repro.primitives.global_tree.build_global_tree` memoizes per
+seed outside fault, profiler and reference runs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,6 +87,8 @@ class Graph:
         self._nbr_set_cache: Optional[Dict[int, frozenset]] = None
         self._edge_key_cache: Optional[Dict[int, Tuple[EdgeKey, ...]]] = None
         self._weight_view_cache: Dict[int, tuple] = {}
+        # (seed, max_rounds) -> GlobalTree, kept by build_global_tree.
+        self._global_tree_cache: Dict[Tuple[int, int], Any] = {}
         if adj is None:
             # Filled in by _from_csr; a bare Graph() is not public API.
             self._indptr = np.zeros(1, dtype=np.int64)
@@ -155,7 +160,7 @@ class Graph:
         rebuild -- only the weight dict is checked against the edges.
         The topology arrays (and the materialized ``adj`` dict, if any)
         are shared; per-instance caches are not, since weight views
-        differ.
+        differ (the global-tree memo starts empty too).
         """
         g = Graph._from_csr(self._indptr, self._indices,
                             name=self.name if name is None else name)

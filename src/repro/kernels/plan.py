@@ -14,19 +14,21 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
-Phase = Tuple[int, List[Tuple[int, Any]]]
+Phase = Tuple[int, List[Tuple[int, Any, int]]]
 
 
 class BcongestPlan:
     """A fully-resolved BCONGEST execution, streamed one phase at a time.
 
     phase_payloads:
-        An iterator of ``(phase, [(node, payload), ...])`` -- phases
-        ascending, broadcasters ascending within a phase, payloads the
-        literal objects the machines would have returned (so size
-        metering and the oversize check reproduce exactly).  The kernel
-        computes each phase when it is asked for, so a plan never holds
-        more than one phase's payloads.
+        An iterator of ``(phase, [(node, payload, words), ...])`` --
+        phases ascending, broadcasters ascending within a phase,
+        payloads the literal objects the machines would have returned,
+        and ``words`` their ``payload_words`` size, which the kernel
+        knows from the shape it built (so the oversize check and the
+        transport packets' declared sizes reproduce exactly without
+        re-sizing).  The kernel computes each phase when it is asked
+        for, so a plan never holds more than one phase's payloads.
     outputs:
         ``{node: output}`` as the machines would report at halt.
     executed_phases:

@@ -116,17 +116,18 @@ def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
         prev_ann = ann
         srcs, nodes = np.nonzero(ann)
         order = np.lexsort((srcs, nodes))
-        payloads: List[Tuple[int, Any]] = []
+        # A {j: (d, v)} payload is 3 words per source.
+        payloads: List[Tuple[int, Any, int]] = []
         current = -1
         payload: Dict[int, Tuple[Any, int]] = {}
         for j, v in zip(srcs[order].tolist(), nodes[order].tolist()):
             if v != current:
                 if current >= 0:
-                    payloads.append((current, payload))
+                    payloads.append((current, payload, 3 * len(payload)))
                 current, payload = v, {}
             d = dist[j, v]
             payload[j] = (int(d) if int_mode else float(d), v)
-        payloads.append((current, payload))
+        payloads.append((current, payload, 3 * len(payload)))
         yield rnd, payloads
 
     outputs: Dict[int, Any] = {v: {} for v in graph.nodes()}

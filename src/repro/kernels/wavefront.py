@@ -266,9 +266,10 @@ def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
     """The Theorem 2.1 replay plan for a BFS collection.
 
     Payloads are the literal ``{j: (dist, v)}`` dicts the machines
-    return; the driver re-routes the identical transport packets, so
-    only the machine stepping is skipped.  The machines never halt, so
-    the loop ends one phase after the last announcement.
+    return, each with its ``3 * len`` word count; the simulation
+    re-routes the identical transport packets, so only the machine
+    stepping is skipped.  The machines never halt, so the loop ends one
+    phase after the last announcement.
     """
     js, roots = _sorted_roots(roots_map)
     return BcongestPlan(_plan_phases(graph, js, roots, delays))
@@ -289,14 +290,18 @@ def _plan_phases(graph: Graph, js: List[int], roots: List[int],
     starts = np.flatnonzero(np.diff(phases, prepend=-1)).tolist()
     last = 0
     for lo, hi in zip(starts, starts[1:] + [len(phases)]):
-        payloads: List[Tuple[int, Any]] = []
+        # A {j: (d, v)} payload is 3 words per BFS.
+        payloads: List[Tuple[int, Any, int]] = []
         current = -1
+        payload: Dict[int, Tuple[int, int]] = {}
         for v, j, d in zip(nodes[lo:hi].tolist(), ids[lo:hi].tolist(),
                            hops[lo:hi].tolist()):
             if v != current:
+                if current >= 0:
+                    payloads.append((current, payload, 3 * len(payload)))
                 current, payload = v, {}
-                payloads.append((v, payload))
             payload[j] = (d, v)
+        payloads.append((current, payload, 3 * len(payload)))
         last = int(phases[lo])
         yield last, payloads
     parents = _bfs_parents(graph, dist)

@@ -16,17 +16,55 @@ used here and O(m * D) in the worst case.  The paper invokes the
 message-optimal election of Kutten et al. [25] for the general bound;
 the difference only affects the additive Õ(m) preprocessing term that
 every claim already carries (In >= m log n).
+
+Two exact shortcuts serve the default engine, and both step aside
+whenever :func:`repro.kernels.config.fallback_reason` names a reason (a
+fault plan, a round profiler, or ``engine="reference"``), so those runs
+go through the ``Network`` loop exactly as before:
+
+* **Tree memo.**  :func:`build_global_tree` is deterministic in
+  ``(graph, seed)``, and an APSP cell builds the same tree twice
+  (shared randomness, then the Theorem 2.1 simulation's
+  preprocessing).  The result is memoized per :class:`Graph` instance
+  (``Graph._global_tree_cache``, never copied to derived graphs).
+  Callers merge ``tree.metrics`` on every call, so records still meter
+  both builds.
+* **Exact dissemination.**  :func:`disseminate` streams words down a
+  fixed tree on a fixed pipelined schedule, so its outcome is a closed
+  form: every node outputs the whole stream, the run takes
+  ``len(stream) + height`` rounds (1 for an empty stream), every tree
+  edge carries every word, and congestion keys appear in order of
+  sender depth, sender id, then child order.  Sizes, the first
+  oversize or unsizable word, and the ``max_rounds`` check raise the
+  ``Network`` run's errors with its texts.  A tree that is not a
+  spanning tree over the graph's edges (never one this module builds)
+  also runs on the ``Network``, which raises whatever it raises.
+  ``tests/test_property.py`` checks the two paths equal on generated
+  graphs and streams.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.congest.metrics import Metrics
-from repro.congest.network import Algorithm, Inbox, NodeAPI, NodeInfo, run_algorithm
+from repro.congest.errors import AlgorithmError, MessageTooLarge
+from repro.congest.metrics import Metrics, undirected
+from repro.congest.network import (
+    Algorithm,
+    Inbox,
+    NodeAPI,
+    NodeInfo,
+    payload_words,
+    run_algorithm,
+)
 from repro.graphs.graph import Graph
+from repro.kernels.config import fallback_reason
 from repro.primitives.transport import tree_depths
+
+# The Network's default message budget, which dissemination runs under.
+_WORD_LIMIT = 8
 
 
 @dataclass
@@ -157,7 +195,24 @@ class _Disseminate(Algorithm):
 
 def build_global_tree(graph: Graph, *, seed: int = 0,
                       max_rounds: int = 1_000_000) -> GlobalTree:
-    """Elect a leader and build its BFS tree; aggregate and broadcast n."""
+    """Elect a leader and build its BFS tree; aggregate and broadcast n.
+
+    Memoized per graph instance unless :func:`fallback_reason` sends the
+    call to the ``Network`` (see the module docstring); callers share
+    the returned tree and must not mutate it.
+    """
+    memo = graph._global_tree_cache if fallback_reason() is None else None
+    if memo is not None:
+        tree = memo.get((seed, max_rounds))
+        if tree is None:
+            tree = memo[(seed, max_rounds)] = _build_global_tree(
+                graph, seed, max_rounds)
+        return tree
+    return _build_global_tree(graph, seed, max_rounds)
+
+
+def _build_global_tree(graph: Graph, seed: int,
+                       max_rounds: int) -> GlobalTree:
     flood = run_algorithm(graph, _FloodElect, seed=seed,
                           max_rounds=max_rounds)
     metrics = flood.metrics.snapshot()
@@ -185,7 +240,101 @@ def build_global_tree(graph: Graph, *, seed: int = 0,
 def disseminate(graph: Graph, tree: GlobalTree, stream: List[Any], *,
                 seed: int = 0,
                 max_rounds: int = 5_000_000) -> Tuple[Dict[int, tuple], Metrics]:
-    """Stream ``stream`` (a list of one-word payloads) to every node."""
+    """Stream ``stream`` (a list of one-word payloads) to every node.
+
+    Computed in closed form unless :func:`fallback_reason` sends the
+    call to the ``Network`` (see the module docstring).
+    """
+    levels = _tree_levels(graph, tree) if fallback_reason() is None else None
+    if levels is None:
+        outputs, metrics = _disseminate_on_network(graph, tree, stream,
+                                                   seed, max_rounds)
+    else:
+        outputs, metrics = _disseminate_exact(graph, tree, stream, levels,
+                                              max_rounds)
+    for v in graph.nodes():
+        if len(outputs[v]) != len(stream):
+            raise RuntimeError("dissemination incomplete at node %d" % v)
+    return outputs, metrics
+
+
+def _tree_levels(graph: Graph, tree: GlobalTree) -> Optional[List[List[int]]]:
+    """``tree``'s nodes level by level from the root, or None unless it
+    is a spanning tree of ``graph`` whose child links are graph edges."""
+    if tree.root not in graph.nodes():
+        return None
+    nbr_sets = graph.nbr_sets()
+    seen = {tree.root}
+    levels = [[tree.root]]
+    while True:
+        below: List[int] = []
+        for v in levels[-1]:
+            kids = tree.children.get(v)
+            if kids is None:
+                return None
+            for c in kids:
+                if c in seen or c not in nbr_sets[v]:
+                    return None
+                seen.add(c)
+                below.append(c)
+        if not below:
+            break
+        levels.append(below)
+    return levels if len(seen) == graph.n else None
+
+
+def _disseminate_exact(graph: Graph, tree: GlobalTree, stream: List[Any],
+                       levels: List[List[int]], max_rounds: int,
+                       ) -> Tuple[Dict[int, tuple], Metrics]:
+    """What :class:`_Disseminate` on a ``Network`` yields, in closed form.
+
+    Word ``i`` leaves a depth-``d`` node in round ``i + 1 + d``, so the
+    root sends it first (to its first child, in round ``i + 1``): the
+    first word that cannot be sent fails there, unless round
+    ``max_rounds + 1`` comes first.
+    """
+    words = list(stream or ())
+    children = tree.children
+    edges = [(v, c) for level in levels for v in sorted(level)
+             for c in children[v]]
+    sizes: Counter = Counter()  # first-use order = stream order
+    if edges:
+        root = tree.root
+        for i, word in enumerate(words[:max(max_rounds, 0)]):
+            rnd = i + 1
+            try:
+                size = payload_words(word)
+            except TypeError as exc:
+                raise AlgorithmError(
+                    f"node {root}, round {rnd}: {exc}") from exc
+            if size > _WORD_LIMIT:
+                raise MessageTooLarge(
+                    f"{size} words > limit {_WORD_LIMIT} "
+                    f"(node {root} -> {children[root][0]}, round {rnd})")
+            sizes[max(1, size)] += 1
+    rounds = len(words) + len(levels) - 1 if words else 1
+    if rounds > max_rounds:
+        raise AlgorithmError(
+            f"exceeded max_rounds={max_rounds}; likely livelock")
+    metrics = Metrics(rounds=rounds)
+    if edges and words:
+        k = len(edges)
+        metrics.messages = k * len(words)
+        metrics.words = k * sum(size * count for size, count in sizes.items())
+        metrics.max_message_words = max(sizes)
+        for size, count in sizes.items():
+            metrics.message_sizes[size] = k * count
+        congestion = metrics.edge_congestion
+        for v, c in edges:
+            congestion[undirected(v, c)] = len(words)
+    received = tuple(words)
+    return {v: received for v in graph.nodes()}, metrics
+
+
+def _disseminate_on_network(graph: Graph, tree: GlobalTree,
+                            stream: List[Any], seed: int, max_rounds: int,
+                            ) -> Tuple[Dict[int, tuple], Metrics]:
+    """The reference: one :class:`_Disseminate` per node on a ``Network``."""
     inputs = {
         v: {
             "children": tree.children[v],
@@ -195,8 +344,5 @@ def disseminate(graph: Graph, tree: GlobalTree, stream: List[Any], *,
         for v in graph.nodes()
     }
     execution = run_algorithm(graph, _Disseminate, inputs=inputs, seed=seed,
-                              max_rounds=max_rounds)
-    for v in graph.nodes():
-        if len(execution.outputs[v]) != len(stream):
-            raise RuntimeError("dissemination incomplete at node %d" % v)
+                              word_limit=_WORD_LIMIT, max_rounds=max_rounds)
     return execution.outputs, execution.metrics

@@ -50,6 +50,14 @@ extra distributed knowledge: a real execution would route by destination
 using the same local tables.  Message-size accounting therefore counts
 the payload plus the destination, not the path.
 
+Sizes are checked once per packet, against ``word_limit``, before any
+routing starts.  A caller that has already sized a payload declares the
+packet's size in :attr:`Packet.words` (the Theorem 2.1 simulation does
+so for every packet it builds), and the check reads that number instead
+of walking the payload again; a packet without one is sized by
+:func:`_packet_words`.  ``tests/test_bcongest_sim.py`` checks every
+declared size equal to the computed one over the tier-1 cells.
+
 The round and message costs of upcast/downcast proved in Lemmas 1.5/1.6
 are validated against this engine in ``tests/test_primitives.py`` and
 regenerated in benchmark E10.
@@ -84,12 +92,15 @@ class Packet:
     communication graph.  ``payload`` is what the destination receives
     (together with the packet's origin).  ``tag`` lets the driver
     demultiplex deliveries (e.g. which cluster tree / which sub-step a
-    packet belongs to).
+    packet belongs to).  ``words``, when given, is the packet's declared
+    size (destination + payload, as :func:`_packet_words` counts it) from
+    a caller that has already sized the payload; None means "size it".
     """
 
     path: Tuple[int, ...]
     payload: Any
     tag: Any = None
+    words: Optional[int] = None
 
     def __post_init__(self) -> None:
         if len(self.path) < 1:
@@ -167,12 +178,16 @@ def route_packets(graph: Graph, packets: Sequence[Packet], *,
     """Deliver all packets; return deliveries and the execution metrics.
 
     The network-level size check is replaced by a per-packet check of
-    destination + payload, since the path is implicit routing state.
-    The exact engine routes unless :func:`fallback_reason` sends the
-    call to the ``Network`` reference loop.
+    destination + payload, since the path is implicit routing state; a
+    packet's declared ``words`` stands in for sizing its payload.  Every
+    packet is checked before anything is routed.  The exact engine
+    routes unless :func:`fallback_reason` sends the call to the
+    ``Network`` reference loop.
     """
     for packet in packets:
-        size = _packet_words(packet)
+        size = packet.words
+        if size is None:
+            size = _packet_words(packet)
         if size > word_limit:
             raise AlgorithmError(
                 f"packet payload of {size} words exceeds limit {word_limit}")

@@ -1,5 +1,7 @@
 """Theorem 2.1 simulation: correctness (Lemma 2.5) and cost shape."""
 
+import sys
+
 import pytest
 
 from repro.baselines.reference import (
@@ -22,6 +24,9 @@ from repro.primitives import (
     BellmanFordCollectionMachine,
     LubyMISMachine,
 )
+from repro.primitives import transport
+from repro.runner.jobs import build_specs
+from repro.testing.differential import run_differential
 
 
 def test_flatten_and_chunk():
@@ -126,3 +131,60 @@ def test_report_accounting_consistent():
     assert sim.input_words >= 2 * g.m  # every edge described twice
     assert sim.phases >= 1
     assert sim.ldc_stats["clusters"] >= 1
+
+
+def test_output_delivery_is_a_full_metrics_window():
+    """Regression: ``output_delivery`` was hand-built from three counters
+    and dropped the congestion map and the size histogram."""
+    g = gnp(20, 0.25, seed=17)
+    sim = simulate_bcongest(g, lambda info: BFSMachine(info, root=0), seed=1)
+    out = sim.output_delivery
+    assert out.messages > 0
+    assert sum(out.edge_congestion.values()) == out.messages
+    assert sum(out.message_sizes.values()) == out.messages
+    assert out.max_message_words == max(out.message_sizes)
+    assert out.words == sum(size * count
+                            for size, count in out.message_sizes.items())
+    assert out.broadcasts == 0
+    assert sim.total.rounds == (sim.preprocessing.rounds
+                                + sim.simulation.rounds + out.rounds)
+
+
+# Bindings whose cells route packets; all but bfs-collection (the
+# Theorem 3.10 star simulation) run simulate_bcongest, which declares.
+_ROUTING = {"apsp-weighted": True, "apsp-unweighted": True,
+            "matching": True, "bfs-collection": False}
+
+
+def test_declared_packet_sizes_equal_computed_sizes(monkeypatch):
+    """Every size a caller declares on a packet is the one
+    ``route_packets`` would compute, over the tier-1 routing cells:
+    kernel-plan replays (the APSP cells) and the stepped branch (the
+    matching cells) of ``simulate_bcongest``."""
+    original = transport.route_packets
+    declared = [0]
+
+    def checking(graph, packets, **kwargs):
+        for packet in packets:
+            if packet.words is not None:
+                assert packet.words == transport._packet_words(packet), \
+                    packet
+                declared[0] += 1
+        return original(graph, packets, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro.")
+                and getattr(module, "route_packets", None) is original):
+            monkeypatch.setattr(module, "route_packets", checking)
+    engines = set()
+    for spec in build_specs():
+        if spec.algorithm not in _ROUTING:
+            continue
+        before = declared[0]
+        record = run_differential(spec.scenario, spec.algorithm,
+                                  size=spec.size, seed=spec.seed)
+        assert record.passed, spec
+        assert (declared[0] > before) == _ROUTING[spec.algorithm], spec
+        engines.add(record.engine_source)
+    assert engines == {"kernel:bellman-ford", "kernel:bfs-wavefront",
+                       "vectorized:ineligible"}

@@ -1,5 +1,6 @@
 """Unit tests for the CONGEST simulator core (model enforcement, metering)."""
 
+import numpy as np
 import pytest
 
 from repro.congest import (
@@ -142,6 +143,44 @@ def test_payload_words():
     assert payload_words({1: (2, 3)}) == 3
     assert payload_words(None) == 0
     assert payload_words("tag") == 1
+
+
+@pytest.mark.parametrize("payload,words", [
+    (np.int64(3), 1),
+    (np.float32(1.5), 1),
+    (np.float64(2.0), 1),
+    (True, 1),
+    ((np.int64(1), np.float32(2.0)), 2),
+    ([np.int64(1), (np.int64(2), np.float32(3.0))], 3),
+    ({np.int64(1): (np.float32(2.0), None)}, 2),
+    ({np.int64(1): np.int64(2), 3: (4, 5)}, 5),
+    ((None, 7, None), 1),
+    ((None,), 1),
+    ({None: None}, 1),
+    ([True, None, "x"], 2),
+    ((), 1),
+    ({}, 1),
+    (frozenset({1, 2}), 2),
+])
+def test_payload_words_numpy_scalars_and_containers(payload, words):
+    """Pins the sizes the reordered type tests give (containers are
+    tested before the ``numbers.Number`` ABC that admits numpy scalars)."""
+    assert payload_words(payload) == words
+
+
+@pytest.mark.parametrize("payload,bad", [
+    (b"x", bytes),
+    (bytearray(b"x"), bytearray),
+    (np.array([1]), np.ndarray),
+    (np.bool_(True), np.bool_),  # not a numbers.Number
+    ((1, b"x"), bytes),
+    ({1: b"x"}, bytes),
+    ({b"x": 1}, bytes),
+])
+def test_payload_words_rejects_unsupported_types(payload, bad):
+    with pytest.raises(TypeError) as info:
+        payload_words(payload)
+    assert str(info.value) == f"unsupported payload type {bad!r}"
 
 
 def test_metrics_snapshot_delta_merge():

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.baselines.reference import bfs_distances, unweighted_apsp, weighted_apsp
-from repro.congest import LocalRunner, run_machines
+from repro.congest import (
+    FaultPlan,
+    LocalRunner,
+    Network,
+    RoundProfiler,
+    cell_context,
+    run_machines,
+)
 from repro.graphs import cycle, gnp, grid, path, random_tree, uniform_weights
 from repro.graphs.weights import negative_safe_weights
 from repro.primitives import (
@@ -18,6 +25,7 @@ from repro.primitives import (
     tree_depths,
     upcast_packets,
 )
+from repro.testing.differential import run_differential
 
 
 def test_single_bfs_matches_reference():
@@ -221,3 +229,70 @@ def test_disseminate_stream():
     # Pipelined: one message per tree edge per word.
     assert metrics.messages == (g.n - 1) * len(stream)
     assert metrics.rounds <= len(stream) + tree.height + 2
+
+
+def test_global_tree_memo_is_per_graph_instance_and_seed():
+    g = gnp(20, 0.2, seed=9)
+    tree = build_global_tree(g, seed=4)
+    assert build_global_tree(g, seed=4) is tree
+    assert build_global_tree(g, seed=5) is not tree
+    # A fresh instance of the same graph builds its own, equal tree.
+    twin = gnp(20, 0.2, seed=9)
+    twin_tree = build_global_tree(twin, seed=4)
+    assert twin_tree is not tree
+    assert (twin_tree.parent, twin_tree.children) == (tree.parent,
+                                                      tree.children)
+    assert twin_tree.metrics.as_dict() == tree.metrics.as_dict()
+    # A derived graph shares the topology but not the memo.
+    weighted = uniform_weights(g, w_max=5, seed=1)
+    assert not weighted._global_tree_cache
+    assert build_global_tree(weighted, seed=4) is not tree
+
+
+_FALLBACK_CONTEXTS = {
+    "profiler": lambda g: cell_context(profiler=RoundProfiler()),
+    # Non-null, but its one link failure lies past any round this runs.
+    "faults": lambda g: cell_context(
+        faults=FaultPlan(link_failures={next(g.edges()): 10**9})),
+    "reference": lambda g: cell_context(engine="reference"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FALLBACK_CONTEXTS))
+def test_fallback_cells_build_and_disseminate_on_the_network(name,
+                                                             monkeypatch):
+    runs = []
+    original = Network.run
+
+    def counted(net, *args, **kwargs):
+        runs.append(net)
+        return original(net, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "run", counted)
+    g = gnp(20, 0.2, seed=9)
+    with _FALLBACK_CONTEXTS[name](g):
+        first = build_global_tree(g, seed=4)
+        second = build_global_tree(g, seed=4)
+        assert len(runs) == 4  # flood + count, twice
+        received, metrics = disseminate(g, first, [1, (2, 3)])
+        assert len(runs) == 5
+    assert first is not second
+    assert not g._global_tree_cache
+    # Outside the context the tree is built once more and stored, and
+    # dissemination needs no Network; both agree with the runs above.
+    assert build_global_tree(g, seed=4).metrics.as_dict() == \
+        first.metrics.as_dict()
+    assert len(runs) == 7 and len(g._global_tree_cache) == 1
+    assert disseminate(g, first, [1, (2, 3)]) == (received, metrics)
+    assert len(runs) == 7
+
+
+def test_profiled_weighted_apsp_keeps_every_network_segment():
+    """Under a profiler the tree builds, the dissemination and the
+    transport all run on the Network, one segment per run: as many as
+    before the tree memo and exact dissemination existed."""
+    profiler = RoundProfiler()
+    record = run_differential("grid-weighted", "apsp-weighted", seed=0,
+                              profiler=profiler)
+    assert record.passed
+    assert len(profiler.profile().segments) == 23

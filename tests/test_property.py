@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -27,10 +27,11 @@ from repro.congest import (
     payload_words,
     run_machines,
 )
-from repro.congest.errors import AlgorithmError
+from repro.congest.errors import AlgorithmError, CongestError
 from repro.congest.metrics import undirected
 from repro.congest.profile import ADDITIVE_COLUMNS
 from repro.core.aggregation import check_idempotent
+from repro.core.weighted_apsp import make_delays
 from repro.covers.mpx_cover import (
     CoverCollectionMachine,
     build_cover_machine_factory,
@@ -39,14 +40,17 @@ from repro.decomposition import build_baswana_sen, run_mpx, verify_hierarchy
 from repro.decomposition.ldc import build_ldc
 from repro.decomposition.mpx import MPXMachine
 from repro.decomposition.pipeline import ldc_snapshot
-from repro.graphs import from_edges, gnp
+from repro.graphs import from_edges, gnp, uniform_weights
 from repro.kernels import config as kernels_config
+from repro.kernels import relaxation, wavefront
 from repro.matching.augmenting import BipartiteMatchingMachine
 from repro.matching.israeli_itai import IsraeliItaiMachine
 from repro.primitives import (
     BFSMachine,
     Packet,
     aggregate_keyed_min,
+    build_global_tree,
+    disseminate,
     path_to_root,
     route_packets,
 )
@@ -307,6 +311,92 @@ def test_transport_engines_agree_on_empty_inputs():
     empty = from_edges(0, [])
     assert _both_engines(empty, []) == ((
         [], Metrics().as_dict(), [], [], 0),) * 2
+
+
+# ----------------------------------------------------------------------
+# Dissemination: the closed form equals the Network run
+# ----------------------------------------------------------------------
+
+# Mostly sendable words (0 to 3 words each); one in 16 is too large for
+# the 8-word budget or cannot be sized at all.
+sendable_words = st.one_of(
+    st.integers(-50, 50), st.text(max_size=3), st.none(),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.tuples(st.integers(0, 9), st.none(), st.text(max_size=2),
+              st.booleans()))
+unsendable_words = st.sampled_from([tuple(range(9)), b"x", bytearray(b"y")])
+stream_words = st.integers(0, 15).flatmap(
+    lambda k: unsendable_words if k == 0 else sendable_words)
+
+
+@st.composite
+def tree_graphs(draw):
+    """A ``connected_graphs`` draw, or now and then the one-node graph."""
+    if draw(st.integers(0, 7)) == 0:
+        return from_edges(1, [])
+    return draw(connected_graphs(max_n=12))
+
+
+def _disseminated(g, tree, stream, **kwargs):
+    """``disseminate`` as comparable data: the outcome or the error."""
+    try:
+        received, m = disseminate(g, tree, stream, **kwargs)
+    except CongestError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return (received, m.as_dict(), list(m.edge_congestion.items()),
+            list(m.message_sizes.items()), m.max_message_words)
+
+
+def _disseminated_both(g, tree, stream, **kwargs):
+    exact = _disseminated(g, tree, stream, **kwargs)
+    with cell_context(engine="reference"):
+        reference = _disseminated(g, tree, stream, **kwargs)
+    return exact, reference
+
+
+@settings(max_examples=80)
+# Depth 2 reached as [4, 3] (children of 1, then of 2): congestion keys
+# must still come in sender-id order within a depth.
+@example(g=from_edges(7, [(0, 1), (0, 2), (1, 4), (2, 3), (4, 5), (3, 6)]),
+         seed=0, stream=[1, (2, 3)], cap=None)
+@given(g=tree_graphs(), seed=st.integers(0, 1_000),
+       stream=st.lists(stream_words, max_size=8),
+       cap=st.one_of(st.none(), st.integers(0, 12)))
+def test_dissemination_matches_network_reference(g, seed, stream, cap):
+    tree = build_global_tree(g, seed=seed)
+    exact, reference = _disseminated_both(g, tree, stream)
+    assert exact == reference
+    if cap is not None:  # a word error against the round cap
+        capped, capped_reference = _disseminated_both(g, tree, stream,
+                                                      max_rounds=cap)
+        assert capped == capped_reference
+    if exact[0] == "error":
+        return
+    rounds = exact[1]["rounds"]
+    assert rounds == (len(stream) + tree.height if stream else 1)
+    assert _disseminated(g, tree, stream, max_rounds=rounds) == exact
+    exact, reference = _disseminated_both(g, tree, stream,
+                                          max_rounds=rounds - 1)
+    assert exact == reference
+    assert exact[0] == "error" and "max_rounds" in exact[2]
+
+
+@settings(max_examples=30)
+@given(g=connected_graphs(max_n=12), seed=st.integers(0, 1_000))
+def test_kernel_plans_carry_their_payload_sizes(g, seed):
+    """Every plan entry's declared ``words`` is its payload's size."""
+    delays = make_delays(g.n, seed)
+    plans = [wavefront.bcongest_plan(g, {j: j for j in g.nodes()}, delays),
+             relaxation.bcongest_plan(g, delays),
+             relaxation.bcongest_plan(
+                 uniform_weights(g, w_max=9, seed=seed), delays)]
+    for plan in plans:
+        entries = 0
+        for _phase, scheduled in plan.phase_payloads:
+            for _v, payload, words in scheduled:
+                assert words == payload_words(payload)
+                entries += 1
+        assert entries >= g.n
 
 
 # ----------------------------------------------------------------------
