@@ -5,8 +5,7 @@ truncates the batched BFS), measures: correctness of the landmark
 completion at the paper's Θ(n^eps log n) density, the message split
 between the near (batched BFS) and far (landmark) parts, and an
 ablation with under-sampled landmarks quantifying how many pairs a too
-sparse landmark set leaves wrong -- the design choice DESIGN.md calls
-out.
+sparse landmark set leaves wrong.
 """
 
 from conftest import run_once
@@ -50,7 +49,10 @@ def _experiment():
                  _wrong_pairs(near_dist, ref, n),
                  near.metrics.messages))
 
-    # Full pipeline at the paper's density and under-sampled.
+    # Full pipeline at the paper's density and under-sampled.  The
+    # Theta(n^eps log n) density needs a constant: sample_landmarks
+    # takes ceil(3 * n^eps * ln n) (boost 3.0, enough for every pair on
+    # this grid), and boost 0.25 shows what a 12x smaller one costs.
     for boost, label in ((3.0, "landmarks x3 log n (paper)"),
                          (0.25, "landmarks /12 (ablation)")):
         result = apsp_tradeoff(g, EPS, seed=9, landmark_boost=boost)

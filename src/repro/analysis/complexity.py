@@ -8,9 +8,7 @@ collect the meter counts, and fit the exponent alpha in
 optionally dividing out a polylog factor first.  With the small n a
 Python simulator affords, fitted exponents carry slack, so consumers
 assert only coarse separations (e.g. the simulated message exponent is
-closer to 2 than the baseline's is to 3) rather than exact values;
-absolute timings are trended separately by the ``repro bench``
-registry and its bench-history gate.
+closer to 2 than the baseline's is to 3) rather than exact values.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 :func:`format_table` is the one table renderer: the ``repro`` CLI uses
 it for scenario/sweep summaries, ``repro store ls``/``stat``, the
-``repro bench`` registry's per-benchmark timing tables, the
-``repro bench history``/``report``/``gate`` perf-trend views, and the
+``repro bench`` registry's per-benchmark timing tables, and the
 ``repro runs report`` telemetry timeline.  Keeping a single layout
 (right-aligned columns, ``.3g`` floats, ``.0f`` for large or integral
 values) makes outputs from different subcommands diff cleanly.

@@ -15,12 +15,6 @@ Timing labels are dotted paths (``sweep_construction.cold_store``) so nested
 comparisons stay flat and diffable; speedup keys name the comparison
 they summarize.
 
-Beyond the point-in-time JSON files, every full (non-smoke) ``repro
-bench`` run also appends its report to the **bench-history** artifact
-family (:func:`append_report_history` /
-:mod:`repro.store.bench_history`), building the cross-revision trend
-that ``repro bench history`` / ``report`` / ``gate`` read.
-
 Registered today:
 
 * ``simulator-fastpath`` -- the PR-1 round-loop benchmark (scalar vs.
@@ -137,25 +131,6 @@ def write_report(report: BenchReport,
     out = pathlib.Path(out_dir) / report.json_name
     out.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
     return out
-
-
-def append_report_history(report: BenchReport, root: str):
-    """Append one finished report to the bench-history trend store.
-
-    Returns the appended :class:`~repro.store.bench_history.
-    BenchHistoryRecord`.  The record carries the report's *unrounded*
-    timings and speedups (the JSON file rounds for readability; the
-    gate should not) plus the scenario line, keyed under the
-    ``"bench"`` kind with the benchmark's registry name.
-    """
-    from repro.store.bench_history import KIND_BENCH, BenchHistoryStore
-
-    return BenchHistoryStore(root).append(
-        KIND_BENCH, report.name,
-        timings=report.timings,
-        speedups=report.speedups,
-        extra={"scenario": report.scenario,
-               "smoke": bool(report.extra.get("smoke"))})
 
 
 def best_of(fn: Callable[[], Any], reps: int = 3) -> float:

@@ -25,10 +25,6 @@ Examples
     python -m repro.cli store gc --keep-last 50 --family graphs
     python -m repro.cli bench oracle-store                # BENCH_oracle_store.json
     python -m repro.cli bench decomposition-pipeline --smoke
-    python -m repro.cli bench history                     # recorded perf trend
-    python -m repro.cli bench report graph-store          # trajectory tables
-    python -m repro.cli bench gate graph-store            # rolling regression gate
-    python -m repro.cli bench gate --smoke                # gate self-test
     python -m repro.cli runs report <run-id>              # telemetry timeline
     python -m repro.cli runs watch <run-id>               # live sweep progress
     python -m repro.cli sweep --profile --cprofile        # round profiles + hot fns
@@ -290,10 +286,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                             fresh=args.fresh,
                             faults=args.faults,
                             fault_seed=args.fault_seed,
-                            telemetry=args.telemetry,
-                            bench_history_dir=(settings["graph_store"]
-                                               if args.bench_history
-                                               else None))
+                            telemetry=args.telemetry)
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -314,8 +307,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.json:
         payload = {"summary": summary,
                    "cells": [r.as_dict() for r in outcome.results]}
-        if outcome.history is not None:
-            payload["history"] = outcome.history.as_dict()
         if comparison is not None:
             payload["comparison"] = comparison.as_dict()
         print(json.dumps(payload, indent=2))
@@ -380,12 +371,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if result.record is None:
                 print(f"  {result.status.upper()} {result.spec.identity}: "
                       f"{error_headline(result.error) or '(no detail)'}")
-        if outcome.history is not None:
-            record = outcome.history
-            print(f"bench history: appended {record.kind}:{record.name} "
-                  f"seq {record.sequence} (gate with: repro bench gate "
-                  f"{record.name} --kind sweep --history-dir "
-                  f"{settings['graph_store']})")
         if comparison is not None:
             print()
             _print_comparison(comparison)
@@ -424,11 +409,6 @@ def _entry_detail(entry) -> str:
         meta = entry.manifest.get("decomposition", {})
         return (f"{entry.identity.get('algorithm', '?')} "
                 f"clusters={meta.get('clusters', '?')}")
-    if entry.kind == "bench-history":
-        identity = entry.identity
-        return (f"{identity.get('kind', '?')}:{identity.get('name', '?')} "
-                f"seq {identity.get('sequence', '?')} "
-                f"@{str(identity.get('revision', '?'))[:6]}")
     if entry.kind == "profiles":
         meta = entry.manifest.get("profile", {})
         faults = entry.identity.get("faults") or ""
@@ -554,231 +534,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _history_root(args: argparse.Namespace) -> str:
-    from repro.store import DEFAULT_STORE_DIR
-
-    return (args.history_dir if args.history_dir is not None
-            else DEFAULT_STORE_DIR)
-
-
-def _tail_per_stream(records, limit):
-    """The newest ``limit`` records of every stream, ascending."""
-    if limit is None:
-        return list(records)
-    grouped = {}
-    for record in records:
-        grouped.setdefault(record.stream, []).append(record)
-    kept = []
-    for stream in sorted(grouped):
-        kept.extend(grouped[stream][-limit:])
-    return kept
-
-
-def _bench_history(args: argparse.Namespace, names) -> int:
-    """``repro bench history``: list/filter the recorded trend window."""
-    from repro.store import BenchHistoryStore
-
-    store = BenchHistoryStore(_history_root(args))
-    records = [r for r in store.history(kind=args.kind, host=args.host)
-               if not names or r.name in names]
-    records = _tail_per_stream(records, args.limit)
-    if args.json:
-        print(json.dumps([r.as_dict() for r in records], indent=2))
-        return 0
-    import time as _time
-    rows = []
-    for r in records:
-        headline = ""
-        if r.timings:
-            label = sorted(r.timings)[0]
-            headline = f"{label}={r.timings[label]:.3g}s"
-        rows.append((r.kind, r.name, r.sequence, r.revision[:12], r.host,
-                     _time.strftime("%Y-%m-%d %H:%M",
-                                    _time.localtime(r.created_at)),
-                     headline))
-    print(format_table(
-        ["kind", "name", "seq", "revision", "host", "recorded", "headline"],
-        rows))
-    print(f"\n{len(records)} history record(s) under {store.root}")
-    return 0
-
-
-def _bench_report(args: argparse.Namespace, names) -> int:
-    """``repro bench report``: per-stream trajectory + hit-rate trends."""
-    from repro.store import BenchHistoryStore
-
-    store = BenchHistoryStore(_history_root(args))
-    limit = args.limit if args.limit is not None else 8
-    streams = [stream for stream in store.streams()
-               if (not names or stream[0].name in names)
-               and (args.kind is None or stream[0].kind == args.kind)
-               and (args.host is None or stream[0].host == args.host)]
-    if not streams:
-        print(f"no matching bench-history records under {store.root} "
-              f"(append some with `repro bench` or a completed "
-              f"`repro sweep`)")
-        return 0
-
-    def trajectory_rows(tail, values_of, fmt):
-        """One row per label, one column per record sequence."""
-        labels = sorted({label for r in tail for label in values_of(r)})
-        rows = []
-        for label in labels:
-            rows.append((label, *(fmt(values_of(r)[label])
-                                  if label in values_of(r) else "-"
-                                  for r in tail)))
-        return rows
-
-    payload = []
-    for index, stream in enumerate(streams):
-        tail = stream[-limit:]
-        first, last = tail[0], tail[-1]
-        if index:
-            print()
-        print(f"{last.stream}: {len(stream)} record(s), showing "
-              f"seq {first.sequence}..{last.sequence} "
-              f"({first.revision[:12]} -> {last.revision[:12]})")
-        seq_headers = [f"#{r.sequence}" for r in tail]
-        timing_rows = trajectory_rows(tail, lambda r: r.timings,
-                                      lambda v: f"{v:.3g}")
-        if timing_rows:
-            print(format_table(["seconds", *seq_headers], timing_rows))
-        speedup_rows = trajectory_rows(tail, lambda r: r.speedups,
-                                       lambda v: f"{v:.2f}x")
-        if speedup_rows:
-            print(format_table(["speedup", *seq_headers], speedup_rows))
-        hit_rows = trajectory_rows(tail, lambda r: r.hit_rates(),
-                                   lambda v: f"{v:.0%}")
-        if hit_rows:
-            print(format_table(["store-hit-rate", *seq_headers], hit_rows))
-        payload.append({"stream": last.stream,
-                        "records": [r.as_dict() for r in tail]})
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    return 0
-
-
-def _print_gate_verdict(verdict) -> None:
-    if verdict.rows:
-        print(format_table(
-            ["metric", "current", "median", "ratio", "verdict"],
-            [row.row() for row in verdict.rows]))
-    if verdict.note:
-        print(verdict.note)
-    for reason in verdict.skipped:
-        print(f"  skipped {reason}")
-    state = "PASS" if verdict.ok else "FAIL"
-    print(f"gate {state}: {verdict.stream} seq {verdict.current_sequence} "
-          f"vs median of last {verdict.window} record(s), "
-          f"threshold {verdict.threshold:g}x")
-
-
-def _bench_gate_smoke(args: argparse.Namespace) -> int:
-    """Self-test the rolling gate in both directions in a temp store.
-
-    Mirrors the store benchmarks' smoke mode: append baseline + parity
-    records (the gate must pass), then an injected >= 2x slowdown (the
-    gate must fail).  Exit 0 iff both directions behave; fixed window/
-    threshold so the self-test is independent of the CLI flags.
-    """
-    import tempfile
-
-    from repro.store.bench_history import BenchHistoryStore, rolling_gate
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = BenchHistoryStore(tmp)
-        stream = dict(kind="bench", name="gate-smoke", host="smoke-host")
-        store.append(stream["kind"], stream["name"], host=stream["host"],
-                     revision="rev-baseline",
-                     timings={"sweep.wall_time": 1.0, "cell.hot": 0.25})
-        store.append(stream["kind"], stream["name"], host=stream["host"],
-                     revision="rev-parity",
-                     timings={"sweep.wall_time": 1.02, "cell.hot": 0.24})
-        parity = rolling_gate(store.history(**stream))
-        print("parity check (1.02s vs 1.0s baseline):")
-        _print_gate_verdict(parity)
-        store.append(stream["kind"], stream["name"], host=stream["host"],
-                     revision="rev-regressed",
-                     timings={"sweep.wall_time": 2.3, "cell.hot": 0.26})
-        regression = rolling_gate(store.history(**stream))
-        print("\ninjected >= 2x slowdown (2.3s vs ~1.0s median):")
-        _print_gate_verdict(regression)
-    ok = (parity.ok and parity.window >= 1
-          and not regression.ok and len(regression.regressions) == 1)
-    print(f"\ngate smoke: {'ok' if ok else 'FAILED'} "
-          f"(parity {'passed' if parity.ok else 'FAILED'}, "
-          f"regression {'caught' if not regression.ok else 'MISSED'})")
-    return 0 if ok else 1
-
-
-def _bench_gate(args: argparse.Namespace, names) -> int:
-    """``repro bench gate``: the rolling-window CI regression check."""
-    from repro.store import BenchHistoryStore, host_class, rolling_gate
-
-    if args.smoke:
-        return _bench_gate_smoke(args)
-    if len(names) != 1:
-        print("error: gate takes exactly one stream name "
-              "(a benchmark name or a sweep-<params> name), or --smoke",
-              file=sys.stderr)
-        return 2
-    store = BenchHistoryStore(_history_root(args))
-    host = args.host if args.host is not None else host_class()
-    records = store.history(kind=args.kind, name=names[0], host=host)
-    if not records:
-        print(f"error: no bench-history records for {names[0]!r} on host "
-              f"class {host!r} under {store.root} (append one with "
-              f"`repro bench {names[0]}` or a completed sweep)",
-              file=sys.stderr)
-        return 2
-    kinds = sorted({r.kind for r in records})
-    if len(kinds) > 1:
-        print(f"error: {names[0]!r} names records of kinds "
-              f"{', '.join(kinds)}; disambiguate with --kind",
-              file=sys.stderr)
-        return 2
-    try:
-        verdict = rolling_gate(records, window=args.window,
-                               threshold=args.threshold,
-                               metrics=args.metrics,
-                               min_time=args.min_time)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(verdict.as_dict(), indent=2))
-    else:
-        _print_gate_verdict(verdict)
-    return 0 if verdict.ok else 1
-
-
-# Reserved first positionals of `repro bench`: subcommands of the
-# perf-history plane (everything else is a benchmark name).
-_BENCH_ACTIONS = ("history", "report", "gate")
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run registered benchmarks; write one BENCH_*.json per benchmark.
-
-    ``bench history`` / ``bench report`` / ``bench gate`` dispatch to
-    the perf-history plane instead (reserved names, documented in the
-    parser help); a full benchmark run appends its report to the same
-    history store unless ``--no-history`` (smoke runs never append --
-    their shrunken workloads are not comparable to full ones).
-    """
-    from repro.bench import (
-        append_report_history,
-        benchmark_names,
-        run_benchmark,
-        write_report,
-    )
-
-    names = list(args.names or [])
-    if names and names[0] in _BENCH_ACTIONS:
-        action, rest = names[0], names[1:]
-        dispatch = {"history": _bench_history, "report": _bench_report,
-                    "gate": _bench_gate}
-        return dispatch[action](args, rest)
+    """Run registered benchmarks; write one BENCH_*.json per benchmark."""
+    from repro.bench import benchmark_names, run_benchmark, write_report
 
     if args.list:
         for name in benchmark_names():
@@ -786,7 +544,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     # Fail fast on usage errors: a typo'd name or a missing --out
     # directory must not discard minutes of completed measurements.
-    names = names or benchmark_names()
+    names = args.names or benchmark_names()
     unknown = [name for name in names if name not in benchmark_names()]
     if unknown:
         print(f"error: unknown benchmark(s) {', '.join(unknown)}; "
@@ -807,11 +565,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"wrote {path}", file=progress)
         for key, ratio in sorted(report.speedups.items()):
             print(f"  {key}: {ratio:.2f}x", file=progress)
-        if args.history and not args.smoke:
-            record = append_report_history(report, _history_root(args))
-            print(f"history: appended {record.kind}:{record.name} "
-                  f"seq {record.sequence} (host {record.host}) "
-                  f"under {_history_root(args)}", file=progress)
     if args.json:
         print(json.dumps([r.as_dict() for r in reports], indent=2))
     return 0
@@ -1115,13 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "records, rendered by `repro runs report`; "
                         "canonical records are byte-identical either way "
                         "(default: on)")
-    p.add_argument("--bench-history", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="on sweep completion, append a perf record "
-                        "(wall times, store hit rates) to the "
-                        "bench-history family of the artifact store for "
-                        "`repro bench report` / `repro bench gate` "
-                        "(default: on, moot under --no-store)")
     p.add_argument("--profile", action="store_true",
                    help="capture a per-round metric timeline for every "
                         "executed cell into the store's profiles family "
@@ -1153,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--family", default=None,
                        help="restrict to one artifact family "
                             "(graphs / oracles / decompositions / "
-                            "bench-history / profiles; default: all)")
+                            "profiles; default: all)")
         q.add_argument("--json", action="store_true")
         q.set_defaults(func=_cmd_store)
         return q
@@ -1189,16 +935,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run registered benchmarks and write BENCH_*.json reports; "
-             "`bench history` / `bench report` / `bench gate` query the "
-             "perf-history store (src/repro/bench.py, "
-             "src/repro/store/bench_history.py)")
+        help="run registered micro-benchmarks and write BENCH_*.json "
+             "reports (src/repro/bench.py)")
     p.add_argument("names", nargs="*", default=None,
-                   help="benchmarks to run (default: all registered); the "
-                        "reserved first words `history`, `report`, and "
-                        "`gate` dispatch to the perf-history plane "
-                        "instead, with any further names filtering "
-                        "history streams")
+                   help="benchmarks to run (default: all registered)")
     p.add_argument("--out", default=None,
                    help="directory for the BENCH_*.json files "
                         "(default: current directory)")
@@ -1207,43 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="fast CI mode: benchmarks that support it shrink "
                         "their workloads and reps (numbers are not "
-                        "comparable to full runs, so smoke runs never "
-                        "append history); with `gate`, self-test the "
-                        "rolling gate in a temporary store instead")
+                        "comparable to full runs)")
     p.add_argument("--json", action="store_true",
                    help="also print the reports as JSON to stdout")
-    p.add_argument("--history", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="append each full benchmark report to the "
-                        "bench-history store family for `bench report` / "
-                        "`bench gate` (default: on; smoke runs never "
-                        "append)")
-    p.add_argument("--history-dir", default=None,
-                   help="bench-history store root (default: the shared "
-                        "artifact-store default, runs/store)")
-    p.add_argument("--kind", default=None,
-                   help="history filter: record kind (bench / sweep)")
-    p.add_argument("--host", default=None,
-                   help="history filter: host class (default for `gate`: "
-                        "this machine's host class; records are never "
-                        "compared across host classes)")
-    p.add_argument("--limit", type=int, default=None,
-                   help="newest records to show per stream (history/"
-                        "report; report default: 8)")
-    p.add_argument("--window", type=int, default=5,
-                   help="gate: baseline window, the current record is "
-                        "compared against the median of up to this many "
-                        "predecessors (default: 5)")
-    p.add_argument("--threshold", type=float, default=1.5,
-                   help="gate: fail when current/median exceeds this "
-                        "ratio for any gated timing (default: 1.5)")
-    p.add_argument("--metrics", nargs="+", default=None,
-                   help="gate: restrict to these timing labels "
-                        "(default: every label in the current record)")
-    p.add_argument("--min-time", type=float, default=1e-3,
-                   help="gate: noise floor in seconds; labels whose "
-                        "baseline median is below are skipped "
-                        "(default: 1e-3)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(

@@ -36,7 +36,6 @@ class SweepOutcome:
     run: Optional[Run] = None      # the persisted run, if a store was used
     resumed: bool = False          # True when an incomplete run was continued
     restored_keys: Set[str] = field(default_factory=set)  # resume-skipped
-    history: Optional[Any] = None  # BenchHistoryRecord appended on completion
 
     @property
     def run_id(self) -> Optional[str]:
@@ -265,13 +264,8 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     extends it.  Telemetry never touches ``records.jsonl`` -- canonical
     cell records are byte-identical with it on or off.
 
-    ``bench_history_dir`` connects the perf-trend plane: when the run
-    *completes* (every planned cell recorded), one ``"sweep"`` record
-    -- wall times, cell counts, store hit/miss counters -- is appended
-    to the bench-history artifact family under that store root
-    (:mod:`repro.store.bench_history`), and surfaced as
-    ``outcome.history``.  ``None`` (the default) keeps programmatic
-    sweeps hermetic; the CLI wires it to the artifact-store root.
+    ``bench_history_dir`` is accepted and ignored, so callers written
+    for the retired perf-history store keep working.
 
     ``profile_store_dir`` turns on per-cell round profiling (``repro
     sweep --profile``): every executed cell records its per-round
@@ -411,39 +405,6 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     for result in executed:
         merged[result.key] = result
     ordered = [merged[spec.key] for spec in specs if spec.key in merged]
-    outcome = SweepOutcome(results=ordered, executed=len(executed),
-                           skipped=len(cached), run=run, resumed=resumed,
-                           restored_keys=set(cached))
-    if (run is not None and bench_history_dir is not None
-            and run.is_complete()):
-        outcome.history = _append_sweep_history(outcome, bench_history_dir)
-    return outcome
-
-
-def _append_sweep_history(outcome: SweepOutcome,
-                          bench_history_dir: str):
-    """One perf-trend record per *completed* run (see bench_history).
-
-    The record is named by the sweep's params key, so re-running the
-    same matrix (any revision, same host class) extends one trend
-    stream the rolling gate can compare along; the revision stamped is
-    the run's own, not the current checkout's.
-    """
-    from repro.store.bench_history import KIND_SWEEP, BenchHistoryStore
-
-    run = outcome.run
-    summary = outcome.summary()
-    name = f"sweep-{run.manifest['params_key'][:12]}"
-    return BenchHistoryStore(bench_history_dir).append(
-        KIND_SWEEP, name,
-        timings={"wall_time": summary["wall_time"],
-                 "wall_time_total": summary["wall_time_total"]},
-        counters=run.manifest.get("store_counters") or {},
-        revision=run.revision,
-        extra={"run_id": run.run_id,
-               "params": run.manifest.get("params"),
-               "cells": summary["cells"],
-               "executed": summary["executed"],
-               "skipped": summary["skipped"],
-               "passed": summary["passed"],
-               "failed": summary["failed"]})
+    return SweepOutcome(results=ordered, executed=len(executed),
+                        skipped=len(cached), run=run, resumed=resumed,
+                        restored_keys=set(cached))

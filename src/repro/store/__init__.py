@@ -20,11 +20,6 @@ families** over a shared byte layer:
 * :mod:`repro.store.decompositions` -- LDC decomposition snapshots
   keyed by ``(scenario, size, derived seed, algorithm)``, the input
   artifact of the staged cover/spanner/hierarchy cells;
-* :mod:`repro.store.bench_history` -- append-only perf-history records
-  keyed by ``(kind, name, host class, revision, sequence)``: every
-  ``repro bench`` invocation and completed sweep appends timings,
-  speedups, and store hit rates, and ``repro bench gate`` compares the
-  newest record against the median of the last K same-host-class ones;
 * :mod:`repro.store.profiles` -- per-round execution timelines captured
   by ``repro sweep --profile``, keyed by the full cell coordinates
   ``(scenario, algorithm, size, seed, faults, fault_seed, revision)``
@@ -58,15 +53,6 @@ from repro.store.families import (
 from repro.store.graphs import GRAPH_FAMILY, graph_key
 from repro.store.oracles import ORACLE_FAMILY, oracle_key
 from repro.store.decompositions import DECOMPOSITION_FAMILY, decomposition_key
-from repro.store.bench_history import (
-    BENCH_HISTORY_FAMILY,
-    BenchHistoryRecord,
-    BenchHistoryStore,
-    GateVerdict,
-    history_key,
-    host_class,
-    rolling_gate,
-)
 from repro.store.profiles import (
     PROFILE_FAMILY,
     find_profile,
@@ -76,11 +62,10 @@ from repro.store.profiles import (
 
 __all__ = [
     "ArtifactEntry", "ArtifactFamily", "ArtifactStore",
-    "BENCH_HISTORY_FAMILY", "BenchHistoryRecord", "BenchHistoryStore",
     "DECOMPOSITION_FAMILY", "DEFAULT_STORE_DIR", "FamilyStore",
-    "GRAPH_FAMILY", "GateVerdict", "ORACLE_FAMILY", "PROFILE_FAMILY",
+    "GRAPH_FAMILY", "ORACLE_FAMILY", "PROFILE_FAMILY",
     "QUARANTINE_DIR", "SCHEMA_VERSION", "all_families", "artifact_key",
     "decomposition_key", "family_names", "find_profile", "get_family",
-    "graph_key", "history_key", "host_class", "oracle_key",
-    "profile_identity", "profile_key", "register_family", "rolling_gate",
+    "graph_key", "oracle_key", "profile_identity", "profile_key",
+    "register_family",
 ]

@@ -33,19 +33,15 @@ kind                identity coordinates
 graphs              (scenario, size, derived_seed)
 oracles             (scenario, size, derived_seed, oracle, revision)
 decompositions      (scenario, size, derived_seed, algorithm)
-bench-history       (kind, name, host, revision, sequence)
 profiles            (scenario, algorithm, size, seed, faults, fault_seed,
                     revision)
 ==================  ========================================================
 
 Unlike the first three (immutable caches of recomputable values), the
-bench-history family is an *append-only log*: its ``sequence``
-coordinate is allocated at publish time, with lost publication races
-resolved by bumping to the next slot (see
-:mod:`repro.store.bench_history`); and the profiles family holds
-*observations* of one build (per-round execution timelines from
-``sweep --profile``), so its identity includes the code revision and
-entries from different revisions coexist for ``repro profile diff``.
+profiles family holds *observations* of one build (per-round execution
+timelines from ``sweep --profile``), so its identity includes the code
+revision and entries from different revisions coexist for ``repro
+profile diff``.
 """
 
 from __future__ import annotations

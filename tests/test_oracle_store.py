@@ -111,8 +111,8 @@ def test_codec_round_trip_is_exact(name, algorithm, tmp_path):
 
 
 def test_every_registered_family_validates_its_identity():
-    assert family_names() == ["bench-history", "decompositions", "graphs",
-                              "oracles", "profiles"]
+    assert family_names() == ["decompositions", "graphs", "oracles",
+                              "profiles"]
     family = get_family("oracles")
     with pytest.raises(ValueError, match="missing.*revision"):
         family.identity(scenario="x", size=8, derived_seed=1, oracle="o")

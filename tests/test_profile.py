@@ -19,7 +19,7 @@ What is locked down here:
   and aggregate in ``repro runs report``;
 * **the CLI surfaces** -- ``sweep --profile --cprofile``,
   ``profile ls / show / diff``, ``runs watch --once``, and the pinned
-  ``runs report --json`` / ``bench history --json`` payloads.
+  ``runs report --json`` payload.
 """
 
 import io
@@ -389,7 +389,7 @@ def test_cell_result_hot_roundtrip():
 
 # ---------------------------------------------------------------------------
 # CLI: sweep --profile/--cprofile, profile ls/show/diff, runs watch,
-# and the pinned --json payloads (runs report / bench history)
+# and the pinned runs report --json payload
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -469,18 +469,6 @@ def test_cli_runs_report_aggregates_hot_functions(profiled_cli_run,
     assert main(["runs", "report", run_id, "--runs-dir", runs_dir]) == 0
     assert "hot functions across cProfiled cells" \
         in capsys.readouterr().out
-
-
-def test_cli_bench_history_json_pinned(profiled_cli_run, capsys):
-    """Satellite pin: `repro bench history --json` emits the record
-    list as JSON (the sweep above appended one sweep record)."""
-    _runs_dir, store_dir, _run_id, _out = profiled_cli_run
-    capsys.readouterr()
-    assert main(["bench", "history", "--history-dir", store_dir,
-                 "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload and payload[0]["kind"] == "sweep"
-    assert {"name", "sequence", "revision", "timings"} <= set(payload[0])
 
 
 # ---------------------------------------------------------------------------

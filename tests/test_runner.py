@@ -167,6 +167,17 @@ def test_parallel_abort_cancels_queue_and_resumes(tmp_path):
         reference.results)
 
 
+def test_bench_history_dir_is_accepted_and_ignored(tmp_path):
+    """perfbench/run.py's call shape: the retired keyword still parses,
+    and nothing is written under the directory it names."""
+    history = tmp_path / "history"
+    outcome = run_sweep(specs=build_specs(["path"]),
+                        store=RunStore(tmp_path / "runs"), fresh=True,
+                        bench_history_dir=str(history))
+    assert outcome.ok and outcome.run.is_complete()
+    assert not history.exists()
+
+
 def test_resume_requires_matching_revision(tmp_path):
     store = RunStore(tmp_path / "runs")
     try:

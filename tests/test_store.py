@@ -512,9 +512,39 @@ def test_cli_store_family(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out)
     assert stats["families"]["graphs"]["entries"] == 2
     assert stats["families"]["oracles"]["entries"] == 1
+    # A store written before a family was retired keeps that family's
+    # directory: ls/stat still list its entry, --family rejects the
+    # name, and only an unscoped gc prunes it.
+    legacy = tmp_path / "store" / "retired" / "ab" / "ab0123456789abcdef0123"
+    legacy.mkdir(parents=True)
+    (legacy / MANIFEST_NAME).write_text(json.dumps({
+        "kind": "retired", "key": legacy.name, "arrays": {},
+        "identity": {"name": "sweep-0123", "sequence": 1},
+        "created_at": 1.0}))
+    assert main(["store", "ls", "--store-dir", store_dir]) == 0
+    assert "4 artifact(s)" in capsys.readouterr().out
+    assert main(["store", "ls", "--store-dir", store_dir, "--json"]) == 0
+    listed = json.loads(capsys.readouterr().out)
+    assert listed[0] == {"key": legacy.name, "family": "retired",
+                         "name": "sweep-0123", "sequence": 1,
+                         "bytes": 0, "created_at": 1.0}
+    assert len(listed) == 4
+    assert main(["store", "stat", "--store-dir", store_dir, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["entries"] == 4
+    assert stats["families"]["retired"] == {"entries": 1, "bytes": 0}
+    assert main(["store", "ls", "--family", "retired",
+                 "--store-dir", store_dir]) == 2
+    assert "unknown artifact family" in capsys.readouterr().err
+    assert main(["store", "gc", "--keep-last", "0", "--dry-run",
+                 "--store-dir", store_dir, "--json"]) == 0
+    preview = json.loads(capsys.readouterr().out)
+    assert legacy.name in preview["removed"] and len(preview["removed"]) == 4
+    assert legacy.is_dir()
     assert main(["store", "gc", "--keep-last", "0",
                  "--store-dir", store_dir]) == 0
-    assert "3 artifact(s) removed" in capsys.readouterr().out
+    assert "4 artifact(s) removed" in capsys.readouterr().out
+    assert not legacy.exists()
     assert main(["store", "ls", "--store-dir", store_dir, "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == []
 

@@ -147,8 +147,7 @@ def test_sweep_cli_sizes_do_not_leak_into_the_next_sweep(tmp_path):
         (run,) = RunStore(runs_dir).list_runs()
         return run.manifest
 
-    common = ["sweep", "--names", "path", "--no-bench-history",
-              "--no-telemetry"]
+    common = ["sweep", "--names", "path", "--no-telemetry"]
     assert main(common + ["--runs-dir", str(tmp_path / "a"),
                           "--graph-cache-size", "0",
                           "--oracle-cache-size", "1",

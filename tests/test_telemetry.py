@@ -182,8 +182,7 @@ def test_timeout_and_retry_events_in_timeline(tmp_path):
 @pytest.fixture
 def cli_run(tmp_path):
     runs_dir = str(tmp_path / "runs")
-    assert main(["sweep", "--names", "path", "--runs-dir", runs_dir,
-                 "--no-bench-history"]) == 0
+    assert main(["sweep", "--names", "path", "--runs-dir", runs_dir]) == 0
     (run,) = RunStore(runs_dir).list_runs()
     return runs_dir, run.run_id
 
@@ -218,7 +217,7 @@ def test_cli_runs_report_unknown_run_errors(tmp_path, capsys):
 def test_cli_runs_report_without_telemetry_falls_back(tmp_path, capsys):
     runs_dir = str(tmp_path / "runs")
     assert main(["sweep", "--names", "path", "--runs-dir", runs_dir,
-                 "--no-telemetry", "--no-bench-history"]) == 0
+                 "--no-telemetry"]) == 0
     (run,) = RunStore(runs_dir).list_runs()
     capsys.readouterr()
     assert main(["runs", "report", run.run_id, "--runs-dir", runs_dir]) == 0
