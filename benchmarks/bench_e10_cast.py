@@ -5,6 +5,12 @@ upcast rounds vs. the O(In/log n + d) pipelining bound and messages vs.
 O(d * In/log n); downcast rounds vs. O(|M| + d) and messages vs.
 O(d * |M|).  The transport engine is the one used inside both
 simulation frameworks, so this is also their unit cost model.
+
+The downcast rows are routed by the closed form (``route_downcast``),
+checked equal to the per-packet engine on the same packets.  With a
+single root it gives the exact pipelining bound: the j-th message
+leaves the root in round j and arrives depth(dest) rounds later, so
+``down rounds <= |M| + d``.
 """
 
 from conftest import run_once
@@ -14,6 +20,8 @@ from repro.scenarios import get_scenario
 from repro.primitives import (
     Packet,
     downcast_packets,
+    path_from_root,
+    route_downcast,
     route_packets,
     tree_depths,
     upcast_packets,
@@ -40,7 +48,12 @@ def _experiment():
             _d, up = route_packets(g, packets)
             messages = [(v, ("y", v)) for v in range(1, n)]
             packets = downcast_packets(parent, messages)
-            _d, down = route_packets(g, packets)
+            _d, per_packet = route_packets(g, packets)
+            down = route_downcast(g, [(path_from_root(parent, v), 1, 3)
+                                      for v, _payload in messages])
+            assert down == per_packet
+            assert (list(down.edge_congestion.items())
+                    == list(per_packet.edge_congestion.items()))
             rows.append((label, n, depth, total_items,
                          up.rounds, total_items + depth,
                          up.messages,
@@ -61,6 +74,8 @@ def test_e10_upcast_downcast(benchmark):
         # Pipelining bounds, with a small constant.
         assert up_rounds <= 2 * up_bound + 2
         assert down_rounds <= 2 * down_bound + 2
+        # The closed form's exact bound for a single root.
+        assert down_rounds <= down_bound
         # Message bounds: one message per item per tree hop.
         assert up_msgs <= items * depth
         assert down_msgs <= down_bound * depth

@@ -30,6 +30,11 @@ Structure (§2.2):
 
 * **Output delivery** -- after the machines halt, centers downcast each
   member's output, chunked into O(1)-word packets (the O(Out) term).
+  Every chunk of one member follows the same tree path, so the driver
+  sizes each output once (:func:`flatten_to_words`) and routes
+  ``ceil(words / 4)`` chunks per member through
+  :func:`~repro.primitives.transport.route_downcast`, the downcast's
+  closed form, instead of one packet per chunk.
 
 Phases in which A is globally silent cost nothing and are skipped; this
 only ever lowers the round count relative to the paper's fixed budgets.
@@ -51,6 +56,7 @@ from repro.primitives.transport import (
     Packet,
     path_from_root,
     path_to_root,
+    route_downcast,
     route_packets,
 )
 
@@ -164,8 +170,8 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
 
     Every packet built here declares its size (``Packet.words``), from
     payload sizes already known here: an upcast item's words,
-    a broadcast's words plus origin and destination, an output chunk's
-    length plus destination.
+    a broadcast's words plus origin and destination; output chunks are
+    routed as per-member counts.
     """
     total = Metrics()
 
@@ -259,21 +265,19 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     # ---------------- Output delivery ----------------
     mark_phase("output-delivery")
     outputs = plan.outputs if plan is not None else machines.outputs()
-    out_packets: List[Packet] = []
+    routes: List[Tuple[Tuple[int, ...], int, int]] = []
     output_words = 0
     for v in graph.nodes():
-        words = flatten_to_words(outputs[v])
-        output_words += len(words)
+        words = len(flatten_to_words(outputs[v]))
+        output_words += words
         path = down_paths[v]
-        if len(path) > 1:
-            # Every flattened word is a one-word scalar.
-            for chunk in chunk_words(words):
-                out_packets.append(Packet(path=path, payload=chunk,
-                                          words=1 + len(chunk)))
-    if out_packets:
-        _deliveries, metrics = route_packets(graph, out_packets,
-                                             word_limit=8)
-        total.merge(metrics)
+        if len(path) > 1 and words:
+            # ceil(words / 4) chunks of one-word scalars (Lemma 1.6's
+            # O(1)-word chunks), plus the destination; the first chunk
+            # is the largest.
+            routes.append((path, -(-words // 4), 1 + min(words, 4)))
+    if routes:
+        total.merge(route_downcast(graph, routes, word_limit=8))
     output_delivery = total.delta_since(simulated)
 
     report = SimulationReport(

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.congest.metrics import Metrics
 from repro.congest.network import Algorithm, Inbox, NodeAPI, NodeInfo, run_algorithm
 from repro.graphs.graph import EdgeKey, Graph, undirected
-from repro.primitives.transport import Packet, path_from_root, route_packets
+from repro.primitives.transport import path_from_root, route_downcast
 
 
 @dataclass
@@ -225,16 +225,12 @@ def build_baswana_sen(graph: Graph, eps: float, *, seed: int = 0,
             if rng.random() < p_sample:
                 sampled_centers.add(c)
 
-        # (3) Downcast the sampling bit over each level-i cluster tree.
-        packets = []
-        for v, c in current.cluster_of.items():
-            if v != c:
-                packets.append(Packet(
-                    path=path_from_root(current.parent, v),
-                    payload=("s", 1 if c in sampled_centers else 0)))
-        if packets:
-            _deliveries, m = route_packets(graph, packets)
-            metrics.merge(m)
+        # (3) Downcast the sampling bit ("s", 0 or 1: 2 words, plus the
+        # destination) over each level-i cluster tree.
+        routes = [(path_from_root(current.parent, v), 1, 3)
+                  for v, c in current.cluster_of.items() if v != c]
+        if routes:
+            metrics.merge(route_downcast(graph, routes))
 
         # (4) Sampled-cluster members announce; others join or finalize.
         spec = {}

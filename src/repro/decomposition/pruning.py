@@ -36,6 +36,7 @@ from repro.primitives.transport import (
     Packet,
     path_from_root,
     path_to_root,
+    route_downcast,
     route_packets,
 )
 
@@ -156,16 +157,13 @@ def prune_hierarchy(graph: Graph, h: BaswanaSenHierarchy, *,
                 new_level.parent[v] = None if v == new_c else level.parent[v]
                 if new_c != level.cluster_of[v] or new_d != level.dist[v]:
                     reassigned.append((v, new_c, new_d))
-        # (iii) Downcast new assignments (over the *old* tree).
-        packets = []
-        for v, new_c, new_d in reassigned:
-            if v != level.cluster_of[v]:
-                packets.append(Packet(
-                    path=path_from_root(level.parent, v),
-                    payload=("r", new_c, new_d)))
-        if packets:
-            _d, m = route_packets(graph, packets)
-            metrics.merge(m)
+        # (iii) Downcast new assignments ("r", new_c, new_d: 3 words,
+        # plus the destination) over the *old* tree.
+        routes = [(path_from_root(level.parent, v), 1, 4)
+                  for v, _new_c, _new_d in reassigned
+                  if v != level.cluster_of[v]]
+        if routes:
+            metrics.merge(route_downcast(graph, routes))
         new_levels.append(new_level)
 
     pruned = BaswanaSenHierarchy(eps=h.eps, kappa=h.kappa,

@@ -14,6 +14,7 @@ from repro.primitives.transport import (
     downcast_packets,
     path_from_root,
     path_to_root,
+    route_downcast,
     route_packets,
     tree_depths,
     upcast_packets,
@@ -23,6 +24,6 @@ __all__ = [
     "BFSCollectionMachine", "BFSMachine", "BellmanFordCollectionMachine",
     "Delivery", "GlobalTree", "LubyMISMachine", "Packet",
     "aggregate_keyed_min", "build_global_tree", "disseminate",
-    "downcast_packets", "path_from_root", "path_to_root", "route_packets",
-    "tree_depths", "upcast_packets",
+    "downcast_packets", "path_from_root", "path_to_root", "route_downcast",
+    "route_packets", "tree_depths", "upcast_packets",
 ]

@@ -58,6 +58,24 @@ of walking the payload again; a packet without one is sized by
 :func:`_packet_words`.  ``tests/test_bcongest_sim.py`` checks every
 declared size equal to the computed one over the tier-1 cells.
 
+A pure downcast has a closed form, and :func:`route_downcast` computes
+it without a per-round loop or a :class:`Packet` per item.  Its input is
+a list of ``(path, count, words)`` routes: ``count`` packets of ``words``
+words each, all injected at the route's origin in round 1 and following
+``path`` down a forest.  It applies when no node is entered from two
+predecessors and no origin also receives; then every non-root node gets
+at most one packet per round, over its parent link, and no link below a
+root ever queues.  The ``j``-th packet (in injection order) on the link
+from a root to one of its children leaves the root in round ``j`` and
+reaches its destination at depth ``d`` in round ``j + d``; every tree
+edge carries the packet count of the routes below it.  Congestion keys
+enter in ``(first-use round, node, first-use order at that node)``
+order, which is the exact engine's insertion order.  Anything else is
+rejected with an :class:`AlgorithmError`, and under
+:func:`fallback_reason` the routes are expanded into packets for the
+``Network`` loop, as :func:`route_packets` does.
+``tests/test_property.py`` checks the three agree on generated forests.
+
 The round and message costs of upcast/downcast proved in Lemmas 1.5/1.6
 are validated against this engine in ``tests/test_primitives.py`` and
 regenerated in benchmark E10.
@@ -199,6 +217,106 @@ def route_packets(graph: Graph, packets: Sequence[Packet], *,
         raise AlgorithmError(
             f"transport lost packets: {len(deliveries)}/{len(packets)}")
     return deliveries, metrics
+
+
+def route_downcast(graph: Graph, routes: Sequence[Tuple[Sequence[int], int, int]],
+                   *, word_limit: int = 16,
+                   max_rounds: int = 5_000_000) -> Metrics:
+    """Route a downcast given as ``(path, count, words)`` routes.
+
+    Meters exactly what :func:`route_packets` would on ``count`` packets
+    of ``words`` words per route, in route order, with the same size,
+    non-edge and ``max_rounds`` errors; the deliveries are not returned.
+    Routes that are not a downcast over a forest (a node entered from
+    two predecessors, an origin that also receives) and origins that
+    are not nodes raise an :class:`AlgorithmError` on both engines.
+    """
+    live = [(path, count, words) for path, count, words in routes
+            if count > 0]
+    for path, _count, words in live:
+        if not path:
+            raise AlgorithmError("packet with empty path")
+        if words > word_limit:
+            raise AlgorithmError(
+                f"packet payload of {words} words exceeds limit {word_limit}")
+    links, last, hops = _downcast_links(graph, live)
+    if fallback_reason() is not None:
+        # Payloads reach no metered quantity on the Network loop (sizes
+        # are not checked there, and faults are coordinate-seeded).
+        packets = [Packet(path=tuple(path), payload=None, words=words)
+                   for path, count, words in live for _ in range(count)]
+        return route_packets(graph, packets, word_limit=word_limit,
+                             max_rounds=max_rounds)[1]
+    nbr_sets = graph.nbr_sets()
+    # Links in the exact engine's first-use order: by round, then node;
+    # the sort is stable, so a root's links keep their route order.
+    order = sorted(links, key=lambda link: (links[link][0], link[0]))
+    for u, w in order:
+        if w not in nbr_sets[u] and links[(u, w)][0] <= max_rounds:
+            raise AlgorithmError(f"packet path hop {u}->{w} is not an edge")
+    # A later non-edge is past max_rounds, so this raises before it.
+    rounds = max(last, 1) if graph.n else 0
+    if rounds > max_rounds:
+        raise AlgorithmError(
+            f"exceeded max_rounds={max_rounds}; likely livelock")
+    metrics = Metrics(rounds=rounds)
+    congestion = metrics.edge_congestion
+    for u, w in order:
+        congestion[undirected(u, w)] = links[(u, w)][1]
+    if hops:
+        metrics.messages = metrics.words = hops
+        metrics.max_message_words = 1
+        metrics.message_sizes[1] = hops
+    return metrics
+
+
+def _downcast_links(graph: Graph, routes: Sequence[Tuple[Sequence[int], int, int]],
+                    ) -> Tuple[Dict[Tuple[int, int], List[int]], int, int]:
+    """A downcast's links, last delivery round and hop count.
+
+    Links map ``(u, w)`` to ``[first-use round, packets]``, in route
+    order.  Raises :class:`AlgorithmError` if the routes are not a
+    downcast.
+    """
+    nbr_sets = graph.nbr_sets()
+    parent: Dict[int, int] = {}  # node -> the one node it receives from
+    roots: set = set()
+    fed: Dict[int, int] = {}  # root child -> packets injected for it
+    links: Dict[Tuple[int, int], List[int]] = {}
+    last = hops = 0
+    for path, count, _words in routes:
+        origin = path[0]
+        if origin not in nbr_sets:
+            raise AlgorithmError(f"packet origin {origin} is not a node")
+        if origin in parent:
+            raise AlgorithmError(
+                f"not a downcast: origin {origin} also receives packets")
+        roots.add(origin)
+        depth = len(path) - 1
+        if not depth:
+            continue
+        # This route's first packet leaves the root in round start + 1
+        # and node path[i] in round start + 1 + i: links never queue.
+        start = fed.get(path[1], 0)
+        fed[path[1]] = start + count
+        last = max(last, start + count + depth)
+        hops += count * depth
+        for i in range(depth):
+            link = (path[i], path[i + 1])
+            got = links.get(link)
+            if got is not None:
+                got[1] += count
+                continue
+            w = path[i + 1]
+            if w in roots:
+                raise AlgorithmError(
+                    f"not a downcast: origin {w} also receives packets")
+            if parent.setdefault(w, path[i]) != path[i]:
+                raise AlgorithmError(
+                    f"not a downcast: node {w} is entered from "
+                    f"{parent[w]} and {path[i]}")
+            links[link] = [start + 1 + i, count]
+    return links, last, hops
 
 
 def _route_exact(graph: Graph, packets: Sequence[Packet],

@@ -9,7 +9,8 @@ from repro.baselines.reference import (
     unweighted_apsp,
     weighted_apsp as ref_weighted_apsp,
 )
-from repro.congest import run_machines
+from repro.congest import cell_context, run_machines
+from repro.core import bcongest_sim
 from repro.core.bcongest_sim import (
     chunk_words,
     flatten_to_words,
@@ -188,3 +189,45 @@ def test_declared_packet_sizes_equal_computed_sizes(monkeypatch):
         engines.add(record.engine_source)
     assert engines == {"kernel:bellman-ford", "kernel:bfs-wavefront",
                        "vectorized:ineligible"}
+
+
+def _window(m):
+    return (m.as_dict(), list(m.edge_congestion.items()),
+            list(m.message_sizes.items()), m.max_message_words)
+
+
+def test_output_delivery_matches_network_reference(monkeypatch):
+    """The closed-form output downcast meters what the ``Network`` loop
+    does, ordered congestion and size histogram included, over the
+    tier-1 cells that run ``simulate_bcongest``."""
+    original = bcongest_sim.simulate_bcongest
+    windows = []
+
+    def recording(*args, **kwargs):
+        report = original(*args, **kwargs)
+        windows.append((_window(report.output_delivery),
+                        report.output_words))
+        return report
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro.")
+                and getattr(module, "simulate_bcongest", None) is original):
+            monkeypatch.setattr(module, "simulate_bcongest", recording)
+    cells = 0
+    for spec in build_specs():
+        if spec.algorithm not in ("apsp-weighted", "apsp-unweighted",
+                                  "matching"):
+            continue
+        got = []
+        for engine in ("auto", "reference"):
+            del windows[:]
+            with cell_context(engine=engine):
+                record = run_differential(spec.scenario, spec.algorithm,
+                                          size=spec.size, seed=spec.seed)
+            assert record.passed, spec
+            got.append(list(windows))
+        exact, reference = got
+        assert exact == reference, spec
+        cells += bool(exact)
+        assert all(window[0]["messages"] > 0 for window, _words in exact)
+    assert cells >= 8

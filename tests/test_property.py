@@ -51,7 +51,9 @@ from repro.primitives import (
     aggregate_keyed_min,
     build_global_tree,
     disseminate,
+    path_from_root,
     path_to_root,
+    route_downcast,
     route_packets,
 )
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
@@ -311,6 +313,109 @@ def test_transport_engines_agree_on_empty_inputs():
     empty = from_edges(0, [])
     assert _both_engines(empty, []) == ((
         [], Metrics().as_dict(), [], [], 0),) * 2
+
+
+# ----------------------------------------------------------------------
+# Downcast: the closed form equals both packet engines
+# ----------------------------------------------------------------------
+
+@st.composite
+def downcast_forests(draw):
+    """Routes down a random forest on 11 to 20 nodes (so ``repr`` order
+    is not id order), over its edges plus a few chords, or with one of
+    its edges missing from the graph.
+
+    Several roots, roots with several children, counts 0 to 4, zero-hop
+    routes (to a root) and repeated destinations all occur.
+    """
+    n = draw(st.integers(11, 20))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    order = rng.sample(range(n), n)
+    parent = {order[0]: None}
+    for i, v in enumerate(order[1:], 1):
+        parent[v] = None if rng.random() < 0.2 else order[rng.randrange(i)]
+    tree_edges = [(v, p) for v, p in parent.items() if p is not None]
+    edges = set(tree_edges)
+    for _ in range(rng.randrange(n)):
+        edges.add(tuple(rng.sample(range(n), 2)))
+    if tree_edges and draw(st.booleans()):
+        missing = set(rng.choice(tree_edges))
+        edges = {e for e in edges if set(e) != missing}
+    routes = [(path_from_root(parent, rng.randrange(n)),
+               draw(st.integers(0, 4)), rng.randint(1, 16))
+              for _ in range(draw(st.integers(0, 12)))]
+    return from_edges(n, sorted(edges)), routes
+
+
+def _downcast_outcome(g, routes, **kwargs):
+    """``route_downcast`` as comparable data: the outcome or the error."""
+    try:
+        m = route_downcast(g, routes, **kwargs)
+    except AlgorithmError as exc:
+        return ("error", str(exc))
+    return (m.as_dict(), list(m.edge_congestion.items()),
+            list(m.message_sizes.items()), m.max_message_words)
+
+
+def _downcast_three_ways(g, routes, **kwargs):
+    """The closed form, ``_route_exact`` on the expanded packets, and
+    the ``Network`` reference, as comparable outcomes."""
+    packets = [Packet(path=path, payload=None, words=words)
+               for path, count, words in routes for _ in range(count)]
+    routed = _routed(g, packets, **kwargs)
+    if routed[0] != "error":
+        routed = routed[1:]
+    closed = _downcast_outcome(g, routes, **kwargs)
+    with cell_context(engine="reference"):
+        reference = _downcast_outcome(g, routes, **kwargs)
+    return closed, routed, reference
+
+
+@settings(max_examples=80)
+@given(forest=downcast_forests(),
+       cap=st.one_of(st.none(), st.integers(0, 30)))
+def test_downcast_matches_both_packet_engines(forest, cap):
+    g, routes = forest
+    closed, routed, reference = _downcast_three_ways(g, routes)
+    assert closed == routed == reference
+    if cap is not None:  # a non-edge against the round cap
+        closed_cap, routed_cap, reference_cap = _downcast_three_ways(
+            g, routes, max_rounds=cap)
+        assert closed_cap == routed_cap == reference_cap
+    if closed[0] == "error":
+        assert "is not an edge" in closed[1]
+        # The round the bad hop is first used decides which error wins.
+        for cap in range(sum(count for _p, count, _w in routes) + g.n):
+            assert _downcast_outcome(g, routes, max_rounds=cap) == \
+                _downcast_three_ways(g, routes, max_rounds=cap)[1]
+        return
+    rounds = closed[0]["rounds"]
+    if all(len(path) == 1 for path, count, _w in routes if count):
+        assert rounds == 1
+    assert _downcast_outcome(g, routes, max_rounds=rounds) == closed
+    capped = _downcast_three_ways(g, routes, max_rounds=rounds - 1)
+    assert capped[0] == capped[1] == capped[2]
+    assert capped[0][0] == "error" and "max_rounds" in capped[0][1]
+
+
+def test_downcast_rejects_what_is_not_a_downcast():
+    g = from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 2), (2, 4)])
+    merge = [((0, 1, 2), 1, 2), ((0, 3, 2, 4), 2, 2)]
+    received_origin = [((0, 1), 1, 2), ((1, 2), 1, 2)]
+    for routes in (merge, received_origin, received_origin[::-1],
+                   [((0, 1, 0), 1, 2)], [((7,), 1, 2)]):
+        for engine in ("auto", "reference"):
+            with cell_context(engine=engine), \
+                    pytest.raises(AlgorithmError,
+                                  match="not a downcast|not a node"):
+                route_downcast(g, routes)
+    empty = from_edges(0, [])
+    closed, routed, reference = _downcast_three_ways(empty, [((0, 1), 0, 2)])
+    assert closed == routed == reference
+    assert closed[0]["rounds"] == 0
+    # A route that carries nothing is no route at all.
+    assert route_downcast(g, [((0, 1, 2), 1, 2), ((0, 3, 2), 0, 2)]) \
+        == route_downcast(g, [((0, 1, 2), 1, 2)])
 
 
 # ----------------------------------------------------------------------
