@@ -415,6 +415,7 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
 
 @register_benchmark("simulator-fastpath")
 def bench_simulator_fastpath() -> BenchReport:
+    from repro.congest.cell import cell_context
     from repro.congest.machine import run_machines
     from repro.graphs import gnp
     from repro.primitives import BFSMachine, LubyMISMachine
@@ -422,18 +423,22 @@ def bench_simulator_fastpath() -> BenchReport:
     graph = gnp(200, 0.5, seed=7)
     timings: Dict[str, float] = {}
     speedups: Dict[str, float] = {}
+
+    def scalar(factory):
+        with cell_context(engine="reference"):
+            return run_machines(graph, factory, seed=7)
+
     for label, factory in (("bfs_flood", lambda info: BFSMachine(info, root=0)),
                            ("luby_mis", LubyMISMachine)):
-        fast = run_machines(graph, factory, seed=7, fast_path=True)
-        slow = run_machines(graph, factory, seed=7, fast_path=False)
+        fast = run_machines(graph, factory, seed=7)
+        slow = scalar(factory)
         _require(fast.outputs == slow.outputs
                  and fast.metrics.as_dict() == slow.metrics.as_dict()
                  and fast.metrics.edge_congestion
                  == slow.metrics.edge_congestion,
                  f"{label}: fast path diverged from the scalar path")
         t_fast = best_of(lambda: run_machines(graph, factory, seed=7))
-        t_slow = best_of(
-            lambda: run_machines(graph, factory, seed=7, fast_path=False))
+        t_slow = best_of(lambda: scalar(factory))
         timings[f"{label}.seed_scalar_path"] = t_slow
         timings[f"{label}.vectorized_fast_path"] = t_fast
         speedups[label] = t_slow / t_fast

@@ -8,9 +8,10 @@ in one :class:`CellContext`:
   into every ``Network`` built inside (``None`` = fault-free);
 * ``profiler`` -- the :class:`~repro.congest.profile.RoundProfiler`
   every ``Network`` built inside records into (``None`` = unprofiled);
-* ``engine`` -- ``"auto"`` (kernels and the exact transport engine
-  serve what they can) or ``"reference"`` (every execution runs on
-  the vectorized machine loop -- the differential reference);
+* ``engine`` -- ``"auto"`` (kernels, the exact transport engine and
+  the batched broadcast serve what they can) or ``"reference"`` (every
+  execution runs on the ``Network`` round loop with the scalar
+  per-edge delivery -- the differential reference);
 * ``engine_note`` -- the kernel label a kernel engine left on the
   cell (see :func:`repro.kernels.config.cell_engine_source`).
 
@@ -20,6 +21,10 @@ every field they do not override (an outer ``engine="reference"``
 reaches an inner ``cell_context(faults=None)``), and a note made inside
 never leaks outward.  Outside any context :func:`current_cell` is an
 empty default and :func:`note_engine` records nothing.
+
+The context is the only way to set these: ``Network``,
+``run_algorithm`` and ``run_machines`` take no fault, profiler or
+engine argument, and read :func:`current_cell` when a network is built.
 
 ``repro.testing.run_differential`` opens one context around the
 binding's execution only, after the graph, oracle and decomposition have

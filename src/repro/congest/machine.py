@@ -140,9 +140,7 @@ def run_machines(graph: "Graph", factory: MachineFactory, *,
                  inputs: Optional[Dict[int, Any]] = None,
                  word_limit: int = 8, seed: int = 0,
                  check_sizes: bool = True, tracer=None,
-                 max_rounds: int = 5_000_000,
-                 fast_path: bool = True, faults=None,
-                 profiler=None) -> Execution:
+                 max_rounds: int = 5_000_000) -> Execution:
     """Execute a BCONGEST machine collection directly on the network.
 
     This is the reference execution: its metrics give the algorithm's
@@ -159,8 +157,7 @@ def run_machines(graph: "Graph", factory: MachineFactory, *,
     execution = run_algorithm(
         graph, make, inputs=inputs, word_limit=word_limit, bcast_only=True,
         seed=seed, check_sizes=check_sizes, tracer=tracer,
-        max_rounds=max_rounds, fast_path=fast_path, faults=faults,
-        profiler=profiler)
+        max_rounds=max_rounds)
     # Surface machine outputs even for machines that never halted
     # (e.g. depth-limited BFS at unreachable nodes).
     for v, machine in machines.items():

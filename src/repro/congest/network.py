@@ -45,8 +45,6 @@ from repro.congest.errors import (
 from repro.congest.metrics import Metrics, undirected as edge_key
 from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.congest.faults import FaultPlan
-    from repro.congest.profile import RoundProfiler
     from repro.congest.tracing import Tracer
     from repro.graphs.graph import Graph
 
@@ -149,15 +147,16 @@ class NodeAPI:
     def broadcast(self, payload: Payload) -> None:
         """Send the same message to every neighbor; meters one broadcast.
 
-        On a fast-path network the delivery is batched: the payload is
-        sized once, the per-edge metering is folded into one bulk update,
-        and one shared ``(src, payload)`` record is appended to every
-        neighbor inbox -- semantically identical to the per-edge loop
-        (verified by the scalar/batched equivalence tests) but without
-        the per-destination overhead that dominates dense executions.
+        Outside ``engine="reference"`` the delivery is batched: the
+        payload is sized once, the per-edge metering is folded into one
+        bulk update, and one shared ``(src, payload)`` record is
+        appended to every neighbor inbox -- semantically identical to
+        the reference engine's per-edge loop (verified by the
+        scalar/batched equivalence tests) but without the
+        per-destination overhead that dominates dense executions.
         """
         self._net.metrics.record_broadcast()
-        if self._net.fast_path:
+        if self._net.batched:
             self._net._broadcast_batch(self._id, self.info.neighbors,
                                        payload, self._sent_to)
         else:
@@ -279,23 +278,17 @@ class Network:
         already run such a step set this to True.
     seed:
         Master seed; each node's private PRNG stream is derived from it.
-    fast_path:
-        Enable the vectorized broadcast delivery path (precomputed
-        adjacency arrays, bulk metering, payload-size cache).  The
-        scalar path is kept selectable so property tests can assert the
-        two meter and deliver identically.
-    faults:
-        Optional :class:`~repro.congest.faults.FaultPlan` layered into
-        the delivery step.  When omitted, the plan of the open
-        :func:`~repro.congest.cell.cell_context` (if any) applies.
-        ``None`` and the inert plan are normalized away, so fault-free
-        execution takes exactly the pre-fault-plane code paths.
-    profiler:
-        Optional :class:`~repro.congest.profile.RoundProfiler` capturing
-        a per-round metric time series.  When omitted, the profiler of
-        the open :func:`~repro.congest.cell.cell_context` (if any)
-        applies.  Unprofiled executions pay one ``is not None`` check
-        per round and nothing else.
+
+    The open :func:`~repro.congest.cell.cell_context` (read once, here)
+    sets the rest.  Its fault plan is layered into the delivery step
+    (``None`` and the inert plan are normalized away, so fault-free
+    execution takes exactly the pre-fault-plane code paths); its round
+    profiler records a per-round metric time series (unprofiled
+    executions pay one ``is not None`` check per round); and unless its
+    engine is ``"reference"``, broadcasts take the batched delivery
+    path (bulk metering, one shared inbox record).  The reference
+    engine keeps the scalar per-edge loop, which the property tests pin
+    equal to the batched one.
     """
 
     # Cap on the payload-size memo; executions reuse a small set of
@@ -305,10 +298,7 @@ class Network:
     def __init__(self, graph: "Graph", *, word_limit: int = 8,
                  bcast_only: bool = False, known_n: bool = True,
                  seed: int = 0, check_sizes: bool = True,
-                 tracer: Optional["Tracer"] = None,
-                 fast_path: bool = True,
-                 faults: Optional["FaultPlan"] = None,
-                 profiler: Optional["RoundProfiler"] = None):
+                 tracer: Optional["Tracer"] = None):
         self.graph = graph
         self.tracer = tracer
         self.word_limit = word_limit
@@ -316,15 +306,14 @@ class Network:
         self.known_n = known_n
         self.seed = seed
         self.check_sizes = check_sizes
-        self.fast_path = fast_path
         cell = current_cell()
-        if faults is None:
-            faults = cell.faults
+        self.batched = cell.engine != "reference"
         # Null plans are normalized to "no fault plane at all" so the
         # fault-free delivery paths are the untouched originals.
+        faults = cell.faults
         self._faults = (faults if faults is not None
                         and not faults.is_null else None)
-        self.profiler = profiler if profiler is not None else cell.profiler
+        self.profiler = cell.profiler
         self._crashed: set = set()
         self.metrics = Metrics()
         self.round = 0
@@ -608,13 +597,9 @@ def run_algorithm(graph: "Graph", factory: Callable[[NodeInfo], Algorithm], *,
                   word_limit: int = 8, bcast_only: bool = False,
                   known_n: bool = True, seed: int = 0,
                   check_sizes: bool = True, tracer: Optional["Tracer"] = None,
-                  max_rounds: int = 5_000_000,
-                  fast_path: bool = True,
-                  faults: Optional["FaultPlan"] = None,
-                  profiler: Optional["RoundProfiler"] = None) -> Execution:
+                  max_rounds: int = 5_000_000) -> Execution:
     """One-shot convenience wrapper: build a network and run to quiescence."""
     net = Network(graph, word_limit=word_limit, bcast_only=bcast_only,
                   known_n=known_n, seed=seed, check_sizes=check_sizes,
-                  tracer=tracer, fast_path=fast_path, faults=faults,
-                  profiler=profiler)
+                  tracer=tracer)
     return net.run(factory, inputs=inputs, max_rounds=max_rounds)

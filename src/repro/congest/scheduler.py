@@ -75,8 +75,7 @@ class ScheduleMeasurement:
 
 def measure_bfs_schedule(graph: Graph, roots: Optional[List[int]] = None, *,
                          seed: int = 0,
-                         max_depth: Optional[int] = None,
-                         profiler=None,
+                         max_depth: Optional[int] = None
                          ) -> ScheduleMeasurement:
     """Run ell delayed BFS algorithms together and measure Theorem 1.4.
 
@@ -94,7 +93,7 @@ def measure_bfs_schedule(graph: Graph, roots: Optional[List[int]] = None, *,
         lambda info: BFSCollectionMachine(info, roots=root_map,
                                           delays=delays,
                                           max_depth=max_depth),
-        word_limit=budget, seed=seed, profiler=profiler)
+        word_limit=budget, seed=seed)
     max_ids = 0
     for adapter in execution.algorithms.values():
         max_ids = max(max_ids, adapter.machine.max_inbox_ids)

@@ -31,7 +31,7 @@ Structure (§2.2):
 * **Output delivery** -- after the machines halt, centers downcast each
   member's output, chunked into O(1)-word packets (the O(Out) term).
   Every chunk of one member follows the same tree path, so the driver
-  sizes each output once (:func:`flatten_to_words`) and routes
+  sizes each output once (:func:`output_words`) and routes
   ``ceil(words / 4)`` chunks per member through
   :func:`~repro.primitives.transport.route_downcast`, the downcast's
   closed form, instead of one packet per chunk.
@@ -63,33 +63,23 @@ from repro.primitives.transport import (
 MachineFactory = Callable[..., Machine]
 
 
-def flatten_to_words(obj: Any) -> List[Any]:
-    """Flatten an output object into a list of one-word payloads.
+def output_words(obj: Any) -> int:
+    """The size in one-word payloads of an output object.
 
     Used to meter the O(Out) output-downcast term with the *actual*
-    output content, chunked into CONGEST-sized packets.
+    output content: scalars cost one word, containers the sum of their
+    items, dict entries key + value, and ``None`` nothing.
     """
     if obj is None:
-        return []
+        return 0
     if isinstance(obj, (int, float, bool, str)):
-        return [obj]
+        return 1
     if isinstance(obj, (tuple, list, set, frozenset)):
-        words: List[Any] = []
-        for item in obj:
-            words.extend(flatten_to_words(item))
-        return words
+        return sum(output_words(item) for item in obj)
     if isinstance(obj, dict):
-        words = []
-        for key in sorted(obj, key=repr):
-            words.extend(flatten_to_words(key))
-            words.extend(flatten_to_words(obj[key]))
-        return words
+        return sum(output_words(key) + output_words(value)
+                   for key, value in obj.items())
     raise TypeError(f"cannot flatten {type(obj)!r}")
-
-
-def chunk_words(words: List[Any], size: int = 4) -> List[Tuple[Any, ...]]:
-    """Group a word list into packets of at most ``size`` words."""
-    return [tuple(words[i:i + size]) for i in range(0, len(words), size)]
 
 
 @dataclass
@@ -266,10 +256,10 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     mark_phase("output-delivery")
     outputs = plan.outputs if plan is not None else machines.outputs()
     routes: List[Tuple[Tuple[int, ...], int, int]] = []
-    output_words = 0
+    out_words = 0
     for v in graph.nodes():
-        words = len(flatten_to_words(outputs[v]))
-        output_words += words
+        words = output_words(outputs[v])
+        out_words += words
         path = down_paths[v]
         if len(path) > 1 and words:
             # ceil(words / 4) chunks of one-word scalars (Lemma 1.6's
@@ -289,7 +279,7 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
         phases=executed_phases,
         broadcasts_simulated=broadcasts_simulated,
         input_words=input_words,
-        output_words=output_words,
+        output_words=out_words,
     )
     report.ldc_stats = {
         "clusters": ldc.clustering.num_clusters,

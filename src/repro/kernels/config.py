@@ -4,16 +4,17 @@ Kernels serve every eligible execution: the core drivers consult
 :func:`engine_ready` before each one, and a kernel that ran leaves its
 label on the cell with :func:`note_engine`.  Eligibility is explicit
 data: :data:`REGISTRY` maps binding name to the kernel family that can
-replay it.  Everything else falls through to the vectorized machine
-loop.  At the end of a cell, :func:`cell_engine_source` derives the
+replay it.  Everything else falls through to the ``Network`` round
+loop (batched broadcasts; the scalar per-edge loop in reference mode).
+At the end of a cell, :func:`cell_engine_source` derives the
 cell's ``engine_source`` record field (a NONDETERMINISTIC field,
 stripped from canonical payloads, so records are byte-identical
 whichever engine served) from the open
 :class:`~repro.congest.cell.CellContext` by one ordered rule:
 
 1. ``none`` -- the context's engine mode is ``"reference"`` (the
-   differential reference the kernel tests compare against; the field
-   is then omitted from the record);
+   scalar per-edge ``Network`` loop the kernel tests compare against;
+   the field is then omitted from the record);
 2. ``kernel:bfs-wavefront`` / ``kernel:bellman-ford`` -- a kernel ran;
 3. ``vectorized:faults`` -- a non-null fault plan perturbs delivery;
 4. ``vectorized:ineligible`` -- binding not in :data:`REGISTRY`;
@@ -42,7 +43,7 @@ REGISTRY: Dict[str, str] = {
 
 
 def fallback_reason() -> Optional[str]:
-    """Why the execution about to start must run on the reference loop.
+    """Why the execution about to start must run on the ``Network`` loop.
 
     ``None`` when an exact engine may serve it; otherwise ``none`` in
     reference mode, else ``vectorized:faults`` or ``vectorized:profile``

@@ -4,8 +4,9 @@
   default sweep's cells (``scenario/algorithm/size/seed``) mapped to
   the sha256 of their canonical records, serialized as
   ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.  The
-  records come from the vectorized reference engine, so the table pins
-  what every engine must reproduce.
+  records come from the reference engine (the scalar per-edge
+  ``Network`` loop), so the table pins what every engine must
+  reproduce.
 * ``graphs.json`` -- one digest per registry scenario graph at its
   default size and at size 128 (``scenario/size``): the sha256 of the
   node count, the adjacency and the weights in dict order, with every

@@ -11,11 +11,7 @@ from repro.baselines.reference import (
 )
 from repro.congest import cell_context, run_machines
 from repro.core import bcongest_sim
-from repro.core.bcongest_sim import (
-    chunk_words,
-    flatten_to_words,
-    simulate_bcongest,
-)
+from repro.core.bcongest_sim import output_words, simulate_bcongest
 from repro.core.weighted_apsp import make_delays, weighted_apsp
 from repro.graphs import complete, dumbbell, gnp, grid, path, uniform_weights
 from repro.graphs.weights import asymmetric_weights, negative_safe_weights
@@ -31,9 +27,9 @@ from repro.testing.differential import run_differential
 
 
 def test_flatten_and_chunk():
-    assert flatten_to_words({1: (2, 3)}) == [1, 2, 3]
-    assert flatten_to_words(None) == []
-    assert chunk_words([1, 2, 3, 4, 5], size=2) == [(1, 2), (3, 4), (5,)]
+    assert output_words({1: (2, 3)}) == 3
+    assert output_words(None) == 0
+    assert output_words(((1, None), [2.5, "x"], {3, 4}, {5: {6: 7}})) == 8
 
 
 def test_simulated_bfs_equals_direct_run():

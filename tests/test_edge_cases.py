@@ -92,9 +92,10 @@ def test_simulation_output_words_match_flattened_outputs():
     g = gnp(12, 0.35, seed=303)
     factory = lambda info: BFSMachine(info, root=0)
     sim = simulate_bcongest(g, factory, seed=7)
-    from repro.core.bcongest_sim import flatten_to_words
-    expected = sum(len(flatten_to_words(sim.outputs[v]))
-                   for v in g.nodes())
+    from repro.core.bcongest_sim import output_words
+    # BFS outputs are (distance, parent) pairs; the root's parent is None.
+    expected = sum(2 - (sim.outputs[v][1] is None) for v in g.nodes())
+    assert expected == sum(output_words(sim.outputs[v]) for v in g.nodes())
     assert sim.output_words == expected
 
 

@@ -66,6 +66,11 @@ BINDING_SCENARIOS = [
 ]
 
 
+def delivery(fast):
+    """The batched broadcast delivery (``fast``) or the scalar reference."""
+    return cell_context(engine="auto" if fast else "reference")
+
+
 # ---------------------------------------------------------------------------
 # Byte identity of the inert plan
 # ---------------------------------------------------------------------------
@@ -108,9 +113,10 @@ def test_null_plan_is_byte_identical_per_binding(binding, scenario):
 def test_null_plan_is_byte_identical_at_network_level(fast):
     graph = gnp(14, 0.3, seed=5)
     factory = lambda info: BFSMachine(info, root=0)  # noqa: E731
-    plain = run_machines(graph, factory, seed=3, fast_path=fast)
-    inert = run_machines(graph, factory, seed=3, fast_path=fast,
-                         faults=FaultPlan.none())
+    with delivery(fast):
+        plain = run_machines(graph, factory, seed=3)
+        with cell_context(faults=FaultPlan.none()):
+            inert = run_machines(graph, factory, seed=3)
     assert inert.outputs == plain.outputs
     assert inert.rounds == plain.rounds
     assert inert.metrics.as_dict() == plain.metrics.as_dict()
@@ -220,9 +226,10 @@ def test_fast_path_equals_scalar_under_faults(seed):
     plan = FaultPlan(drop=0.3, duplicate=0.2, reorder=0.5,
                      link_failures={undirected(0, 1): 3},
                      node_crashes={2: 4}, seed=seed)
-    runs = [run_machines(graph, ChatterMachine, seed=seed,
-                         fast_path=flag, faults=plan)
-            for flag in (True, False)]
+    runs = []
+    for flag in (True, False):
+        with delivery(flag), cell_context(faults=plan):
+            runs.append(run_machines(graph, ChatterMachine, seed=seed))
     assert runs[0].outputs == runs[1].outputs
     assert runs[0].metrics.as_dict() == runs[1].metrics.as_dict()
     metrics = runs[0].metrics.as_dict()
@@ -233,7 +240,8 @@ def test_fast_path_equals_scalar_under_faults(seed):
 def test_crashed_node_stops_acting():
     graph = gnp(10, 0.5, seed=7)
     plan = FaultPlan(node_crashes={0: 2}, seed=1)
-    execution = run_machines(graph, ChatterMachine, seed=1, faults=plan)
+    with cell_context(faults=plan):
+        execution = run_machines(graph, ChatterMachine, seed=1)
     # The crashed node never reaches its halting round: no output.
     assert execution.outputs.get(0) is None
     # Nothing it would have sent from round 2 on was heard by anyone.
@@ -400,5 +408,6 @@ def test_duplicate_send_names_the_edge_and_round():
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
 def test_unsizable_payload_is_an_algorithm_error_with_context(fast):
     graph = gnp(6, 0.5, seed=2)
-    with pytest.raises(AlgorithmError, match=r"node \d+, round 1:"):
-        run_machines(graph, UnsizablePayload, fast_path=fast)
+    with delivery(fast), \
+            pytest.raises(AlgorithmError, match=r"node \d+, round 1:"):
+        run_machines(graph, UnsizablePayload)

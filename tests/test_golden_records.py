@@ -1,9 +1,9 @@
 """The golden tables under ``tests/golden/``.
 
 * Every cell of the default sweep must reproduce the canonical-record
-  digest pinned in ``tier1_records.json``, which was generated on the
-  vectorized reference engine; the kernel-eligible cells must actually
-  be served by a kernel.
+  digest pinned in ``tier1_records.json``, which is generated on the
+  reference engine (the scalar per-edge ``Network`` loop); the
+  kernel-eligible cells must actually be served by a kernel.
 * Every registry scenario graph, at its default size and at size 128,
   must reproduce the digest pinned in ``graphs.json``.  That table was
   generated from the dict-era construction path, so it pins that the

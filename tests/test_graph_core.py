@@ -26,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.congest.cell import cell_context
 from repro.congest.machine import run_machines
 from repro.congest.network import make_node_info
 from repro.graphs.graph import Graph, from_edge_arrays, from_edges
@@ -72,10 +73,12 @@ def _matrix_case(name, size, seed):
     assert rebuilt.adj == graph.adj
     assert rebuilt.weights == graph.weights
     for label, factory in WORKLOADS:
-        signatures = [
-            execution_signature(
-                run_machines(g, factory, seed=seed, fast_path=fast))
-            for g in (graph, rebuilt) for fast in (True, False)]
+        signatures = []
+        for g in (graph, rebuilt):
+            for engine in ("auto", "reference"):
+                with cell_context(engine=engine):
+                    signatures.append(execution_signature(
+                        run_machines(g, factory, seed=seed)))
         assert all(sig == signatures[0] for sig in signatures), (
             f"{name} x {label}: CSR/dict x fast/scalar paths diverged")
 

@@ -11,7 +11,7 @@ from repro.congest import (
     run_machines,
 )
 from repro.congest.errors import AlgorithmError
-from repro.core.bcongest_sim import chunk_words, flatten_to_words, simulate_bcongest
+from repro.core.bcongest_sim import output_words, simulate_bcongest
 from repro.core.tradeoff_sim import simulate_aggregation
 from repro.core.tradeoff_sim_star import simulate_aggregation_star
 from repro.covers.mpx_cover import CoverCollectionMachine
@@ -111,13 +111,9 @@ def test_simulation_star_graph():
 
 def test_flatten_words_rejects_unknown_types():
     with pytest.raises(TypeError):
-        flatten_to_words(object())
-
-
-def test_chunk_words_edge_cases():
-    assert chunk_words([]) == []
-    assert chunk_words([1], size=4) == [(1,)]
-    assert chunk_words(list(range(8)), size=4) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+        output_words(object())
+    with pytest.raises(TypeError):
+        output_words({1: [2, object()]})
 
 
 def test_machine_outputs_surface_for_non_halting_machines():

@@ -1,5 +1,7 @@
 """Unit tests for the CONGEST simulator core (model enforcement, metering)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,13 @@ from repro.congest import (
     DuplicateSend,
     MessageTooLarge,
     Metrics,
+    Network,
     NotANeighbor,
     payload_words,
     run_algorithm,
+    run_machines,
 )
+from repro.congest.scheduler import measure_bfs_schedule
 from repro.graphs import complete, from_edges, path
 
 
@@ -238,3 +243,15 @@ def test_node_info_weights_directed():
     run_algorithm(g, Peek)
     assert captured[0] == (5, 7)
     assert captured[1] == (7, 5)
+
+
+def test_cell_context_is_the_only_way_in():
+    """Fault plan, profiler and reference engine come only from
+    ``cell_context``: no entry point takes them as arguments."""
+    cell_fields = {"faults", "profiler", "fast_path"}
+    for entry, banned in ((Network, cell_fields),
+                          (run_algorithm, cell_fields),
+                          (run_machines, cell_fields),
+                          (measure_bfs_schedule, {"profiler"})):
+        params = set(inspect.signature(entry).parameters)
+        assert not banned & params, (entry.__name__, banned & params)

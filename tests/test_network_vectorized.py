@@ -2,15 +2,17 @@
 
 The batched broadcast delivery (``Network._broadcast_batch``) and the
 payload-size cache (``Network._payload_size``) must agree *exactly* with
-the scalar per-edge path on every observable: outputs, round counts,
-message/word/broadcast metering, per-edge congestion, inbox ordering,
-and raised errors.  Everything is driven by seeded randomness so a
-failure reproduces from the printed parameters."""
+the scalar per-edge path of ``cell_context(engine="reference")`` on
+every observable: outputs, round counts, message/word/broadcast
+metering, per-edge congestion, inbox ordering, and raised errors.
+Everything is driven by seeded randomness so a failure reproduces from
+the printed parameters."""
 
 import random
 
 import pytest
 
+from repro.congest.cell import cell_context
 from repro.congest.errors import DuplicateSend, MessageTooLarge
 from repro.congest.machine import Machine, run_machines
 from repro.congest.network import (
@@ -22,6 +24,11 @@ from repro.congest.network import (
 from repro.graphs import gnp
 from repro.matching.israeli_itai import IsraeliItaiMachine
 from repro.primitives import BFSMachine, LubyMISMachine
+
+
+def delivery(fast):
+    """The batched broadcast delivery (``fast``) or the scalar reference."""
+    return cell_context(engine="auto" if fast else "reference")
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +82,10 @@ def test_payload_size_cache_is_bounded():
 # ---------------------------------------------------------------------------
 
 def _assert_equivalent(graph, factory, *, word_limit=8, seed=0):
-    fast = run_machines(graph, factory, word_limit=word_limit, seed=seed,
-                        fast_path=True)
-    slow = run_machines(graph, factory, word_limit=word_limit, seed=seed,
-                        fast_path=False)
+    fast = run_machines(graph, factory, word_limit=word_limit, seed=seed)
+    with delivery(fast=False):
+        slow = run_machines(graph, factory, word_limit=word_limit,
+                            seed=seed)
     assert fast.outputs == slow.outputs
     assert fast.rounds == slow.rounds
     assert fast.halted == slow.halted
@@ -151,9 +158,11 @@ class MixedTrafficAlgorithm(Algorithm):
 @pytest.mark.parametrize("seed", range(4))
 def test_fast_path_preserves_inbox_interleaving(seed):
     graph = gnp(10, 0.5, seed=200 + seed)
-    runs = [run_algorithm(graph, MixedTrafficAlgorithm, word_limit=8,
-                          seed=seed, fast_path=flag)
-            for flag in (True, False)]
+    runs = []
+    for flag in (True, False):
+        with delivery(flag):
+            runs.append(run_algorithm(graph, MixedTrafficAlgorithm,
+                                      word_limit=8, seed=seed))
     assert runs[0].outputs == runs[1].outputs
     assert runs[0].metrics.as_dict() == runs[1].metrics.as_dict()
 
@@ -178,14 +187,13 @@ class SendThenBroadcast(Algorithm):
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
 def test_oversize_broadcast_raises_on_both_paths(fast):
     graph = gnp(8, 0.5, seed=3)
-    with pytest.raises(MessageTooLarge, match="99 words > limit 8"):
-        run_machines(graph, OversizeBroadcaster, word_limit=8,
-                     fast_path=fast)
+    with delivery(fast), \
+            pytest.raises(MessageTooLarge, match="99 words > limit 8"):
+        run_machines(graph, OversizeBroadcaster, word_limit=8)
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
 def test_duplicate_send_raises_on_both_paths(fast):
     graph = gnp(8, 0.5, seed=3)
-    with pytest.raises(DuplicateSend, match="sent twice"):
-        run_algorithm(graph, SendThenBroadcast, word_limit=8,
-                      fast_path=fast)
+    with delivery(fast), pytest.raises(DuplicateSend, match="sent twice"):
+        run_algorithm(graph, SendThenBroadcast, word_limit=8)

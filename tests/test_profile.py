@@ -135,13 +135,17 @@ def test_profile_context_ambient_and_shielding():
     assert profiler.profile().phases == [(0, "inside")]
 
 
+def _engine(fast_path):
+    """The batched broadcast delivery or the scalar reference loop."""
+    return "auto" if fast_path else "reference"
+
+
 @pytest.mark.parametrize("fast_path", [True, False])
 def test_network_sums_exact_on_both_delivery_paths(fast_path):
     g = gnp(18, 0.3, seed=3)
     profiler = RoundProfiler()
-    with cell_context(profiler=profiler):
-        execution = run_machines(g, lambda info: BFSMachine(info, root=0),
-                                 fast_path=fast_path)
+    with cell_context(profiler=profiler, engine=_engine(fast_path)):
+        execution = run_machines(g, lambda info: BFSMachine(info, root=0))
     profile = profiler.profile()
     _assert_segment_sums_exact(profile)
     totals = profile.segments[0]["totals"]
@@ -155,9 +159,9 @@ def test_network_sums_exact_under_faults(fast_path):
     g = gnp(16, 0.4, seed=5)
     profiler = RoundProfiler()
     plan = FaultPlan(drop=0.3, duplicate=0.2, node_crashes={3: 4}, seed=7)
-    with cell_context(profiler=profiler):
-        run_machines(g, lambda info: BFSMachine(info, root=0),
-                     fast_path=fast_path, faults=plan)
+    with cell_context(profiler=profiler, faults=plan,
+                      engine=_engine(fast_path)):
+        run_machines(g, lambda info: BFSMachine(info, root=0))
     profile = profiler.profile()
     _assert_segment_sums_exact(profile)
     totals = profile.totals()

@@ -31,7 +31,8 @@ from repro.congest.errors import AlgorithmError, CongestError
 from repro.congest.metrics import undirected
 from repro.congest.profile import ADDITIVE_COLUMNS
 from repro.core.aggregation import check_idempotent
-from repro.core.weighted_apsp import make_delays
+from repro.core.tradeoff_apsp import apsp_tradeoff
+from repro.core.weighted_apsp import make_delays, weighted_apsp
 from repro.covers.mpx_cover import (
     CoverCollectionMachine,
     build_cover_machine_factory,
@@ -541,6 +542,59 @@ def test_bfs_machine_matches_reference_random(g, seed):
 
 
 # ----------------------------------------------------------------------
+# Engines: kernels, exact transport and batching equal the scalar loop
+# ----------------------------------------------------------------------
+
+@st.composite
+def apsp_graphs(draw):
+    """A ``connected_graphs`` draw, unweighted or with integer weights.
+
+    A "guard" draw puts the heaviest edge right at the relaxation
+    kernel's exactness guard (it declines once ``max |w| * (n + 1)``
+    reaches 2^52), two below it to one above it.
+    """
+    g = draw(connected_graphs(max_n=12))
+    kind = draw(st.sampled_from(["unweighted", "small", "guard"]))
+    if kind == "unweighted":
+        return g
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    weights = {}
+    for u, v in g.edges():
+        weights[(u, v)] = weights[(v, u)] = rng.randint(1, 20)
+    if kind == "guard":
+        guard = (2 ** 52 + g.n) // (g.n + 1)  # ceil(2^52 / (n + 1))
+        u, v = rng.choice(list(g.edges()))
+        weights[(u, v)] = weights[(v, u)] = guard + draw(st.integers(-2, 1))
+    return g.reweighted(weights, name=f"{g.name}+{kind}")
+
+
+def _apsp_runs(g, seed, engine):
+    """``weighted_apsp`` and ``apsp_tradeoff`` at eps 0 and 1 under one
+    engine mode, as comparable data, plus the weighted run's engine note."""
+    with cell_context(engine=engine) as cell:
+        runs = [weighted_apsp(g, seed=seed)]
+        note = cell.engine_note
+        runs += [apsp_tradeoff(g, eps, seed=seed) for eps in (0, 1)]
+    return [(run.dist, getattr(run, "parents", None), run.detail,
+             run.metrics.as_dict(), dict(run.metrics.edge_congestion),
+             dict(run.metrics.message_sizes)) for run in runs], note
+
+
+@settings(max_examples=30)
+@given(g=apsp_graphs(), seed=st.integers(0, 1_000))
+def test_apsp_engines_match_scalar_reference(g, seed):
+    """On generated graphs the default engines (kernels, exact transport,
+    batched broadcasts) give the scalar reference loop's outputs,
+    ``Metrics``, per-edge congestion and message-size histogram."""
+    auto, note = _apsp_runs(g, seed, "auto")
+    reference, _note = _apsp_runs(g, seed, "reference")
+    assert auto == reference
+    exact = not g.is_weighted or \
+        max(g.weights.values()) * (g.n + 1) < 2 ** 52
+    assert note == ("kernel:bellman-ford" if exact else None)
+
+
+# ----------------------------------------------------------------------
 # The cell context: fault replay, profile sums, shielding, note scope
 # ----------------------------------------------------------------------
 
@@ -698,8 +752,8 @@ def test_machine_wake_hint_matches_lockstep_on_network(cls, g, seed):
     every message."""
     def run(make):
         profiler = RoundProfiler()
-        execution = run_machines(g, make, seed=seed, word_limit=10**6,
-                                 profiler=profiler)
+        with cell_context(profiler=profiler):
+            execution = run_machines(g, make, seed=seed, word_limit=10**6)
         columns = profiler.profile().columns
         sent = columns["messages"] > 0
         return execution, (columns["round"][sent].tolist(),

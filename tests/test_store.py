@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.congest.cell import current_cell
 from repro.runner import RunStore, SweepConfig, config, executor, \
     graph_cache, run_sweep
 from repro.scenarios import get_scenario
@@ -653,9 +654,9 @@ def test_fastpath_bench_raises_on_a_diverging_run(monkeypatch):
     monkeypatch.setattr(repro.graphs, "gnp", lambda *args, **kw: small)
     run_machines = repro.congest.machine.run_machines
 
-    def diverging(graph, factory, *, fast_path=True, **kwargs):
-        report = run_machines(graph, factory, fast_path=fast_path, **kwargs)
-        if not fast_path:
+    def diverging(graph, factory, **kwargs):
+        report = run_machines(graph, factory, **kwargs)
+        if current_cell().engine == "reference":
             report.metrics.messages += 1
         return report
 
