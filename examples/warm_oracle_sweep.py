@@ -57,8 +57,8 @@ def main() -> int:
         # 2. A sweep over the warm store, oracle LRU off to make
         # the disk path visible: every oracle-bound cell loads its
         # baseline instead of recomputing it.
-        outcome = run_sweep(SCENARIOS, oracle_store_dir=store.root,
-                            oracle_cache_size=0)
+        config.update(oracle_store=str(store.root), oracle_cache_size=0)
+        outcome = run_sweep(SCENARIOS)
         sources = outcome.summary()["oracle_sources"]
         print(f"\nwarm sweep oracle sources: {json.dumps(sources)}")
         assert outcome.ok

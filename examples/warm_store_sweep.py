@@ -48,8 +48,8 @@ def main() -> int:
 
         # 2. A sweep over the warm store, LRU off to make the disk
         # path visible: every cell mmaps its graph.
-        outcome = run_sweep(SCENARIOS, graph_store_dir=store.root,
-                            graph_cache_size=0)
+        config.update(graph_store=str(store.root), graph_cache_size=0)
+        outcome = run_sweep(SCENARIOS)
         sources = outcome.summary()["graph_sources"]
         print(f"\nwarm sweep graph sources: {json.dumps(sources)}")
         assert outcome.ok

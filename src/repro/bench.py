@@ -8,8 +8,8 @@ numbers; this module pins one schema and one entry point so every
 "timings_seconds": {<label>: seconds}, "speedup": {<label>: ratio},
 "metadata": {"python": ..., "revision": ..., "extra": {...}}}``
 
-A benchmark is a no-argument callable returning a :class:`BenchReport`;
-``repro bench`` runs the requested (or all) registered benchmarks and
+A benchmark is a callable taking ``smoke`` and returning a
+:class:`BenchReport`; ``repro bench`` runs the requested (or all) registered benchmarks and
 writes ``BENCH_<name>.json`` next to the repository root (or ``--out``).
 Timing labels are dotted paths (``sweep_construction.cold_store``) so nested
 comparisons stay flat and diffable; speedup keys name the comparison
@@ -18,7 +18,8 @@ they summarize.
 Registered today:
 
 * ``simulator-fastpath`` -- the PR-1 round-loop benchmark (scalar vs.
-  vectorized broadcast delivery) re-expressed in the shared schema.
+  vectorized broadcast delivery) re-expressed in the shared schema;
+  ``--smoke`` runs it on a smaller graph with one rep.
 * ``kernels`` -- the array-native round engines (:mod:`repro.kernels`):
   a multi-root BFS wavefront execution under the vectorized per-machine
   round loop vs. the whole-execution numpy kernel, outputs and full
@@ -49,7 +50,6 @@ Registered today:
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import pathlib
 import platform
@@ -89,12 +89,12 @@ class BenchReport:
         return f"BENCH_{self.name.replace('-', '_')}.json"
 
 
-BENCHMARKS: Dict[str, Callable[[], BenchReport]] = {}
+BENCHMARKS: Dict[str, Callable[..., BenchReport]] = {}
 
 
 def register_benchmark(name: str):
     """Decorator adding a benchmark factory to the registry."""
-    def wrap(fn: Callable[[], BenchReport]) -> Callable[[], BenchReport]:
+    def wrap(fn: Callable[..., BenchReport]) -> Callable[..., BenchReport]:
         if name in BENCHMARKS:
             raise ValueError(f"benchmark {name!r} already registered")
         BENCHMARKS[name] = fn
@@ -109,19 +109,16 @@ def benchmark_names() -> List[str]:
 def run_benchmark(name: str, smoke: bool = False) -> BenchReport:
     """Run one registered benchmark.
 
-    ``smoke=True`` asks for the fast-CI variant: benchmarks whose
-    factory accepts a ``smoke`` keyword shrink their workloads and reps
-    (and stamp ``smoke: true`` into their extras); benchmarks without
-    the keyword just run normally.
+    ``smoke=True`` asks for the fast-CI variant: every benchmark
+    shrinks its workloads and reps and stamps ``smoke: true`` into its
+    extras.
     """
     try:
         fn = BENCHMARKS[name]
     except KeyError:
         known = ", ".join(benchmark_names())
         raise KeyError(f"unknown benchmark {name!r}; known: {known}") from None
-    if smoke and "smoke" in inspect.signature(fn).parameters:
-        return fn(smoke=True)
-    return fn()
+    return fn(smoke=smoke)
 
 
 def write_report(report: BenchReport,
@@ -413,14 +410,21 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
 # simulator-fastpath: the PR-1 round-loop benchmark, shared schema
 # ---------------------------------------------------------------------------
 
+# The full workload is the PR-1 dense graph; smoke is CI-sized.
+_FASTPATH_FULL = {"n": 200, "reps": 3}
+_FASTPATH_SMOKE = {"n": 60, "reps": 1}
+
+
 @register_benchmark("simulator-fastpath")
-def bench_simulator_fastpath() -> BenchReport:
+def bench_simulator_fastpath(smoke: bool = False) -> BenchReport:
     from repro.congest.cell import cell_context
     from repro.congest.machine import run_machines
     from repro.graphs import gnp
     from repro.primitives import BFSMachine, LubyMISMachine
 
-    graph = gnp(200, 0.5, seed=7)
+    params = _FASTPATH_SMOKE if smoke else _FASTPATH_FULL
+    reps = params["reps"]
+    graph = gnp(params["n"], 0.5, seed=7)
     timings: Dict[str, float] = {}
     speedups: Dict[str, float] = {}
 
@@ -437,13 +441,13 @@ def bench_simulator_fastpath() -> BenchReport:
                  and fast.metrics.edge_congestion
                  == slow.metrics.edge_congestion,
                  f"{label}: fast path diverged from the scalar path")
-        t_fast = best_of(lambda: run_machines(graph, factory, seed=7))
-        t_slow = best_of(lambda: scalar(factory))
+        t_fast = best_of(lambda: run_machines(graph, factory, seed=7), reps)
+        t_slow = best_of(lambda: scalar(factory), reps)
         timings[f"{label}.seed_scalar_path"] = t_slow
         timings[f"{label}.vectorized_fast_path"] = t_fast
         speedups[label] = t_slow / t_fast
     return BenchReport(
         name="simulator-fastpath",
-        scenario="dense gnp (n=200, p=0.5, seed=7)",
+        scenario=f"dense gnp (n={graph.n}, p=0.5, seed=7)",
         timings=timings, speedups=speedups,
-        extra={"n": graph.n, "m": graph.m})
+        extra={"smoke": smoke, "n": graph.n, "m": graph.m})

@@ -15,8 +15,6 @@ Examples
     python -m repro.cli sweep --workers 4                 # persisted + resumable
     python -m repro.cli sweep --workers 4 --retries 2     # re-queue failed cells
     python -m repro.cli sweep --no-store                  # skip the artifact store
-    python -m repro.cli sweep --no-oracle-store           # recompute baselines
-    python -m repro.cli sweep --no-decomposition-store    # recompute snapshots
     python -m repro.cli sweep --list-runs
     python -m repro.cli sweep --compare <run-id> --against <run-id>
     python -m repro.cli store ls --family oracles         # cached baselines
@@ -260,33 +258,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 _print_comparison(comparison)
             return 0 if comparison.ok else 1
 
-        # One store root serves every family; --no-oracle-store /
-        # --no-decomposition-store (or --no-store) disconnect one family
-        # / everything, and an absent --*-cache-size flag means the
-        # default size.  The flags decide every chain, store and
-        # profiling setting, so nothing configured earlier in this
-        # process leaks in.
+        # One store root serves every family (--no-store disconnects
+        # them all), and every LRU has its default size.  The flags
+        # decide every chain, store and profiling setting, so nothing
+        # configured earlier in this process leaks in.
         store_dir = (args.store_dir if args.store_dir is not None
                      else str(pathlib.Path(args.runs_dir) / "store"))
         defaults = config.SweepConfig()
         settings = {"profile_store": store_dir if args.profile else None,
                     "cprofile": bool(args.cprofile)}
         for chain in all_chains().values():
-            # A family's own --<setting>-store flag (graphs have none).
-            connected = args.store and getattr(args, chain.store_field, True)
-            settings[chain.store_field] = store_dir if connected else None
-            size = getattr(args, chain.size_field)
-            settings[chain.size_field] = (
-                getattr(defaults, chain.size_field) if size is None
-                else size)
+            settings[chain.store_field] = store_dir if args.store else None
+            settings[chain.size_field] = getattr(defaults, chain.size_field)
         config.update(**settings)
         outcome = run_sweep(args.names, sizes=args.sizes, seeds=args.seeds,
                             workers=args.workers, timeout=args.timeout,
                             retries=args.retries, store=store,
                             fresh=args.fresh,
                             faults=args.faults,
-                            fault_seed=args.fault_seed,
-                            telemetry=args.telemetry)
+                            fault_seed=args.fault_seed)
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -804,40 +794,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run-store directory (default: runs/)")
     p.add_argument("--store", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="serve scenario graphs and oracle baselines "
-                        "through the shared on-disk artifact store "
-                        "(mmap'd arrays, shared across workers, sweeps, "
-                        "and revisions); --no-store disables both "
-                        "families (default: on)")
+                   help="serve scenario graphs, oracle baselines and "
+                        "decomposition snapshots through the shared "
+                        "on-disk artifact store (mmap'd arrays, shared "
+                        "across workers, sweeps, and revisions); "
+                        "--no-store disables every family (default: on)")
     p.add_argument("--store-dir", default=None,
                    help="artifact-store directory (default: "
                         "<runs-dir>/store)")
-    p.add_argument("--oracle-store", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="serve differential baselines from the store's "
-                        "oracle family; --no-oracle-store computes every "
-                        "cell's baseline while keeping graph snapshots "
-                        "(default: on, moot under --no-store)")
-    p.add_argument("--graph-cache-size", type=int, default=None,
-                   help="per-worker graph LRU capacity (0 disables the "
-                        "in-process cache; default: leave the configured "
-                        "size, recorded in the run manifest)")
-    p.add_argument("--decomposition-store",
-                   action=argparse.BooleanOptionalAction, default=True,
-                   help="serve the staged pipeline's LDC snapshots from "
-                        "the store's decomposition family; "
-                        "--no-decomposition-store recomputes the "
-                        "decomposition per scenario x size while keeping "
-                        "the other families (default: on, moot under "
-                        "--no-store)")
-    p.add_argument("--oracle-cache-size", type=int, default=None,
-                   help="per-worker oracle-value LRU capacity (0 disables "
-                        "it; default: leave the configured size, recorded "
-                        "in the run manifest)")
-    p.add_argument("--decomposition-cache-size", type=int, default=None,
-                   help="per-worker decomposition-snapshot LRU capacity "
-                        "(0 disables it; default: leave the configured "
-                        "size, recorded in the run manifest)")
     p.add_argument("--faults", nargs="+", default=None, metavar="PROFILE",
                    help="inject faults: run every cell under each named "
                         "fault profile (lossy-light, lossy-heavy, "
@@ -861,13 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.0,
                    help="relative rounds/messages drift tolerated by "
                         "--compare (default 0: bit-identical meters)")
-    p.add_argument("--telemetry", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="record a per-run telemetry.jsonl timeline "
-                        "(cell lifecycle + meters) beside the cell "
-                        "records, rendered by `repro runs report`; "
-                        "canonical records are byte-identical either way "
-                        "(default: on)")
     p.add_argument("--profile", action="store_true",
                    help="capture a per-round metric timeline for every "
                         "executed cell into the store's profiles family "

@@ -107,9 +107,13 @@ class _FloodElect(Algorithm):
 class _CountAndAck(Algorithm):
     """Children discovery + subtree-size convergecast + n broadcast.
 
-    Round 1: every non-root node tells its parent "I am your child".
+    Round 1: every non-root node tells its parent "I am your child",
+    and every node wakes itself for round 2, when the count starts.
     Then each node, once it has subtree sizes from all children, sends
     its own subtree size up.  Finally the root broadcasts n back down.
+    Past round 2 a node acts only on mail, so a count that stalls (a
+    dropped or duplicated message under faults) ends the run at
+    quiescence instead of spinning.
     """
 
     def __init__(self, info: NodeInfo):
@@ -130,26 +134,25 @@ class _CountAndAck(Algorithm):
                 self.child_counts[src] = value
             elif kind == "n":
                 self.n = value
-        if rnd == 1 and self.parent is not None:
-            api.send(self.parent, ("child", 0))
-        if self.phase == "discover" and rnd >= 2:
+        if self.phase == "discover":
+            if rnd == 1:
+                if self.parent is not None:
+                    api.send(self.parent, ("child", 0))
+                api.wake_at(2)
+                return
             self.phase = "count"
-            api.wake_at(rnd + 1)
-            api.set_output(None)
-            self._maybe_send_count(api, rnd)
+            self._maybe_send_count(api)
+            if self.n is not None:  # a childless root: announce next round
+                api.wake_at(rnd + 1)
             return
-        if self.phase == "count":
-            self._maybe_send_count(api, rnd)
+        self._maybe_send_count(api)
         if self.n is not None and self.phase != "done":
             self.phase = "done"
             for child in self.children:
                 api.send(child, ("n", self.n))
             api.halt((self.n, tuple(sorted(self.children))))
-            return
-        if not api.halted and self.phase != "done":
-            api.wake_at(rnd + 1)
 
-    def _maybe_send_count(self, api: NodeAPI, rnd: int) -> None:
+    def _maybe_send_count(self, api: NodeAPI) -> None:
         if self.phase != "count":
             return
         if len(self.child_counts) == len(self.children):
@@ -228,6 +231,8 @@ def _build_global_tree(graph: Graph, seed: int,
         inputs={v: {"parent": parent[v]} for v in graph.nodes()},
         seed=seed, max_rounds=max_rounds)
     metrics.merge(count.metrics)
+    if any(output is None for output in count.outputs.values()):
+        raise AlgorithmError("count aggregation did not converge")
     n_root = count.outputs[root][0]
     if n_root != graph.n:
         raise RuntimeError(f"count aggregation failed: {n_root} != {graph.n}")

@@ -7,12 +7,12 @@ in-process LRU holds, whether cells run under cProfile -- plus the
 revision of the run in progress, which stamps captured profiles.
 
 The config is process-wide: :func:`current` is what the cache chains
-and the executor read.  :func:`update` changes it
-(``repro sweep`` / :func:`repro.runner.engine.run_sweep` apply their
-overrides through it), and pool workers receive the parent's config
-through the executor's pool initializer (:func:`install`), which
-behaves the same under every start method -- no environment variables
-are involved.  :func:`reset` returns a process to its pristine state
+and the executor read.  :func:`update` changes it (``repro sweep``
+sets every chain's store root and LRU size through it, and
+:func:`repro.runner.engine.run_sweep` its store-root keywords), and
+pool workers receive the parent's config through the executor's pool
+initializer (:func:`install`), which behaves the same under every
+start method -- no environment variables are involved.  :func:`reset` returns a process to its pristine state
 (the test-isolation hook).
 """
 

@@ -123,11 +123,6 @@ def provenance_counts(results: Sequence[CellResult], *,
     return counts
 
 
-def _source_counts(executed: Sequence[CellResult]) -> Dict[str, Any]:
-    """The manifest counter payload: provenance over executed cells."""
-    return provenance_counts(executed)
-
-
 def fault_counts(results: Sequence[CellResult]) -> Dict[str, Any]:
     """Fault-injection rollup over a set of cell results.
 
@@ -159,7 +154,7 @@ def fault_counts(results: Sequence[CellResult]) -> Dict[str, Any]:
 
 def _merge_counts(base: Optional[Dict[str, Any]],
                   update: Dict[str, Any]) -> Dict[str, Any]:
-    """Union of two ``_source_counts`` payloads (per-family key sums).
+    """Union of two :func:`provenance_counts` payloads (per-family key sums).
 
     A resumed run's manifest already carries the counters of the prior
     invocation(s); stamping only the current invocation's counts would
@@ -210,16 +205,10 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
               revision: Optional[str] = None,
               on_result: Optional[OnResult] = None,
               specs: Optional[Sequence[JobSpec]] = None,
-              graph_store_dir: "Optional[str]" = None,
-              graph_cache_size: Optional[int] = None,
-              oracle_store_dir: "Optional[str]" = None,
-              oracle_cache_size: Optional[int] = None,
-              decomposition_store_dir: "Optional[str]" = None,
-              decomposition_cache_size: Optional[int] = None,
-              telemetry: bool = True,
-              bench_history_dir: "Optional[str]" = None,
-              profile_store_dir: "Optional[str]" = None,
-              cprofile: Optional[bool] = None) -> SweepOutcome:
+              graph_store_dir: Optional[str] = None,
+              oracle_store_dir: Optional[str] = None,
+              decomposition_store_dir: Optional[str] = None,
+              bench_history_dir: Optional[str] = None) -> SweepOutcome:
     """Run (or resume) one sweep; see the module docstring.
 
     ``fresh=True`` always starts a new run directory even when an
@@ -241,55 +230,44 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     byte-identical records.  Unknown profile names raise ``KeyError``
     before any worker is spawned.
 
-    ``graph_store_dir`` / ``oracle_store_dir`` /
-    ``decomposition_store_dir`` connect the on-disk artifact store
-    families (:mod:`repro.store`) for this sweep, and
-    ``graph_cache_size`` / ``oracle_cache_size`` /
-    ``decomposition_cache_size`` re-size the per-worker LRUs.  These,
-    ``profile_store_dir`` and ``cprofile`` are settings of
-    the process-wide :class:`~repro.runner.config.SweepConfig` (which
-    pool workers receive at start-up): each non-None argument updates
-    it, None leaves the setting as it is.  The effective values are
-    recorded in the run manifest either way, and the run's store
-    hit/miss counters (graphs, oracles, and decompositions, from the
-    executed cells) are stamped onto the manifest -- merged across
-    invocations, so a resumed run's counters cover every invocation's
-    executed cells, and stamped even when the invocation is interrupted
-    mid-sweep.
+    Every other sweep setting (LRU sizes, round profiling, cProfile)
+    comes from the process-wide :class:`~repro.runner.config.SweepConfig`
+    (set it with :func:`repro.runner.config.update`; pool workers receive
+    it at start-up).  ``graph_store_dir`` / ``oracle_store_dir`` /
+    ``decomposition_store_dir`` are kept for ``perfbench/run.py``: each
+    non-None one updates that family's store root in the config, None
+    leaves it as it is.  ``bench_history_dir`` is accepted and ignored,
+    for the same caller.  The effective settings are recorded in the run
+    manifest, and the run's store hit/miss counters (graphs, oracles,
+    and decompositions, from the executed cells) are stamped onto it --
+    merged across invocations, so a resumed run's counters cover every
+    invocation's executed cells, and stamped even when the invocation
+    is interrupted mid-sweep.
 
-    ``telemetry`` (persisted runs only) writes the cell-lifecycle
-    timeline to ``telemetry.jsonl`` beside the records
-    (:mod:`repro.telemetry`); events flush as they happen, so an
-    interrupted sweep keeps its partial timeline and a resumed run
-    extends it.  Telemetry never touches ``records.jsonl`` -- canonical
-    cell records are byte-identical with it on or off.
+    A persisted run writes its cell-lifecycle timeline to
+    ``telemetry.jsonl`` beside the records (:mod:`repro.telemetry`);
+    events flush as they happen, so an interrupted sweep keeps its
+    partial timeline and a resumed run extends it.  Telemetry never
+    touches ``records.jsonl``.
 
-    ``bench_history_dir`` is accepted and ignored, so callers written
-    for the retired perf-history store keep working.
-
-    ``profile_store_dir`` turns on per-cell round profiling (``repro
-    sweep --profile``): every executed cell records its per-round
-    metric timeline and publishes it to the profiles artifact family
-    under that store root, keyed by the full cell coordinates plus the
-    run's revision; the cell's record gains only the ``profile_source``
-    provenance label (a NONDETERMINISTIC_FIELD), so canonical records
-    are byte-identical profile on/off.  ``cprofile=True`` additionally
-    wraps each cell body in ``cProfile`` and attaches the top hot
-    functions to the result (``CellResult.hot``), aggregated by
-    ``repro runs report``.
+    With ``profile_store`` set, every executed cell records its
+    per-round metric timeline and publishes it to the profiles artifact
+    family under that store root (``repro sweep --profile``), keyed by
+    the full cell coordinates plus the run's revision; the cell's
+    record gains only the ``profile_source`` provenance label (a
+    NONDETERMINISTIC_FIELD), so canonical records are byte-identical
+    profile on/off.  ``cprofile`` additionally wraps each cell body in
+    ``cProfile`` and attaches the top hot functions to the result
+    (``CellResult.hot``), aggregated by ``repro runs report``.
 
     Eligible cells run their whole metered execution on the array
     kernels (:mod:`repro.kernels`); each record's ``engine_source``
     provenance label (a NONDETERMINISTIC_FIELD) names the engine that
     served it.
     """
-    overrides = {
-        "graph_store": graph_store_dir, "graph_cache_size": graph_cache_size,
-        "oracle_store": oracle_store_dir,
-        "oracle_cache_size": oracle_cache_size,
-        "decomposition_store": decomposition_store_dir,
-        "decomposition_cache_size": decomposition_cache_size,
-        "profile_store": profile_store_dir, "cprofile": cprofile}
+    overrides = {"graph_store": graph_store_dir,
+                 "oracle_store": oracle_store_dir,
+                 "decomposition_store": decomposition_store_dir}
     config.update(**{name: value for name, value in overrides.items()
                      if value is not None})
 
@@ -339,9 +317,9 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     # The telemetry timeline rides beside the records of persisted
     # runs: strictly additive (its own file, flushed per event), so an
     # interrupted sweep keeps its partial timeline and the canonical
-    # records stay byte-identical telemetry on or off.
+    # records are the same as a storeless sweep's.
     log = None
-    if run is not None and telemetry:
+    if run is not None:
         from repro.telemetry import RunTelemetry, telemetry_path
 
         log = RunTelemetry(telemetry_path(run.path))
@@ -387,7 +365,7 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
             # of all executed cells.
             stamp = {"store_counters": _merge_counts(
                 run.manifest.get("store_counters"),
-                _source_counts(completed))}
+                provenance_counts(completed))}
             # Fault counters: merged the same way, stamped only when
             # this run has any (this or a prior invocation), so clean
             # runs' manifests keep their pre-fault-plane key set.

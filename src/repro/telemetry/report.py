@@ -213,7 +213,7 @@ def run_report(run, *, top: int = 10) -> str:
                      f"over {payload['invocations']} invocation(s)")
     else:
         lines.append("telemetry: no telemetry.jsonl recorded for this run "
-                     "(sweep predates it or ran with --no-telemetry)")
+                     "(the sweep predates it, or the file was removed)")
     faults = payload.get("faults")
     if faults:
         verdicts = faults.get("verdicts") or {}

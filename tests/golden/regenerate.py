@@ -79,15 +79,18 @@ def graph_digests() -> Dict[str, str]:
     return digests
 
 
+def fault_outcomes() -> Dict[str, Any]:
+    """``{profile: sweep outcome}`` over the golden fault cells."""
+    return {profile: run_sweep(FAULT_AXIS[profile], faults=[profile],
+                               fault_seed=FAULT_SEED)
+            for profile in FAULT_PROFILES}
+
+
 def fault_digests() -> Dict[str, str]:
     """``{"profile/cell label": canonical-record sha256}`` per fault cell."""
-    digests = {}
-    for profile in FAULT_PROFILES:
-        outcome = run_sweep(FAULT_AXIS[profile], faults=[profile],
-                            fault_seed=FAULT_SEED)
-        digests.update((f"{profile}/{label}", digest)
-                       for label, digest in tier1_digests(outcome).items())
-    return digests
+    return {f"{profile}/{label}": digest
+            for profile, outcome in fault_outcomes().items()
+            for label, digest in tier1_digests(outcome).items()}
 
 
 def _write(path: pathlib.Path, digests: Dict[str, str]) -> None:

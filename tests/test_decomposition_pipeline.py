@@ -271,15 +271,19 @@ def test_warm_cli_family_decompositions(tmp_path, capsys):
 # Engine integration + the sweep accounting regressions
 # ---------------------------------------------------------------------------
 
+def _every_store_no_lru(store_dir):
+    """Connect every chain to ``store_dir`` with its LRU off."""
+    config.update(graph_store=store_dir, graph_cache_size=0,
+                  oracle_store=store_dir, oracle_cache_size=0,
+                  decomposition_store=store_dir, decomposition_cache_size=0)
+
+
 def test_sweep_manifest_records_decomposition_settings_and_counters(
         tmp_path):
     runs = RunStore(tmp_path / "runs")
     store_dir = str(tmp_path / "store")
-    cold = run_sweep(["dense-gnp"], store=runs,
-                     graph_store_dir=store_dir, graph_cache_size=0,
-                     oracle_store_dir=store_dir, oracle_cache_size=0,
-                     decomposition_store_dir=store_dir,
-                     decomposition_cache_size=0)
+    _every_store_no_lru(store_dir)
+    cold = run_sweep(["dense-gnp"], store=runs)
     assert cold.run.manifest["decomposition_cache_size"] == 0
     assert cold.run.manifest["decomposition_store"] == store_dir
     # LRU off: the ldc cell computes + publishes the snapshot, the
@@ -288,11 +292,7 @@ def test_sweep_manifest_records_decomposition_settings_and_counters(
                                                        "store": 3}
     counters = cold.run.manifest["store_counters"]
     assert counters["decompositions"] == {"computed": 1, "store": 3}
-    warm_run = run_sweep(["dense-gnp"], store=runs, fresh=True,
-                         graph_store_dir=store_dir, graph_cache_size=0,
-                         oracle_store_dir=store_dir, oracle_cache_size=0,
-                         decomposition_store_dir=store_dir,
-                         decomposition_cache_size=0)
+    warm_run = run_sweep(["dense-gnp"], store=runs, fresh=True)
     assert warm_run.summary()["decomposition_sources"] == {"store": 4}
     assert warm_run.run.manifest["store_counters"]["decompositions"] \
         == {"store": 4}
@@ -304,18 +304,11 @@ def test_parallel_sweep_workers_share_the_decomposition_store(tmp_path):
     """Pool workers resolve the store from the env and serve every
     downstream cell's input snapshot from disk on the warm pass."""
     store_dir = str(tmp_path / "store")
-    cold = run_sweep(["dense-gnp", "grid"], workers=2,
-                     graph_store_dir=store_dir, graph_cache_size=0,
-                     oracle_store_dir=store_dir, oracle_cache_size=0,
-                     decomposition_store_dir=store_dir,
-                     decomposition_cache_size=0)
+    _every_store_no_lru(store_dir)
+    cold = run_sweep(["dense-gnp", "grid"], workers=2)
     assert cold.ok
     assert len(FamilyStore(DECOMPOSITION_FAMILY, store_dir).ls()) == 2  # one each
-    warm_run = run_sweep(["dense-gnp", "grid"], workers=2,
-                         graph_store_dir=store_dir, graph_cache_size=0,
-                         oracle_store_dir=store_dir, oracle_cache_size=0,
-                         decomposition_store_dir=store_dir,
-                         decomposition_cache_size=0)
+    warm_run = run_sweep(["dense-gnp", "grid"], workers=2)
     assert warm_run.ok
     assert set(warm_run.summary()["decomposition_sources"]) == {"store"}
     assert [r.canonical_record() for r in cold.results] == \
@@ -340,12 +333,9 @@ def test_resumed_sweep_merges_store_counters_across_invocations(tmp_path):
         if len(seen) == 5:  # through dense-gnp's mpx-cover cell
             raise _Interrupt()
 
-    kwargs = dict(store=runs, graph_store_dir=store_dir, graph_cache_size=0,
-                  oracle_store_dir=store_dir, oracle_cache_size=0,
-                  decomposition_store_dir=store_dir,
-                  decomposition_cache_size=0)
+    _every_store_no_lru(store_dir)
     with pytest.raises(_Interrupt):
-        run_sweep(["dense-gnp"], on_result=interrupt, **kwargs)
+        run_sweep(["dense-gnp"], store=runs, on_result=interrupt)
     (partial_run,) = runs.list_runs()
     partial = partial_run.manifest
     # Interrupted mid-sweep, the manifest still covers what ran:
@@ -353,7 +343,7 @@ def test_resumed_sweep_merges_store_counters_across_invocations(tmp_path):
     assert partial["store_counters"]["decompositions"] == {
         "computed": 1, "store": 1}
 
-    resumed = run_sweep(["dense-gnp"], **kwargs)
+    resumed = run_sweep(["dense-gnp"], store=runs)
     assert resumed.resumed and resumed.executed == 2
     assert resumed.skipped == 5
     counters = resumed.run.manifest["store_counters"]

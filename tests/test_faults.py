@@ -335,8 +335,7 @@ def test_faulted_differential_accepts_profile_objects():
 
 def test_sweep_with_faults_counts_and_replays(tmp_path):
     kwargs = dict(sizes=[16], seeds=[0], faults=["dup-storm"],
-                  fault_seed=2, graph_store_dir=None, oracle_store_dir=None,
-                  decomposition_store_dir=None, telemetry=False)
+                  fault_seed=2)
     first = run_sweep(["cycle"], store=RunStore(tmp_path / "a"), **kwargs)
     # Every cell ran under the profile and carries its coordinates.
     faulted = [r for r in first.results
@@ -360,9 +359,7 @@ def test_sweep_with_faults_counts_and_replays(tmp_path):
 def test_sweep_rejects_unknown_fault_profile(tmp_path):
     with pytest.raises(KeyError, match="unknown fault profile"):
         run_sweep(["cycle"], sizes=[16], faults=["nope"],
-                  store=RunStore(tmp_path / "runs"),
-                  graph_store_dir=None, oracle_store_dir=None,
-                  decomposition_store_dir=None, telemetry=False)
+                  store=RunStore(tmp_path / "runs"))
 
 
 # ---------------------------------------------------------------------------

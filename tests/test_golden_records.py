@@ -10,7 +10,9 @@
   CSR core builds byte-identical graphs (node ids as ``int``, weight
   types and dict order included).
 * The ``flaky-links`` / ``reorder-heavy`` fault cells at fault seed 7
-  must reproduce ``fault_records.json`` (verdicts included).
+  must reproduce ``fault_records.json`` (verdicts included), and none
+  of them may end at the fault plan's round limit: that guard is a last
+  resort against livelock, not how a faulted run normally stops.
 
 Regenerate the tables with ``tests/golden/regenerate.py`` only when a
 change is meant to alter canonical records or graphs.
@@ -23,10 +25,12 @@ from golden.regenerate import (
     GRAPH_TABLE,
     TABLE,
     fault_digests,
+    fault_outcomes,
     graph_digests,
     tier1_digests,
 )
 
+from repro.congest.faults import DEFAULT_ROUND_LIMIT
 from repro.kernels import REGISTRY
 from repro.runner import run_sweep
 
@@ -53,3 +57,12 @@ def test_fault_cells_match_the_golden_table():
     expected = json.loads(FAULT_TABLE.read_text())
     assert len(expected) == 14
     assert fault_digests() == expected
+
+
+def test_no_golden_fault_cell_ends_at_the_round_limit():
+    guard = f"max_rounds={DEFAULT_ROUND_LIMIT}"
+    for outcome in fault_outcomes().values():
+        for record in outcome.records:
+            error = (record.detail or {}).get("error") or ""
+            assert guard not in error, (record.scenario, record.algorithm,
+                                        error)

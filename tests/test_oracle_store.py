@@ -442,9 +442,9 @@ def test_decomposition_snapshot_round_trip(tmp_path):
 def test_sweep_manifest_records_oracle_settings_and_counters(tmp_path):
     runs = RunStore(tmp_path / "runs")
     store_dir = str(tmp_path / "store")
-    first = run_sweep(["path", "cycle"], store=runs,
-                      graph_store_dir=store_dir, graph_cache_size=0,
-                      oracle_store_dir=store_dir, oracle_cache_size=0)
+    config.update(graph_store=store_dir, graph_cache_size=0,
+                  oracle_store=store_dir, oracle_cache_size=0)
+    first = run_sweep(["path", "cycle"], store=runs)
     assert first.run.manifest["oracle_cache_size"] == 0
     assert first.run.manifest["oracle_store"] == store_dir
     # LRUs off: path's first cell computes + publishes the shared
@@ -458,9 +458,7 @@ def test_sweep_manifest_records_oracle_settings_and_counters(tmp_path):
     assert runs.open_run(first.run_id).manifest["store_counters"] \
         == counters
 
-    second = run_sweep(["path", "cycle"], store=runs, fresh=True,
-                       graph_store_dir=store_dir, graph_cache_size=0,
-                       oracle_store_dir=store_dir, oracle_cache_size=0)
+    second = run_sweep(["path", "cycle"], store=runs, fresh=True)
     assert second.summary()["oracle_sources"] == {"store": 3}
     assert second.run.manifest["store_counters"]["oracles"] == {
         "store": 3}
@@ -471,19 +469,16 @@ def test_sweep_manifest_records_oracle_settings_and_counters(tmp_path):
 def test_parallel_sweep_workers_share_the_oracle_store(tmp_path):
     """Pool workers publish into and read from one shared store."""
     store_dir = str(tmp_path / "store")
-    cold = run_sweep(["dense-gnp", "power-law"], workers=2,
-                     graph_store_dir=store_dir, graph_cache_size=0,
-                     oracle_store_dir=store_dir, oracle_cache_size=0)
+    config.update(graph_store=store_dir, graph_cache_size=0,
+                  oracle_store=store_dir, oracle_cache_size=0)
+    cold = run_sweep(["dense-gnp", "power-law"], workers=2)
     assert cold.ok
     store = FamilyStore(ORACLE_FAMILY, store_dir)
     # dense-gnp: unweighted-apsp + ldc-reference + the staged
     # mpx-cover/ldc-spanner/bs-hierarchy references; power-law:
     # unweighted-apsp.  (cover binds no oracle.)
     assert len(store.ls()) == 6
-    warm_run = run_sweep(["dense-gnp", "power-law"], workers=2,
-                         graph_store_dir=store_dir, graph_cache_size=0,
-                         oracle_store_dir=store_dir,
-                         oracle_cache_size=0)
+    warm_run = run_sweep(["dense-gnp", "power-law"], workers=2)
     assert warm_run.ok
     assert set(warm_run.summary()["oracle_sources"]) == {"store"}
     assert [r.canonical_record() for r in cold.results] == \

@@ -41,7 +41,7 @@ from repro.congest import (
 from repro.congest.profile import ADDITIVE_COLUMNS, COLUMNS
 from repro.graphs import gnp
 from repro.primitives import BFSMachine
-from repro.runner import RunStore, run_sweep
+from repro.runner import RunStore, config, run_sweep
 from repro.runner.jobs import CellResult, JobSpec
 from repro.store import (
     PROFILE_FAMILY,
@@ -238,8 +238,6 @@ def test_profile_covers_the_execution_not_the_resolves(algorithm):
     decomposition resolves, so a cold cell's timeline also held the
     inline decomposition build (bs-hierarchy@dense-gnp recorded 12
     segments and 700 messages cold, 5 segments and 266 messages warm)."""
-    from repro.runner import config
-
     config.reset()
     passes = []
     for _ in range(2):  # cold, then LRU-warm
@@ -318,10 +316,9 @@ def test_sweep_records_byte_identical_profile_on_or_off(tmp_path):
     """The profiling plane must never perturb the science."""
     plain = run_sweep(["path"], store=RunStore(tmp_path / "off"),
                       revision="rev-A")
+    config.update(profile_store=str(tmp_path / "profiles"), cprofile=True)
     profiled = run_sweep(["path"], store=RunStore(tmp_path / "on"),
-                         revision="rev-A",
-                         profile_store_dir=str(tmp_path / "profiles"),
-                         cprofile=True)
+                         revision="rev-A")
     assert _canonical(plain) == _canonical(profiled)
 
     # The profiled run carries provenance + hot rows *outside* the
@@ -358,9 +355,9 @@ def test_sweep_records_byte_identical_profile_on_or_off(tmp_path):
 
 def test_profiled_sweep_with_pool_workers(tmp_path):
     """Workers pick the profile store up from the parent's config."""
+    config.update(profile_store=str(tmp_path / "profiles"))
     outcome = run_sweep(["path"], store=RunStore(tmp_path / "runs"),
-                        revision="rev-A", workers=2,
-                        profile_store_dir=str(tmp_path / "profiles"))
+                        revision="rev-A", workers=2)
     assert outcome.ok
     for result in outcome.results:
         assert result.record["profile_source"].startswith("store:")
@@ -368,9 +365,9 @@ def test_profiled_sweep_with_pool_workers(tmp_path):
 
 
 def test_profiled_record_survives_reload(tmp_path):
+    config.update(profile_store=str(tmp_path / "profiles"))
     outcome = run_sweep(["path"], store=RunStore(tmp_path / "runs"),
-                        revision="rev-A",
-                        profile_store_dir=str(tmp_path / "profiles"))
+                        revision="rev-A")
     (run,) = RunStore(tmp_path / "runs").list_runs()
     for result in run.load_results():
         assert result.record["profile_source"].startswith("store:")
@@ -589,7 +586,7 @@ def test_profile_capture_env_propagation(tmp_path, monkeypatch):
     """
     import os
 
-    from repro.runner import SweepConfig, config, executor
+    from repro.runner import SweepConfig, executor
 
     before = dict(os.environ)
     config.update(profile_store=str(tmp_path / "profiles"), cprofile=True,

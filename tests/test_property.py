@@ -28,6 +28,7 @@ from repro.congest import (
     run_machines,
 )
 from repro.congest.errors import AlgorithmError, CongestError
+from repro.congest.faults import get_fault_profile
 from repro.congest.metrics import undirected
 from repro.congest.profile import ADDITIVE_COLUMNS
 from repro.core.aggregation import check_idempotent
@@ -60,7 +61,10 @@ from repro.primitives import (
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
 from repro.primitives.bfs import BFSCollectionMachine
 from repro.primitives.luby import LubyMISMachine
+from repro.scenarios import BINDINGS, get_scenario
 from repro.store import DECOMPOSITION_FAMILY, GRAPH_FAMILY, FamilyStore
+from repro.testing import run_differential
+from repro.testing.differential import DIVERGED
 
 settings.register_profile(
     "repro", deadline=None,
@@ -644,6 +648,64 @@ def test_cell_context_replays_faults_and_sums_profiles(g, seed):
             == "vectorized:fallback"
     kernels_config.note_engine("kernel:bfs-wavefront")  # outside: no-op
     assert current_cell().engine_note is None
+
+
+# One small scenario per differential binding (a binding missing here
+# fails its parametrized case below).
+BINDING_CELLS = {
+    "apsp-unweighted": "dense-gnp", "apsp-weighted": "dense-gnp-weighted",
+    "bfs-collection": "dense-gnp", "matching": "bipartite-balanced",
+    "cover": "dense-gnp", "ldc": "dense-gnp", "mpx-cover": "dense-gnp",
+    "ldc-spanner": "dense-gnp", "bs-hierarchy": "dense-gnp"}
+CELL_SIZE = 10
+# Fault profiles without node crashes.  Matching draws only the ones
+# that lose no message: its Israeli-Itai stage keeps proposing to a
+# neighbor whose "matched" or "accept" message was lost, so a lossy
+# matching cell can run to the 200,000-round livelock guard (1-3 s).
+REPLAY_PROFILES = ("lossy-light", "dup-storm", "reorder-heavy",
+                   "flaky-links")
+LOSSLESS_PROFILES = ("dup-storm", "reorder-heavy")
+
+
+@pytest.mark.parametrize("algorithm", sorted(BINDINGS))
+@settings(max_examples=6)
+@given(data=st.data(), seed=st.integers(0, 1_000),
+       fault_seed=st.integers(0, 1_000))
+def test_faulted_cells_replay_and_profiles_sum_to_the_record(
+        algorithm, data, seed, fault_seed):
+    """Every differential binding, run twice under one fault profile
+    with a profiler: the records and timelines replay byte for byte,
+    and a completed cell's timeline sums to the metrics it records."""
+    profile = data.draw(st.sampled_from(
+        LOSSLESS_PROFILES if algorithm == "matching" else REPLAY_PROFILES))
+    scenario = get_scenario(BINDING_CELLS[algorithm])
+    runs = []
+    for _ in range(2):
+        profiler = RoundProfiler()
+        record = run_differential(scenario, algorithm, size=CELL_SIZE,
+                                  seed=seed, faults=profile,
+                                  fault_seed=fault_seed, profiler=profiler)
+        runs.append((record, profiler.profile()))
+    (record, timeline), (again, replayed) = runs
+    assert record.canonical_dict() == again.canonical_dict()
+    assert sorted(timeline.columns) == sorted(replayed.columns)
+    for name, column in timeline.columns.items():
+        assert np.array_equal(column, replayed.columns[name]), name
+    if record.fault_verdict == DIVERGED:
+        return  # an aborted execution records no metrics
+    billed = dict(record.metrics)
+    if algorithm == "bs-hierarchy":
+        # It bills only its own construction; under faults the LDC
+        # snapshot it builds on is computed inline, inside the profile.
+        graph = scenario.graph(CELL_SIZE, seed=seed)
+        with cell_context(faults=get_fault_profile(profile).realize(
+                graph, fault_seed)):
+            inline = ldc_snapshot(build_ldc(
+                graph, seed=scenario.seed_for(CELL_SIZE, seed)))["metrics"]
+        billed = {name: billed.get(name, 0) + inline.get(name, 0)
+                  for name in ADDITIVE_COLUMNS}
+    assert timeline.totals() == {name: billed.get(name, 0)
+                                 for name in ADDITIVE_COLUMNS}
 
 
 # ----------------------------------------------------------------------

@@ -415,8 +415,8 @@ def test_gc_rejects_negative_budgets(tmp_path):
 def test_sweep_manifest_records_cache_and_store(tmp_path):
     runs = RunStore(tmp_path / "runs")
     store_dir = str(tmp_path / "graph-store")
-    first = run_sweep(["path", "cycle"], store=runs,
-                      graph_store_dir=store_dir, graph_cache_size=0)
+    config.update(graph_store=store_dir, graph_cache_size=0)
+    first = run_sweep(["path", "cycle"], store=runs)
     assert first.run.manifest["graph_cache_size"] == 0
     assert first.run.manifest["graph_store"] == store_dir
     # With the LRU off, path's first cell builds + publishes and its
@@ -427,8 +427,7 @@ def test_sweep_manifest_records_cache_and_store(tmp_path):
 
     # A second sweep over the warm store serves every graph from
     # disk -- with byte-identical canonical records.
-    second = run_sweep(["path", "cycle"], store=runs, fresh=True,
-                       graph_store_dir=store_dir, graph_cache_size=0)
+    second = run_sweep(["path", "cycle"], store=runs, fresh=True)
     assert second.summary()["graph_sources"] == {"store": 3}
     assert [r.canonical_record() for r in first.results] == \
         [r.canonical_record() for r in second.results]
@@ -437,13 +436,12 @@ def test_sweep_manifest_records_cache_and_store(tmp_path):
 def test_parallel_sweep_workers_share_the_store(tmp_path):
     """Pool workers publish into and read from one shared store."""
     store_dir = str(tmp_path / "graph-store")
-    cold = run_sweep(["dense-gnp", "power-law"], workers=2,
-                     graph_store_dir=store_dir, graph_cache_size=0)
+    config.update(graph_store=store_dir, graph_cache_size=0)
+    cold = run_sweep(["dense-gnp", "power-law"], workers=2)
     assert cold.ok
     store = FamilyStore(GRAPH_FAMILY, store_dir)
     assert len(store.ls()) == 2  # one snapshot per scenario x size
-    warm_run = run_sweep(["dense-gnp", "power-law"], workers=2,
-                         graph_store_dir=store_dir, graph_cache_size=0)
+    warm_run = run_sweep(["dense-gnp", "power-law"], workers=2)
     assert warm_run.ok
     assert warm_run.summary()["graph_sources"] == {
         "store": len(warm_run.results)}
@@ -468,9 +466,9 @@ def test_restored_cells_do_not_pollute_graph_source_summary(tmp_path):
         if len(seen) == 2:
             raise Stop()
 
+    config.update(graph_store=store_dir, graph_cache_size=0)
     with pytest.raises(Stop):
         run_sweep(["path", "cycle"], store=runs, revision="rev-A",
-                  graph_store_dir=store_dir, graph_cache_size=0,
                   on_result=interrupt)
     graph_cache.configure_store(None)
     resumed = run_sweep(["path", "cycle"], store=runs,
@@ -576,32 +574,27 @@ def test_cli_store_warm_unknown_scenario_is_clean_error(tmp_path, capsys):
 
 def test_cli_sweep_store_flags(tmp_path, capsys):
     runs_dir = str(tmp_path / "runs")
-    base = ["sweep", "--runs-dir", runs_dir, "--names", "path",
-            "--graph-cache-size", "0", "--oracle-cache-size", "0"]
+    base = ["sweep", "--runs-dir", runs_dir, "--names", "path"]
     assert main(base) == 0
     out = capsys.readouterr().out
-    # LRUs off: path's first cell builds + publishes, the second
-    # cell of the same key is already served from the store -- for
-    # the graph and the shared unweighted-apsp baseline alike.
-    assert "graph sources: 1 built, 1 store" in out
-    assert "oracle sources: 1 computed, 1 store" in out
+    # Every sweep starts with empty LRUs: path's first cell builds +
+    # publishes, the second cell of the same key is served from the
+    # LRU -- for the graph and the shared unweighted-apsp baseline
+    # alike.
+    assert "graph sources: 1 built, 1 lru" in out
+    assert "oracle sources: 1 computed, 1 lru" in out
     # Default --store-dir co-locates the artifacts with the runs.
     assert (tmp_path / "runs" / "store").is_dir()
     assert main(base + ["--fresh"]) == 0
     out = capsys.readouterr().out
-    assert "graph sources: 2 store" in out
-    assert "oracle sources: 2 store" in out
-    # --no-oracle-store recomputes baselines, keeps graph snapshots.
-    assert main(base + ["--no-oracle-store", "--fresh"]) == 0
-    out = capsys.readouterr().out
-    assert "graph sources: 2 store" in out
-    assert ("oracle sources: 2 computed" in out
-            and "oracle store off" in out)
-    # --no-store disconnects both chains entirely.
+    assert "graph sources: 1 lru, 1 store" in out
+    assert "oracle sources: 1 lru, 1 store" in out
+    # --no-store disconnects every chain.
     assert main(base + ["--no-store", "--fresh"]) == 0
     out = capsys.readouterr().out
-    assert "graph sources: 2 built" in out and "graph store off" in out
-    assert ("oracle sources: 2 computed" in out
+    assert "graph sources: 1 built, 1 lru" in out
+    assert "graph store off" in out
+    assert ("oracle sources: 1 computed, 1 lru" in out
             and "oracle store off" in out)
 
 
@@ -642,6 +635,18 @@ def test_store_bench_raises_before_timing_on_a_diverged_load(monkeypatch,
     monkeypatch.setattr(FamilyStore, "load", lambda self, *coords: None)
     with pytest.raises(RuntimeError, match="diverged"):
         bench.run_benchmark(name, smoke=True)
+
+
+def test_fastpath_bench_smoke_runs_a_small_graph(tmp_path, capsys):
+    assert main(["bench", "simulator-fastpath", "--smoke", "--json",
+                 "--out", str(tmp_path)]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    extra = report["metadata"]["extra"]
+    assert extra["smoke"] is True and extra["n"] < 200
+    assert set(report["timings_seconds"]) == {
+        f"{label}.{path}" for label in ("bfs_flood", "luby_mis")
+        for path in ("seed_scalar_path", "vectorized_fast_path")}
+    assert (tmp_path / "BENCH_simulator_fastpath.json").is_file()
 
 
 def test_fastpath_bench_raises_on_a_diverging_run(monkeypatch):

@@ -7,12 +7,17 @@ Pins:
   of them on leaves ``os.environ`` exactly as it found it;
 * **isolation** -- ``config.reset()`` restores the defaults and empties
   every artifact chain's LRU, so one call isolates tests;
+* **one way in** -- ``run_sweep`` takes no LRU-size, telemetry or
+  profiling argument and ``repro sweep`` no per-family store, LRU-size
+  or telemetry flag; only the store-root keywords ``perfbench/run.py``
+  passes remain;
 * **workers see the parent's config under spawn** -- the executor hands
   the config to each pool worker through the pool initializer, so a
   spawn-started pool resolves the same stores, cache sizes and profile
   capture as the parent, and serves eligible cells on the kernels.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -20,7 +25,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.cli import build_parser, main
 from repro.runner import RunStore, SweepConfig, config, graph_cache, \
     run_sweep
 from repro.scenarios import get_scenario
@@ -57,21 +65,49 @@ def test_preserved_restores_the_config(tmp_path):
 def test_run_sweep_leaves_no_repro_env(tmp_path):
     before = dict(os.environ)
     store_dir = str(tmp_path / "store")
+    config.update(graph_store=store_dir, graph_cache_size=4,
+                  oracle_store=store_dir, oracle_cache_size=4,
+                  decomposition_store=store_dir, decomposition_cache_size=4,
+                  profile_store=store_dir, cprofile=True)
     outcome = run_sweep(["path"], store=RunStore(tmp_path / "runs"),
-                        revision="rev-A",
-                        graph_store_dir=store_dir, graph_cache_size=4,
-                        oracle_store_dir=store_dir, oracle_cache_size=4,
-                        decomposition_store_dir=store_dir,
-                        decomposition_cache_size=4,
-                        profile_store_dir=store_dir, cprofile=True)
+                        revision="rev-A")
     assert outcome.ok
     assert dict(os.environ) == before
 
 
+# What perfbench/run.py passes to run_sweep; its README lists these as
+# entry points a refactor must keep callable.
+PERFBENCH_KEYWORDS = {"specs", "store", "revision", "fresh", "on_result",
+                      "graph_store_dir", "oracle_store_dir",
+                      "decomposition_store_dir", "bench_history_dir"}
+
+
+def test_sweep_settings_come_only_from_the_config():
+    """LRU sizes, telemetry and profiling are not sweep arguments or
+    ``repro sweep`` flags: the config (and ``--store`` / ``--profile`` /
+    ``--cprofile``) is the one way to set them."""
+    params = set(inspect.signature(run_sweep).parameters)
+    removed = {"graph_cache_size", "oracle_cache_size",
+               "decomposition_cache_size", "profile_store_dir", "cprofile",
+               "telemetry"}
+    assert not removed & params, removed & params
+    assert PERFBENCH_KEYWORDS <= params, PERFBENCH_KEYWORDS - params
+    parser = build_parser()
+    for flag in ("--oracle-store", "--no-oracle-store",
+                 "--decomposition-store", "--no-decomposition-store",
+                 "--graph-cache-size=0", "--oracle-cache-size=0",
+                 "--decomposition-cache-size=0", "--telemetry",
+                 "--no-telemetry"):
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args(["sweep", flag])
+        assert exited.value.code == 2, flag
+
+
 # A spawn-started pool shares no memory with the parent: whatever the
 # workers know about stores, cache sizes and profiling arrived through
-# the pool initializer, and kernels serve them by default.  LRUs are sized 0 so every resolve goes
-# to the store, which also shows the sizes reached the workers.
+# the pool initializer, and kernels serve them by default.  LRUs are
+# sized 0 so every resolve goes to the store, which also shows the sizes
+# reached the workers.
 SPAWN_SWEEP = textwrap.dedent("""
     import json
     import multiprocessing
@@ -80,14 +116,10 @@ SPAWN_SWEEP = textwrap.dedent("""
     from repro.runner import RunStore, config, run_sweep
 
 
-    def sweep(root, **settings):
-        store = root + "/store"
+    def sweep(root):
         outcome = run_sweep(
             ["path", "grid"], workers=2, store=RunStore(root + "/runs"),
-            revision="rev-A", fresh=True, graph_store_dir=store,
-            oracle_store_dir=store, decomposition_store_dir=store,
-            graph_cache_size=0, oracle_cache_size=0,
-            decomposition_cache_size=0, **settings)
+            revision="rev-A", fresh=True)
         assert outcome.ok
         return [result.record for result in outcome.results]
 
@@ -95,7 +127,12 @@ SPAWN_SWEEP = textwrap.dedent("""
     if __name__ == "__main__":
         multiprocessing.set_start_method("spawn")
         root = sys.argv[1]
-        cold = sweep(root, profile_store_dir=root + "/store")
+        store = root + "/store"
+        config.update(graph_store=store, oracle_store=store,
+                      decomposition_store=store, graph_cache_size=0,
+                      oracle_cache_size=0, decomposition_cache_size=0,
+                      profile_store=store)
+        cold = sweep(root)
         config.update(profile_store=None)
         warm = sweep(root)
         print(json.dumps({"cold": cold, "warm": warm}))
@@ -139,29 +176,27 @@ def test_spawned_workers_receive_the_parent_config(tmp_path):
 
 
 def test_sweep_cli_sizes_do_not_leak_into_the_next_sweep(tmp_path):
-    """An absent --*-cache-size flag means the SweepConfig default, not
-    whatever an earlier sweep in the same process configured."""
-    from repro.cli import main
-
-    def manifest(runs_dir):
-        (run,) = RunStore(runs_dir).list_runs()
-        return run.manifest
-
-    common = ["sweep", "--names", "path", "--no-telemetry"]
-    assert main(common + ["--runs-dir", str(tmp_path / "a"),
-                          "--graph-cache-size", "0",
-                          "--oracle-cache-size", "1",
-                          "--decomposition-cache-size", "2"]) == 0
-    sized = manifest(tmp_path / "a")
-    assert (sized["graph_cache_size"], sized["oracle_cache_size"],
-            sized["decomposition_cache_size"]) == (0, 1, 2)
-    assert main(common + ["--runs-dir", str(tmp_path / "b")]) == 0
-    plain = manifest(tmp_path / "b")
+    """``repro sweep`` runs on the SweepConfig defaults, not on whatever
+    an earlier ``config.update`` in the same process configured."""
+    elsewhere = str(tmp_path / "elsewhere")
+    config.update(graph_cache_size=0, oracle_cache_size=1,
+                  decomposition_cache_size=2, oracle_store=elsewhere,
+                  profile_store=elsewhere, cprofile=True)
+    runs_dir = tmp_path / "runs"
+    assert main(["sweep", "--names", "path", "--runs-dir",
+                 str(runs_dir)]) == 0
+    (run,) = RunStore(runs_dir).list_runs()
+    manifest = run.manifest
     defaults = SweepConfig()
-    assert (plain["graph_cache_size"], plain["oracle_cache_size"],
-            plain["decomposition_cache_size"]) == (
+    assert (manifest["graph_cache_size"], manifest["oracle_cache_size"],
+            manifest["decomposition_cache_size"]) == (
         defaults.graph_cache_size, defaults.oracle_cache_size,
         defaults.decomposition_cache_size)
+    store_dir = str(runs_dir / "store")
+    assert (manifest["graph_store"], manifest["oracle_store"],
+            manifest["decomposition_store"]) == (store_dir,) * 3
+    assert "profile_store" not in manifest
+    assert "cprofile" not in manifest
 
 
 # Each cache module builds its chain on import; whichever comes first,

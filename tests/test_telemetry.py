@@ -78,13 +78,14 @@ def test_sweep_writes_timeline_beside_records(tmp_path):
 
 
 def test_canonical_records_identical_telemetry_on_or_off(tmp_path):
-    """The observability plane must never perturb the science."""
+    """The observability plane must never perturb the science: a
+    persisted run (which always writes telemetry) records the same
+    canonical bytes as a storeless sweep (which writes none)."""
     on = run_sweep(["path"], store=RunStore(tmp_path / "on"),
                    revision="rev-A")
-    off = run_sweep(["path"], store=RunStore(tmp_path / "off"),
-                    revision="rev-A", telemetry=False)
+    off = run_sweep(["path"])
     assert telemetry_path(on.run.path).exists()
-    assert not telemetry_path(off.run.path).exists()
+    assert off.run is None
     canonical = lambda o: json.dumps(
         [r.canonical_record() for r in o.results], sort_keys=True).encode()
     assert canonical(on) == canonical(off)
@@ -216,9 +217,9 @@ def test_cli_runs_report_unknown_run_errors(tmp_path, capsys):
 
 def test_cli_runs_report_without_telemetry_falls_back(tmp_path, capsys):
     runs_dir = str(tmp_path / "runs")
-    assert main(["sweep", "--names", "path", "--runs-dir", runs_dir,
-                 "--no-telemetry"]) == 0
+    assert main(["sweep", "--names", "path", "--runs-dir", runs_dir]) == 0
     (run,) = RunStore(runs_dir).list_runs()
+    telemetry_path(run.path).unlink()
     capsys.readouterr()
     assert main(["runs", "report", run.run_id, "--runs-dir", runs_dir]) == 0
     assert "no telemetry.jsonl recorded" in capsys.readouterr().out
