@@ -9,8 +9,9 @@ numbers; this module pins one schema and one entry point so every
 "metadata": {"python": ..., "revision": ..., "extra": {...}}}``
 
 A benchmark is a callable taking ``smoke`` and returning a
-:class:`BenchReport`; ``repro bench`` runs the requested (or all) registered benchmarks and
-writes ``BENCH_<name>.json`` next to the repository root (or ``--out``).
+:class:`BenchReport`; ``repro bench`` runs the requested (or all)
+registered benchmarks and writes ``BENCH_<name>.json`` next to the
+repository root (or ``--out``).
 Timing labels are dotted paths (``sweep_construction.cold_store``) so nested
 comparisons stay flat and diffable; speedup keys name the comparison
 they summarize.
@@ -410,7 +411,7 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
 # simulator-fastpath: the PR-1 round-loop benchmark, shared schema
 # ---------------------------------------------------------------------------
 
-# The full workload is the PR-1 dense graph; smoke is CI-sized.
+# The full workload is the original dense graph; smoke is CI-sized.
 _FASTPATH_FULL = {"n": 200, "reps": 3}
 _FASTPATH_SMOKE = {"n": 60, "reps": 1}
 

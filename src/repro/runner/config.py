@@ -12,8 +12,8 @@ sets every chain's store root and LRU size through it, and
 :func:`repro.runner.engine.run_sweep` its store-root keywords), and
 pool workers receive the parent's config through the executor's pool
 initializer (:func:`install`), which behaves the same under every
-start method -- no environment variables are involved.  :func:`reset` returns a process to its pristine state
-(the test-isolation hook).
+start method -- no environment variables are involved.  :func:`reset`
+returns a process to its pristine state (the test-isolation hook).
 """
 
 from __future__ import annotations
