@@ -17,7 +17,6 @@ from repro.congest.faults import (
     fault_profile_names,
     get_fault_profile,
 )
-from repro.congest.tracing import ReprPayload, TraceEvent, Tracer, format_trace
 from repro.congest.profile import (
     RoundProfile,
     RoundProfiler,
@@ -38,11 +37,12 @@ from repro.congest.network import (
 )
 
 __all__ = [
-    "Algorithm", "CellContext", "ComposedExecution", "TraceEvent", "Tracer", "compose_machines", "format_trace", "AlgorithmError", "BroadcastOnly", "CongestError",
+    "Algorithm", "AlgorithmError", "BroadcastOnly", "CellContext",
+    "ComposedExecution", "CongestError", "compose_machines",
     "DuplicateSend", "Execution", "FaultPlan", "FaultProfile", "LocalRunner",
     "Machine", "MachineAdapter", "MessageTooLarge", "Metrics",
     "ModelViolation", "Network", "NodeAPI", "NodeInfo", "NotANeighbor",
-    "ReprPayload", "RoundProfile", "RoundProfiler",
+    "RoundProfile", "RoundProfiler",
     "cell_context", "current_cell", "fault_profile_names",
     "get_fault_profile", "make_node_info", "mark_phase", "node_seed",
     "payload_words", "run_algorithm", "run_machines", "undirected",

@@ -11,7 +11,7 @@ Design constraints, in order:
 * **Fault-free executions must not change by a byte.**  A ``Network``
   without a plan -- or with the inert :meth:`FaultPlan.none` -- draws no
   fault randomness, touches no inbox, and emits no fault meter keys, so
-  every existing record, trace, and telemetry line is byte-identical to
+  every existing record and telemetry line is byte-identical to
   the pre-fault-plane code (pinned by ``tests/test_faults.py``).
 * **Decisions are coordinate-seeded, not stream-seeded.**  Every
   per-delivery decision derives its own uniform from
@@ -20,11 +20,11 @@ Design constraints, in order:
   depend on iteration order, which is what makes the scalar and the
   vectorized broadcast path inject *identically*, and what makes the
   same fault seed replay to byte-identical records across processes.
-* **Every injected event is metered and traceable.**  Drops, duplicates
-  and crashes land in :class:`~repro.congest.metrics.Metrics`
-  (``faults_dropped`` / ``faults_duplicated`` / ``nodes_crashed``) and,
-  when a :class:`~repro.congest.tracing.Tracer` is attached, in the
-  trace as ``drop`` / ``dup`` / ``crash`` events.
+* **Every injected event is metered.**  Drops, duplicates and crashes
+  land in :class:`~repro.congest.metrics.Metrics` (``faults_dropped`` /
+  ``faults_duplicated`` / ``nodes_crashed``) and, under a
+  :class:`~repro.congest.profile.RoundProfiler`, in the round they
+  happened.
 
 A :class:`FaultPlan` is graph-specific (its link/crash schedules name
 real edges and nodes); the named :class:`FaultProfile` entries in
@@ -51,7 +51,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.congest.metrics import Edge, Metrics, undirected as edge_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.congest.tracing import Tracer
     from repro.graphs.graph import Graph
 
 # Livelock guard for faulted executions: an algorithm spinning on a
@@ -127,8 +126,7 @@ class FaultPlan:
             _stable_seed("faults", self.seed, *parts)).random()
 
     def deliver_copies(self, rnd: int, src: int, dst: int,
-                       metrics: Metrics,
-                       tracer: Optional["Tracer"]) -> int:
+                       metrics: Metrics) -> int:
         """How many copies of this send arrive (0 = dropped, 2 = duped).
 
         The send itself has already been metered by the network -- the
@@ -137,30 +135,23 @@ class FaultPlan:
         failed_at = self.link_failures.get(edge_key(src, dst))
         if failed_at is not None and rnd >= failed_at:
             metrics.record_fault_drop()
-            if tracer is not None:
-                tracer.record_drop(rnd, src, dst)
             return 0
         if self.drop and self._uniform(rnd, src, dst, "drop") < self.drop:
             metrics.record_fault_drop()
-            if tracer is not None:
-                tracer.record_drop(rnd, src, dst)
             return 0
         if (self.duplicate
                 and self._uniform(rnd, src, dst, "dup") < self.duplicate):
             metrics.record_fault_duplicate()
-            if tracer is not None:
-                tracer.record_duplicate(rnd, src, dst)
             return 2
         return 1
 
     def begin_round(self, rnd: int, inboxes: Dict[int, list],
-                    crashed: set, metrics: Metrics,
-                    tracer: Optional["Tracer"]) -> List[int]:
+                    crashed: set, metrics: Metrics) -> List[int]:
         """Apply round-boundary faults; return the newly crashed nodes.
 
         Called by the network right after it advances to ``rnd`` with
         the inboxes about to be consumed: registers node crashes whose
-        schedule has come due (metered and traced once per node) and
+        schedule has come due (metered once per node) and
         shuffles inboxes selected by the reorder probability.  The
         shuffle permutation comes from the same coordinate-seeded
         stream, so replays and both delivery paths agree on it.
@@ -171,8 +162,6 @@ class FaultPlan:
                 crashed.add(v)
                 newly.append(v)
                 metrics.record_node_crash()
-                if tracer is not None:
-                    tracer.record_crash(rnd, v)
         if self.reorder:
             for dst, box in inboxes.items():
                 if len(box) < 2:

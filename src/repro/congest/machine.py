@@ -139,7 +139,6 @@ class MachineAdapter(Algorithm):
 def run_machines(graph: "Graph", factory: MachineFactory, *,
                  inputs: Optional[Dict[int, Any]] = None,
                  word_limit: int = 8, seed: int = 0,
-                 check_sizes: bool = True, tracer=None,
                  max_rounds: int = 5_000_000) -> Execution:
     """Execute a BCONGEST machine collection directly on the network.
 
@@ -156,8 +155,7 @@ def run_machines(graph: "Graph", factory: MachineFactory, *,
 
     execution = run_algorithm(
         graph, make, inputs=inputs, word_limit=word_limit, bcast_only=True,
-        seed=seed, check_sizes=check_sizes, tracer=tracer,
-        max_rounds=max_rounds)
+        seed=seed, max_rounds=max_rounds)
     # Surface machine outputs even for machines that never halted
     # (e.g. depth-limited BFS at unreachable nodes).
     for v, machine in machines.items():

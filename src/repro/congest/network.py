@@ -42,10 +42,9 @@ from repro.congest.errors import (
     MessageTooLarge,
     NotANeighbor,
 )
-from repro.congest.metrics import Metrics, undirected as edge_key
+from repro.congest.metrics import Metrics
 from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.congest.tracing import Tracer
     from repro.graphs.graph import Graph
 
 Payload = Any
@@ -174,13 +173,9 @@ class NodeAPI:
 
     def halt(self, output: Any = None) -> None:
         """Terminate locally with the given output."""
-        already = self._halted
         self._halted = True
         if output is not None:
             self._output = output
-        if self._net.tracer is not None and not already:
-            self._net.tracer.record_halt(self._net.round, self._id,
-                                         self._output)
 
     def set_output(self, output: Any) -> None:
         """Record output without halting (for multi-stage algorithms)."""
@@ -230,11 +225,7 @@ def make_node_info(graph: "Graph", v: int, *,
     weights = None
     in_weights = None
     if graph.is_weighted:
-        if hasattr(graph, "node_weight_views"):
-            weights, in_weights = graph.node_weight_views(v)
-        else:  # pragma: no cover - duck-typed graph stand-ins
-            weights = {u: graph.weight(v, u) for u in graph.neighbors(v)}
-            in_weights = {u: graph.weight(u, v) for u in graph.neighbors(v)}
+        weights, in_weights = graph.node_weight_views(v)
     return NodeInfo(
         id=v,
         neighbors=graph.neighbors(v),
@@ -297,10 +288,8 @@ class Network:
 
     def __init__(self, graph: "Graph", *, word_limit: int = 8,
                  bcast_only: bool = False, known_n: bool = True,
-                 seed: int = 0, check_sizes: bool = True,
-                 tracer: Optional["Tracer"] = None):
+                 seed: int = 0, check_sizes: bool = True):
         self.graph = graph
-        self.tracer = tracer
         self.word_limit = word_limit
         self.bcast_only = bcast_only
         self.known_n = known_n
@@ -325,16 +314,9 @@ class Network:
         # memoized on the Graph instance (graphs are immutable), so the
         # differential harness and multi-algorithm sweep cells that run
         # several Networks over one graph derive them exactly once.
-        if hasattr(graph, "nbr_sets"):
-            self._nbr_sets: Dict[int, frozenset] = graph.nbr_sets()
-            self._edge_keys: Dict[int, Tuple[Tuple[int, int], ...]] = (
-                graph.edge_keys())
-        else:  # pragma: no cover - duck-typed graph stand-ins
-            self._nbr_sets = {
-                v: frozenset(nbrs) for v, nbrs in graph.adj.items()}
-            self._edge_keys = {
-                v: tuple(edge_key(v, u) for u in graph.adj[v])
-                for v in graph.adj}
+        self._nbr_sets: Dict[int, frozenset] = graph.nbr_sets()
+        self._edge_keys: Dict[int, Tuple[Tuple[int, int], ...]] = (
+            graph.edge_keys())
         self._size_cache: Dict[Payload, int] = {}
 
     # ------------------------------------------------------------------
@@ -395,11 +377,9 @@ class Network:
         else:
             size = 1
         self.metrics.record_send(src, dst, max(1, size))
-        if self.tracer is not None:
-            self.tracer.record_send(self.round, src, dst, payload)
         if self._faults is not None:
             copies = self._faults.deliver_copies(
-                self.round, src, dst, self.metrics, self.tracer)
+                self.round, src, dst, self.metrics)
             if not copies:
                 return
             box = self._next_inboxes.setdefault(dst, [])
@@ -438,9 +418,6 @@ class Network:
             size = 1
         self.metrics.record_broadcast_sends(self._edge_keys[src],
                                             max(1, size))
-        if self.tracer is not None:
-            for dst in nbrs:
-                self.tracer.record_send(self.round, src, dst, payload)
         msg = (src, payload)
         inboxes = self._next_inboxes
         if self._faults is not None:
@@ -450,7 +427,7 @@ class Network:
             faults = self._faults
             for dst in nbrs:
                 copies = faults.deliver_copies(
-                    self.round, src, dst, self.metrics, self.tracer)
+                    self.round, src, dst, self.metrics)
                 if not copies:
                     continue
                 box = inboxes.setdefault(dst, [])
@@ -465,10 +442,6 @@ class Network:
                 box.append(msg)
 
     # ------------------------------------------------------------------
-    def node_info(self, v: int, inputs: Optional[Dict[int, Any]]) -> NodeInfo:
-        return make_node_info(self.graph, v, inputs=inputs,
-                              known_n=self.known_n, seed=self.seed)
-
     def run(self, factory: Callable[[NodeInfo], Algorithm], *,
             inputs: Optional[Dict[int, Any]] = None,
             max_rounds: int = 5_000_000) -> Execution:
@@ -493,7 +466,8 @@ class Network:
         apis: Dict[int, NodeAPI] = {}
         algos: Dict[int, Algorithm] = {}
         for v in self.graph.nodes():
-            info = self.node_info(v, inputs)
+            info = make_node_info(self.graph, v, inputs=inputs,
+                                  known_n=self.known_n, seed=self.seed)
             algos[v] = factory(info)
             apis[v] = NodeAPI(self, info)
 
@@ -535,22 +509,15 @@ class Network:
                 # reordered inboxes.  A crashed node's pending wake-up
                 # is discarded so it cannot keep the network alive.
                 for v in self._faults.begin_round(
-                        self.round, inboxes, self._crashed,
-                        self.metrics, self.tracer):
+                        self.round, inboxes, self._crashed, self.metrics):
                     wake_pending.pop(v, None)
 
             active = set(inboxes)
-            # `woken` feeds tracer.record_wake only; skip the extra
-            # bookkeeping entirely when untraced (tracing must stay
-            # zero-overhead when absent).
-            woken = set() if self.tracer is not None else None
             while wake_heap and wake_heap[0][0] <= self.round:
                 rnd, v = heapq.heappop(wake_heap)
                 if wake_pending.get(v) == rnd:
                     del wake_pending[v]
                     active.add(v)
-                    if woken is not None:
-                        woken.add(v)
 
             acted = False
             crashed = self._crashed
@@ -565,8 +532,6 @@ class Network:
                 if api.halted or v in crashed:
                     continue
                 acted = True
-                if woken is not None and v in woken:
-                    self.tracer.record_wake(self.round, v)
                 api._sent_to = set()
                 api._wake = None
                 algos[v].on_round(api, self.round, inboxes.get(v, []))
@@ -596,10 +561,8 @@ def run_algorithm(graph: "Graph", factory: Callable[[NodeInfo], Algorithm], *,
                   inputs: Optional[Dict[int, Any]] = None,
                   word_limit: int = 8, bcast_only: bool = False,
                   known_n: bool = True, seed: int = 0,
-                  check_sizes: bool = True, tracer: Optional["Tracer"] = None,
                   max_rounds: int = 5_000_000) -> Execution:
     """One-shot convenience wrapper: build a network and run to quiescence."""
     net = Network(graph, word_limit=word_limit, bcast_only=bcast_only,
-                  known_n=known_n, seed=seed, check_sizes=check_sizes,
-                  tracer=tracer)
+                  known_n=known_n, seed=seed)
     return net.run(factory, inputs=inputs, max_rounds=max_rounds)

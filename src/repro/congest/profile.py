@@ -24,10 +24,9 @@ resolves stay out of the timeline, so it does not depend on cache
 state.  Drivers can additionally call :func:`mark_phase` to drop named
 markers into the timeline (a no-op outside a profiled context).
 
-Profiling is strictly opt-in, exactly like :class:`~repro.congest.
-tracing.Tracer`: when no profiler is installed the network's round
-loop performs a single ``is not None`` check per round and nothing
-else.  When one *is* installed, each recorded round snapshots the
+Profiling is strictly opt-in: when no profiler is installed the
+network's round loop performs a single ``is not None`` check per round
+and nothing else.  When one *is* installed, each recorded round snapshots the
 metrics (O(edges touched)) -- the honest price of a per-round series.
 
 The sum of a segment's per-round deltas equals the execution's final

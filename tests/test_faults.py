@@ -36,7 +36,6 @@ from repro.congest.faults import PROFILES
 from repro.congest.machine import Machine, run_machines
 from repro.congest.metrics import Metrics, undirected
 from repro.congest.network import Algorithm, run_algorithm
-from repro.congest.tracing import Tracer, format_trace
 from repro.graphs import gnp
 from repro.primitives import BFSMachine
 from repro.runner import RunStore, run_sweep
@@ -141,34 +140,34 @@ def test_fault_context_nesting_and_shielding():
 def test_drop_duplicate_and_link_failures_decide_and_meter():
     metrics = Metrics()
     always_drop = FaultPlan(drop=1.0, seed=1)
-    assert always_drop.deliver_copies(3, 0, 1, metrics, None) == 0
+    assert always_drop.deliver_copies(3, 0, 1, metrics) == 0
     assert metrics.faults_dropped == 1
 
     always_dup = FaultPlan(duplicate=1.0, seed=1)
-    assert always_dup.deliver_copies(3, 0, 1, metrics, None) == 2
+    assert always_dup.deliver_copies(3, 0, 1, metrics) == 2
     assert metrics.faults_duplicated == 1
 
     flaky = FaultPlan(link_failures={undirected(0, 1): 5}, seed=1)
-    assert flaky.deliver_copies(4, 1, 0, metrics, None) == 1
-    assert flaky.deliver_copies(5, 1, 0, metrics, None) == 0
-    assert flaky.deliver_copies(9, 0, 1, metrics, None) == 0
+    assert flaky.deliver_copies(4, 1, 0, metrics) == 1
+    assert flaky.deliver_copies(5, 1, 0, metrics) == 0
+    assert flaky.deliver_copies(9, 0, 1, metrics) == 0
     assert metrics.faults_dropped == 3
 
     clean = FaultPlan.none()
     assert clean.is_null and clean.describe() == "none"
-    assert clean.deliver_copies(1, 0, 1, metrics, None) == 1
+    assert clean.deliver_copies(1, 0, 1, metrics) == 1
 
 
 def test_node_crashes_register_once_and_purge_nothing_else():
     metrics = Metrics()
     plan = FaultPlan(node_crashes={2: 3, 5: 10}, seed=1)
     crashed = set()
-    assert plan.begin_round(2, {}, crashed, metrics, None) == []
-    assert plan.begin_round(3, {}, crashed, metrics, None) == [2]
+    assert plan.begin_round(2, {}, crashed, metrics) == []
+    assert plan.begin_round(3, {}, crashed, metrics) == [2]
     # Already crashed: not re-registered, not re-metered.
-    assert plan.begin_round(4, {}, crashed, metrics, None) == []
+    assert plan.begin_round(4, {}, crashed, metrics) == []
     assert crashed == {2} and metrics.nodes_crashed == 1
-    assert plan.begin_round(10, {}, crashed, metrics, None) == [5]
+    assert plan.begin_round(10, {}, crashed, metrics) == [5]
     assert metrics.nodes_crashed == 2
 
 
@@ -176,29 +175,14 @@ def test_reorder_shuffle_is_deterministic_per_coordinates():
     plan = FaultPlan(reorder=1.0, seed=9)
     box_a = [(i, "m") for i in range(8)]
     box_b = list(box_a)
-    plan.begin_round(4, {1: box_a}, set(), Metrics(), None)
-    plan.begin_round(4, {1: box_b}, set(), Metrics(), None)
+    plan.begin_round(4, {1: box_a}, set(), Metrics())
+    plan.begin_round(4, {1: box_b}, set(), Metrics())
     assert box_a == box_b  # same (seed, round, dst) -> same permutation
     assert box_a != [(i, "m") for i in range(8)]
     # A different round draws a different permutation (overwhelmingly).
     box_c = [(i, "m") for i in range(8)]
-    plan.begin_round(5, {1: box_c}, set(), Metrics(), None)
+    plan.begin_round(5, {1: box_c}, set(), Metrics())
     assert box_c != box_a
-
-
-def test_fault_events_are_traced():
-    metrics = Metrics()
-    tracer = Tracer()
-    FaultPlan(drop=1.0, seed=1).deliver_copies(3, 0, 1, metrics, tracer)
-    FaultPlan(duplicate=1.0, seed=1).deliver_copies(4, 1, 2, metrics, tracer)
-    FaultPlan(node_crashes={7: 5}, seed=1).begin_round(
-        5, {}, set(), metrics, tracer)
-    kinds = [e.kind for e in tracer.events]
-    assert kinds == ["drop", "dup", "crash"]
-    rendered = format_trace(tracer)
-    assert "dropped (fault)" in rendered
-    assert "duplicated (fault)" in rendered
-    assert "crashes (fault)" in rendered
 
 
 # ---------------------------------------------------------------------------

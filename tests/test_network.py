@@ -13,12 +13,15 @@ from repro.congest import (
     Metrics,
     Network,
     NotANeighbor,
+    RoundProfiler,
+    cell_context,
     payload_words,
     run_algorithm,
     run_machines,
 )
 from repro.congest.scheduler import measure_bfs_schedule
 from repro.graphs import complete, from_edges, path
+from repro.primitives import BFSMachine
 
 
 class _Ping(Algorithm):
@@ -245,13 +248,37 @@ def test_node_info_weights_directed():
     assert captured[1] == (7, 5)
 
 
+def test_path_bfs_wavefront_is_metered_per_edge_and_round():
+    """BFS from one end of a path: every node broadcasts once (2m
+    messages, one per direction of each edge), the wavefront advances
+    one hop per round, and every node acts in round 1."""
+    profiler = RoundProfiler()
+    with cell_context(profiler=profiler):
+        execution = run_machines(path(4),
+                                 lambda info: BFSMachine(info, root=0))
+    metrics = execution.metrics
+    assert metrics.messages == 2 * 3 and metrics.broadcasts == 4
+    assert metrics.edge_congestion[(1, 2)] == 2
+    assert all(execution.halted.values())
+    assert execution.outputs[3] == (3, 2)
+    assert execution.rounds == 4
+    columns = profiler.profile().columns
+    assert list(columns["round"]) == [1, 2, 3, 4]
+    # Node 0 sends to its one neighbor in round 1, node 3 in round 4.
+    assert list(columns["messages"]) == [1, 2, 2, 1]
+    assert columns["active"][0] == 4
+
+
 def test_cell_context_is_the_only_way_in():
     """Fault plan, profiler and reference engine come only from
-    ``cell_context``: no entry point takes them as arguments."""
-    cell_fields = {"faults", "profiler", "fast_path"}
+    ``cell_context``, and the round profiler is the one observer: no
+    entry point takes them (or a tracer) as arguments, and the run
+    helpers take no size-check switch."""
+    cell_fields = {"faults", "profiler", "fast_path", "tracer"}
+    helper_fields = cell_fields | {"check_sizes"}
     for entry, banned in ((Network, cell_fields),
-                          (run_algorithm, cell_fields),
-                          (run_machines, cell_fields),
+                          (run_algorithm, helper_fields),
+                          (run_machines, helper_fields),
                           (measure_bfs_schedule, {"profiler"})):
         params = set(inspect.signature(entry).parameters)
         assert not banned & params, (entry.__name__, banned & params)
