@@ -11,8 +11,8 @@ Design constraints, in order:
 * **Fault-free executions must not change by a byte.**  A ``Network``
   without a plan -- or with the inert :meth:`FaultPlan.none` -- draws no
   fault randomness, touches no inbox, and emits no fault meter keys, so
-  every existing record and telemetry line is byte-identical to
-  the pre-fault-plane code (pinned by ``tests/test_faults.py``).
+  every existing record and telemetry line is byte-identical to the
+  pre-fault-plane code (pinned by ``tests/test_faults.py``).
 * **Decisions are coordinate-seeded, not stream-seeded.**  Every
   per-delivery decision derives its own uniform from
   ``stable_seed("faults", plan.seed, round, src, dst, kind)`` -- a pure
@@ -151,10 +151,10 @@ class FaultPlan:
 
         Called by the network right after it advances to ``rnd`` with
         the inboxes about to be consumed: registers node crashes whose
-        schedule has come due (metered once per node) and
-        shuffles inboxes selected by the reorder probability.  The
-        shuffle permutation comes from the same coordinate-seeded
-        stream, so replays and both delivery paths agree on it.
+        schedule has come due (metered once per node) and shuffles
+        inboxes selected by the reorder probability.  The shuffle
+        permutation comes from the same coordinate-seeded stream, so
+        replays and both delivery paths agree on it.
         """
         newly: List[int] = []
         for v, crash_round in self.node_crashes.items():

@@ -26,8 +26,9 @@ markers into the timeline (a no-op outside a profiled context).
 
 Profiling is strictly opt-in: when no profiler is installed the
 network's round loop performs a single ``is not None`` check per round
-and nothing else.  When one *is* installed, each recorded round snapshots the
-metrics (O(edges touched)) -- the honest price of a per-round series.
+and nothing else.  When one *is* installed, each recorded round
+snapshots the metrics (O(edges touched)) -- the honest price of a
+per-round series.
 
 The sum of a segment's per-round deltas equals the execution's final
 ``Metrics`` exactly, on both the scalar and the vectorized delivery
