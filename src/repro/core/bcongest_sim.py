@@ -31,7 +31,8 @@ Structure (§2.2):
 * **Output delivery** -- after the machines halt, centers downcast each
   member's output, chunked into O(1)-word packets (the O(Out) term).
   Every chunk of one member follows the same tree path, so the driver
-  sizes each output once (:func:`output_words`) and routes
+  sizes each output once (:func:`output_words`, or the size a kernel
+  plan carries) and routes
   ``ceil(words / 4)`` chunks per member through
   :func:`~repro.primitives.transport.route_downcast`, the downcast's
   closed form, instead of one packet per chunk.
@@ -58,6 +59,7 @@ from repro.primitives.transport import (
     path_to_root,
     route_downcast,
     route_packets,
+    route_phases,
 )
 
 MachineFactory = Callable[..., Machine]
@@ -153,10 +155,13 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     outputs.
 
     ``plan`` (a :class:`repro.kernels.plan.BcongestPlan`) replays a
-    precomputed execution: the same per-phase transport packets are
-    routed through the same metered primitives in the same order, so the
-    metrics are byte-identical, but no machines are constructed or
-    stepped.  Preprocessing and output delivery are unchanged.
+    precomputed execution: no machines are constructed or stepped, and
+    the same per-phase transport packets (paths, sizes, order) go to
+    :func:`~repro.primitives.transport.route_phases` in one call, which
+    meters them as one ``route_packets`` call per phase would, so the
+    metrics are byte-identical.  Output delivery reads the plan's
+    per-node output sizes instead of sizing the outputs again;
+    preprocessing is unchanged.
 
     Every packet built here declares its size (``Packet.words``), from
     payload sizes already known here: an upcast item's words,
@@ -186,25 +191,33 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     mark_phase("simulation")
     transport_limit = message_words + 3  # payload + origin + dest + slack
     if plan is not None:
-        # Kernel replay: the broadcast schedule is precomputed; route the
-        # identical per-phase transport packets through the identical
-        # metered calls (sizes, order, and oversize checks match the
-        # stepped loop, so metrics come out byte-identical).
+        # Kernel replay: the broadcast schedule is precomputed.  Each
+        # phase's transport packets (same paths, sizes and order as the
+        # stepped loop's) go to route_phases, which meters them as one
+        # route_packets call per phase would; a payload is dropped once
+        # its size is checked.
         broadcasts_simulated = 0
-        for phase, scheduled in plan.phase_payloads:
-            packets: List[Packet] = []
-            for v, payload, words in scheduled:
-                check_broadcast_words(words, message_words)
-                broadcasts_simulated += 1
-                for (_v, u_ext) in ldc.out_edges[v]:
-                    path = (down_paths[v] + (u_ext,)
-                            + up_paths[u_ext][1:])
-                    packets.append(Packet(path=path, payload=(v, payload),
-                                          words=2 + words))
-            if packets:
-                _deliveries, metrics = route_packets(
-                    graph, packets, word_limit=transport_limit)
-                total.merge(metrics)
+        routes: Dict[int, List[Tuple[int, ...]]] = {}
+
+        def transports():
+            nonlocal broadcasts_simulated
+            for _phase, scheduled in plan.phase_payloads:
+                hops: List[Tuple[Tuple[int, ...], int]] = []
+                for v, _payload, words in scheduled:
+                    check_broadcast_words(words, message_words)
+                    broadcasts_simulated += 1
+                    paths = routes.get(v)
+                    if paths is None:
+                        paths = routes[v] = [
+                            down_paths[v] + (u_ext,) + up_paths[u_ext][1:]
+                            for (_v, u_ext) in ldc.out_edges[v]]
+                    size = 2 + words
+                    hops.extend((path, size) for path in paths)
+                if hops:
+                    yield hops
+
+        total.merge(route_phases(graph, transports(),
+                                 word_limit=transport_limit))
         executed_phases = plan.executed_phases
     else:
         # Cluster centers instantiate their members' machines locally (a
@@ -254,20 +267,22 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
 
     # ---------------- Output delivery ----------------
     mark_phase("output-delivery")
-    outputs = plan.outputs if plan is not None else machines.outputs()
-    routes: List[Tuple[Tuple[int, ...], int, int]] = []
-    out_words = 0
+    if plan is not None:
+        outputs, sizes = plan.outputs, plan.output_words
+    else:
+        outputs = machines.outputs()
+        sizes = [output_words(outputs[v]) for v in graph.nodes()]
+    chunks: List[Tuple[Tuple[int, ...], int, int]] = []
     for v in graph.nodes():
-        words = output_words(outputs[v])
-        out_words += words
+        words = sizes[v]
         path = down_paths[v]
         if len(path) > 1 and words:
             # ceil(words / 4) chunks of one-word scalars (Lemma 1.6's
             # O(1)-word chunks), plus the destination; the first chunk
             # is the largest.
-            routes.append((path, -(-words // 4), 1 + min(words, 4)))
-    if routes:
-        total.merge(route_downcast(graph, routes, word_limit=8))
+            chunks.append((path, -(-words // 4), 1 + min(words, 4)))
+    if chunks:
+        total.merge(route_downcast(graph, chunks, word_limit=8))
     output_delivery = total.delta_since(simulated)
 
     report = SimulationReport(
@@ -279,7 +294,7 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
         phases=executed_phases,
         broadcasts_simulated=broadcasts_simulated,
         input_words=input_words,
-        output_words=out_words,
+        output_words=sum(sizes),
     )
     report.ldc_stats = {
         "clusters": ldc.clustering.num_clusters,

@@ -1,13 +1,15 @@
 """The whole-execution replay plan consumed by the Theorem 2.1 driver.
 
 A kernel resolves the entire BCONGEST execution -- every phase's
-broadcasters with their literal payloads, the final per-node outputs,
-and the executed-phase count -- and :func:`repro.core.bcongest_sim.
-simulate_bcongest` replays it: the identical per-phase transport packets
-are routed through the identical metered primitives, so the resulting
-:class:`~repro.congest.metrics.Metrics` are byte-identical to stepping
-the machines, while the per-node/per-round Python dispatch of the
-machine loop disappears.
+broadcasters with their literal payloads, the final per-node outputs
+with their sizes, and the executed-phase count -- and
+:func:`repro.core.bcongest_sim.simulate_bcongest` replays it: the same
+per-phase transport packets (paths, declared sizes, order) are metered
+by :func:`~repro.primitives.transport.route_phases`, which reproduces
+one :func:`~repro.primitives.transport.route_packets` call per phase, so
+the resulting :class:`~repro.congest.metrics.Metrics` are byte-identical
+to stepping the machines, while the per-node/per-round Python dispatch
+of the machine loop and the per-phase transport loop disappear.
 """
 
 from __future__ import annotations
@@ -31,18 +33,23 @@ class BcongestPlan:
         for, so a plan never holds more than one phase's payloads.
     outputs:
         ``{node: output}`` as the machines would report at halt.
+    output_words:
+        Per node (indexed by id), ``output_words`` of its output, which
+        the kernel counts from the arrays it built the outputs from.
     executed_phases:
         The phase counter value the machine loop would end on.
 
     ``phases`` yields every phase and then returns ``(outputs,
-    executed_phases)``; both attributes are None until then.
+    output_words, executed_phases)``; the attributes are None until then.
     """
 
-    def __init__(self,
-                 phases: Generator[Phase, None, Tuple[Dict[int, Any], int]]):
+    def __init__(self, phases: Generator[
+            Phase, None, Tuple[Dict[int, Any], List[int], int]]):
         self.outputs: Optional[Dict[int, Any]] = None
+        self.output_words: Optional[List[int]] = None
         self.executed_phases: Optional[int] = None
         self.phase_payloads: Iterator[Phase] = self._drain(phases)
 
     def _drain(self, phases) -> Iterator[Phase]:
-        self.outputs, self.executed_phases = yield from phases
+        (self.outputs, self.output_words,
+         self.executed_phases) = yield from phases

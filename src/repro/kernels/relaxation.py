@@ -67,7 +67,7 @@ def bcongest_plan(graph: Graph, delays: Dict[int, int],
 def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
             int_mode: bool, horizon: Optional[int]):
     """Yield each announcing round's payloads, then return
-    ``(outputs, executed_phases)``."""
+    ``(outputs, output_words, executed_phases)``."""
     n = graph.n
     indptr, indices = graph._indptr, graph._indices
     deg = np.diff(indptr)
@@ -144,4 +144,9 @@ def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
                 d = col_d[j]
                 out[j] = (int(d) if int_mode else d, p)
 
-    return outputs, deadline + (1 if last_ann_round == deadline else 0)
+    # output_words: 3 words per source, less the own source's None parent.
+    reached = dist < inf
+    words = (3 * reached.sum(axis=0)
+             - (reached & (parent == no_parent)).sum(axis=0))
+    return (outputs, words.tolist(),
+            deadline + (1 if last_ann_round == deadline else 0))

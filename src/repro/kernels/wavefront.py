@@ -278,7 +278,7 @@ def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
 def _plan_phases(graph: Graph, js: List[int], roots: List[int],
                  delays: Dict[int, int]):
     """Yield each phase's announcements straight from the distances,
-    then return ``(outputs, executed_phases)``."""
+    then return ``(outputs, output_words, executed_phases)``."""
     dist = bfs_distances(graph, roots)
     rows, nodes = np.nonzero(dist >= 0)
     hops = dist[rows, nodes]
@@ -305,4 +305,8 @@ def _plan_phases(graph: Graph, js: List[int], roots: List[int],
         last = int(phases[lo])
         yield last, payloads
     parents = _bfs_parents(graph, dist)
-    return _collection_outputs(graph, js, roots, dist, parents), last + 1
+    # output_words: 3 words per BFS, less each root's None parent.
+    words = (3 * (dist >= 0).sum(axis=0)
+             - np.bincount(roots, minlength=graph.n))
+    return (_collection_outputs(graph, js, roots, dist, parents),
+            words.tolist(), last + 1)

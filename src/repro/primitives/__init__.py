@@ -16,6 +16,7 @@ from repro.primitives.transport import (
     path_to_root,
     route_downcast,
     route_packets,
+    route_phases,
     tree_depths,
     upcast_packets,
 )
@@ -25,5 +26,5 @@ __all__ = [
     "Delivery", "GlobalTree", "LubyMISMachine", "Packet",
     "aggregate_keyed_min", "build_global_tree", "disseminate",
     "downcast_packets", "path_from_root", "path_to_root", "route_downcast",
-    "route_packets", "tree_depths", "upcast_packets",
+    "route_packets", "route_phases", "tree_depths", "upcast_packets",
 ]

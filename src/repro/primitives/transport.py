@@ -76,6 +76,27 @@ rejected with an :class:`AlgorithmError`, and under
 ``Network`` loop, as :func:`route_packets` does.
 ``tests/test_property.py`` checks the three agree on generated forests.
 
+The Theorem 2.1 plan replay routes one small packet set per simulated
+phase and needs only the metrics, so :func:`route_phases` takes the
+whole sequence of phases, each a list of ``(path, words)`` pairs, and
+routes them in one array pass.  Each distinct path becomes a route once
+(its non-edges checked once) and a packet is a route id.  Messages,
+words and per-edge congestion follow in closed form from how often each
+route is used.  The rounds come from one round-synchronous numpy loop
+over all phases at once: the FIFO queues are keyed by ``(phase,
+directed link)``, a queue's order is ``(enqueue round, sender, input
+order)`` with injections first, and a phase's rounds are its last
+delivery round (at least 1), summed over the phases as merging one
+:func:`route_packets` call per phase would.  Congestion keys enter in
+that merge's order: by the phase that first uses the edge, then by the
+``(round, node, sender, packet)`` of that first use, which the loop
+records once per edge; a link's first use is in the round its first
+packet is enqueued.  A phase with an oversize packet raises after the
+phases before it are routed; a phase with a hop the array pass cannot
+take goes through :func:`route_packets`, which raises its error; under
+:func:`fallback_reason` every phase does.  ``tests/test_property.py``
+checks it against per-phase :func:`route_packets` on generated plans.
+
 The round and message costs of upcast/downcast proved in Lemmas 1.5/1.6
 are validated against this engine in ``tests/test_primitives.py`` and
 regenerated in benchmark E10.
@@ -83,9 +104,12 @@ regenerated in benchmark E10.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.congest.errors import AlgorithmError
 from repro.congest.metrics import Metrics, undirected
@@ -268,6 +292,236 @@ def route_downcast(graph: Graph, routes: Sequence[Tuple[Sequence[int], int, int]
         metrics.max_message_words = 1
         metrics.message_sizes[1] = hops
     return metrics
+
+
+def route_phases(graph: Graph,
+                 phases: Iterable[Sequence[Tuple[Tuple[int, ...], int]]], *,
+                 word_limit: int = 16,
+                 max_rounds: int = 5_000_000) -> Metrics:
+    """Route independent phases of ``(path, words)`` packets, one per call
+    to :func:`route_packets` in effect, and return the merged metrics.
+
+    Meters exactly what routing each phase's packets (path tuples with
+    declared sizes) through :func:`route_packets` and merging the metrics
+    in phase order would, congestion order and size histogram included,
+    and raises the error of the first failing phase, with the same text;
+    the deliveries are not returned.  Phases are consumed one at a time,
+    and an :class:`AlgorithmError` raised by ``phases`` itself (a
+    caller's own per-phase check) surfaces only after the phases before
+    it are routed, so an earlier phase's error comes first.
+    """
+    if fallback_reason() is not None:
+        total = Metrics()
+        for hops in phases:
+            total.merge(_route_phase(graph, hops, word_limit, max_rounds))
+        return total
+    batch = _PhaseBatch(graph)
+    total = Metrics()
+    try:
+        for hops in phases:
+            for _path, words in hops:
+                if words > word_limit:
+                    raise AlgorithmError(f"packet payload of {words} words "
+                                         f"exceeds limit {word_limit}")
+            if not batch.add(hops):
+                # A path the array pass cannot take (a non-edge, an origin
+                # that is no node): route_packets raises its error.
+                total.merge(batch.flush(max_rounds))
+                total.merge(_route_phase(graph, hops, word_limit, max_rounds))
+    except AlgorithmError:
+        total.merge(batch.flush(max_rounds))  # earlier phases' errors first
+        raise
+    total.merge(batch.flush(max_rounds))
+    return total
+
+
+def _route_phase(graph: Graph, hops: Sequence[Tuple[Tuple[int, ...], int]],
+                 word_limit: int, max_rounds: int) -> Metrics:
+    packets = [Packet(path=path, payload=None, words=words)
+               for path, words in hops]
+    return route_packets(graph, packets, word_limit=word_limit,
+                         max_rounds=max_rounds)[1]
+
+
+class _PhaseBatch:
+    """Phases waiting for one array pass, over a table of distinct routes.
+
+    A route is stored once, in flat lists aligned with its node
+    sequence: per position, the node, the node before it (-1 at the
+    origin: the sender of a packet that arrives there), and the
+    undirected edge id and directed link id ``2 * edge + (tail is not
+    the edge key's first node)`` of the hop leaving it (-1 at the
+    destination).  A packet is a route id.
+    """
+
+    def __init__(self, graph: Graph):
+        self.nbr_sets = graph.nbr_sets()
+        self.route_of: Dict[Tuple[int, ...], int] = {}  # -1: not routable
+        self.off: List[int] = []    # route -> offset into the flat lists
+        self.hops: List[int] = []   # route -> hop count
+        self.nodes: List[int] = []
+        self.prev: List[int] = []
+        self.edges: List[int] = []
+        self.links: List[int] = []
+        self.edge_keys: List[Tuple[int, int]] = []
+        self.edge_of: Dict[Tuple[int, int], int] = {}
+        self.phases: List[List[int]] = []  # pending: route id per packet
+
+    def add(self, hops: Sequence[Tuple[Tuple[int, ...], int]]) -> bool:
+        """Queue one phase; False (queueing nothing) if a path is not
+        routable."""
+        route_of = self.route_of
+        ids = []
+        for path, _words in hops:
+            rid = route_of.get(path)
+            if rid is None:
+                rid = route_of[path] = self._new_route(path)
+            if rid < 0:
+                return False
+            ids.append(rid)
+        self.phases.append(ids)
+        return True
+
+    def _new_route(self, path: Tuple[int, ...]) -> int:
+        nbr_sets = self.nbr_sets
+        if not path or path[0] not in nbr_sets:
+            return -1
+        for u, w in zip(path, path[1:]):
+            if w not in nbr_sets[u]:
+                return -1
+        self.off.append(len(self.nodes))
+        self.hops.append(len(path) - 1)
+        self.nodes.extend(path)
+        self.prev.append(-1)
+        self.prev.extend(path[:-1])
+        for u, w in zip(path, path[1:]):
+            key = undirected(u, w)
+            edge = self.edge_of.get(key)
+            if edge is None:
+                edge = self.edge_of[key] = len(self.edge_keys)
+                self.edge_keys.append(key)
+            self.edges.append(edge)
+            self.links.append(2 * edge + (key[0] != u))
+        self.edges.append(-1)
+        self.links.append(-1)
+        return len(self.hops) - 1
+
+    def flush(self, max_rounds: int) -> Metrics:
+        """Route the pending phases in one round-synchronous array pass.
+
+        Every phase runs from round 1 at once, its FIFO queues keyed by
+        ``(phase, directed link)``.  Each round the packets that arrived
+        join the back of their queues, ordered by (sender, input order),
+        injections first, and every queue's head moves one hop.  A
+        phase's rounds are its last delivery round (at least 1).  The
+        hop and congestion counts follow from how often each route is
+        used; the array pass keeps only each edge's first use, in its
+        first phase, to order the congestion keys as the exact engine
+        inserts them: by first phase, then (round, node, sender, input
+        order) of that first use.
+        """
+        phases, self.phases = self.phases, []
+        metrics = Metrics()
+        if not phases or not self.nbr_sets:  # no node: every phase takes 0
+            return metrics
+        sizes = np.array([len(ids) for ids in phases], dtype=np.int64)
+        route = np.fromiter(itertools.chain.from_iterable(phases),
+                            dtype=np.int64, count=int(sizes.sum()))
+        phase = np.repeat(np.arange(len(phases), dtype=np.int64), sizes)
+        del phases  # the id lists, before the loop's arrays
+        off = np.asarray(self.off, dtype=np.int64)
+        nodes = np.asarray(self.nodes, dtype=np.int64)
+        prev = np.asarray(self.prev, dtype=np.int64)
+        edges = np.asarray(self.edges, dtype=np.int64)
+        links = np.asarray(self.links, dtype=np.int64)
+        n_edges = len(self.edge_keys)
+
+        # Closed-form counts: every use of a route crosses each of its
+        # hops once; an edge's first phase is its routes' first one.
+        uses = np.bincount(route, minlength=len(off))
+        hop_route = np.repeat(np.arange(len(off)), self.hops)
+        hop_edge = edges[edges >= 0]  # route by route, hop by hop
+        count = np.bincount(hop_edge, weights=uses[hop_route],
+                            minlength=n_edges).astype(np.int64)
+        unset = np.iinfo(np.int64).max
+        route_first = np.full(len(off), unset, dtype=np.int64)
+        used, first_packet = np.unique(route, return_index=True)
+        route_first[used] = phase[first_packet]
+        first_phase = np.full(n_edges, unset, dtype=np.int64)
+        np.minimum.at(first_phase, hop_edge, route_first[hop_route])
+        # (round, node, sender, packet) of each edge's first use.
+        first_use = np.zeros((4, n_edges), dtype=np.int64)
+
+        span = 2 * n_edges
+        last = np.zeros(len(sizes), dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        q_packet = q_at = q_key = empty  # queued, sorted by key then FIFO
+        a_packet = np.arange(len(route), dtype=np.int64)  # round's arrivals
+        a_at = off[route]  # flat index of each arrival's current node
+        rnd = 1
+        while len(a_packet) or len(q_packet):
+            if len(a_packet):
+                done = links[a_at] < 0
+                if done.any():
+                    last[phase[a_packet[done]]] = rnd
+                    a_packet, a_at = a_packet[~done], a_at[~done]
+                key = phase[a_packet] * span + links[a_at]
+                order = np.lexsort((a_packet, prev[a_at], key))
+                q_packet = np.concatenate((q_packet, a_packet[order]))
+                q_at = np.concatenate((q_at, a_at[order]))
+                q_key = np.concatenate((q_key, key[order]))
+                # Two sorted runs: the stable sort merges them, keeping
+                # each queue's earlier arrivals ahead.
+                merged = np.argsort(q_key, kind="stable")
+                q_packet, q_at, q_key = (q_packet[merged], q_at[merged],
+                                         q_key[merged])
+            if not len(q_packet):
+                break
+            head = np.ones(len(q_key), dtype=bool)
+            np.not_equal(q_key[1:], q_key[:-1], out=head[1:])
+            h_packet, h_at = q_packet[head], q_at[head]
+            q_packet, q_at, q_key = (q_packet[~head], q_at[~head],
+                                     q_key[~head])
+            edge = edges[h_at]
+            new = ((first_use[0, edge] == 0)
+                   & (first_phase[edge] == phase[h_packet]))
+            if new.any():
+                edge, at, packet = edge[new], h_at[new], h_packet[new]
+                node, sender = nodes[at], prev[at]
+                # Both directions of an edge may start this round: the
+                # smaller node acts first.
+                order = np.lexsort((node, edge))
+                edge, node = edge[order], node[order]
+                sender, packet = sender[order], packet[order]
+                lead = np.ones(len(edge), dtype=bool)
+                np.not_equal(edge[1:], edge[:-1], out=lead[1:])
+                edge = edge[lead]
+                first_use[0, edge] = rnd
+                first_use[1, edge] = node[lead]
+                first_use[2, edge] = sender[lead]
+                first_use[3, edge] = packet[lead]
+            a_packet, a_at = h_packet, h_at + 1
+            rnd += 1
+
+        rounds = np.maximum(last, 1)
+        if int(rounds.max()) > max_rounds:
+            raise AlgorithmError(
+                f"exceeded max_rounds={max_rounds}; likely livelock")
+        metrics.rounds = int(rounds.sum())
+        hops = int(count.sum())
+        if hops:
+            metrics.messages = metrics.words = hops
+            metrics.max_message_words = 1
+            metrics.message_sizes[1] = hops
+        live = np.flatnonzero(count)
+        order = live[np.lexsort((first_use[3, live], first_use[2, live],
+                                 first_use[1, live], first_use[0, live],
+                                 first_phase[live]))]
+        congestion = metrics.edge_congestion
+        keys = self.edge_keys
+        for edge, hits in zip(order.tolist(), count[order].tolist()):
+            congestion[keys[edge]] = hits
+        return metrics
 
 
 def _downcast_links(graph: Graph, routes: Sequence[Tuple[Sequence[int], int, int]],

@@ -156,10 +156,13 @@ _ROUTING = {"apsp-weighted": True, "apsp-unweighted": True,
 def test_declared_packet_sizes_equal_computed_sizes(monkeypatch):
     """Every size a caller declares on a packet is the one
     ``route_packets`` would compute, over the tier-1 routing cells:
-    kernel-plan replays (the APSP cells) and the stepped branch (the
-    matching cells) of ``simulate_bcongest``."""
+    kernel-plan replays (the APSP cells), whose phases go to
+    ``route_phases`` as ``(path, 2 + words)`` pairs, and the stepped
+    branch (the matching cells) of ``simulate_bcongest``."""
     original = transport.route_packets
     declared = [0]
+    replayed = [0]  # packets route_phases got, sized as checked
+    broadcasts = [0]  # replayed broadcasts checked against payload_words
 
     def checking(graph, packets, **kwargs):
         for packet in packets:
@@ -169,20 +172,61 @@ def test_declared_packet_sizes_equal_computed_sizes(monkeypatch):
                 declared[0] += 1
         return original(graph, packets, **kwargs)
 
+    # A replayed broadcast's packets are (origin, payload) plus the
+    # destination: 2 + words, checked here against its payload; the
+    # sizes route_phases then gets must be among the phase's checked ones.
+    checked = set()
+
+    def checking_plan(stream):
+        for phase, scheduled in stream:
+            checked.clear()
+            for v, payload, words in scheduled:
+                packet = transport.Packet(path=(v,), payload=(v, payload))
+                assert 2 + words == transport._packet_words(packet), packet
+                checked.add(2 + words)
+                broadcasts[0] += 1
+            yield phase, scheduled
+
+    original_phases = transport.route_phases
+
+    def checking_phases(graph, phases, **kwargs):
+        def sized():
+            for hops in phases:
+                for _path, words in hops:
+                    assert words in checked
+                    replayed[0] += 1
+                yield hops
+        return original_phases(graph, sized(), **kwargs)
+
+    original_sim = bcongest_sim.simulate_bcongest
+
+    def replaying(*args, plan=None, **kwargs):
+        if plan is not None:
+            plan.phase_payloads = checking_plan(plan.phase_payloads)
+        return original_sim(*args, plan=plan, **kwargs)
+
     for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("repro.")
-                and getattr(module, "route_packets", None) is original):
-            monkeypatch.setattr(module, "route_packets", checking)
+        if not getattr(module, "__name__", "").startswith("repro."):
+            continue
+        for name, fn, wrapper in (
+                ("route_packets", original, checking),
+                ("route_phases", original_phases, checking_phases),
+                ("simulate_bcongest", original_sim, replaying)):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapper)
     engines = set()
     for spec in build_specs():
         if spec.algorithm not in _ROUTING:
             continue
-        before = declared[0]
+        before = declared[0], broadcasts[0]
         record = run_differential(spec.scenario, spec.algorithm,
                                   size=spec.size, seed=spec.seed)
         assert record.passed, spec
-        assert (declared[0] > before) == _ROUTING[spec.algorithm], spec
+        assert (declared[0] > before[0]) == _ROUTING[spec.algorithm], spec
+        assert (broadcasts[0] > before[1]) \
+            == spec.algorithm.startswith("apsp"), spec
         engines.add(record.engine_source)
+    assert replayed[0] > 0
     assert engines == {"kernel:bellman-ford", "kernel:bfs-wavefront",
                        "vectorized:ineligible"}
 

@@ -12,23 +12,27 @@ of every comparison runs under ``cell_context(engine="reference")``.
 """
 
 import json
+import sys
 
 import pytest
 
 from repro.congest.cell import cell_context
 from repro.congest.errors import AlgorithmError
 from repro.congest.machine import run_machines
-from repro.core.bcongest_sim import simulate_bcongest
+from repro.core import bcongest_sim
+from repro.core.bcongest_sim import output_words, simulate_bcongest
 from repro.core.bfs_collections import _message_budget, shared_delays
 from repro.core.tradeoff_sim_star import simulate_aggregation_star
 from repro.decomposition.pruning import build_pruned_hierarchy
-from repro.core.weighted_apsp import weighted_apsp
+from repro.core.weighted_apsp import make_delays, weighted_apsp
 from repro.graphs import gnp_streaming, uniform_weights
 from repro.kernels import REGISTRY, wavefront
 from repro.kernels import config as kernels_config
 from repro.kernels import relaxation
+from repro.primitives.bellman_ford import BellmanFordCollectionMachine
 from repro.primitives.bfs import BFSCollectionMachine
 from repro.runner.engine import provenance_counts, run_sweep
+from repro.runner.jobs import build_specs
 from repro.scenarios import get_scenario
 from repro.testing import run_differential
 
@@ -154,6 +158,88 @@ def test_oversize_broadcast_error_is_identical_stepped_and_replayed():
         simulate_bcongest(graph, factory, message_words=8,
                           plan=wavefront.bcongest_plan(graph, roots, delays))
     assert str(replayed.value) == str(looped.value) == str(stepped.value)
+
+
+def _windows(report):
+    return [(m.as_dict(), list(m.edge_congestion.items()),
+             list(m.message_sizes.items()), m.max_message_words)
+            for m in (report.preprocessing, report.simulation,
+                      report.output_delivery)]
+
+
+def test_replay_meters_contended_cells_like_the_stepped_loop():
+    """Cells whose phases queue hard on shared links: the plan replay's
+    batched transport meters every window as the stepped loop does,
+    ordered congestion and size histogram included.  The BFS cell is
+    the message-optimal APSP's at grid@100, seed 1 (1,765 simulation
+    rounds, 6,366 transport messages); the Bellman-Ford one is weighted
+    APSP's at grid-weighted@100."""
+    graph = get_scenario("grid").graph(100)
+    roots = {j: j for j in graph.nodes()}
+    delays = shared_delays(list(graph.nodes()), graph.n, 1)
+
+    def bfs(info):
+        return BFSCollectionMachine(info, roots=roots, delays=delays)
+
+    kwargs = {"seed": 1, "message_words": _message_budget(graph.n)}
+    stepped = simulate_bcongest(graph, bfs, **kwargs)
+    replayed = simulate_bcongest(
+        graph, bfs, plan=wavefront.bcongest_plan(graph, roots, delays),
+        **kwargs)
+    assert _windows(replayed) == _windows(stepped)
+    assert (stepped.simulation.rounds, stepped.simulation.messages) \
+        == (1765, 6366)
+
+    graph = get_scenario("grid-weighted").graph(100)
+    sources = {j: j for j in graph.nodes()}
+    delays = make_delays(graph.n, 1)
+
+    def bellman_ford(info):
+        return BellmanFordCollectionMachine(info, sources=sources,
+                                            delays=delays)
+
+    kwargs = {"seed": 1, "message_words": 6 * 6 ** 2}  # weighted_apsp's
+    stepped = simulate_bcongest(graph, bellman_ford, **kwargs)
+    replayed = simulate_bcongest(
+        graph, bellman_ford, plan=relaxation.bcongest_plan(graph, delays),
+        **kwargs)
+    assert _windows(replayed) == _windows(stepped)
+    assert stepped.simulation.messages > 6000
+
+
+def test_plan_output_sizes_equal_output_words(monkeypatch):
+    """A plan's per-node output sizes are ``output_words`` of its
+    outputs, on every tier-1 replay cell and on the six apsp-n128
+    cells."""
+    original = bcongest_sim.simulate_bcongest
+    plans = []
+
+    def recording(*args, **kwargs):
+        report = original(*args, **kwargs)
+        plan = kwargs.get("plan")
+        if plan is not None:
+            plans.append(plan)
+            assert report.output_words == sum(plan.output_words)
+        return report
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro.")
+                and getattr(module, "simulate_bcongest", None) is original):
+            monkeypatch.setattr(module, "simulate_bcongest", recording)
+    cells = [(spec.scenario, spec.algorithm, spec.size, spec.seed)
+             for spec in build_specs()
+             if spec.algorithm in ("apsp-weighted", "apsp-unweighted")]
+    cells += [(name, algorithm, 128, seed)
+              for name, algorithm in (("grid-weighted", "apsp-weighted"),
+                                      ("sparse-gnp", "apsp-unweighted"))
+              for seed in (1, 2, 3)]
+    for name, algorithm, size, seed in cells:
+        assert run_differential(name, algorithm, size=size,
+                                seed=seed).passed
+    assert len(plans) == len(cells)
+    for plan in plans:
+        assert plan.output_words == [output_words(plan.outputs[v])
+                                     for v in range(len(plan.outputs))]
 
 
 def test_weighted_apsp_metrics_identical_kernels_on_and_off():

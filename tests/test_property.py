@@ -32,6 +32,7 @@ from repro.congest.faults import get_fault_profile
 from repro.congest.metrics import undirected
 from repro.congest.profile import ADDITIVE_COLUMNS
 from repro.core.aggregation import check_idempotent
+from repro.core.bcongest_sim import output_words
 from repro.core.tradeoff_apsp import apsp_tradeoff
 from repro.core.weighted_apsp import make_delays, weighted_apsp
 from repro.covers.mpx_cover import (
@@ -57,6 +58,7 @@ from repro.primitives import (
     path_to_root,
     route_downcast,
     route_packets,
+    route_phases,
 )
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
 from repro.primitives.bfs import BFSCollectionMachine
@@ -424,6 +426,166 @@ def test_downcast_rejects_what_is_not_a_downcast():
 
 
 # ----------------------------------------------------------------------
+# Phase batches: one array pass equals per-phase route_packets
+# ----------------------------------------------------------------------
+
+@st.composite
+def phase_plans(draw):
+    """Phases of ``(path, words)`` packets drawn from a small pool of
+    routes, so packets queue on links shared within and across phases.
+
+    Pool routes go down a BFS tree, across one edge and back up (the
+    Theorem 2.1 shape), up or down the tree or both ways, along walks,
+    through the busiest node (so packets from several senders meet on a
+    link and then part), or nowhere.  About one plan in five also has a route over a non-edge, one in five
+    an oversize packet, and one in five an iterable that fails at some
+    phase.
+    """
+    g = draw(transport_graphs())
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    parent = bfs_tree_parents(g, rng.randrange(g.n))
+    linked = [v for v in parent if g.neighbors(v)]
+    hub = max(linked, key=g.degree, default=None)
+    pool = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["cross", "cross", "up", "down", "both", "walk", "hub", "hub",
+             "zero"]),
+            min_size=1, max_size=8)):
+        v = rng.choice(linked or sorted(parent))
+        if kind == "zero" or not linked:
+            pool.append((v,))
+        elif kind == "cross":
+            u = rng.choice(g.neighbors(v))
+            pool.append(path_from_root(parent, v) + path_to_root(parent, u))
+        elif kind in ("up", "down", "both"):
+            path = path_to_root(parent, v)
+            if kind != "down":
+                pool.append(path)
+            if kind != "up":
+                pool.append(path[::-1])
+        else:
+            walk = [rng.choice(g.neighbors(hub)), hub] if kind == "hub" \
+                else [v]
+            for _ in range(rng.randrange(1, 7)):
+                walk.append(rng.choice(g.neighbors(walk[-1])))
+            pool.append(tuple(walk))
+    if draw(st.integers(0, 4)) == 0:
+        v = rng.randrange(g.n)
+        absent = [u for u in g.nodes() if u != v and u not in g.neighbors(v)]
+        if absent:
+            pool.append(path_from_root(parent, v)[-2:] + (rng.choice(absent),)
+                        if v in parent else (v, rng.choice(absent)))
+    phases = [[(rng.choice(pool), rng.randint(1, 16))
+               for _ in range(rng.randrange(13))]
+              for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.integers(0, 4)) == 0:
+        hops = rng.choice(phases)
+        if hops:
+            k = rng.randrange(len(hops))
+            hops[k] = (hops[k][0], 17)
+    fail_at = None
+    if draw(st.integers(0, 4)) == 0:
+        fail_at = draw(st.integers(0, len(phases)))
+    return g, phases, fail_at
+
+
+def _stream(phases, fail_at):
+    """The phases, with the iterable failing at phase ``fail_at``, as a
+    caller's own per-phase check would."""
+    for k, hops in enumerate(phases):
+        if k == fail_at:
+            raise AlgorithmError(f"caller check failed at phase {k}")
+        yield hops
+
+
+def _phases_outcome(g, phases, fail_at, **kwargs):
+    """``route_phases`` as comparable data: the outcome or the error."""
+    try:
+        m = route_phases(g, _stream(phases, fail_at), **kwargs)
+    except AlgorithmError as exc:
+        return ("error", str(exc))
+    return (m.as_dict(), list(m.edge_congestion.items()),
+            list(m.message_sizes.items()), m.max_message_words)
+
+
+def _per_phase_outcome(g, phases, fail_at, **kwargs):
+    """One ``route_packets`` call per phase, merged in phase order."""
+    total = Metrics()
+    try:
+        for hops in _stream(phases, fail_at):
+            packets = [Packet(path=path, payload=None, words=words)
+                       for path, words in hops]
+            total.merge(route_packets(g, packets, **kwargs)[1])
+    except AlgorithmError as exc:
+        return ("error", str(exc))
+    return (total.as_dict(), list(total.edge_congestion.items()),
+            list(total.message_sizes.items()), total.max_message_words)
+
+
+# Ties the array pass must break as the exact engine does: both ways
+# over edge {0, 3} in round 1 (node 0 uses it first, before node 1 uses
+# {1, 2}); two senders meeting on hub 4's link to 2 (the smaller sender
+# goes first, so 5 is reached in round 4); and two links new at hub 4
+# in round 2, first used in sender order, not input order.
+_TIES = (from_edges(4, [(0, 3), (1, 2)]),
+         [[((3, 0), 2), ((1, 2), 2), ((0, 3), 2)]], None)
+_HUB = from_edges(6, [(0, 4), (1, 4), (2, 4), (3, 4), (2, 5)])
+_MEET = (_HUB, [[((1, 4, 2), 2), ((0, 4, 2, 5), 2)]], None)
+_PART = (_HUB, [[((1, 4, 2), 2), ((0, 4, 3), 2)]], None)
+
+
+@settings(max_examples=80)
+@given(plan=phase_plans(), cap=st.one_of(st.none(), st.integers(0, 12)))
+@example(plan=_TIES, cap=None)
+@example(plan=_MEET, cap=None)
+@example(plan=_PART, cap=None)
+def test_route_phases_matches_per_phase_route_packets(plan, cap):
+    g, phases, fail_at = plan
+    kwargs = {} if cap is None else {"max_rounds": cap}
+    batched = _phases_outcome(g, phases, fail_at, **kwargs)
+    assert batched == _per_phase_outcome(g, phases, fail_at, **kwargs)
+    if batched[0] == "error":
+        return
+    # The largest phase's rounds suffice; one fewer fails in that phase.
+    top = max(_per_phase_outcome(g, [hops], None)[0]["rounds"]
+              for hops in phases)
+    assert _phases_outcome(g, phases, fail_at, max_rounds=top) == batched
+    capped = _phases_outcome(g, phases, fail_at, max_rounds=top - 1)
+    assert capped == _per_phase_outcome(g, phases, fail_at,
+                                        max_rounds=top - 1)
+    assert capped[0] == "error" and "max_rounds" in capped[1]
+
+
+@settings(max_examples=20)
+@given(plan=phase_plans())
+def test_route_phases_matches_per_phase_route_packets_on_reference(plan):
+    g, phases, fail_at = plan
+    batched = _phases_outcome(g, phases, fail_at)
+    with cell_context(engine="reference"):
+        assert _phases_outcome(g, phases, fail_at) == batched
+
+
+def test_route_phases_errors_come_from_the_first_failing_phase():
+    """Each error kind, behind a phase that fails differently first."""
+    g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    flood = [((0, 1, 2, 3), 2)] * 3  # 5 rounds
+    oversize = [((0, 1), 2), ((1, 2), 17)]
+    non_edge = [((0, 1), 2), ((1, 3), 2)]
+    for first, later in ((flood, oversize), (flood, non_edge),
+                         (oversize, non_edge), (non_edge, oversize)):
+        for cap in (4, 5):
+            plan = [[((2, 1), 3)], first, later]
+            for fail_at in (None, 1, 2, 3):
+                got = _phases_outcome(g, plan, fail_at, max_rounds=cap)
+                assert got[0] == "error"
+                assert got == _per_phase_outcome(g, plan, fail_at,
+                                                 max_rounds=cap)
+    assert _phases_outcome(g, [[], [((3,), 2)]], None) == \
+        _per_phase_outcome(g, [[], [((3,), 2)]], None)
+    assert _phases_outcome(g, [], None)[0] == Metrics().as_dict()
+
+
+# ----------------------------------------------------------------------
 # Dissemination: the closed form equals the Network run
 # ----------------------------------------------------------------------
 
@@ -494,9 +656,13 @@ def test_dissemination_matches_network_reference(g, seed, stream, cap):
 @settings(max_examples=30)
 @given(g=connected_graphs(max_n=12), seed=st.integers(0, 1_000))
 def test_kernel_plans_carry_their_payload_sizes(g, seed):
-    """Every plan entry's declared ``words`` is its payload's size."""
+    """Every plan entry's declared ``words`` is its payload's size, and
+    every node's output size is ``output_words`` of its output (also for
+    BFS roots that repeat)."""
     delays = make_delays(g.n, seed)
+    shared = {j: (j * 7 + seed) % g.n for j in g.nodes()}
     plans = [wavefront.bcongest_plan(g, {j: j for j in g.nodes()}, delays),
+             wavefront.bcongest_plan(g, shared, delays),
              relaxation.bcongest_plan(g, delays),
              relaxation.bcongest_plan(
                  uniform_weights(g, w_max=9, seed=seed), delays)]
@@ -507,6 +673,8 @@ def test_kernel_plans_carry_their_payload_sizes(g, seed):
                 assert words == payload_words(payload)
                 entries += 1
         assert entries >= g.n
+        assert plan.output_words == [output_words(plan.outputs[v])
+                                     for v in g.nodes()]
 
 
 # ----------------------------------------------------------------------
