@@ -70,7 +70,10 @@ def output_words(obj: Any) -> int:
 
     Used to meter the O(Out) output-downcast term with the *actual*
     output content: scalars cost one word, containers the sum of their
-    items, dict entries key + value, and ``None`` nothing.
+    items, dict entries key + value, and ``None`` nothing.  Kernel plans
+    size their ``{source: (dist, parent)}`` outputs with
+    :func:`repro.kernels.plan.collection_output_words`, which follows
+    this rule.
     """
     if obj is None:
         return 0

@@ -16,7 +16,19 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 Phase = Tuple[int, List[Tuple[int, Any, int]]]
+
+
+def collection_output_words(entries: np.ndarray,
+                            parentless: np.ndarray) -> List[int]:
+    """Per node, the ``output_words`` of a ``{source: (dist, parent)}``
+    output, from the node's entry count and its count of ``None``
+    parents: 3 words an entry, ``None`` free.  This is the kernels' one
+    copy of :func:`repro.core.bcongest_sim.output_words`' rule for that
+    shape."""
+    return (3 * entries - parentless).tolist()
 
 
 class BcongestPlan:
@@ -35,7 +47,8 @@ class BcongestPlan:
         ``{node: output}`` as the machines would report at halt.
     output_words:
         Per node (indexed by id), ``output_words`` of its output, which
-        the kernel counts from the arrays it built the outputs from.
+        the kernel counts from the arrays it built the outputs from
+        (:func:`collection_output_words`).
     executed_phases:
         The phase counter value the machine loop would end on.
 

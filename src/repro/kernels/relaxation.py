@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.kernels.plan import BcongestPlan
+from repro.kernels.plan import BcongestPlan, collection_output_words
 
 # Beyond this, n + 1 chained additions of int weights may leave
 # float64's exact-integer range (2^53); the builder declines.
@@ -144,9 +144,7 @@ def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
                 d = col_d[j]
                 out[j] = (int(d) if int_mode else d, p)
 
-    # output_words: 3 words per source, less the own source's None parent.
     reached = dist < inf
-    words = (3 * reached.sum(axis=0)
-             - (reached & (parent == no_parent)).sum(axis=0))
-    return (outputs, words.tolist(),
-            deadline + (1 if last_ann_round == deadline else 0))
+    words = collection_output_words(
+        reached.sum(axis=0), (reached & (parent == no_parent)).sum(axis=0))
+    return outputs, words, deadline + (1 if last_ann_round == deadline else 0)

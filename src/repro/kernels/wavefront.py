@@ -40,7 +40,7 @@ from repro.congest.machine import check_broadcast_words
 from repro.congest.metrics import Metrics
 from repro.congest.network import Execution
 from repro.graphs.graph import Graph, _gather_neighbors
-from repro.kernels.plan import BcongestPlan
+from repro.kernels.plan import BcongestPlan, collection_output_words
 
 
 def _numpy_bfs(indptr: np.ndarray, indices: np.ndarray, root: int,
@@ -305,8 +305,8 @@ def _plan_phases(graph: Graph, js: List[int], roots: List[int],
         last = int(phases[lo])
         yield last, payloads
     parents = _bfs_parents(graph, dist)
-    # output_words: 3 words per BFS, less each root's None parent.
-    words = (3 * (dist >= 0).sum(axis=0)
-             - np.bincount(roots, minlength=graph.n))
-    return (_collection_outputs(graph, js, roots, dist, parents),
-            words.tolist(), last + 1)
+    # Each root's own entry has a None parent.
+    words = collection_output_words((dist >= 0).sum(axis=0),
+                                    np.bincount(roots, minlength=graph.n))
+    return (_collection_outputs(graph, js, roots, dist, parents), words,
+            last + 1)

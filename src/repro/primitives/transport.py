@@ -93,8 +93,10 @@ that merge's order: by the phase that first uses the edge, then by the
 records once per edge; a link's first use is in the round its first
 packet is enqueued.  A phase with an oversize packet raises after the
 phases before it are routed; a phase with a hop the array pass cannot
-take goes through :func:`route_packets`, which raises its error; under
-:func:`fallback_reason` every phase does.  ``tests/test_property.py``
+take goes through :func:`route_packets`, which raises its error; a phase
+whose rounds pass :func:`route_packets`' default round cap raises its
+error; under :func:`fallback_reason` every phase goes through
+:func:`route_packets`.  ``tests/test_property.py``
 checks it against per-phase :func:`route_packets` on generated plans.
 
 The round and message costs of upcast/downcast proved in Lemmas 1.5/1.6
@@ -123,6 +125,9 @@ from repro.congest.network import (
 )
 from repro.graphs.graph import Graph
 from repro.kernels.config import fallback_reason
+
+# The round cap every call here defaults to: a run past it is a livelock.
+_MAX_ROUNDS = 5_000_000
 
 
 @dataclass
@@ -216,7 +221,7 @@ def _packet_words(packet: Packet) -> int:
 
 def route_packets(graph: Graph, packets: Sequence[Packet], *,
                   word_limit: int = 16,
-                  max_rounds: int = 5_000_000) -> Tuple[List[Delivery], Metrics]:
+                  max_rounds: int = _MAX_ROUNDS) -> Tuple[List[Delivery], Metrics]:
     """Deliver all packets; return deliveries and the execution metrics.
 
     The network-level size check is replaced by a per-packet check of
@@ -245,7 +250,7 @@ def route_packets(graph: Graph, packets: Sequence[Packet], *,
 
 def route_downcast(graph: Graph, routes: Sequence[Tuple[Sequence[int], int, int]],
                    *, word_limit: int = 16,
-                   max_rounds: int = 5_000_000) -> Metrics:
+                   max_rounds: int = _MAX_ROUNDS) -> Metrics:
     """Route a downcast given as ``(path, count, words)`` routes.
 
     Meters exactly what :func:`route_packets` would on ``count`` packets
@@ -296,24 +301,24 @@ def route_downcast(graph: Graph, routes: Sequence[Tuple[Sequence[int], int, int]
 
 def route_phases(graph: Graph,
                  phases: Iterable[Sequence[Tuple[Tuple[int, ...], int]]], *,
-                 word_limit: int = 16,
-                 max_rounds: int = 5_000_000) -> Metrics:
+                 word_limit: int = 16) -> Metrics:
     """Route independent phases of ``(path, words)`` packets, one per call
     to :func:`route_packets` in effect, and return the merged metrics.
 
     Meters exactly what routing each phase's packets (path tuples with
-    declared sizes) through :func:`route_packets` and merging the metrics
-    in phase order would, congestion order and size histogram included,
-    and raises the error of the first failing phase, with the same text;
-    the deliveries are not returned.  Phases are consumed one at a time,
-    and an :class:`AlgorithmError` raised by ``phases`` itself (a
-    caller's own per-phase check) surfaces only after the phases before
-    it are routed, so an earlier phase's error comes first.
+    declared sizes) through :func:`route_packets` at its default round
+    cap and merging the metrics in phase order would, congestion order
+    and size histogram included, and raises the error of the first
+    failing phase, with the same text; the deliveries are not returned.
+    Phases are consumed one at a time, and an :class:`AlgorithmError`
+    raised by ``phases`` itself (a caller's own per-phase check)
+    surfaces only after the phases before it are routed, so an earlier
+    phase's error comes first.
     """
     if fallback_reason() is not None:
         total = Metrics()
         for hops in phases:
-            total.merge(_route_phase(graph, hops, word_limit, max_rounds))
+            total.merge(_route_phase(graph, hops, word_limit))
         return total
     batch = _PhaseBatch(graph)
     total = Metrics()
@@ -324,23 +329,25 @@ def route_phases(graph: Graph,
                     raise AlgorithmError(f"packet payload of {words} words "
                                          f"exceeds limit {word_limit}")
             if not batch.add(hops):
-                # A path the array pass cannot take (a non-edge, an origin
-                # that is no node): route_packets raises its error.
-                total.merge(batch.flush(max_rounds))
-                total.merge(_route_phase(graph, hops, word_limit, max_rounds))
+                # A path the array pass cannot take (empty, an origin that
+                # is no node, a non-edge) always fails in route_packets:
+                # route the earlier phases, then let it raise its error.
+                total.merge(batch.flush())
+                _route_phase(graph, hops, word_limit)
+                raise AssertionError("route_packets routed an unroutable path")
     except AlgorithmError:
-        total.merge(batch.flush(max_rounds))  # earlier phases' errors first
+        total.merge(batch.flush())  # earlier phases' errors first
         raise
-    total.merge(batch.flush(max_rounds))
+    total.merge(batch.flush())
     return total
 
 
 def _route_phase(graph: Graph, hops: Sequence[Tuple[Tuple[int, ...], int]],
-                 word_limit: int, max_rounds: int) -> Metrics:
+                 word_limit: int) -> Metrics:
     packets = [Packet(path=path, payload=None, words=words)
                for path, words in hops]
     return route_packets(graph, packets, word_limit=word_limit,
-                         max_rounds=max_rounds)[1]
+                         max_rounds=_MAX_ROUNDS)[1]
 
 
 class _PhaseBatch:
@@ -406,7 +413,7 @@ class _PhaseBatch:
         self.links.append(-1)
         return len(self.hops) - 1
 
-    def flush(self, max_rounds: int) -> Metrics:
+    def flush(self) -> Metrics:
         """Route the pending phases in one round-synchronous array pass.
 
         Every phase runs from round 1 at once, its FIFO queues keyed by
@@ -504,9 +511,9 @@ class _PhaseBatch:
             rnd += 1
 
         rounds = np.maximum(last, 1)
-        if int(rounds.max()) > max_rounds:
+        if int(rounds.max()) > _MAX_ROUNDS:
             raise AlgorithmError(
-                f"exceeded max_rounds={max_rounds}; likely livelock")
+                f"exceeded max_rounds={_MAX_ROUNDS}; likely livelock")
         metrics.rounds = int(rounds.sum())
         hops = int(count.sum())
         if hops:

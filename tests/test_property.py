@@ -8,6 +8,7 @@ import math
 import pkgutil
 import random
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ from repro.primitives import (
     route_packets,
     route_phases,
 )
+from repro.primitives import transport
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
 from repro.primitives.bfs import BFSCollectionMachine
 from repro.primitives.luby import LubyMISMachine
@@ -498,10 +500,10 @@ def _stream(phases, fail_at):
         yield hops
 
 
-def _phases_outcome(g, phases, fail_at, **kwargs):
+def _phases_outcome(g, phases, fail_at):
     """``route_phases`` as comparable data: the outcome or the error."""
     try:
-        m = route_phases(g, _stream(phases, fail_at), **kwargs)
+        m = route_phases(g, _stream(phases, fail_at))
     except AlgorithmError as exc:
         return ("error", str(exc))
     return (m.as_dict(), list(m.edge_congestion.items()),
@@ -535,25 +537,14 @@ _PART = (_HUB, [[((1, 4, 2), 2), ((0, 4, 3), 2)]], None)
 
 
 @settings(max_examples=80)
-@given(plan=phase_plans(), cap=st.one_of(st.none(), st.integers(0, 12)))
-@example(plan=_TIES, cap=None)
-@example(plan=_MEET, cap=None)
-@example(plan=_PART, cap=None)
-def test_route_phases_matches_per_phase_route_packets(plan, cap):
+@given(plan=phase_plans())
+@example(plan=_TIES)
+@example(plan=_MEET)
+@example(plan=_PART)
+def test_route_phases_matches_per_phase_route_packets(plan):
     g, phases, fail_at = plan
-    kwargs = {} if cap is None else {"max_rounds": cap}
-    batched = _phases_outcome(g, phases, fail_at, **kwargs)
-    assert batched == _per_phase_outcome(g, phases, fail_at, **kwargs)
-    if batched[0] == "error":
-        return
-    # The largest phase's rounds suffice; one fewer fails in that phase.
-    top = max(_per_phase_outcome(g, [hops], None)[0]["rounds"]
-              for hops in phases)
-    assert _phases_outcome(g, phases, fail_at, max_rounds=top) == batched
-    capped = _phases_outcome(g, phases, fail_at, max_rounds=top - 1)
-    assert capped == _per_phase_outcome(g, phases, fail_at,
-                                        max_rounds=top - 1)
-    assert capped[0] == "error" and "max_rounds" in capped[1]
+    assert _phases_outcome(g, phases, fail_at) == \
+        _per_phase_outcome(g, phases, fail_at)
 
 
 @settings(max_examples=20)
@@ -566,20 +557,28 @@ def test_route_phases_matches_per_phase_route_packets_on_reference(plan):
 
 
 def test_route_phases_errors_come_from_the_first_failing_phase():
-    """Each error kind, behind a phase that fails differently first."""
+    """Each error kind, behind a phase that fails differently first; the
+    round cap pinned at 5, so the 6-round flood fails on it too."""
     g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    flood = [((0, 1, 2, 3), 2)] * 3  # 5 rounds
+    flood = [((0, 1, 2, 3), 2)] * 3  # 6 rounds
     oversize = [((0, 1), 2), ((1, 2), 17)]
     non_edge = [((0, 1), 2), ((1, 3), 2)]
-    for first, later in ((flood, oversize), (flood, non_edge),
-                         (oversize, non_edge), (non_edge, oversize)):
-        for cap in (4, 5):
-            plan = [[((2, 1), 3)], first, later]
-            for fail_at in (None, 1, 2, 3):
-                got = _phases_outcome(g, plan, fail_at, max_rounds=cap)
-                assert got[0] == "error"
-                assert got == _per_phase_outcome(g, plan, fail_at,
-                                                 max_rounds=cap)
+    for cap in (transport._MAX_ROUNDS, 5):
+        with mock.patch.object(transport, "_MAX_ROUNDS", cap):
+            for first, later in ((flood, oversize), (flood, non_edge),
+                                 (oversize, non_edge), (non_edge, oversize)):
+                plan = [[((2, 1), 3)], first, later]
+                for fail_at in (None, 1, 2, 3):
+                    want = _per_phase_outcome(g, plan, fail_at,
+                                              max_rounds=cap)
+                    assert want[0] == "error"
+                    assert _phases_outcome(g, plan, fail_at) == want
+                    with cell_context(engine="reference"):
+                        assert _phases_outcome(g, plan, fail_at) == want
+    with mock.patch.object(transport, "_MAX_ROUNDS", 5):
+        assert "max_rounds=5" in _phases_outcome(g, [flood], None)[1]
+    with mock.patch.object(transport, "_MAX_ROUNDS", 6):
+        assert _phases_outcome(g, [flood], None)[0]["rounds"] == 6
     assert _phases_outcome(g, [[], [((3,), 2)]], None) == \
         _per_phase_outcome(g, [[], [((3,), 2)]], None)
     assert _phases_outcome(g, [], None)[0] == Metrics().as_dict()
