@@ -158,11 +158,12 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     outputs.
 
     ``plan`` (a :class:`repro.kernels.plan.BcongestPlan`) replays a
-    precomputed execution: no machines are constructed or stepped, and
-    the same per-phase transport packets (paths, sizes, order) go to
-    :func:`~repro.primitives.transport.route_phases` in one call, which
-    meters them as one ``route_packets`` call per phase would, so the
-    metrics are byte-identical.  Output delivery reads the plan's
+    precomputed execution from its broadcast schedule (each phase's
+    broadcasting nodes and their words): no machines are constructed or
+    stepped, and the same per-phase transport packets (paths, sizes,
+    order) go to :func:`~repro.primitives.transport.route_phases` in
+    one call, which meters them as one ``route_packets`` call per phase
+    would, so the metrics are byte-identical.  Output delivery reads the plan's
     per-node output sizes instead of sizing the outputs again;
     preprocessing is unchanged.
 
@@ -194,19 +195,19 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     mark_phase("simulation")
     transport_limit = message_words + 3  # payload + origin + dest + slack
     if plan is not None:
-        # Kernel replay: the broadcast schedule is precomputed.  Each
-        # phase's transport packets (same paths, sizes and order as the
-        # stepped loop's) go to route_phases, which meters them as one
-        # route_packets call per phase would; a payload is dropped once
-        # its size is checked.
+        # Kernel replay: the broadcast schedule is precomputed, so each
+        # broadcast is a node and its words.  Each phase's transport
+        # packets (same paths, sizes and order as the stepped loop's) go
+        # to route_phases, which meters them as one route_packets call
+        # per phase would.
         broadcasts_simulated = 0
         routes: Dict[int, List[Tuple[int, ...]]] = {}
 
         def transports():
             nonlocal broadcasts_simulated
-            for _phase, scheduled in plan.phase_payloads:
+            for _phase, scheduled in plan.phase_broadcasts:
                 hops: List[Tuple[Tuple[int, ...], int]] = []
-                for v, _payload, words in scheduled:
+                for v, words in scheduled:
                     check_broadcast_words(words, message_words)
                     broadcasts_simulated += 1
                     paths = routes.get(v)

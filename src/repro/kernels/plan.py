@@ -1,8 +1,8 @@
 """The whole-execution replay plan consumed by the Theorem 2.1 driver.
 
-A kernel resolves the entire BCONGEST execution -- every phase's
-broadcasters with their literal payloads, the final per-node outputs
-with their sizes, and the executed-phase count -- and
+A kernel resolves the entire BCONGEST execution -- the broadcast
+schedule (who broadcasts in each phase, and how many words), the final
+per-node outputs with their sizes, and the executed-phase count -- and
 :func:`repro.core.bcongest_sim.simulate_bcongest` replays it: the same
 per-phase transport packets (paths, declared sizes, order) are metered
 by :func:`~repro.primitives.transport.route_phases`, which reproduces
@@ -18,7 +18,8 @@ from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-Phase = Tuple[int, List[Tuple[int, Any, int]]]
+# (phase, [(node, words), ...]): one phase of the broadcast schedule.
+Phase = Tuple[int, List[Tuple[int, int]]]
 
 
 def collection_output_words(entries: np.ndarray,
@@ -34,15 +35,15 @@ def collection_output_words(entries: np.ndarray,
 class BcongestPlan:
     """A fully-resolved BCONGEST execution, streamed one phase at a time.
 
-    phase_payloads:
-        An iterator of ``(phase, [(node, payload, words), ...])`` --
-        phases ascending, broadcasters ascending within a phase,
-        payloads the literal objects the machines would have returned,
-        and ``words`` their ``payload_words`` size, which the kernel
-        knows from the shape it built (so the oversize check and the
-        transport packets' declared sizes reproduce exactly without
-        re-sizing).  The kernel computes each phase when it is asked
-        for, so a plan never holds more than one phase's payloads.
+    phase_broadcasts:
+        The broadcast schedule, an iterator of ``(phase, [(node, words),
+        ...])`` -- phases ascending, broadcasters ascending within a
+        phase, and ``words`` the ``payload_words`` size of the payload
+        the machine would have broadcast, which the kernel counts from
+        the schedule's shape (so the oversize check and the transport
+        packets' declared sizes reproduce exactly).  The kernel computes
+        each phase when it is asked for, so a plan never holds more than
+        one phase of the schedule.
     outputs:
         ``{node: output}`` as the machines would report at halt.
     output_words:
@@ -61,7 +62,7 @@ class BcongestPlan:
         self.outputs: Optional[Dict[int, Any]] = None
         self.output_words: Optional[List[int]] = None
         self.executed_phases: Optional[int] = None
-        self.phase_payloads: Iterator[Phase] = self._drain(phases)
+        self.phase_broadcasts: Iterator[Phase] = self._drain(phases)
 
     def _drain(self, phases) -> Iterator[Phase]:
         (self.outputs, self.output_words,

@@ -14,9 +14,11 @@ convert back to exact Python ints (and the builder declines graphs whose
 weights could exceed float64's exact-integer range).
 
 The output is a :class:`~repro.kernels.plan.BcongestPlan` for
-:func:`repro.core.bcongest_sim.simulate_bcongest` to replay -- transport
-packets are still routed and metered for real; only the per-node
-machine stepping is precomputed.
+:func:`repro.core.bcongest_sim.simulate_bcongest` to replay: per round,
+the broadcast schedule lists each announcing node with ``3 * k`` words,
+the size of its ``{j: (d, v)}`` payload over the ``k`` sources it
+improved.  Transport packets are still routed and metered for real;
+only the per-node machine stepping is precomputed.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ def _in_weights(graph: Graph) -> Optional[Tuple[np.ndarray, bool]]:
     return np.asarray(w_in, dtype=np.float64), int_mode
 
 
-def bcongest_plan(graph: Graph, delays: Dict[int, int],
-                  *, horizon: Optional[int] = None) -> Optional[BcongestPlan]:
+def bcongest_plan(graph: Graph,
+                  delays: Dict[int, int]) -> Optional[BcongestPlan]:
     """The replay plan for APSP sources = {j: j}, or None when declined."""
     n = graph.n
     if n == 0 or len(delays) != n:
@@ -61,13 +63,14 @@ def bcongest_plan(graph: Graph, delays: Dict[int, int],
     weights = _in_weights(graph)
     if weights is None:
         return None
-    return BcongestPlan(_phases(graph, delays, *weights, horizon))
+    return BcongestPlan(_phases(graph, delays, *weights))
 
 
 def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
-            int_mode: bool, horizon: Optional[int]):
-    """Yield each announcing round's payloads, then return
-    ``(outputs, output_words, executed_phases)``."""
+            int_mode: bool):
+    """Yield each announcing round's broadcasts, then return
+    ``(outputs, output_words, executed_phases)``.  The machines' horizon
+    is their default, ``n`` rounds past the last start."""
     n = graph.n
     indptr, indices = graph._indptr, graph._indices
     deg = np.diff(indptr)
@@ -75,11 +78,11 @@ def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
     inf = np.inf
     dist = np.full((n, n), inf)
     parent = np.full((n, n), n, dtype=np.int64)  # n = "no parent"
-    deadline = max(delays.values()) + (n if horizon is None else horizon)
     starts_by_round: Dict[int, List[int]] = {}
     for j in range(n):
         starts_by_round.setdefault(delays[j], []).append(j)
     last_start = max(delays.values())
+    deadline = last_start + n
 
     prev_ann = np.zeros((n, n), dtype=bool)
     prev_val = np.zeros((n, n))
@@ -114,21 +117,9 @@ def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
         last_ann_round = rnd
         prev_val = np.where(ann, dist, 0.0)
         prev_ann = ann
-        srcs, nodes = np.nonzero(ann)
-        order = np.lexsort((srcs, nodes))
-        # A {j: (d, v)} payload is 3 words per source.
-        payloads: List[Tuple[int, Any, int]] = []
-        current = -1
-        payload: Dict[int, Tuple[Any, int]] = {}
-        for j, v in zip(srcs[order].tolist(), nodes[order].tolist()):
-            if v != current:
-                if current >= 0:
-                    payloads.append((current, payload, 3 * len(payload)))
-                current, payload = v, {}
-            d = dist[j, v]
-            payload[j] = (int(d) if int_mode else float(d), v)
-        payloads.append((current, payload, 3 * len(payload)))
-        yield rnd, payloads
+        counts = ann.sum(axis=0)  # sources each node announces
+        nodes = np.flatnonzero(counts)
+        yield rnd, list(zip(nodes.tolist(), (3 * counts[nodes]).tolist()))
 
     outputs: Dict[int, Any] = {v: {} for v in graph.nodes()}
     no_parent = n

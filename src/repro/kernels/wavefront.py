@@ -18,9 +18,10 @@ Three consumers, matching the three execution modes of the scalar path:
   kappa = 1 degenerate shape (eps = 1: no star clusters, every edge
   F_1-incident), where each phase is one ``_one_shot`` of
   ``(2 + 3·cnt)``-word point-to-point sends.
-* :func:`bcongest_plan` -- resolves the phase schedule and payloads for
-  the Theorem 2.1 simulation to replay (transport is still routed and
-  metered for real; see :mod:`repro.kernels.plan`).
+* :func:`bcongest_plan` -- streams the same announcements as the
+  broadcast schedule (``(node, 3·cnt)`` per phase) for the Theorem 2.1
+  simulation to replay (transport is still routed and metered for real;
+  see :mod:`repro.kernels.plan`).
 
 All emitted values are Python ints; metering reproduces the scalar
 path's :class:`~repro.congest.metrics.Metrics` exactly, including the
@@ -31,7 +32,7 @@ builder guarantees.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,14 +99,17 @@ def _sorted_roots(roots_map: Dict[int, int]) -> Tuple[List[int], List[int]]:
     return js, [roots_map[j] for j in js]
 
 
-def _announcements(dist: np.ndarray, delays_arr: np.ndarray,
+def _announcements(dist: np.ndarray, js: List[int], delays: Dict[int, int],
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-(node, phase) announcement events, sorted by (node, phase).
 
-    Returns ``(ev_v, ev_p, ev_cnt)``: node, phase, and how many BFS ids
-    the node announces in that phase.
+    ``dist`` has one row per BFS id of ``js``.  Returns ``(ev_v, ev_p,
+    ev_cnt)``: node, phase, and how many BFS ids the node announces in
+    that phase -- one broadcast of a ``{j: (dist, v)}`` payload, 3 words
+    a BFS id.
     """
     k, n = dist.shape
+    delays_arr = np.array([delays[j] for j in js], dtype=np.int64)
     phase = delays_arr[:, None] + dist
     mask = dist >= 0
     p_flat = phase[mask]
@@ -188,8 +192,7 @@ def direct_execution(graph: Graph, roots_map: Dict[int, int],
     js, roots = _sorted_roots(roots_map)
     dist = bfs_distances(graph, roots)
     parents = _bfs_parents(graph, dist)
-    delays_arr = np.array([delays[j] for j in js], dtype=np.int64)
-    ev_v, ev_p, ev_cnt = _announcements(dist, delays_arr)
+    ev_v, ev_p, ev_cnt = _announcements(dist, js, delays)
     sizes = 3 * ev_cnt
     offender = _first_offender(ev_v, ev_p, sizes, word_limit)
     if offender is not None:
@@ -235,8 +238,7 @@ def star_report(graph: Graph, hierarchy, roots_map: Dict[int, int],
     js, roots = _sorted_roots(roots_map)
     dist = bfs_distances(graph, roots)
     parents = _bfs_parents(graph, dist)
-    delays_arr = np.array([delays[j] for j in js], dtype=np.int64)
-    ev_v, ev_p, ev_cnt = _announcements(dist, delays_arr)
+    ev_v, ev_p, ev_cnt = _announcements(dist, js, delays)
     offender = _first_offender(ev_v, ev_p, 3 * ev_cnt, message_words)
     if offender is not None:
         check_broadcast_words(offender[2], message_words)  # raises
@@ -265,11 +267,11 @@ def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
                   delays: Dict[int, int]) -> BcongestPlan:
     """The Theorem 2.1 replay plan for a BFS collection.
 
-    Payloads are the literal ``{j: (dist, v)}`` dicts the machines
-    return, each with its ``3 * len`` word count; the simulation
-    re-routes the identical transport packets, so only the machine
-    stepping is skipped.  The machines never halt, so the loop ends one
-    phase after the last announcement.
+    The schedule gives each announcing node's broadcast as ``3 * cnt``
+    words, the size of the ``{j: (dist, v)}`` payload the machine would
+    return; the simulation re-routes the identical transport packets,
+    so only the machine stepping is skipped.  The machines never halt,
+    so the loop ends one phase after the last announcement.
     """
     js, roots = _sorted_roots(roots_map)
     return BcongestPlan(_plan_phases(graph, js, roots, delays))
@@ -277,33 +279,20 @@ def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
 
 def _plan_phases(graph: Graph, js: List[int], roots: List[int],
                  delays: Dict[int, int]):
-    """Yield each phase's announcements straight from the distances,
-    then return ``(outputs, output_words, executed_phases)``."""
+    """Yield each phase's broadcasts from the announcement schedule, then
+    return ``(outputs, output_words, executed_phases)``."""
     dist = bfs_distances(graph, roots)
-    rows, nodes = np.nonzero(dist >= 0)
-    hops = dist[rows, nodes]
-    phases = np.array([delays[j] for j in js], dtype=np.int64)[rows] + hops
-    # Phases ascending, broadcasters ascending, BFS ids ascending.
-    order = np.lexsort((rows, nodes, phases))
-    ids = np.asarray(js, dtype=np.int64)[rows[order]]
-    nodes, hops, phases = nodes[order], hops[order], phases[order]
+    ev_v, ev_p, ev_cnt = _announcements(dist, js, delays)
+    # Phases ascending, broadcasters ascending.
+    order = np.lexsort((ev_v, ev_p))
+    phases = ev_p[order]
+    nodes = ev_v[order].tolist()
+    sizes = (3 * ev_cnt[order]).tolist()
     starts = np.flatnonzero(np.diff(phases, prepend=-1)).tolist()
     last = 0
-    for lo, hi in zip(starts, starts[1:] + [len(phases)]):
-        # A {j: (d, v)} payload is 3 words per BFS.
-        payloads: List[Tuple[int, Any, int]] = []
-        current = -1
-        payload: Dict[int, Tuple[int, int]] = {}
-        for v, j, d in zip(nodes[lo:hi].tolist(), ids[lo:hi].tolist(),
-                           hops[lo:hi].tolist()):
-            if v != current:
-                if current >= 0:
-                    payloads.append((current, payload, 3 * len(payload)))
-                current, payload = v, {}
-            payload[j] = (d, v)
-        payloads.append((current, payload, 3 * len(payload)))
+    for lo, hi in zip(starts, starts[1:] + [len(nodes)]):
         last = int(phases[lo])
-        yield last, payloads
+        yield last, list(zip(nodes[lo:hi], sizes[lo:hi]))
     parents = _bfs_parents(graph, dist)
     # Each root's own entry has a None parent.
     words = collection_output_words((dist >= 0).sum(axis=0),

@@ -652,26 +652,54 @@ def test_dissemination_matches_network_reference(g, seed, stream, cap):
     assert exact[0] == "error" and "max_rounds" in exact[2]
 
 
+class _ScheduleRecorder(LocalRunner):
+    """A ``LocalRunner`` that records ``(round, node, payload_words)``
+    for every broadcast, in stepping order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.schedule = []
+
+    def step(self, rnd, inboxes):
+        sent = super().step(rnd, inboxes)
+        self.schedule.extend((rnd, v, payload_words(payload))
+                             for v, payload in sent.items())
+        return sent
+
+
 @settings(max_examples=30)
 @given(g=connected_graphs(max_n=12), seed=st.integers(0, 1_000))
-def test_kernel_plans_carry_their_payload_sizes(g, seed):
-    """Every plan entry's declared ``words`` is its payload's size, and
-    every node's output size is ``output_words`` of its output (also for
-    BFS roots that repeat)."""
+def test_kernel_plan_schedules_match_the_machines(g, seed):
+    """A plan's broadcast schedule is its machine collection's: the
+    ``(phase, node, words)`` stream equals the ``(round, node,
+    payload_words)`` of every broadcast when the same machines are
+    stepped under ``LocalRunner``.  Every node's output size is
+    ``output_words`` of its output (also for BFS roots that repeat)."""
     delays = make_delays(g.n, seed)
+    sources = {j: j for j in g.nodes()}
     shared = {j: (j * 7 + seed) % g.n for j in g.nodes()}
-    plans = [wavefront.bcongest_plan(g, {j: j for j in g.nodes()}, delays),
-             wavefront.bcongest_plan(g, shared, delays),
-             relaxation.bcongest_plan(g, delays),
-             relaxation.bcongest_plan(
-                 uniform_weights(g, w_max=9, seed=seed), delays)]
-    for plan in plans:
-        entries = 0
-        for _phase, scheduled in plan.phase_payloads:
-            for _v, payload, words in scheduled:
-                assert words == payload_words(payload)
-                entries += 1
-        assert entries >= g.n
+    weighted = uniform_weights(g, w_max=9, seed=seed)
+
+    def bfs(roots):
+        return lambda info: BFSCollectionMachine(info, roots=roots,
+                                                 delays=delays)
+
+    def bellman_ford(info):
+        return BellmanFordCollectionMachine(info, sources=sources,
+                                            delays=delays)
+
+    cases = [(g, wavefront.bcongest_plan(g, sources, delays), bfs(sources)),
+             (g, wavefront.bcongest_plan(g, shared, delays), bfs(shared)),
+             (g, relaxation.bcongest_plan(g, delays), bellman_ford),
+             (weighted, relaxation.bcongest_plan(weighted, delays),
+              bellman_ford)]
+    for graph, plan, factory in cases:
+        runner = _ScheduleRecorder(graph, factory, seed=seed)
+        outputs = runner.run()
+        assert [(phase, v, words)
+                for phase, scheduled in plan.phase_broadcasts
+                for v, words in scheduled] == runner.schedule
+        assert plan.outputs == outputs
         assert plan.output_words == [output_words(plan.outputs[v])
                                      for v in g.nodes()]
 
