@@ -13,13 +13,12 @@ outputs, opposite cost profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.congest.machine import run_machines
 from repro.congest.metrics import Metrics
-from repro.core.bfs_collections import shared_delays
+from repro.core.bfs_collections import _message_budget, shared_delays
 from repro.graphs.graph import Graph
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
 from repro.primitives.bfs import BFSCollectionMachine
@@ -33,10 +32,6 @@ class DirectAPSPResult:
     dist: List[List[float]]
     metrics: Metrics
     detail: Dict[str, float] = field(default_factory=dict)
-
-
-def _budget(n: int) -> int:
-    return max(32, 12 * max(1, int(math.log2(max(n, 2)))) ** 2)
 
 
 def _collect(graph: Graph, outputs: Dict[int, dict],
@@ -67,7 +62,7 @@ def apsp_direct_unweighted(graph: Graph, *, seed: int = 0,
     execution = run_machines(
         graph,
         lambda info: BFSCollectionMachine(info, roots=roots, delays=delays),
-        word_limit=_budget(n), seed=seed)
+        word_limit=_message_budget(n), seed=seed)
     total.merge(execution.metrics)
     dist = _collect(graph, execution.outputs, symmetric=True)
     max_ids = max(
@@ -99,7 +94,7 @@ def apsp_direct_weighted(graph: Graph, *, seed: int = 0,
         graph,
         lambda info: BellmanFordCollectionMachine(
             info, sources=sources, delays=delays),
-        word_limit=_budget(n) * 2, seed=seed)
+        word_limit=_message_budget(n) * 2, seed=seed)
     total.merge(execution.metrics)
     dist = _collect(graph, execution.outputs, symmetric=False)
     return DirectAPSPResult(

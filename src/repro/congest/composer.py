@@ -94,7 +94,7 @@ class _Component:
 
 def compose_machines(graph: Graph, factories: List[MachineFactory], *,
                      inputs: Optional[List[Optional[Dict[int, Any]]]] = None,
-                     seed: int = 0, delay_spread: Optional[int] = None,
+                     seed: int = 0,
                      max_rounds: int = 2_000_000) -> ComposedExecution:
     """Run all factories concurrently under shared CONGEST capacity.
 
@@ -107,8 +107,7 @@ def compose_machines(graph: Graph, factories: List[MachineFactory], *,
         raise ValueError("need at least one component")
     from repro.congest.network import stable_seed
     rng = random.Random(stable_seed("compose", seed))
-    spread = delay_spread if delay_spread is not None else max(1, ell)
-    delays = [rng.randint(1, spread) for _ in range(ell)]
+    delays = [rng.randint(1, max(1, ell)) for _ in range(ell)]
 
     components = []
     for idx, factory in enumerate(factories):

@@ -46,6 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.congest.machine import Machine, MachineSet, check_broadcast_words
 from repro.congest.metrics import Metrics
 from repro.congest.network import payload_words
@@ -158,14 +160,14 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     outputs.
 
     ``plan`` (a :class:`repro.kernels.plan.BcongestPlan`) replays a
-    precomputed execution from its broadcast schedule (each phase's
-    broadcasting nodes and their words): no machines are constructed or
-    stepped, and the same per-phase transport packets (paths, sizes,
-    order) go to :func:`~repro.primitives.transport.route_phases` in
-    one call, which meters them as one ``route_packets`` call per phase
-    would, so the metrics are byte-identical.  Output delivery reads the plan's
-    per-node output sizes instead of sizing the outputs again;
-    preprocessing is unchanged.
+    precomputed execution from its broadcast table (each broadcast's
+    phase, node and words): no machines are constructed or stepped, and
+    the same transport packets (paths, sizes, order) go to
+    :func:`~repro.primitives.transport.route_phases` as packet arrays
+    in one call, which meters them as one ``route_packets`` call per
+    phase would, so the metrics are byte-identical.  Output delivery
+    reads the plan's per-node output sizes instead of sizing the
+    outputs again; preprocessing is unchanged.
 
     Every packet built here declares its size (``Packet.words``), from
     payload sizes already known here: an upcast item's words,
@@ -190,38 +192,39 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
 
     down_paths = {v: path_from_root(parent, v) for v in graph.nodes()}
     up_paths = {v: path_to_root(parent, v) for v in graph.nodes()}
+    # Per broadcaster, its packets' paths, one per neighboring cluster:
+    # downcast to the F-edge endpoint, the F edge, upcast to the
+    # receiving cluster's center.
+    routes = [[down_paths[v] + (u_ext,) + up_paths[u_ext][1:]
+               for (_v, u_ext) in ldc.out_edges[v]]
+              for v in graph.nodes()]
 
     # ---------------- Simulation phases ----------------
     mark_phase("simulation")
     transport_limit = message_words + 3  # payload + origin + dest + slack
     if plan is not None:
-        # Kernel replay: the broadcast schedule is precomputed, so each
-        # broadcast is a node and its words.  Each phase's transport
-        # packets (same paths, sizes and order as the stepped loop's) go
-        # to route_phases, which meters them as one route_packets call
-        # per phase would.
-        broadcasts_simulated = 0
-        routes: Dict[int, List[Tuple[int, ...]]] = {}
-
-        def transports():
-            nonlocal broadcasts_simulated
-            for _phase, scheduled in plan.phase_broadcasts:
-                hops: List[Tuple[Tuple[int, ...], int]] = []
-                for v, words in scheduled:
-                    check_broadcast_words(words, message_words)
-                    broadcasts_simulated += 1
-                    paths = routes.get(v)
-                    if paths is None:
-                        paths = routes[v] = [
-                            down_paths[v] + (u_ext,) + up_paths[u_ext][1:]
-                            for (_v, u_ext) in ldc.out_edges[v]]
-                    size = 2 + words
-                    hops.extend((path, size) for path in paths)
-                if hops:
-                    yield hops
-
-        total.merge(route_phases(graph, transports(),
-                                 word_limit=transport_limit))
+        # Kernel replay: the broadcast table is precomputed.  Sizes are
+        # checked first: the routes are tree and F edges and every
+        # packet fits transport_limit, so no phase before the first
+        # oversize broadcast can fail.  The packets (each broadcaster's
+        # routes, 2 + words each, phase by phase in node order) go to
+        # route_phases, which meters them as one route_packets call per
+        # phase would.
+        oversize = np.flatnonzero(plan.words > message_words)
+        if len(oversize):
+            check_broadcast_words(int(plan.words[oversize[0]]),
+                                  message_words)  # raises
+        fanout = np.array([len(paths) for paths in routes], dtype=np.int64)
+        reps = fanout[plan.node]
+        # Packet k of broadcast b takes route first[node[b]] + k.
+        first = np.cumsum(fanout) - fanout
+        route = (np.repeat(first[plan.node] - (np.cumsum(reps) - reps), reps)
+                 + np.arange(int(reps.sum())))
+        total.merge(route_phases(
+            graph, [path for paths in routes for path in paths], route,
+            np.repeat(plan.phase, reps), np.repeat(2 + plan.words, reps),
+            word_limit=transport_limit))
+        broadcasts_simulated = len(plan.node)
         executed_phases = plan.executed_phases
     else:
         # Cluster centers instantiate their members' machines locally (a
@@ -237,20 +240,15 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
                 for u in graph.neighbors(v):
                     if center_of[u] == center_of[v]:
                         inboxes.setdefault(u, []).append((v, payload))
-            # Inter-cluster delivery: downcast + F edge + upcast, one
-            # packet per (broadcaster, neighboring cluster), each of
+            # Inter-cluster delivery: one packet per route, each of
             # dest + origin + the broadcast's words.
             packets = []
             for v, payload in broadcasters.items():
-                out_edges = ldc.out_edges[v]
-                if not out_edges:
-                    continue
-                words = 2 + payload_words(payload)
-                for (_v, u_ext) in out_edges:
-                    path = (down_paths[v] + (u_ext,)
-                            + up_paths[u_ext][1:])
-                    packets.append(Packet(path=path, payload=(v, payload),
-                                          words=words))
+                if routes[v]:
+                    words = 2 + payload_words(payload)
+                    packets.extend(Packet(path=path, payload=(v, payload),
+                                          words=words)
+                                   for path in routes[v])
             if packets:
                 deliveries, metrics = route_packets(
                     graph, packets, word_limit=transport_limit)

@@ -33,6 +33,7 @@ from repro.congest.metrics import Metrics
 from repro.core.bcongest_sim import simulate_bcongest
 from repro.core.bfs_collections import (
     BFSTreesResult,
+    _message_budget,
     depth_cap,
     n_bfs_trees_batched,
     n_bfs_trees_star,
@@ -80,7 +81,7 @@ def landmark_completion(graph: Graph, landmarks: List[int], *,
     total = Metrics()
     delays = shared_delays(landmarks, len(landmarks), seed + 101)
     roots = {j: j for j in landmarks}
-    budget = max(32, 12 * max(1, int(math.log2(max(graph.n, 2)))) ** 2)
+    budget = _message_budget(graph.n)
     if kernels.engine_ready():
         # Closed-form direct run; metering and outputs are exact, so no
         # engine note is left (this is one stage of a larger regime).
@@ -174,7 +175,7 @@ def _apsp_message_optimal(graph: Graph, *, seed: int = 0,
         graph, tree, [(j, delays[j]) for j in sorted(delays)], seed=seed)
     total.merge(m)
     roots = {j: j for j in graph.nodes()}
-    budget = max(32, 12 * max(1, int(math.log2(max(n, 2)))) ** 2)
+    budget = _message_budget(n)
 
     def factory(info):
         return BFSCollectionMachine(info, roots=roots, delays=delays)

@@ -1,12 +1,12 @@
 """The whole-execution replay plan consumed by the Theorem 2.1 driver.
 
-A kernel resolves the entire BCONGEST execution -- the broadcast
-schedule (who broadcasts in each phase, and how many words), the final
-per-node outputs with their sizes, and the executed-phase count -- and
+A kernel resolves the entire BCONGEST execution -- the broadcast table
+(who broadcasts in each phase, and how many words), the final per-node
+outputs with their sizes, and the executed-phase count -- and
 :func:`repro.core.bcongest_sim.simulate_bcongest` replays it: the same
-per-phase transport packets (paths, declared sizes, order) are metered
-by :func:`~repro.primitives.transport.route_phases`, which reproduces
-one :func:`~repro.primitives.transport.route_packets` call per phase, so
+transport packets (paths, declared sizes, order) are metered by
+:func:`~repro.primitives.transport.route_phases`, which reproduces one
+:func:`~repro.primitives.transport.route_packets` call per phase, so
 the resulting :class:`~repro.congest.metrics.Metrics` are byte-identical
 to stepping the machines, while the per-node/per-round Python dispatch
 of the machine loop and the per-phase transport loop disappear.
@@ -14,12 +14,10 @@ of the machine loop and the per-phase transport loop disappear.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 import numpy as np
-
-# (phase, [(node, words), ...]): one phase of the broadcast schedule.
-Phase = Tuple[int, List[Tuple[int, int]]]
 
 
 def collection_output_words(entries: np.ndarray,
@@ -32,18 +30,17 @@ def collection_output_words(entries: np.ndarray,
     return (3 * entries - parentless).tolist()
 
 
+@dataclass(frozen=True)
 class BcongestPlan:
-    """A fully-resolved BCONGEST execution, streamed one phase at a time.
+    """A fully-resolved BCONGEST execution.
 
-    phase_broadcasts:
-        The broadcast schedule, an iterator of ``(phase, [(node, words),
-        ...])`` -- phases ascending, broadcasters ascending within a
-        phase, and ``words`` the ``payload_words`` size of the payload
-        the machine would have broadcast, which the kernel counts from
-        the schedule's shape (so the oversize check and the transport
-        packets' declared sizes reproduce exactly).  The kernel computes
-        each phase when it is asked for, so a plan never holds more than
-        one phase of the schedule.
+    phase, node, words:
+        The broadcast table, three equal-length int64 arrays with one
+        entry per broadcast, sorted by (phase, node): the broadcaster
+        and the ``payload_words`` size of the payload the machine would
+        have broadcast, which the kernel counts from the table's shape
+        (so the oversize check and the transport packets' declared
+        sizes reproduce exactly).
     outputs:
         ``{node: output}`` as the machines would report at halt.
     output_words:
@@ -52,18 +49,11 @@ class BcongestPlan:
         (:func:`collection_output_words`).
     executed_phases:
         The phase counter value the machine loop would end on.
-
-    ``phases`` yields every phase and then returns ``(outputs,
-    output_words, executed_phases)``; the attributes are None until then.
     """
 
-    def __init__(self, phases: Generator[
-            Phase, None, Tuple[Dict[int, Any], List[int], int]]):
-        self.outputs: Optional[Dict[int, Any]] = None
-        self.output_words: Optional[List[int]] = None
-        self.executed_phases: Optional[int] = None
-        self.phase_broadcasts: Iterator[Phase] = self._drain(phases)
-
-    def _drain(self, phases) -> Iterator[Phase]:
-        (self.outputs, self.output_words,
-         self.executed_phases) = yield from phases
+    phase: np.ndarray
+    node: np.ndarray
+    words: np.ndarray
+    outputs: Dict[int, Any]
+    output_words: List[int]
+    executed_phases: int

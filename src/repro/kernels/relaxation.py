@@ -15,7 +15,7 @@ weights could exceed float64's exact-integer range).
 
 The output is a :class:`~repro.kernels.plan.BcongestPlan` for
 :func:`repro.core.bcongest_sim.simulate_bcongest` to replay: per round,
-the broadcast schedule lists each announcing node with ``3 * k`` words,
+the broadcast table lists each announcing node with ``3 * k`` words,
 the size of its ``{j: (d, v)}`` payload over the ``k`` sources it
 improved.  Transport packets are still routed and metered for real;
 only the per-node machine stepping is precomputed.
@@ -63,14 +63,15 @@ def bcongest_plan(graph: Graph,
     weights = _in_weights(graph)
     if weights is None:
         return None
-    return BcongestPlan(_phases(graph, delays, *weights))
+    return _relax(graph, delays, *weights)
 
 
-def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
-            int_mode: bool):
-    """Yield each announcing round's broadcasts, then return
-    ``(outputs, output_words, executed_phases)``.  The machines' horizon
-    is their default, ``n`` rounds past the last start."""
+def _relax(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
+           int_mode: bool) -> BcongestPlan:
+    """Relax round by round, collecting each announcing round's
+    ``(rnd, nodes, 3 * counts)`` into the plan's broadcast table.  The
+    machines' horizon is their default, ``n`` rounds past the last
+    start."""
     n = graph.n
     indptr, indices = graph._indptr, graph._indices
     deg = np.diff(indptr)
@@ -87,6 +88,8 @@ def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
     prev_ann = np.zeros((n, n), dtype=bool)
     prev_val = np.zeros((n, n))
     last_ann_round = 0
+    empty = np.zeros(0, dtype=np.int64)
+    table: List[Tuple[np.ndarray, ...]] = [(empty, empty, empty)]
     for rnd in range(1, deadline + 1):
         ann = np.zeros((n, n), dtype=bool)
         for j in starts_by_round.get(rnd, ()):
@@ -119,7 +122,8 @@ def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
         prev_ann = ann
         counts = ann.sum(axis=0)  # sources each node announces
         nodes = np.flatnonzero(counts)
-        yield rnd, list(zip(nodes.tolist(), (3 * counts[nodes]).tolist()))
+        table.append((np.full(len(nodes), rnd, dtype=np.int64), nodes,
+                      3 * counts[nodes]))
 
     outputs: Dict[int, Any] = {v: {} for v in graph.nodes()}
     no_parent = n
@@ -138,4 +142,8 @@ def _phases(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
     reached = dist < inf
     words = collection_output_words(
         reached.sum(axis=0), (reached & (parent == no_parent)).sum(axis=0))
-    return outputs, words, deadline + (1 if last_ann_round == deadline else 0)
+    phase, node, sizes = (np.concatenate(column) for column in zip(*table))
+    return BcongestPlan(
+        phase=phase, node=node, words=sizes, outputs=outputs,
+        output_words=words,
+        executed_phases=deadline + (1 if last_ann_round == deadline else 0))

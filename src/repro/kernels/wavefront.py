@@ -18,8 +18,8 @@ Three consumers, matching the three execution modes of the scalar path:
   kappa = 1 degenerate shape (eps = 1: no star clusters, every edge
   F_1-incident), where each phase is one ``_one_shot`` of
   ``(2 + 3·cnt)``-word point-to-point sends.
-* :func:`bcongest_plan` -- streams the same announcements as the
-  broadcast schedule (``(node, 3·cnt)`` per phase) for the Theorem 2.1
+* :func:`bcongest_plan` -- returns the same announcements as the
+  broadcast table (``(phase, node, 3·cnt)`` rows) for the Theorem 2.1
   simulation to replay (transport is still routed and metered for real;
   see :mod:`repro.kernels.plan`).
 
@@ -267,35 +267,23 @@ def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
                   delays: Dict[int, int]) -> BcongestPlan:
     """The Theorem 2.1 replay plan for a BFS collection.
 
-    The schedule gives each announcing node's broadcast as ``3 * cnt``
-    words, the size of the ``{j: (dist, v)}`` payload the machine would
-    return; the simulation re-routes the identical transport packets,
-    so only the machine stepping is skipped.  The machines never halt,
-    so the loop ends one phase after the last announcement.
+    The broadcast table is the announcement schedule in (phase, node)
+    order, each announcing node's broadcast ``3 * cnt`` words, the size
+    of the ``{j: (dist, v)}`` payload the machine would return; the
+    simulation re-routes the identical transport packets, so only the
+    machine stepping is skipped.  The machines never halt, so the loop
+    ends one phase after the last announcement.
     """
     js, roots = _sorted_roots(roots_map)
-    return BcongestPlan(_plan_phases(graph, js, roots, delays))
-
-
-def _plan_phases(graph: Graph, js: List[int], roots: List[int],
-                 delays: Dict[int, int]):
-    """Yield each phase's broadcasts from the announcement schedule, then
-    return ``(outputs, output_words, executed_phases)``."""
     dist = bfs_distances(graph, roots)
     ev_v, ev_p, ev_cnt = _announcements(dist, js, delays)
-    # Phases ascending, broadcasters ascending.
     order = np.lexsort((ev_v, ev_p))
-    phases = ev_p[order]
-    nodes = ev_v[order].tolist()
-    sizes = (3 * ev_cnt[order]).tolist()
-    starts = np.flatnonzero(np.diff(phases, prepend=-1)).tolist()
-    last = 0
-    for lo, hi in zip(starts, starts[1:] + [len(nodes)]):
-        last = int(phases[lo])
-        yield last, list(zip(nodes[lo:hi], sizes[lo:hi]))
     parents = _bfs_parents(graph, dist)
     # Each root's own entry has a None parent.
     words = collection_output_words((dist >= 0).sum(axis=0),
                                     np.bincount(roots, minlength=graph.n))
-    return (_collection_outputs(graph, js, roots, dist, parents), words,
-            last + 1)
+    return BcongestPlan(
+        phase=ev_p[order], node=ev_v[order], words=3 * ev_cnt[order],
+        outputs=_collection_outputs(graph, js, roots, dist, parents),
+        output_words=words,
+        executed_phases=int(ev_p.max()) + 1 if len(ev_p) else 1)

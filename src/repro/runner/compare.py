@@ -12,7 +12,7 @@ cell keys and diffed on three axes --
   the default tolerance of 0 means "bit-identical meters"; across
   revisions a small tolerance separates intended drift from noise-free
   regressions;
-* **wall-time ratios** -- cells slower than ``time_ratio`` x baseline
+* **wall-time ratios** -- cells slower than ``TIME_RATIO`` x baseline
   are reported as warnings.  Wall time is the one nondeterministic
   field, so slowdowns never fail a comparison by themselves; the
   engine's timeout is the hard backstop.
@@ -29,6 +29,9 @@ REGRESSION = "regression"
 IMPROVEMENT = "improvement"
 WARNING = "warning"
 INFO = "info"
+
+# A cell this many times slower than its baseline draws a warning.
+TIME_RATIO = 4.0
 
 
 @dataclass
@@ -91,8 +94,7 @@ def compare_runs(baseline: Sequence[CellResult],
                  current: Sequence[CellResult], *,
                  baseline_id: str = "baseline",
                  current_id: str = "current",
-                 tolerance: float = 0.0,
-                 time_ratio: float = 4.0) -> RunComparison:
+                 tolerance: float = 0.0) -> RunComparison:
     """Join two record sets on cell keys and classify every difference."""
     comparison = RunComparison(baseline_id=baseline_id,
                                current_id=current_id)
@@ -150,10 +152,9 @@ def compare_runs(baseline: Sequence[CellResult],
                       f"{meter} {before} -> {after} "
                       f"({drift:+.1%} vs tolerance {tolerance:.1%})")
 
-        if (old.wall_time > 0 and time_ratio > 0
-                and new.wall_time > time_ratio * old.wall_time):
+        if old.wall_time > 0 and new.wall_time > TIME_RATIO * old.wall_time:
             delta(WARNING, "wall-time", new,
                   f"wall time {old.wall_time:.3f}s -> {new.wall_time:.3f}s "
-                  f"(> {time_ratio:g}x baseline)")
+                  f"(> {TIME_RATIO:g}x baseline)")
 
     return comparison

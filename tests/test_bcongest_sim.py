@@ -156,8 +156,8 @@ _ROUTING = {"apsp-weighted": True, "apsp-unweighted": True,
 def test_declared_packet_sizes_equal_computed_sizes(monkeypatch):
     """Every size a caller declares on a packet is the one
     ``route_packets`` would compute, over the tier-1 routing cells:
-    kernel-plan replays (the APSP cells), whose phases go to
-    ``route_phases`` as ``(path, 2 + words)`` pairs, and the stepped
+    kernel-plan replays (the APSP cells), whose packets go to
+    ``route_phases`` as arrays of ``2 + words`` sizes, and the stepped
     branch (the matching cells) of ``simulate_bcongest``."""
     original = transport.route_packets
     declared = [0]
@@ -175,34 +175,25 @@ def test_declared_packet_sizes_equal_computed_sizes(monkeypatch):
     # A replayed broadcast's packets are (origin, payload) plus the
     # destination: 2 + words (test_property's
     # test_kernel_plan_schedules_match_the_machines checks the words
-    # against the machines' payloads).  The sizes route_phases gets
-    # must be among the phase's broadcasters'.
-    checked = set()
-
-    def checking_plan(stream):
-        for phase, scheduled in stream:
-            checked.clear()
-            for _v, words in scheduled:
-                checked.add(2 + words)
-                broadcasts[0] += 1
-            yield phase, scheduled
-
+    # against the machines' payloads).  Every size route_phases gets
+    # must be a broadcaster's in that packet's phase.
+    plans = []
     original_phases = transport.route_phases
 
-    def checking_phases(graph, phases, **kwargs):
-        def sized():
-            for hops in phases:
-                for _path, words in hops:
-                    assert words in checked
-                    replayed[0] += 1
-                yield hops
-        return original_phases(graph, sized(), **kwargs)
+    def checking_phases(graph, paths, route, phase, words, **kwargs):
+        plan = plans[-1]
+        sized = set(zip(plan.phase.tolist(), (2 + plan.words).tolist()))
+        for packet in zip(phase.tolist(), words.tolist()):
+            assert packet in sized
+        replayed[0] += len(words)
+        return original_phases(graph, paths, route, phase, words, **kwargs)
 
     original_sim = bcongest_sim.simulate_bcongest
 
     def replaying(*args, plan=None, **kwargs):
         if plan is not None:
-            plan.phase_broadcasts = checking_plan(plan.phase_broadcasts)
+            plans.append(plan)
+            broadcasts[0] += len(plan.node)
         return original_sim(*args, plan=plan, **kwargs)
 
     for module in list(sys.modules.values()):

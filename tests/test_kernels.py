@@ -129,8 +129,9 @@ def test_direct_engine_replicates_run_machines_exactly():
 
 def test_oversize_broadcast_error_is_identical_stepped_and_replayed():
     """One oversize check: the stepped star driver and the star kernel,
-    and the stepped Theorem 2.1 loop and its plan replay, raise the same
-    text for the same first offender."""
+    and the stepped Theorem 2.1 loop and its plan replay (BFS and
+    Bellman-Ford, every delay 1), raise the same text for the same
+    first offender."""
     graph = get_scenario("sparse-gnp").graph(24)
     hierarchy = build_pruned_hierarchy(graph, 1.0, seed=13)
     roots = {j: j for j in range(graph.n)}
@@ -152,12 +153,25 @@ def test_oversize_broadcast_error_is_identical_stepped_and_replayed():
     assert str(stepped.value).startswith("simulated algorithm broadcast ")
     assert str(stepped.value).endswith(" words > 8")
 
-    with pytest.raises(AlgorithmError) as looped:
-        simulate_bcongest(graph, factory, message_words=8)
-    with pytest.raises(AlgorithmError) as replayed:
-        simulate_bcongest(graph, factory, message_words=8,
-                          plan=wavefront.bcongest_plan(graph, roots, delays))
-    assert str(replayed.value) == str(looped.value) == str(stepped.value)
+    weighted = get_scenario("grid-weighted").graph(24)
+    sources = {j: j for j in weighted.nodes()}
+    ones = {j: 1 for j in sources}
+
+    def bellman_ford(info):
+        return BellmanFordCollectionMachine(info, sources=sources,
+                                            delays=ones)
+
+    for g, machines, plan, want in (
+            (graph, factory, wavefront.bcongest_plan(graph, roots, delays),
+             str(stepped.value)),
+            (weighted, bellman_ford, relaxation.bcongest_plan(weighted, ones),
+             "simulated algorithm broadcast 9 words > 8")):
+        assert plan is not None
+        with pytest.raises(AlgorithmError) as looped:
+            simulate_bcongest(g, machines, message_words=8)
+        with pytest.raises(AlgorithmError) as replayed:
+            simulate_bcongest(g, machines, message_words=8, plan=plan)
+        assert str(replayed.value) == str(looped.value) == want
 
 
 def _windows(report):

@@ -439,9 +439,8 @@ def phase_plans(draw):
     Pool routes go down a BFS tree, across one edge and back up (the
     Theorem 2.1 shape), up or down the tree or both ways, along walks,
     through the busiest node (so packets from several senders meet on a
-    link and then part), or nowhere.  About one plan in five also has a route over a non-edge, one in five
-    an oversize packet, and one in five an iterable that fails at some
-    phase.
+    link and then part), or nowhere.  About one plan in five also has a
+    route over a non-edge, and one in five an oversize packet.
     """
     g = draw(transport_graphs())
     rng = random.Random(draw(st.integers(0, 10_000)))
@@ -485,43 +484,50 @@ def phase_plans(draw):
         if hops:
             k = rng.randrange(len(hops))
             hops[k] = (hops[k][0], 17)
-    fail_at = None
-    if draw(st.integers(0, 4)) == 0:
-        fail_at = draw(st.integers(0, len(phases)))
-    return g, phases, fail_at
+    return g, phases
 
 
-def _stream(phases, fail_at):
-    """The phases, with the iterable failing at phase ``fail_at``, as a
-    caller's own per-phase check would."""
+def _packet_arrays(phases):
+    """Per-phase ``(path, words)`` lists as ``route_phases`` takes them:
+    the distinct paths, and one route id, phase and size per packet.
+    Phase ``k`` is numbered ``2 * k``, so the numbers have gaps."""
+    paths, ids, route, phase, words = [], {}, [], [], []
     for k, hops in enumerate(phases):
-        if k == fail_at:
-            raise AlgorithmError(f"caller check failed at phase {k}")
-        yield hops
+        for path, size in hops:
+            if path not in ids:
+                ids[path] = len(paths)
+                paths.append(path)
+            route.append(ids[path])
+            phase.append(2 * k)
+            words.append(size)
+    return paths, route, phase, words
 
 
-def _phases_outcome(g, phases, fail_at):
+def _phases_outcome(g, phases):
     """``route_phases`` as comparable data: the outcome or the error."""
     try:
-        m = route_phases(g, _stream(phases, fail_at))
+        return _comparable(route_phases(g, *_packet_arrays(phases)))
     except AlgorithmError as exc:
         return ("error", str(exc))
+
+
+def _comparable(m):
     return (m.as_dict(), list(m.edge_congestion.items()),
             list(m.message_sizes.items()), m.max_message_words)
 
 
-def _per_phase_outcome(g, phases, fail_at, **kwargs):
-    """One ``route_packets`` call per phase, merged in phase order."""
+def _per_phase_outcome(g, phases, **kwargs):
+    """One ``route_packets`` call per non-empty phase, merged in phase
+    order (a phase with no packets names no packet's phase)."""
     total = Metrics()
     try:
-        for hops in _stream(phases, fail_at):
+        for hops in filter(None, phases):
             packets = [Packet(path=path, payload=None, words=words)
                        for path, words in hops]
             total.merge(route_packets(g, packets, **kwargs)[1])
     except AlgorithmError as exc:
         return ("error", str(exc))
-    return (total.as_dict(), list(total.edge_congestion.items()),
-            list(total.message_sizes.items()), total.max_message_words)
+    return _comparable(total)
 
 
 # Ties the array pass must break as the exact engine does: both ways
@@ -530,10 +536,10 @@ def _per_phase_outcome(g, phases, fail_at, **kwargs):
 # goes first, so 5 is reached in round 4); and two links new at hub 4
 # in round 2, first used in sender order, not input order.
 _TIES = (from_edges(4, [(0, 3), (1, 2)]),
-         [[((3, 0), 2), ((1, 2), 2), ((0, 3), 2)]], None)
+         [[((3, 0), 2), ((1, 2), 2), ((0, 3), 2)]])
 _HUB = from_edges(6, [(0, 4), (1, 4), (2, 4), (3, 4), (2, 5)])
-_MEET = (_HUB, [[((1, 4, 2), 2), ((0, 4, 2, 5), 2)]], None)
-_PART = (_HUB, [[((1, 4, 2), 2), ((0, 4, 3), 2)]], None)
+_MEET = (_HUB, [[((1, 4, 2), 2), ((0, 4, 2, 5), 2)]])
+_PART = (_HUB, [[((1, 4, 2), 2), ((0, 4, 3), 2)]])
 
 
 @settings(max_examples=80)
@@ -542,18 +548,17 @@ _PART = (_HUB, [[((1, 4, 2), 2), ((0, 4, 3), 2)]], None)
 @example(plan=_MEET)
 @example(plan=_PART)
 def test_route_phases_matches_per_phase_route_packets(plan):
-    g, phases, fail_at = plan
-    assert _phases_outcome(g, phases, fail_at) == \
-        _per_phase_outcome(g, phases, fail_at)
+    g, phases = plan
+    assert _phases_outcome(g, phases) == _per_phase_outcome(g, phases)
 
 
 @settings(max_examples=20)
 @given(plan=phase_plans())
 def test_route_phases_matches_per_phase_route_packets_on_reference(plan):
-    g, phases, fail_at = plan
-    batched = _phases_outcome(g, phases, fail_at)
+    g, phases = plan
+    batched = _phases_outcome(g, phases)
     with cell_context(engine="reference"):
-        assert _phases_outcome(g, phases, fail_at) == batched
+        assert _phases_outcome(g, phases) == batched
 
 
 def test_route_phases_errors_come_from_the_first_failing_phase():
@@ -568,20 +573,18 @@ def test_route_phases_errors_come_from_the_first_failing_phase():
             for first, later in ((flood, oversize), (flood, non_edge),
                                  (oversize, non_edge), (non_edge, oversize)):
                 plan = [[((2, 1), 3)], first, later]
-                for fail_at in (None, 1, 2, 3):
-                    want = _per_phase_outcome(g, plan, fail_at,
-                                              max_rounds=cap)
-                    assert want[0] == "error"
-                    assert _phases_outcome(g, plan, fail_at) == want
-                    with cell_context(engine="reference"):
-                        assert _phases_outcome(g, plan, fail_at) == want
+                want = _per_phase_outcome(g, plan, max_rounds=cap)
+                assert want[0] == "error"
+                assert _phases_outcome(g, plan) == want
+                with cell_context(engine="reference"):
+                    assert _phases_outcome(g, plan) == want
     with mock.patch.object(transport, "_MAX_ROUNDS", 5):
-        assert "max_rounds=5" in _phases_outcome(g, [flood], None)[1]
+        assert "max_rounds=5" in _phases_outcome(g, [flood])[1]
     with mock.patch.object(transport, "_MAX_ROUNDS", 6):
-        assert _phases_outcome(g, [flood], None)[0]["rounds"] == 6
-    assert _phases_outcome(g, [[], [((3,), 2)]], None) == \
-        _per_phase_outcome(g, [[], [((3,), 2)]], None)
-    assert _phases_outcome(g, [], None)[0] == Metrics().as_dict()
+        assert _phases_outcome(g, [flood])[0]["rounds"] == 6
+    assert _phases_outcome(g, [[], [((3,), 2)]]) == \
+        _per_phase_outcome(g, [[], [((3,), 2)]])
+    assert _phases_outcome(g, [])[0] == Metrics().as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -670,8 +673,8 @@ class _ScheduleRecorder(LocalRunner):
 @settings(max_examples=30)
 @given(g=connected_graphs(max_n=12), seed=st.integers(0, 1_000))
 def test_kernel_plan_schedules_match_the_machines(g, seed):
-    """A plan's broadcast schedule is its machine collection's: the
-    ``(phase, node, words)`` stream equals the ``(round, node,
+    """A plan's broadcast table is its machine collection's: the
+    ``(phase, node, words)`` rows equal the ``(round, node,
     payload_words)`` of every broadcast when the same machines are
     stepped under ``LocalRunner``.  Every node's output size is
     ``output_words`` of its output (also for BFS roots that repeat)."""
@@ -696,9 +699,8 @@ def test_kernel_plan_schedules_match_the_machines(g, seed):
     for graph, plan, factory in cases:
         runner = _ScheduleRecorder(graph, factory, seed=seed)
         outputs = runner.run()
-        assert [(phase, v, words)
-                for phase, scheduled in plan.phase_broadcasts
-                for v, words in scheduled] == runner.schedule
+        assert list(zip(plan.phase.tolist(), plan.node.tolist(),
+                        plan.words.tolist())) == runner.schedule
         assert plan.outputs == outputs
         assert plan.output_words == [output_words(plan.outputs[v])
                                      for v in g.nodes()]
