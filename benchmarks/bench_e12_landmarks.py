@@ -12,7 +12,11 @@ from conftest import run_once
 
 from repro.analysis import print_table, record_extra_info
 from repro.baselines.reference import unweighted_apsp
-from repro.core.bfs_collections import depth_cap, n_bfs_trees_batched
+from repro.core.bfs_collections import (
+    depth_cap,
+    distance_matrix,
+    n_bfs_trees_batched,
+)
 from repro.core.tradeoff_apsp import (
     apsp_tradeoff,
     landmark_completion,
@@ -39,12 +43,7 @@ def _experiment():
     rows = []
     # Near part alone: how many pairs the depth cap leaves uncovered.
     near = n_bfs_trees_batched(g, EPS, seed=9, cap=cap)
-    near_dist = [[float("inf")] * n for _ in range(n)]
-    for v in g.nodes():
-        near_dist[v][v] = 0
-        for j, (d, _p) in near.trees[v].items():
-            near_dist[j][v] = min(near_dist[j][v], d)
-            near_dist[v][j] = min(near_dist[v][j], d)
+    near_dist = distance_matrix(n, near.trees, symmetric=True)
     rows.append(("near only (cap=%d)" % cap, 0,
                  _wrong_pairs(near_dist, ref, n),
                  near.metrics.messages))

@@ -31,7 +31,7 @@ def _run(graph, hierarchies, batches, cap, seed):
     worst_cluster = 0
     for idx, batch in enumerate(batches):
         h = hierarchies[idx % len(hierarchies)]
-        delays = shared_delays(batch, len(batch), seed + idx)
+        delays = shared_delays(batch, seed + idx)
         roots = {j: j for j in batch}
 
         def factory(info, _r=roots, _d=delays):

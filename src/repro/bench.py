@@ -366,7 +366,7 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
     graph = gnp_streaming(n, params["p"], seed=11)
     root_list = list(range(n_roots))
     roots = {j: j for j in root_list}
-    delays = shared_delays(root_list, len(root_list), 11)
+    delays = shared_delays(root_list, 11)
     budget = _message_budget(graph.n)
 
     def vectorized():

@@ -74,8 +74,8 @@ def output_words(obj: Any) -> int:
     output content: scalars cost one word, containers the sum of their
     items, dict entries key + value, and ``None`` nothing.  Kernel plans
     size their ``{source: (dist, parent)}`` outputs with
-    :func:`repro.kernels.plan.collection_output_words`, which follows
-    this rule.
+    :func:`repro.kernels.plan.collection_outputs`, which follows this
+    rule.
     """
     if obj is None:
         return 0

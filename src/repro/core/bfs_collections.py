@@ -52,10 +52,48 @@ class BFSTreesResult:
     reports: List[TradeoffReport] = field(default_factory=list)
 
 
-def shared_delays(ids: List[int], spread: int, seed: int) -> Dict[int, int]:
+INF = float("inf")
+
+
+def shared_delays(ids: List[int], seed: int) -> Dict[int, int]:
+    """The shared random delays of a collection, uniform on [1, len(ids)]."""
     from repro.congest.network import stable_seed
     rng = random.Random(stable_seed("bfs-delays", seed))
-    return {j: rng.randint(1, max(1, spread)) for j in ids}
+    spread = max(1, len(ids))
+    return {j: rng.randint(1, spread) for j in ids}
+
+
+def disseminate_delays(graph: Graph, delays: Dict[int, int], *,
+                       seed: int) -> Metrics:
+    """The shared-randomness preamble (§3.3): build the leader's global
+    tree and stream ``delays`` down it.  Returns the metered cost of
+    both, merged in that order."""
+    total = Metrics()
+    tree = build_global_tree(graph, seed=seed)
+    total.merge(tree.metrics)
+    _received, m = disseminate(graph, tree, sorted(delays.items()), seed=seed)
+    total.merge(m)
+    return total
+
+
+def distance_matrix(n: int, outputs: Dict[int, Optional[dict]], *,
+                    symmetric: bool) -> List[List[float]]:
+    """The n x n distance matrix of a collection's ``{v: {j: (dist,
+    parent)}}`` outputs: ``dist[j][v]`` (and ``dist[v][j]`` when
+    ``symmetric``) is the least distance reported, the diagonal 0 and
+    every unreported pair ``inf``."""
+    dist = [[INF] * n for _ in range(n)]
+    for v in range(n):
+        row = dist[v]
+        row[v] = 0
+        # ``<`` keeps the first of equal values, as ``min`` would, but
+        # without a call per entry.
+        for j, (d, _p) in (outputs[v] or {}).items():
+            if d < dist[j][v]:
+                dist[j][v] = d
+            if symmetric and d < row[j]:
+                row[j] = d
+    return dist
 
 
 def _message_budget(n: int) -> int:
@@ -70,14 +108,9 @@ def n_bfs_trees_star(graph: Graph, eps: float, *, seed: int = 0,
     if not 0.5 <= eps <= 1:
         raise ValueError("Lemma 3.22 requires eps in [1/2, 1]")
     n = graph.n
-    total = Metrics()
-    tree = build_global_tree(graph, seed=seed)
-    total.merge(tree.metrics)
     root_list = list(graph.nodes()) if roots is None else list(roots)
-    delays = shared_delays(root_list, len(root_list), seed)
-    _received, m = disseminate(
-        graph, tree, [(j, delays[j]) for j in sorted(delays)], seed=seed)
-    total.merge(m)
+    delays = shared_delays(root_list, seed)
+    total = disseminate_delays(graph, delays, seed=seed)
 
     hierarchy = build_pruned_hierarchy(graph, eps, seed=seed + 13)
     total.merge(hierarchy.metrics)
@@ -143,10 +176,9 @@ def n_bfs_trees_batched(graph: Graph, eps: float, *, seed: int = 0,
     for idx, batch in enumerate(batches):
         if not batch:
             continue
-        delays = shared_delays(batch, len(batch), seed + idx)
-        _received, m = disseminate(
-            graph, tree, [(j, delays[j]) for j in sorted(delays)],
-            seed=seed + idx)
+        delays = shared_delays(batch, seed + idx)
+        _received, m = disseminate(graph, tree, sorted(delays.items()),
+                                   seed=seed + idx)
         total.merge(m)
         root_map = {j: j for j in batch}
 

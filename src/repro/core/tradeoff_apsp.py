@@ -32,9 +32,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.congest.metrics import Metrics
 from repro.core.bcongest_sim import simulate_bcongest
 from repro.core.bfs_collections import (
-    BFSTreesResult,
     _message_budget,
     depth_cap,
+    disseminate_delays,
+    distance_matrix,
     n_bfs_trees_batched,
     n_bfs_trees_star,
     shared_delays,
@@ -45,8 +46,6 @@ from repro.kernels import config as kernels
 from repro.primitives.bfs import BFSCollectionMachine
 from repro.primitives.global_tree import build_global_tree, disseminate
 from repro.primitives.transport import Packet, route_packets
-
-INF = float("inf")
 
 
 @dataclass
@@ -79,7 +78,7 @@ def landmark_completion(graph: Graph, landmarks: List[int], *,
     tree edges ((root, child, parent) triples), as the paper describes.
     """
     total = Metrics()
-    delays = shared_delays(landmarks, len(landmarks), seed + 101)
+    delays = shared_delays(landmarks, seed + 101)
     roots = {j: j for j in landmarks}
     budget = _message_budget(graph.n)
     if kernels.engine_ready():
@@ -143,7 +142,7 @@ def apsp_tradeoff(graph: Graph, eps: float, *, seed: int = 0,
         return _apsp_message_optimal(graph, seed=seed)
     if eps >= 0.5:
         result = n_bfs_trees_star(graph, eps, seed=seed)
-        dist = _dist_from_trees(graph, result)
+        dist = distance_matrix(n, result.trees, symmetric=True)
         return TradeoffAPSPResult(dist=dist, metrics=result.metrics,
                                   regime="star (Lemma 3.22)",
                                   detail=result.detail)
@@ -151,29 +150,12 @@ def apsp_tradeoff(graph: Graph, eps: float, *, seed: int = 0,
                                         landmark_boost=landmark_boost)
 
 
-def _dist_from_trees(graph: Graph, result: BFSTreesResult,
-                     ) -> List[List[float]]:
-    n = graph.n
-    dist = [[INF] * n for _ in range(n)]
-    for v in graph.nodes():
-        dist[v][v] = 0
-        for j, (d, _p) in result.trees[v].items():
-            dist[j][v] = min(dist[j][v], d)
-            dist[v][j] = min(dist[v][j], d)  # undirected graph
-    return dist
-
-
 def _apsp_message_optimal(graph: Graph, *, seed: int = 0,
                           ) -> TradeoffAPSPResult:
     """The eps ~ 0 end: Theorem 2.1 simulation of the n-BFS collection."""
     n = graph.n
-    total = Metrics()
-    tree = build_global_tree(graph, seed=seed)
-    total.merge(tree.metrics)
-    delays = shared_delays(list(graph.nodes()), n, seed)
-    _received, m = disseminate(
-        graph, tree, [(j, delays[j]) for j in sorted(delays)], seed=seed)
-    total.merge(m)
+    delays = shared_delays(list(graph.nodes()), seed)
+    total = disseminate_delays(graph, delays, seed=seed)
     roots = {j: j for j in graph.nodes()}
     budget = _message_budget(n)
 
@@ -189,14 +171,9 @@ def _apsp_message_optimal(graph: Graph, *, seed: int = 0,
     report = simulate_bcongest(graph, factory, seed=seed,
                                message_words=budget, plan=plan)
     total.merge(report.total)
-    dist = [[INF] * n for _ in range(n)]
-    for v in graph.nodes():
-        dist[v][v] = 0
-        for j, (d, _p) in (report.outputs[v] or {}).items():
-            dist[j][v] = min(dist[j][v], d)
-            dist[v][j] = min(dist[v][j], d)
     return TradeoffAPSPResult(
-        dist=dist, metrics=total, regime="message-optimal (Theorem 1.1)",
+        dist=distance_matrix(n, report.outputs, symmetric=True),
+        metrics=total, regime="message-optimal (Theorem 1.1)",
         detail={"phases": report.phases,
                 "broadcasts": report.broadcasts_simulated})
 
@@ -209,7 +186,7 @@ def _apsp_batched_with_landmarks(graph: Graph, eps: float, *, seed: int,
     cap = depth_cap(n, eps)
     near = n_bfs_trees_batched(graph, eps, seed=seed, cap=cap)
     total = near.metrics
-    dist = _dist_from_trees(graph, near)
+    dist = distance_matrix(n, near.trees, symmetric=True)
 
     landmarks = sample_landmarks(n, eps, seed, boost=landmark_boost)
     depths, m = landmark_completion(graph, landmarks, seed=seed)

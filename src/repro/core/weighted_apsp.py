@@ -30,10 +30,10 @@ from typing import Dict, List, Optional
 from repro.congest.metrics import Metrics
 from repro.congest.profile import mark_phase
 from repro.core.bcongest_sim import SimulationReport, simulate_bcongest
+from repro.core.bfs_collections import disseminate_delays, distance_matrix
 from repro.kernels import config as kernels
 from repro.graphs.graph import Graph
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
-from repro.primitives.global_tree import build_global_tree, disseminate
 
 INF = float("inf")
 
@@ -77,11 +77,11 @@ class APSPResult:
         return path
 
 
-def make_delays(n: int, seed: int, spread: Optional[int] = None) -> Dict[int, int]:
-    """Shared random delays for the n sources, uniform on [1, spread]."""
+def make_delays(n: int, seed: int) -> Dict[int, int]:
+    """Shared random delays for the n sources, uniform on [1, n]."""
     from repro.congest.network import stable_seed
     rng = random.Random(stable_seed("delays", seed))
-    spread = spread or max(1, n)
+    spread = max(1, n)
     return {j: rng.randint(1, spread) for j in range(n)}
 
 
@@ -95,17 +95,12 @@ def weighted_apsp(graph: Graph, *, seed: int = 0,
     round).
     """
     n = graph.n
-    total = Metrics()
 
     # Shared randomness: the leader draws the delays and streams them
     # down its BFS tree (§3.3's implementation, metered literally).
     mark_phase("shared-randomness")
-    tree = build_global_tree(graph, seed=seed)
-    total.merge(tree.metrics)
     delays = make_delays(n, seed)
-    stream = [(j, delays[j]) for j in range(n)]
-    _received, metrics = disseminate(graph, tree, stream, seed=seed)
-    total.merge(metrics)
+    total = disseminate_delays(graph, delays, seed=seed)
 
     sources = {j: j for j in range(n)}
     if message_words is None:
@@ -126,17 +121,9 @@ def weighted_apsp(graph: Graph, *, seed: int = 0,
                                message_words=message_words, plan=plan)
     total.merge(report.total)
 
-    dist = [[INF] * n for _ in range(n)]
-    parents: Dict[int, Dict[int, Optional[int]]] = {}
-    for v in graph.nodes():
-        out = report.outputs[v] or {}
-        parents[v] = {}
-        for j, (d, parent) in out.items():
-            dist[j][v] = d
-            parents[v][j] = parent
-    for v in graph.nodes():
-        dist[v][v] = min(dist[v][v], 0)
-
+    dist = distance_matrix(n, report.outputs, symmetric=False)
+    parents = {v: {j: p for j, (_d, p) in (report.outputs[v] or {}).items()}
+               for v in graph.nodes()}
     detail = {
         "phases": report.phases,
         "broadcasts": report.broadcasts_simulated,
@@ -178,13 +165,8 @@ def weighted_apsp_tradeoff(graph: Graph, eps: float, *,
     from repro.decomposition.pruning import build_pruned_hierarchy
 
     n = graph.n
-    total = Metrics()
-    tree = build_global_tree(graph, seed=seed)
-    total.merge(tree.metrics)
     delays = make_delays(n, seed)
-    _received, metrics = disseminate(
-        graph, tree, [(j, delays[j]) for j in range(n)], seed=seed)
-    total.merge(metrics)
+    total = disseminate_delays(graph, delays, seed=seed)
     hierarchy = build_pruned_hierarchy(graph, eps, seed=seed + 17)
     total.merge(hierarchy.metrics)
 
@@ -200,16 +182,9 @@ def weighted_apsp_tradeoff(graph: Graph, eps: float, *,
         include_tree_preprocessing=False)
     total.merge(report.total)
 
-    dist = [[INF] * n for _ in range(n)]
-    parents: Dict[int, Dict[int, Optional[int]]] = {}
-    for v in graph.nodes():
-        out = report.outputs[v] or {}
-        parents[v] = {}
-        for j, (d, parent) in out.items():
-            dist[j][v] = d
-            parents[v][j] = parent
-    for v in graph.nodes():
-        dist[v][v] = min(dist[v][v], 0)
+    dist = distance_matrix(n, report.outputs, symmetric=False)
+    parents = {v: {j: p for j, (_d, p) in (report.outputs[v] or {}).items()}
+               for v in graph.nodes()}
     return APSPResult(
         dist=dist, parents=parents, metrics=total, report=None,
         detail={

@@ -15,19 +15,33 @@ of the machine loop and the per-phase transport loop disappear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 
-def collection_output_words(entries: np.ndarray,
-                            parentless: np.ndarray) -> List[int]:
-    """Per node, the ``output_words`` of a ``{source: (dist, parent)}``
-    output, from the node's entry count and its count of ``None``
-    parents: 3 words an entry, ``None`` free.  This is the kernels' one
-    copy of :func:`repro.core.bcongest_sim.output_words`' rule for that
-    shape."""
-    return (3 * entries - parentless).tolist()
+def collection_outputs(sources: Sequence[int], dist: np.ndarray,
+                       parent: np.ndarray, reached: np.ndarray,
+                       ) -> Tuple[Dict[int, Dict[int, Any]], List[int]]:
+    """``({v: {j: (dist, parent)}}, output_words)`` of a collection.
+
+    ``dist``, ``parent`` and ``reached`` are (k, n) arrays, row ``i``
+    for source ``sources[i]`` (ascending), so each node's entries are
+    keyed in ascending source order, exactly as the machines report.
+    A reached entry whose parent is < 0 is the source's own ``(0,
+    None)``; every other value is the Python int or float ``tolist``
+    gives, so an integer-valued collection passes an int64 ``dist``.
+    The sizes follow :func:`repro.core.bcongest_sim.output_words`: 3
+    words an entry, ``None`` free.
+    """
+    outputs: Dict[int, Dict[int, Any]] = {v: {} for v in range(dist.shape[1])}
+    for j, drow, prow, rrow in zip(sources, dist.tolist(), parent.tolist(),
+                                   reached):
+        for v in np.flatnonzero(rrow).tolist():
+            p = prow[v]
+            outputs[v][j] = (0, None) if p < 0 else (drow[v], p)
+    words = 3 * reached.sum(axis=0) - (reached & (parent < 0)).sum(axis=0)
+    return outputs, words.tolist()
 
 
 @dataclass(frozen=True)
@@ -46,7 +60,7 @@ class BcongestPlan:
     output_words:
         Per node (indexed by id), ``output_words`` of its output, which
         the kernel counts from the arrays it built the outputs from
-        (:func:`collection_output_words`).
+        (:func:`collection_outputs`).
     executed_phases:
         The phase counter value the machine loop would end on.
     """

@@ -23,12 +23,12 @@ only the per-node machine stepping is precomputed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.kernels.plan import BcongestPlan, collection_output_words
+from repro.kernels.plan import BcongestPlan, collection_outputs
 
 # Beyond this, n + 1 chained additions of int weights may leave
 # float64's exact-integer range (2^53); the builder declines.
@@ -78,7 +78,7 @@ def _relax(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
     reduce_at = np.minimum(indptr[:-1], max(len(indices) - 1, 0))
     inf = np.inf
     dist = np.full((n, n), inf)
-    parent = np.full((n, n), n, dtype=np.int64)  # n = "no parent"
+    parent = np.full((n, n), -1, dtype=np.int64)  # -1 = "no parent"
     starts_by_round: Dict[int, List[int]] = {}
     for j in range(n):
         starts_by_round.setdefault(delays[j], []).append(j)
@@ -125,23 +125,10 @@ def _relax(graph: Graph, delays: Dict[int, int], w_in: np.ndarray,
         table.append((np.full(len(nodes), rnd, dtype=np.int64), nodes,
                       3 * counts[nodes]))
 
-    outputs: Dict[int, Any] = {v: {} for v in graph.nodes()}
-    no_parent = n
-    for v in range(n):
-        col_d = dist[:, v].tolist()
-        col_p = parent[:, v].tolist()
-        out = outputs[v]
-        for j in np.nonzero(dist[:, v] < inf)[0].tolist():
-            p = col_p[j]
-            if p == no_parent:
-                out[j] = (0, None)  # own source, never improved
-            else:
-                d = col_d[j]
-                out[j] = (int(d) if int_mode else d, p)
-
     reached = dist < inf
-    words = collection_output_words(
-        reached.sum(axis=0), (reached & (parent == no_parent)).sum(axis=0))
+    if int_mode:
+        dist = np.where(reached, dist, 0).astype(np.int64)
+    outputs, words = collection_outputs(range(n), dist, parent, reached)
     phase, node, sizes = (np.concatenate(column) for column in zip(*table))
     return BcongestPlan(
         phase=phase, node=node, words=sizes, outputs=outputs,

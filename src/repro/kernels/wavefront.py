@@ -41,7 +41,7 @@ from repro.congest.machine import check_broadcast_words
 from repro.congest.metrics import Metrics
 from repro.congest.network import Execution
 from repro.graphs.graph import Graph, _gather_neighbors
-from repro.kernels.plan import BcongestPlan, collection_output_words
+from repro.kernels.plan import BcongestPlan, collection_outputs
 
 
 def _numpy_bfs(indptr: np.ndarray, indices: np.ndarray, root: int,
@@ -92,11 +92,6 @@ def _bfs_parents(graph: Graph, dist: np.ndarray) -> np.ndarray:
         best[deg == 0] = n
         parents[i] = np.where(row > 0, best, -1)
     return parents
-
-
-def _sorted_roots(roots_map: Dict[int, int]) -> Tuple[List[int], List[int]]:
-    js = sorted(roots_map)
-    return js, [roots_map[j] for j in js]
 
 
 def _announcements(dist: np.ndarray, js: List[int], delays: Dict[int, int],
@@ -168,31 +163,25 @@ def _meter_broadcast_events(metrics: Metrics, graph: Graph,
             congestion[key] += count
 
 
-def _collection_outputs(graph: Graph, js: List[int], roots: List[int],
-                        dist: np.ndarray, parents: np.ndarray,
-                        ) -> Dict[int, Dict[int, Tuple[int, Optional[int]]]]:
-    """``{v: {j: (dist, parent)}}`` exactly as the machines report."""
-    outputs: Dict[int, Dict[int, Tuple[int, Optional[int]]]] = {
-        v: {} for v in graph.nodes()}
-    for i, j in enumerate(js):
-        root = roots[i]
-        drow = dist[i].tolist()
-        prow = parents[i].tolist()
-        for v, d in enumerate(drow):
-            if d < 0:
-                continue
-            outputs[v][j] = (d, None if v == root else prow[v])
-    return outputs
+def _collection(graph: Graph, roots_map: Dict[int, int],
+                delays: Dict[int, int],
+                ) -> Tuple[Dict[int, dict], List[int], Tuple[np.ndarray, ...]]:
+    """The prologue every consumer shares: the collection's outputs and
+    their sizes (:func:`~repro.kernels.plan.collection_outputs`), and
+    its announcement events (:func:`_announcements`)."""
+    js = sorted(roots_map)
+    dist = bfs_distances(graph, [roots_map[j] for j in js])
+    outputs, words = collection_outputs(js, dist, _bfs_parents(graph, dist),
+                                        dist >= 0)
+    return outputs, words, _announcements(dist, js, delays)
 
 
 def direct_execution(graph: Graph, roots_map: Dict[int, int],
                      delays: Dict[int, int], *,
                      word_limit: int) -> Execution:
     """Closed-form replay of ``run_machines`` on a BFS collection."""
-    js, roots = _sorted_roots(roots_map)
-    dist = bfs_distances(graph, roots)
-    parents = _bfs_parents(graph, dist)
-    ev_v, ev_p, ev_cnt = _announcements(dist, js, delays)
+    outputs, _words, (ev_v, ev_p, ev_cnt) = _collection(graph, roots_map,
+                                                         delays)
     sizes = 3 * ev_cnt
     offender = _first_offender(ev_v, ev_p, sizes, word_limit)
     if offender is not None:
@@ -205,7 +194,6 @@ def direct_execution(graph: Graph, roots_map: Dict[int, int],
     _meter_broadcast_events(metrics, graph, ev_v, ev_cnt, sizes)
     rounds = int(ev_p.max()) + 1 if len(ev_p) else 0
     metrics.rounds += rounds
-    outputs = _collection_outputs(graph, js, roots, dist, parents)
     return Execution(outputs=outputs, metrics=metrics, algorithms={},
                      rounds=rounds, halted={})
 
@@ -235,10 +223,8 @@ def star_report(graph: Graph, hierarchy, roots_map: Dict[int, int],
     if any(f_incident[v] != nbr_sets[v] for v in graph.nodes()):
         return None
 
-    js, roots = _sorted_roots(roots_map)
-    dist = bfs_distances(graph, roots)
-    parents = _bfs_parents(graph, dist)
-    ev_v, ev_p, ev_cnt = _announcements(dist, js, delays)
+    outputs, _words, (ev_v, ev_p, ev_cnt) = _collection(graph, roots_map,
+                                                         delays)
     offender = _first_offender(ev_v, ev_p, 3 * ev_cnt, message_words)
     if offender is not None:
         check_broadcast_words(offender[2], message_words)  # raises
@@ -251,7 +237,7 @@ def star_report(graph: Graph, hierarchy, roots_map: Dict[int, int],
     on_cluster, off_cluster = _congestion_split(simulation,
                                                 hierarchy.cluster_edges())
     return TradeoffReport(
-        outputs=_collection_outputs(graph, js, roots, dist, parents),
+        outputs=outputs,
         total=total,
         preprocessing=preprocessing,
         simulation=simulation,
@@ -274,16 +260,10 @@ def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
     machine stepping is skipped.  The machines never halt, so the loop
     ends one phase after the last announcement.
     """
-    js, roots = _sorted_roots(roots_map)
-    dist = bfs_distances(graph, roots)
-    ev_v, ev_p, ev_cnt = _announcements(dist, js, delays)
+    outputs, words, (ev_v, ev_p, ev_cnt) = _collection(graph, roots_map,
+                                                        delays)
     order = np.lexsort((ev_v, ev_p))
-    parents = _bfs_parents(graph, dist)
-    # Each root's own entry has a None parent.
-    words = collection_output_words((dist >= 0).sum(axis=0),
-                                    np.bincount(roots, minlength=graph.n))
     return BcongestPlan(
         phase=ev_p[order], node=ev_v[order], words=3 * ev_cnt[order],
-        outputs=_collection_outputs(graph, js, roots, dist, parents),
-        output_words=words,
+        outputs=outputs, output_words=words,
         executed_phases=int(ev_p.max()) + 1 if len(ev_p) else 1)

@@ -111,7 +111,7 @@ def test_byte_identity_at_requested_size(name, algorithm, scenario_size):
 def test_direct_engine_replicates_run_machines_exactly():
     graph = get_scenario("sparse-gnp").graph(24)
     roots = {j: j for j in range(graph.n)}
-    delays = shared_delays(list(range(graph.n)), graph.n, 3)
+    delays = shared_delays(list(range(graph.n)), 3)
     budget = _message_budget(graph.n)
     base = run_machines(
         graph,
@@ -190,7 +190,7 @@ def test_replay_meters_contended_cells_like_the_stepped_loop():
     APSP's at grid-weighted@100."""
     graph = get_scenario("grid").graph(100)
     roots = {j: j for j in graph.nodes()}
-    delays = shared_delays(list(graph.nodes()), graph.n, 1)
+    delays = shared_delays(list(graph.nodes()), 1)
 
     def bfs(info):
         return BFSCollectionMachine(info, roots=roots, delays=delays)
@@ -408,7 +408,7 @@ def test_direct_engine_runs_at_kernel_scale():
     graph = get_scenario("huge-sparse-gnp").graph(100000)
     root_list = [0, 1, 2, 3]
     roots = {j: j for j in root_list}
-    delays = shared_delays(root_list, len(root_list), 0)
+    delays = shared_delays(root_list, 0)
     execution = wavefront.direct_execution(
         graph, roots, delays, word_limit=_message_budget(graph.n))
     assert execution.metrics.messages > graph.n

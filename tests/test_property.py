@@ -70,8 +70,10 @@ from repro.store import DECOMPOSITION_FAMILY, GRAPH_FAMILY, FamilyStore
 from repro.testing import run_differential
 from repro.testing.differential import DIVERGED
 
+# print_blob: a one-off failure prints the @reproduce_failure line
+# that replays it.
 settings.register_profile(
-    "repro", deadline=None,
+    "repro", deadline=None, print_blob=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 settings.load_profile("repro")
 
@@ -86,6 +88,24 @@ def connected_graphs(draw, max_n: int = 18):
     seed = draw(st.integers(min_value=0, max_value=10_000))
     p = draw(st.floats(min_value=0.05, max_value=0.6))
     return gnp(n, p, seed=seed)
+
+
+def _float_weights(g, rng):
+    """``g`` with independent positive float weights on its edges."""
+    weights = {}
+    for u, v in g.edges():
+        weights[(u, v)] = weights[(v, u)] = round(rng.uniform(0.1, 20.0), 2)
+    return g.reweighted(weights, name=f"{g.name}+float")
+
+
+def _typed(obj):
+    """``obj`` with every scalar paired with its type, so that ``==``
+    tells an int ``0`` from a float ``0.0``."""
+    if isinstance(obj, dict):
+        return {_typed(k): _typed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_typed(item) for item in obj)
+    return type(obj), obj
 
 
 payloads = st.recursive(
@@ -677,11 +697,13 @@ def test_kernel_plan_schedules_match_the_machines(g, seed):
     ``(phase, node, words)`` rows equal the ``(round, node,
     payload_words)`` of every broadcast when the same machines are
     stepped under ``LocalRunner``.  Every node's output size is
-    ``output_words`` of its output (also for BFS roots that repeat)."""
+    ``output_words`` of its output (also for BFS roots that repeat),
+    and its values have the machines' types (int or float)."""
     delays = make_delays(g.n, seed)
     sources = {j: j for j in g.nodes()}
     shared = {j: (j * 7 + seed) % g.n for j in g.nodes()}
     weighted = uniform_weights(g, w_max=9, seed=seed)
+    floated = _float_weights(g, random.Random(seed))
 
     def bfs(roots):
         return lambda info: BFSCollectionMachine(info, roots=roots,
@@ -695,13 +717,15 @@ def test_kernel_plan_schedules_match_the_machines(g, seed):
              (g, wavefront.bcongest_plan(g, shared, delays), bfs(shared)),
              (g, relaxation.bcongest_plan(g, delays), bellman_ford),
              (weighted, relaxation.bcongest_plan(weighted, delays),
+              bellman_ford),
+             (floated, relaxation.bcongest_plan(floated, delays),
               bellman_ford)]
     for graph, plan, factory in cases:
         runner = _ScheduleRecorder(graph, factory, seed=seed)
         outputs = runner.run()
         assert list(zip(plan.phase.tolist(), plan.node.tolist(),
                         plan.words.tolist())) == runner.schedule
-        assert plan.outputs == outputs
+        assert _typed(plan.outputs) == _typed(outputs)
         assert plan.output_words == [output_words(plan.outputs[v])
                                      for v in g.nodes()]
 
@@ -748,17 +772,20 @@ def test_bfs_machine_matches_reference_random(g, seed):
 
 @st.composite
 def apsp_graphs(draw):
-    """A ``connected_graphs`` draw, unweighted or with integer weights.
+    """A ``connected_graphs`` draw, unweighted, with integer weights or
+    with positive float weights (the relaxation kernel's float branch).
 
     A "guard" draw puts the heaviest edge right at the relaxation
     kernel's exactness guard (it declines once ``max |w| * (n + 1)``
     reaches 2^52), two below it to one above it.
     """
     g = draw(connected_graphs(max_n=12))
-    kind = draw(st.sampled_from(["unweighted", "small", "guard"]))
+    kind = draw(st.sampled_from(["unweighted", "small", "guard", "float"]))
     if kind == "unweighted":
         return g
     rng = random.Random(draw(st.integers(0, 10_000)))
+    if kind == "float":
+        return _float_weights(g, rng)
     weights = {}
     for u, v in g.edges():
         weights[(u, v)] = weights[(v, u)] = rng.randint(1, 20)
@@ -789,7 +816,7 @@ def test_apsp_engines_match_scalar_reference(g, seed):
     ``Metrics``, per-edge congestion and message-size histogram."""
     auto, note = _apsp_runs(g, seed, "auto")
     reference, _note = _apsp_runs(g, seed, "reference")
-    assert auto == reference
+    assert _typed(auto) == _typed(reference)
     exact = not g.is_weighted or \
         max(g.weights.values()) * (g.n + 1) < 2 ** 52
     assert note == ("kernel:bellman-ford" if exact else None)
