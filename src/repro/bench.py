@@ -344,10 +344,10 @@ for _kind, _spec in STORE_BENCHMARKS.items():
 # The hot loop being measured is the direct multi-root BFS execution:
 # the vectorized path steps every BFSCollectionMachine every round
 # (Python-level per-node, per-message work); the kernel computes the
-# whole execution as numpy frontier sweeps and replays the metering in
-# closed form.  Sizes: the full workload is n >= 1000 (the 10x claim's
-# floor), sparse so round count -- not density -- dominates; smoke is
-# CI-sized (the 3x gate leaves headroom for slow runners).
+# whole execution in one hop-aligned numpy sweep over all roots and
+# replays the metering in closed form.  Sizes: the full workload is
+# n >= 1000 (the 10x claim's floor), sparse so round count, not density,
+# dominates; smoke is CI-sized (the 3x gate leaves room for slow runners).
 _KERNEL_FULL = {"n": 1200, "p": 0.008, "roots": 256, "reps": 3}
 _KERNEL_SMOKE = {"n": 300, "p": 0.03, "roots": 64, "reps": 1}
 

@@ -1,7 +1,9 @@
 """Array-native BFS wavefront engines (the ``bfs-wavefront`` kernel).
 
-One numpy frontier sweep per root over the graph's CSR arrays yields
-every hop distance; from those, the *entire* metered execution of a
+A BFS collection is the unit-weight case of
+:func:`repro.kernels.relaxation.hop_sweep`: one hop-aligned sweep over
+all roots yields every hop distance, parent and announcement round, and
+from those the *entire* metered execution of a
 :class:`~repro.primitives.bfs.BFSCollectionMachine` collection follows
 in closed form, because the machine's behavior is regular: node ``v``
 announces BFS ``j`` exactly once, at phase ``delays[j] + dist_j(v)``,
@@ -40,97 +42,23 @@ from repro.congest.errors import MessageTooLarge
 from repro.congest.machine import check_broadcast_words
 from repro.congest.metrics import Metrics
 from repro.congest.network import Execution
-from repro.graphs.graph import Graph, _gather_neighbors
+from repro.graphs.graph import Graph
 from repro.kernels.plan import BcongestPlan, collection_outputs
-
-
-def _numpy_bfs(indptr: np.ndarray, indices: np.ndarray, root: int,
-               out: np.ndarray) -> None:
-    """Hop distances from ``root`` into ``out`` (-1 unreached)."""
-    out.fill(-1)
-    out[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        nxt = _gather_neighbors(indptr, indices, frontier)
-        nxt = nxt[out[nxt] < 0]
-        if nxt.size == 0:
-            break
-        frontier = np.unique(nxt)
-        level += 1
-        out[frontier] = level
-
-
-def bfs_distances(graph: Graph, roots: List[int]) -> np.ndarray:
-    """(k, n) hop-distance matrix, one numpy sweep per root."""
-    indptr, indices = graph._indptr, graph._indices
-    dist = np.empty((len(roots), graph.n), dtype=np.int64)
-    for i, root in enumerate(roots):
-        _numpy_bfs(indptr, indices, int(root), dist[i])
-    return dist
-
-
-def _bfs_parents(graph: Graph, dist: np.ndarray) -> np.ndarray:
-    """Per root, the smallest-id neighbor one hop closer (n where none).
-
-    This is exactly the aggregated lexicographic-min record the machine
-    adopts: all inbox records for BFS j in the adoption round carry the
-    same distance, so the min record's origin is the min neighbor id.
-    """
-    indptr, indices = graph._indptr, graph._indices
-    n = graph.n
-    deg = np.diff(indptr)
-    starts = np.minimum(indptr[:-1], max(len(indices) - 1, 0))
-    parents = np.empty_like(dist)
-    for i in range(dist.shape[0]):
-        row = dist[i]
-        nd = row[indices]
-        want = np.repeat(row, deg) - 1
-        cand = np.where(nd == want, indices, n)
-        best = np.minimum.reduceat(cand, starts) if len(indices) \
-            else np.full(n, n, dtype=np.int64)
-        best[deg == 0] = n
-        parents[i] = np.where(row > 0, best, -1)
-    return parents
-
-
-def _announcements(dist: np.ndarray, js: List[int], delays: Dict[int, int],
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(node, phase) announcement events, sorted by (node, phase).
-
-    ``dist`` has one row per BFS id of ``js``.  Returns ``(ev_v, ev_p,
-    ev_cnt)``: node, phase, and how many BFS ids the node announces in
-    that phase -- one broadcast of a ``{j: (dist, v)}`` payload, 3 words
-    a BFS id.
-    """
-    k, n = dist.shape
-    delays_arr = np.array([delays[j] for j in js], dtype=np.int64)
-    phase = delays_arr[:, None] + dist
-    mask = dist >= 0
-    p_flat = phase[mask]
-    v_flat = np.broadcast_to(np.arange(n, dtype=np.int64), (k, n))[mask]
-    if p_flat.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    modulus = int(p_flat.max()) + 1
-    keys, counts = np.unique(v_flat * modulus + p_flat, return_counts=True)
-    return keys // modulus, keys % modulus, counts
+from repro.kernels.relaxation import announcements, hop_sweep
 
 
 def _first_offender(ev_v: np.ndarray, ev_p: np.ndarray, sizes: np.ndarray,
                     limit: int) -> Optional[Tuple[int, int, int]]:
     """The first oversize event in (round, node) order, or None.
 
-    Both scalar paths step nodes in ascending order within a phase, so
-    the first size-check failure is the (phase, node)-lexicographic
-    minimum among offenders.
+    Both scalar paths step nodes in ascending order within a phase, and
+    the events come in that order.
     """
-    over = sizes > limit
-    if not over.any():
+    over = np.flatnonzero(sizes > limit)
+    if not over.size:
         return None
-    sub_v, sub_p, sub_s = ev_v[over], ev_p[over], sizes[over]
-    i = int(np.lexsort((sub_v, sub_p))[0])
-    return int(sub_v[i]), int(sub_p[i]), int(sub_s[i])
+    i = int(over[0])
+    return int(ev_v[i]), int(ev_p[i]), int(sizes[i])
 
 
 def _meter_broadcast_events(metrics: Metrics, graph: Graph,
@@ -166,14 +94,18 @@ def _meter_broadcast_events(metrics: Metrics, graph: Graph,
 def _collection(graph: Graph, roots_map: Dict[int, int],
                 delays: Dict[int, int],
                 ) -> Tuple[Dict[int, dict], List[int], Tuple[np.ndarray, ...]]:
-    """The prologue every consumer shares: the collection's outputs and
-    their sizes (:func:`~repro.kernels.plan.collection_outputs`), and
-    its announcement events (:func:`_announcements`)."""
+    """The prologue every consumer shares: one unit-weight
+    :func:`~repro.kernels.relaxation.hop_sweep` over the roots, then the
+    outputs and their sizes (:func:`~repro.kernels.plan.collection_outputs`)
+    and the ``(node, phase, count)`` announcements in (phase, node) order."""
     js = sorted(roots_map)
-    dist = bfs_distances(graph, [roots_map[j] for j in js])
-    outputs, words = collection_outputs(js, dist, _bfs_parents(graph, dist),
-                                        dist >= 0)
-    return outputs, words, _announcements(dist, js, delays)
+    dist, parent, events = hop_sweep(
+        graph, np.array([roots_map[j] for j in js], dtype=np.int64),
+        np.array([delays[j] for j in js], dtype=np.int64))
+    reached = dist < np.inf
+    hops = np.where(reached, dist, 0).astype(np.int64)
+    outputs, words = collection_outputs(js, hops, parent, reached)
+    return outputs, words, announcements(events, graph.n)
 
 
 def direct_execution(graph: Graph, roots_map: Dict[int, int],
@@ -262,8 +194,7 @@ def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
     """
     outputs, words, (ev_v, ev_p, ev_cnt) = _collection(graph, roots_map,
                                                         delays)
-    order = np.lexsort((ev_v, ev_p))
     return BcongestPlan(
-        phase=ev_p[order], node=ev_v[order], words=3 * ev_cnt[order],
+        phase=ev_p, node=ev_v, words=3 * ev_cnt,
         outputs=outputs, output_words=words,
         executed_phases=int(ev_p.max()) + 1 if len(ev_p) else 1)

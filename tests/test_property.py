@@ -98,6 +98,24 @@ def _float_weights(g, rng):
     return g.reweighted(weights, name=f"{g.name}+float")
 
 
+def _directed_weights(g, rng, kind):
+    """``g`` with directed int weights: ``asymmetric`` (positive, drawn
+    per direction), ``potential`` (``base + p(v) - p(u)`` with ``base >=
+    0``: negative weights, no negative cycle) or ``cycle`` (asymmetric
+    plus one negative two-cycle, so estimates improve to the deadline).
+    """
+    potential = [rng.randint(0, 10) for _ in g.nodes()]
+    weights = {}
+    for u, v in g.edges():
+        for a, b in ((u, v), (v, u)):
+            weights[(a, b)] = (rng.randint(0, 5) + potential[b] - potential[a]
+                               if kind == "potential" else rng.randint(1, 20))
+    if kind == "cycle":
+        u, v = rng.choice(list(g.edges()))
+        weights[(u, v)] = -weights[(v, u)] - 1
+    return g.reweighted(weights, name=f"{g.name}+{kind}")
+
+
 def _typed(obj):
     """``obj`` with every scalar paired with its type, so that ``==``
     tells an int ``0`` from a float ``0.0``."""
@@ -698,7 +716,9 @@ def test_kernel_plan_schedules_match_the_machines(g, seed):
     payload_words)`` of every broadcast when the same machines are
     stepped under ``LocalRunner``.  Every node's output size is
     ``output_words`` of its output (also for BFS roots that repeat),
-    and its values have the machines' types (int or float)."""
+    and its values have the machines' types (int or float).  The
+    directed cases tell sender-side from receiver-side weights; with a
+    negative cycle the machines announce until their deadline."""
     delays = make_delays(g.n, seed)
     sources = {j: j for j in g.nodes()}
     shared = {j: (j * 7 + seed) % g.n for j in g.nodes()}
@@ -720,6 +740,12 @@ def test_kernel_plan_schedules_match_the_machines(g, seed):
               bellman_ford),
              (floated, relaxation.bcongest_plan(floated, delays),
               bellman_ford)]
+    rng = random.Random(seed)
+    for kind in ("asymmetric", "potential", "cycle"):
+        directed = _directed_weights(g, rng, kind)
+        cases.append((directed, relaxation.bcongest_plan(directed, delays),
+                      bellman_ford))
+    assert cases[-1][1].phase[-1] == max(delays.values()) + g.n
     for graph, plan, factory in cases:
         runner = _ScheduleRecorder(graph, factory, seed=seed)
         outputs = runner.run()
@@ -797,12 +823,13 @@ def apsp_graphs(draw):
 
 
 def _apsp_runs(g, seed, engine):
-    """``weighted_apsp`` and ``apsp_tradeoff`` at eps 0 and 1 under one
-    engine mode, as comparable data, plus the weighted run's engine note."""
+    """``weighted_apsp`` and ``apsp_tradeoff`` at eps 0, 0.4 (the batched
+    regime, whose landmark stage is a direct run) and 1 under one engine
+    mode, as comparable data, plus the weighted run's engine note."""
     with cell_context(engine=engine) as cell:
         runs = [weighted_apsp(g, seed=seed)]
         note = cell.engine_note
-        runs += [apsp_tradeoff(g, eps, seed=seed) for eps in (0, 1)]
+        runs += [apsp_tradeoff(g, eps, seed=seed) for eps in (0, 0.4, 1)]
     return [(run.dist, getattr(run, "parents", None), run.detail,
              run.metrics.as_dict(), dict(run.metrics.edge_congestion),
              dict(run.metrics.message_sizes)) for run in runs], note
