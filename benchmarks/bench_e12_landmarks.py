@@ -42,7 +42,7 @@ def _experiment():
 
     rows = []
     # Near part alone: how many pairs the depth cap leaves uncovered.
-    near = n_bfs_trees_batched(g, EPS, seed=9, cap=cap)
+    near = n_bfs_trees_batched(g, EPS, seed=9)
     near_dist = distance_matrix(n, near.trees, symmetric=True)
     rows.append(("near only (cap=%d)" % cap, 0,
                  _wrong_pairs(near_dist, ref, n),

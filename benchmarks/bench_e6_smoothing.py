@@ -16,7 +16,8 @@ from conftest import run_once
 from repro.analysis import print_table, record_extra_info
 from repro.congest.metrics import Metrics
 from repro.core import component_batches, simulate_aggregation
-from repro.core.bfs_collections import depth_cap, shared_delays
+from repro.congest.scheduler import random_delays
+from repro.core.bfs_collections import depth_cap
 from repro.decomposition import build_ensemble, cluster_edge_multiplicity
 from repro.primitives.bfs import BFSCollectionMachine
 from repro.scenarios import get_scenario
@@ -31,7 +32,7 @@ def _run(graph, hierarchies, batches, cap, seed):
     worst_cluster = 0
     for idx, batch in enumerate(batches):
         h = hierarchies[idx % len(hierarchies)]
-        delays = shared_delays(batch, seed + idx)
+        delays = random_delays(batch, "bfs-delays", seed + idx)
         roots = {j: j for j in batch}
 
         def factory(info, _r=roots, _d=delays):
@@ -39,8 +40,7 @@ def _run(graph, hierarchies, batches, cap, seed):
                                         max_depth=cap)
 
         report = simulate_aggregation(
-            graph, h, factory, seed=seed, message_words=12 * graph.n,
-            include_tree_preprocessing=False)
+            graph, h, factory, seed=seed, message_words=12 * graph.n)
         combined.merge(report.simulation, parallel=True)
     cluster_edges = set()
     for h in hierarchies:

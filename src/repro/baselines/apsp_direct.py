@@ -18,15 +18,11 @@ from typing import Dict, List
 
 from repro.congest.machine import run_machines
 from repro.congest.metrics import Metrics
-from repro.core.bfs_collections import (
-    _message_budget,
-    disseminate_delays,
-    distance_matrix,
-    shared_delays,
-)
+from repro.congest.scheduler import random_delays
+from repro.core.bfs_collections import disseminate_delays, distance_matrix
 from repro.graphs.graph import Graph
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
-from repro.primitives.bfs import BFSCollectionMachine
+from repro.primitives.bfs import BFSCollectionMachine, message_budget
 
 
 @dataclass
@@ -40,13 +36,13 @@ def apsp_direct_unweighted(graph: Graph, *, seed: int = 0,
                            ) -> DirectAPSPResult:
     """n BFS with shared random delays, run directly (the eps = 1 end)."""
     n = graph.n
-    delays = shared_delays(list(graph.nodes()), seed)
+    delays = random_delays(graph.nodes(), "bfs-delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
     roots = {j: j for j in graph.nodes()}
     execution = run_machines(
         graph,
         lambda info: BFSCollectionMachine(info, roots=roots, delays=delays),
-        word_limit=_message_budget(n), seed=seed)
+        word_limit=message_budget(n), seed=seed)
     total.merge(execution.metrics)
     dist = distance_matrix(n, execution.outputs, symmetric=True)
     max_ids = max(
@@ -66,14 +62,14 @@ def apsp_direct_weighted(graph: Graph, *, seed: int = 0,
                          ) -> DirectAPSPResult:
     """n Bellman-Ford sources run directly (the [7]-style comparator)."""
     n = graph.n
-    delays = shared_delays(list(graph.nodes()), seed)
+    delays = random_delays(graph.nodes(), "bfs-delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
     sources = {j: j for j in graph.nodes()}
     execution = run_machines(
         graph,
         lambda info: BellmanFordCollectionMachine(
             info, sources=sources, delays=delays),
-        word_limit=_message_budget(n) * 2, seed=seed)
+        word_limit=message_budget(n) * 2, seed=seed)
     total.merge(execution.metrics)
     dist = distance_matrix(n, execution.outputs, symmetric=False)
     return DirectAPSPResult(

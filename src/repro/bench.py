@@ -355,10 +355,10 @@ _KERNEL_SMOKE = {"n": 300, "p": 0.03, "roots": 64, "reps": 1}
 @register_benchmark("kernels")
 def bench_kernels(smoke: bool = False) -> BenchReport:
     from repro.congest.machine import run_machines
-    from repro.core.bfs_collections import _message_budget, shared_delays
+    from repro.congest.scheduler import random_delays
     from repro.graphs import gnp_streaming
     from repro.kernels import wavefront
-    from repro.primitives.bfs import BFSCollectionMachine
+    from repro.primitives.bfs import BFSCollectionMachine, message_budget
 
     params = _KERNEL_SMOKE if smoke else _KERNEL_FULL
     n, n_roots = params["n"], params["roots"]
@@ -366,8 +366,8 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
     graph = gnp_streaming(n, params["p"], seed=11)
     root_list = list(range(n_roots))
     roots = {j: j for j in root_list}
-    delays = shared_delays(root_list, 11)
-    budget = _message_budget(graph.n)
+    delays = random_delays(root_list, "bfs-delays", 11)
+    budget = message_budget(graph.n)
 
     def vectorized():
         return run_machines(

@@ -28,15 +28,17 @@ pipeline.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.congest.errors import AlgorithmError
 from repro.congest.machine import MachineFactory, MachineSet
 from repro.congest.metrics import Metrics
 from repro.graphs.graph import Graph
+
+# Livelock guard on the shared wall clock.
+_MAX_ROUNDS = 2_000_000
 
 
 @dataclass
@@ -56,11 +58,10 @@ class _Component:
     """One algorithm's machines plus its pacing state."""
 
     def __init__(self, index: int, graph: Graph, factory: MachineFactory,
-                 *, inputs: Optional[Dict[int, Any]], seed: int,
-                 delay: int):
+                 *, seed: int, delay: int):
         self.index = index
         self.delay = delay
-        self.machines = MachineSet(graph, factory, inputs=inputs, seed=seed)
+        self.machines = MachineSet(graph, factory, seed=seed)
         self.round = 0
         self.in_flight = 0
         self.next_inboxes: Dict[int, List[Tuple[int, Any]]] = {}
@@ -93,28 +94,24 @@ class _Component:
 
 
 def compose_machines(graph: Graph, factories: List[MachineFactory], *,
-                     inputs: Optional[List[Optional[Dict[int, Any]]]] = None,
-                     seed: int = 0,
-                     max_rounds: int = 2_000_000) -> ComposedExecution:
+                     seed: int = 0) -> ComposedExecution:
     """Run all factories concurrently under shared CONGEST capacity.
 
     Each component's machines see a perfectly synchronous execution (the
     pacing barrier), so outputs equal isolated runs; the shared rounds
-    and congestion realize Theorem 1.3's composition.
+    and congestion realize Theorem 1.3's composition.  Component j
+    starts after the shared random delay
+    :func:`~repro.congest.scheduler.random_delays` draws for it.
     """
     ell = len(factories)
     if ell == 0:
         raise ValueError("need at least one component")
-    from repro.congest.network import stable_seed
-    rng = random.Random(stable_seed("compose", seed))
-    delays = [rng.randint(1, max(1, ell)) for _ in range(ell)]
+    from repro.congest.scheduler import random_delays
+    delays = list(random_delays(range(ell), "compose", seed).values())
 
-    components = []
-    for idx, factory in enumerate(factories):
-        comp_inputs = inputs[idx] if inputs is not None else None
-        components.append(_Component(
-            idx, graph, factory, inputs=comp_inputs, seed=seed,
-            delay=delays[idx]))
+    components = [
+        _Component(idx, graph, factory, seed=seed, delay=delays[idx])
+        for idx, factory in enumerate(factories)]
 
     # Per directed edge: FIFO of (component, src, dst, payload).
     queues: Dict[Tuple[int, int], deque] = {}
@@ -123,7 +120,7 @@ def compose_machines(graph: Graph, factories: List[MachineFactory], *,
     last_activity = 0
     while True:
         wall += 1
-        if wall > max_rounds:
+        if wall > _MAX_ROUNDS:
             raise AlgorithmError("composition exceeded max_rounds")
         # Step every component whose previous round has fully landed.
         for comp in components:

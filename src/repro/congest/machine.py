@@ -138,8 +138,7 @@ class MachineAdapter(Algorithm):
 
 def run_machines(graph: "Graph", factory: MachineFactory, *,
                  inputs: Optional[Dict[int, Any]] = None,
-                 word_limit: int = 8, seed: int = 0,
-                 max_rounds: int = 5_000_000) -> Execution:
+                 word_limit: int = 8, seed: int = 0) -> Execution:
     """Execute a BCONGEST machine collection directly on the network.
 
     This is the reference execution: its metrics give the algorithm's
@@ -155,7 +154,7 @@ def run_machines(graph: "Graph", factory: MachineFactory, *,
 
     execution = run_algorithm(
         graph, make, inputs=inputs, word_limit=word_limit, bcast_only=True,
-        seed=seed, max_rounds=max_rounds)
+        seed=seed)
     # Surface machine outputs even for machines that never halted
     # (e.g. depth-limited BFS at unreachable nodes).
     for v, machine in machines.items():

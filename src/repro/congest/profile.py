@@ -125,15 +125,14 @@ class RoundProfiler:
     # ------------------------------------------------------------------
     # Hooks called by Network.run (guarded by `profiler is not None`).
     # ------------------------------------------------------------------
-    def begin_execution(self, metrics: Metrics,
-                        label: Optional[str] = None) -> None:
+    def begin_execution(self, metrics: Metrics) -> None:
         """A new Network execution starts recording under this profiler."""
         self.close_open_segment()
         snapshot = metrics.snapshot()
         self._prev = snapshot
         self._segment_start = snapshot
         self._segments.append({
-            "label": label or f"exec-{len(self._segments)}",
+            "label": f"exec-{len(self._segments)}",
             "start_row": len(self._rows),
             "rows": 0,
             "totals": None,

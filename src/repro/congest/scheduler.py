@@ -11,13 +11,14 @@ aggregation-based.
 
 This module provides
 
-* :func:`random_delays` -- the shared random delay assignment (the
-  shared randomness itself is disseminated and metered by the drivers,
-  see §3.3 and :func:`repro.primitives.global_tree.disseminate`);
+* :func:`random_delays` -- the one shared random delay draw, uniform on
+  [1, ell] for ell algorithm ids, every collection driver's (the shared
+  randomness itself is disseminated and metered by the drivers, see
+  §3.3 and :func:`repro.core.bfs_collections.disseminate_delays`);
 * :func:`ghaffari_schedule_bound` -- the Theorem 1.3 round bound
   O(congestion + dilation * log n) evaluated on measured quantities,
   used when batch simulations are executed sequentially but accounted
-  as a concurrent schedule (see :mod:`repro.core.bfs_collections`);
+  as a concurrent schedule (:func:`repro.core.bfs_collections.n_bfs_trees_batched`);
 * :func:`measure_bfs_schedule` -- executes a delayed BFS collection and
   reports the Theorem 1.4 quantities: completion round vs. ell +
   dilation, and the maximum number of distinct BFS ids any node hears
@@ -29,19 +30,27 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.congest.machine import run_machines
+from repro.congest.network import stable_seed
 from repro.congest.profile import mark_phase
 from repro.graphs.graph import Graph
-from repro.primitives.bfs import BFSCollectionMachine
+from repro.primitives.bfs import BFSCollectionMachine, message_budget
 
 
-def random_delays(ids: List[int], spread: int, seed: int = 0) -> Dict[int, int]:
-    """Uniform delays from [1, spread], one per algorithm id."""
-    from repro.congest.network import stable_seed
-    rng = random.Random(stable_seed("sched-delays", seed))
-    return {j: rng.randint(1, max(1, spread)) for j in ids}
+def random_delays(ids: Iterable[int], stream: str,
+                  seed: int) -> Dict[int, int]:
+    """Uniform delays from [1, ell], one per algorithm id, in id order.
+
+    ``ell = len(ids)``; ``stream`` names the draw's random stream, so
+    collections that share a seed (the BFS trees, the Bellman-Ford
+    sources, the composer's components) still draw independently.
+    """
+    ids = list(ids)
+    rng = random.Random(stable_seed(stream, seed))
+    spread = max(1, len(ids))
+    return {j: rng.randint(1, spread) for j in ids}
 
 
 def ghaffari_schedule_bound(congestion: int, dilation: int, n: int) -> int:
@@ -84,9 +93,9 @@ def measure_bfs_schedule(graph: Graph, roots: Optional[List[int]] = None, *,
     """
     root_list = list(graph.nodes()) if roots is None else list(roots)
     ell = len(root_list)
-    delays = random_delays(root_list, ell, seed)
+    delays = random_delays(root_list, "sched-delays", seed)
     root_map = {j: j for j in root_list}
-    budget = max(32, 12 * max(1, int(math.log2(max(graph.n, 2)))) ** 2)
+    budget = message_budget(graph.n)
     mark_phase("bfs-schedule")
     execution = run_machines(
         graph,

@@ -105,8 +105,8 @@ class SimulationReport:
     ldc_stats: Dict[str, int] = field(default_factory=dict)
 
 
-def gather_member_inputs(graph: Graph, ldc: LDCDecomposition, *,
-                         word_limit: int = 8) -> Tuple[int, Metrics]:
+def gather_member_inputs(graph: Graph,
+                         ldc: LDCDecomposition) -> Tuple[int, Metrics]:
     """Preprocessing step 3: upcast every member's 1-hop neighborhood.
 
     Each incident edge is one O(1)-word item ((v, u) plus weights when
@@ -135,8 +135,8 @@ def gather_member_inputs(graph: Graph, ldc: LDCDecomposition, *,
                 packets.append(Packet(path=path, payload=item,
                                       words=1 + words))
     if packets:
-        _deliveries, metrics = route_packets(graph, packets,
-                                             word_limit=word_limit)
+        # One item per packet: destination plus an O(1)-word item.
+        _deliveries, metrics = route_packets(graph, packets, word_limit=8)
     else:
         metrics = Metrics()
     return input_words, metrics

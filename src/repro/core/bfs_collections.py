@@ -17,20 +17,25 @@ invokes Theorem 1.3 (random-delay scheduling) to bound the combined
 round count by Õ(congestion + dilation).  This driver executes the batch
 simulations sequentially -- which leaves outputs, message counts, and
 per-edge congestion *identical* to the concurrent run -- and reports the
-Theorem 1.3 round bound computed from the measured congestion and
-dilation (``rounds_scheduled``) alongside the raw sequential round sum
+Theorem 1.3 round bound (:func:`repro.congest.scheduler.ghaffari_schedule_bound`)
+computed from the measured congestion and dilation
+(``rounds_scheduled``) alongside the raw sequential round sum
 (``rounds_sequential``).  Benchmark E3 reports both; E6 validates the
 congestion-smoothing input to the formula empirically.
+
+Both lemmas draw their delays with :func:`repro.congest.scheduler.random_delays`
+(stream ``"bfs-delays"``) and run the collection under the one word
+budget :func:`repro.primitives.bfs.message_budget`.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.congest.metrics import Metrics
+from repro.congest.scheduler import ghaffari_schedule_bound, random_delays
 from repro.core.aggregation import component_batches
 from repro.core.tradeoff_sim import TradeoffReport, simulate_aggregation
 from repro.core.tradeoff_sim_star import simulate_aggregation_star
@@ -38,7 +43,7 @@ from repro.decomposition.ensemble import build_ensemble
 from repro.decomposition.pruning import build_pruned_hierarchy
 from repro.graphs.graph import Graph
 from repro.kernels import config as kernels
-from repro.primitives.bfs import BFSCollectionMachine
+from repro.primitives.bfs import BFSCollectionMachine, message_budget
 from repro.primitives.global_tree import build_global_tree, disseminate
 
 
@@ -53,14 +58,6 @@ class BFSTreesResult:
 
 
 INF = float("inf")
-
-
-def shared_delays(ids: List[int], seed: int) -> Dict[int, int]:
-    """The shared random delays of a collection, uniform on [1, len(ids)]."""
-    from repro.congest.network import stable_seed
-    rng = random.Random(stable_seed("bfs-delays", seed))
-    spread = max(1, len(ids))
-    return {j: rng.randint(1, spread) for j in ids}
 
 
 def disseminate_delays(graph: Graph, delays: Dict[int, int], *,
@@ -96,26 +93,19 @@ def distance_matrix(n: int, outputs: Dict[int, Optional[dict]], *,
     return dist
 
 
-def _message_budget(n: int) -> int:
-    # Theorem 1.4(ii): O(log n) distinct BFS ids per node-round, three
-    # words per id record; generous constant, verified by benchmark E4.
-    return max(32, 12 * max(1, int(math.log2(max(n, 2)))) ** 2)
-
-
-def n_bfs_trees_star(graph: Graph, eps: float, *, seed: int = 0,
-                     roots: Optional[List[int]] = None) -> BFSTreesResult:
+def n_bfs_trees_star(graph: Graph, eps: float, *,
+                     seed: int = 0) -> BFSTreesResult:
     """Lemma 3.22: n full BFS trees, eps in [1/2, 1]."""
     if not 0.5 <= eps <= 1:
         raise ValueError("Lemma 3.22 requires eps in [1/2, 1]")
-    n = graph.n
-    root_list = list(graph.nodes()) if roots is None else list(roots)
-    delays = shared_delays(root_list, seed)
+    budget = message_budget(graph.n)
+    delays = random_delays(graph.nodes(), "bfs-delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
 
     hierarchy = build_pruned_hierarchy(graph, eps, seed=seed + 13)
     total.merge(hierarchy.metrics)
 
-    root_map = {j: j for j in root_list}
+    root_map = {j: j for j in graph.nodes()}
 
     def factory(info):
         return BFSCollectionMachine(info, roots=root_map, delays=delays)
@@ -124,14 +114,12 @@ def n_bfs_trees_star(graph: Graph, eps: float, *, seed: int = 0,
     if kernels.engine_ready():
         from repro.kernels import wavefront
         report = wavefront.star_report(
-            graph, hierarchy, root_map, delays,
-            message_words=_message_budget(n))
+            graph, hierarchy, root_map, delays, message_words=budget)
         if report is not None:
             kernels.note_engine("kernel:bfs-wavefront")
     if report is None:
         report = simulate_aggregation_star(
-            graph, hierarchy, factory, seed=seed, message_words=_message_budget(n),
-            include_tree_preprocessing=False)
+            graph, hierarchy, factory, seed=seed, message_words=budget)
     total.merge(report.total)
     trees = {v: dict(report.outputs[v] or {}) for v in graph.nodes()}
     return BFSTreesResult(
@@ -150,14 +138,14 @@ def depth_cap(n: int, eps: float) -> int:
     return max(2, int(math.ceil(max(n, 2) ** (1.0 - eps))))
 
 
-def n_bfs_trees_batched(graph: Graph, eps: float, *, seed: int = 0,
-                        cap: Optional[int] = None) -> BFSTreesResult:
-    """Lemma 3.23: n depth-capped BFS trees, eps in (0, 1/2]."""
+def n_bfs_trees_batched(graph: Graph, eps: float, *,
+                        seed: int = 0) -> BFSTreesResult:
+    """Lemma 3.23: n BFS trees capped at :func:`depth_cap`, eps in (0, 1/2]."""
     if not 0 < eps <= 0.5:
         raise ValueError("Lemma 3.23 requires eps in (0, 1/2]")
     n = graph.n
-    if cap is None:
-        cap = depth_cap(n, eps)
+    cap = depth_cap(n, eps)
+    budget = message_budget(n)
     b = max(1, int(math.ceil(n ** eps)))
     total = Metrics()
     tree = build_global_tree(graph, seed=seed)
@@ -176,7 +164,7 @@ def n_bfs_trees_batched(graph: Graph, eps: float, *, seed: int = 0,
     for idx, batch in enumerate(batches):
         if not batch:
             continue
-        delays = shared_delays(batch, seed + idx)
+        delays = random_delays(batch, "bfs-delays", seed + idx)
         _received, m = disseminate(graph, tree, sorted(delays.items()),
                                    seed=seed + idx)
         total.merge(m)
@@ -187,8 +175,7 @@ def n_bfs_trees_batched(graph: Graph, eps: float, *, seed: int = 0,
                                         max_depth=cap)
 
         report = simulate_aggregation(
-            graph, ensemble[idx], factory, seed=seed, message_words=_message_budget(n),
-            include_tree_preprocessing=False)
+            graph, ensemble[idx], factory, seed=seed, message_words=budget)
         reports.append(report)
         total.merge(report.total)
         combined_sim.merge(report.simulation, parallel=True)
@@ -200,9 +187,9 @@ def n_bfs_trees_batched(graph: Graph, eps: float, *, seed: int = 0,
 
     # Theorem 1.3 composition bound on the concurrent schedule: the
     # sequential execution above has identical messages/congestion.
-    log_n = max(1, int(math.ceil(math.log2(max(n, 2)))))
     congestion = combined_sim.max_edge_congestion
-    rounds_scheduled = congestion + max_dilation_rounds * log_n
+    rounds_scheduled = ghaffari_schedule_bound(congestion,
+                                               max_dilation_rounds, n)
     return BFSTreesResult(
         trees=trees, metrics=total,
         detail={

@@ -18,12 +18,8 @@ from typing import Dict, List
 from repro.congest.machine import run_machines
 from repro.congest.metrics import Metrics
 from repro.core.bcongest_sim import simulate_bcongest
-from repro.covers.mpx_cover import (
-    NeighborhoodCover,
-    build_cover_machine_factory,
-    clustering_from_outputs,
-    cover_beta,
-)
+from repro.covers.mpx_cover import NeighborhoodCover, build_cover_machine_factory
+from repro.decomposition.mpx import clustering_from_outputs
 from repro.graphs.graph import Graph
 
 
@@ -40,7 +36,7 @@ def _package(graph: Graph, outputs: Dict[int, list], reps: int,
     for rep in range(reps):
         rep_outputs = {v: outputs[v][rep] for v in graph.nodes()}
         clusterings.append(
-            clustering_from_outputs(graph, rep_outputs, beta))
+            clustering_from_outputs(graph, rep_outputs, beta, Metrics()))
     return clusterings
 
 

@@ -29,21 +29,19 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.congest.machine import run_machines
 from repro.congest.metrics import Metrics
+from repro.congest.scheduler import random_delays
 from repro.core.bcongest_sim import simulate_bcongest
 from repro.core.bfs_collections import (
-    _message_budget,
-    depth_cap,
     disseminate_delays,
     distance_matrix,
     n_bfs_trees_batched,
     n_bfs_trees_star,
-    shared_delays,
 )
-from repro.congest.machine import run_machines
 from repro.graphs.graph import Graph
 from repro.kernels import config as kernels
-from repro.primitives.bfs import BFSCollectionMachine
+from repro.primitives.bfs import BFSCollectionMachine, message_budget
 from repro.primitives.global_tree import build_global_tree, disseminate
 from repro.primitives.transport import Packet, route_packets
 
@@ -78,9 +76,9 @@ def landmark_completion(graph: Graph, landmarks: List[int], *,
     tree edges ((root, child, parent) triples), as the paper describes.
     """
     total = Metrics()
-    delays = shared_delays(landmarks, seed + 101)
+    delays = random_delays(landmarks, "bfs-delays", seed + 101)
     roots = {j: j for j in landmarks}
-    budget = _message_budget(graph.n)
+    budget = message_budget(graph.n)
     if kernels.engine_ready():
         # Closed-form direct run; metering and outputs are exact, so no
         # engine note is left (this is one stage of a larger regime).
@@ -154,10 +152,10 @@ def _apsp_message_optimal(graph: Graph, *, seed: int = 0,
                           ) -> TradeoffAPSPResult:
     """The eps ~ 0 end: Theorem 2.1 simulation of the n-BFS collection."""
     n = graph.n
-    delays = shared_delays(list(graph.nodes()), seed)
+    delays = random_delays(graph.nodes(), "bfs-delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
     roots = {j: j for j in graph.nodes()}
-    budget = _message_budget(n)
+    budget = message_budget(n)
 
     def factory(info):
         return BFSCollectionMachine(info, roots=roots, delays=delays)
@@ -166,8 +164,7 @@ def _apsp_message_optimal(graph: Graph, *, seed: int = 0,
     if kernels.engine_ready():
         from repro.kernels import wavefront
         plan = wavefront.bcongest_plan(graph, roots, delays)
-        if plan is not None:
-            kernels.note_engine("kernel:bfs-wavefront")
+        kernels.note_engine("kernel:bfs-wavefront")
     report = simulate_bcongest(graph, factory, seed=seed,
                                message_words=budget, plan=plan)
     total.merge(report.total)
@@ -183,8 +180,7 @@ def _apsp_batched_with_landmarks(graph: Graph, eps: float, *, seed: int,
                                  ) -> TradeoffAPSPResult:
     """The eps in (1/log n, 1/2] regime: Lemma 3.23 + landmarks."""
     n = graph.n
-    cap = depth_cap(n, eps)
-    near = n_bfs_trees_batched(graph, eps, seed=seed, cap=cap)
+    near = n_bfs_trees_batched(graph, eps, seed=seed)
     total = near.metrics
     dist = distance_matrix(n, near.trees, symmetric=True)
 
@@ -203,7 +199,7 @@ def _apsp_batched_with_landmarks(graph: Graph, eps: float, *, seed: int,
                     dist[u][v] = through
                     dist[v][u] = through
     detail = dict(near.detail)
-    detail.update({"landmarks": len(landmarks), "cap": cap})
+    detail["landmarks"] = len(landmarks)
     return TradeoffAPSPResult(dist=dist, metrics=total,
                               regime="batched+landmarks (Lemma 3.23)",
                               detail=detail)

@@ -31,14 +31,13 @@ reported separately so tests and benchmark E3/E6 can check Lemmas 3.12,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.congest.machine import Machine, MachineSet
 from repro.congest.metrics import Metrics
 from repro.core.aggregation import get_aggregator
 from repro.decomposition.baswana_sen import BaswanaSenHierarchy, _one_shot
 from repro.graphs.graph import EdgeKey, Graph, undirected
-from repro.primitives.global_tree import build_global_tree
 from repro.primitives.transport import (
     Packet,
     path_from_root,
@@ -156,21 +155,21 @@ def preprocess_gather(graph: Graph, hierarchy: BaswanaSenHierarchy,
 
 def simulate_aggregation(graph: Graph, hierarchy: BaswanaSenHierarchy,
                          factory: MachineFactory, *,
-                         inputs: Optional[Dict[int, Any]] = None,
                          seed: int = 0, message_words: int = 64,
-                         include_tree_preprocessing: bool = True,
                          max_phases: int = 200_000) -> TradeoffReport:
-    """Run the Theorem 3.9 simulation of ``factory`` over ``hierarchy``."""
+    """Run the Theorem 3.9 simulation of ``factory`` over ``hierarchy``.
+
+    ``preprocessing`` meters the gather step only: the leader's global
+    tree of §3.2.1 is built by the driver, which needs it first for the
+    shared randomness (:func:`repro.core.bfs_collections.disseminate_delays`).
+    """
     total = Metrics()
-    if include_tree_preprocessing:
-        tree = build_global_tree(graph, seed=seed)
-        total.merge(tree.metrics)
     total.merge(preprocess_gather(graph, hierarchy))
     preprocessing = total.snapshot()
 
     views, clusters_of_node, incident_f = build_cluster_views(
         graph, hierarchy)
-    machines = MachineSet(graph, factory, inputs=inputs, seed=seed,
+    machines = MachineSet(graph, factory, seed=seed,
                           message_words=message_words)
     # Definition 3.1's aggregation; an empty graph never delivers.
     first = next(iter(machines.machines.values()), None)

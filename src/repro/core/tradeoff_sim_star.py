@@ -31,7 +31,7 @@ the trade-off.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.congest.machine import Machine, MachineSet
 from repro.congest.metrics import Metrics
@@ -39,7 +39,6 @@ from repro.core.aggregation import get_aggregator
 from repro.core.tradeoff_sim import TradeoffReport, _congestion_split
 from repro.decomposition.baswana_sen import BaswanaSenHierarchy, _one_shot
 from repro.graphs.graph import Graph
-from repro.primitives.global_tree import build_global_tree
 from repro.primitives.transport import Packet, route_packets
 
 MachineFactory = Callable[..., Machine]
@@ -60,17 +59,16 @@ def _greedy_maximal_matching(pairs: List[Tuple[int, int]],
 
 def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
                               factory: MachineFactory, *,
-                              inputs: Optional[Dict[int, Any]] = None,
                               seed: int = 0, message_words: int = 64,
-                              include_tree_preprocessing: bool = True,
                               max_phases: int = 200_000) -> TradeoffReport:
-    """Run the Theorem 3.10 simulation (requires kappa <= 2)."""
+    """Run the Theorem 3.10 simulation (requires kappa <= 2).
+
+    As in :func:`~repro.core.tradeoff_sim.simulate_aggregation`, the
+    global tree is the driver's and ``preprocessing`` is the gather.
+    """
     if hierarchy.kappa > 2:
         raise ValueError("star simulation requires eps >= 1/2 (kappa <= 2)")
     total = Metrics()
-    if include_tree_preprocessing:
-        tree = build_global_tree(graph, seed=seed)
-        total.merge(tree.metrics)
     # Preprocessing gather: every star member sends its neighborhood to
     # its center (depth-1 upcast).
     level1 = hierarchy.levels[1] if hierarchy.n_levels > 1 else None
@@ -94,7 +92,7 @@ def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
             f1_incident[u].add(w)
             f1_incident[w].add(u)
 
-    machines = MachineSet(graph, factory, inputs=inputs, seed=seed,
+    machines = MachineSet(graph, factory, seed=seed,
                           message_words=message_words)
     # Definition 3.1's aggregation; an empty graph never delivers.
     first = next(iter(machines.machines.values()), None)

@@ -10,9 +10,10 @@ full scope of the theorem's statement.
 
 Driver steps:
 
-1. build the global tree and disseminate the shared random delays (the
-   shared-randomness implementation of §3.3, metered: Õ(n) rounds and
-   Õ(n · n) messages);
+1. draw the shared random delays (:func:`repro.congest.scheduler.random_delays`,
+   stream ``"delays"``), build the global tree and disseminate them
+   (the shared-randomness implementation of §3.3, metered: Õ(n) rounds
+   and Õ(n · n) messages);
 2. run the Theorem 2.1 simulation of the Bellman-Ford collection;
 3. assemble per-node distance vectors.
 
@@ -23,12 +24,13 @@ costs Theta~(n * m) messages.
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.congest.metrics import Metrics
 from repro.congest.profile import mark_phase
+from repro.congest.scheduler import random_delays
 from repro.core.bcongest_sim import SimulationReport, simulate_bcongest
 from repro.core.bfs_collections import disseminate_delays, distance_matrix
 from repro.kernels import config as kernels
@@ -77,35 +79,23 @@ class APSPResult:
         return path
 
 
-def make_delays(n: int, seed: int) -> Dict[int, int]:
-    """Shared random delays for the n sources, uniform on [1, n]."""
-    from repro.congest.network import stable_seed
-    rng = random.Random(stable_seed("delays", seed))
-    spread = max(1, n)
-    return {j: rng.randint(1, spread) for j in range(n)}
-
-
-def weighted_apsp(graph: Graph, *, seed: int = 0,
-                  message_words: Optional[int] = None) -> APSPResult:
+def weighted_apsp(graph: Graph, *, seed: int = 0) -> APSPResult:
     """Message-optimal weighted APSP (Theorem 1.1).
 
-    ``message_words`` bounds the simulated algorithm's per-broadcast
-    payload; the default scales as O(log² n) which the random delays
-    guarantee w.h.p. (each broadcast carries the sources improved in one
-    round).
+    The simulated algorithm's per-broadcast payload is bounded by
+    O(log² n) words, which the random delays guarantee w.h.p. (each
+    broadcast carries the sources improved in one round).
     """
     n = graph.n
 
     # Shared randomness: the leader draws the delays and streams them
     # down its BFS tree (§3.3's implementation, metered literally).
     mark_phase("shared-randomness")
-    delays = make_delays(n, seed)
+    delays = random_delays(range(n), "delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
 
     sources = {j: j for j in range(n)}
-    if message_words is None:
-        import math
-        message_words = max(24, 6 * int(math.log2(max(n, 2))) ** 2)
+    message_words = max(24, 6 * int(math.log2(max(n, 2))) ** 2)
 
     def factory(info):
         return BellmanFordCollectionMachine(
@@ -159,13 +149,11 @@ def weighted_apsp_tradeoff(graph: Graph, eps: float, *,
     if eps < 0.5:
         return weighted_apsp(graph, seed=seed)
 
-    import math
-
     from repro.core.tradeoff_sim_star import simulate_aggregation_star
     from repro.decomposition.pruning import build_pruned_hierarchy
 
     n = graph.n
-    delays = make_delays(n, seed)
+    delays = random_delays(range(n), "delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
     hierarchy = build_pruned_hierarchy(graph, eps, seed=seed + 17)
     total.merge(hierarchy.metrics)
@@ -178,8 +166,7 @@ def weighted_apsp_tradeoff(graph: Graph, eps: float, *,
 
     budget = max(48, 12 * int(math.log2(max(n, 2))) ** 2)
     report = simulate_aggregation_star(
-        graph, hierarchy, factory, seed=seed, message_words=budget,
-        include_tree_preprocessing=False)
+        graph, hierarchy, factory, seed=seed, message_words=budget)
     total.merge(report.total)
 
     dist = distance_matrix(n, report.outputs, symmetric=False)

@@ -171,28 +171,3 @@ def build_cover_machine_factory(graph: Graph, k: int, w: int, *,
         return CoverCollectionMachine(info, reps=reps, beta=beta, cap=cap)
 
     return factory, reps, beta, cap
-
-
-def clustering_from_outputs(graph: Graph, outputs: Dict[int, dict],
-                            beta: float) -> Clustering:
-    """Package one repetition's machine outputs as a Clustering."""
-    center_of = {}
-    dist = {}
-    parent = {}
-    neighbor_clusters: Dict[int, Dict[int, int]] = {}
-    for v in graph.nodes():
-        out = outputs[v]
-        center_of[v] = out["center"]
-        dist[v] = out["dist"]
-        parent[v] = out["parent"]
-    for v in graph.nodes():
-        heard = outputs[v]["heard"]
-        table: Dict[int, int] = {}
-        for nbr in graph.neighbors(v):
-            c = heard.get(nbr, center_of[nbr])
-            if c not in table or nbr < table[c]:
-                table[c] = nbr
-        neighbor_clusters[v] = table
-    return Clustering(center_of=center_of, dist=dist, parent=parent,
-                      neighbor_clusters=neighbor_clusters,
-                      metrics=Metrics(), beta=beta)

@@ -10,7 +10,6 @@ from repro.decomposition.ensemble import (
     build_ensemble,
     cluster_edge_multiplicity,
     ensemble_size,
-    partition_batches,
 )
 from repro.decomposition.ldc import LDCDecomposition, build_ldc, verify_ldc
 from repro.decomposition.mpx import Clustering, MPXMachine, run_mpx, shift_cap
@@ -27,6 +26,6 @@ __all__ = [
     "LDCDecomposition", "MPXMachine", "build_baswana_sen", "build_ensemble",
     "build_ldc", "build_pruned_hierarchy", "cluster_edge_multiplicity",
     "cluster_edge_probability", "ensemble_size", "max_proper_subtree",
-    "partition_batches", "prune_hierarchy", "run_mpx", "shift_cap",
+    "prune_hierarchy", "run_mpx", "shift_cap",
     "subtree_threshold", "verify_hierarchy", "verify_ldc",
 ]

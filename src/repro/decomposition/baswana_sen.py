@@ -159,9 +159,9 @@ def sampling_probability(n: int, eps: float) -> float:
 
 
 def build_baswana_sen(graph: Graph, eps: float, *, seed: int = 0,
-                      kappa: Optional[int] = None,
                       base: Optional[dict] = None) -> BaswanaSenHierarchy:
-    """Construct a (kappa + 1)-level Baswana-Sen hierarchy (Theorem 3.4).
+    """Construct a (kappa + 1)-level Baswana-Sen hierarchy (Theorem 3.4),
+    kappa = ceil(1 / eps).
 
     With ``base=None`` level 0 is the singleton clustering of [5].
     ``base`` may instead be a decomposition snapshot (the dict of
@@ -176,8 +176,7 @@ def build_baswana_sen(graph: Graph, eps: float, *, seed: int = 0,
     n = graph.n
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    if kappa is None:
-        kappa = max(1, math.ceil(1.0 / eps))
+    kappa = max(1, math.ceil(1.0 / eps))
     p_sample = sampling_probability(n, eps)
     metrics = Metrics()
 

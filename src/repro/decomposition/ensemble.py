@@ -4,8 +4,9 @@ A single hierarchy concentrates upcast/downcast traffic on its own
 cluster edges; executing all components of an ell-decomposable algorithm
 over one hierarchy can multiply worst-case cluster-edge congestion by
 ell.  The congestion-smoothing lemma: draw zeta = ceil(n^eps) independent
-hierarchies, split the components into zeta equal batches, and give each
-batch its own hierarchy -- then w.h.p. any fixed edge is a cluster edge
+hierarchies, split the components into zeta equal batches
+(:func:`repro.core.aggregation.component_batches`), and give each batch
+its own hierarchy -- then w.h.p. any fixed edge is a cluster edge
 in only O(log n) of the hierarchies (Lemma 3.7 + Chernoff), so the
 worst-case cluster-edge congestion drops by a factor ~ zeta / log n.
 
@@ -33,14 +34,6 @@ def build_ensemble(graph: Graph, eps: float, zeta: int, *,
     """zeta independently-constructed pruned hierarchies."""
     return [build_pruned_hierarchy(graph, eps, seed=seed + 104729 * k)
             for k in range(zeta)]
-
-
-def partition_batches(items: Sequence[int], zeta: int) -> List[List[int]]:
-    """Split components into zeta (nearly) equal batches, round-robin."""
-    batches: List[List[int]] = [[] for _ in range(zeta)]
-    for idx, item in enumerate(items):
-        batches[idx % zeta].append(item)
-    return batches
 
 
 def cluster_edge_multiplicity(graph: Graph,

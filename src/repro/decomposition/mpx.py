@@ -17,7 +17,8 @@ distribution; benchmark E1 measures it.
 
 The same machine with rate beta = ln(n) / (2kW) is the ball-carving step
 of the neighborhood-cover construction (:mod:`repro.covers.mpx_cover`,
-which substitutes it for Elkin's cover algorithm).
+which substitutes it for Elkin's cover algorithm); both package their
+flood outputs with the one :func:`clustering_from_outputs`.
 
 The machine is BCONGEST with broadcast complexity exactly n (each node
 broadcasts once, upon adoption), and runs in O(cap + max cluster radius)
@@ -165,40 +166,43 @@ class MPXMachine(Machine):
         }
 
 
-def run_mpx(graph: Graph, *, beta: float = 0.5, seed: int = 0,
-            cap: Optional[int] = None) -> Clustering:
-    """Execute one MPX decomposition on the network and package it."""
-    execution = run_machines(
-        graph,
-        lambda info: MPXMachine(info, beta=beta, cap=cap),
-        word_limit=8, seed=seed)
-    # The flood ends with every node adopted, but late adopters'
-    # broadcasts may land after neighbors halted -- run_machines keeps
-    # machines alive until quiescence, so 'heard' is complete except for
-    # broadcasts sent in the very last round to already-halted... which
-    # cannot happen: machines never halt, they stop waking themselves
-    # and keep receiving.  Validate anyway.
+def clustering_from_outputs(graph: Graph, outputs: Dict[int, dict],
+                            beta: float, metrics: Metrics) -> Clustering:
+    """Package one MPX flood's per-node outputs as a :class:`Clustering`.
+
+    Each node's table of neighboring clusters comes from the adoptions
+    it heard; a neighbor it never heard from counts in its own cluster.
+    """
     center_of: Dict[int, int] = {}
     dist: Dict[int, int] = {}
     parent: Dict[int, Optional[int]] = {}
-    neighbor_clusters: Dict[int, Dict[int, int]] = {}
     for v in graph.nodes():
-        out = execution.outputs[v]
-        if out is None or out["center"] is None:
-            raise RuntimeError(f"MPX left node {v} unclustered")
+        out = outputs[v]
         center_of[v] = out["center"]
         dist[v] = out["dist"]
         parent[v] = out["parent"]
+    neighbor_clusters: Dict[int, Dict[int, int]] = {}
     for v in graph.nodes():
-        heard = execution.outputs[v]["heard"]
+        heard = outputs[v]["heard"]
         table: Dict[int, int] = {}
         for nbr in graph.neighbors(v):
             c = heard.get(nbr, center_of[nbr])
-            if c != center_of[nbr]:  # pragma: no cover - defensive
-                raise RuntimeError("inconsistent cluster knowledge")
             if c not in table or nbr < table[c]:
                 table[c] = nbr
         neighbor_clusters[v] = table
     return Clustering(center_of=center_of, dist=dist, parent=parent,
                       neighbor_clusters=neighbor_clusters,
-                      metrics=execution.metrics, beta=beta)
+                      metrics=metrics, beta=beta)
+
+
+def run_mpx(graph: Graph, *, beta: float = 0.5, seed: int = 0) -> Clustering:
+    """Execute one MPX decomposition on the network and package it."""
+    execution = run_machines(
+        graph, lambda info: MPXMachine(info, beta=beta),
+        word_limit=8, seed=seed)
+    for v in graph.nodes():
+        out = execution.outputs[v]
+        if out is None or out["center"] is None:
+            raise RuntimeError(f"MPX left node {v} unclustered")
+    return clustering_from_outputs(graph, execution.outputs, beta,
+                                   execution.metrics)

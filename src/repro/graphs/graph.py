@@ -87,8 +87,8 @@ class Graph:
         self._nbr_set_cache: Optional[Dict[int, frozenset]] = None
         self._edge_key_cache: Optional[Dict[int, Tuple[EdgeKey, ...]]] = None
         self._weight_view_cache: Dict[int, tuple] = {}
-        # (seed, max_rounds) -> GlobalTree, kept by build_global_tree.
-        self._global_tree_cache: Dict[Tuple[int, int], Any] = {}
+        # seed -> GlobalTree, kept by build_global_tree.
+        self._global_tree_cache: Dict[int, Any] = {}
         if adj is None:
             # Filled in by _from_csr; a bare Graph() is not public API.
             self._indptr = np.zeros(1, dtype=np.int64)

@@ -18,7 +18,8 @@ Two forms are provided:
   aggregate of a message set keeps, per BFS id, the lexicographically
   smallest (distance, origin) record -- an idempotent min, so overlapping
   aggregate packets (which the Section 3 simulations may produce, cf. the
-  remark in Lemma 3.14's proof) are harmless.
+  remark in Lemma 3.14's proof) are harmless.  :func:`message_budget`
+  is the one word budget every driver of the collection runs it under.
 
 Payload format (both machines): ``{bfs_id: (dist, origin)}`` where
 ``origin`` is the broadcasting node.  Carrying the origin inside the
@@ -28,6 +29,7 @@ which is what makes the equivalence tests exact.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.congest.machine import Machine
@@ -110,6 +112,15 @@ class BFSMachine(Machine):
                 if self.max_depth is None or self.dist < self.max_depth:
                     return {self.bfs_id: (self.dist, self.info.id)}
         return None
+
+
+def message_budget(n: int) -> int:
+    """Words per broadcast of a :class:`BFSCollectionMachine` on n nodes.
+
+    Theorem 1.4(ii): O(log n) distinct BFS ids per node-round, three
+    words per id record; generous constant, verified by benchmark E4.
+    """
+    return max(32, 12 * max(1, int(math.log2(max(n, 2)))) ** 2)
 
 
 class BFSCollectionMachine(Machine):

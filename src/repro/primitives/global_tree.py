@@ -65,6 +65,8 @@ from repro.primitives.transport import tree_depths
 
 # The Network's default message budget, which dissemination runs under.
 _WORD_LIMIT = 8
+# Livelock guard of the election and counting runs.
+_TREE_ROUNDS = 1_000_000
 
 
 @dataclass
@@ -196,8 +198,7 @@ class _Disseminate(Algorithm):
             api.wake_at(rnd + 1)
 
 
-def build_global_tree(graph: Graph, *, seed: int = 0,
-                      max_rounds: int = 1_000_000) -> GlobalTree:
+def build_global_tree(graph: Graph, *, seed: int = 0) -> GlobalTree:
     """Elect a leader and build its BFS tree; aggregate and broadcast n.
 
     Memoized per graph instance unless :func:`fallback_reason` sends the
@@ -206,18 +207,16 @@ def build_global_tree(graph: Graph, *, seed: int = 0,
     """
     memo = graph._global_tree_cache if fallback_reason() is None else None
     if memo is not None:
-        tree = memo.get((seed, max_rounds))
+        tree = memo.get(seed)
         if tree is None:
-            tree = memo[(seed, max_rounds)] = _build_global_tree(
-                graph, seed, max_rounds)
+            tree = memo[seed] = _build_global_tree(graph, seed)
         return tree
-    return _build_global_tree(graph, seed, max_rounds)
+    return _build_global_tree(graph, seed)
 
 
-def _build_global_tree(graph: Graph, seed: int,
-                       max_rounds: int) -> GlobalTree:
+def _build_global_tree(graph: Graph, seed: int) -> GlobalTree:
     flood = run_algorithm(graph, _FloodElect, seed=seed,
-                          max_rounds=max_rounds)
+                          max_rounds=_TREE_ROUNDS)
     metrics = flood.metrics.snapshot()
     parent = {v: flood.outputs[v][2] for v in graph.nodes()}
     leaders = {flood.outputs[v][0] for v in graph.nodes()}
@@ -229,7 +228,7 @@ def _build_global_tree(graph: Graph, seed: int,
     count = run_algorithm(
         graph, _CountAndAck,
         inputs={v: {"parent": parent[v]} for v in graph.nodes()},
-        seed=seed, max_rounds=max_rounds)
+        seed=seed, max_rounds=_TREE_ROUNDS)
     metrics.merge(count.metrics)
     if any(output is None for output in count.outputs.values()):
         raise AlgorithmError("count aggregation did not converge")

@@ -697,7 +697,7 @@ def tree_depths(parent: Dict[int, Optional[int]]) -> Dict[int, int]:
 
 
 def upcast_packets(parent: Dict[int, Optional[int]],
-                   items: Dict[int, List[Any]], tag: Any = None) -> List[Packet]:
+                   items: Dict[int, List[Any]]) -> List[Packet]:
     """Packets realizing the upcast primitive (Lemma 1.5).
 
     Each node's items travel to the root of its tree, one item per
@@ -710,13 +710,12 @@ def upcast_packets(parent: Dict[int, Optional[int]],
             continue
         path = path_to_root(parent, v)
         for payload in payloads:
-            packets.append(Packet(path=path, payload=payload, tag=tag))
+            packets.append(Packet(path=path, payload=payload))
     return packets
 
 
 def downcast_packets(parent: Dict[int, Optional[int]],
                      messages: List[Tuple[int, Any]],
-                     tag: Any = None,
                      extra_hop: Optional[Dict[int, int]] = None) -> List[Packet]:
     """Packets realizing the downcast primitive (Lemma 1.6).
 
@@ -730,5 +729,5 @@ def downcast_packets(parent: Dict[int, Optional[int]],
         path = list(path_from_root(parent, dest))
         if extra_hop is not None and idx in extra_hop:
             path.append(extra_hop[idx])
-        packets.append(Packet(path=tuple(path), payload=payload, tag=tag))
+        packets.append(Packet(path=tuple(path), payload=payload))
     return packets

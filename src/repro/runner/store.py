@@ -35,8 +35,9 @@ MANIFEST_NAME = "manifest.json"
 RECORDS_NAME = "records.jsonl"
 
 
-def git_revision(cwd: Optional[str] = None) -> str:
-    """The current git revision, or ``unknown`` outside a checkout.
+def git_revision() -> str:
+    """The working directory's git revision, or ``unknown`` outside a
+    checkout.
 
     A dirty working tree is suffixed with a hash of the uncommitted
     diff, not a bare ``-dirty`` marker: resume matches runs by revision,
@@ -46,11 +47,11 @@ def git_revision(cwd: Optional[str] = None) -> str:
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],
-            capture_output=True, text=True, timeout=10, cwd=cwd,
+            capture_output=True, text=True, timeout=10,
             check=True).stdout.strip()
         diff = subprocess.run(
             ["git", "diff", "HEAD"],
-            capture_output=True, text=True, timeout=10, cwd=cwd,
+            capture_output=True, text=True, timeout=10,
             check=True).stdout
         if not diff:
             return rev

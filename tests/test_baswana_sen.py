@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.baselines.reference import unweighted_apsp
+from repro.core.aggregation import component_batches
 from repro.decomposition.baswana_sen import (
     build_baswana_sen,
     verify_hierarchy,
@@ -13,7 +14,6 @@ from repro.decomposition.ensemble import (
     build_ensemble,
     cluster_edge_multiplicity,
     ensemble_size,
-    partition_batches,
 )
 from repro.decomposition.pruning import (
     build_pruned_hierarchy,
@@ -119,7 +119,7 @@ def test_ensemble_and_batches():
     assert len(keys) > 1
     mult = cluster_edge_multiplicity(g, ensemble)
     assert mult["max"] <= 3
-    batches = partition_batches(list(range(10)), 3)
+    batches = component_batches(list(range(10)), 3)
     assert sorted(sum(batches, [])) == list(range(10))
     assert max(len(b) for b in batches) - min(len(b) for b in batches) <= 1
 

@@ -12,7 +12,8 @@ from repro.baselines.reference import (
 from repro.congest import cell_context, run_machines
 from repro.core import bcongest_sim
 from repro.core.bcongest_sim import output_words, simulate_bcongest
-from repro.core.weighted_apsp import make_delays, weighted_apsp
+from repro.congest.scheduler import random_delays
+from repro.core.weighted_apsp import weighted_apsp
 from repro.graphs import complete, dumbbell, gnp, grid, path, uniform_weights
 from repro.graphs.weights import asymmetric_weights, negative_safe_weights
 from repro.primitives import (
@@ -54,7 +55,7 @@ def test_simulated_luby_equals_direct_run():
 def test_simulated_bfs_collection_apsp():
     g = grid(4, 5)
     roots = {j: j for j in g.nodes()}
-    delays = make_delays(g.n, 3)
+    delays = random_delays(range(g.n), "delays", 3)
     factory = lambda info: BFSCollectionMachine(info, roots=roots,
                                                 delays=delays)
     sim = simulate_bcongest(g, factory, seed=3, message_words=6 * g.n)

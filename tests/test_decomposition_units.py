@@ -14,7 +14,8 @@ from repro.decomposition.pruning import (
     cluster_edge_probability,
     subtree_threshold,
 )
-from repro.decomposition.ensemble import ensemble_size, partition_batches
+from repro.core.aggregation import component_batches
+from repro.decomposition.ensemble import ensemble_size
 from repro.graphs import gnp
 
 
@@ -112,7 +113,7 @@ def test_split_cluster_deepest_first():
 def test_ensemble_size_and_batches():
     assert ensemble_size(64, 0.5) == 8
     assert ensemble_size(2, 0.0) == 1
-    batches = partition_batches(list(range(7)), 3)
+    batches = component_batches(list(range(7)), 3)
     assert [len(b) for b in batches] == [3, 2, 2]
 
 

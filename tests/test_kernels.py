@@ -20,18 +20,18 @@ import pytest
 from repro.congest.cell import cell_context
 from repro.congest.errors import AlgorithmError
 from repro.congest.machine import run_machines
+from repro.congest.scheduler import random_delays
 from repro.core import bcongest_sim
 from repro.core.bcongest_sim import output_words, simulate_bcongest
-from repro.core.bfs_collections import _message_budget, shared_delays
 from repro.core.tradeoff_sim_star import simulate_aggregation_star
 from repro.decomposition.pruning import build_pruned_hierarchy
-from repro.core.weighted_apsp import make_delays, weighted_apsp
+from repro.core.weighted_apsp import weighted_apsp
 from repro.graphs import gnp_streaming, uniform_weights
 from repro.kernels import REGISTRY, wavefront
 from repro.kernels import config as kernels_config
 from repro.kernels import relaxation
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
-from repro.primitives.bfs import BFSCollectionMachine
+from repro.primitives.bfs import BFSCollectionMachine, message_budget
 from repro.runner.engine import provenance_counts, run_sweep
 from repro.runner.jobs import build_specs
 from repro.scenarios import get_scenario
@@ -112,8 +112,8 @@ def test_byte_identity_at_requested_size(name, algorithm, scenario_size):
 def test_direct_engine_replicates_run_machines_exactly():
     graph = get_scenario("sparse-gnp").graph(24)
     roots = {j: j for j in range(graph.n)}
-    delays = shared_delays(list(range(graph.n)), 3)
-    budget = _message_budget(graph.n)
+    delays = random_delays(range(graph.n), "bfs-delays", 3)
+    budget = message_budget(graph.n)
     base = run_machines(
         graph,
         lambda info: BFSCollectionMachine(info, roots=roots, delays=delays),
@@ -145,8 +145,7 @@ def test_oversize_broadcast_error_is_identical_stepped_and_replayed():
 
     with pytest.raises(AlgorithmError) as stepped:
         simulate_aggregation_star(
-            graph, hierarchy, factory, message_words=8,
-            include_tree_preprocessing=False)
+            graph, hierarchy, factory, message_words=8)
     with pytest.raises(AlgorithmError) as kernel:
         wavefront.star_report(graph, hierarchy, roots, delays,
                               message_words=8)
@@ -191,12 +190,12 @@ def test_replay_meters_contended_cells_like_the_stepped_loop():
     APSP's at grid-weighted@100."""
     graph = get_scenario("grid").graph(100)
     roots = {j: j for j in graph.nodes()}
-    delays = shared_delays(list(graph.nodes()), 1)
+    delays = random_delays(graph.nodes(), "bfs-delays", 1)
 
     def bfs(info):
         return BFSCollectionMachine(info, roots=roots, delays=delays)
 
-    kwargs = {"seed": 1, "message_words": _message_budget(graph.n)}
+    kwargs = {"seed": 1, "message_words": message_budget(graph.n)}
     stepped = simulate_bcongest(graph, bfs, **kwargs)
     replayed = simulate_bcongest(
         graph, bfs, plan=wavefront.bcongest_plan(graph, roots, delays),
@@ -207,7 +206,7 @@ def test_replay_meters_contended_cells_like_the_stepped_loop():
 
     graph = get_scenario("grid-weighted").graph(100)
     sources = {j: j for j in graph.nodes()}
-    delays = make_delays(graph.n, 1)
+    delays = random_delays(range(graph.n), "delays", 1)
 
     def bellman_ford(info):
         return BellmanFordCollectionMachine(info, sources=sources,
@@ -410,9 +409,9 @@ def test_direct_engine_runs_at_kernel_scale():
     graph = get_scenario("huge-sparse-gnp").graph(100000)
     root_list = [0, 1, 2, 3]
     roots = {j: j for j in root_list}
-    delays = shared_delays(root_list, 0)
+    delays = random_delays(root_list, "bfs-delays", 0)
     execution = wavefront.direct_execution(
-        graph, roots, delays, word_limit=_message_budget(graph.n))
+        graph, roots, delays, word_limit=message_budget(graph.n))
     assert execution.metrics.messages > graph.n
     assert execution.metrics.rounds > 0
     reference = _reference_bfs(graph, 0)

@@ -32,10 +32,11 @@ from repro.congest.errors import AlgorithmError, CongestError
 from repro.congest.faults import get_fault_profile
 from repro.congest.metrics import undirected
 from repro.congest.profile import ADDITIVE_COLUMNS
+from repro.congest.scheduler import random_delays
 from repro.core.aggregation import check_idempotent
 from repro.core.bcongest_sim import output_words
 from repro.core.tradeoff_apsp import apsp_tradeoff
-from repro.core.weighted_apsp import make_delays, weighted_apsp
+from repro.core.weighted_apsp import weighted_apsp
 from repro.covers.mpx_cover import (
     CoverCollectionMachine,
     build_cover_machine_factory,
@@ -719,7 +720,7 @@ def test_kernel_plan_schedules_match_the_machines(g, seed):
     and its values have the machines' types (int or float).  The
     directed cases tell sender-side from receiver-side weights; with a
     negative cycle the machines announce until their deadline."""
-    delays = make_delays(g.n, seed)
+    delays = random_delays(range(g.n), "delays", seed)
     sources = {j: j for j in g.nodes()}
     shared = {j: (j * 7 + seed) % g.n for j in g.nodes()}
     weighted = uniform_weights(g, w_max=9, seed=seed)

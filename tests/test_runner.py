@@ -4,7 +4,8 @@ Coverage contract:
 
 * store round trip -- write -> load -> compare equals identity;
 * resume -- a re-invoked sweep skips every already-recorded cell, and a
-  sweep interrupted mid-flight continues from its well-formed prefix;
+  sweep interrupted after any number of cells continues from its
+  well-formed prefix to the uninterrupted run's bytes;
 * determinism -- workers=1 and workers=4 produce byte-identical
   canonical record sets on a fixed seed;
 * timeouts -- a pathological cell is killed where it runs (both the
@@ -122,6 +123,56 @@ def test_resume_skips_completed_cells(tmp_path):
     assert resumed.skipped == 2 and resumed.executed == 3
     assert _canonical_bytes(resumed.results) == _canonical_bytes(
         first.results)
+
+
+def test_resume_after_every_cut_is_byte_identical(tmp_path, monkeypatch):
+    """Stop a persisted sweep after k = 0..N cells, then resume it: every
+    resumed record set equals an uninterrupted run's byte for byte.
+    The cut after k >= 1 cells is an ``on_result`` that raises on the
+    k-th result (the engine persists each result before calling it);
+    the cut after 0 cells is an executor that dies before its first
+    cell, leaving only the run's manifest."""
+    from repro.runner import engine
+
+    reference = _canonical_bytes(
+        run_sweep(NAMES, store=RunStore(tmp_path / "ref")).results)
+    n_cells = len(json.loads(reference))
+    assert n_cells >= 5
+
+    class Stop(Exception):
+        pass
+
+    def die_before_first_cell(*args, **kwargs):
+        raise Stop()
+
+    for k in range(n_cells + 1):
+        store = RunStore(tmp_path / f"cut-{k}")
+        seen = []
+
+        def stop_after_k(result, k=k):
+            seen.append(result)
+            if len(seen) == k:
+                raise Stop()
+
+        with monkeypatch.context() as patch:
+            if k == 0:
+                patch.setattr(engine, "run_cells", die_before_first_cell)
+            with pytest.raises(Stop):
+                run_sweep(NAMES, store=store, revision="rev-A", workers=1,
+                          on_result=stop_after_k)
+        (cut,) = store.list_runs()
+        assert len(cut.load_results()) == k, k
+
+        resumed = run_sweep(NAMES, store=store, revision="rev-A", workers=1)
+        if k < n_cells:
+            assert resumed.resumed and resumed.run_id == cut.run_id, k
+            assert (resumed.skipped, resumed.executed) == (k, n_cells - k)
+        else:
+            # Every cell was persisted, so the cut run is complete and
+            # the re-invocation starts a new one.
+            assert cut.is_complete() and not resumed.resumed
+        assert _canonical_bytes(resumed.results) == reference, k
+        assert _canonical_bytes(resumed.run.load_results()) == reference, k
 
 
 def test_torn_trailing_record_is_dropped_and_rerun(tmp_path):

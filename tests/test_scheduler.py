@@ -14,11 +14,13 @@ from repro.graphs import gnp, grid, path
 
 def test_random_delays_range_and_determinism():
     ids = list(range(50))
-    d1 = random_delays(ids, 50, seed=1)
-    d2 = random_delays(ids, 50, seed=1)
-    d3 = random_delays(ids, 50, seed=2)
+    d1 = random_delays(ids, "sched-delays", seed=1)
+    d2 = random_delays(ids, "sched-delays", seed=1)
+    d3 = random_delays(ids, "sched-delays", seed=2)
     assert d1 == d2
     assert d1 != d3
+    # The stream names an independent draw of the same shape.
+    assert random_delays(ids, "bfs-delays", seed=1) != d1
     assert all(1 <= d1[j] <= 50 for j in ids)
     # Delays are spread out, not clumped on one value.
     assert len(set(d1.values())) > 10

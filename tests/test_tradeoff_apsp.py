@@ -69,7 +69,7 @@ def test_bfs_trees_batched_depth_capped():
     g = grid(5, 5)
     eps = 0.4
     cap = depth_cap(g.n, eps)
-    result = n_bfs_trees_batched(g, eps, seed=46, cap=cap)
+    result = n_bfs_trees_batched(g, eps, seed=46)
     ref = unweighted_apsp(g)
     for v in g.nodes():
         for j in g.nodes():

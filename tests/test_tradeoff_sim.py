@@ -133,7 +133,6 @@ def test_get_aggregator_rejects_non_aggregation_machines():
 def test_aggregation_sims_accept_an_empty_graph(simulate):
     g = from_edges(0, [])
     hierarchy = build_pruned_hierarchy(g, 0.5, seed=1)
-    sim = simulate(g, hierarchy, _bfs_factory(g),
-                   include_tree_preprocessing=False)
+    sim = simulate(g, hierarchy, _bfs_factory(g))
     assert sim.outputs == {}
     assert (sim.phases, sim.broadcasts_simulated) == (1, 0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.reference import weighted_apsp as ref_apsp
 from repro.core import weighted_apsp
-from repro.core.weighted_apsp import make_delays
+from repro.congest.scheduler import random_delays
 from repro.graphs import cycle, gnp, grid, path, random_tree, uniform_weights
 
 
@@ -45,12 +45,12 @@ def test_weighted_apsp_parent_pointers_valid():
 
 
 def test_make_delays_spread_and_range():
-    delays = make_delays(40, seed=3)
+    delays = random_delays(range(40), "delays", seed=3)
     assert set(delays) == set(range(40))
     assert all(1 <= d <= 40 for d in delays.values())
     assert len(set(delays.values())) > 15
-    assert make_delays(40, seed=3) == delays
-    assert make_delays(40, seed=4) != delays
+    assert random_delays(range(40), "delays", seed=3) == delays
+    assert random_delays(range(40), "delays", seed=4) != delays
 
 
 def test_weighted_apsp_detail_fields():
