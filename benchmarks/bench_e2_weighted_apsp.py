@@ -2,7 +2,8 @@
 
 On dense weighted G(n, 1/2), compares the Theorem 2.1-simulated APSP
 (Õ(n²) messages, Õ(n²) rounds) against the direct execution of the same
-BCONGEST collection (Θ̃(n·m) ~ n³ messages, Õ(n) rounds).  Claim shape:
+BCONGEST collection -- the same shared delays under the same word budget
+-- (Θ̃(n·m) ~ n³ messages, Õ(n) rounds).  Claim shape:
 the simulation wins on messages by a factor that grows with n, and the
 message growth exponent sits near 2 against the baseline's near 3;
 rounds trade the other way.  Exactness is asserted against the

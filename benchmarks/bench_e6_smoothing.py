@@ -33,14 +33,10 @@ def _run(graph, hierarchies, batches, cap, seed):
     for idx, batch in enumerate(batches):
         h = hierarchies[idx % len(hierarchies)]
         delays = random_delays(batch, "bfs-delays", seed + idx)
-        roots = {j: j for j in batch}
-
-        def factory(info, _r=roots, _d=delays):
-            return BFSCollectionMachine(info, roots=_r, delays=_d,
-                                        max_depth=cap)
-
         report = simulate_aggregation(
-            graph, h, factory, seed=seed, message_words=12 * graph.n)
+            graph, h,
+            lambda info: BFSCollectionMachine(info, delays, max_depth=cap),
+            seed=seed, message_words=12 * graph.n)
         combined.merge(report.simulation, parallel=True)
     cluster_edges = set()
     for h in hierarchies:

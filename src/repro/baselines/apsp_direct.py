@@ -8,7 +8,8 @@ algorithms, e.g. Bernstein-Nanongkai [7].  Rounds are Õ(n) thanks to
 the random-delay scheduling of Theorem 1.4.
 
 Benchmarks E2/E3 plot these against the paper's simulations: same
-outputs, opposite cost profile.
+outputs, opposite cost profile.  Each runs its simulated counterpart's
+collection -- the same delay draw under the same word budget -- directly.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from repro.congest.metrics import Metrics
 from repro.congest.scheduler import random_delays
 from repro.core.bfs_collections import disseminate_delays, distance_matrix
 from repro.graphs.graph import Graph
+from repro.primitives import bellman_ford, bfs
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
-from repro.primitives.bfs import BFSCollectionMachine, message_budget
+from repro.primitives.bfs import BFSCollectionMachine
 
 
 @dataclass
@@ -38,11 +40,9 @@ def apsp_direct_unweighted(graph: Graph, *, seed: int = 0,
     n = graph.n
     delays = random_delays(graph.nodes(), "bfs-delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
-    roots = {j: j for j in graph.nodes()}
     execution = run_machines(
-        graph,
-        lambda info: BFSCollectionMachine(info, roots=roots, delays=delays),
-        word_limit=message_budget(n), seed=seed)
+        graph, lambda info: BFSCollectionMachine(info, delays),
+        word_limit=bfs.message_budget(n), seed=seed)
     total.merge(execution.metrics)
     dist = distance_matrix(n, execution.outputs, symmetric=True)
     max_ids = max(
@@ -60,16 +60,18 @@ def apsp_direct_unweighted(graph: Graph, *, seed: int = 0,
 
 def apsp_direct_weighted(graph: Graph, *, seed: int = 0,
                          ) -> DirectAPSPResult:
-    """n Bellman-Ford sources run directly (the [7]-style comparator)."""
+    """n Bellman-Ford sources run directly (the [7]-style comparator).
+
+    The collection is :func:`repro.core.weighted_apsp.weighted_apsp`'s:
+    the same delays (stream ``"delays"``) under the same word budget, so
+    benchmark E2 compares one BCONGEST execution run two ways.
+    """
     n = graph.n
-    delays = random_delays(graph.nodes(), "bfs-delays", seed)
+    delays = random_delays(range(n), "delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
-    sources = {j: j for j in graph.nodes()}
     execution = run_machines(
-        graph,
-        lambda info: BellmanFordCollectionMachine(
-            info, sources=sources, delays=delays),
-        word_limit=message_budget(n) * 2, seed=seed)
+        graph, lambda info: BellmanFordCollectionMachine(info, delays),
+        word_limit=bellman_ford.message_budget(n), seed=seed)
     total.merge(execution.metrics)
     dist = distance_matrix(n, execution.outputs, symmetric=False)
     return DirectAPSPResult(

@@ -171,32 +171,14 @@ def _decode_scalar(arrays: Dict[str, np.ndarray]) -> int:
     return int(value[0])
 
 
-_LDC_FIELDS = ("valid", "r", "d", "clusters")
-
-
-def _encode_ldc(value: Dict[str, int]) -> Dict[str, np.ndarray]:
-    return {"stats": np.asarray(
-        [int(value[name]) for name in _LDC_FIELDS], dtype=np.int64)}
-
-
-def _decode_ldc(arrays: Dict[str, np.ndarray]) -> Dict[str, int]:
-    stats = arrays["stats"]
-    if stats.shape != (len(_LDC_FIELDS),):
-        raise ValueError("LDC oracle stats must have shape (4,)")
-    values = stats.tolist()
-    out = dict(zip(_LDC_FIELDS, (int(x) for x in values)))
-    out["valid"] = bool(out["valid"])
-    return out
-
-
 def _stats_codec(fields: Tuple[str, ...], label: str):
     """An int-stats codec over ``fields`` (first field a validity bit).
 
-    The pipeline-stage oracles all produce small all-int stat dicts of
-    the ``ldc-reference`` shape; this factory builds their
-    encode/decode pairs.  (The closures share one source text, which is
-    fine for revision hashing: ``compute`` and ``depends`` -- where the
-    behavior actually lives -- still differ per spec.)
+    The LDC and pipeline-stage oracles all produce small all-int stat
+    dicts; this factory builds their encode/decode pairs.  (The closures
+    share one source text, which is fine for revision hashing:
+    ``compute`` and ``depends`` -- where the behavior actually lives --
+    still differ per spec.)
     """
     def encode(value: Dict[str, int]) -> Dict[str, np.ndarray]:
         return {"stats": np.asarray(
@@ -214,11 +196,13 @@ def _stats_codec(fields: Tuple[str, ...], label: str):
     return encode, decode
 
 
+_LDC_FIELDS = ("valid", "r", "d", "clusters")
 _COVER_FIELDS = ("valid", "clusters", "max_overlap", "radius")
 _SPANNER_FIELDS = ("valid", "size", "stretch")
 _HIERARCHY_FIELDS = ("valid", "levels", "max_radius", "f_edges",
                      "cluster_edges", "max_f_degree")
 
+_encode_ldc, _decode_ldc = _stats_codec(_LDC_FIELDS, "LDC")
 _encode_cover, _decode_cover = _stats_codec(_COVER_FIELDS, "cover")
 _encode_spanner, _decode_spanner = _stats_codec(_SPANNER_FIELDS, "spanner")
 _encode_hierarchy, _decode_hierarchy = _stats_codec(_HIERARCHY_FIELDS,

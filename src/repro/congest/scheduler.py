@@ -94,15 +94,11 @@ def measure_bfs_schedule(graph: Graph, roots: Optional[List[int]] = None, *,
     root_list = list(graph.nodes()) if roots is None else list(roots)
     ell = len(root_list)
     delays = random_delays(root_list, "sched-delays", seed)
-    root_map = {j: j for j in root_list}
-    budget = message_budget(graph.n)
     mark_phase("bfs-schedule")
     execution = run_machines(
         graph,
-        lambda info: BFSCollectionMachine(info, roots=root_map,
-                                          delays=delays,
-                                          max_depth=max_depth),
-        word_limit=budget, seed=seed)
+        lambda info: BFSCollectionMachine(info, delays, max_depth=max_depth),
+        word_limit=message_budget(graph.n), seed=seed)
     max_ids = 0
     for adapter in execution.algorithms.values():
         max_ids = max(max_ids, adapter.machine.max_inbox_ids)

@@ -42,7 +42,6 @@ from repro.core.tradeoff_sim_star import simulate_aggregation_star
 from repro.decomposition.ensemble import build_ensemble
 from repro.decomposition.pruning import build_pruned_hierarchy
 from repro.graphs.graph import Graph
-from repro.kernels import config as kernels
 from repro.primitives.bfs import BFSCollectionMachine, message_budget
 from repro.primitives.global_tree import build_global_tree, disseminate
 
@@ -105,21 +104,13 @@ def n_bfs_trees_star(graph: Graph, eps: float, *,
     hierarchy = build_pruned_hierarchy(graph, eps, seed=seed + 13)
     total.merge(hierarchy.metrics)
 
-    root_map = {j: j for j in graph.nodes()}
-
-    def factory(info):
-        return BFSCollectionMachine(info, roots=root_map, delays=delays)
-
-    report = None
-    if kernels.engine_ready():
-        from repro.kernels import wavefront
-        report = wavefront.star_report(
-            graph, hierarchy, root_map, delays, message_words=budget)
-        if report is not None:
-            kernels.note_engine("kernel:bfs-wavefront")
-    if report is None:
-        report = simulate_aggregation_star(
-            graph, hierarchy, factory, seed=seed, message_words=budget)
+    from repro.kernels import wavefront
+    report = (wavefront.star_report(graph, hierarchy, delays,
+                                    message_words=budget)
+              or simulate_aggregation_star(
+                  graph, hierarchy,
+                  lambda info: BFSCollectionMachine(info, delays),
+                  seed=seed, message_words=budget))
     total.merge(report.total)
     trees = {v: dict(report.outputs[v] or {}) for v in graph.nodes()}
     return BFSTreesResult(
@@ -168,14 +159,10 @@ def n_bfs_trees_batched(graph: Graph, eps: float, *,
         _received, m = disseminate(graph, tree, sorted(delays.items()),
                                    seed=seed + idx)
         total.merge(m)
-        root_map = {j: j for j in batch}
-
-        def factory(info, _roots=root_map, _delays=delays):
-            return BFSCollectionMachine(info, roots=_roots, delays=_delays,
-                                        max_depth=cap)
-
         report = simulate_aggregation(
-            graph, ensemble[idx], factory, seed=seed, message_words=budget)
+            graph, ensemble[idx],
+            lambda info: BFSCollectionMachine(info, delays, max_depth=cap),
+            seed=seed, message_words=budget)
         reports.append(report)
         total.merge(report.total)
         combined_sim.merge(report.simulation, parallel=True)

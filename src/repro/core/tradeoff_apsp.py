@@ -40,7 +40,6 @@ from repro.core.bfs_collections import (
     n_bfs_trees_star,
 )
 from repro.graphs.graph import Graph
-from repro.kernels import config as kernels
 from repro.primitives.bfs import BFSCollectionMachine, message_budget
 from repro.primitives.global_tree import build_global_tree, disseminate
 from repro.primitives.transport import Packet, route_packets
@@ -77,20 +76,12 @@ def landmark_completion(graph: Graph, landmarks: List[int], *,
     """
     total = Metrics()
     delays = random_delays(landmarks, "bfs-delays", seed + 101)
-    roots = {j: j for j in landmarks}
     budget = message_budget(graph.n)
-    if kernels.engine_ready():
-        # Closed-form direct run; metering and outputs are exact, so no
-        # engine note is left (this is one stage of a larger regime).
-        from repro.kernels import wavefront
-        execution = wavefront.direct_execution(
-            graph, roots, delays, word_limit=budget)
-    else:
-        execution = run_machines(
-            graph,
-            lambda info: BFSCollectionMachine(info, roots=roots,
-                                              delays=delays),
-            word_limit=budget, seed=seed + 7)
+    from repro.kernels import wavefront
+    execution = (wavefront.direct_execution(graph, delays, word_limit=budget)
+                 or run_machines(
+                     graph, lambda info: BFSCollectionMachine(info, delays),
+                     word_limit=budget, seed=seed + 7))
     total.merge(execution.metrics)
 
     parents: Dict[int, Dict[int, Optional[int]]] = {j: {} for j in landmarks}
@@ -154,19 +145,11 @@ def _apsp_message_optimal(graph: Graph, *, seed: int = 0,
     n = graph.n
     delays = random_delays(graph.nodes(), "bfs-delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
-    roots = {j: j for j in graph.nodes()}
-    budget = message_budget(n)
-
-    def factory(info):
-        return BFSCollectionMachine(info, roots=roots, delays=delays)
-
-    plan = None
-    if kernels.engine_ready():
-        from repro.kernels import wavefront
-        plan = wavefront.bcongest_plan(graph, roots, delays)
-        kernels.note_engine("kernel:bfs-wavefront")
-    report = simulate_bcongest(graph, factory, seed=seed,
-                               message_words=budget, plan=plan)
+    from repro.kernels import wavefront
+    report = simulate_bcongest(
+        graph, lambda info: BFSCollectionMachine(info, delays), seed=seed,
+        message_words=message_budget(n),
+        plan=wavefront.bcongest_plan(graph, delays))
     total.merge(report.total)
     return TradeoffAPSPResult(
         dist=distance_matrix(n, report.outputs, symmetric=True),

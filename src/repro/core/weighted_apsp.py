@@ -18,13 +18,14 @@ Driver steps:
 3. assemble per-node distance vectors.
 
 Benchmark E2 compares the resulting message count against the direct
-(round-optimal, message-heavy) execution of the same collection, which
+(round-optimal, message-heavy) execution of the same collection -- the
+same delays under the same word budget
+(:func:`repro.baselines.apsp_direct.apsp_direct_weighted`) -- which
 costs Theta~(n * m) messages.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -33,9 +34,9 @@ from repro.congest.profile import mark_phase
 from repro.congest.scheduler import random_delays
 from repro.core.bcongest_sim import SimulationReport, simulate_bcongest
 from repro.core.bfs_collections import disseminate_delays, distance_matrix
-from repro.kernels import config as kernels
 from repro.graphs.graph import Graph
-from repro.primitives.bellman_ford import BellmanFordCollectionMachine
+from repro.primitives.bellman_ford import (BellmanFordCollectionMachine,
+                                           message_budget)
 
 INF = float("inf")
 
@@ -83,8 +84,8 @@ def weighted_apsp(graph: Graph, *, seed: int = 0) -> APSPResult:
     """Message-optimal weighted APSP (Theorem 1.1).
 
     The simulated algorithm's per-broadcast payload is bounded by
-    O(log² n) words, which the random delays guarantee w.h.p. (each
-    broadcast carries the sources improved in one round).
+    O(log² n) words (:func:`~repro.primitives.bellman_ford.message_budget`),
+    which the random delays guarantee w.h.p.
     """
     n = graph.n
 
@@ -94,21 +95,11 @@ def weighted_apsp(graph: Graph, *, seed: int = 0) -> APSPResult:
     delays = random_delays(range(n), "delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
 
-    sources = {j: j for j in range(n)}
-    message_words = max(24, 6 * int(math.log2(max(n, 2))) ** 2)
-
-    def factory(info):
-        return BellmanFordCollectionMachine(
-            info, sources=sources, delays=delays)
-
-    plan = None
-    if kernels.engine_ready():
-        from repro.kernels import relaxation
-        plan = relaxation.bcongest_plan(graph, delays)
-        if plan is not None:
-            kernels.note_engine("kernel:bellman-ford")
-    report = simulate_bcongest(graph, factory, seed=seed,
-                               message_words=message_words, plan=plan)
+    from repro.kernels import relaxation
+    report = simulate_bcongest(
+        graph, lambda info: BellmanFordCollectionMachine(info, delays),
+        seed=seed, message_words=message_budget(n),
+        plan=relaxation.bcongest_plan(graph, delays))
     total.merge(report.total)
 
     dist = distance_matrix(n, report.outputs, symmetric=False)
@@ -158,15 +149,15 @@ def weighted_apsp_tradeoff(graph: Graph, eps: float, *,
     hierarchy = build_pruned_hierarchy(graph, eps, seed=seed + 17)
     total.merge(hierarchy.metrics)
 
-    sources = {j: j for j in range(n)}
-
-    def factory(info):
-        return BellmanFordCollectionMachine(
-            info, sources=sources, delays=delays)
-
-    budget = max(48, 12 * int(math.log2(max(n, 2))) ** 2)
+    # Twice the collection's budget: Theorem 3.10's aggregate packets
+    # are keyed by (source, origin), so one can carry more records than
+    # any single broadcast, and they ride the transport limit
+    # ``message_words + 4``.  At the single budget gnp(n=20) fails with
+    # "packet payload of 106 words exceeds limit 100".
     report = simulate_aggregation_star(
-        graph, hierarchy, factory, seed=seed, message_words=budget)
+        graph, hierarchy,
+        lambda info: BellmanFordCollectionMachine(info, delays),
+        seed=seed, message_words=2 * message_budget(n))
     total.merge(report.total)
 
     dist = distance_matrix(n, report.outputs, symmetric=False)

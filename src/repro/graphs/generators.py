@@ -110,8 +110,11 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     return from_edge_arrays(n, us, vs, name=f"gnp(n={n},p={p})")
 
 
-def gnp_streaming(n: int, p: float, seed: int = 0, *,
-                  batch: int = 1 << 16) -> Graph:
+# Geometric gaps :func:`gnp_streaming` draws per batch.
+_GAP_BATCH = 1 << 16
+
+
+def gnp_streaming(n: int, p: float, seed: int = 0) -> Graph:
     """Exact G(n, p) for large n, without materializing the pair space.
 
     :func:`gnp` allocates the full upper triangle (Theta(n^2) memory) to
@@ -139,7 +142,7 @@ def gnp_streaming(n: int, p: float, seed: int = 0, *,
     chunks: List[np.ndarray] = []
     last = -1  # flat position of the previous hit
     while last < total:
-        gaps = rng.geometric(p, size=batch)
+        gaps = rng.geometric(p, size=_GAP_BATCH)
         hits = last + np.cumsum(gaps)
         last = int(hits[-1])
         chunks.append(hits)
@@ -292,6 +295,28 @@ def torus(rows: int, cols: int) -> Graph:
     return from_edge_arrays(rows * cols, us, vs, name=f"torus({rows}x{cols})")
 
 
+def _pair_stubs(stubs: List[int], rng: np.random.Generator) -> set:
+    """Stub matching: pair a shuffled stub list into edges, discarding
+    self-loops and duplicate edges, and re-pair the leftover stubs for
+    up to ten rounds (or until a round pairs nothing new)."""
+    edges: set = set()
+    for _ in range(10):
+        rng.shuffle(stubs)
+        leftover = []
+        for a, b in zip(stubs[0::2], stubs[1::2]):
+            u, v = int(min(a, b)), int(max(a, b))
+            if u == v or (u, v) in edges:
+                leftover.extend((a, b))
+            else:
+                edges.add((u, v))
+        if len(stubs) % 2:
+            leftover.append(stubs[-1])
+        if not leftover or len(leftover) == len(stubs):
+            break
+        stubs = leftover
+    return edges
+
+
 def power_law(n: int, exponent: float = 2.5, seed: int = 0) -> Graph:
     """A configuration-model graph with a power-law degree sequence.
 
@@ -310,22 +335,8 @@ def power_law(n: int, exponent: float = 2.5, seed: int = 0) -> Graph:
     degrees = np.minimum(rng.zipf(exponent, size=n), n - 1)
     if int(degrees.sum()) % 2:  # stub count must be even to pair up
         degrees[int(np.argmin(degrees))] += 1
-    edges: set = set()
-    stubs = [v for v in range(n) for _ in range(int(degrees[v]))]
-    for _ in range(10):  # rounds of re-pairing the leftover stubs
-        rng.shuffle(stubs)
-        leftover = []
-        for a, b in zip(stubs[0::2], stubs[1::2]):
-            u, v = int(min(a, b)), int(max(a, b))
-            if u == v or (u, v) in edges:
-                leftover.extend((a, b))
-            else:
-                edges.add((u, v))
-        if len(stubs) % 2:
-            leftover.append(stubs[-1])
-        if not leftover or len(leftover) == len(stubs):
-            break
-        stubs = leftover
+    edges = _pair_stubs(
+        [v for v in range(n) for _ in range(int(degrees[v]))], rng)
     _connect(n, edges, rng)
     return from_edges(n, edges, name=f"power_law(n={n},a={exponent})")
 
@@ -343,22 +354,7 @@ def random_regular(n: int, d: int, seed: int = 0) -> Graph:
     if d >= n:
         raise ValueError("random_regular requires d < n")
     rng = _rng(seed)
-    edges: set = set()
-    stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(10):  # rounds of re-pairing the leftover stubs
-        rng.shuffle(stubs)
-        leftover = []
-        for a, b in zip(stubs[0::2], stubs[1::2]):
-            u, v = int(min(a, b)), int(max(a, b))
-            if u == v or (u, v) in edges:
-                leftover.extend((a, b))
-            else:
-                edges.add((u, v))
-        if len(stubs) % 2:
-            leftover.append(stubs[-1])
-        if not leftover or len(leftover) == len(stubs):
-            break
-        stubs = leftover
+    edges = _pair_stubs([v for v in range(n) for _ in range(d)], rng)
     _connect(n, edges, rng)
     return from_edges(n, edges, name=f"random_regular(n={n},d={d})")
 

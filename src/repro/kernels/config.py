@@ -1,15 +1,19 @@
 """The kernel plane's eligibility registry, fallbacks, and provenance labels.
 
-Kernels serve every eligible execution: the core drivers consult
-:func:`engine_ready` before each one, and a kernel that ran leaves its
-label on the cell with :func:`note_engine`.  Eligibility is explicit
-data: :data:`REGISTRY` maps binding name to the kernel family that can
-replay it.  Everything else falls through to the ``Network`` round
-loop (batched broadcasts; the scalar per-edge loop in reference mode).
-At the end of a cell, :func:`cell_engine_source` derives the
-cell's ``engine_source`` record field (a NONDETERMINISTIC field,
-stripped from canonical payloads, so records are byte-identical
-whichever engine served) from the open
+Kernels gate and label themselves.  Each kernel entry point
+(``wavefront.direct_execution`` / ``star_report`` / ``bcongest_plan``
+and ``relaxation.bcongest_plan``) returns None when
+:func:`fallback_reason` names a reason, and otherwise serves; the two
+plan builders and the star replay then leave their label on the cell
+with :func:`note_engine` (the direct replay serves one stage of a larger
+regime and leaves none).  A driver only writes ``kernel(...) or
+stepped(...)``.  Eligibility is explicit data: :data:`REGISTRY` maps
+binding name to the kernel family that can replay it.  Everything else
+falls through to the ``Network`` round loop (batched broadcasts; the
+scalar per-edge loop in reference mode).  At the end of a cell,
+:func:`cell_engine_source` derives the cell's ``engine_source`` record
+field (a NONDETERMINISTIC field, stripped from canonical payloads, so
+records are byte-identical whichever engine served) from the open
 :class:`~repro.congest.cell.CellContext` by one ordered rule:
 
 1. ``none`` -- the context's engine mode is ``"reference"`` (the
@@ -22,10 +26,9 @@ whichever engine served) from the open
 6. ``vectorized:fallback`` -- eligible but the plan builder declined
    (e.g. integer weights too large for exact float64 replay).
 
-:func:`fallback_reason` is the pure predicate behind :func:`engine_ready`.
-The exact transport engine
-(:func:`repro.primitives.transport.route_packets`) consults it too, and
-since neither notes anything, a transport call never relabels a cell.
+The exact transport engine (:func:`repro.primitives.transport.route_packets`)
+consults the pure :func:`fallback_reason` too, and notes nothing, so a
+transport call never relabels a cell.
 """
 
 from __future__ import annotations
@@ -58,11 +61,6 @@ def fallback_reason() -> Optional[str]:
     if cell.profiler is not None:
         return "vectorized:profile"
     return None
-
-
-def engine_ready() -> bool:
-    """Whether a kernel may replay the execution about to start."""
-    return fallback_reason() is None
 
 
 def cell_engine_source(algorithm: str) -> str:

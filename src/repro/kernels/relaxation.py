@@ -21,12 +21,16 @@ whose weights could leave float64's exact-integer range).
 
 :func:`announcements` folds the improvement events into one broadcast
 per announcing (round, node), and :func:`bcongest_plan` turns the APSP
-collection (sources = {j: j}) into a
+collection (a ``{source: delay}`` map over every node) into a
 :class:`~repro.kernels.plan.BcongestPlan` for
 :func:`repro.core.bcongest_sim.simulate_bcongest` to replay: each
 broadcast is ``3 * k`` words, the size of a ``{j: (d, v)}`` payload
 over the ``k`` sources the node improved.  Transport packets are still
 routed and metered for real; only the machine stepping is precomputed.
+Like every kernel entry point, :func:`bcongest_plan` gates and labels
+itself: None when :func:`repro.kernels.config.fallback_reason` names a
+reason or the weights defeat exact replay, else the plan, with
+``kernel:bellman-ford`` noted on the cell.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.kernels.config import fallback_reason, note_engine
 from repro.kernels.plan import BcongestPlan, collection_outputs
 
 # Beyond this, n + 1 chained additions of int weights may leave
@@ -177,11 +182,15 @@ def _sender_weights(graph: Graph,
 
 def bcongest_plan(graph: Graph,
                   delays: Dict[int, int]) -> Optional[BcongestPlan]:
-    """The replay plan for APSP sources = {j: j}, or None when declined.
+    """The replay plan for the APSP collection (a delay for every node),
+    or None when the cell needs the ``Network`` loop or the weights
+    defeat exact replay.
 
-    The machines' horizon is their default, ``n`` rounds past the last
-    start; they halt at that deadline, announcing in it if they improve.
+    The machines halt ``n`` rounds past the last start, announcing in
+    that deadline round if they improve.
     """
+    if fallback_reason() is not None:
+        return None
     n = graph.n
     if n == 0 or len(delays) != n:
         return None
@@ -198,6 +207,7 @@ def bcongest_plan(graph: Graph,
     if int_mode:
         dist = np.where(reached, dist, 0).astype(np.int64)
     outputs, words = collection_outputs(range(n), dist, parent, reached)
+    note_engine("kernel:bellman-ford")
     return BcongestPlan(
         phase=rnd, node=node, words=3 * count, outputs=outputs,
         output_words=words,

@@ -1,9 +1,9 @@
 """Array-native BFS wavefront engines (the ``bfs-wavefront`` kernel).
 
-A BFS collection is the unit-weight case of
-:func:`repro.kernels.relaxation.hop_sweep`: one hop-aligned sweep over
-all roots yields every hop distance, parent and announcement round, and
-from those the *entire* metered execution of a
+A BFS collection, given as its ``{root: delay}`` map, is the
+unit-weight case of :func:`repro.kernels.relaxation.hop_sweep`: one
+hop-aligned sweep over all roots yields every hop distance, parent and
+announcement round, and from those the *entire* metered execution of a
 :class:`~repro.primitives.bfs.BFSCollectionMachine` collection follows
 in closed form, because the machine's behavior is regular: node ``v``
 announces BFS ``j`` exactly once, at phase ``delays[j] + dist_j(v)``,
@@ -25,6 +25,14 @@ Three consumers, matching the three execution modes of the scalar path:
   simulation to replay (transport is still routed and metered for real;
   see :mod:`repro.kernels.plan`).
 
+Each entry point gates itself: it returns None when
+:func:`repro.kernels.config.fallback_reason` names a reason (reference
+engine, an active fault plan, a round profiler), so a driver writes
+``kernel(...) or stepped(...)``.  :func:`star_report` and
+:func:`bcongest_plan` note ``kernel:bfs-wavefront`` on the cell when they
+serve; :func:`direct_execution` notes nothing, since it serves one stage
+of a larger regime.
+
 All emitted values are Python ints; metering reproduces the scalar
 path's :class:`~repro.congest.metrics.Metrics` exactly, including the
 first-offender oversize errors in (round, node) order.  Connected
@@ -43,6 +51,7 @@ from repro.congest.machine import check_broadcast_words
 from repro.congest.metrics import Metrics
 from repro.congest.network import Execution
 from repro.graphs.graph import Graph
+from repro.kernels.config import fallback_reason, note_engine
 from repro.kernels.plan import BcongestPlan, collection_outputs
 from repro.kernels.relaxation import announcements, hop_sweep
 
@@ -91,16 +100,16 @@ def _meter_broadcast_events(metrics: Metrics, graph: Graph,
             congestion[key] += count
 
 
-def _collection(graph: Graph, roots_map: Dict[int, int],
-                delays: Dict[int, int],
+def _collection(graph: Graph, delays: Dict[int, int],
                 ) -> Tuple[Dict[int, dict], List[int], Tuple[np.ndarray, ...]]:
     """The prologue every consumer shares: one unit-weight
-    :func:`~repro.kernels.relaxation.hop_sweep` over the roots, then the
-    outputs and their sizes (:func:`~repro.kernels.plan.collection_outputs`)
-    and the ``(node, phase, count)`` announcements in (phase, node) order."""
-    js = sorted(roots_map)
+    :func:`~repro.kernels.relaxation.hop_sweep` over the roots (the keys
+    of ``delays``), then the outputs and their sizes
+    (:func:`~repro.kernels.plan.collection_outputs`) and the ``(node,
+    phase, count)`` announcements in (phase, node) order."""
+    js = sorted(delays)
     dist, parent, events = hop_sweep(
-        graph, np.array([roots_map[j] for j in js], dtype=np.int64),
+        graph, np.array(js, dtype=np.int64),
         np.array([delays[j] for j in js], dtype=np.int64))
     reached = dist < np.inf
     hops = np.where(reached, dist, 0).astype(np.int64)
@@ -108,12 +117,14 @@ def _collection(graph: Graph, roots_map: Dict[int, int],
     return outputs, words, announcements(events, graph.n)
 
 
-def direct_execution(graph: Graph, roots_map: Dict[int, int],
-                     delays: Dict[int, int], *,
-                     word_limit: int) -> Execution:
-    """Closed-form replay of ``run_machines`` on a BFS collection."""
-    outputs, _words, (ev_v, ev_p, ev_cnt) = _collection(graph, roots_map,
-                                                         delays)
+def direct_execution(graph: Graph, delays: Dict[int, int], *,
+                     word_limit: int) -> Optional[Execution]:
+    """Closed-form replay of ``run_machines`` on a BFS collection, or
+    None when the cell needs the ``Network`` loop.  It notes no engine:
+    it serves one stage of a larger regime."""
+    if fallback_reason() is not None:
+        return None
+    outputs, _words, (ev_v, ev_p, ev_cnt) = _collection(graph, delays)
     sizes = 3 * ev_cnt
     offender = _first_offender(ev_v, ev_p, sizes, word_limit)
     if offender is not None:
@@ -130,11 +141,12 @@ def direct_execution(graph: Graph, roots_map: Dict[int, int],
                      rounds=rounds, halted={})
 
 
-def star_report(graph: Graph, hierarchy, roots_map: Dict[int, int],
-                delays: Dict[int, int], *, message_words: int):
+def star_report(graph: Graph, hierarchy, delays: Dict[int, int], *,
+                message_words: int):
     """Closed-form replay of the kappa = 1 star simulation, or None.
 
-    Eligible only in the degenerate eps = 1 shape the bfs-collection
+    Declines when the cell needs the ``Network`` loop, and is eligible
+    only in the degenerate eps = 1 shape the bfs-collection
     binding uses: no star clusters, every node low-degree, and the F_1
     edge set covering the whole graph -- then each phase is exactly one
     ``_one_shot`` where every broadcaster sends ``("i", v, payload)``
@@ -142,6 +154,8 @@ def star_report(graph: Graph, hierarchy, roots_map: Dict[int, int],
     """
     from repro.core.tradeoff_sim import TradeoffReport, _congestion_split
 
+    if fallback_reason() is not None:
+        return None
     if hierarchy.kappa != 1 or hierarchy.n_levels < 2:
         return None
     level1 = hierarchy.levels[1]
@@ -155,8 +169,7 @@ def star_report(graph: Graph, hierarchy, roots_map: Dict[int, int],
     if any(f_incident[v] != nbr_sets[v] for v in graph.nodes()):
         return None
 
-    outputs, _words, (ev_v, ev_p, ev_cnt) = _collection(graph, roots_map,
-                                                         delays)
+    outputs, _words, (ev_v, ev_p, ev_cnt) = _collection(graph, delays)
     offender = _first_offender(ev_v, ev_p, 3 * ev_cnt, message_words)
     if offender is not None:
         check_broadcast_words(offender[2], message_words)  # raises
@@ -168,6 +181,7 @@ def star_report(graph: Graph, hierarchy, roots_map: Dict[int, int],
     simulation = total.delta_since(preprocessing)
     on_cluster, off_cluster = _congestion_split(simulation,
                                                 hierarchy.cluster_edges())
+    note_engine("kernel:bfs-wavefront")
     return TradeoffReport(
         outputs=outputs,
         total=total,
@@ -181,9 +195,10 @@ def star_report(graph: Graph, hierarchy, roots_map: Dict[int, int],
     )
 
 
-def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
-                  delays: Dict[int, int]) -> BcongestPlan:
-    """The Theorem 2.1 replay plan for a BFS collection.
+def bcongest_plan(graph: Graph,
+                  delays: Dict[int, int]) -> Optional[BcongestPlan]:
+    """The Theorem 2.1 replay plan for a BFS collection, or None when
+    the cell needs the ``Network`` loop.
 
     The broadcast table is the announcement schedule in (phase, node)
     order, each announcing node's broadcast ``3 * cnt`` words, the size
@@ -192,8 +207,10 @@ def bcongest_plan(graph: Graph, roots_map: Dict[int, int],
     machine stepping is skipped.  The machines never halt, so the loop
     ends one phase after the last announcement.
     """
-    outputs, words, (ev_v, ev_p, ev_cnt) = _collection(graph, roots_map,
-                                                        delays)
+    if fallback_reason() is not None:
+        return None
+    outputs, words, (ev_v, ev_p, ev_cnt) = _collection(graph, delays)
+    note_engine("kernel:bfs-wavefront")
     return BcongestPlan(
         phase=ev_p, node=ev_v, words=3 * ev_cnt,
         outputs=outputs, output_words=words,

@@ -17,11 +17,16 @@ up with d(source -> self) for every source.
 
 Like the BFS collection, the multi-source machine is aggregation-based:
 the aggregate keeps, per source, the minimal (distance, origin) record --
-an idempotent min per Definition 3.1.
+an idempotent min per Definition 3.1.  Also like it, the collection is
+its shared delay map ``{source: start_round}``, and
+:func:`message_budget` is the one word budget its drivers run it under
+(the Theorem 3.10 star simulation gives its aggregate packets twice
+that; see :func:`repro.core.weighted_apsp.weighted_apsp_tradeoff`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.congest.machine import Machine
@@ -30,45 +35,37 @@ from repro.congest.network import Inbox, NodeInfo
 BFPayload = Dict[int, Tuple[float, int]]
 
 
+def message_budget(n: int) -> int:
+    """Words per broadcast of a :class:`BellmanFordCollectionMachine` on
+    n nodes: the O(log² n) payload the random delays keep each
+    broadcast within w.h.p. (each broadcast carries the sources
+    improved in one round)."""
+    return max(24, 6 * int(math.log2(max(n, 2))) ** 2)
+
+
 class BellmanFordCollectionMachine(Machine):
     """Multi-source distributed Bellman-Ford with random start delays.
 
-    Constructor parameters (also accepted via ``info.input``):
-
-    sources:
-        ``{source_id: node}``; for APSP this maps j -> j for all nodes.
     delays:
-        ``{source_id: start_round}``, shared random delays spreading the
-        sources out so that per-round payloads stay O(log n) words.
-    horizon:
-        Known upper bound on rounds-after-start for convergence; defaults
-        to n (Bellman-Ford's n-1 plus slack).  The machine halts once the
-        last source's window has passed, giving the simulation a concrete
-        T_A, as the paper assumes ("known upper bound on the runtime").
+        ``{source: start_round}``, shared random delays spreading the
+        sources out so that per-round payloads stay O(log n) words; its
+        keys are the sources, each source id being its node's id.
+
+    The machine halts ``n`` rounds after the last start (Bellman-Ford's
+    n-1 plus slack), giving the simulation a concrete T_A, as the paper
+    assumes ("known upper bound on the runtime").
 
     Output: ``{source: (distance, parent)}``.
     """
 
-    def __init__(self, info: NodeInfo,
-                 sources: Optional[Dict[int, int]] = None,
-                 delays: Optional[Dict[int, int]] = None,
-                 horizon: Optional[int] = None):
+    def __init__(self, info: NodeInfo, delays: Dict[int, int]):
         super().__init__(info)
-        if sources is None:
-            params = info.input or {}
-            sources = params["sources"]
-            delays = params.get("delays") or {j: 1 for j in sources}
-            horizon = params.get("horizon")
-        assert delays is not None
-        self.sources = sources
         self.delays = delays
-        n = info.n if info.n is not None else len(sources)
-        self.horizon = horizon if horizon is not None else n
-        self.deadline = (max(delays.values()) if delays else 1) + self.horizon
+        n = info.n if info.n is not None else len(delays)
+        self.deadline = (max(delays.values()) if delays else 1) + n
         self.dist: Dict[int, float] = {}
         self.parent: Dict[int, Optional[int]] = {}
-        self.own = sorted(j for j, node in sources.items()
-                          if node == info.id)
+        self.own = [info.id] if info.id in delays else []
         self.started: set = set()
         self.set_output({})
 

@@ -9,28 +9,30 @@ Two forms are provided:
   eccentricity of the root.
 
 * :class:`BFSCollectionMachine` -- the *combined* machine realizing
-  Theorem 1.4: a collection of up to n BFS algorithms, the j-th rooted at
-  ``roots[j]`` and started after a shared random delay ``delays[j]``
-  drawn from [1, ell].  A node's broadcast in a round carries one entry
-  per BFS that reached it this round; Theorem 1.4(ii) guarantees O(log n)
-  entries per message w.h.p., which the network's word accounting
-  verifies.  The machine is aggregation-based (Definition 3.1): the
-  aggregate of a message set keeps, per BFS id, the lexicographically
-  smallest (distance, origin) record -- an idempotent min, so overlapping
-  aggregate packets (which the Section 3 simulations may produce, cf. the
-  remark in Lemma 3.14's proof) are harmless.  :func:`message_budget`
+  Theorem 1.4: a collection of up to n BFS algorithms given by its
+  shared random delays alone -- BFS ``j`` is rooted at node ``j`` and
+  starts in round ``delays[j]``, drawn from [1, ell].  A node's
+  broadcast in a round carries one entry per BFS that reached it this
+  round; Theorem 1.4(ii) guarantees O(log n) entries per message
+  w.h.p., which the network's word accounting verifies.  The machine is
+  aggregation-based (Definition 3.1): the aggregate of a message set
+  keeps, per BFS id, the lexicographically smallest (distance, origin)
+  record -- an idempotent min, so overlapping aggregate packets (which
+  the Section 3 simulations may produce, cf. the remark in Lemma 3.14's
+  proof) are harmless.  :func:`message_budget`
   is the one word budget every driver of the collection runs it under.
 
 Payload format (both machines): ``{bfs_id: (dist, origin)}`` where
-``origin`` is the broadcasting node.  Carrying the origin inside the
-payload keeps direct execution and aggregated simulation byte-identical,
-which is what makes the equivalence tests exact.
+``origin`` is the broadcasting node (the single-source machine's id is
+0).  Carrying the origin inside the payload keeps direct execution and
+aggregated simulation byte-identical, which is what makes the
+equivalence tests exact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.congest.machine import Machine
 from repro.congest.network import Inbox, NodeInfo
@@ -61,25 +63,17 @@ def aggregate_keyed_min(messages: List[Tuple[int, BFSPayload]],
 class BFSMachine(Machine):
     """Single-source BFS: broadcast once upon first exploration.
 
-    Input (via ``info.input`` or constructor): ``root``, optional
-    ``delay`` (start round) and ``max_depth``.  Output: ``(dist,
-    parent)`` or ``None`` if never reached.
+    Constructor: ``root``, optional ``delay`` (start round) and
+    ``max_depth``.  Output: ``(dist, parent)`` or ``None`` if never
+    reached.
     """
 
-    def __init__(self, info: NodeInfo, root: Optional[int] = None,
-                 delay: int = 1, max_depth: Optional[int] = None,
-                 bfs_id: int = 0):
+    def __init__(self, info: NodeInfo, root: int, delay: int = 1,
+                 max_depth: Optional[int] = None):
         super().__init__(info)
-        if root is None:
-            params = info.input or {}
-            root = params["root"]
-            delay = params.get("delay", 1)
-            max_depth = params.get("max_depth")
-            bfs_id = params.get("bfs_id", 0)
         self.root = root
         self.delay = delay
         self.max_depth = max_depth
-        self.bfs_id = bfs_id
         self.dist: Optional[int] = None
         self.parent: Optional[int] = None
 
@@ -97,11 +91,11 @@ class BFSMachine(Machine):
             self.parent = None
             self.set_output((0, None))
             self.halted = True
-            return {self.bfs_id: (0, self.info.id)}
+            return {0: (0, self.info.id)}
         if self.dist is None:
             best: Optional[Tuple[int, int]] = None
             for _src, payload in inbox:
-                record = payload.get(self.bfs_id)
+                record = payload.get(0)
                 if record is not None and (best is None or record < best):
                     best = record
             if best is not None:
@@ -110,7 +104,7 @@ class BFSMachine(Machine):
                 self.set_output((self.dist, self.parent))
                 self.halted = True
                 if self.max_depth is None or self.dist < self.max_depth:
-                    return {self.bfs_id: (self.dist, self.info.id)}
+                    return {0: (self.dist, self.info.id)}
         return None
 
 
@@ -126,15 +120,12 @@ def message_budget(n: int) -> int:
 class BFSCollectionMachine(Machine):
     """Theorem 1.4: ell delayed BFS algorithms combined into one machine.
 
-    Constructor parameters (also accepted through ``info.input``):
-
-    roots:
-        ``{bfs_id: root_node}`` for the whole collection (shared input).
     delays:
-        ``{bfs_id: start_round}``, the shared random delays.  The paper
-        draws them uniformly from [1, ell] using shared randomness; the
-        driver in :mod:`repro.core.bfs_collections` disseminates them
-        through the leader's tree and meters that cost.
+        ``{root: start_round}``, the shared random delays; its keys are
+        the collection's roots, each BFS id being its root's node id.
+        The paper draws them uniformly from [1, ell] using shared
+        randomness; the drivers in :mod:`repro.core.bfs_collections`
+        disseminate them through the leader's tree and meter that cost.
     max_depth:
         Depth cap for the partial-BFS form used by Lemma 3.23; ``None``
         means full BFS.
@@ -143,24 +134,14 @@ class BFSCollectionMachine(Machine):
     node within the cap.
     """
 
-    def __init__(self, info: NodeInfo,
-                 roots: Optional[Dict[int, int]] = None,
-                 delays: Optional[Dict[int, int]] = None,
+    def __init__(self, info: NodeInfo, delays: Dict[int, int],
                  max_depth: Optional[int] = None):
         super().__init__(info)
-        if roots is None:
-            params = info.input or {}
-            roots = params["roots"]
-            delays = params.get("delays") or {j: 1 for j in roots}
-            max_depth = params.get("max_depth")
-        assert delays is not None
-        self.roots = roots
         self.delays = delays
         self.max_depth = max_depth
         self.dist: Dict[int, int] = {}
         self.parent: Dict[int, int] = {}
-        self.own: List[int] = sorted(
-            j for j, r in roots.items() if r == info.id)
+        self.own: List[int] = [info.id] if info.id in delays else []
         self.max_inbox_ids = 0  # diagnostic for Theorem 1.4(ii)
         self.set_output({})
 

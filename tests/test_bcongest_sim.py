@@ -54,10 +54,8 @@ def test_simulated_luby_equals_direct_run():
 
 def test_simulated_bfs_collection_apsp():
     g = grid(4, 5)
-    roots = {j: j for j in g.nodes()}
     delays = random_delays(range(g.n), "delays", 3)
-    factory = lambda info: BFSCollectionMachine(info, roots=roots,
-                                                delays=delays)
+    factory = lambda info: BFSCollectionMachine(info, delays)
     sim = simulate_bcongest(g, factory, seed=3, message_words=6 * g.n)
     ref = unweighted_apsp(g)
     for v in g.nodes():

@@ -31,12 +31,10 @@ def test_bellman_ford_under_general_tradeoff_sim():
     """Weighted SSSP collections are aggregation-based too (Def. 3.1):
     the Section 3 machinery is not BFS-specific."""
     g = uniform_weights(gnp(18, 0.3, seed=101), w_max=6, seed=101)
-    sources = {j: j for j in range(0, g.n, 3)}
-    delays = {j: 1 + (j % 4) for j in sources}
+    delays = {j: 1 + (j % 4) for j in range(0, g.n, 3)}
 
     def factory(info):
-        return BellmanFordCollectionMachine(info, sources=sources,
-                                            delays=delays)
+        return BellmanFordCollectionMachine(info, delays)
 
     hierarchy = build_pruned_hierarchy(g, 0.5, seed=101)
     direct = run_machines(g, factory, word_limit=12 * g.n, seed=6)
@@ -45,18 +43,16 @@ def test_bellman_ford_under_general_tradeoff_sim():
     assert sim.outputs == direct.outputs
     ref = ref_apsp(g)
     for v in g.nodes():
-        for j in sources:
+        for j in delays:
             assert sim.outputs[v][j][0] == ref[j][v]
 
 
 def test_bellman_ford_under_star_sim():
     g = uniform_weights(gnp(16, 0.35, seed=102), w_max=5, seed=102)
-    sources = {j: j for j in range(0, g.n, 2)}
-    delays = {j: 1 + (j % 3) for j in sources}
+    delays = {j: 1 + (j % 3) for j in range(0, g.n, 2)}
 
     def factory(info):
-        return BellmanFordCollectionMachine(info, sources=sources,
-                                            delays=delays)
+        return BellmanFordCollectionMachine(info, delays)
 
     hierarchy = build_pruned_hierarchy(g, 0.5, seed=102)
     direct = run_machines(g, factory, word_limit=12 * g.n, seed=7)
@@ -88,11 +84,10 @@ def test_tradeoff_apsp_on_complete_graph():
 
 def test_simulation_word_budget_violation_raises():
     g = gnp(12, 0.4, seed=106)
-    roots = {j: j for j in g.nodes()}
     delays = {j: 1 for j in g.nodes()}  # no spreading: fat messages
 
     def factory(info):
-        return BFSCollectionMachine(info, roots=roots, delays=delays)
+        return BFSCollectionMachine(info, delays)
 
     with pytest.raises(AlgorithmError):
         simulate_bcongest(g, factory, seed=9, message_words=2)
@@ -114,12 +109,10 @@ def test_transport_rejects_empty_path():
 
 def test_star_sim_on_grid_depth_capped():
     g = grid(4, 6)
-    roots = {j: j for j in g.nodes()}
     delays = {j: 1 + (j % 6) for j in g.nodes()}
 
     def factory(info):
-        return BFSCollectionMachine(info, roots=roots, delays=delays,
-                                    max_depth=3)
+        return BFSCollectionMachine(info, delays, max_depth=3)
 
     hierarchy = build_pruned_hierarchy(g, 0.6, seed=107)
     direct = run_machines(g, factory, word_limit=12 * g.n, seed=10)
@@ -130,8 +123,7 @@ def test_star_sim_on_grid_depth_capped():
 
 def test_simulation_metrics_are_all_positive_sections():
     g = gnp(20, 0.3, seed=108)
-    factory = lambda info: BFSCollectionMachine(
-        info, roots={0: 0, 1: 1}, delays={0: 1, 1: 2})
+    factory = lambda info: BFSCollectionMachine(info, {0: 1, 1: 2})
     report = simulate_bcongest(g, factory, seed=11, message_words=16)
     assert report.preprocessing.messages > 0
     assert report.simulation.messages > 0

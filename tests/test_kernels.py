@@ -19,7 +19,9 @@ import pytest
 
 from repro.congest.cell import cell_context
 from repro.congest.errors import AlgorithmError
+from repro.congest.faults import FaultPlan
 from repro.congest.machine import run_machines
+from repro.congest.profile import RoundProfiler
 from repro.congest.scheduler import random_delays
 from repro.core import bcongest_sim
 from repro.core.bcongest_sim import output_words, simulate_bcongest
@@ -30,7 +32,8 @@ from repro.graphs import gnp_streaming, uniform_weights
 from repro.kernels import REGISTRY, wavefront
 from repro.kernels import config as kernels_config
 from repro.kernels import relaxation
-from repro.primitives.bellman_ford import BellmanFordCollectionMachine
+from repro.primitives.bellman_ford import (
+    BellmanFordCollectionMachine, message_budget as bellman_ford_budget)
 from repro.primitives.bfs import BFSCollectionMachine, message_budget
 from repro.runner.engine import provenance_counts, run_sweep
 from repro.runner.jobs import build_specs
@@ -111,15 +114,12 @@ def test_byte_identity_at_requested_size(name, algorithm, scenario_size):
 
 def test_direct_engine_replicates_run_machines_exactly():
     graph = get_scenario("sparse-gnp").graph(24)
-    roots = {j: j for j in range(graph.n)}
     delays = random_delays(range(graph.n), "bfs-delays", 3)
     budget = message_budget(graph.n)
     base = run_machines(
-        graph,
-        lambda info: BFSCollectionMachine(info, roots=roots, delays=delays),
+        graph, lambda info: BFSCollectionMachine(info, delays),
         word_limit=budget, seed=5)
-    fast = wavefront.direct_execution(graph, roots, delays,
-                                      word_limit=budget)
+    fast = wavefront.direct_execution(graph, delays, word_limit=budget)
     assert fast.outputs == base.outputs
     assert fast.metrics.as_dict() == base.metrics.as_dict()
     assert dict(fast.metrics.edge_congestion) \
@@ -135,34 +135,30 @@ def test_oversize_broadcast_error_is_identical_stepped_and_replayed():
     first offender."""
     graph = get_scenario("sparse-gnp").graph(24)
     hierarchy = build_pruned_hierarchy(graph, 1.0, seed=13)
-    roots = {j: j for j in range(graph.n)}
-    delays = {j: 1 for j in roots}
-    assert wavefront.star_report(graph, hierarchy, roots, delays,
+    delays = {j: 1 for j in range(graph.n)}
+    assert wavefront.star_report(graph, hierarchy, delays,
                                  message_words=10**6) is not None
 
     def factory(info):
-        return BFSCollectionMachine(info, roots=roots, delays=delays)
+        return BFSCollectionMachine(info, delays)
 
     with pytest.raises(AlgorithmError) as stepped:
         simulate_aggregation_star(
             graph, hierarchy, factory, message_words=8)
     with pytest.raises(AlgorithmError) as kernel:
-        wavefront.star_report(graph, hierarchy, roots, delays,
-                              message_words=8)
+        wavefront.star_report(graph, hierarchy, delays, message_words=8)
     assert str(kernel.value) == str(stepped.value)
     assert str(stepped.value).startswith("simulated algorithm broadcast ")
     assert str(stepped.value).endswith(" words > 8")
 
     weighted = get_scenario("grid-weighted").graph(24)
-    sources = {j: j for j in weighted.nodes()}
-    ones = {j: 1 for j in sources}
+    ones = {j: 1 for j in weighted.nodes()}
 
     def bellman_ford(info):
-        return BellmanFordCollectionMachine(info, sources=sources,
-                                            delays=ones)
+        return BellmanFordCollectionMachine(info, ones)
 
     for g, machines, plan, want in (
-            (graph, factory, wavefront.bcongest_plan(graph, roots, delays),
+            (graph, factory, wavefront.bcongest_plan(graph, delays),
              str(stepped.value)),
             (weighted, bellman_ford, relaxation.bcongest_plan(weighted, ones),
              "simulated algorithm broadcast 9 words > 8")):
@@ -189,30 +185,27 @@ def test_replay_meters_contended_cells_like_the_stepped_loop():
     rounds, 6,366 transport messages); the Bellman-Ford one is weighted
     APSP's at grid-weighted@100."""
     graph = get_scenario("grid").graph(100)
-    roots = {j: j for j in graph.nodes()}
     delays = random_delays(graph.nodes(), "bfs-delays", 1)
 
     def bfs(info):
-        return BFSCollectionMachine(info, roots=roots, delays=delays)
+        return BFSCollectionMachine(info, delays)
 
     kwargs = {"seed": 1, "message_words": message_budget(graph.n)}
     stepped = simulate_bcongest(graph, bfs, **kwargs)
     replayed = simulate_bcongest(
-        graph, bfs, plan=wavefront.bcongest_plan(graph, roots, delays),
+        graph, bfs, plan=wavefront.bcongest_plan(graph, delays),
         **kwargs)
     assert _windows(replayed) == _windows(stepped)
     assert (stepped.simulation.rounds, stepped.simulation.messages) \
         == (1765, 6366)
 
     graph = get_scenario("grid-weighted").graph(100)
-    sources = {j: j for j in graph.nodes()}
     delays = random_delays(range(graph.n), "delays", 1)
 
     def bellman_ford(info):
-        return BellmanFordCollectionMachine(info, sources=sources,
-                                            delays=delays)
+        return BellmanFordCollectionMachine(info, delays)
 
-    kwargs = {"seed": 1, "message_words": 6 * 6 ** 2}  # weighted_apsp's
+    kwargs = {"seed": 1, "message_words": bellman_ford_budget(graph.n)}
     stepped = simulate_bcongest(graph, bellman_ford, **kwargs)
     replayed = simulate_bcongest(
         graph, bellman_ford, plan=relaxation.bcongest_plan(graph, delays),
@@ -277,6 +270,49 @@ def test_weighted_apsp_metrics_identical_kernels_on_and_off():
 # Fallbacks: everything ineligible goes vectorized, with the reason
 # ---------------------------------------------------------------------------
 
+FALLBACK_CONTEXTS = {
+    "reference": lambda: {"engine": "reference"},
+    "faults": lambda: {"faults": FaultPlan(drop=0.2, seed=1)},
+    "profile": lambda: {"profiler": RoundProfiler()},
+}
+
+
+def _entry_points():
+    """Each kernel entry point on an eligible input, with the label it
+    leaves when it serves (the direct replay leaves none)."""
+    graph = get_scenario("sparse-gnp").graph(24)
+    hierarchy = build_pruned_hierarchy(graph, 1.0, seed=13)
+    weighted = get_scenario("grid-weighted").graph(24)
+    delays = random_delays(range(graph.n), "bfs-delays", 0)
+    budget = message_budget(graph.n)
+    return {
+        "direct_execution": (lambda: wavefront.direct_execution(
+            graph, delays, word_limit=budget), None),
+        "star_report": (lambda: wavefront.star_report(
+            graph, hierarchy, delays, message_words=budget),
+            "kernel:bfs-wavefront"),
+        "wavefront.bcongest_plan": (lambda: wavefront.bcongest_plan(
+            graph, delays), "kernel:bfs-wavefront"),
+        "relaxation.bcongest_plan": (lambda: relaxation.bcongest_plan(
+            weighted, random_delays(range(weighted.n), "delays", 0)),
+            "kernel:bellman-ford"),
+    }
+
+
+def test_kernel_entry_points_gate_and_label_themselves():
+    """Under each fallback reason every kernel entry point declines
+    (returns None) and notes nothing; outside them each one serves, and
+    the plan builders and the star replay leave their label."""
+    for name, (call, label) in _entry_points().items():
+        for reason, fields in FALLBACK_CONTEXTS.items():
+            with cell_context(**fields()) as cell:
+                assert call() is None, (name, reason)
+            assert cell.engine_note is None, (name, reason)
+        with cell_context() as cell:
+            assert call() is not None, name
+        assert cell.engine_note == label, name
+
+
 def test_unlisted_binding_reports_ineligible():
     record = run_differential("bipartite-balanced", "matching")
     assert record.engine_source == "vectorized:ineligible"
@@ -286,8 +322,6 @@ def test_unlisted_binding_reports_ineligible():
 def test_profiled_transport_does_not_relabel_an_ineligible_cell():
     """The matching binding routes packets; under a profiler the
     transport falls back without noting ``vectorized:profile``."""
-    from repro.congest.profile import RoundProfiler
-
     record = run_differential("bipartite-balanced", "matching",
                               profiler=RoundProfiler())
     assert record.engine_source == "vectorized:ineligible"
@@ -301,10 +335,8 @@ def test_faulted_cell_falls_back_to_vectorized():
 
 
 def test_active_profiler_falls_back_to_vectorized():
-    from repro.congest.profile import RoundProfiler
-
     with cell_context(profiler=RoundProfiler()):
-        assert not kernels_config.engine_ready()
+        assert kernels_config.fallback_reason() == "vectorized:profile"
         assert kernels_config.cell_engine_source("apsp-unweighted") \
             == "vectorized:profile"
 
@@ -316,9 +348,7 @@ def test_active_profiler_falls_back_to_vectorized():
 def test_profiled_and_faulted_cell_reads_faults(scenario, faults, verdict):
     """The one ordered label rule: a non-null fault plan outranks the
     profiler, whether the execution completed or crashed before a
-    kernel stage consulted ``engine_ready()``."""
-    from repro.congest.profile import RoundProfiler
-
+    kernel stage was reached."""
     record = run_differential(scenario, "apsp-unweighted", faults=faults,
                               fault_seed=7, profiler=RoundProfiler())
     assert record.fault_verdict == verdict
@@ -407,11 +437,9 @@ def test_kernel_scale_scenarios_build_and_solve(name):
 @pytest.mark.slow
 def test_direct_engine_runs_at_kernel_scale():
     graph = get_scenario("huge-sparse-gnp").graph(100000)
-    root_list = [0, 1, 2, 3]
-    roots = {j: j for j in root_list}
-    delays = random_delays(root_list, "bfs-delays", 0)
+    delays = random_delays([0, 1, 2, 3], "bfs-delays", 0)
     execution = wavefront.direct_execution(
-        graph, roots, delays, word_limit=message_budget(graph.n))
+        graph, delays, word_limit=message_budget(graph.n))
     assert execution.metrics.messages > graph.n
     assert execution.metrics.rounds > 0
     reference = _reference_bfs(graph, 0)

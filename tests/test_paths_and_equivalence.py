@@ -66,10 +66,8 @@ def test_theorem_2_1_equivalence_random(n, seed):
        st.sampled_from([0.34, 0.5, 1.0]))
 def test_theorem_3_9_equivalence_random(n, seed, eps):
     g = gnp(n, 0.35, seed=seed + 1)
-    roots = {j: j for j in range(0, n, 2)}
-    delays = {j: 1 + (j + seed) % 4 for j in roots}
-    factory = lambda info: BFSCollectionMachine(info, roots=roots,
-                                                delays=delays)
+    delays = {j: 1 + (j + seed) % 4 for j in range(0, n, 2)}
+    factory = lambda info: BFSCollectionMachine(info, delays)
     hierarchy = build_pruned_hierarchy(g, eps, seed=seed)
     direct = run_machines(g, factory, word_limit=8 * n, seed=seed)
     sim = simulate_aggregation(g, hierarchy, factory, seed=seed,
@@ -82,10 +80,8 @@ def test_theorem_3_9_equivalence_random(n, seed, eps):
        st.sampled_from([0.5, 0.75, 1.0]))
 def test_theorem_3_10_equivalence_random(n, seed, eps):
     g = gnp(n, 0.35, seed=seed + 2)
-    roots = {j: j for j in range(0, n, 2)}
-    delays = {j: 1 + (j + seed) % 4 for j in roots}
-    factory = lambda info: BFSCollectionMachine(info, roots=roots,
-                                                delays=delays)
+    delays = {j: 1 + (j + seed) % 4 for j in range(0, n, 2)}
+    factory = lambda info: BFSCollectionMachine(info, delays)
     hierarchy = build_pruned_hierarchy(g, eps, seed=seed)
     direct = run_machines(g, factory, word_limit=8 * n, seed=seed)
     sim = simulate_aggregation_star(g, hierarchy, factory, seed=seed,

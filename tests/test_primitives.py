@@ -64,11 +64,9 @@ def test_bfs_depth_limit():
 
 def test_bfs_collection_all_sources():
     g = gnp(25, 0.2, seed=2)
-    roots = {j: j for j in g.nodes()}
     delays = {j: 1 + (j % 5) for j in g.nodes()}
     execution = run_machines(
-        g,
-        lambda info: BFSCollectionMachine(info, roots=roots, delays=delays),
+        g, lambda info: BFSCollectionMachine(info, delays),
         word_limit=6 * g.n,  # combined payloads; size checked separately
     )
     ref = unweighted_apsp(g)
@@ -80,13 +78,10 @@ def test_bfs_collection_all_sources():
 
 def test_bfs_collection_depth_cap_and_delays():
     g = grid(5, 6)
-    roots = {j: j for j in g.nodes()}
     delays = {j: 1 + (j % 7) for j in g.nodes()}
     cap = 4
     execution = run_machines(
-        g,
-        lambda info: BFSCollectionMachine(
-            info, roots=roots, delays=delays, max_depth=cap),
+        g, lambda info: BFSCollectionMachine(info, delays, max_depth=cap),
         word_limit=6 * g.n)
     for v in g.nodes():
         out = execution.outputs[v]
@@ -100,11 +95,10 @@ def test_bfs_collection_depth_cap_and_delays():
 
 def test_bfs_collection_local_runner_agrees_with_network():
     g = gnp(20, 0.25, seed=3)
-    roots = {j: j for j in g.nodes()}
     delays = {j: 1 + (j * 3) % 6 for j in g.nodes()}
 
     def factory(info):
-        return BFSCollectionMachine(info, roots=roots, delays=delays)
+        return BFSCollectionMachine(info, delays)
 
     net = run_machines(g, factory, word_limit=6 * g.n)
     local = LocalRunner(g, factory).run()
@@ -113,11 +107,9 @@ def test_bfs_collection_local_runner_agrees_with_network():
 
 def test_bellman_ford_weighted():
     g = uniform_weights(gnp(20, 0.25, seed=4), w_max=9, seed=4)
-    sources = {j: j for j in g.nodes()}
+    delays = {j: 1 + j % 4 for j in g.nodes()}
     execution = run_machines(
-        g,
-        lambda info: BellmanFordCollectionMachine(
-            info, sources=sources, delays={j: 1 + j % 4 for j in sources}),
+        g, lambda info: BellmanFordCollectionMachine(info, delays),
         word_limit=8 * g.n)
     ref = weighted_apsp(g)
     for v in g.nodes():
@@ -128,11 +120,9 @@ def test_bellman_ford_weighted():
 
 def test_bellman_ford_negative_weights():
     g = negative_safe_weights(gnp(14, 0.3, seed=5), w_max=8, seed=5)
-    sources = {j: j for j in g.nodes()}
+    delays = {j: 1 for j in g.nodes()}
     execution = run_machines(
-        g,
-        lambda info: BellmanFordCollectionMachine(
-            info, sources=sources, delays={j: 1 for j in sources}),
+        g, lambda info: BellmanFordCollectionMachine(info, delays),
         word_limit=8 * g.n)
     ref = weighted_apsp(g)
     for v in g.nodes():

@@ -716,26 +716,21 @@ def test_kernel_plan_schedules_match_the_machines(g, seed):
     ``(phase, node, words)`` rows equal the ``(round, node,
     payload_words)`` of every broadcast when the same machines are
     stepped under ``LocalRunner``.  Every node's output size is
-    ``output_words`` of its output (also for BFS roots that repeat),
-    and its values have the machines' types (int or float).  The
-    directed cases tell sender-side from receiver-side weights; with a
-    negative cycle the machines announce until their deadline."""
+    ``output_words`` of its output, and its values have the machines'
+    types (int or float).  The directed cases tell sender-side from
+    receiver-side weights; with a negative cycle the machines announce
+    until their deadline."""
     delays = random_delays(range(g.n), "delays", seed)
-    sources = {j: j for j in g.nodes()}
-    shared = {j: (j * 7 + seed) % g.n for j in g.nodes()}
     weighted = uniform_weights(g, w_max=9, seed=seed)
     floated = _float_weights(g, random.Random(seed))
 
-    def bfs(roots):
-        return lambda info: BFSCollectionMachine(info, roots=roots,
-                                                 delays=delays)
+    def bfs(info):
+        return BFSCollectionMachine(info, delays)
 
     def bellman_ford(info):
-        return BellmanFordCollectionMachine(info, sources=sources,
-                                            delays=delays)
+        return BellmanFordCollectionMachine(info, delays)
 
-    cases = [(g, wavefront.bcongest_plan(g, sources, delays), bfs(sources)),
-             (g, wavefront.bcongest_plan(g, shared, delays), bfs(shared)),
+    cases = [(g, wavefront.bcongest_plan(g, delays), bfs),
              (g, relaxation.bcongest_plan(g, delays), bellman_ford),
              (weighted, relaxation.bcongest_plan(weighted, delays),
               bellman_ford),
@@ -889,16 +884,16 @@ def test_cell_context_replays_faults_and_sums_profiles(g, seed):
     assert shielded == _bfs_run(g, seed)
     assert outer_profiler.profile().segments == []
 
-    # A kernel note made inside a nested context never leaks outward.
+    # A kernel's note made inside a nested context never leaks outward.
     with cell_context() as outer:
         with cell_context() as nested:
-            kernels_config.note_engine("kernel:bfs-wavefront")
+            assert wavefront.bcongest_plan(g, {0: 1}) is not None
             assert current_cell() is nested
         assert nested.engine_note == "kernel:bfs-wavefront"
         assert outer.engine_note is None
         assert kernels_config.cell_engine_source("bfs-collection") \
             == "vectorized:fallback"
-    kernels_config.note_engine("kernel:bfs-wavefront")  # outside: no-op
+    wavefront.bcongest_plan(g, {0: 1})  # outside any context: no note
     assert current_cell().engine_note is None
 
 
@@ -987,12 +982,9 @@ SCHEDULING_FACTORIES = {
         lambda info: BFSMachine(info, root=s % g.n, delay=1 + s % 4)),
     BFSCollectionMachine: lambda g, s: (
         lambda info: BFSCollectionMachine(
-            info, roots={j: j for j in _delays(g, s, 4)},
-            delays=_delays(g, s, 4), max_depth=None if s % 2 else 2)),
+            info, _delays(g, s, 4), max_depth=None if s % 2 else 2)),
     BellmanFordCollectionMachine: lambda g, s: (
-        lambda info: BellmanFordCollectionMachine(
-            info, sources={j: j for j in _delays(g, s, 4)},
-            delays=_delays(g, s, 4))),
+        lambda info: BellmanFordCollectionMachine(info, _delays(g, s, 4))),
     MPXMachine: lambda g, s: lambda info: MPXMachine(info, beta=0.5),
     LubyMISMachine: lambda g, s: LubyMISMachine,
     IsraeliItaiMachine: lambda g, s: IsraeliItaiMachine,

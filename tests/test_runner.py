@@ -97,6 +97,12 @@ def test_store_round_trip_equals_identity(tmp_path):
 
 
 def test_resume_skips_completed_cells(tmp_path):
+    """Resume in a store that holds more than one run: a completed
+    ``rev-A`` run is never resumed (re-running it starts a fresh one),
+    and an interrupted ``rev-B`` run is picked up from its own cut
+    although the complete ``rev-A`` run sits beside it.  The cut itself
+    is one of ``test_resume_after_every_cut_is_byte_identical``'s, which
+    uses a fresh store per cut and so never sees a second revision."""
     store = RunStore(tmp_path / "runs")
     first = run_sweep(NAMES, store=store, revision="rev-A")
     again = run_sweep(NAMES, store=store, revision="rev-A")

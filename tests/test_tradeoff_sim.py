@@ -14,12 +14,10 @@ from repro.primitives.bfs import BFSCollectionMachine, aggregate_keyed_min
 
 
 def _bfs_factory(graph, delays=None, max_depth=None):
-    roots = {j: j for j in graph.nodes()}
     delays = delays or {j: 1 + (j % 5) for j in graph.nodes()}
 
     def factory(info):
-        return BFSCollectionMachine(info, roots=roots, delays=delays,
-                                    max_depth=max_depth)
+        return BFSCollectionMachine(info, delays, max_depth=max_depth)
     return factory
 
 
