@@ -148,11 +148,15 @@ def _decode_matrix(arrays: Dict[str, np.ndarray]) -> List[List[float]]:
     ``float('inf')`` for unreachable pairs; the decode restores exactly
     that, so a cached oracle is ``==`` to a recomputed one entry for
     entry.  A non-integral float (should float weights ever appear)
-    round-trips as the float it was.
+    round-trips as the float it was.  The common matrix, every entry
+    finite, integral and exactly representable (below 2**53), converts
+    in one array cast.
     """
     dist = arrays["dist"]
     if dist.ndim != 2:
         raise ValueError("oracle matrix must be 2-D")
+    if ((np.abs(dist) < 2.0 ** 53) & (dist == np.trunc(dist))).all():
+        return dist.astype(np.int64).tolist()
     out: List[List[float]] = []
     for row in dist.tolist():
         out.append([INF if math.isinf(x)

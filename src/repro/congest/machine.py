@@ -177,14 +177,12 @@ class MachineSet:
     """
 
     def __init__(self, graph: "Graph", factory: MachineFactory, *,
-                 inputs: Optional[Dict[int, Any]] = None,
-                 known_n: bool = True, seed: int = 0,
+                 inputs: Optional[Dict[int, Any]] = None, seed: int = 0,
                  message_words: Optional[int] = None):
         self.graph = graph
         self.message_words = message_words
         self.machines: Dict[int, Machine] = {
-            v: factory(make_node_info(graph, v, inputs=inputs,
-                                      known_n=known_n, seed=seed))
+            v: factory(make_node_info(graph, v, inputs=inputs, seed=seed))
             for v in graph.nodes()}
 
     def step(self, rnd: int, inboxes: Dict[int, Inbox]) -> Dict[int, Any]:

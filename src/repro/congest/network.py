@@ -21,8 +21,8 @@ The simulator is literal about everything the paper counts:
 
 Algorithms are written against the :class:`NodeAPI` handle, which exposes
 exactly the node's local knowledge: its ID, its incident edges (with
-weights), the network size ``n`` when the driver declares it known, and a
-private PRNG stream.
+weights), the network size ``n`` (every node knows it, as after the
+paper's §2.2 preprocessing), and a private PRNG stream.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class NodeInfo:
 
     id: int
     neighbors: Tuple[int, ...]
-    n: Optional[int]
+    n: int
     weights: Optional[Dict[int, float]]  # neighbor -> weight of (self -> nbr)
     input: Any
     seed: int
@@ -214,7 +214,7 @@ def node_seed(master: int, v: int) -> int:
 
 def make_node_info(graph: "Graph", v: int, *,
                    inputs: Optional[Dict[int, Any]] = None,
-                   known_n: bool = True, seed: int = 0) -> NodeInfo:
+                   seed: int = 0) -> NodeInfo:
     """Construct the canonical local view of node ``v``.
 
     Weight views come from the graph's per-node cache (CSR weight
@@ -229,7 +229,7 @@ def make_node_info(graph: "Graph", v: int, *,
     return NodeInfo(
         id=v,
         neighbors=graph.neighbors(v),
-        n=graph.n if known_n else None,
+        n=graph.n,
         weights=weights,
         in_weights=in_weights,
         input=None if inputs is None else inputs.get(v),
@@ -263,10 +263,6 @@ class Network:
         actually used is O(log n).
     bcast_only:
         Enforce the BCONGEST model (broadcast-only sends).
-    known_n:
-        Whether nodes are told ``n`` up front.  The paper's algorithms
-        compute ``n`` in a preprocessing step (§2.2); drivers that have
-        already run such a step set this to True.
     seed:
         Master seed; each node's private PRNG stream is derived from it.
 
@@ -287,12 +283,11 @@ class Network:
     _SIZE_CACHE_MAX = 65536
 
     def __init__(self, graph: "Graph", *, word_limit: int = 8,
-                 bcast_only: bool = False, known_n: bool = True,
-                 seed: int = 0, check_sizes: bool = True):
+                 bcast_only: bool = False, seed: int = 0,
+                 check_sizes: bool = True):
         self.graph = graph
         self.word_limit = word_limit
         self.bcast_only = bcast_only
-        self.known_n = known_n
         self.seed = seed
         self.check_sizes = check_sizes
         cell = current_cell()
@@ -466,8 +461,7 @@ class Network:
         apis: Dict[int, NodeAPI] = {}
         algos: Dict[int, Algorithm] = {}
         for v in self.graph.nodes():
-            info = make_node_info(self.graph, v, inputs=inputs,
-                                  known_n=self.known_n, seed=self.seed)
+            info = make_node_info(self.graph, v, inputs=inputs, seed=self.seed)
             algos[v] = factory(info)
             apis[v] = NodeAPI(self, info)
 
@@ -559,10 +553,9 @@ class Network:
 
 def run_algorithm(graph: "Graph", factory: Callable[[NodeInfo], Algorithm], *,
                   inputs: Optional[Dict[int, Any]] = None,
-                  word_limit: int = 8, bcast_only: bool = False,
-                  known_n: bool = True, seed: int = 0,
+                  word_limit: int = 8, bcast_only: bool = False, seed: int = 0,
                   max_rounds: int = 5_000_000) -> Execution:
     """One-shot convenience wrapper: build a network and run to quiescence."""
     net = Network(graph, word_limit=word_limit, bcast_only=bcast_only,
-                  known_n=known_n, seed=seed)
+                  seed=seed)
     return net.run(factory, inputs=inputs, max_rounds=max_rounds)

@@ -114,8 +114,7 @@ class MPXMachine(Machine):
         super().__init__(info)
         params = info.input or {}
         self.beta = params.get("beta", beta)
-        n = info.n if info.n is not None else 2
-        self.cap = params.get("cap", cap) or shift_cap(n, self.beta)
+        self.cap = params.get("cap", cap) or shift_cap(info.n, self.beta)
         self.delta = geometric_shift(self.rng, self.beta, self.cap)
         self.start = self.cap - self.delta + 1
         self.center: Optional[int] = None

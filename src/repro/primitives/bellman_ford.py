@@ -61,8 +61,7 @@ class BellmanFordCollectionMachine(Machine):
     def __init__(self, info: NodeInfo, delays: Dict[int, int]):
         super().__init__(info)
         self.delays = delays
-        n = info.n if info.n is not None else len(delays)
-        self.deadline = (max(delays.values()) if delays else 1) + n
+        self.deadline = (max(delays.values()) if delays else 1) + info.n
         self.dist: Dict[int, float] = {}
         self.parent: Dict[int, Optional[int]] = {}
         self.own = [info.id] if info.id in delays else []

@@ -17,11 +17,27 @@ message-optimal election of Kutten et al. [25] for the general bound;
 the difference only affects the additive Õ(m) preprocessing term that
 every claim already carries (In >= m log n).
 
-Two exact shortcuts serve the default engine, and both step aside
-whenever :func:`repro.kernels.config.fallback_reason` names a reason (a
-fault plan, a round profiler, or ``engine="reference"``), so those runs
-go through the ``Network`` loop exactly as before:
+Three exact shortcuts serve the default engine, and all three step
+aside whenever :func:`repro.kernels.config.fallback_reason` names a
+reason (a fault plan, a round profiler, or ``engine="reference"``), so
+those runs go through the ``Network`` loop exactly as before:
 
+* **Exact election and count.**  Without faults both tree runs are
+  deterministic, so :func:`build_global_tree` computes them in closed
+  form.  The election is a numpy min-propagation of a per-node key
+  over the CSR, one hop per round: the key is the node id (the key
+  ``_FloodElect`` floods; a different election rule changes the key in
+  the machine and in ``_elect_exact`` together).  A node broadcasts in
+  round 1 and again whenever its best key drops, so with ``I_v``
+  broadcasts at ``v`` the election sends ``sum(I_v * deg(v))`` two-word
+  messages, edge ``{u, v}`` carries ``I_u + I_v`` of them, and the run
+  ends one round after the last improvement.  Each node's parent is
+  its least-id neighbor one hop nearer the leader.  The count sends
+  three two-word messages over each tree edge (child and count up, n
+  down) and takes
+  ``2 + 2 * height`` rounds (3 for a lone node).  Metrics, congestion
+  insertion order and the errors of a disconnected graph or of the
+  ``_TREE_ROUNDS`` guard are the ``Network`` runs'.
 * **Tree memo.**  :func:`build_global_tree` is deterministic in
   ``(graph, seed)``, and an APSP cell builds the same tree twice
   (shared randomness, then the Theorem 2.1 simulation's
@@ -39,15 +55,20 @@ go through the ``Network`` loop exactly as before:
   ``Network`` run's errors with its texts.  A tree that is not a
   spanning tree over the graph's edges (never one this module builds)
   also runs on the ``Network``, which raises whatever it raises.
-  ``tests/test_property.py`` checks the two paths equal on generated
-  graphs and streams.
+
+``tests/test_property.py`` checks the exact tree and the exact
+dissemination equal to their ``Network`` runs on generated graphs and
+streams, disconnected graphs included.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.congest.errors import AlgorithmError, MessageTooLarge
 from repro.congest.metrics import Metrics, undirected
@@ -201,44 +222,165 @@ class _Disseminate(Algorithm):
 def build_global_tree(graph: Graph, *, seed: int = 0) -> GlobalTree:
     """Elect a leader and build its BFS tree; aggregate and broadcast n.
 
-    Memoized per graph instance unless :func:`fallback_reason` sends the
-    call to the ``Network`` (see the module docstring); callers share
-    the returned tree and must not mutate it.
+    Computed in closed form and memoized per graph instance unless
+    :func:`fallback_reason` sends the call to the ``Network`` (see the
+    module docstring); callers share the returned tree and must not
+    mutate it.
     """
-    memo = graph._global_tree_cache if fallback_reason() is None else None
-    if memo is not None:
-        tree = memo.get(seed)
-        if tree is None:
-            tree = memo[seed] = _build_global_tree(graph, seed)
-        return tree
-    return _build_global_tree(graph, seed)
+    if fallback_reason() is not None:
+        return _build_global_tree(graph, seed, exact=False)
+    memo = graph._global_tree_cache
+    tree = memo.get(seed)
+    if tree is None:
+        tree = memo[seed] = _build_global_tree(graph, seed, exact=True)
+    return tree
 
 
-def _build_global_tree(graph: Graph, seed: int) -> GlobalTree:
+def _build_global_tree(graph: Graph, seed: int, *,
+                       exact: bool) -> GlobalTree:
+    if exact:
+        root, parent, metrics = _elect_exact(graph)
+    else:
+        root, parent, metrics = _elect_on_network(graph, seed)
+    depth = tree_depths(parent)
+    if exact:
+        children, count = _count_exact(graph, parent, depth)
+    else:
+        children, count = _count_on_network(graph, root, parent, seed)
+    metrics.merge(count)
+    return GlobalTree(root=root, parent=parent, children=children,
+                      depth=depth, n=graph.n, metrics=metrics)
+
+
+def _livelock() -> AlgorithmError:
+    """The ``Network``'s error once a tree run passes ``_TREE_ROUNDS``."""
+    return AlgorithmError(
+        f"exceeded max_rounds={_TREE_ROUNDS}; likely livelock")
+
+
+def _elect_exact(graph: Graph,
+                 ) -> Tuple[int, Dict[int, Optional[int]], Metrics]:
+    """What :class:`_FloodElect` on a ``Network`` yields, in closed form.
+
+    A min-propagation over the CSR, one hop per round.  Every node
+    broadcasts in round 1 and again in each round its best key drops.
+    A pair heard in round ``r`` is ``r - 2`` hops old, so one round's
+    candidates all carry the same distance, larger than that of any
+    best a node already holds: ``(leader, dist)`` improves exactly when
+    the least key heard is below the node's own.  With ``I_v``
+    broadcasts at node ``v``, edge ``{u, v}`` carries ``I_u + I_v``
+    two-word messages; every edge is first used in round 1, by its
+    lower endpoint in ``graph.edge_keys()`` order.
+    """
+    n = graph.n
+    indptr, nbrs = graph._indptr, graph._indices
+    sender = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # _FloodElect floods node ids; another election rule changes this
+    # key and the machine's payload together.
+    keys = np.arange(n, dtype=np.int64)
+    best = keys.copy()
+    depth = np.zeros(n, dtype=np.int64)
+    sends = np.ones(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    rnd = 1
+    while True:
+        slots = active[sender]
+        if not slots.any():
+            break
+        rnd += 1  # the receivers act
+        heard = np.full(n, np.iinfo(np.int64).max)
+        np.minimum.at(heard, nbrs[slots], best[sender[slots]])
+        active = heard < best
+        if not active.any():
+            break
+        best[active] = heard[active]
+        depth[active] = rnd - 1
+        sends += active
+    if rnd > _TREE_ROUNDS:
+        raise _livelock()
+    if n == 0 or (best != best.min()).any():
+        raise RuntimeError("leader election did not converge "
+                           "(is the graph connected?)")
+    root = int(np.argmin(keys))
+    # The first of the least-id senders one hop nearer wins: inboxes
+    # are sorted by sender and only a strictly smaller pair replaces.
+    nearer = depth[nbrs] == depth[sender] - 1
+    up = np.full(n, n, dtype=np.int64)
+    np.minimum.at(up, sender[nearer], nbrs[nearer])
+    parent: Dict[int, Optional[int]] = dict(enumerate(up.tolist()))
+    parent[root] = None
+
+    messages = int(sends @ np.diff(indptr))
+    metrics = Metrics(rounds=rnd, messages=messages,
+                      broadcasts=int(sends.sum()), words=2 * messages)
+    if messages:
+        metrics.max_message_words = 2
+        metrics.message_sizes[2] = messages
+        edge_keys = graph.edge_keys()
+        load = (sends[sender] + sends[nbrs]).tolist()
+        metrics.edge_congestion.update(dict(zip(
+            chain.from_iterable(edge_keys[v] for v in range(n)), load)))
+    return root, parent, metrics
+
+
+def _count_exact(graph: Graph, parent: Dict[int, Optional[int]],
+                 depth: Dict[int, int],
+                 ) -> Tuple[Dict[int, List[int]], Metrics]:
+    """What :class:`_CountAndAck` on a ``Network`` yields, in closed form.
+
+    Every tree edge carries three two-word messages (child, count, n),
+    first used in round 1 in ascending child id.  A node of subtree
+    height ``h`` reports its count in round ``2 + h``, so the root
+    learns n in round ``2 + height`` and the deepest leaves hear it in
+    round ``2 + 2 * height``; a lone root announces to nobody in round 3.
+    """
+    rounds = 2 + 2 * max(depth.values()) if graph.n > 1 else 3
+    if rounds > _TREE_ROUNDS:
+        raise _livelock()
+    children: Dict[int, List[int]] = {v: [] for v in graph.nodes()}
+    metrics = Metrics(rounds=rounds)
+    congestion = metrics.edge_congestion
+    for v, p in parent.items():  # ascending v
+        if p is not None:
+            children[p].append(v)
+            congestion[undirected(v, p)] = 3
+    messages = 3 * (graph.n - 1)
+    if messages:
+        metrics.messages = messages
+        metrics.words = 2 * messages
+        metrics.max_message_words = 2
+        metrics.message_sizes[2] = messages
+    return children, metrics
+
+
+def _elect_on_network(graph: Graph, seed: int,
+                      ) -> Tuple[int, Dict[int, Optional[int]], Metrics]:
+    """The reference election: one :class:`_FloodElect` per node."""
     flood = run_algorithm(graph, _FloodElect, seed=seed,
                           max_rounds=_TREE_ROUNDS)
-    metrics = flood.metrics.snapshot()
     parent = {v: flood.outputs[v][2] for v in graph.nodes()}
     leaders = {flood.outputs[v][0] for v in graph.nodes()}
     if len(leaders) != 1:
         raise RuntimeError("leader election did not converge "
                            "(is the graph connected?)")
-    root = leaders.pop()
+    return leaders.pop(), parent, flood.metrics.snapshot()
 
+
+def _count_on_network(graph: Graph, root: int,
+                      parent: Dict[int, Optional[int]], seed: int,
+                      ) -> Tuple[Dict[int, List[int]], Metrics]:
+    """The reference count: one :class:`_CountAndAck` per node."""
     count = run_algorithm(
         graph, _CountAndAck,
         inputs={v: {"parent": parent[v]} for v in graph.nodes()},
         seed=seed, max_rounds=_TREE_ROUNDS)
-    metrics.merge(count.metrics)
     if any(output is None for output in count.outputs.values()):
         raise AlgorithmError("count aggregation did not converge")
     n_root = count.outputs[root][0]
     if n_root != graph.n:
         raise RuntimeError(f"count aggregation failed: {n_root} != {graph.n}")
     children = {v: list(count.outputs[v][1]) for v in graph.nodes()}
-    depth = tree_depths(parent)
-    return GlobalTree(root=root, parent=parent, children=children,
-                      depth=depth, n=graph.n, metrics=metrics)
+    return children, count.metrics
 
 
 def disseminate(graph: Graph, tree: GlobalTree, stream: List[Any], *,

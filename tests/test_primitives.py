@@ -268,13 +268,14 @@ def test_fallback_cells_build_and_disseminate_on_the_network(name,
         assert len(runs) == 5
     assert first is not second
     assert not g._global_tree_cache
-    # Outside the context the tree is built once more and stored, and
-    # dissemination needs no Network; both agree with the runs above.
+    # Outside the context the tree is built once more, in closed form,
+    # and stored, and dissemination needs no Network either; both agree
+    # with the runs above.
     assert build_global_tree(g, seed=4).metrics.as_dict() == \
         first.metrics.as_dict()
-    assert len(runs) == 7 and len(g._global_tree_cache) == 1
+    assert len(runs) == 5 and len(g._global_tree_cache) == 1
     assert disseminate(g, first, [1, (2, 3)]) == (received, metrics)
-    assert len(runs) == 7
+    assert len(runs) == 5
 
 
 def test_profiled_weighted_apsp_keeps_every_network_segment():

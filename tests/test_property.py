@@ -62,7 +62,7 @@ from repro.primitives import (
     route_packets,
     route_phases,
 )
-from repro.primitives import transport
+from repro.primitives import global_tree, transport
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
 from repro.primitives.bfs import BFSCollectionMachine
 from repro.primitives.luby import LubyMISMachine
@@ -127,14 +127,20 @@ def _typed(obj):
     return type(obj), obj
 
 
+def _nest(children):
+    """The containers ``payloads`` builds from smaller payloads (a
+    named function: Hypothesis reads a lambda's source to check that it
+    uses its argument, and can cut a multi-line lambda short)."""
+    return st.one_of(
+        st.tuples(children, children),
+        st.lists(children, max_size=3),
+        st.dictionaries(st.integers(0, 9), children, max_size=3))
+
+
 payloads = st.recursive(
     st.one_of(st.integers(-1000, 1000), st.booleans(),
               st.text(max_size=4), st.none()),
-    lambda children: st.one_of(
-        st.tuples(children, children),
-        st.lists(children, max_size=3),
-        st.dictionaries(st.integers(0, 9), children, max_size=3)),
-    max_leaves=8)
+    _nest, max_leaves=8)
 # Within route_packets' default 16-word limit (payload + destination).
 small_payloads = payloads.filter(lambda p: payload_words(p) < 16)
 
@@ -627,6 +633,81 @@ def test_route_phases_errors_come_from_the_first_failing_phase():
 
 
 # ----------------------------------------------------------------------
+# Global tree: the closed-form election and count equal the Network runs
+# ----------------------------------------------------------------------
+
+@st.composite
+def tree_graphs(draw):
+    """A ``connected_graphs`` draw, or now and then the one-node graph."""
+    if draw(st.integers(0, 7)) == 0:
+        return from_edges(1, [])
+    return draw(connected_graphs(max_n=12))
+
+
+@st.composite
+def disconnected_graphs(draw):
+    """Two or three ``tree_graphs`` draws side by side, their ids
+    shuffled together so that no component holds all the low ids."""
+    parts = draw(st.lists(tree_graphs(), min_size=2, max_size=3))
+    n = sum(part.n for part in parts)
+    ids = draw(st.permutations(range(n)))
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(ids[u + offset], ids[v + offset]) for u, v in part.edges()]
+        offset += part.n
+    return from_edges(n, edges)
+
+
+def _tree(g, seed):
+    """``build_global_tree`` as comparable data: every field, dicts and
+    counters as ordered item lists, or the error."""
+    try:
+        tree = build_global_tree(g, seed=seed)
+    except (CongestError, RuntimeError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    m = tree.metrics
+    return (tree.root, tree.n, list(tree.parent.items()),
+            list(tree.children.items()), list(tree.depth.items()), m,
+            list(m.edge_congestion.items()), list(m.message_sizes.items()))
+
+
+def _trees_both(g, seed):
+    exact = _tree(g, seed)
+    with cell_context(engine="reference"):
+        reference = _tree(g, seed)
+    return exact, reference
+
+
+@settings(max_examples=80)
+@example(g=from_edges(1, []), seed=0, cap=None)
+@example(g=from_edges(2, [(0, 1)]), seed=0, cap=3)
+# Ids falling away from a triangle of the largest ones: the leader
+# improves in waves, so nodes broadcast several times.
+@example(g=from_edges(7, [(4, 5), (5, 6), (4, 6), (4, 3), (3, 2), (2, 1),
+                          (1, 0)]), seed=0, cap=None)
+@given(g=tree_graphs(), seed=st.integers(0, 1_000),
+       cap=st.one_of(st.none(), st.integers(0, 30)))
+def test_global_tree_matches_network_reference(g, seed, cap):
+    exact, reference = _trees_both(g, seed)
+    assert exact == reference
+    assert exact[0] != "error"
+    if cap is not None:  # the livelock guard, lowered
+        g._global_tree_cache.clear()
+        with mock.patch.object(global_tree, "_TREE_ROUNDS", cap):
+            exact, reference = _trees_both(g, seed)
+        assert exact == reference
+
+
+@settings(max_examples=40)
+@given(g=disconnected_graphs(), seed=st.integers(0, 1_000))
+def test_global_tree_rejects_disconnected_graphs_alike(g, seed):
+    exact, reference = _trees_both(g, seed)
+    assert exact == reference
+    assert exact[:2] == ("error", "RuntimeError")
+    assert not g._global_tree_cache
+
+
+# ----------------------------------------------------------------------
 # Dissemination: the closed form equals the Network run
 # ----------------------------------------------------------------------
 
@@ -640,14 +721,6 @@ sendable_words = st.one_of(
 unsendable_words = st.sampled_from([tuple(range(9)), b"x", bytearray(b"y")])
 stream_words = st.integers(0, 15).flatmap(
     lambda k: unsendable_words if k == 0 else sendable_words)
-
-
-@st.composite
-def tree_graphs(draw):
-    """A ``connected_graphs`` draw, or now and then the one-node graph."""
-    if draw(st.integers(0, 7)) == 0:
-        return from_edges(1, [])
-    return draw(connected_graphs(max_n=12))
 
 
 def _disseminated(g, tree, stream, **kwargs):

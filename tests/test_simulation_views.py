@@ -90,18 +90,6 @@ def test_halted_nodes_ignore_messages():
     assert execution.metrics.messages == 3  # sends still cost
 
 
-def test_unknown_n_mode():
-    captured = {}
-
-    class Peek(Algorithm):
-        def on_round(self, api, rnd, inbox):
-            captured[self.info.id] = self.info.n
-            api.halt()
-
-    run_algorithm(path(3), Peek, known_n=False)
-    assert all(v is None for v in captured.values())
-
-
 def test_max_rounds_guard():
     class Spinner(Algorithm):
         def on_round(self, api, rnd, inbox):
