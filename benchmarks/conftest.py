@@ -1,10 +1,11 @@
-"""Shared helpers for the experiment benchmarks (E1-E12).
+"""Shared helpers for the experiment benchmarks (E1-E14).
 
 Each benchmark runs its experiment once under ``benchmark.pedantic``
 (the interesting outputs are message/round counts, which are
-deterministic given the seed -- wall time is incidental), prints the
-table recorded in EXPERIMENTS.md, and attaches the headline numbers to
-the pytest-benchmark report via ``extra_info``.
+deterministic given the seed -- wall time is incidental), prints its
+table to stdout (shown with ``pytest -s``), and attaches the table and
+the headline numbers to the pytest-benchmark report via ``extra_info``
+(written out with ``--benchmark-json``).
 """
 
 from __future__ import annotations

@@ -37,8 +37,8 @@ weighted-apsp       n x n weighted-distance matrix (Dijkstra, or
 matching-size       maximum bipartite matching cardinality
                     (Hopcroft-Karp)
 ldc-reference       the exhaustively-verified (r, d) realization of the
-                    seed-deterministic LDC decomposition (the expensive
-                    per-cluster strong-diameter check)
+                    seed-deterministic LDC decomposition (the strong
+                    diameter: one BFS per cluster member)
 mpx-cover           verified stats of the padded neighborhood cover
                     derived from the LDC snapshot (clusters, overlap,
                     realized radius)
@@ -261,14 +261,13 @@ def mpx_cover_reference_oracle(g: "Graph", seed: int) -> Dict[str, int]:
     docstring); a cover violating the padding/connectivity properties
     is reported as ``valid=False`` rather than raised.
     """
-    from repro.decomposition.ldc import build_ldc
     from repro.decomposition.pipeline import (
+        build_ldc_snapshot,
         derive_mpx_cover,
-        ldc_snapshot,
         verify_mpx_cover,
     )
 
-    snapshot = ldc_snapshot(build_ldc(g, seed=seed))
+    snapshot = build_ldc_snapshot(g, seed)
     cover = derive_mpx_cover(snapshot)
     try:
         stats = verify_mpx_cover(g, cover, snapshot)
@@ -282,14 +281,13 @@ def mpx_cover_reference_oracle(g: "Graph", seed: int) -> Dict[str, int]:
 
 def ldc_spanner_reference_oracle(g: "Graph", seed: int) -> Dict[str, int]:
     """Verified (size, exact max stretch) of the LDC cluster spanner."""
-    from repro.decomposition.ldc import build_ldc
     from repro.decomposition.pipeline import (
+        build_ldc_snapshot,
         derive_ldc_spanner,
-        ldc_snapshot,
         verify_ldc_spanner,
     )
 
-    snapshot = ldc_snapshot(build_ldc(g, seed=seed))
+    snapshot = build_ldc_snapshot(g, seed)
     edges = derive_ldc_spanner(snapshot)
     try:
         stats = verify_ldc_spanner(g, edges)
@@ -305,10 +303,9 @@ def bs_hierarchy_reference_oracle(g: "Graph", seed: int) -> Dict[str, int]:
         build_baswana_sen,
         verify_hierarchy,
     )
-    from repro.decomposition.ldc import build_ldc
-    from repro.decomposition.pipeline import BS_EPS, ldc_snapshot
+    from repro.decomposition.pipeline import BS_EPS, build_ldc_snapshot
 
-    snapshot = ldc_snapshot(build_ldc(g, seed=seed))
+    snapshot = build_ldc_snapshot(g, seed)
     hierarchy = build_baswana_sen(g, BS_EPS, seed=seed, base=snapshot)
     try:
         stats = verify_hierarchy(g, hierarchy)
@@ -319,16 +316,12 @@ def bs_hierarchy_reference_oracle(g: "Graph", seed: int) -> Dict[str, int]:
             **{name: int(stats[name]) for name in _HIERARCHY_FIELDS[1:]}}
 
 
-def _ldc_depends() -> Tuple[Any, ...]:
-    """The LDC baseline inherits the whole decomposition pipeline."""
-    from repro.decomposition import ldc as ldc_mod
-    from repro.decomposition import mpx as mpx_mod
-
-    return (ldc_mod, mpx_mod)
-
-
 def _pipeline_depends() -> Tuple[Any, ...]:
-    """What the cover/spanner stage oracles inherit: LDC + derivations."""
+    """What every staged oracle inherits: MPX, LDC and the pipeline.
+
+    ``ldc`` holds the one BFS and the Definition 2.3 predicates, and
+    ``pipeline`` the snapshot builder and the derivations.
+    """
     from repro.decomposition import ldc as ldc_mod
     from repro.decomposition import mpx as mpx_mod
     from repro.decomposition import pipeline as pipeline_mod
@@ -369,7 +362,7 @@ ORACLES: Dict[str, OracleSpec] = {spec.name: spec for spec in (
         name="ldc-reference",
         compute=ldc_reference_oracle,
         encode=_encode_ldc, decode=_decode_ldc,
-        depends=_ldc_depends(),
+        depends=_pipeline_depends(),
         description="verified (r, d, clusters) realization of the "
                     "seed-deterministic LDC decomposition"),
     OracleSpec(

@@ -16,8 +16,10 @@ Figure 1: cluster count, max strong diameter, max F-out-degree).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import (Container, Dict, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
 from repro.congest.metrics import Metrics
 from repro.decomposition.mpx import Clustering, run_mpx
@@ -56,19 +58,71 @@ class LDCDecomposition:
             return 0
         return max(len(edges) for edges in self.out_edges.values())
 
-    def max_strong_diameter(self, graph: Graph) -> int:
-        """The r of the (r, d) guarantee, as realized (exact check)."""
-        worst = 0
-        for members in self.members().values():
-            for u in members:
-                for v in members:
-                    if u < v:
-                        d = graph.subgraph_distance(members, u, v)
-                        if d == float("inf"):
-                            raise AssertionError(
-                                "cluster not connected in induced subgraph")
-                        worst = max(worst, int(d))
-        return worst
+
+def hop_distances(adj: Mapping[int, Iterable[int]], root: int,
+                  members: Optional[Container[int]] = None) -> Dict[int, int]:
+    """Hop distances from ``root`` over ``adj``, inside ``members`` if given.
+
+    The one BFS of the LDC verifiers: the strong diameter (the induced
+    subgraph of a cluster), the padded cover's radius and the spanner's
+    stretch (the spanner's own adjacency).
+    """
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist and (members is None or w in members):
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def strong_diameter(graph: Graph, clusters: Iterable[Iterable[int]]) -> int:
+    """The largest hop diameter of a cluster's induced subgraph.
+
+    One BFS per member: a cluster's diameter is its members' largest
+    eccentricity.  Raises AssertionError if a cluster is disconnected.
+    """
+    worst = 0
+    for cluster in clusters:
+        members = set(cluster)
+        for u in members:
+            dist = hop_distances(graph.adj, u, members)
+            if len(dist) != len(members):
+                raise AssertionError(
+                    "cluster not connected in induced subgraph")
+            worst = max(worst, max(dist.values()))
+    return worst
+
+
+def definition_violation(graph: Graph, center_of: Mapping[int, int],
+                         out_edges: Mapping[int, List[Tuple[int, int]]]
+                         ) -> Optional[Tuple[str, str]]:
+    """The first Definition 2.3 violation as ``(check, message)``, or None.
+
+    ``check`` is ``"clusters_partition_v"`` or
+    ``"f_edges_cover_neighboring_clusters"``: the clusters must
+    partition V, and for every node v each cluster holding a neighbor
+    of v must receive one of v's F-edges, each a graph edge leaving
+    v's cluster.  (The strong diameter is :func:`strong_diameter`.)
+    """
+    if set(center_of) != set(graph.nodes()):
+        return "clusters_partition_v", "clusters must partition V"
+    f_check = "f_edges_cover_neighboring_clusters"
+    for v, edges in out_edges.items():
+        covered = {center_of[u] for (_v, u) in edges}
+        needed = {center_of[u] for u in graph.neighbors(v)
+                  if center_of[u] != center_of[v]}
+        if not needed <= covered:
+            return f_check, (
+                f"node {v} misses F-edges into clusters {needed - covered}")
+        for (_v, u) in edges:
+            if u not in graph.neighbors(v):
+                return f_check, "F edge must be a graph edge"
+            if center_of[u] == center_of[v]:
+                return f_check, "F edge must leave cluster"
+    return None
 
 
 def build_ldc(graph: Graph, *, beta: float = 0.5,
@@ -96,17 +150,9 @@ def verify_ldc(graph: Graph, ldc: LDCDecomposition) -> Dict[str, int]:
     * for every node v and every cluster containing a neighbor of v,
       some outgoing F-edge of v lands in that cluster.
     """
-    center_of = ldc.center_of
-    assert set(center_of) == set(graph.nodes()), "clusters must partition V"
-    for v, edges in ldc.out_edges.items():
-        covered = {center_of[u] for (_v, u) in edges}
-        needed = {center_of[u] for u in graph.neighbors(v)
-                  if center_of[u] != center_of[v]}
-        assert needed <= covered, (
-            f"node {v} misses F-edges into clusters {needed - covered}")
-        for (_v, u) in edges:
-            assert u in graph.neighbors(v), "F edge must be a graph edge"
-            assert center_of[u] != center_of[v], "F edge must leave cluster"
-    r = ldc.max_strong_diameter(graph)
+    violation = definition_violation(graph, ldc.center_of, ldc.out_edges)
+    if violation is not None:
+        raise AssertionError(violation[1])
+    r = strong_diameter(graph, ldc.members().values())
     d = ldc.max_out_degree()
     return {"r": r, "d": d, "clusters": ldc.clustering.num_clusters}

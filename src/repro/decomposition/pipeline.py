@@ -14,7 +14,8 @@ This module owns the plain-data **snapshot** those consumers share:
   ``beta`` / ``clusters`` / ``n``).  The dict is exactly what the
   decomposition store round-trips, so a consumer cannot tell a loaded
   snapshot from a freshly computed one -- the byte-identity contract of
-  the ``decomposition_source`` provenance field;
+  the ``decomposition_source`` provenance field.
+  :func:`build_ldc_snapshot` is the one place a snapshot is built;
 * :func:`derive_mpx_cover` / :func:`verify_mpx_cover` -- each cluster
   padded by the F-edge sources pointing into it.  For a valid LDC this
   covers every closed neighborhood (a neighbor in another cluster owns
@@ -27,16 +28,15 @@ This module owns the plain-data **snapshot** those consumers share:
   the hierarchy cell seeds ``build_baswana_sen`` with the snapshot as
   its level-0 clustering instead of singletons.
 
-Everything here is a pure function of the snapshot (and the graph for
-the verifiers): no RNG, no simulator, no I/O.
+Everything else here is a pure function of the snapshot (and the graph
+for the verifiers): no RNG, no simulator, no I/O.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict, List, Tuple
 
-from repro.decomposition.ldc import LDCDecomposition
+from repro.decomposition.ldc import LDCDecomposition, build_ldc, hop_distances
 from repro.graphs.graph import Graph
 
 # The Baswana-Sen parameter of the staged pipeline: kappa = 2, so the
@@ -68,6 +68,15 @@ def ldc_snapshot(ldc: LDCDecomposition) -> Snapshot:
     }
 
 
+def build_ldc_snapshot(graph: Graph, seed: int) -> Snapshot:
+    """The snapshot of ``build_ldc(graph, seed=seed)`` (Lemma 2.4).
+
+    The decomposition chain, the staged bindings' inline fallback and
+    the staged oracles all build their input through it.
+    """
+    return ldc_snapshot(build_ldc(graph, seed=seed))
+
+
 def snapshot_out_edges(snapshot: Snapshot) -> Dict[int, List[Tuple[int, int]]]:
     """Per-node outgoing F-edge lists, every node present (possibly [])."""
     out: Dict[int, List[Tuple[int, int]]] = {
@@ -95,21 +104,6 @@ def derive_mpx_cover(snapshot: Snapshot) -> Dict[int, List[int]]:
     for (u, w) in snapshot["f_edges"]:
         sets[center_of[w]].add(u)
     return {c: sorted(members) for c, members in sorted(sets.items())}
-
-
-def _induced_bfs(graph: Graph, members: List[int],
-                 root: int) -> Dict[int, int]:
-    """Hop distances from ``root`` inside the induced subgraph."""
-    allowed = set(members)
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            if w in allowed and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def verify_mpx_cover(graph: Graph, cover: Dict[int, List[int]],
@@ -141,7 +135,7 @@ def verify_mpx_cover(graph: Graph, cover: Dict[int, List[int]],
             f"closed neighborhood of {v} not padded by its home set")
     radius = 0
     for c, members in cover.items():
-        dist = _induced_bfs(graph, members, c)
+        dist = hop_distances(graph.adj, c, set(members))
         assert set(dist) == set(members), (
             f"cover set {c} disconnected in its induced subgraph")
         radius = max(radius, max(dist.values()))
@@ -183,17 +177,7 @@ def verify_ldc_spanner(graph: Graph,
     stretch = 0
     # One BFS per node over the (sparse) spanner adjacency gives every
     # pairwise spanner distance a graph edge could need.
-    sp_dist: Dict[int, Dict[int, int]] = {}
-    for root in graph.nodes():
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        sp_dist[root] = dist
+    sp_dist = {root: hop_distances(adj, root) for root in graph.nodes()}
     for (u, w) in graph.edges():
         d = sp_dist[u].get(w)
         assert d is not None, (

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -343,29 +343,6 @@ class Graph:
         left = [u for u in self.nodes() if color[u] == 0]
         right = [u for u in self.nodes() if color[u] == 1]
         return left, right
-
-    def subgraph_distance(self, cluster: Iterable[int], u: int, v: int) -> float:
-        """Hop distance between u and v inside the induced subgraph.
-
-        Used to verify the *strong* diameter condition of LDC
-        decompositions (Definition 2.3) and cluster radii (Theorem 3.3a).
-        Returns ``inf`` if disconnected within the cluster.
-        """
-        members = set(cluster)
-        if u not in members or v not in members:
-            return float("inf")
-        adj = self.adj
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                return dist[x]
-            for y in adj[x]:
-                if y in members and y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist.get(v, float("inf"))
 
 
 def _gather_neighbors(indptr: np.ndarray, indices: np.ndarray,

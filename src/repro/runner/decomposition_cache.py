@@ -29,10 +29,9 @@ DEFAULT_MAXSIZE = SweepConfig.decomposition_cache_size
 
 
 def _build_ldc_snapshot(graph: "Graph", derived_seed: int) -> Dict[str, Any]:
-    from repro.decomposition.ldc import build_ldc
-    from repro.decomposition.pipeline import ldc_snapshot
+    from repro.decomposition.pipeline import build_ldc_snapshot
 
-    return ldc_snapshot(build_ldc(graph, seed=derived_seed))
+    return build_ldc_snapshot(graph, derived_seed)
 
 
 # algorithm name (Binding.decomposition) -> snapshot builder.

@@ -196,10 +196,9 @@ def _ldc_input(g: Graph, seed: int, decomposition: Any) -> Any:
     """The LDC snapshot a staged runner consumes (inline when unserved)."""
     if decomposition is not None:
         return decomposition
-    from repro.decomposition.ldc import build_ldc
-    from repro.decomposition.pipeline import ldc_snapshot
+    from repro.decomposition.pipeline import build_ldc_snapshot
 
-    return ldc_snapshot(build_ldc(g, seed=seed))
+    return build_ldc_snapshot(g, seed)
 
 
 def _run_ldc(g: Graph, seed: int, oracle: Any = None,
@@ -220,24 +219,16 @@ def _run_ldc(g: Graph, seed: int, oracle: Any = None,
     cover/spanner/hierarchy cells read, so its checks run on exactly
     the artifact they inherit.
     """
+    from repro.decomposition.ldc import definition_violation
     from repro.decomposition.mpx import shift_cap
     from repro.decomposition.pipeline import snapshot_out_edges
 
     snapshot = _ldc_input(g, seed, decomposition)
     ref = _resolve(ORACLES["ldc-reference"], g, seed, oracle)
-    center_of = snapshot["center_of"]
     out_edges = snapshot_out_edges(snapshot)
-    partition = set(center_of) == set(g.nodes())
-    f_ok = True
-    for v, edges in out_edges.items():
-        covered = {center_of[u] for (_v, u) in edges}
-        needed = {center_of[u] for u in g.neighbors(v)
-                  if center_of[u] != center_of[v]}
-        if not needed <= covered or any(
-                u not in g.neighbors(v) or center_of[u] == center_of[v]
-                for (_v, u) in edges):
-            f_ok = False
-            break
+    violation = definition_violation(g, snapshot["center_of"], out_edges)
+    partition = violation is None or violation[0] != "clusters_partition_v"
+    f_ok = violation is None
     d = max((len(edges) for edges in out_edges.values()), default=0)
     clusters = snapshot["clusters"]
     verified = bool(ref["valid"])

@@ -112,13 +112,6 @@ def test_from_edges_symmetrizes_weights():
     assert g.weight(2, 1) == 7
 
 
-def test_subgraph_distance():
-    g = path(6)
-    assert g.subgraph_distance(range(6), 0, 5) == 5
-    assert g.subgraph_distance([0, 1, 4, 5], 0, 5) == float("inf")
-    assert g.subgraph_distance([0, 1], 0, 1) == 1
-
-
 def test_odd_cycle_not_bipartite():
     assert cycle(5).is_bipartite() is None
     assert cycle(6).is_bipartite() is not None

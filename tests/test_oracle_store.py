@@ -30,6 +30,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +247,22 @@ def test_revision_hashes_the_source_text():
     assert oracle_revision(recoded) != oracle_revision(spec)
     # ... and the revision lands in the artifact key.
     assert oracle_key("s", 8, 1, spec) != oracle_key("s", 8, 1, edited)
+
+
+def test_staged_revisions_hash_the_ldc_verifiers_and_builder():
+    """An edit to the one BFS, the Definition 2.3 predicates or the
+    snapshot builder rotates every staged oracle's revision: each one's
+    ``depends`` holds the modules that define them."""
+    from repro.decomposition import ldc, pipeline
+
+    held = {sys.modules[fn.__module__] for fn in (
+        ldc.hop_distances, ldc.strong_diameter, ldc.definition_violation,
+        pipeline.build_ldc_snapshot)}
+    staged = [b.oracle for b in BINDINGS.values() if b.decomposition]
+    assert {spec.name for spec in staged} == {
+        "ldc-reference", "mpx-cover", "ldc-spanner", "bs-hierarchy"}
+    for spec in staged:
+        assert held <= set(spec.depends), spec.name
 
 
 def test_edited_oracle_misses_the_cache(ochain, monkeypatch):

@@ -10,6 +10,7 @@ import random
 import tempfile
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -42,7 +43,7 @@ from repro.covers.mpx_cover import (
     build_cover_machine_factory,
 )
 from repro.decomposition import build_baswana_sen, run_mpx, verify_hierarchy
-from repro.decomposition.ldc import build_ldc
+from repro.decomposition.ldc import build_ldc, strong_diameter
 from repro.decomposition.mpx import MPXMachine
 from repro.decomposition.pipeline import ldc_snapshot
 from repro.graphs import from_edges, gnp, uniform_weights
@@ -838,6 +839,30 @@ def test_mpx_is_partition_with_connected_trees(g, seed):
         if p is not None:
             assert p in g.neighbors(v)
             assert clustering.center_of[p] == clustering.center_of[v]
+
+
+@given(st.data())
+def test_strong_diameter_matches_networkx(data):
+    """The one-BFS-per-member strong diameter against networkx: the
+    largest induced-subgraph diameter over a random partition, raised
+    on exactly when some cluster is disconnected in its own subgraph."""
+    g = data.draw(connected_graphs(max_n=14))
+    parts = data.draw(st.integers(1, 4))
+    labels = data.draw(st.lists(st.integers(0, parts - 1),
+                                min_size=g.n, max_size=g.n))
+    clusters = {}
+    for v, label in enumerate(labels):
+        clusters.setdefault(label, []).append(v)
+    whole = nx.Graph(list(g.edges()))
+    whole.add_nodes_from(g.nodes())
+    induced = [whole.subgraph(members) for members in clusters.values()]
+    if all(nx.is_connected(sub) for sub in induced):
+        assert strong_diameter(g, clusters.values()) == max(
+            nx.diameter(sub) for sub in induced)
+    else:
+        with pytest.raises(AssertionError,
+                           match="cluster not connected in induced"):
+            strong_diameter(g, clusters.values())
 
 
 @given(connected_graphs(max_n=14), st.sampled_from([1.0, 0.5, 0.34]),
