@@ -12,11 +12,7 @@ from conftest import run_once
 
 from repro.analysis import print_table, record_extra_info
 from repro.baselines.reference import unweighted_apsp
-from repro.core.bfs_collections import (
-    depth_cap,
-    distance_matrix,
-    n_bfs_trees_batched,
-)
+from repro.core.bfs_collections import depth_cap, n_bfs_trees_batched
 from repro.core.tradeoff_apsp import (
     apsp_tradeoff,
     landmark_completion,
@@ -43,7 +39,7 @@ def _experiment():
     rows = []
     # Near part alone: how many pairs the depth cap leaves uncovered.
     near = n_bfs_trees_batched(g, EPS, seed=9)
-    near_dist = distance_matrix(n, near.trees, symmetric=True)
+    near_dist = near.trees.distance_matrix(symmetric=True)
     rows.append(("near only (cap=%d)" % cap, 0,
                  _wrong_pairs(near_dist, ref, n),
                  near.metrics.messages))
@@ -85,7 +81,7 @@ def _landmark_cost_scaling():
     for size in (24, 40, 56):
         g = GRID.graph(size)
         landmarks = sample_landmarks(g.n, EPS, seed=g.n)
-        depths, metrics = landmark_completion(g, landmarks, seed=g.n)
+        _far, metrics = landmark_completion(g, landmarks, seed=g.n)
         rows.append((g.name, g.n, len(landmarks),
                      metrics.messages,
                      round(metrics.messages / g.n ** (2 + EPS), 3)))

@@ -20,8 +20,9 @@ from typing import Dict, List
 from repro.congest.machine import run_machines
 from repro.congest.metrics import Metrics
 from repro.congest.scheduler import random_delays
-from repro.core.bfs_collections import disseminate_delays, distance_matrix
+from repro.core.bfs_collections import disseminate_delays
 from repro.graphs.graph import Graph
+from repro.kernels.plan import CollectionResult
 from repro.primitives import bellman_ford, bfs
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
 from repro.primitives.bfs import BFSCollectionMachine
@@ -44,7 +45,8 @@ def apsp_direct_unweighted(graph: Graph, *, seed: int = 0,
         graph, lambda info: BFSCollectionMachine(info, delays),
         word_limit=bfs.message_budget(n), seed=seed)
     total.merge(execution.metrics)
-    dist = distance_matrix(n, execution.outputs, symmetric=True)
+    dist = CollectionResult.from_outputs(execution.outputs).distance_matrix(
+        symmetric=True)
     max_ids = max(
         getattr(a.machine, "max_inbox_ids", 0)
         for a in execution.algorithms.values())
@@ -73,7 +75,8 @@ def apsp_direct_weighted(graph: Graph, *, seed: int = 0,
         graph, lambda info: BellmanFordCollectionMachine(info, delays),
         word_limit=bellman_ford.message_budget(n), seed=seed)
     total.merge(execution.metrics)
-    dist = distance_matrix(n, execution.outputs, symmetric=False)
+    dist = CollectionResult.from_outputs(execution.outputs).distance_matrix(
+        symmetric=False)
     return DirectAPSPResult(
         dist=dist, metrics=total,
         detail={

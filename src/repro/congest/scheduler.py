@@ -36,6 +36,7 @@ from repro.congest.machine import run_machines
 from repro.congest.network import stable_seed
 from repro.congest.profile import mark_phase
 from repro.graphs.graph import Graph
+from repro.kernels.plan import CollectionResult
 from repro.primitives.bfs import BFSCollectionMachine, message_budget
 
 
@@ -103,13 +104,8 @@ def measure_bfs_schedule(graph: Graph, roots: Optional[List[int]] = None, *,
     for adapter in execution.algorithms.values():
         max_ids = max(max_ids, adapter.machine.max_inbox_ids)
     # Dilation: each BFS alone runs for its root's (capped) eccentricity.
-    dilation = 0
-    for j in root_list:
-        depths = [execution.outputs[v][j][0]
-                  for v in graph.nodes()
-                  if execution.outputs[v] and j in execution.outputs[v]]
-        if depths:
-            dilation = max(dilation, max(depths))
+    result = CollectionResult.from_outputs(execution.outputs)
+    dilation = max(result.dist[result.reached].tolist(), default=0)
     if max_depth is not None:
         dilation = min(dilation, max_depth)
 

@@ -31,11 +31,10 @@ Structure (§2.2):
 * **Output delivery** -- after the machines halt, centers downcast each
   member's output, chunked into O(1)-word packets (the O(Out) term).
   Every chunk of one member follows the same tree path, so the driver
-  sizes each output once (:func:`output_words`, or the size a kernel
-  plan carries) and routes
-  ``ceil(words / 4)`` chunks per member through
-  :func:`~repro.primitives.transport.route_downcast`, the downcast's
-  closed form, instead of one packet per chunk.
+  sizes each output once (:func:`output_words`, or a kernel plan's
+  sizes, counted from its arrays) and routes ``ceil(words / 4)`` chunks
+  per member through :func:`~repro.primitives.transport.route_downcast`,
+  the downcast's closed form, instead of one packet per chunk.
 
 Phases in which A is globally silent cost nothing and are skipped; this
 only ever lowers the round count relative to the paper's fixed budgets.
@@ -54,6 +53,7 @@ from repro.congest.network import payload_words
 from repro.congest.profile import mark_phase
 from repro.decomposition.ldc import LDCDecomposition, build_ldc
 from repro.graphs.graph import Graph
+from repro.kernels.plan import CollectionResult
 from repro.primitives.global_tree import build_global_tree
 from repro.primitives.transport import (
     Packet,
@@ -72,10 +72,7 @@ def output_words(obj: Any) -> int:
 
     Used to meter the O(Out) output-downcast term with the *actual*
     output content: scalars cost one word, containers the sum of their
-    items, dict entries key + value, and ``None`` nothing.  Kernel plans
-    size their ``{source: (dist, parent)}`` outputs with
-    :func:`repro.kernels.plan.collection_outputs`, which follows this
-    rule.
+    items, dict entries key + value, and ``None`` nothing.
     """
     if obj is None:
         return 0
@@ -93,7 +90,7 @@ def output_words(obj: Any) -> int:
 class SimulationReport:
     """Everything Theorem 2.1 talks about, as measured."""
 
-    outputs: Dict[int, Any]
+    stepped_outputs: Optional[Dict[int, Any]]
     total: Metrics
     preprocessing: Metrics
     simulation: Metrics
@@ -103,6 +100,12 @@ class SimulationReport:
     input_words: int                 # In (graph description at centers)
     output_words: int                # Out
     ldc_stats: Dict[str, int] = field(default_factory=dict)
+    result: Optional[CollectionResult] = None  # a replayed plan's
+
+    @property
+    def outputs(self) -> Dict[int, Any]:
+        """``{node: output}`` at halt (from ``result`` on first read)."""
+        return self.result.outputs if self.result else self.stepped_outputs
 
 
 def gather_member_inputs(graph: Graph,
@@ -166,8 +169,8 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     :func:`~repro.primitives.transport.route_phases` as packet arrays
     in one call, which meters them as one ``route_packets`` call per
     phase would, so the metrics are byte-identical.  Output delivery
-    reads the plan's per-node output sizes instead of sizing the
-    outputs again; preprocessing is unchanged.
+    sizes the plan's result from its arrays, and the report carries
+    that result rather than output dicts; preprocessing is unchanged.
 
     Every packet built here declares its size (``Packet.words``), from
     payload sizes already known here: an upcast item's words,
@@ -270,7 +273,7 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     # ---------------- Output delivery ----------------
     mark_phase("output-delivery")
     if plan is not None:
-        outputs, sizes = plan.outputs, plan.output_words
+        outputs, sizes = None, plan.result.output_words()
     else:
         outputs = machines.outputs()
         sizes = [output_words(outputs[v]) for v in graph.nodes()]
@@ -288,7 +291,7 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     output_delivery = total.delta_since(simulated)
 
     report = SimulationReport(
-        outputs=outputs,
+        stepped_outputs=outputs,
         total=total,
         preprocessing=preprocessing,
         simulation=simulation,
@@ -297,6 +300,7 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
         broadcasts_simulated=broadcasts_simulated,
         input_words=input_words,
         output_words=sum(sizes),
+        result=plan.result if plan else None,
     )
     report.ldc_stats = {
         "clusters": ldc.clustering.num_clusters,

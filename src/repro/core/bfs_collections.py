@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.congest.metrics import Metrics
 from repro.congest.scheduler import ghaffari_schedule_bound, random_delays
@@ -42,21 +42,19 @@ from repro.core.tradeoff_sim_star import simulate_aggregation_star
 from repro.decomposition.ensemble import build_ensemble
 from repro.decomposition.pruning import build_pruned_hierarchy
 from repro.graphs.graph import Graph
+from repro.kernels.plan import CollectionResult
 from repro.primitives.bfs import BFSCollectionMachine, message_budget
 from repro.primitives.global_tree import build_global_tree, disseminate
 
 
 @dataclass
 class BFSTreesResult:
-    """Per-node ``{root: (dist, parent)}`` plus the cost breakdown."""
+    """The BFS trees (distances and parents) plus the cost breakdown."""
 
-    trees: Dict[int, Dict[int, Tuple[int, Optional[int]]]]
+    trees: CollectionResult
     metrics: Metrics
     detail: Dict[str, float] = field(default_factory=dict)
     reports: List[TradeoffReport] = field(default_factory=list)
-
-
-INF = float("inf")
 
 
 def disseminate_delays(graph: Graph, delays: Dict[int, int], *,
@@ -70,26 +68,6 @@ def disseminate_delays(graph: Graph, delays: Dict[int, int], *,
     _received, m = disseminate(graph, tree, sorted(delays.items()), seed=seed)
     total.merge(m)
     return total
-
-
-def distance_matrix(n: int, outputs: Dict[int, Optional[dict]], *,
-                    symmetric: bool) -> List[List[float]]:
-    """The n x n distance matrix of a collection's ``{v: {j: (dist,
-    parent)}}`` outputs: ``dist[j][v]`` (and ``dist[v][j]`` when
-    ``symmetric``) is the least distance reported, the diagonal 0 and
-    every unreported pair ``inf``."""
-    dist = [[INF] * n for _ in range(n)]
-    for v in range(n):
-        row = dist[v]
-        row[v] = 0
-        # ``<`` keeps the first of equal values, as ``min`` would, but
-        # without a call per entry.
-        for j, (d, _p) in (outputs[v] or {}).items():
-            if d < dist[j][v]:
-                dist[j][v] = d
-            if symmetric and d < row[j]:
-                row[j] = d
-    return dist
 
 
 def n_bfs_trees_star(graph: Graph, eps: float, *,
@@ -112,9 +90,8 @@ def n_bfs_trees_star(graph: Graph, eps: float, *,
                   lambda info: BFSCollectionMachine(info, delays),
                   seed=seed, message_words=budget))
     total.merge(report.total)
-    trees = {v: dict(report.outputs[v] or {}) for v in graph.nodes()}
     return BFSTreesResult(
-        trees=trees, metrics=total,
+        trees=CollectionResult.from_outputs(report.outputs), metrics=total,
         detail={
             "mode": 1.0,  # star
             "phases": report.phases,
@@ -147,8 +124,7 @@ def n_bfs_trees_batched(graph: Graph, eps: float, *,
     for h in ensemble:
         total.merge(h.metrics)
 
-    trees: Dict[int, Dict[int, Tuple[int, Optional[int]]]] = {
-        v: {} for v in graph.nodes()}
+    trees: Dict[int, dict] = {v: {} for v in graph.nodes()}
     reports: List[TradeoffReport] = []
     combined_sim = Metrics()
     max_dilation_rounds = 0
@@ -168,9 +144,8 @@ def n_bfs_trees_batched(graph: Graph, eps: float, *,
         combined_sim.merge(report.simulation, parallel=True)
         max_dilation_rounds = max(max_dilation_rounds,
                                   report.simulation.rounds)
-        for v in graph.nodes():
-            out = report.outputs[v] or {}
-            trees[v].update(out)
+        for v, out in report.outputs.items():
+            trees[v].update(out or {})
 
     # Theorem 1.3 composition bound on the concurrent schedule: the
     # sequential execution above has identical messages/congestion.
@@ -178,7 +153,7 @@ def n_bfs_trees_batched(graph: Graph, eps: float, *,
     rounds_scheduled = ghaffari_schedule_bound(congestion,
                                                max_dilation_rounds, n)
     return BFSTreesResult(
-        trees=trees, metrics=total,
+        trees=CollectionResult.from_outputs(trees), metrics=total,
         detail={
             "mode": 0.0,  # batched / general
             "batches": len(batches),

@@ -27,7 +27,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.congest.machine import run_machines
 from repro.congest.metrics import Metrics
@@ -35,11 +37,11 @@ from repro.congest.scheduler import random_delays
 from repro.core.bcongest_sim import simulate_bcongest
 from repro.core.bfs_collections import (
     disseminate_delays,
-    distance_matrix,
     n_bfs_trees_batched,
     n_bfs_trees_star,
 )
 from repro.graphs.graph import Graph
+from repro.kernels.plan import CollectionResult
 from repro.primitives.bfs import BFSCollectionMachine, message_budget
 from repro.primitives.global_tree import build_global_tree, disseminate
 from repro.primitives.transport import Packet, route_packets
@@ -66,12 +68,11 @@ def sample_landmarks(n: int, eps: float, seed: int, *,
 
 
 def landmark_completion(graph: Graph, landmarks: List[int], *,
-                        seed: int = 0,
-                        ) -> Tuple[Dict[int, Dict[int, int]], Metrics]:
+                        seed: int = 0) -> Tuple[CollectionResult, Metrics]:
     """Run full BFS from every landmark directly in CONGEST, upcast each
     tree to its landmark, and broadcast all trees to all nodes.
 
-    Returns (depths[l][v], metrics).  The broadcast ships the actual
+    Returns (the BFS result, metrics).  The broadcast ships the actual
     tree edges ((root, child, parent) triples), as the paper describes.
     """
     total = Metrics()
@@ -83,27 +84,17 @@ def landmark_completion(graph: Graph, landmarks: List[int], *,
                      graph, lambda info: BFSCollectionMachine(info, delays),
                      word_limit=budget, seed=seed + 7))
     total.merge(execution.metrics)
-
-    parents: Dict[int, Dict[int, Optional[int]]] = {j: {} for j in landmarks}
-    depths: Dict[int, Dict[int, int]] = {j: {} for j in landmarks}
-    for v in graph.nodes():
-        out = execution.outputs[v] or {}
-        for j, (d, parent) in out.items():
-            depths[j][v] = d
-            parents[j][v] = parent
-
-    # Upcast each BFS tree's edges to the landmark along the tree.
+    result = CollectionResult.from_outputs(execution.outputs)
+    parent = dict(zip(result.sources.tolist(), result.parent.tolist()))
+    # Upcast each tree edge (root, child, parent) to its root.
+    edges = [(j, v, p) for j in landmarks
+             for v, p in enumerate(parent[j]) if p >= 0]
     packets: List[Packet] = []
-    for j in landmarks:
-        parent_map = parents[j]
-        for v in graph.nodes():
-            p = parent_map.get(v)
-            if p is None:
-                continue
-            path = [v]
-            while path[-1] != j:
-                path.append(parent_map[path[-1]])
-            packets.append(Packet(path=tuple(path), payload=(j, v, p)))
+    for j, v, p in edges:
+        path = [v]
+        while path[-1] != j:
+            path.append(parent[j][path[-1]])
+        packets.append(Packet(path=tuple(path), payload=(j, v, p)))
     if packets:
         _d, m = route_packets(graph, packets)
         total.merge(m)
@@ -111,12 +102,10 @@ def landmark_completion(graph: Graph, landmarks: List[int], *,
     # Broadcast every tree to every node through the leader's tree.
     tree = build_global_tree(graph, seed=seed + 11)
     total.merge(tree.metrics)
-    stream = [(j, v, parents[j][v]) for j in landmarks
-              for v in graph.nodes() if parents[j].get(v) is not None]
-    if stream:
-        _received, m = disseminate(graph, tree, stream, seed=seed + 11)
+    if edges:
+        _received, m = disseminate(graph, tree, edges, seed=seed + 11)
         total.merge(m)
-    return depths, total
+    return result, total
 
 
 def apsp_tradeoff(graph: Graph, eps: float, *, seed: int = 0,
@@ -131,7 +120,7 @@ def apsp_tradeoff(graph: Graph, eps: float, *, seed: int = 0,
         return _apsp_message_optimal(graph, seed=seed)
     if eps >= 0.5:
         result = n_bfs_trees_star(graph, eps, seed=seed)
-        dist = distance_matrix(n, result.trees, symmetric=True)
+        dist = result.trees.distance_matrix(symmetric=True)
         return TradeoffAPSPResult(dist=dist, metrics=result.metrics,
                                   regime="star (Lemma 3.22)",
                                   detail=result.detail)
@@ -142,17 +131,17 @@ def apsp_tradeoff(graph: Graph, eps: float, *, seed: int = 0,
 def _apsp_message_optimal(graph: Graph, *, seed: int = 0,
                           ) -> TradeoffAPSPResult:
     """The eps ~ 0 end: Theorem 2.1 simulation of the n-BFS collection."""
-    n = graph.n
     delays = random_delays(graph.nodes(), "bfs-delays", seed)
     total = disseminate_delays(graph, delays, seed=seed)
     from repro.kernels import wavefront
     report = simulate_bcongest(
         graph, lambda info: BFSCollectionMachine(info, delays), seed=seed,
-        message_words=message_budget(n),
+        message_words=message_budget(graph.n),
         plan=wavefront.bcongest_plan(graph, delays))
     total.merge(report.total)
+    result = report.result or CollectionResult.from_outputs(report.outputs)
     return TradeoffAPSPResult(
-        dist=distance_matrix(n, report.outputs, symmetric=True),
+        dist=result.distance_matrix(symmetric=True),
         metrics=total, regime="message-optimal (Theorem 1.1)",
         detail={"phases": report.phases,
                 "broadcasts": report.broadcasts_simulated})
@@ -162,18 +151,15 @@ def _apsp_batched_with_landmarks(graph: Graph, eps: float, *, seed: int,
                                  landmark_boost: float,
                                  ) -> TradeoffAPSPResult:
     """The eps in (1/log n, 1/2] regime: Lemma 3.23 + landmarks."""
-    n = graph.n
     near = n_bfs_trees_batched(graph, eps, seed=seed)
     total = near.metrics
-    dist = distance_matrix(n, near.trees, symmetric=True)
+    dist = near.trees.distance_matrix(symmetric=True)
 
-    landmarks = sample_landmarks(n, eps, seed, boost=landmark_boost)
-    depths, m = landmark_completion(graph, landmarks, seed=seed)
+    landmarks = sample_landmarks(graph.n, eps, seed, boost=landmark_boost)
+    far, m = landmark_completion(graph, landmarks, seed=seed)
     total.merge(m)
-    for l in landmarks:
-        dl = depths[l]
-        dl[l] = 0
-        nodes = list(dl)
+    for dl, reached in zip(far.dist.tolist(), far.reached):
+        nodes = np.flatnonzero(reached).tolist()
         for u in nodes:
             du = dl[u]
             for v in nodes:

@@ -63,8 +63,8 @@ def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
                               max_phases: int = 200_000) -> TradeoffReport:
     """Run the Theorem 3.10 simulation (requires kappa <= 2).
 
-    As in :func:`~repro.core.tradeoff_sim.simulate_aggregation`, the
-    global tree is the driver's and ``preprocessing`` is the gather.
+    As in :func:`~repro.core.tradeoff_sim.simulate_aggregation`, the driver
+    builds the global tree, and ``preprocessing`` is the gather.
     """
     if hierarchy.kappa > 2:
         raise ValueError("star simulation requires eps >= 1/2 (kappa <= 2)")

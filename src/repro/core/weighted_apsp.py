@@ -15,7 +15,7 @@ Driver steps:
    (the shared-randomness implementation of §3.3, metered: Õ(n) rounds
    and Õ(n · n) messages);
 2. run the Theorem 2.1 simulation of the Bellman-Ford collection;
-3. assemble per-node distance vectors.
+3. assemble the distance matrix and the parent map from its result.
 
 Benchmark E2 compares the resulting message count against the direct
 (round-optimal, message-heavy) execution of the same collection -- the
@@ -33,12 +33,11 @@ from repro.congest.metrics import Metrics
 from repro.congest.profile import mark_phase
 from repro.congest.scheduler import random_delays
 from repro.core.bcongest_sim import SimulationReport, simulate_bcongest
-from repro.core.bfs_collections import disseminate_delays, distance_matrix
+from repro.core.bfs_collections import disseminate_delays
 from repro.graphs.graph import Graph
+from repro.kernels.plan import INF, CollectionResult
 from repro.primitives.bellman_ford import (BellmanFordCollectionMachine,
                                            message_budget)
-
-INF = float("inf")
 
 
 @dataclass
@@ -102,16 +101,15 @@ def weighted_apsp(graph: Graph, *, seed: int = 0) -> APSPResult:
         plan=relaxation.bcongest_plan(graph, delays))
     total.merge(report.total)
 
-    dist = distance_matrix(n, report.outputs, symmetric=False)
-    parents = {v: {j: p for j, (_d, p) in (report.outputs[v] or {}).items()}
-               for v in graph.nodes()}
+    result = report.result or CollectionResult.from_outputs(report.outputs)
     detail = {
         "phases": report.phases,
         "broadcasts": report.broadcasts_simulated,
         "sim_messages": report.simulation.messages,
         "pre_messages": report.preprocessing.messages,
     }
-    return APSPResult(dist=dist, parents=parents, metrics=total,
+    return APSPResult(dist=result.distance_matrix(symmetric=False),
+                      parents=result.parents(), metrics=total,
                       report=report, detail=detail)
 
 
@@ -160,11 +158,10 @@ def weighted_apsp_tradeoff(graph: Graph, eps: float, *,
         seed=seed, message_words=2 * message_budget(n))
     total.merge(report.total)
 
-    dist = distance_matrix(n, report.outputs, symmetric=False)
-    parents = {v: {j: p for j, (_d, p) in (report.outputs[v] or {}).items()}
-               for v in graph.nodes()}
+    result = CollectionResult.from_outputs(report.outputs)
     return APSPResult(
-        dist=dist, parents=parents, metrics=total, report=None,
+        dist=result.distance_matrix(symmetric=False),
+        parents=result.parents(), metrics=total, report=None,
         detail={
             "phases": report.phases,
             "broadcasts": report.broadcasts_simulated,

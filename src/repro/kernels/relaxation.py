@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.kernels.config import fallback_reason, note_engine
-from repro.kernels.plan import BcongestPlan, collection_outputs
+from repro.kernels.plan import BcongestPlan, CollectionResult
 
 # Beyond this, n + 1 chained additions of int weights may leave
 # float64's exact-integer range (2^53); the builder declines.
@@ -204,11 +204,10 @@ def bcongest_plan(graph: Graph,
                                      last_hop=deadline - start)
     node, rnd, count = announcements(events, n)
     reached = dist < np.inf
-    if int_mode:
-        dist = np.where(reached, dist, 0).astype(np.int64)
-    outputs, words = collection_outputs(range(n), dist, parent, reached)
+    dist = np.where(reached, dist, 0)
     note_engine("kernel:bellman-ford")
     return BcongestPlan(
-        phase=rnd, node=node, words=3 * count, outputs=outputs,
-        output_words=words,
+        phase=rnd, node=node, words=3 * count,
+        result=CollectionResult(np.arange(n), dist.astype(np.int64)
+                                if int_mode else dist, parent, reached),
         executed_phases=deadline + int(rnd[-1] == deadline))

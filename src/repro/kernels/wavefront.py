@@ -42,7 +42,7 @@ builder guarantees.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.congest.metrics import Metrics
 from repro.congest.network import Execution
 from repro.graphs.graph import Graph
 from repro.kernels.config import fallback_reason, note_engine
-from repro.kernels.plan import BcongestPlan, collection_outputs
+from repro.kernels.plan import BcongestPlan, CollectionResult
 from repro.kernels.relaxation import announcements, hop_sweep
 
 
@@ -101,20 +101,18 @@ def _meter_broadcast_events(metrics: Metrics, graph: Graph,
 
 
 def _collection(graph: Graph, delays: Dict[int, int],
-                ) -> Tuple[Dict[int, dict], List[int], Tuple[np.ndarray, ...]]:
+                ) -> Tuple[CollectionResult, Tuple[np.ndarray, ...]]:
     """The prologue every consumer shares: one unit-weight
     :func:`~repro.kernels.relaxation.hop_sweep` over the roots (the keys
-    of ``delays``), then the outputs and their sizes
-    (:func:`~repro.kernels.plan.collection_outputs`) and the ``(node,
-    phase, count)`` announcements in (phase, node) order."""
-    js = sorted(delays)
+    of ``delays``), then the result's arrays and the ``(node, phase,
+    count)`` announcements in (phase, node) order."""
+    js = np.array(sorted(delays), dtype=np.int64)
     dist, parent, events = hop_sweep(
-        graph, np.array(js, dtype=np.int64),
-        np.array([delays[j] for j in js], dtype=np.int64))
+        graph, js, np.array([delays[j] for j in js.tolist()], dtype=np.int64))
     reached = dist < np.inf
     hops = np.where(reached, dist, 0).astype(np.int64)
-    outputs, words = collection_outputs(js, hops, parent, reached)
-    return outputs, words, announcements(events, graph.n)
+    return (CollectionResult(js, hops, parent, reached),
+            announcements(events, graph.n))
 
 
 def direct_execution(graph: Graph, delays: Dict[int, int], *,
@@ -124,7 +122,7 @@ def direct_execution(graph: Graph, delays: Dict[int, int], *,
     it serves one stage of a larger regime."""
     if fallback_reason() is not None:
         return None
-    outputs, _words, (ev_v, ev_p, ev_cnt) = _collection(graph, delays)
+    result, (ev_v, ev_p, ev_cnt) = _collection(graph, delays)
     sizes = 3 * ev_cnt
     offender = _first_offender(ev_v, ev_p, sizes, word_limit)
     if offender is not None:
@@ -137,7 +135,7 @@ def direct_execution(graph: Graph, delays: Dict[int, int], *,
     _meter_broadcast_events(metrics, graph, ev_v, ev_cnt, sizes)
     rounds = int(ev_p.max()) + 1 if len(ev_p) else 0
     metrics.rounds += rounds
-    return Execution(outputs=outputs, metrics=metrics, algorithms={},
+    return Execution(outputs=result.outputs, metrics=metrics, algorithms={},
                      rounds=rounds, halted={})
 
 
@@ -169,7 +167,7 @@ def star_report(graph: Graph, hierarchy, delays: Dict[int, int], *,
     if any(f_incident[v] != nbr_sets[v] for v in graph.nodes()):
         return None
 
-    outputs, _words, (ev_v, ev_p, ev_cnt) = _collection(graph, delays)
+    result, (ev_v, ev_p, ev_cnt) = _collection(graph, delays)
     offender = _first_offender(ev_v, ev_p, 3 * ev_cnt, message_words)
     if offender is not None:
         check_broadcast_words(offender[2], message_words)  # raises
@@ -183,7 +181,7 @@ def star_report(graph: Graph, hierarchy, delays: Dict[int, int], *,
                                                 hierarchy.cluster_edges())
     note_engine("kernel:bfs-wavefront")
     return TradeoffReport(
-        outputs=outputs,
+        outputs=result.outputs,
         total=total,
         preprocessing=preprocessing,
         simulation=simulation,
@@ -209,9 +207,8 @@ def bcongest_plan(graph: Graph,
     """
     if fallback_reason() is not None:
         return None
-    outputs, words, (ev_v, ev_p, ev_cnt) = _collection(graph, delays)
+    result, (ev_v, ev_p, ev_cnt) = _collection(graph, delays)
     note_engine("kernel:bfs-wavefront")
     return BcongestPlan(
-        phase=ev_p, node=ev_v, words=3 * ev_cnt,
-        outputs=outputs, output_words=words,
+        phase=ev_p, node=ev_v, words=3 * ev_cnt, result=result,
         executed_phases=int(ev_p.max()) + 1 if len(ev_p) else 1)

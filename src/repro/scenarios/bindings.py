@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.baselines.oracles import INF, ORACLES, OracleSpec
+from repro.baselines.oracles import ORACLES, OracleSpec
 from repro.baselines.reference import is_matching
 from repro.core import (
     apsp_tradeoff,
@@ -141,18 +141,7 @@ def _run_bfs_collection(g: Graph, seed: int,
     # Shares the unweighted-apsp oracle matrix: row [root][v] is the
     # hop distance, INF where the root's BFS never reaches v.
     ref = _resolve(ORACLES["unweighted-apsp"], g, seed, oracle)
-    exact = True
-    for root in g.nodes():
-        row = ref[root]
-        for v in g.nodes():
-            record = result.trees[v].get(root)
-            got = record[0] if record is not None else None
-            want = None if row[v] == INF else row[v]
-            if got != want:
-                exact = False
-                break
-        if not exact:
-            break
+    exact = result.trees.distance_matrix(symmetric=False) == ref
     return BindingResult(
         ok=exact, checks={"all_bfs_trees_equal_oracle": exact},
         metrics=result.metrics.as_dict())

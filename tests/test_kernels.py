@@ -32,6 +32,7 @@ from repro.graphs import gnp_streaming, uniform_weights
 from repro.kernels import REGISTRY, wavefront
 from repro.kernels import config as kernels_config
 from repro.kernels import relaxation
+from repro.kernels.plan import CollectionResult
 from repro.primitives.bellman_ford import (
     BellmanFordCollectionMachine, message_budget as bellman_ford_budget)
 from repro.primitives.bfs import BFSCollectionMachine, message_budget
@@ -214,10 +215,21 @@ def test_replay_meters_contended_cells_like_the_stepped_loop():
     assert stepped.simulation.messages > 6000
 
 
+def _apsp_replay_cells():
+    """Every tier-1 APSP cell, and the six apsp-n128 cells."""
+    cells = [(spec.scenario, spec.algorithm, spec.size, spec.seed)
+             for spec in build_specs()
+             if spec.algorithm in ("apsp-weighted", "apsp-unweighted")]
+    return cells + [(name, algorithm, 128, seed)
+                    for name, algorithm in (("grid-weighted", "apsp-weighted"),
+                                            ("sparse-gnp", "apsp-unweighted"))
+                    for seed in (1, 2, 3)]
+
+
 def test_plan_output_sizes_equal_output_words(monkeypatch):
-    """A plan's per-node output sizes are ``output_words`` of its
-    outputs, on every tier-1 replay cell and on the six apsp-n128
-    cells."""
+    """A plan's per-node output sizes, counted from its result arrays,
+    are ``output_words`` of the outputs built from them, on every
+    tier-1 replay cell and on the six apsp-n128 cells."""
     original = bcongest_sim.simulate_bcongest
     plans = []
 
@@ -226,27 +238,43 @@ def test_plan_output_sizes_equal_output_words(monkeypatch):
         plan = kwargs.get("plan")
         if plan is not None:
             plans.append(plan)
-            assert report.output_words == sum(plan.output_words)
+            assert report.output_words == sum(plan.result.output_words())
         return report
 
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("repro.")
                 and getattr(module, "simulate_bcongest", None) is original):
             monkeypatch.setattr(module, "simulate_bcongest", recording)
-    cells = [(spec.scenario, spec.algorithm, spec.size, spec.seed)
-             for spec in build_specs()
-             if spec.algorithm in ("apsp-weighted", "apsp-unweighted")]
-    cells += [(name, algorithm, 128, seed)
-              for name, algorithm in (("grid-weighted", "apsp-weighted"),
-                                      ("sparse-gnp", "apsp-unweighted"))
-              for seed in (1, 2, 3)]
+    cells = _apsp_replay_cells()
     for name, algorithm, size, seed in cells:
         assert run_differential(name, algorithm, size=size,
                                 seed=seed).passed
     assert len(plans) == len(cells)
     for plan in plans:
-        assert plan.output_words == [output_words(plan.outputs[v])
-                                     for v in range(len(plan.outputs))]
+        outputs = plan.result.outputs
+        assert plan.result.output_words() == [output_words(outputs[v])
+                                              for v in range(len(outputs))]
+
+
+def test_kernel_apsp_cells_build_no_output_dict(monkeypatch):
+    """A kernel-served APSP cell takes its distance matrix (and the
+    weighted parent map) from the plan's result arrays: with the one
+    writer of the machines' ``{v: {j: (dist, parent)}}`` shape made to
+    raise, every tier-1 APSP cell and a 128-node cell of each binding
+    still pass, each served by a kernel."""
+
+    def no_dict(_result):
+        raise AssertionError("a collection output dict was built")
+
+    monkeypatch.setattr(CollectionResult, "outputs", property(no_dict))
+    cells = [cell for cell in _apsp_replay_cells()
+             if cell[2] != 128 or cell[3] == 1]
+    assert len(cells) > 2
+    for name, algorithm, size, seed in cells:
+        record = run_differential(name, algorithm, size=size, seed=seed)
+        assert record.passed, record.failure_message()
+        assert record.engine_source.startswith("kernel:"), (
+            name, algorithm, record.engine_source)
 
 
 def test_weighted_apsp_metrics_identical_kernels_on_and_off():

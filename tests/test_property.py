@@ -49,6 +49,7 @@ from repro.decomposition.pipeline import ldc_snapshot
 from repro.graphs import from_edges, gnp, uniform_weights
 from repro.kernels import config as kernels_config
 from repro.kernels import relaxation, wavefront
+from repro.kernels.plan import CollectionResult
 from repro.matching.augmenting import BipartiteMatchingMachine
 from repro.matching.israeli_itai import IsraeliItaiMachine
 from repro.primitives import (
@@ -783,17 +784,38 @@ class _ScheduleRecorder(LocalRunner):
         return sent
 
 
+def _dict_distance_matrix(outputs, *, symmetric):
+    """The distance matrix read straight off ``{v: {j: (dist, parent)}}``
+    outputs, one entry at a time: the least distance reported (first of
+    equals), the diagonal an int 0 unless a node reports less for
+    itself, and ``inf`` for every unreported pair."""
+    n = len(outputs)
+    dist = [[math.inf] * n for _ in range(n)]
+    for v in range(n):
+        dist[v][v] = 0
+        for j, (d, _p) in (outputs[v] or {}).items():
+            if d < dist[j][v]:
+                dist[j][v] = d
+            if symmetric and d < dist[v][j]:
+                dist[v][j] = d
+    return dist
+
+
 @settings(max_examples=30)
 @given(g=connected_graphs(max_n=12), seed=st.integers(0, 1_000))
 def test_kernel_plan_schedules_match_the_machines(g, seed):
     """A plan's broadcast table is its machine collection's: the
     ``(phase, node, words)`` rows equal the ``(round, node,
     payload_words)`` of every broadcast when the same machines are
-    stepped under ``LocalRunner``.  Every node's output size is
-    ``output_words`` of its output, and its values have the machines'
-    types (int or float).  The directed cases tell sender-side from
-    receiver-side weights; with a negative cycle the machines announce
-    until their deadline."""
+    stepped under ``LocalRunner``.  The plan's result arrays equal
+    ``CollectionResult.from_outputs`` of the stepped outputs; the
+    outputs built from them are the machines' with the machines' types
+    (int or float), and every node's output size is ``output_words`` of
+    its output.  The distance matrix and the parent map built from
+    either record are equal and type-identical, and the matrix is the
+    one the dict outputs give directly (:func:`_dict_distance_matrix`).
+    The directed cases tell sender-side from receiver-side weights; with
+    a negative cycle the machines announce until their deadline."""
     delays = random_delays(range(g.n), "delays", seed)
     weighted = uniform_weights(g, w_max=9, seed=seed)
     floated = _float_weights(g, random.Random(seed))
@@ -821,9 +843,23 @@ def test_kernel_plan_schedules_match_the_machines(g, seed):
         outputs = runner.run()
         assert list(zip(plan.phase.tolist(), plan.node.tolist(),
                         plan.words.tolist())) == runner.schedule
-        assert _typed(plan.outputs) == _typed(outputs)
-        assert plan.output_words == [output_words(plan.outputs[v])
-                                     for v in g.nodes()]
+        result, stepped = plan.result, CollectionResult.from_outputs(outputs)
+        for field in ("sources", "dist", "parent", "reached"):
+            assert np.array_equal(getattr(result, field),
+                                  getattr(stepped, field)), field
+        assert _typed(result.outputs) == _typed(outputs)
+        assert result.output_words() == [output_words(outputs[v])
+                                         for v in g.nodes()]
+        for symmetric in (False, True):
+            matrix = _typed(result.distance_matrix(symmetric=symmetric))
+            assert matrix == _typed(
+                stepped.distance_matrix(symmetric=symmetric))
+            assert matrix == _typed(
+                _dict_distance_matrix(outputs, symmetric=symmetric))
+        assert _typed(result.parents()) == _typed(stepped.parents())
+        assert result.parents() == {
+            v: {j: p for j, (_d, p) in out.items()}
+            for v, out in outputs.items()}
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_bfs_trees_star_complete():
     ref = unweighted_apsp(g)
     for v in g.nodes():
         for j in g.nodes():
-            assert result.trees[v][j][0] == ref[j][v]
+            assert result.trees.outputs[v][j][0] == ref[j][v]
 
 
 def test_bfs_trees_batched_depth_capped():
@@ -74,7 +74,7 @@ def test_bfs_trees_batched_depth_capped():
     for v in g.nodes():
         for j in g.nodes():
             if ref[j][v] <= cap:
-                assert result.trees[v][j][0] == ref[j][v]
+                assert result.trees.outputs[v][j][0] == ref[j][v]
     assert result.detail["rounds_scheduled"] > 0
     assert result.detail["batches"] >= 2
 
@@ -82,8 +82,10 @@ def test_bfs_trees_batched_depth_capped():
 def test_landmark_completion_covers_far_pairs():
     g = grid(3, 10)  # diameter 11
     landmarks = sample_landmarks(g.n, 0.3, seed=47)
-    depths, metrics = landmark_completion(g, landmarks, seed=47)
+    far, metrics = landmark_completion(g, landmarks, seed=47)
     assert metrics.messages > 0
+    assert far.sources.tolist() == landmarks
+    depths = far.distance_matrix(symmetric=False)
     ref = unweighted_apsp(g)
     for l in landmarks:
         for v in g.nodes():
