@@ -6,8 +6,10 @@ O(d * In/log n); downcast rounds vs. O(|M| + d) and messages vs.
 O(d * |M|).  The transport engine is the one used inside both
 simulation frameworks, so this is also their unit cost model.
 
-The downcast rows are routed by the closed form (``route_downcast``),
-checked equal to the per-packet engine on the same packets.  With a
+Both casts take their items as ``(path, count, words)`` routes: the
+upcast rows go through ``route_upcast``, and the downcast rows through
+its closed form (``route_downcast``), checked equal to the per-packet
+engine on the same messages built as packets.  With a
 single root it gives the exact pipelining bound: the j-th message
 leaves the root in round j and arrives depth(dest) rounds later, so
 ``down rounds <= |M| + d``.
@@ -19,12 +21,12 @@ from repro.analysis import print_table, record_extra_info
 from repro.scenarios import get_scenario
 from repro.primitives import (
     Packet,
-    downcast_packets,
     path_from_root,
+    path_to_root,
     route_downcast,
     route_packets,
+    route_upcast,
     tree_depths,
-    upcast_packets,
 )
 
 
@@ -41,13 +43,14 @@ def _experiment():
                 parent[v] = min(u for u in g.neighbors(v)
                                 if dist[u] == dist[v] - 1)
             depth = max(tree_depths(parent).values())
-            items = {v: [("x", v, i) for i in range(items_per_node)]
-                     for v in range(1, n)}
-            total_items = sum(len(v) for v in items.values())
-            packets = upcast_packets(parent, items)
-            _d, up = route_packets(g, packets)
+            # items_per_node ("x", v, i) items at every non-root node:
+            # 4 words with the destination.
+            total_items = items_per_node * (n - 1)
+            up = route_upcast(g, [(path_to_root(parent, v), items_per_node, 4)
+                                  for v in range(1, n)])
             messages = [(v, ("y", v)) for v in range(1, n)]
-            packets = downcast_packets(parent, messages)
+            packets = [Packet(path=path_from_root(parent, v), payload=payload)
+                       for v, payload in messages]
             _d, per_packet = route_packets(g, packets)
             down = route_downcast(g, [(path_from_root(parent, v), 1, 3)
                                       for v, _payload in messages])

@@ -302,7 +302,6 @@ class Network:
         self.metrics = Metrics()
         self.round = 0
         self._next_inboxes: Dict[int, Inbox] = {}
-        self.max_message_words = 0
         # Precomputed adjacency views: O(1) neighbor membership for
         # point-to-point sends, and the per-node list of canonical edge
         # keys in neighbor order for bulk congestion metering.  Both are
@@ -364,7 +363,6 @@ class Network:
         sent_to.add(dst)
         if self.check_sizes:
             size = self._payload_size(payload, src)
-            self.max_message_words = max(self.max_message_words, size)
             if size > self.word_limit:
                 raise MessageTooLarge(
                     f"{size} words > limit {self.word_limit} "
@@ -404,7 +402,6 @@ class Network:
         sent_to.update(nbrs)
         if self.check_sizes:
             size = self._payload_size(payload, src)
-            self.max_message_words = max(self.max_message_words, size)
             if size > self.word_limit:
                 raise MessageTooLarge(
                     f"{size} words > limit {self.word_limit} "

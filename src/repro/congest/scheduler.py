@@ -77,11 +77,6 @@ class ScheduleMeasurement:
         """The Õ(ell + dilation) reference scale of Theorem 1.4(i)."""
         return self.ell + self.dilation
 
-    def distinct_ids_log_ratio(self, n: int) -> float:
-        """Measured distinct-ids max over log2 n (Theorem 1.4(ii))."""
-        return self.max_distinct_bfs_per_node_round / max(
-            1.0, math.log2(max(n, 2)))
-
 
 def measure_bfs_schedule(graph: Graph, roots: Optional[List[int]] = None, *,
                          seed: int = 0,

@@ -43,11 +43,15 @@ only ever lowers the round count relative to the paper's fixed budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.congest.machine import Machine, MachineSet, check_broadcast_words
+from repro.congest.machine import (
+    MachineFactory,
+    MachineSet,
+    check_broadcast_words,
+)
 from repro.congest.metrics import Metrics
 from repro.congest.network import payload_words
 from repro.congest.profile import mark_phase
@@ -62,9 +66,8 @@ from repro.primitives.transport import (
     route_downcast,
     route_packets,
     route_phases,
+    route_upcast,
 )
-
-MachineFactory = Callable[..., Machine]
 
 
 def output_words(obj: Any) -> int:
@@ -118,31 +121,22 @@ def gather_member_inputs(graph: Graph,
     Returns (In in words, metrics).
     """
     parent = ldc.parent
-    packets: List[Packet] = []
+    # (v, u), plus both directions' weights when present.
+    edge_words = 4 if graph.is_weighted else 2
+    routes: List[Tuple[Tuple[int, ...], int, int]] = []
     input_words = 0
     for v in graph.nodes():
         path = path_to_root(parent, v)
-        items: List[Tuple[Any, ...]] = []
-        for u in graph.neighbors(v):
-            if graph.is_weighted:
-                items.append((v, u, graph.weight(v, u), graph.weight(u, v)))
-            else:
-                items.append((v, u))
-        # F-edge annotations: which incident edges v chose for F.
-        for (_v, u) in ldc.out_edges[v]:
-            items.append((v, u, "F"))
-        for item in items:
-            words = payload_words(item)
-            input_words += words
-            if len(path) > 1:
-                packets.append(Packet(path=path, payload=item,
-                                      words=1 + words))
-    if packets:
-        # One item per packet: destination plus an O(1)-word item.
-        _deliveries, metrics = route_packets(graph, packets, word_limit=8)
-    else:
-        metrics = Metrics()
-    return input_words, metrics
+        # v's items: one per incident edge, then one (v, u, "F")
+        # annotation per incident edge it chose for F.
+        degree, chosen = graph.degree(v), len(ldc.out_edges[v])
+        input_words += degree * edge_words + 3 * chosen
+        if len(path) > 1:
+            # One item per packet: destination plus an O(1)-word item.
+            routes += [(path, degree, 1 + edge_words), (path, chosen, 4)]
+    if not routes:
+        return input_words, Metrics()
+    return input_words, route_upcast(graph, routes, word_limit=8)
 
 
 def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
@@ -173,9 +167,9 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     that result rather than output dicts; preprocessing is unchanged.
 
     Every packet built here declares its size (``Packet.words``), from
-    payload sizes already known here: an upcast item's words,
-    a broadcast's words plus origin and destination; output chunks are
-    routed as per-member counts.
+    payload sizes already known here: a broadcast's words plus origin
+    and destination; gathered items and output chunks are routed as
+    per-member counts.
     """
     total = Metrics()
 

@@ -27,7 +27,7 @@ from repro.graphs.graph import Graph
 from repro.matching.augmenting import BipartiteMatchingMachine
 from repro.matching.israeli_itai import IsraeliItaiMachine, matching_from_outputs
 from repro.primitives.global_tree import build_global_tree, disseminate
-from repro.primitives.transport import Packet, path_to_root, route_packets
+from repro.primitives.transport import path_to_root, route_upcast
 
 
 @dataclass
@@ -53,15 +53,12 @@ def _size_bound(graph: Graph, seed: int,
 
     tree = build_global_tree(graph, seed=seed)
     total.merge(tree.metrics)
-    # Convergecast matched bits to the root (one O(1)-word item each).
-    packets = []
-    for v in graph.nodes():
-        if execution.outputs[v] is not None and v != tree.root:
-            path = path_to_root(tree.parent, v)
-            packets.append(Packet(path=path, payload=("matched", v)))
-    if packets:
-        _d, m = route_packets(graph, packets)
-        total.merge(m)
+    # Convergecast matched bits to the root: one ("matched", v) item
+    # each, 3 words with the destination.
+    routes = [(path_to_root(tree.parent, v), 1, 3) for v in graph.nodes()
+              if execution.outputs[v] is not None and v != tree.root]
+    if routes:
+        total.merge(route_upcast(graph, routes))
     matched_count = len([v for v in graph.nodes()
                          if execution.outputs[v] is not None])
     s = max(1, matched_count)  # = 2 |M̂|, at least 1 to schedule a phase

@@ -31,21 +31,20 @@ reported separately so tests and benchmark E3/E6 can check Lemmas 3.12,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
-from repro.congest.machine import Machine, MachineSet
+from repro.congest.machine import MachineFactory, MachineSet
 from repro.congest.metrics import Metrics
 from repro.core.aggregation import get_aggregator
 from repro.decomposition.baswana_sen import BaswanaSenHierarchy, _one_shot
-from repro.graphs.graph import EdgeKey, Graph, undirected
+from repro.graphs.graph import EdgeKey, Graph
 from repro.primitives.transport import (
     Packet,
     path_from_root,
     path_to_root,
     route_packets,
+    route_upcast,
 )
-
-MachineFactory = Callable[..., Machine]
 
 
 @dataclass
@@ -140,16 +139,11 @@ def preprocess_gather(graph: Graph, hierarchy: BaswanaSenHierarchy,
     for level in hierarchy.levels:
         if level.index == 0 or not level.cluster_of:
             continue
-        packets: List[Packet] = []
-        for v, c in level.cluster_of.items():
-            if v == c:
-                continue
-            path = path_to_root(level.parent, v)
-            for u in graph.neighbors(v):
-                packets.append(Packet(path=path, payload=(v, u)))
-        if packets:
-            _d, m = route_packets(graph, packets)
-            metrics.merge(m)
+        # One (v, u) item per incident edge: 3 words with the destination.
+        routes = [(path_to_root(level.parent, v), graph.degree(v), 3)
+                  for v, c in level.cluster_of.items() if v != c]
+        if routes:
+            metrics.merge(route_upcast(graph, routes))
     return metrics
 
 

@@ -31,17 +31,15 @@ the trade-off.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
-from repro.congest.machine import Machine, MachineSet
+from repro.congest.machine import MachineFactory, MachineSet
 from repro.congest.metrics import Metrics
 from repro.core.aggregation import get_aggregator
 from repro.core.tradeoff_sim import TradeoffReport, _congestion_split
 from repro.decomposition.baswana_sen import BaswanaSenHierarchy, _one_shot
 from repro.graphs.graph import Graph
-from repro.primitives.transport import Packet, route_packets
-
-MachineFactory = Callable[..., Machine]
+from repro.primitives.transport import Packet, route_packets, route_upcast
 
 
 def _greedy_maximal_matching(pairs: List[Tuple[int, int]],
@@ -70,19 +68,15 @@ def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
         raise ValueError("star simulation requires eps >= 1/2 (kappa <= 2)")
     total = Metrics()
     # Preprocessing gather: every star member sends its neighborhood to
-    # its center (depth-1 upcast).
+    # its center (depth-1 upcast), one (v, u) item per incident edge:
+    # 3 words with the destination.
     level1 = hierarchy.levels[1] if hierarchy.n_levels > 1 else None
     star_of: Dict[int, int] = dict(level1.cluster_of) if level1 else {}
     stars: Dict[int, List[int]] = level1.members() if level1 else {}
-    gather: List[Packet] = []
-    for v, c in star_of.items():
-        if v == c:
-            continue
-        for u in graph.neighbors(v):
-            gather.append(Packet(path=(v, c), payload=(v, u)))
+    gather = [((v, c), graph.degree(v), 3)
+              for v, c in star_of.items() if v != c]
     if gather:
-        _d, m = route_packets(graph, gather)
-        total.merge(m)
+        total.merge(route_upcast(graph, gather))
     preprocessing = total.snapshot()
 
     low1: Set[int] = set(level1.low_degree) if level1 else set(graph.nodes())

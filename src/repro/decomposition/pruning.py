@@ -23,7 +23,7 @@ benchmark E5 measures it.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.congest.metrics import Metrics
 from repro.decomposition.baswana_sen import (
@@ -33,11 +33,10 @@ from repro.decomposition.baswana_sen import (
 )
 from repro.graphs.graph import Graph
 from repro.primitives.transport import (
-    Packet,
     path_from_root,
     path_to_root,
     route_downcast,
-    route_packets,
+    route_upcast,
 )
 
 
@@ -133,16 +132,12 @@ def prune_hierarchy(graph: Graph, h: BaswanaSenHierarchy, *,
                 f_edges=set()))
             continue
         # (i) Upcast tree structure: every member sends (v, parent, dist)
-        # to its center over the cluster tree.
-        packets = []
-        for v, c in level.cluster_of.items():
-            if v != c:
-                packets.append(Packet(
-                    path=path_to_root(level.parent, v),
-                    payload=(v, level.parent[v], level.dist[v])))
-        if packets:
-            _d, m = route_packets(graph, packets)
-            metrics.merge(m)
+        # to its center over the cluster tree (4 words with the
+        # destination).
+        routes = [(path_to_root(level.parent, v), 1, 4)
+                  for v, c in level.cluster_of.items() if v != c]
+        if routes:
+            metrics.merge(route_upcast(graph, routes))
         # (ii) Center-local splitting.
         new_level = HierarchyLevel(index=level.index,
                                    low_degree=set(level.low_degree))

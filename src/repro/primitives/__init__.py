@@ -11,20 +11,19 @@ from repro.primitives.luby import LubyMISMachine
 from repro.primitives.transport import (
     Delivery,
     Packet,
-    downcast_packets,
     path_from_root,
     path_to_root,
     route_downcast,
     route_packets,
     route_phases,
+    route_upcast,
     tree_depths,
-    upcast_packets,
 )
 
 __all__ = [
     "BFSCollectionMachine", "BFSMachine", "BellmanFordCollectionMachine",
     "Delivery", "GlobalTree", "LubyMISMachine", "Packet",
     "aggregate_keyed_min", "build_global_tree", "disseminate",
-    "downcast_packets", "path_from_root", "path_to_root", "route_downcast",
-    "route_packets", "route_phases", "tree_depths", "upcast_packets",
+    "path_from_root", "path_to_root", "route_downcast", "route_packets",
+    "route_phases", "route_upcast", "tree_depths",
 ]

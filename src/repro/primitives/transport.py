@@ -76,6 +76,12 @@ rejected with an :class:`AlgorithmError`, and under
 ``Network`` loop, as :func:`route_packets` does.
 ``tests/test_property.py`` checks the three agree on generated forests.
 
+:func:`route_upcast` takes the same ``(path, count, words)`` routes for
+an upcast (Lemma 1.5), the convergecast every simulation's gather
+step is, and meters them through :func:`route_packets` as payload-free
+packets, the expansion the downcast's fallback uses too: no caller
+reads an upcast's deliveries.
+
 The Theorem 2.1 plan replay routes one small packet set per simulated
 phase and needs only the metrics, so :func:`route_phases` takes every
 phase at once, as a table of distinct route paths plus one route id,
@@ -269,12 +275,7 @@ def route_downcast(graph: Graph, routes: Sequence[Tuple[Sequence[int], int, int]
                 f"packet payload of {words} words exceeds limit {word_limit}")
     links, last, hops = _downcast_links(graph, live)
     if fallback_reason() is not None:
-        # Payloads reach no metered quantity on the Network loop (sizes
-        # are not checked there, and faults are coordinate-seeded).
-        packets = [Packet(path=tuple(path), payload=None, words=words)
-                   for path, count, words in live for _ in range(count)]
-        return route_packets(graph, packets, word_limit=word_limit,
-                             max_rounds=max_rounds)[1]
+        return _route_as_packets(graph, live, word_limit, max_rounds)
     nbr_sets = graph.nbr_sets()
     # Links in the exact engine's first-use order: by round, then node;
     # the sort is stable, so a root's links keep their route order.
@@ -296,6 +297,34 @@ def route_downcast(graph: Graph, routes: Sequence[Tuple[Sequence[int], int, int]
         metrics.max_message_words = 1
         metrics.message_sizes[1] = hops
     return metrics
+
+
+def route_upcast(graph: Graph, routes: Sequence[Tuple[Sequence[int], int, int]],
+                 *, word_limit: int = 16,
+                 max_rounds: int = _MAX_ROUNDS) -> Metrics:
+    """Route an upcast given as ``(path, count, words)`` routes.
+
+    Meters exactly what :func:`route_packets` does on ``count`` packets
+    of ``words`` words per route, in route order, with the same errors,
+    since those packets go through it; the deliveries are not returned.
+    """
+    return _route_as_packets(graph, routes, word_limit, max_rounds)
+
+
+def _route_as_packets(graph: Graph,
+                      routes: Sequence[Tuple[Sequence[int], int, int]],
+                      word_limit: int, max_rounds: int) -> Metrics:
+    """``count`` payload-free packets of ``words`` words per route, in
+    route order, through :func:`route_packets`.
+
+    Payloads reach no metered quantity: the declared sizes are checked
+    instead, the ``Network`` loop does not size messages, and faults are
+    coordinate-seeded.
+    """
+    packets = [Packet(path=tuple(path), payload=None, words=words)
+               for path, count, words in routes for _ in range(count)]
+    return route_packets(graph, packets, word_limit=word_limit,
+                         max_rounds=max_rounds)[1]
 
 
 def route_phases(graph: Graph, paths: Sequence[Tuple[int, ...]],
@@ -694,40 +723,3 @@ def tree_depths(parent: Dict[int, Optional[int]]) -> Dict[int, int]:
     for v in parent:
         depth(v)
     return depths
-
-
-def upcast_packets(parent: Dict[int, Optional[int]],
-                   items: Dict[int, List[Any]]) -> List[Packet]:
-    """Packets realizing the upcast primitive (Lemma 1.5).
-
-    Each node's items travel to the root of its tree, one item per
-    packet (items are O(1)-word units, i.e. one O(log n)-bit message's
-    worth each, matching the lemma's accounting).
-    """
-    packets = []
-    for v, payloads in items.items():
-        if not payloads:
-            continue
-        path = path_to_root(parent, v)
-        for payload in payloads:
-            packets.append(Packet(path=path, payload=payload))
-    return packets
-
-
-def downcast_packets(parent: Dict[int, Optional[int]],
-                     messages: List[Tuple[int, Any]],
-                     extra_hop: Optional[Dict[int, int]] = None) -> List[Packet]:
-    """Packets realizing the downcast primitive (Lemma 1.6).
-
-    ``messages`` are (destination, payload) pairs; each routes from the
-    destination's root down the tree.  ``extra_hop`` optionally extends
-    selected destinations' paths by one non-tree edge (the
-    inter-cluster-edge hop of §2.2 / §3.2), keyed by message index.
-    """
-    packets = []
-    for idx, (dest, payload) in enumerate(messages):
-        path = list(path_from_root(parent, dest))
-        if extra_hop is not None and idx in extra_hop:
-            path.append(extra_hop[idx])
-        packets.append(Packet(path=tuple(path), payload=payload))
-    return packets

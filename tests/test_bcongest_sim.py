@@ -146,18 +146,18 @@ def test_output_delivery_is_a_full_metrics_window():
                                 + sim.simulation.rounds + out.rounds)
 
 
-# Bindings whose cells route packets; all but bfs-collection (the
-# Theorem 3.10 star simulation) run simulate_bcongest, which declares.
-_ROUTING = {"apsp-weighted": True, "apsp-unweighted": True,
-            "matching": True, "bfs-collection": False}
+# Bindings whose cells route packets.
+_ROUTING = ("apsp-weighted", "apsp-unweighted", "matching", "bfs-collection")
 
 
 def test_declared_packet_sizes_equal_computed_sizes(monkeypatch):
-    """Every size a caller declares on a packet is the one
-    ``route_packets`` would compute, over the tier-1 routing cells:
-    kernel-plan replays (the APSP cells), whose packets go to
+    """Every size a caller declares on a packet that carries a payload
+    is the one ``route_packets`` would compute, over the tier-1 routing
+    cells: kernel-plan replays (the APSP cells), whose packets go to
     ``route_phases`` as arrays of ``2 + words`` sizes, and the stepped
-    branch (the matching cells) of ``simulate_bcongest``."""
+    branch (the matching cells) of ``simulate_bcongest``.  A
+    payload-free packet (``route_upcast``, a downcast's fallback) is
+    sized by its route, which no payload can be checked against."""
     original = transport.route_packets
     declared = [0]
     replayed = [0]  # packets route_phases got, sized as checked
@@ -165,7 +165,7 @@ def test_declared_packet_sizes_equal_computed_sizes(monkeypatch):
 
     def checking(graph, packets, **kwargs):
         for packet in packets:
-            if packet.words is not None:
+            if packet.words is not None and packet.payload is not None:
                 assert packet.words == transport._packet_words(packet), \
                     packet
                 declared[0] += 1
@@ -208,15 +208,14 @@ def test_declared_packet_sizes_equal_computed_sizes(monkeypatch):
     for spec in build_specs():
         if spec.algorithm not in _ROUTING:
             continue
-        before = declared[0], broadcasts[0]
+        before = broadcasts[0]
         record = run_differential(spec.scenario, spec.algorithm,
                                   size=spec.size, seed=spec.seed)
         assert record.passed, spec
-        assert (declared[0] > before[0]) == _ROUTING[spec.algorithm], spec
-        assert (broadcasts[0] > before[1]) \
+        assert (broadcasts[0] > before) \
             == spec.algorithm.startswith("apsp"), spec
         engines.add(record.engine_source)
-    assert replayed[0] > 0
+    assert declared[0] > 0 and replayed[0] > 0
     assert engines == {"kernel:bellman-ford", "kernel:bfs-wavefront",
                        "vectorized:ineligible"}
 

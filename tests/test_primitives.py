@@ -21,9 +21,10 @@ from repro.primitives import (
     Packet,
     build_global_tree,
     disseminate,
+    path_to_root,
     route_packets,
+    route_upcast,
     tree_depths,
-    upcast_packets,
 )
 from repro.testing.differential import run_differential
 
@@ -169,15 +170,14 @@ def test_route_packets_pipelining():
     assert metrics.edge_congestion[(0, 1)] == 10
 
 
-def test_upcast_packets_costs_match_lemma_1_5():
+def test_upcast_costs_match_lemma_1_5():
     # Upcast over a path-tree of depth d: item from node v costs depth(v).
     g = path(6)
     parent = {0: None, 1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
-    items = {v: [("item", v)] for v in range(1, 6)}
-    packets = upcast_packets(parent, items)
-    deliveries, metrics = route_packets(g, packets)
-    assert all(d.dest == 0 for d in deliveries)
+    metrics = route_upcast(g, [(path_to_root(parent, v), 1, 3)
+                               for v in range(1, 6)])
     assert metrics.messages == sum(range(1, 6))  # sum of depths
+    assert metrics.edge_congestion[(0, 1)] == 5  # every item enters the root
 
 
 def test_tree_depths():

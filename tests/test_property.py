@@ -35,7 +35,7 @@ from repro.congest.metrics import undirected
 from repro.congest.profile import ADDITIVE_COLUMNS
 from repro.congest.scheduler import random_delays
 from repro.core.aggregation import check_idempotent
-from repro.core.bcongest_sim import output_words
+from repro.core.bcongest_sim import gather_member_inputs, output_words
 from repro.core.tradeoff_apsp import apsp_tradeoff
 from repro.core.weighted_apsp import weighted_apsp
 from repro.covers.mpx_cover import (
@@ -63,6 +63,7 @@ from repro.primitives import (
     route_downcast,
     route_packets,
     route_phases,
+    route_upcast,
 )
 from repro.primitives import global_tree, transport
 from repro.primitives.bellman_ford import BellmanFordCollectionMachine
@@ -372,7 +373,7 @@ def test_transport_engines_agree_on_empty_inputs():
 
 
 # ----------------------------------------------------------------------
-# Downcast: the closed form equals both packet engines
+# Downcast and upcast: the routes APIs equal both packet engines
 # ----------------------------------------------------------------------
 
 @st.composite
@@ -403,55 +404,65 @@ def downcast_forests(draw):
     return from_edges(n, sorted(edges)), routes
 
 
-def _downcast_outcome(g, routes, **kwargs):
-    """``route_downcast`` as comparable data: the outcome or the error."""
+def _cast_outcome(g, routes, cast=route_downcast, **kwargs):
+    """``cast`` (``route_downcast`` or ``route_upcast``) as comparable
+    data: the outcome or the error."""
     try:
-        m = route_downcast(g, routes, **kwargs)
+        m = cast(g, routes, **kwargs)
     except AlgorithmError as exc:
         return ("error", str(exc))
     return (m.as_dict(), list(m.edge_congestion.items()),
             list(m.message_sizes.items()), m.max_message_words)
 
 
-def _downcast_three_ways(g, routes, **kwargs):
-    """The closed form, ``_route_exact`` on the expanded packets, and
-    the ``Network`` reference, as comparable outcomes."""
+def _cast_three_ways(g, routes, cast=route_downcast, **kwargs):
+    """``cast`` on the default engine, ``_route_exact`` on the expanded
+    packets, and ``cast`` on the ``Network`` reference, as comparable
+    outcomes."""
     packets = [Packet(path=path, payload=None, words=words)
                for path, count, words in routes for _ in range(count)]
     routed = _routed(g, packets, **kwargs)
     if routed[0] != "error":
         routed = routed[1:]
-    closed = _downcast_outcome(g, routes, **kwargs)
+    closed = _cast_outcome(g, routes, cast, **kwargs)
     with cell_context(engine="reference"):
-        reference = _downcast_outcome(g, routes, **kwargs)
+        reference = _cast_outcome(g, routes, cast, **kwargs)
     return closed, routed, reference
+
+
+def _check_cast(g, routes, cast, cap):
+    closed, routed, reference = _cast_three_ways(g, routes, cast)
+    assert closed == routed == reference
+    if cap is not None:  # a non-edge against the round cap
+        closed_cap, routed_cap, reference_cap = _cast_three_ways(
+            g, routes, cast, max_rounds=cap)
+        assert closed_cap == routed_cap == reference_cap
+    if closed[0] == "error":
+        assert "is not an edge" in closed[1]
+        # The round the bad hop is first used decides which error wins.
+        for cap in range(sum(count for _p, count, _w in routes) + g.n):
+            assert _cast_outcome(g, routes, cast, max_rounds=cap) == \
+                _cast_three_ways(g, routes, cast, max_rounds=cap)[1]
+        return
+    rounds = closed[0]["rounds"]
+    if all(len(path) == 1 for path, count, _w in routes if count):
+        assert rounds == 1
+    assert _cast_outcome(g, routes, cast, max_rounds=rounds) == closed
+    capped = _cast_three_ways(g, routes, cast, max_rounds=rounds - 1)
+    assert capped[0] == capped[1] == capped[2]
+    assert capped[0][0] == "error" and "max_rounds" in capped[0][1]
 
 
 @settings(max_examples=80)
 @given(forest=downcast_forests(),
        cap=st.one_of(st.none(), st.integers(0, 30)))
 def test_downcast_matches_both_packet_engines(forest, cap):
+    """The downcast routes through ``route_downcast``, and the same
+    paths reversed, an upcast over the forest, through ``route_upcast``."""
     g, routes = forest
-    closed, routed, reference = _downcast_three_ways(g, routes)
-    assert closed == routed == reference
-    if cap is not None:  # a non-edge against the round cap
-        closed_cap, routed_cap, reference_cap = _downcast_three_ways(
-            g, routes, max_rounds=cap)
-        assert closed_cap == routed_cap == reference_cap
-    if closed[0] == "error":
-        assert "is not an edge" in closed[1]
-        # The round the bad hop is first used decides which error wins.
-        for cap in range(sum(count for _p, count, _w in routes) + g.n):
-            assert _downcast_outcome(g, routes, max_rounds=cap) == \
-                _downcast_three_ways(g, routes, max_rounds=cap)[1]
-        return
-    rounds = closed[0]["rounds"]
-    if all(len(path) == 1 for path, count, _w in routes if count):
-        assert rounds == 1
-    assert _downcast_outcome(g, routes, max_rounds=rounds) == closed
-    capped = _downcast_three_ways(g, routes, max_rounds=rounds - 1)
-    assert capped[0] == capped[1] == capped[2]
-    assert capped[0][0] == "error" and "max_rounds" in capped[0][1]
+    _check_cast(g, routes, route_downcast, cap)
+    _check_cast(g, [(path[::-1], count, words)
+                    for path, count, words in routes], route_upcast, cap)
 
 
 def test_downcast_rejects_what_is_not_a_downcast():
@@ -466,7 +477,7 @@ def test_downcast_rejects_what_is_not_a_downcast():
                                   match="not a downcast|not a node"):
                 route_downcast(g, routes)
     empty = from_edges(0, [])
-    closed, routed, reference = _downcast_three_ways(empty, [((0, 1), 0, 2)])
+    closed, routed, reference = _cast_three_ways(empty, [((0, 1), 0, 2)])
     assert closed == routed == reference
     assert closed[0]["rounds"] == 0
     # A route that carries nothing is no route at all.
@@ -963,6 +974,46 @@ def _apsp_runs(g, seed, engine):
     return [(run.dist, getattr(run, "parents", None), run.detail,
              run.metrics.as_dict(), dict(run.metrics.edge_congestion),
              dict(run.metrics.message_sizes)) for run in runs], note
+
+
+def _gather_reference(graph, ldc):
+    """The per-item gather ``gather_member_inputs`` replaced: one packet
+    per incident edge and F annotation, carrying the item as its
+    payload and sized from it, through ``route_packets``."""
+    packets = []
+    input_words = 0
+    for v in graph.nodes():
+        path = path_to_root(ldc.parent, v)
+        items = [(v, u, graph.weight(v, u), graph.weight(u, v))
+                 if graph.is_weighted else (v, u)
+                 for u in graph.neighbors(v)]
+        items += [(v, u, "F") for _v, u in ldc.out_edges[v]]
+        for item in items:
+            input_words += payload_words(item)
+            if len(path) > 1:
+                packets.append(Packet(path=path, payload=item))
+    if not packets:
+        return input_words, Metrics()
+    return input_words, route_packets(graph, packets, word_limit=8)[1]
+
+
+def _gathered(input_words, m):
+    return (input_words, m.as_dict(), list(m.edge_congestion.items()),
+            list(m.message_sizes.items()), m.max_message_words)
+
+
+@settings(max_examples=40)
+@given(g=apsp_graphs(), seed=st.integers(0, 1_000))
+def test_gather_member_inputs_matches_per_item_reference(g, seed):
+    """``gather_member_inputs`` counts each member's items and routes
+    them as ``route_upcast`` routes; its ``input_words`` and metrics,
+    congestion order and size histogram included, are the per-item
+    packets' on both engines."""
+    ldc = build_ldc(g, beta=0.5, seed=seed)
+    for engine in ("auto", "reference"):
+        with cell_context(engine=engine):
+            assert _gathered(*gather_member_inputs(g, ldc)) == \
+                _gathered(*_gather_reference(g, ldc))
 
 
 @settings(max_examples=30)

@@ -7,10 +7,9 @@ from repro.congest.errors import AlgorithmError
 from repro.congest.cell import cell_context
 from repro.congest.faults import FaultPlan
 from repro.congest.profile import RoundProfiler
-from repro.graphs import cycle, from_edges, grid, path
+from repro.graphs import cycle, grid, path
 from repro.primitives import (
     Packet,
-    downcast_packets,
     path_from_root,
     path_to_root,
     route_packets,
@@ -97,17 +96,6 @@ def test_path_helpers_detect_cycles():
     parent = {0: 1, 1: 0}
     with pytest.raises(AlgorithmError):
         path_to_root(parent, 0)
-
-
-def test_downcast_with_extra_hop():
-    g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    parent = {0: None, 1: 0, 2: 1, 3: 2}
-    # Message to node 2, extended over the non-tree... here tree edge
-    # (2,3) as the "inter-cluster" hop.
-    packets = downcast_packets(parent, [(2, "m")], extra_hop={0: 3})
-    assert packets[0].path == (0, 1, 2, 3)
-    deliveries, _ = route_packets(g, packets)
-    assert deliveries[0].dest == 3
 
 
 def test_transport_conservation_under_load():
