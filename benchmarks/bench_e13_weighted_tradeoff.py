@@ -11,7 +11,7 @@ Theorem 1.1 end, rounds minimal at eps = 1).
 from conftest import run_once
 
 from repro.analysis import print_table, record_extra_info
-from repro.baselines.reference import weighted_apsp as ref_apsp
+from repro.baselines.oracles import ORACLES
 from repro.core.weighted_apsp import weighted_apsp_tradeoff
 from repro.scenarios import get_scenario
 
@@ -20,7 +20,7 @@ N = 20
 
 def _sweep():
     g = get_scenario("dense-gnp-weighted").graph(N, seed=131)
-    ref = ref_apsp(g)
+    ref = ORACLES["weighted-apsp"].compute(g, 131)
     rows = []
     for eps in (0.0, 0.5, 0.75, 1.0):
         result = weighted_apsp_tradeoff(g, eps, seed=131)

@@ -14,7 +14,7 @@ from conftest import run_once
 
 from repro.analysis import fit_exponent, print_table, record_extra_info
 from repro.baselines.apsp_direct import apsp_direct_weighted
-from repro.baselines.reference import weighted_apsp as ref_apsp
+from repro.baselines.oracles import ORACLES
 from repro.core import weighted_apsp
 from repro.scenarios import get_scenario
 
@@ -27,7 +27,7 @@ def _sweep():
         g = SCENARIO.graph(n, seed=n)
         sim = weighted_apsp(g, seed=n)
         direct = apsp_direct_weighted(g, seed=n)
-        ref = ref_apsp(g)
+        ref = ORACLES["weighted-apsp"].compute(g, n)
         assert sim.dist == ref, "simulated APSP must be exact"
         assert direct.dist == ref, "direct APSP must be exact"
         rows.append((n, g.m,

@@ -28,11 +28,13 @@ Registered oracles:
 ==================  =====================================================
 name                value
 ==================  =====================================================
-unweighted-apsp     n x n hop-distance matrix (``INF`` if unreachable);
-                    shared by the ``apsp-unweighted`` and
-                    ``bfs-collection`` bindings, so one artifact serves
-                    both cells of a scenario
-weighted-apsp       n x n weighted-distance matrix (Dijkstra, or
+unweighted-apsp     n x n hop-distance matrix (``INF`` if unreachable;
+                    numpy Floyd-Warshall); shared by the
+                    ``apsp-unweighted`` and ``bfs-collection`` bindings,
+                    so one artifact serves both cells of a scenario
+weighted-apsp       n x n weighted-distance matrix (numpy Floyd-Warshall
+                    when its float64 sums are exact: int weights with
+                    2 * n * max|w| < 2**53; otherwise Dijkstra, or
                     Bellman-Ford under negative weights)
 matching-size       maximum bipartite matching cardinality
                     (Hopcroft-Karp)
@@ -63,15 +65,13 @@ import hashlib
 import inspect
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.baselines import reference
 from repro.baselines.reference import INF
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,12 @@ def _encode_matrix(value: List[List[float]]) -> Dict[str, np.ndarray]:
 def _decode_matrix(arrays: Dict[str, np.ndarray]) -> List[List[float]]:
     """Back to the reference representation: int entries, float INF.
 
-    ``unweighted_apsp``/``weighted_apsp`` produce Python ints for
+    The one conversion of a distance matrix, for a fresh Floyd-Warshall
+    result and a store hit alike, so both are ``==`` and type-identical
+    to ``reference.unweighted_apsp``/``weighted_apsp``: Python ints for
     finite distances (every registered weight scheme is integral) and
-    ``float('inf')`` for unreachable pairs; the decode restores exactly
-    that, so a cached oracle is ``==`` to a recomputed one entry for
-    entry.  A non-integral float (should float weights ever appear)
+    ``float('inf')`` for unreachable pairs.  A non-integral float
+    (float weights, which the oracles compute on the reference path)
     round-trips as the float it was.  The common matrix, every entry
     finite, integral and exactly representable (below 2**53), converts
     in one array cast.
@@ -218,12 +219,43 @@ _encode_hierarchy, _decode_hierarchy = _stats_codec(_HIERARCHY_FIELDS,
 # ---------------------------------------------------------------------------
 
 def unweighted_apsp_oracle(g: "Graph", seed: int) -> List[List[float]]:
-    """Hop-distance matrix: n sequential BFS runs (seed-independent)."""
-    return reference.unweighted_apsp(g)
+    """Hop-distance matrix: Floyd-Warshall, every arc weighing 1.
+
+    Seed-independent.  A weighted graph's weights are dropped (the
+    topology arrays are shared, not copied), so the matrix is
+    ``reference.unweighted_apsp``'s on any input.
+    """
+    if g.is_weighted:
+        g = Graph._from_csr(g._indptr, g._indices, name=g.name)
+    return _decode_matrix({"dist": reference.floyd_warshall(g)})
+
+
+def _exact_in_float64(g: "Graph") -> bool:
+    """Whether Floyd-Warshall reproduces the reference matrix exactly.
+
+    True when every weight is a Python ``int`` and 2 * n * max|w| <
+    2**53: every candidate sum (two simple-path lengths) is then an
+    exact float64, and the decode hands back the Python ints that the
+    reference's left-to-right sums produce.  Float weights round
+    differently and come back as floats, so they stay on the reference.
+    """
+    if not g.is_weighted:
+        return True
+    arc_weights = g._weight_slices()[0]
+    return (all(type(w) is int for w in arc_weights)
+            and 2 * g.n * max(map(abs, arc_weights), default=0) < 2 ** 53)
 
 
 def weighted_apsp_oracle(g: "Graph", seed: int) -> List[List[float]]:
-    """Weighted distance matrix: Dijkstra / Bellman-Ford per source."""
+    """Weighted distance matrix (seed-independent).
+
+    Floyd-Warshall when its float64 sums are exact
+    (:func:`_exact_in_float64`, every catalog weight scheme); otherwise
+    Dijkstra, or Bellman-Ford under negative weights, per source.
+    Either way a negative cycle raises ``ValueError``.
+    """
+    if _exact_in_float64(g):
+        return _decode_matrix({"dist": reference.floyd_warshall(g)})
     return reference.weighted_apsp(g)
 
 
@@ -341,16 +373,17 @@ ORACLES: Dict[str, OracleSpec] = {spec.name: spec for spec in (
         name="unweighted-apsp",
         compute=unweighted_apsp_oracle,
         encode=_encode_matrix, decode=_decode_matrix,
-        depends=(reference.unweighted_apsp, reference.bfs_distances),
-        description="n x n hop-distance matrix (n-fold BFS)"),
+        depends=(reference.floyd_warshall,),
+        description="n x n hop-distance matrix (Floyd-Warshall)"),
     OracleSpec(
         name="weighted-apsp",
         compute=weighted_apsp_oracle,
         encode=_encode_matrix, decode=_decode_matrix,
-        depends=(reference.weighted_apsp, reference.dijkstra,
+        depends=(reference.floyd_warshall, _exact_in_float64,
+                 reference.weighted_apsp, reference.dijkstra,
                  reference.bellman_ford),
-        description="n x n weighted distance matrix "
-                    "(Dijkstra / Bellman-Ford)"),
+        description="n x n weighted distance matrix (Floyd-Warshall; "
+                    "Dijkstra / Bellman-Ford off the exact range)"),
     OracleSpec(
         name="matching-size",
         compute=matching_size_oracle,

@@ -4,8 +4,14 @@ Every distributed result in this repository is checked against a plain
 sequential computation: BFS / Dijkstra / Bellman-Ford shortest paths,
 Floyd-Warshall APSP, and Hopcroft-Karp maximum bipartite matching.
 These implementations are deliberately simple and independent of the
-distributed code paths; tests additionally cross-check them against
-networkx and scipy where those are available.
+distributed code paths.
+
+The APSP oracles of :mod:`repro.baselines.oracles` serve their matrices
+from :func:`floyd_warshall`, one numpy relaxation per intermediate
+node.  The pure-Python per-source :func:`unweighted_apsp` and
+:func:`weighted_apsp` stay as the reference the tests pin it to (and
+as the weighted oracle's path for weights outside float64's exact
+range); tests additionally cross-check them against networkx and scipy.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.graphs.graph import Graph
 
@@ -103,27 +111,30 @@ def weighted_apsp(g: Graph) -> List[List[float]]:
     return out
 
 
-def floyd_warshall(g: Graph) -> List[List[float]]:
-    """Independent APSP oracle (O(n^3)), used to cross-check the above."""
+def floyd_warshall(g: Graph) -> np.ndarray:
+    """APSP over ``g``'s directed weights as one float64 n x n matrix.
+
+    Arc ``u -> v`` weighs ``g.weight(u, v)`` (1 on an unweighted graph);
+    unreachable pairs are ``inf``.  One vectorized relaxation per
+    intermediate node ``k``.  A negative diagonal entry is a negative
+    cycle through that node: it raises as soon as it appears, before
+    any later sum could leave the exact range.  Exact whenever every
+    sum of two simple-path lengths is an exact float64 (integral
+    weights with 2 * n * max|w| < 2**53), which is when the APSP
+    oracles serve their matrices from here.
+    """
     n = g.n
-    dist = [[INF] * n for _ in range(n)]
-    for u in g.nodes():
-        dist[u][u] = 0
-        for v in g.neighbors(u):
-            w = g.weight(u, v)
-            if w < dist[u][v]:
-                dist[u][v] = w
+    dist = np.full((n, n), INF)
+    src = np.repeat(np.arange(n), np.diff(g._indptr))
+    arc_weights = (np.asarray(g._weight_slices()[0], dtype=np.float64)
+                   if g.is_weighted else 1.0)
+    np.minimum.at(dist, (src, g._indices), arc_weights)
+    np.fill_diagonal(dist, 0.0)
+    diagonal = dist.diagonal()
     for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == INF:
-                continue
-            di = dist[i]
-            for j in range(n):
-                nd = dik + dk[j]
-                if nd < di[j]:
-                    di[j] = nd
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+        if (diagonal < 0).any():
+            raise ValueError("graph contains a negative cycle")
     return dist
 
 

@@ -49,11 +49,8 @@ from repro.baselines.apsp_direct import (
     apsp_direct_unweighted,
     apsp_direct_weighted,
 )
-from repro.baselines.reference import (
-    maximum_matching_size,
-    unweighted_apsp as ref_unweighted,
-    weighted_apsp as ref_weighted,
-)
+from repro.baselines.oracles import ORACLES
+from repro.baselines.reference import maximum_matching_size
 from repro.core import (
     apsp_tradeoff,
     maximum_matching,
@@ -74,11 +71,13 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
         g = uniform_weights(g, w_max=args.w_max, seed=args.seed)
         result = weighted_apsp(g, seed=args.seed)
         direct = apsp_direct_weighted(g, seed=args.seed)
-        exact = result.dist == ref_weighted(g)
+        exact = result.dist == ORACLES["weighted-apsp"].compute(
+            g, args.seed)
     else:
         result = apsp_tradeoff(g, 0.0, seed=args.seed)
         direct = apsp_direct_unweighted(g, seed=args.seed)
-        exact = result.dist == ref_unweighted(g)
+        exact = result.dist == ORACLES["unweighted-apsp"].compute(
+            g, args.seed)
     rows = [
         ("message-optimal (paper)", result.metrics.messages,
          result.metrics.rounds),
@@ -92,7 +91,7 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
 
 def _cmd_tradeoff(args: argparse.Namespace) -> int:
     g = gnp(args.n, args.p, seed=args.seed)
-    ref = ref_unweighted(g)
+    ref = ORACLES["unweighted-apsp"].compute(g, args.seed)
     rows = []
     ok = True
     for eps in args.eps:

@@ -77,7 +77,6 @@ class Graph:
         self.name = name
         self._adj: Optional[Dict[int, Tuple[int, ...]]] = None
         self._weights: Optional[Dict[EdgeKey, float]] = None
-        self._weighted = False
         # CSR-aligned weight values (python numbers, built lazily from
         # the weights dict so numeric types survive round-trips).
         self._w_out: Optional[list] = None
@@ -149,7 +148,6 @@ class Graph:
                 # Symmetrize silently: undirected weighted input.
                 weights[(v, u)] = weights[(u, v)]
         self._weights = weights
-        self._weighted = True
 
     def reweighted(self, weights: Dict[EdgeKey, float],
                    name: Optional[str] = None) -> "Graph":

@@ -30,7 +30,6 @@ class LubyMISMachine(Machine):
         self.live_neighbors = set(info.neighbors)
         self.priority: Optional[Tuple[float, int]] = None
         self.nbr_priorities = {}
-        self.decided: Optional[bool] = None
 
     def on_round(self, rnd: int, inbox: Inbox):
         if self.halted:
@@ -43,7 +42,6 @@ class LubyMISMachine(Machine):
                     self.live_neighbors.discard(src)
             if not self.live_neighbors:
                 # Every competitor is gone: join by default.
-                self.decided = True
                 self.set_output(True)
                 self.halted = True
                 return None
@@ -56,7 +54,6 @@ class LubyMISMachine(Machine):
                     self.nbr_priorities[src] = (msg[1], src)
             assert self.priority is not None
             if all(self.priority < p for p in self.nbr_priorities.values()):
-                self.decided = True
                 self.set_output(True)
                 self.halted = True
                 return ("in",)
@@ -65,7 +62,6 @@ class LubyMISMachine(Machine):
         joined = any(msg[0] == "in" and src in self.live_neighbors
                      for src, msg in inbox)
         if joined:
-            self.decided = False
             self.set_output(False)
             self.halted = True
             return ("out",)

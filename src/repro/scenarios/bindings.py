@@ -465,13 +465,13 @@ BINDINGS: Dict[str, Binding] = {b.name: b for b in (
     Binding(
         name="apsp-unweighted", family="apsp",
         description="Theorem 1.2 at eps=0: message-optimal unweighted "
-                    "APSP vs the n-fold BFS oracle",
+                    "APSP vs the Floyd-Warshall hop-distance oracle",
         run=_run_apsp_unweighted, envelope=_APSP_ENVELOPE,
         oracle=ORACLES["unweighted-apsp"]),
     Binding(
         name="apsp-weighted", family="apsp",
         description="Theorem 1.1: weighted APSP (directed / negative "
-                    "weights allowed) vs Dijkstra / Bellman-Ford",
+                    "weights allowed) vs the weighted-apsp oracle",
         run=_run_apsp_weighted, envelope=_APSP_ENVELOPE,
         oracle=ORACLES["weighted-apsp"]),
     Binding(

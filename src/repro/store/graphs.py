@@ -105,7 +105,6 @@ def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray],
         # weights directly instead of re-validating edge membership,
         # which would materialize the whole adjacency on every load.
         graph._weights = weights
-        graph._weighted = True
     return graph
 
 

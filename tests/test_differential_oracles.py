@@ -2,8 +2,14 @@
 simulator's output equals the sequential reference and the metered
 rounds/messages stay inside the declared complexity envelope."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.baselines.reference import hopcroft_karp
 from repro.graphs import from_edges
 from repro.scenarios import all_scenarios, get_binding
@@ -92,3 +98,33 @@ def test_full_matrix_at_requested_size(scenario_size):
     records = sweep(sizes=[scenario_size])
     stats = summarize(records)
     assert stats["failed"] == 0, "\n".join(stats["failures"])
+
+
+SCIPY_FREE = """
+import sys
+import repro.runner.engine
+import repro.testing.differential
+from repro.baselines.oracles import ORACLES
+from repro.graphs import gnp, uniform_weights
+g = uniform_weights(gnp(12, 0.4, seed=3), w_max=9, seed=3)
+for name in ("unweighted-apsp", "weighted-apsp"):
+    ORACLES[name].compute(g, 0)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_sweep_path_and_apsp_oracles_import_no_scipy():
+    """The sweep path and both APSP oracles never load scipy.
+
+    Importing ``scipy.sparse.csgraph`` on top of the sweep path raises
+    the process's max RSS by about 27 MB (35.4 -> 62.4 MB), against the
+    10% bound perfbench puts on ``peak_rss_mb`` (about 51 MB): the
+    oracles stay on numpy.  Run in a fresh interpreter, since this test
+    process imports scipy for the cross-checks.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
